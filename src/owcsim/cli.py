@@ -100,11 +100,16 @@ class RunConfig:
 def _convert(section, key, kind, raw, line_no):
     if kind == "float":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(
                 f"line {line_no}: expected a number for '{section}.{key}', got '{raw}'"
             ) from None
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"line {line_no}: '{section}.{key}' must be a finite number, got '{raw}'"
+            )
+        return value
     if kind == "int":
         try:
             return int(raw)

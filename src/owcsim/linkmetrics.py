@@ -120,12 +120,15 @@ def bandwidth_3db(ir: ImpulseResponse, resolution: float = 1e6) -> float:
     nz = np.nonzero(p)[0]
     if nz.size == 0:
         raise ValueError("bandwidth undefined for a zero-power impulse response")
-    if nz.size == 1:
-        return UNBOUNDED
     t = ir.times()[nz]
     p = p[nz]
     h0 = float(p.sum())
     target = 1.0 / math.sqrt(2.0)
+    # triangle inequality: |H(f)| >= p_max - (H(0) - p_max) at every f.  When
+    # that floor clears the 3-dB line by far more than the scan's rounding
+    # error, the scan cannot cross it and would return UNBOUNDED anyway.
+    if (2.0 * float(p.max()) - h0) / h0 > target * (1.0 + 1e-9):
+        return UNBOUNDED
 
     def ratio(freqs):
         ph = np.exp(-2j * math.pi * np.multiply.outer(freqs, t))

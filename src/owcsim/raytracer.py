@@ -7,14 +7,19 @@ second-order reflections are accumulated into a fixed-width delay histogram.
 First-order paths run over a fine surface grid, second-order paths use a
 coarser grid for both bounces to keep the pair count tractable.
 
-The tracer is a pure function of (scene, config): work is split into
-fixed-size element chunks and reduced in chunk order, so results are
-bit-identical for any worker count.
+The tracer is a pure function of (scene, config).  Second-order work is
+split into fixed chunks of first-bounce (e1) rows of the coarse grid.
+Rows that receive no power from any luminaire are dropped before any pair
+geometry is built, and a chunk left with no rows is skipped; the rest are
+binned, every luminaire in one pass, into a per-chunk histogram.  With
+several threads at most 2 x threads chunks are in flight.  Chunks are always
+reduced in chunk order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -356,60 +361,92 @@ class ArrivalField:
 
         nbins = self.nbins
         bin_width = cfg.bin_width
+        nl = len(lums)
         e2_base = np.arange(ne, dtype=np.int64) * nbins
+        # rows with no incident power from any luminaire add nothing (their
+        # weights are exactly zero, with or without occlusion)
+        lit = p1.any(axis=0)
 
         def work(start):
             stop = min(start + _CHUNK, ne)
-            dvec = centres[None, :, :] - centres[start:stop, None, :]
+            rows = start + np.flatnonzero(lit[start:stop])
+            nr = rows.size
+            dvec = centres[None, :, :] - centres[rows, None, :]
             d2 = np.einsum("cek,cek->ce", dvec, dvec)
             ok = d2 > _EPS
             d2s = np.where(ok, d2, 1.0)
             d = np.sqrt(d2s)
-            cos_out = np.einsum("cek,ck->ce", dvec, normals[start:stop]) / d
+            cos_out = np.einsum("cek,ck->ce", dvec, normals[rows]) / d
             cos_in = -np.einsum("cek,ek->ce", dvec, normals) / d
             ok &= (cos_out > 0.0) & (cos_in > 0.0)
             t12 = np.where(ok, cos_out * cos_in, 0.0) * areas[None, :] / (math.pi * d2s)
             if boxes:
-                src = np.broadcast_to(centres[start:stop, None, :], dvec.shape)
+                src = np.broadcast_to(centres[rows, None, :], dvec.shape)
                 t12 = np.where(
                     _segments_blocked(boxes, src.reshape(-1, 3),
                                       np.broadcast_to(centres[None, :, :],
                                                       dvec.shape).reshape(-1, 3)
                                       ).reshape(t12.shape),
                     0.0, t12)
-            geom = rho[start:stop, None] * t12
-            row_reflected = geom.sum(axis=1)           # for bounce accounting
-            flat_parts, w_parts = [], []
+            del dvec, d2, ok, d2s, cos_out, cos_in
+            geom = rho[rows, None] * t12
+            del t12
+            # for bounce accounting; unlit rows stay 0 so the dot products
+            # run over the same full chunk as with every row traced
+            row_reflected = np.zeros(stop - start)
+            row_reflected[rows - start] = geom.sum(axis=1)
+            # one buffer for all luminaires, luminaire-then-row-major: the
+            # order bincount adds each cell's terms in.  Zero weights are
+            # passed through, since adding +0.0 leaves a cell's bits alone.
+            w = np.empty((nl, nr, ne))
+            flat = np.empty((nl, nr, ne), dtype=np.int64)
+            length = np.empty((nr, ne))
             second_total = 0.0
-            for li in range(len(lums)):
+            for li in range(nl):
                 second_total += float(p1[li, start:stop] @ row_reflected)
-                w = p1[li, start:stop, None] * geom * f3[None, :]
-                length = l1[li, start:stop, None] + d + d3[None, :]
+                wl = w[li]
+                np.multiply(p1[li, rows, None], geom, out=wl)
+                wl *= f3
+                np.add(l1[li, rows, None], d, out=length)
+                length += d3
                 # same expression as the point-arrival path: floor(len/c/dt)
-                idx = np.floor(length / C_LIGHT / bin_width).astype(np.int64)
-                flat = e2_base[None, :] + idx
-                keep = w > 0.0
-                flat_parts.append(flat[keep])
-                w_parts.append(w[keep])
-            return (np.concatenate(flat_parts), np.concatenate(w_parts),
-                    second_total)
+                length /= C_LIGHT
+                length /= bin_width
+                np.floor(length, out=length)
+                np.copyto(flat[li], length, casting="unsafe")
+                flat[li] += e2_base
+            return flat.ravel(), w.ravel(), second_total
 
-        starts = list(range(0, ne, _CHUNK))
+        # chunks without a lit row contribute exactly zero: skip them
+        starts = [s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
+        rows_traced = int(lit.sum())
+        self.totals["second_rows_traced"] = rows_traced
+        self.totals["second_pairs_evaluated"] = rows_traced * ne
         hist_flat = np.zeros(ne * nbins)
         second_total = 0.0
+
+        def add_chunk(result):
+            nonlocal second_total
+            flat, w, tot = result
+            # only zero weights can index past the end: a coincident pair
+            # (d set to 1 m) in a room whose diagonal is under 1 m
+            counts = np.bincount(flat, weights=w, minlength=hist_flat.size)
+            np.add(hist_flat, counts[:hist_flat.size], out=hist_flat)
+            second_total += tot
+
         if threads > 1:
+            # at most 2 x threads chunks in flight, reduced in chunk order
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = ex.map(work, starts)
-                for flat, w, tot in results:       # input order: deterministic
-                    hist_flat += np.bincount(flat, weights=w,
-                                             minlength=hist_flat.size)
-                    second_total += tot
+                pending = deque()
+                for start in starts:
+                    if len(pending) == 2 * threads:
+                        add_chunk(pending.popleft().result())
+                    pending.append(ex.submit(work, start))
+                while pending:
+                    add_chunk(pending.popleft().result())
         else:
             for start in starts:
-                flat, w, tot = work(start)
-                hist_flat += np.bincount(flat, weights=w,
-                                         minlength=hist_flat.size)
-                second_total += tot
+                add_chunk(work(start))
         self.totals["second_bounce_coarse_w"] = second_total
         self.b2_dirs = u3
         self.b2_hist = hist_flat.reshape(ne, nbins)

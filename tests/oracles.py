@@ -90,3 +90,94 @@ def oracle_q(x: float) -> float:
     """Gaussian tail probability via 40-digit erfc."""
     with mpmath.workdps(40):
         return float(0.5 * mpmath.erfc(x / mpmath.sqrt(2)))
+
+
+def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
+    """Second-order histogram by the original chunked kernel, kept verbatim.
+
+    Every e1 row of the coarse grid is traced, one luminaire at a time, and
+    only pairs with positive weight are kept; chunks are reduced in order.
+    Returns (b2_hist, second_bounce_coarse_w).  Unlike the scalar oracles
+    above this shares the unchanged helpers (`_incident_power`,
+    `_segments_blocked`, `_occluder_boxes`) with the tracer, because it is
+    the bitwise reference for the kernel built on them.
+    """
+    import numpy as np
+
+    from owcsim.raytracer import (
+        C_LIGHT,
+        _occluder_boxes,
+        _incident_power,
+        _segments_blocked,
+    )
+
+    chunk = 256
+    eps = 1e-12
+    lums = [scene.luminaires[i] for i in luminaire_ids]
+    boxes = _occluder_boxes(scene) if cfg.occlusion else []
+    mount = np.asarray(mount, dtype=float)
+    diag = math.sqrt(sum(s * s for s in scene.room))
+    nbins = int((cfg.max_order + 1) * diag / C_LIGHT / cfg.bin_width) + 2
+
+    grid = scene.surface_elements(cfg.second_edge)
+    ne = len(grid)
+    centres, normals = grid.centres, grid.normals
+    areas, rho = grid.areas, grid.reflectances
+    p1, l1 = _incident_power(lums, grid, boxes)
+
+    v3 = mount[None, :] - centres
+    d3 = np.linalg.norm(v3, axis=1)
+    safe = d3 > eps
+    dd3 = np.where(safe, d3, 1.0)
+    u3 = v3 / dd3[:, None]
+    cos3 = (u3 * normals).sum(axis=1)
+    f3 = np.zeros(ne)
+    sel = safe & (cos3 > 0.0)
+    f3[sel] = rho[sel] * cos3[sel] / (math.pi * d3[sel] ** 2)
+    if boxes:
+        f3[_segments_blocked(boxes, centres, mount[None, :])] = 0.0
+
+    e2_base = np.arange(ne, dtype=np.int64) * nbins
+
+    def work(start):
+        stop = min(start + chunk, ne)
+        dvec = centres[None, :, :] - centres[start:stop, None, :]
+        d2 = np.einsum("cek,cek->ce", dvec, dvec)
+        ok = d2 > eps
+        d2s = np.where(ok, d2, 1.0)
+        d = np.sqrt(d2s)
+        cos_out = np.einsum("cek,ck->ce", dvec, normals[start:stop]) / d
+        cos_in = -np.einsum("cek,ek->ce", dvec, normals) / d
+        ok &= (cos_out > 0.0) & (cos_in > 0.0)
+        t12 = np.where(ok, cos_out * cos_in, 0.0) * areas[None, :] / (math.pi * d2s)
+        if boxes:
+            src = np.broadcast_to(centres[start:stop, None, :], dvec.shape)
+            t12 = np.where(
+                _segments_blocked(boxes, src.reshape(-1, 3),
+                                  np.broadcast_to(centres[None, :, :],
+                                                  dvec.shape).reshape(-1, 3)
+                                  ).reshape(t12.shape),
+                0.0, t12)
+        geom = rho[start:stop, None] * t12
+        row_reflected = geom.sum(axis=1)
+        flat_parts, w_parts = [], []
+        second_total = 0.0
+        for li in range(len(lums)):
+            second_total += float(p1[li, start:stop] @ row_reflected)
+            w = p1[li, start:stop, None] * geom * f3[None, :]
+            length = l1[li, start:stop, None] + d + d3[None, :]
+            idx = np.floor(length / C_LIGHT / cfg.bin_width).astype(np.int64)
+            flat = e2_base[None, :] + idx
+            keep = w > 0.0
+            flat_parts.append(flat[keep])
+            w_parts.append(w[keep])
+        return (np.concatenate(flat_parts), np.concatenate(w_parts),
+                second_total)
+
+    hist_flat = np.zeros(ne * nbins)
+    second_total = 0.0
+    for start in range(0, ne, chunk):
+        flat, w, tot = work(start)
+        hist_flat += np.bincount(flat, weights=w, minlength=hist_flat.size)
+        second_total += tot
+    return hist_flat.reshape(ne, nbins), second_total

@@ -75,6 +75,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="outside the room"):
             parse_config(REFERENCE.replace("y_stop_m = 7.0", "y_stop_m = 9.0"))
 
+    @pytest.mark.parametrize("old, key", [
+        ("power_w = 1.0", "power_w"),
+        ("bin_ps = 50.0", "bin_ps"),
+        ("y_step_m = 0.5", "y_step_m"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_number_rejected(self, old, key, value):
+        text = REFERENCE.replace(old, f"{key} = {value}")
+        line_no = next(i for i, l in enumerate(text.splitlines(), 1)
+                       if l.startswith(key))
+        with pytest.raises(ConfigError,
+                           match=rf"line {line_no}: '\w+\.{key}' must be a finite"):
+            parse_config(text)
+
     def test_bad_receiver_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             parse_config(REFERENCE.replace("kind = adr", "kind = lens"))

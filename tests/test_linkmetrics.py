@@ -104,6 +104,31 @@ class TestBandwidth:
         with pytest.raises(ValueError):
             bandwidth_3db(ir_from([0.0]))
 
+    def test_dominant_bin_exits_before_scan(self, monkeypatch):
+        # one strong arrival and a weak tail: |H(f)| >= (2*1.0 - 1.15)/1.15
+        # = 0.739 of H(0) everywhere, so no DTFT needs evaluating
+        bins = np.zeros(41)
+        bins[0] = 1.0
+        bins[[5, 12, 30, 40]] = [0.05, 0.04, 0.03, 0.03]
+
+        def no_dtft(*args, **kwargs):
+            raise AssertionError("the DTFT scan ran")
+
+        monkeypatch.setattr(np, "exp", no_dtft)
+        assert bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins)) == UNBOUNDED
+
+    @pytest.mark.parametrize("echo, want", [
+        (1.0, 250000488.28125),            # equal pair: scan and bisection
+        (0.19, 415800292.96875),           # bound 0.681, below the 3-dB line
+        (0.17, UNBOUNDED),                 # bound 0.709: exits early
+    ])
+    def test_two_bin_values_unchanged(self, echo, want):
+        # exact values of the scan-only implementation; for two bins the
+        # bound (1 - a)/(1 + a) is the true minimum of |H(f)|/H(0)
+        bins = np.zeros(21)
+        bins[0], bins[20] = 1e-6, echo * 1e-6
+        assert bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins)) == want
+
 
 class TestEyePowers:
     def test_all_inside_one_bit(self):

@@ -1,12 +1,19 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from owcsim import raytracer
 from owcsim.raytracer import (
     C_LIGHT,
     ImpulseResponse,
     TraceConfig,
+    _incident_power,
+    _occluder_boxes,
+    compute_field,
     los_gain,
     reflected_path_gain,
     total_received_power,
@@ -23,7 +30,12 @@ from owcsim.scene import (
     vec3,
 )
 
-from oracles import oracle_los_sum, oracle_one_bounce, oracle_path_delay
+from oracles import (
+    oracle_los_sum,
+    oracle_one_bounce,
+    oracle_path_delay,
+    oracle_second_order_hist,
+)
 
 
 def detector(boresight=(0, 0, 1), fov=90.0, area=4e-6):
@@ -319,3 +331,130 @@ class TestTrace:
         with pytest.raises(ValueError, match="reflectance"):
             trace_impulse_response(pod, (0,), det, vec3(4, 4, 2),
                                    TraceConfig(max_order=0))
+
+
+COARSE = dict(max_order=2, first_edge=0.4, second_edge=0.4)
+
+
+class RecordingExecutor(ThreadPoolExecutor):
+    """Thread pool that records its futures, which of them had their result
+    read, and the most that were outstanding at any submit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.futures = []
+        self.read = set()
+        self.max_outstanding = 0
+        RecordingExecutor.last = self
+
+    def submit(self, fn, *args, **kwargs):
+        fut = super().submit(fn, *args, **kwargs)
+        result = fut.result
+
+        def read_result(timeout=None):
+            self.read.add(id(fut))
+            return result(timeout)
+
+        fut.result = read_result
+        self.futures.append(fut)
+        self.max_outstanding = max(self.max_outstanding,
+                                   len(self.futures) - len(self.read))
+        return fut
+
+
+class TestSecondOrderKernel:
+    @pytest.mark.parametrize("occlusion", [False, True])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_histogram_matches_reference_loop(self, occlusion, threads):
+        pod = build_pod(PodConfig(luminaire_power_w=1.0,
+                                  rack_occluding=occlusion))
+        cfg = TraceConfig(occlusion=occlusion, **COARSE)
+        ids = pod.assignment[1]
+        # the grid must hold a chunk with no lit row and one with some
+        grid = pod.surface_elements(cfg.second_edge)
+        boxes = _occluder_boxes(pod) if occlusion else []
+        lit = _incident_power([pod.luminaires[i] for i in ids], grid,
+                              boxes)[0].any(axis=0)
+        chunks = [lit[s:s + raytracer._CHUNK]
+                  for s in range(0, len(grid), raytracer._CHUNK)]
+        assert any(not c.any() for c in chunks)
+        assert any(c.any() and not c.all() for c in chunks)
+
+        field = compute_field(pod, ids, pod.mounts[1], cfg, threads=threads)
+        hist, second_w = oracle_second_order_hist(pod, ids, pod.mounts[1], cfg)
+        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.totals["second_bounce_coarse_w"] == second_w
+        assert field.totals["second_rows_traced"] == int(lit.sum())
+        assert (field.totals["second_pairs_evaluated"]
+                == int(lit.sum()) * len(grid))
+
+    def test_room_smaller_than_a_metre(self):
+        # coincident e1 == e2 pairs get a 1 m stand-in distance and zero
+        # weight; in a room with a diagonal under 1 m their bin lies past
+        # the histogram and must be dropped, not break the reduction
+        floor = SurfacePanel(vec3(0, 0, 0), vec3(0.1, 0, 0), vec3(0, 0.1, 0),
+                             vec3(0, 0, 1), 0.8, "floor")
+        wall = SurfacePanel(vec3(0, 0, 0), vec3(0, 0.1, 0), vec3(0, 0, 0.25),
+                            vec3(1, 0, 0), 0.8, "wall")
+        scene = Scene(room=(0.1, 0.1, 0.25), panels=[floor, wall],
+                      luminaires=[down_luminaire((0.05, 0.05, 0.25))],
+                      rows=[], mounts=[vec3(0.08, 0.05, 0.25)],
+                      assignment=[(0,)])
+        cfg = TraceConfig(first_edge=0.05, second_edge=0.05)
+        field = compute_field(scene, (0,), scene.mounts[0], cfg)
+        hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
+                                                  cfg)
+        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.totals["second_bounce_coarse_w"] == second_w > 0.0
+
+    def test_unlit_ceiling_rows_are_not_traced(self):
+        # the luminaires sit in the ceiling plane (cos = 0 to every ceiling
+        # element); everything else is lit when nothing occludes
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        field = compute_field(pod, pod.assignment[0], pod.mounts[0],
+                              TraceConfig(**COARSE))
+        grid = pod.surface_elements(0.4)
+        ceiling = int(np.sum(grid.normals[:, 2] == -1.0))
+        assert ceiling > 0
+        assert field.totals["second_rows_traced"] == len(grid) - ceiling
+
+    def test_thread_stress_bounded_in_flight(self, monkeypatch):
+        # more threads than cores, a short switch interval and small chunks
+        # (many more than the in-flight bound) must still give the bits of
+        # one thread, read every future, and never exceed 2 x threads chunks
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        cfg = TraceConfig(**COARSE)
+        ids, mount = pod.assignment[2], pod.mounts[2]
+        monkeypatch.setattr(raytracer, "_CHUNK", 32)
+        monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
+        serial = compute_field(pod, ids, mount, cfg, threads=1)
+        out, errors = {}, []
+
+        def run():
+            try:
+                out["field"] = compute_field(pod, ids, mount, cfg, threads=4)
+            except Exception as exc:          # re-raised below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(old)
+        assert not worker.is_alive(), "threaded trace did not finish in time"
+        assert not errors, errors
+        field = out["field"]
+        assert field.b2_hist.tobytes() == serial.b2_hist.tobytes()
+        assert (field.totals["second_bounce_coarse_w"]
+                == serial.totals["second_bounce_coarse_w"])
+        ex = RecordingExecutor.last
+        lit_chunks = len({r // 32 for r in np.flatnonzero(
+            _incident_power([pod.luminaires[i] for i in ids],
+                            pod.surface_elements(0.4), [])[0].any(axis=0))})
+        assert len(ex.futures) == lit_chunks > 2 * 4
+        assert all(f.done() for f in ex.futures)
+        assert ex.read == {id(f) for f in ex.futures}
+        assert ex.max_outstanding <= 2 * 4
