@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linkmetrics import NoiseParams, delay_stats, link_report
-from .raytracer import ImpulseResponse, TraceConfig, compute_field
+from .raytracer import (ImpulseResponse, TraceConfig, compute_field,
+                        second_order_extent)
 from .receivers import load_pixel_layout, make_adr, make_imaging, make_wfov
 from .scene import PodConfig, build_pod, validate_scene
 
@@ -378,10 +379,10 @@ def run_simulate(cfg: RunConfig, out_dir: str, receiver: str | None = None,
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for mi, mount in enumerate(scene.mounts):
+        rxs = [_make_receiver(kind, mount, layout) for kind in kinds]
         field = compute_field(scene, scene.assignment[mi], mount, cfg.trace,
-                              threads=threads)
-        for kind in kinds:
-            rx = _make_receiver(kind, mount, layout)
+                              threads=threads, receivers=rxs)
+        for kind, rx in zip(kinds, rxs):
             irs = field.receiver_irs(rx)
             for bj, ir in enumerate(irs):
                 path = os.path.join(out_dir, f"ir_{kind}_mount{mi}_branch{bj}.csv")
@@ -426,10 +427,10 @@ def run_sweep(cfg: RunConfig, out_dir: str, receiver: str | None = None,
         for y in ys:
             mount = np.array([sw.row_x, y, cfg.pod.rack_top_m])
             lum_ids = scene.assigned_luminaires(mount)
+            rxs = [_make_receiver(kind, mount, layout) for kind in kinds]
             field = compute_field(scene, lum_ids, mount, cfg.trace,
-                                  threads=threads)
-            for kind in kinds:
-                rx = _make_receiver(kind, mount, layout)
+                                  threads=threads, receivers=rxs)
+            for rx in rxs:
                 report = link_report(scene, rx, cfg.trace, cfg.bitrate,
                                      cfg.noise, threads=threads, field=field)
                 f.write(_metrics_row(report) + "\n")
@@ -437,7 +438,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, receiver: str | None = None,
     return 0
 
 
-def run_scene_check(cfg: RunConfig) -> int:
+def run_scene_check(cfg: RunConfig, receiver: str | None = None) -> int:
     """Validate the scene and report discretization / cost figures."""
     scene = build_pod(cfg.pod)
     diags = validate_scene(scene)
@@ -451,8 +452,23 @@ def run_scene_check(cfg: RunConfig) -> int:
     per_mount = len(scene.assignment[0]) if scene.assignment else 0
     print(f"luminaires: {len(scene.luminaires)} ({per_mount} per mount)")
     print(f"estimated paths per mount: los={per_mount} "
-          f"first={per_mount * n1} second={per_mount * n2 * n2}")
-    return 0 if not diags else 1
+          f"first={per_mount * n1}")
+    if diags:
+        return 1
+    if cfg.trace.max_order >= 2:
+        # the pairs the kernel will trace: lit first-bounce rows times the
+        # second-bounce columns the selected receivers capture
+        layout = _load_layout(cfg)
+        kinds = _receiver_kinds(cfg, receiver)
+        for mi, mount in enumerate(scene.mounts):
+            rxs = [_make_receiver(kind, mount, layout) for kind in kinds]
+            ext = second_order_extent(scene, scene.assignment[mi], mount,
+                                      cfg.trace, rxs)
+            print(f"mount {mi} second-order ({'+'.join(kinds)}): "
+                  f"rows={ext['rows']} cols={ext['cols']} pairs={ext['pairs']} "
+                  f"histogram_bytes={ext['hist_bytes']} "
+                  f"traced_histogram_bytes={ext['traced_hist_bytes']}")
+    return 0
 
 
 def _thread_count(arg: int | None) -> int:
@@ -524,7 +540,7 @@ def main(argv=None) -> int:
                                 gnuplot=args.gnuplot)
         if args.command == "sweep":
             return run_sweep(cfg, args.out, args.receiver, threads)
-        return run_scene_check(cfg)
+        return run_scene_check(cfg, args.receiver)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

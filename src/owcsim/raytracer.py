@@ -14,6 +14,11 @@ geometry is built, and a chunk left with no rows is skipped; the rest are
 binned, every luminaire in one pass, into a per-chunk histogram.  With
 several threads at most 2 x threads chunks are in flight.  Chunks are always
 reduced in chunk order, so results are bit-identical for any worker count.
+
+When the receivers to be applied are known up front, only the second-bounce
+(e2) columns that some branch captures are traced; every other histogram
+row stays 0.0 and meets a capture weight of exactly 0.0, so the impulse
+responses of those receivers are bit-identical to a full trace.
 """
 
 from __future__ import annotations
@@ -255,6 +260,64 @@ def _incident_power(luminaires, grid, boxes):
     return power, length
 
 
+def _bin_count(scene: Scene, cfg: TraceConfig) -> int:
+    """Histogram length that holds the longest path of the traced orders."""
+    diag = math.sqrt(sum(s * s for s in scene.room))
+    reach = (cfg.max_order + 1) * diag
+    return int(reach / C_LIGHT / cfg.bin_width) + 2
+
+
+def _final_hop(grid, mount, boxes):
+    """Last hop, element -> mount: unit directions, lengths and the
+    branch-independent weight (reflectance times the Lambertian emission)."""
+    v3 = mount[None, :] - grid.centres
+    d3 = np.linalg.norm(v3, axis=1)
+    safe = d3 > _EPS
+    dd3 = np.where(safe, d3, 1.0)
+    u3 = v3 / dd3[:, None]
+    cos3 = (u3 * grid.normals).sum(axis=1)
+    f3 = np.zeros(len(grid))
+    sel = safe & (cos3 > 0.0)
+    f3[sel] = grid.reflectances[sel] * cos3[sel] / (math.pi * d3[sel] ** 2)
+    if boxes:
+        f3[_segments_blocked(boxes, grid.centres, mount[None, :])] = 0.0
+    return u3, d3, f3
+
+
+def _captured_columns(receivers, mount, u3) -> np.ndarray:
+    """Elements whose arrival direction some branch of some receiver
+    captures; every element when `receivers` is None."""
+    if receivers is None:
+        return np.ones(len(u3), dtype=bool)
+    captured = np.zeros(len(u3), dtype=bool)
+    for rx in receivers:
+        if not np.array_equal(np.asarray(rx.mount, dtype=float), mount):
+            raise ValueError(
+                f"{rx.kind} receiver at {tuple(rx.mount)} does not sit at the "
+                f"traced mount {tuple(mount)}")
+        captured |= (capture_matrix(rx, u3) != 0.0).any(axis=0)
+    return captured
+
+
+def second_order_extent(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
+                        receivers=None) -> dict:
+    """What the second-order kernel traces for one mount, without tracing:
+    lit first-bounce rows, captured second-bounce columns, the pairs between
+    them and the histogram bytes (the field's full histogram and the
+    compact one the traced columns are accumulated in)."""
+    mount = np.asarray(mount, dtype=float)
+    lums = [scene.luminaires[i] for i in luminaire_ids]
+    boxes = _occluder_boxes(scene) if cfg.occlusion else []
+    grid = scene.surface_elements(cfg.second_edge)
+    rows = int(_incident_power(lums, grid, boxes)[0].any(axis=0).sum())
+    cols = int(_captured_columns(receivers, mount,
+                                 _final_hop(grid, mount, boxes)[0]).sum())
+    row_bytes = _bin_count(scene, cfg) * 8
+    return {"rows": rows, "cols": cols, "pairs": rows * cols,
+            "hist_bytes": len(grid) * row_bytes,
+            "traced_hist_bytes": cols * row_bytes}
+
+
 class ArrivalField:
     """All traced arrivals at one point, before any detector directivity.
 
@@ -263,10 +326,14 @@ class ArrivalField:
     pre-binned per final element, since its arrival direction only depends
     on that element.  Applying a receiver is then just a directional
     weighting, so all branches of all receiver kinds share one trace.
+
+    With `receivers` given, second-order paths are traced only to the
+    elements some branch of them captures (`b2_traced`); applying a
+    receiver or detector that captures any other element raises.
     """
 
     def __init__(self, scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
-                 threads: int = 1):
+                 threads: int = 1, receivers=None):
         self.scene = scene
         self.mount = np.asarray(mount, dtype=float)
         self.luminaire_ids = tuple(luminaire_ids)
@@ -275,9 +342,7 @@ class ArrivalField:
 
         lums = [scene.luminaires[i] for i in self.luminaire_ids]
         boxes = _occluder_boxes(scene) if cfg.occlusion else []
-        diag = math.sqrt(sum(s * s for s in scene.room))
-        reach = (cfg.max_order + 1) * diag
-        self.nbins = int(reach / C_LIGHT / cfg.bin_width) + 2
+        self.nbins = _bin_count(scene, cfg)
 
         flux_parts, len_parts, dir_parts = [], [], []
 
@@ -333,36 +398,34 @@ class ArrivalField:
         # second order, coarse grid for both bounces
         self.b2_dirs = None
         self.b2_hist = None
+        self.b2_traced = None
         if cfg.max_order >= 2 and lums:
-            self._trace_second_order(lums, boxes, max(1, int(threads)))
+            self._trace_second_order(lums, boxes, max(1, int(threads)),
+                                     receivers)
 
-    def _trace_second_order(self, lums, boxes, threads):
+    def _trace_second_order(self, lums, boxes, threads, receivers):
         scene, cfg, mount = self.scene, self.cfg, self.mount
         grid = scene.surface_elements(cfg.second_edge)
         ne = len(grid)
-        centres, normals = grid.centres, grid.normals
-        areas, rho = grid.areas, grid.reflectances
 
         p1, l1 = _incident_power(lums, grid, boxes)
         self.totals["first_bounce_coarse_w"] = float(p1.sum())
+        u3, d3, f3 = _final_hop(grid, mount, boxes)
 
-        # final hop: element -> mount (branch-independent part)
-        v3 = mount[None, :] - centres
-        d3 = np.linalg.norm(v3, axis=1)
-        safe = d3 > _EPS
-        dd3 = np.where(safe, d3, 1.0)
-        u3 = v3 / dd3[:, None]
-        cos3 = (u3 * normals).sum(axis=1)
-        f3 = np.zeros(ne)
-        sel = safe & (cos3 > 0.0)
-        f3[sel] = rho[sel] * cos3[sel] / (math.pi * d3[sel] ** 2)
-        if boxes:
-            f3[_segments_blocked(boxes, centres, mount[None, :])] = 0.0
+        # e2 columns: only the elements a receiver branch captures.  A dropped
+        # column's histogram row stays 0.0 and meets a capture weight of
+        # exactly 0.0, so every receiver IR keeps its bits.
+        traced = _captured_columns(receivers, mount, u3)
+        cols = np.flatnonzero(traced)
+        nc = cols.size
+        centres_c, normals_c = grid.centres[cols], grid.normals[cols]
+        areas_c, f3_c, d3_c = grid.areas[cols], f3[cols], d3[cols]
+        centres, normals, rho = grid.centres, grid.normals, grid.reflectances
 
         nbins = self.nbins
         bin_width = cfg.bin_width
         nl = len(lums)
-        e2_base = np.arange(ne, dtype=np.int64) * nbins
+        e2_base = np.arange(nc, dtype=np.int64) * nbins
         # rows with no incident power from any luminaire add nothing (their
         # weights are exactly zero, with or without occlusion)
         lit = p1.any(axis=0)
@@ -371,20 +434,20 @@ class ArrivalField:
             stop = min(start + _CHUNK, ne)
             rows = start + np.flatnonzero(lit[start:stop])
             nr = rows.size
-            dvec = centres[None, :, :] - centres[rows, None, :]
+            dvec = centres_c[None, :, :] - centres[rows, None, :]
             d2 = np.einsum("cek,cek->ce", dvec, dvec)
             ok = d2 > _EPS
             d2s = np.where(ok, d2, 1.0)
             d = np.sqrt(d2s)
             cos_out = np.einsum("cek,ck->ce", dvec, normals[rows]) / d
-            cos_in = -np.einsum("cek,ek->ce", dvec, normals) / d
+            cos_in = -np.einsum("cek,ek->ce", dvec, normals_c) / d
             ok &= (cos_out > 0.0) & (cos_in > 0.0)
-            t12 = np.where(ok, cos_out * cos_in, 0.0) * areas[None, :] / (math.pi * d2s)
+            t12 = np.where(ok, cos_out * cos_in, 0.0) * areas_c[None, :] / (math.pi * d2s)
             if boxes:
                 src = np.broadcast_to(centres[rows, None, :], dvec.shape)
                 t12 = np.where(
                     _segments_blocked(boxes, src.reshape(-1, 3),
-                                      np.broadcast_to(centres[None, :, :],
+                                      np.broadcast_to(centres_c[None, :, :],
                                                       dvec.shape).reshape(-1, 3)
                                       ).reshape(t12.shape),
                     0.0, t12)
@@ -398,17 +461,17 @@ class ArrivalField:
             # one buffer for all luminaires, luminaire-then-row-major: the
             # order bincount adds each cell's terms in.  Zero weights are
             # passed through, since adding +0.0 leaves a cell's bits alone.
-            w = np.empty((nl, nr, ne))
-            flat = np.empty((nl, nr, ne), dtype=np.int64)
-            length = np.empty((nr, ne))
+            w = np.empty((nl, nr, nc))
+            flat = np.empty((nl, nr, nc), dtype=np.int64)
+            length = np.empty((nr, nc))
             second_total = 0.0
             for li in range(nl):
                 second_total += float(p1[li, start:stop] @ row_reflected)
                 wl = w[li]
                 np.multiply(p1[li, rows, None], geom, out=wl)
-                wl *= f3
+                wl *= f3_c
                 np.add(l1[li, rows, None], d, out=length)
-                length += d3
+                length += d3_c
                 # same expression as the point-arrival path: floor(len/c/dt)
                 length /= C_LIGHT
                 length /= bin_width
@@ -418,11 +481,13 @@ class ArrivalField:
             return flat.ravel(), w.ravel(), second_total
 
         # chunks without a lit row contribute exactly zero: skip them
-        starts = [s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
+        starts = ([s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
+                  if nc else [])
         rows_traced = int(lit.sum())
         self.totals["second_rows_traced"] = rows_traced
-        self.totals["second_pairs_evaluated"] = rows_traced * ne
-        hist_flat = np.zeros(ne * nbins)
+        self.totals["second_cols_traced"] = nc
+        self.totals["second_pairs_evaluated"] = rows_traced * nc
+        hist_flat = np.zeros(nc * nbins)
         second_total = 0.0
 
         def add_chunk(result):
@@ -447,9 +512,18 @@ class ArrivalField:
         else:
             for start in starts:
                 add_chunk(work(start))
-        self.totals["second_bounce_coarse_w"] = second_total
+        # reflected power onto the traced elements; it is the full coarse
+        # figure only when every element was traced
+        self.totals["second_bounce_traced_w"] = second_total
+        if nc == ne:
+            self.totals["second_bounce_coarse_w"] = second_total
+            hist = hist_flat.reshape(ne, nbins)
+        else:
+            hist = np.zeros((ne, nbins))
+            hist[cols] = hist_flat.reshape(nc, nbins)
         self.b2_dirs = u3
-        self.b2_hist = hist_flat.reshape(ne, nbins)
+        self.b2_hist = hist
+        self.b2_traced = traced
 
     # -- applying detectors ------------------------------------------------
 
@@ -462,11 +536,22 @@ class ArrivalField:
         bins = bins[: nz[-1] + 1] if nz.size else bins[:0]
         return ImpulseResponse(self.cfg.bin_width, 0.0, bins)
 
+    def _check_traced(self, acc_b2, what: str):
+        """Refuse capture weights on second-order elements that were not
+        traced: their histogram rows are 0.0, not the power they receive."""
+        if acc_b2[..., ~self.b2_traced].any():
+            raise ValueError(
+                f"{what} captures second-order light from surface elements "
+                "this field did not trace; build the field with it among "
+                "`receivers`")
+
     def receiver_irs(self, receiver: ReceiverSpec) -> list[ImpulseResponse]:
         """One impulse response per receiver branch."""
         acc_point = capture_matrix(receiver, self.point_dirs)
         acc_b2 = (capture_matrix(receiver, self.b2_dirs)
                   if self.b2_hist is not None else None)
+        if acc_b2 is not None:
+            self._check_traced(acc_b2, f"{receiver.kind} receiver")
         return [
             self._assemble(acc_point[j], acc_b2[j] if acc_b2 is not None else None)
             for j in range(receiver.branch_count)
@@ -478,6 +563,8 @@ class ArrivalField:
         acc_point = _single_acceptance(detector, lens, self.point_dirs)
         acc_b2 = (_single_acceptance(detector, lens, self.b2_dirs)
                   if self.b2_hist is not None else None)
+        if acc_b2 is not None:
+            self._check_traced(acc_b2, "detector")
         return self._assemble(acc_point, acc_b2)
 
 
@@ -514,11 +601,15 @@ def _check_scene(scene: Scene):
 
 
 def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
-                  threads: int = 1) -> ArrivalField:
-    """Trace LOS + reflections from a luminaire set to one mount point."""
+                  threads: int = 1, receivers=None) -> ArrivalField:
+    """Trace LOS + reflections from a luminaire set to one mount point.
+
+    `receivers` (all at `mount`) limits second-order tracing to the surface
+    elements their branches capture; without it every element is traced.
+    """
     _check_scene(scene)
     _check_pose(scene, mount)
-    return ArrivalField(scene, luminaire_ids, mount, cfg, threads)
+    return ArrivalField(scene, luminaire_ids, mount, cfg, threads, receivers)
 
 
 def trace_impulse_response(scene: Scene, luminaire_ids, detector: DetectorSpec,
@@ -542,5 +633,20 @@ def trace_receiver(scene: Scene, luminaire_ids, receiver: ReceiverSpec,
         return [ImpulseResponse(cfg.bin_width, 0.0, np.zeros(0))
                 for _ in receiver.branches]
     if field is None:
-        field = compute_field(scene, luminaire_ids, receiver.mount, cfg, threads)
+        field = compute_field(scene, luminaire_ids, receiver.mount, cfg, threads,
+                              receivers=(receiver,))
+    else:
+        _check_field(field, luminaire_ids, receiver.mount, cfg)
     return field.receiver_irs(receiver)
+
+
+def _check_field(field: ArrivalField, luminaire_ids, mount, cfg: TraceConfig):
+    """Refuse a field traced for another mount, luminaire set or config."""
+    if not np.array_equal(field.mount, np.asarray(mount, dtype=float)):
+        raise ValueError(f"field was traced at {tuple(field.mount)}, "
+                         f"not at the receiver mount {tuple(mount)}")
+    if field.luminaire_ids != tuple(luminaire_ids):
+        raise ValueError(f"field was traced from luminaires {field.luminaire_ids}, "
+                         f"not {tuple(luminaire_ids)}")
+    if field.cfg != cfg:
+        raise ValueError("field was traced with a different trace config")

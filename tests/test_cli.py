@@ -1,13 +1,24 @@
+import os
+import subprocess
+import sys
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
+import owcsim
 from owcsim.cli import (
+    METRICS_HEADER,
     ConfigError,
+    _metrics_row,
     main,
     parse_config,
     serialize_config,
+    write_ir_csv,
 )
+from owcsim.linkmetrics import link_report
+from owcsim.raytracer import compute_field
+from owcsim.receivers import make_adr, make_imaging, make_wfov
 from owcsim.scene import build_pod
 
 REFERENCE = files("owcsim").joinpath("data/pod_reference.ini").read_text()
@@ -257,3 +268,88 @@ class TestEnvThreads:
                      "wfov", "--out", str(out2)]) == 0
         for p1 in sorted(out1.glob("*.csv")):
             assert p1.read_bytes() == (out2 / p1.name).read_bytes()
+
+
+MAKERS = (("wfov", make_wfov), ("adr", make_adr), ("imaging", make_imaging))
+
+
+def coarse_second_order_config(**overrides):
+    """Orders 2 on 0.4 m grids, three sweep positions."""
+    return fast_config(**{"orders = 2": "orders = 2",
+                          "first_edge_m = 0.05": "first_edge_m = 0.4",
+                          "second_edge_m = 0.20": "second_edge_m = 0.40",
+                          "y_step_m = 0.5": "y_step_m = 3.0", **overrides})
+
+
+class TestReceiverCulledOutputs:
+    """simulate/sweep trace only what their receivers see; their files must
+    equal the ones built from fully traced fields, byte for byte."""
+
+    def test_simulate_equals_full_fields(self, tmp_path):
+        text = coarse_second_order_config()
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--receiver",
+                     "all", "--out", str(out), "--threads", "2"]) == 0
+        cfg = parse_config(text)
+        pod = build_pod(cfg.pod)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for mi, mount in enumerate(pod.mounts):
+            field = compute_field(pod, pod.assignment[mi], mount, cfg.trace)
+            for kind, make in MAKERS:
+                for bj, ir in enumerate(field.receiver_irs(make(mount))):
+                    write_ir_csv(ir, str(ref / f"ir_{kind}_mount{mi}_branch{bj}.csv"))
+        names = sorted(p.name for p in ref.iterdir())
+        assert sorted(p.name for p in out.glob("*.csv")) == names
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_sweep_equals_full_fields(self, tmp_path):
+        text = coarse_second_order_config()
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--receiver", "all",
+                     "--out", str(out)]) == 0
+        cfg = parse_config(text)
+        pod = build_pod(cfg.pod)
+        lines = [METRICS_HEADER]
+        for y in (1.0, 4.0, 7.0):
+            mount = np.array([cfg.sweep.row_x, y, cfg.pod.rack_top_m])
+            field = compute_field(pod, pod.assigned_luminaires(mount), mount,
+                                  cfg.trace)
+            for _, make in MAKERS:
+                lines.append(_metrics_row(link_report(
+                    pod, make(mount), cfg.trace, cfg.bitrate, cfg.noise,
+                    field=field)))
+        assert (out / "metrics.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_check_reports_traced_pairs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(coarse_second_order_config())
+        assert main(["check", "--config", str(cfg_path),
+                     "--receiver", "wfov"]) == 0
+        out = capsys.readouterr().out
+        lines = [ln for ln in out.splitlines() if "second-order (wfov)" in ln]
+        assert len(lines) == 3
+        fields = dict(kv.split("=") for kv in lines[0].split() if "=" in kv)
+        assert int(fields["pairs"]) == int(fields["rows"]) * int(fields["cols"])
+        assert 0 < int(fields["cols"]) < 1400
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_cli_quietly(self, tmp_path):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(fast_config())
+        src = os.path.dirname(os.path.dirname(owcsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "owcsim", "check", "--config", str(cfg_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "0 diagnostics" in proc.stdout

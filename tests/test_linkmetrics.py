@@ -19,7 +19,7 @@ from owcsim.linkmetrics import (
     q_function,
     snr_ook,
 )
-from owcsim.raytracer import ImpulseResponse, TraceConfig
+from owcsim.raytracer import ImpulseResponse, TraceConfig, compute_field
 from owcsim.receivers import make_adr, make_wfov
 from owcsim.scene import PodConfig, build_pod
 
@@ -320,3 +320,16 @@ class TestLinkReport:
     def test_noise_bandwidth_rule(self):
         assert NoiseParams().bandwidth(2e9) == pytest.approx(1.4e9)
         assert NoiseParams(bandwidth_hz=5e8).bandwidth(2e9) == 5e8
+
+    def test_field_of_another_mount_refused(self, pod):
+        # a field traced elsewhere would give a silently wrong report
+        cfg = TraceConfig(max_order=0)
+        field = compute_field(pod, pod.assignment[0], pod.mounts[0], cfg)
+        with pytest.raises(ValueError, match="receiver mount"):
+            link_report(pod, make_adr(pod.mounts[1]), cfg, 1e9, field=field)
+
+    def test_field_of_other_luminaires_refused(self, pod):
+        cfg = TraceConfig(max_order=0)
+        field = compute_field(pod, pod.assignment[0], pod.mounts[1], cfg)
+        with pytest.raises(ValueError, match="luminaires"):
+            link_report(pod, make_adr(pod.mounts[1]), cfg, 1e9, field=field)

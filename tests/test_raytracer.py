@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -5,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from owcsim import raytracer
 from owcsim.raytracer import (
@@ -16,10 +18,12 @@ from owcsim.raytracer import (
     compute_field,
     los_gain,
     reflected_path_gain,
+    second_order_extent,
     total_received_power,
     trace_impulse_response,
+    trace_receiver,
 )
-from owcsim.receivers import DetectorSpec
+from owcsim.receivers import DetectorSpec, make_adr, make_imaging, make_wfov
 from owcsim.scene import (
     Luminaire,
     PodConfig,
@@ -458,3 +462,127 @@ class TestSecondOrderKernel:
         assert all(f.done() for f in ex.futures)
         assert ex.read == {id(f) for f in ex.futures}
         assert ex.max_outstanding <= 2 * 4
+
+
+MAKERS = {"wfov": make_wfov, "adr": make_adr, "imaging": make_imaging}
+
+
+@functools.cache
+def coarse_pod(occlusion):
+    """One pod per occlusion setting, so its element grids are built once."""
+    return build_pod(PodConfig(luminaire_power_w=1.0, rack_occluding=occlusion))
+
+
+class TestReceiverCulledTrace:
+    # each example traces two fields; a failing one is reported as drawn
+    # (five small arguments), since shrinking would trace hundreds more
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(row=st.integers(0, 2), frac=st.floats(0.0, 1.0),
+           kinds=st.sets(st.sampled_from(sorted(MAKERS)), min_size=1),
+           threads=st.sampled_from([1, 2]), occlusion=st.booleans())
+    def test_culled_irs_equal_full_irs(self, row, frac, kinds, threads,
+                                       occlusion):
+        pod = coarse_pod(occlusion)
+        r = pod.rows[row]
+        mount = vec3(r.centre_x, r.y_span[0] + frac * (r.y_span[1] - r.y_span[0]),
+                     r.top_height)
+        ids = pod.assigned_luminaires(mount)
+        cfg = TraceConfig(occlusion=occlusion, **COARSE)
+        rxs = [MAKERS[k](mount) for k in sorted(kinds)]
+        full = compute_field(pod, ids, mount, cfg)
+        culled = compute_field(pod, ids, mount, cfg, threads=threads,
+                               receivers=rxs)
+        assert culled.b2_hist.shape == full.b2_hist.shape
+        for rx in rxs:
+            for a, b in zip(culled.receiver_irs(rx), full.receiver_irs(rx)):
+                assert a.bins.tobytes() == b.bins.tobytes()
+
+    def test_run_report_counts_traced_work(self):
+        pod = coarse_pod(False)
+        cfg = TraceConfig(**COARSE)
+        ids, mount = pod.assignment[1], pod.mounts[1]
+        rxs = [make_wfov(mount), make_adr(mount)]
+        culled = compute_field(pod, ids, mount, cfg, receivers=rxs)
+        full = compute_field(pod, ids, mount, cfg)
+        t, ft = culled.totals, full.totals
+        ne = len(pod.surface_elements(cfg.second_edge))
+        assert 0 < t["second_cols_traced"] == int(culled.b2_traced.sum()) < ne
+        assert (t["second_pairs_evaluated"]
+                == t["second_rows_traced"] * t["second_cols_traced"])
+        assert ft["second_cols_traced"] == ne and culled.b2_traced.dtype == bool
+        # the full coarse figure is never replaced by a partial one
+        assert "second_bounce_coarse_w" not in t
+        assert 0.0 < t["second_bounce_traced_w"] < ft["second_bounce_coarse_w"]
+        assert ft["second_bounce_traced_w"] == ft["second_bounce_coarse_w"]
+        # untraced rows are exactly zero; traced rows equal the full trace
+        assert not culled.b2_hist[~culled.b2_traced].any()
+        assert (culled.b2_hist[culled.b2_traced].tobytes()
+                == full.b2_hist[culled.b2_traced].tobytes())
+        ext = second_order_extent(pod, ids, mount, cfg, rxs)
+        assert ext["rows"] == t["second_rows_traced"]
+        assert ext["cols"] == t["second_cols_traced"]
+        assert ext["pairs"] == t["second_pairs_evaluated"]
+        assert ext["hist_bytes"] == culled.b2_hist.nbytes
+
+    def test_no_receivers_traces_no_pairs(self):
+        pod = coarse_pod(False)
+        cfg = TraceConfig(**COARSE)
+        field = compute_field(pod, pod.assignment[0], pod.mounts[0], cfg,
+                              receivers=[])
+        assert field.totals["second_pairs_evaluated"] == 0
+        assert field.totals["second_bounce_traced_w"] == 0.0
+        assert not field.b2_hist.any()
+
+    def test_untraced_capture_is_refused(self):
+        pod = coarse_pod(False)
+        cfg = TraceConfig(**COARSE)
+        ids, mount = pod.assignment[0], pod.mounts[0]
+        field = compute_field(pod, ids, mount, cfg, receivers=[make_adr(mount)])
+        with pytest.raises(ValueError, match="did not trace"):
+            field.receiver_irs(make_wfov(mount))
+        with pytest.raises(ValueError, match="did not trace"):
+            field.detector_ir(detector())
+        # a receiver inside the traced set is still served
+        assert field.receiver_irs(make_adr(mount))[0].total_power() > 0.0
+
+    def test_receiver_at_another_mount_is_refused(self):
+        pod = coarse_pod(False)
+        cfg = TraceConfig(**COARSE)
+        with pytest.raises(ValueError, match="traced mount"):
+            compute_field(pod, pod.assignment[0], pod.mounts[0], cfg,
+                          receivers=[make_wfov(pod.mounts[1])])
+
+
+class TestSuppliedFieldMustMatch:
+    cfg = TraceConfig(max_order=0)
+
+    def test_other_mount_refused(self):
+        pod = coarse_pod(False)
+        field = compute_field(pod, pod.assignment[0], pod.mounts[0], self.cfg)
+        with pytest.raises(ValueError, match="receiver mount"):
+            trace_receiver(pod, pod.assignment[0], make_wfov(pod.mounts[1]),
+                           self.cfg, field=field)
+
+    def test_other_luminaires_refused(self):
+        pod = coarse_pod(False)
+        field = compute_field(pod, pod.assignment[0], pod.mounts[1], self.cfg)
+        with pytest.raises(ValueError, match="luminaires"):
+            trace_receiver(pod, pod.assignment[1], make_wfov(pod.mounts[1]),
+                           self.cfg, field=field)
+
+    def test_other_config_refused(self):
+        pod = coarse_pod(False)
+        field = compute_field(pod, pod.assignment[0], pod.mounts[0], self.cfg)
+        with pytest.raises(ValueError, match="trace config"):
+            trace_receiver(pod, pod.assignment[0], make_wfov(pod.mounts[0]),
+                           TraceConfig(max_order=0, bin_width=100e-12),
+                           field=field)
+
+    def test_matching_field_is_used(self):
+        pod = coarse_pod(False)
+        field = compute_field(pod, pod.assignment[2], pod.mounts[2], self.cfg)
+        rx = make_adr(pod.mounts[2])
+        got = trace_receiver(pod, pod.assignment[2], rx, self.cfg, field=field)
+        assert [ir.bins.tobytes() for ir in got] == [
+            ir.bins.tobytes() for ir in field.receiver_irs(rx)]
