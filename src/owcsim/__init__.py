@@ -25,9 +25,6 @@ from .raytracer import (
     ImpulseResponse,
     TraceConfig,
     compute_field,
-    los_gain,
-    reflected_path_gain,
-    total_received_power,
     trace_impulse_response,
     trace_receiver,
 )

@@ -1,15 +1,16 @@
 """Command-line front end: config parsing, single runs and spatial sweeps.
 
 Config files are flat INI-style text with a fixed schema (sections: room,
-surfaces, luminaires, receiver, noise, trace, sweep).  Unknown keys are
-rejected, all outputs are deterministic functions of the config, and every
-error names the offending key or scene entity.
+surfaces, luminaires, receiver, noise, trace, sweep), declared once in
+`_KEYS`; parsing, serializing and the flags that override a key all go
+through that table.  Unknown keys are rejected, all outputs are
+deterministic functions of the config, and every error names the
+offending key or scene entity.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -22,55 +23,6 @@ from .raytracer import (ImpulseResponse, TraceConfig, compute_field,
                         second_order_extent)
 from .receivers import load_pixel_layout, make_adr, make_imaging, make_wfov
 from .scene import PodConfig, build_pod, validate_scene
-
-_REQUIRED = object()
-
-# section -> key -> (type, default); type is float | int | bool | str | choice
-_SCHEMA = {
-    "room": {
-        "length_m": ("float", 8.0),
-        "width_m": ("float", 8.0),
-        "height_m": ("float", 3.0),
-        "rack_top_m": ("float", 2.0),
-        "rack_row_y_start_m": ("float", 1.0),
-        "rack_row_y_end_m": ("float", 7.0),
-        "rack_depth_m": ("float", 1.0),
-        "rack_occluding": ("bool", False),
-    },
-    "surfaces": {
-        "wall_reflectance": ("float", 0.8),
-        "ceiling_reflectance": ("float", 0.8),
-        "floor_reflectance": ("float", 0.3),
-    },
-    "luminaires": {
-        "power_w": ("float", _REQUIRED),
-        "semi_angle_deg": ("float", 70.0),
-        "diodes_per_unit": ("int", 16),
-    },
-    "receiver": {
-        "kind": ("choice", "adr"),
-        "bitrate_bps": ("float", 2e9),
-        "pixel_layout_file": ("str", ""),
-    },
-    "noise": {
-        "preamp_a_per_sqrt_hz": ("float", 4.5e-12),
-        "background_current_a": ("float", 100e-6),
-        "bandwidth_factor": ("float", 0.7),
-    },
-    "trace": {
-        "orders": ("int", 2),
-        "first_edge_m": ("float", 0.05),
-        "second_edge_m": ("float", 0.20),
-        "bin_ps": ("float", 50.0),
-        "occlusion": ("bool", False),
-    },
-    "sweep": {
-        "row_x_m": ("float", 4.0),
-        "y_start_m": ("float", 1.0),
-        "y_stop_m": ("float", 7.0),
-        "y_step_m": ("float", 0.5),
-    },
-}
 
 RECEIVER_KINDS = ("wfov", "adr", "imaging", "all")
 
@@ -98,51 +50,160 @@ class RunConfig:
     sweep: SweepSpec
 
 
-def _convert(section, key, kind, raw, line_no):
-    if kind == "float":
+_REQUIRED = object()
+
+# value ranges: (test, wording)
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
+_FRACTION = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+_ORDER = (lambda v: v in (0, 1, 2), "must be 0, 1 or 2")
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its type and default, the RunConfig field it fills
+    (a dotted path; a numeric part indexes a tuple field), the factor from
+    the config unit to the field's unit, and the range it must lie in."""
+
+    section: str
+    key: str
+    kind: str             # float | int | bool | path ('' = none) | choice
+    default: object       # in the config unit
+    target: str
+    scale: float | None = None
+    valid: tuple | None = None
+
+
+_KEYS = (
+    _Key("room", "length_m", "float", 8.0, "pod.room.0"),
+    _Key("room", "width_m", "float", 8.0, "pod.room.1"),
+    _Key("room", "height_m", "float", 3.0, "pod.room.2"),
+    _Key("room", "rack_top_m", "float", 2.0, "pod.rack_top_m"),
+    _Key("room", "rack_row_y_start_m", "float", 1.0, "pod.row_y_span.0"),
+    _Key("room", "rack_row_y_end_m", "float", 7.0, "pod.row_y_span.1"),
+    _Key("room", "rack_depth_m", "float", 1.0, "pod.rack_depth_m"),
+    _Key("room", "rack_occluding", "bool", False, "pod.rack_occluding"),
+    _Key("surfaces", "wall_reflectance", "float", 0.8, "pod.wall_reflectance",
+         valid=_FRACTION),
+    _Key("surfaces", "ceiling_reflectance", "float", 0.8,
+         "pod.ceiling_reflectance", valid=_FRACTION),
+    _Key("surfaces", "floor_reflectance", "float", 0.3, "pod.floor_reflectance",
+         valid=_FRACTION),
+    _Key("luminaires", "power_w", "float", _REQUIRED, "pod.luminaire_power_w",
+         valid=_POSITIVE),
+    _Key("luminaires", "semi_angle_deg", "float", 70.0, "pod.semi_angle_deg"),
+    _Key("luminaires", "diodes_per_unit", "int", 16, "pod.diodes_per_unit"),
+    _Key("receiver", "kind", "choice", "adr", "receiver_kind"),
+    _Key("receiver", "bitrate_bps", "float", 2e9, "bitrate", valid=_POSITIVE),
+    _Key("receiver", "pixel_layout_file", "path", None, "pixel_layout_file"),
+    _Key("noise", "preamp_a_per_sqrt_hz", "float", 4.5e-12,
+         "noise.preamp_density", valid=_NON_NEGATIVE),
+    _Key("noise", "background_current_a", "float", 100e-6,
+         "noise.background_current", valid=_NON_NEGATIVE),
+    _Key("noise", "bandwidth_factor", "float", 0.7, "noise.bandwidth_factor",
+         valid=_NON_NEGATIVE),
+    _Key("trace", "orders", "int", 2, "trace.max_order", valid=_ORDER),
+    _Key("trace", "first_edge_m", "float", 0.05, "trace.first_edge",
+         valid=_POSITIVE),
+    _Key("trace", "second_edge_m", "float", 0.20, "trace.second_edge",
+         valid=_POSITIVE),
+    _Key("trace", "bin_ps", "float", 50.0, "trace.bin_width", scale=1e-12,
+         valid=_POSITIVE),
+    _Key("trace", "occlusion", "bool", False, "trace.occlusion"),
+    _Key("sweep", "row_x_m", "float", 4.0, "sweep.row_x"),
+    _Key("sweep", "y_start_m", "float", 1.0, "sweep.y_start"),
+    _Key("sweep", "y_stop_m", "float", 7.0, "sweep.y_stop"),
+    _Key("sweep", "y_step_m", "float", 0.5, "sweep.y_step", valid=_POSITIVE),
+)
+_KEY = {(k.section, k.key): k for k in _KEYS}
+_SECTIONS = tuple(dict.fromkeys(k.section for k in _KEYS))
+# RunConfig fields that are dataclasses themselves
+_PARTS = {"pod": PodConfig, "noise": NoiseParams, "trace": TraceConfig,
+          "sweep": SweepSpec}
+# command-line flags that override a config key; checked like the key
+_FLAG_KEYS = {"orders": _KEY["trace", "orders"], "bin_ps": _KEY["trace", "bin_ps"],
+              "bitrate": _KEY["receiver", "bitrate_bps"]}
+
+
+def _convert(k: _Key, raw: str, where: str):
+    """Config text to a checked value in the config unit; `where` (a line
+    number or a flag) prefixes any error."""
+    name = f"'{k.section}.{k.key}'"
+    if k.kind == "float":
         try:
             value = float(raw)
         except ValueError:
             raise ConfigError(
-                f"line {line_no}: expected a number for '{section}.{key}', got '{raw}'"
-            ) from None
+                f"{where}: expected a number for {name}, got '{raw}'") from None
         if not math.isfinite(value):
-            raise ConfigError(
-                f"line {line_no}: '{section}.{key}' must be a finite number, got '{raw}'"
-            )
-        return value
-    if kind == "int":
+            raise ConfigError(f"{where}: {name} must be a finite number, got '{raw}'")
+    elif k.kind == "int":
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(
-                f"line {line_no}: expected an integer for '{section}.{key}', got '{raw}'"
-            ) from None
-    if kind == "bool":
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        raise ConfigError(
-            f"line {line_no}: expected true/false for '{section}.{key}', got '{raw}'"
-        )
-    if kind == "choice":
+                f"{where}: expected an integer for {name}, got '{raw}'") from None
+    elif k.kind == "bool":
+        if raw not in ("true", "false"):
+            raise ConfigError(f"{where}: expected true/false for {name}, got '{raw}'")
+        value = raw == "true"
+    elif k.kind == "choice":
         if raw not in RECEIVER_KINDS:
-            raise ConfigError(
-                f"line {line_no}: '{section}.{key}' must be one of "
-                f"{'/'.join(RECEIVER_KINDS)}, got '{raw}'"
-            )
-        return raw
-    return raw
+            raise ConfigError(f"{where}: {name} must be one of "
+                              f"{'/'.join(RECEIVER_KINDS)}, got '{raw}'")
+        value = raw
+    else:
+        value = raw or None
+    if k.valid is not None and not k.valid[0](value):
+        raise ConfigError(f"{where}: {name} {k.valid[1]}, got {value}")
+    return value
+
+
+def _field_value(k: _Key, value):
+    return value if k.scale is None else value * k.scale
+
+
+def _get(cfg: RunConfig, target: str):
+    for part in target.split("."):
+        cfg = cfg[int(part)] if part.isdigit() else getattr(cfg, part)
+    return cfg
+
+
+def _build(fields: dict) -> RunConfig:
+    """RunConfig from {target: field value}, with the checks that span keys."""
+    tree = {}
+    for target, value in fields.items():
+        *path, last = target.split(".")
+        node = tree
+        for part in path:
+            node = node.setdefault(part, {})
+        node[last] = value
+    try:
+        for name, cls in _PARTS.items():
+            tree[name] = cls(**{
+                f: tuple(v[str(i)] for i in range(len(v))) if isinstance(v, dict) else v
+                for f, v in tree[name].items()})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    cfg = RunConfig(**tree)
+    sw, (lx, ly, _) = cfg.sweep, cfg.pod.room
+    if not (0.0 <= sw.y_start <= ly and 0.0 <= sw.y_stop <= ly
+            and sw.y_start <= sw.y_stop):
+        raise ConfigError(f"'sweep' y range [{sw.y_start}, {sw.y_stop}] "
+                          f"is outside the room width {ly}")
+    if not 0.0 <= sw.row_x <= lx:
+        raise ConfigError(f"'sweep.row_x_m' {sw.row_x} is outside the room")
+    return cfg
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    Unknown sections/keys and type mismatches raise ConfigError with the
-    offending line; omitted optional keys take their documented defaults.
+    Unknown sections/keys, type mismatches and out-of-range values raise
+    ConfigError with the offending line; omitted optional keys take their
+    documented defaults.
     """
-    values = {s: dict() for s in _SCHEMA}
+    values = {}
     section = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].split(";", 1)[0].strip()
@@ -150,7 +211,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"line {line_no}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -158,148 +219,54 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError(f"line {line_no}: key outside any section")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[section]:
+        k = _KEY.get((section, key))
+        if k is None:
             raise ConfigError(
                 f"line {line_no}: unknown key '{key}' in section [{section}]"
             )
-        if key in values[section]:
+        if k in values:
             raise ConfigError(
                 f"line {line_no}: duplicate key '{key}' in section [{section}]"
             )
-        kind, _ = _SCHEMA[section][key]
-        values[section][key] = _convert(section, key, kind, raw, line_no)
+        values[k] = _convert(k, raw, f"line {line_no}")
 
-    for sec, keys in _SCHEMA.items():
-        for key, (kind, default) in keys.items():
-            if key not in values[sec]:
-                if default is _REQUIRED:
-                    raise ConfigError(
-                        f"missing required key '{key}' in section [{sec}]"
-                    )
-                values[sec][key] = default
+    for k in _KEYS:
+        if k not in values:
+            if k.default is _REQUIRED:
+                raise ConfigError(
+                    f"missing required key '{k.key}' in section [{k.section}]"
+                )
+            values[k] = k.default
+    return _build({k.target: _field_value(k, values[k]) for k in _KEYS})
 
-    room = values["room"]
-    surf = values["surfaces"]
-    lum = values["luminaires"]
-    if lum["power_w"] <= 0.0:
-        raise ConfigError("'luminaires.power_w' must be positive")
-    for key in ("wall_reflectance", "ceiling_reflectance", "floor_reflectance"):
-        if not 0.0 <= surf[key] <= 1.0:
-            raise ConfigError(f"'surfaces.{key}' must be in [0, 1], got {surf[key]}")
-    pod = PodConfig(
-        luminaire_power_w=lum["power_w"],
-        room=(room["length_m"], room["width_m"], room["height_m"]),
-        wall_reflectance=surf["wall_reflectance"],
-        ceiling_reflectance=surf["ceiling_reflectance"],
-        floor_reflectance=surf["floor_reflectance"],
-        semi_angle_deg=lum["semi_angle_deg"],
-        diodes_per_unit=lum["diodes_per_unit"],
-        rack_top_m=room["rack_top_m"],
-        row_y_span=(room["rack_row_y_start_m"], room["rack_row_y_end_m"]),
-        rack_depth_m=room["rack_depth_m"],
-        rack_occluding=room["rack_occluding"],
-    )
-    trc = values["trace"]
-    if trc["bin_ps"] <= 0.0:
-        raise ConfigError("'trace.bin_ps' must be positive")
-    try:
-        trace = TraceConfig(
-            max_order=trc["orders"],
-            first_edge=trc["first_edge_m"],
-            second_edge=trc["second_edge_m"],
-            bin_width=trc["bin_ps"] * 1e-12,
-            occlusion=trc["occlusion"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[trace] {exc}") from None
-    rcv = values["receiver"]
-    if rcv["bitrate_bps"] <= 0.0:
-        raise ConfigError("'receiver.bitrate_bps' must be positive")
-    nse = values["noise"]
-    for key in ("preamp_a_per_sqrt_hz", "background_current_a", "bandwidth_factor"):
-        if nse[key] < 0.0:
-            raise ConfigError(f"'noise.{key}' must be non-negative")
-    swp = values["sweep"]
-    if swp["y_step_m"] <= 0.0:
-        raise ConfigError("'sweep.y_step_m' must be positive")
-    if not (0.0 <= swp["y_start_m"] <= room["width_m"]
-            and 0.0 <= swp["y_stop_m"] <= room["width_m"]
-            and swp["y_start_m"] <= swp["y_stop_m"]):
-        raise ConfigError(
-            f"'sweep' y range [{swp['y_start_m']}, {swp['y_stop_m']}] "
-            f"is outside the room width {room['width_m']}"
-        )
-    if not 0.0 <= swp["row_x_m"] <= room["length_m"]:
-        raise ConfigError(f"'sweep.row_x_m' {swp['row_x_m']} is outside the room")
-    return RunConfig(
-        pod=pod,
-        receiver_kind=rcv["kind"],
-        pixel_layout_file=rcv["pixel_layout_file"] or None,
-        bitrate=rcv["bitrate_bps"],
-        noise=NoiseParams(
-            preamp_density=nse["preamp_a_per_sqrt_hz"],
-            background_current=nse["background_current_a"],
-            bandwidth_factor=nse["bandwidth_factor"],
-        ),
-        trace=trace,
-        sweep=SweepSpec(swp["row_x_m"], swp["y_start_m"],
-                        swp["y_stop_m"], swp["y_step_m"]),
-    )
+
+def _with_overrides(cfg: RunConfig, args) -> RunConfig:
+    """Apply the flags that override config keys, checked like the keys."""
+    fields = {k.target: _get(cfg, k.target) for k in _KEYS}
+    for flag, k in _FLAG_KEYS.items():
+        raw = getattr(args, flag)
+        if raw is not None:
+            fields[k.target] = _field_value(
+                k, _convert(k, raw, "--" + flag.replace("_", "-")))
+    return _build(fields)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render a RunConfig back to config text (parse/serialize round-trips)."""
     lines = []
-    values = {
-        "room": {
-            "length_m": cfg.pod.room[0], "width_m": cfg.pod.room[1],
-            "height_m": cfg.pod.room[2], "rack_top_m": cfg.pod.rack_top_m,
-            "rack_row_y_start_m": cfg.pod.row_y_span[0],
-            "rack_row_y_end_m": cfg.pod.row_y_span[1],
-            "rack_depth_m": cfg.pod.rack_depth_m,
-            "rack_occluding": cfg.pod.rack_occluding,
-        },
-        "surfaces": {
-            "wall_reflectance": cfg.pod.wall_reflectance,
-            "ceiling_reflectance": cfg.pod.ceiling_reflectance,
-            "floor_reflectance": cfg.pod.floor_reflectance,
-        },
-        "luminaires": {
-            "power_w": cfg.pod.luminaire_power_w,
-            "semi_angle_deg": cfg.pod.semi_angle_deg,
-            "diodes_per_unit": cfg.pod.diodes_per_unit,
-        },
-        "receiver": {
-            "kind": cfg.receiver_kind,
-            "bitrate_bps": cfg.bitrate,
-            "pixel_layout_file": cfg.pixel_layout_file or "",
-        },
-        "noise": {
-            "preamp_a_per_sqrt_hz": cfg.noise.preamp_density,
-            "background_current_a": cfg.noise.background_current,
-            "bandwidth_factor": cfg.noise.bandwidth_factor,
-        },
-        "trace": {
-            "orders": cfg.trace.max_order,
-            "first_edge_m": cfg.trace.first_edge,
-            "second_edge_m": cfg.trace.second_edge,
-            "bin_ps": cfg.trace.bin_width * 1e12,
-            "occlusion": cfg.trace.occlusion,
-        },
-        "sweep": {
-            "row_x_m": cfg.sweep.row_x, "y_start_m": cfg.sweep.y_start,
-            "y_stop_m": cfg.sweep.y_stop, "y_step_m": cfg.sweep.y_step,
-        },
-    }
-    for sec in _SCHEMA:
+    for sec in _SECTIONS:
         lines.append(f"[{sec}]")
-        for key in _SCHEMA[sec]:
-            v = values[sec][key]
+        for k in _KEYS:
+            if k.section != sec:
+                continue
+            v = _get(cfg, k.target)
+            if k.scale is not None:
+                v = v * (1 / k.scale)      # 1 / 1e-12 is exactly 1e12
             if isinstance(v, bool):
                 v = "true" if v else "false"
             elif isinstance(v, float):
                 v = repr(v)
-            lines.append(f"{key} = {v}")
+            lines.append(f"{k.key} = {'' if v is None else v}")
         lines.append("")
     return "\n".join(lines)
 
@@ -497,10 +464,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--receiver", choices=RECEIVER_KINDS,
                        help="override the configured receiver kind")
-        p.add_argument("--orders", type=int, choices=(0, 1, 2),
+        p.add_argument("--orders", choices=("0", "1", "2"),
                        help="override max reflection order")
-        p.add_argument("--bin-ps", type=float, help="override bin width (ps)")
-        p.add_argument("--bitrate", type=float, help="override bit rate (bps)")
+        p.add_argument("--bin-ps", help="override bin width (ps)")
+        p.add_argument("--bitrate", help="override bit rate (bps)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int,
                        help="worker threads (speed only; results identical)")
@@ -516,19 +483,7 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text)
-        if args.orders is not None or args.bin_ps is not None:
-            cfg = dataclasses.replace(cfg, trace=dataclasses.replace(
-                cfg.trace,
-                max_order=args.orders if args.orders is not None
-                else cfg.trace.max_order,
-                bin_width=args.bin_ps * 1e-12 if args.bin_ps is not None
-                else cfg.trace.bin_width,
-            ))
-        if args.bitrate is not None:
-            if args.bitrate <= 0:
-                raise ConfigError("--bitrate must be positive")
-            cfg = dataclasses.replace(cfg, bitrate=args.bitrate)
+        cfg = _with_overrides(parse_config(text), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

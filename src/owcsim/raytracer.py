@@ -7,8 +7,10 @@ second-order reflections are accumulated into a fixed-width delay histogram.
 First-order paths run over a fine surface grid, second-order paths use a
 coarser grid for both bounces to keep the pair count tractable.
 
-The tracer is a pure function of (scene, config).  Second-order work is
-split into fixed chunks of first-bounce (e1) rows of the coarse grid.
+The tracer is a pure function of (scene, config): `compute_field` runs
+three stages (line of sight, first order, second order) that each return
+arrays, and the `ArrivalField` it returns only holds them.  Second-order
+work is split into fixed chunks of first-bounce (e1) rows of the coarse grid.
 Rows that receive no power from any luminaire are dropped before any pair
 geometry is built, and a chunk left with no rows is skipped; the rest are
 binned, every luminaire in one pass, into a per-chunk histogram.  With
@@ -31,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import COMM_FLOOR_M, Scene, validate_scene
-from .receivers import (
-    DetectorSpec,
-    LensModel,
-    ReceiverSpec,
-    capture_matrix,
-    detector_acceptance,
-)
+from .receivers import DetectorSpec, LensModel, ReceiverSpec, capture_matrix
 
 C_LIGHT = 2.9979e8            # m/s, air
 _CHUNK = 256                  # second-order e1 rows per work unit (fixed: determinism)
@@ -55,12 +51,13 @@ class TraceConfig:
     occlusion: bool = False   # shadow rays against occluding rack boxes
 
     def __post_init__(self):
-        if self.max_order not in (0, 1, 2):
-            raise ValueError(f"max reflection order must be 0, 1 or 2, got {self.max_order}")
-        if self.bin_width <= 0.0:
-            raise ValueError("bin width must be positive")
-        if self.first_edge <= 0.0 or self.second_edge <= 0.0:
-            raise ValueError("element edges must be positive")
+        if isinstance(self.max_order, bool) or self.max_order not in (0, 1, 2):
+            raise ValueError(f"max reflection order must be 0, 1 or 2, got {self.max_order!r}")
+        if not 0.0 < self.bin_width < math.inf:
+            raise ValueError(f"bin width must be positive and finite, got {self.bin_width}")
+        if not (0.0 < self.first_edge < math.inf and 0.0 < self.second_edge < math.inf):
+            raise ValueError("element edges must be positive and finite, got "
+                             f"{self.first_edge} and {self.second_edge}")
 
 
 @dataclass(frozen=True)
@@ -92,103 +89,6 @@ class ImpulseResponse:
         padded = np.concatenate([self.bins, np.zeros(pad)])
         return ImpulseResponse(new_width, self.origin,
                                padded.reshape(-1, k).sum(axis=1))
-
-
-def total_received_power(ir: ImpulseResponse) -> float:
-    """Sum of all bins, watts."""
-    return ir.total_power()
-
-
-# ---------------------------------------------------------------------------
-# closed-form single-path gains (also the reference semantics for the tracer)
-
-def los_gain(luminaire, detector: DetectorSpec, det_position,
-             lens: LensModel | None = None) -> float:
-    """Line-of-sight channel gain between one luminaire and one detector.
-
-    gain = (m+1)/(2 pi d^2) * cos^m(phi) * cos(theta) * A, gated to zero
-    outside the detector FOV or when either cosine is negative; the lens
-    transmission multiplies the gain when a lens is present.
-    """
-    pos = np.asarray(det_position, dtype=float)
-    v = pos - luminaire.position
-    d = float(np.linalg.norm(v))
-    if d < _EPS:
-        raise ValueError("degenerate geometry: luminaire and detector coincide")
-    u = v / d
-    cos_phi = float(np.dot(u, luminaire.boresight))
-    if cos_phi <= 0.0:
-        return 0.0
-    acc = detector_acceptance(detector, u, lens)
-    if acc == 0.0:
-        return 0.0
-    m = luminaire.order
-    return (m + 1.0) / (2.0 * math.pi * d * d) * cos_phi ** m * acc * detector.area
-
-
-def reflected_path_gain(luminaire, elements, detector: DetectorSpec, det_position,
-                        lens: LensModel | None = None) -> tuple[float, float]:
-    """Gain and delay of one reflected path (one or two bounces).
-
-    Each hop applies the upstream emitter's Lambertian transfer (order m for
-    the luminaire, order 1 for elements) and the element reflectance is
-    applied where the ray bounces.  Returns (gain, delay_s); the gain is zero
-    for rays outside any cosine or FOV gate, but the geometric delay is
-    always reported.
-    """
-    if not 1 <= len(elements) <= 2:
-        raise ValueError("reflected path must have one or two bounces")
-    pos = np.asarray(det_position, dtype=float)
-    gain = 1.0
-    total_len = 0.0
-
-    def hop(src, dst, order, src_boresight, dst_normal, dst_area):
-        nonlocal gain, total_len
-        v = dst - src
-        d = float(np.linalg.norm(v))
-        if d < _EPS:
-            raise ValueError("degenerate geometry: zero-length hop")
-        total_len += d
-        u = v / d
-        cos_out = float(np.dot(u, src_boresight))
-        cos_in = float(np.dot(-u, dst_normal))
-        if cos_out <= 0.0 or cos_in <= 0.0:
-            gain = 0.0
-            return
-        gain *= (order + 1.0) / (2.0 * math.pi * d * d) * cos_out ** order * cos_in * dst_area
-
-    e1 = elements[0]
-    hop(luminaire.position, e1.centre, luminaire.order,
-        luminaire.boresight, e1.normal, e1.area)
-    prev = e1
-    if len(elements) == 2:
-        e2 = elements[1]
-        if gain != 0.0:
-            gain *= prev.reflectance
-        hop(prev.centre, e2.centre, prev.emission_order, prev.normal,
-            e2.normal, e2.area)
-        prev = e2
-
-    # final hop to the detector
-    v = pos - prev.centre
-    d = float(np.linalg.norm(v))
-    if d < _EPS:
-        raise ValueError("degenerate geometry: element and detector coincide")
-    total_len += d
-    delay = total_len / C_LIGHT
-    if gain == 0.0:
-        return 0.0, delay
-    u = v / d
-    cos_out = float(np.dot(u, prev.normal))
-    if cos_out <= 0.0:
-        return 0.0, delay
-    acc = detector_acceptance(detector, u, lens)
-    if acc == 0.0:
-        return 0.0, delay
-    n = prev.emission_order
-    gain *= prev.reflectance
-    gain *= (n + 1.0) / (2.0 * math.pi * d * d) * cos_out ** n * acc * detector.area
-    return gain, delay
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +199,189 @@ def _captured_columns(receivers, mount, u3) -> np.ndarray:
     return captured
 
 
+def _los_arrivals(lums, mount, boxes):
+    """Line-of-sight arrivals, one per luminaire: (flux, length, direction).
+
+    Kept apart from `_incident_power`: this computes 2*pi*d*d left to right
+    where that computes 2*pi*(d**2), and the two round differently."""
+    n = len(lums)
+    flux, length, dirs = np.zeros(n), np.zeros(n), np.zeros((n, 3))
+    for k, lum in enumerate(lums):
+        v = mount - lum.position
+        d = float(np.linalg.norm(v))
+        if d < _EPS:
+            raise ValueError("degenerate geometry: luminaire coincides with mount")
+        u = v / d
+        cos_phi = float(np.dot(u, lum.boresight))
+        visible = cos_phi > 0.0 and not (
+            boxes and bool(_segments_blocked(boxes, lum.position, mount[None, :])[0]))
+        if visible:
+            flux[k] = (lum.power_w * (lum.order + 1.0) / (2.0 * math.pi * d * d)
+                       * cos_phi ** lum.order)
+        length[k] = d
+        dirs[k] = u
+    return flux, length, dirs
+
+
+def _first_order_arrivals(lums, grid, mount, boxes):
+    """One-bounce arrivals with non-zero flux: (flux, length, direction,
+    first-bounce power summed over the grid)."""
+    p1, l1 = _incident_power(lums, grid, boxes)
+    u, dm, f_out = _final_hop(grid, mount, boxes)
+    flux = p1 * f_out[None, :]
+    lengths = l1 + dm[None, :]
+    li, ei = np.nonzero(flux > 0.0)
+    return flux[li, ei], lengths[li, ei], u[ei], float(p1.sum())
+
+
+def _second_order_setup(lums, grid, mount, boxes, receivers):
+    """What the second-order kernel starts from: first-bounce power and
+    length (L, ne), the lit e1 rows, the final hop and the traced e2 columns.
+
+    Rows with no incident power from any luminaire add nothing (their
+    weights are exactly zero, with or without occlusion), so only lit rows
+    are traced."""
+    p1, l1 = _incident_power(lums, grid, boxes)
+    u3, d3, f3 = _final_hop(grid, mount, boxes)
+    return p1, l1, p1.any(axis=0), (u3, d3, f3), _captured_columns(receivers, mount, u3)
+
+
 def second_order_extent(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
                         receivers=None) -> dict:
     """What the second-order kernel traces for one mount, without tracing:
     lit first-bounce rows, captured second-bounce columns, the pairs between
     them and the histogram bytes (the field's full histogram and the
     compact one the traced columns are accumulated in)."""
-    mount = np.asarray(mount, dtype=float)
-    lums = [scene.luminaires[i] for i in luminaire_ids]
     boxes = _occluder_boxes(scene) if cfg.occlusion else []
     grid = scene.surface_elements(cfg.second_edge)
-    rows = int(_incident_power(lums, grid, boxes)[0].any(axis=0).sum())
-    cols = int(_captured_columns(receivers, mount,
-                                 _final_hop(grid, mount, boxes)[0]).sum())
+    _, _, lit, _, traced = _second_order_setup(
+        [scene.luminaires[i] for i in luminaire_ids], grid,
+        np.asarray(mount, dtype=float), boxes, receivers)
+    rows, cols = int(lit.sum()), int(traced.sum())
     row_bytes = _bin_count(scene, cfg) * 8
     return {"rows": rows, "cols": cols, "pairs": rows * cols,
             "hist_bytes": len(grid) * row_bytes,
             "traced_hist_bytes": cols * row_bytes}
 
 
+def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
+                       receivers):
+    """Second-order power per final (e2) element and delay bin.
+
+    Returns (hist (ne, nbins), traced e2 columns, e2 arrival directions,
+    totals).  Only traced columns get paths; the other rows stay 0.0."""
+    ne = len(grid)
+    p1, l1, lit, (u3, d3, f3), traced = _second_order_setup(
+        lums, grid, mount, boxes, receivers)
+    totals = {"first_bounce_coarse_w": float(p1.sum())}
+
+    # e2 columns: only the elements a receiver branch captures.  A dropped
+    # column's histogram row stays 0.0 and meets a capture weight of
+    # exactly 0.0, so every receiver IR keeps its bits.
+    cols = np.flatnonzero(traced)
+    nc = cols.size
+    centres_c, normals_c = grid.centres[cols], grid.normals[cols]
+    areas_c, f3_c, d3_c = grid.areas[cols], f3[cols], d3[cols]
+    centres, normals, rho = grid.centres, grid.normals, grid.reflectances
+
+    nl = len(lums)
+    e2_base = np.arange(nc, dtype=np.int64) * nbins
+
+    def work(start):
+        stop = min(start + _CHUNK, ne)
+        rows = start + np.flatnonzero(lit[start:stop])
+        nr = rows.size
+        dvec = centres_c[None, :, :] - centres[rows, None, :]
+        d2 = np.einsum("cek,cek->ce", dvec, dvec)
+        ok = d2 > _EPS
+        d2s = np.where(ok, d2, 1.0)
+        d = np.sqrt(d2s)
+        cos_out = np.einsum("cek,ck->ce", dvec, normals[rows]) / d
+        cos_in = -np.einsum("cek,ek->ce", dvec, normals_c) / d
+        ok &= (cos_out > 0.0) & (cos_in > 0.0)
+        t12 = np.where(ok, cos_out * cos_in, 0.0) * areas_c[None, :] / (math.pi * d2s)
+        if boxes:
+            src = np.broadcast_to(centres[rows, None, :], dvec.shape)
+            t12 = np.where(
+                _segments_blocked(boxes, src.reshape(-1, 3),
+                                  np.broadcast_to(centres_c[None, :, :],
+                                                  dvec.shape).reshape(-1, 3)
+                                  ).reshape(t12.shape),
+                0.0, t12)
+        del dvec, d2, ok, d2s, cos_out, cos_in
+        geom = rho[rows, None] * t12
+        del t12
+        # for bounce accounting; unlit rows stay 0 so the dot products
+        # run over the same full chunk as with every row traced
+        row_reflected = np.zeros(stop - start)
+        row_reflected[rows - start] = geom.sum(axis=1)
+        # one buffer for all luminaires, luminaire-then-row-major: the
+        # order bincount adds each cell's terms in.  Zero weights are
+        # passed through, since adding +0.0 leaves a cell's bits alone.
+        w = np.empty((nl, nr, nc))
+        flat = np.empty((nl, nr, nc), dtype=np.int64)
+        length = np.empty((nr, nc))
+        second_total = 0.0
+        for li in range(nl):
+            second_total += float(p1[li, start:stop] @ row_reflected)
+            wl = w[li]
+            np.multiply(p1[li, rows, None], geom, out=wl)
+            wl *= f3_c
+            np.add(l1[li, rows, None], d, out=length)
+            length += d3_c
+            # same expression as the point-arrival path: floor(len/c/dt)
+            length /= C_LIGHT
+            length /= bin_width
+            np.floor(length, out=length)
+            np.copyto(flat[li], length, casting="unsafe")
+            flat[li] += e2_base
+        return flat.ravel(), w.ravel(), second_total
+
+    # chunks without a lit row contribute exactly zero: skip them
+    starts = ([s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
+              if nc else [])
+    rows_traced = int(lit.sum())
+    totals["second_rows_traced"] = rows_traced
+    totals["second_cols_traced"] = nc
+    totals["second_pairs_evaluated"] = rows_traced * nc
+    hist_flat = np.zeros(nc * nbins)
+    second_total = 0.0
+
+    def add_chunk(result):
+        nonlocal second_total
+        flat, w, tot = result
+        # only zero weights can index past the end: a coincident pair
+        # (d set to 1 m) in a room whose diagonal is under 1 m
+        counts = np.bincount(flat, weights=w, minlength=hist_flat.size)
+        np.add(hist_flat, counts[:hist_flat.size], out=hist_flat)
+        second_total += tot
+
+    if threads > 1:
+        # at most 2 x threads chunks in flight, reduced in chunk order
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            pending = deque()
+            for start in starts:
+                if len(pending) == 2 * threads:
+                    add_chunk(pending.popleft().result())
+                pending.append(ex.submit(work, start))
+            while pending:
+                add_chunk(pending.popleft().result())
+    else:
+        for start in starts:
+            add_chunk(work(start))
+    # reflected power onto the traced elements; it is the full coarse
+    # figure only when every element was traced
+    totals["second_bounce_traced_w"] = second_total
+    if nc == ne:
+        totals["second_bounce_coarse_w"] = second_total
+        hist = hist_flat.reshape(ne, nbins)
+    else:
+        hist = np.zeros((ne, nbins))
+        hist[cols] = hist_flat.reshape(nc, nbins)
+    return hist, traced, u3, totals
+
+
+@dataclass(eq=False)
 class ArrivalField:
     """All traced arrivals at one point, before any detector directivity.
 
@@ -327,203 +391,22 @@ class ArrivalField:
     on that element.  Applying a receiver is then just a directional
     weighting, so all branches of all receiver kinds share one trace.
 
-    With `receivers` given, second-order paths are traced only to the
-    elements some branch of them captures (`b2_traced`); applying a
-    receiver or detector that captures any other element raises.
+    Built by `compute_field`.  When second-order paths were traced only to
+    the elements some branch of its `receivers` captures (`b2_traced`),
+    applying a receiver or detector that captures any other element raises.
     """
 
-    def __init__(self, scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
-                 threads: int = 1, receivers=None):
-        self.scene = scene
-        self.mount = np.asarray(mount, dtype=float)
-        self.luminaire_ids = tuple(luminaire_ids)
-        self.cfg = cfg
-        self.totals = {}
-
-        lums = [scene.luminaires[i] for i in self.luminaire_ids]
-        boxes = _occluder_boxes(scene) if cfg.occlusion else []
-        self.nbins = _bin_count(scene, cfg)
-
-        flux_parts, len_parts, dir_parts = [], [], []
-
-        # line of sight
-        for lum in lums:
-            v = self.mount - lum.position
-            d = float(np.linalg.norm(v))
-            if d < _EPS:
-                raise ValueError("degenerate geometry: luminaire coincides with mount")
-            u = v / d
-            cos_phi = float(np.dot(u, lum.boresight))
-            visible = cos_phi > 0.0 and not (
-                boxes and bool(_segments_blocked(boxes, lum.position,
-                                                 self.mount[None, :])[0]))
-            f = (lum.power_w * (lum.order + 1.0) / (2.0 * math.pi * d * d)
-                 * cos_phi ** lum.order) if visible else 0.0
-            flux_parts.append(np.array([f]))
-            len_parts.append(np.array([d]))
-            dir_parts.append(u[None, :])
-
-        # first order, fine grid
-        if cfg.max_order >= 1 and lums:
-            grid = scene.surface_elements(cfg.first_edge)
-            p1, l1 = _incident_power(lums, grid, boxes)
-            self.totals["first_bounce_fine_w"] = float(p1.sum())
-            v = self.mount[None, :] - grid.centres
-            dm = np.linalg.norm(v, axis=1)
-            safe = dm > _EPS
-            dd = np.where(safe, dm, 1.0)
-            u = v / dd[:, None]
-            cos_emit = (u * grid.normals).sum(axis=1)
-            f_out = np.zeros(len(grid))
-            sel = safe & (cos_emit > 0.0)
-            f_out[sel] = (grid.reflectances[sel] * cos_emit[sel]
-                          / (math.pi * dm[sel] ** 2))
-            if boxes:
-                hit = _segments_blocked(boxes, grid.centres, self.mount[None, :])
-                f_out[hit] = 0.0
-            flux = p1 * f_out[None, :]
-            lengths = l1 + dm[None, :]
-            li, ei = np.nonzero(flux > 0.0)
-            flux_parts.append(flux[li, ei])
-            len_parts.append(lengths[li, ei])
-            dir_parts.append(u[ei])
-
-        self.point_flux = np.concatenate(flux_parts) if flux_parts else np.zeros(0)
-        lengths_all = np.concatenate(len_parts) if len_parts else np.zeros(0)
-        self.point_dirs = (np.concatenate(dir_parts) if dir_parts
-                           else np.zeros((0, 3)))
-        self.point_idx = np.floor(
-            lengths_all / C_LIGHT / cfg.bin_width).astype(np.int64)
-
-        # second order, coarse grid for both bounces
-        self.b2_dirs = None
-        self.b2_hist = None
-        self.b2_traced = None
-        if cfg.max_order >= 2 and lums:
-            self._trace_second_order(lums, boxes, max(1, int(threads)),
-                                     receivers)
-
-    def _trace_second_order(self, lums, boxes, threads, receivers):
-        scene, cfg, mount = self.scene, self.cfg, self.mount
-        grid = scene.surface_elements(cfg.second_edge)
-        ne = len(grid)
-
-        p1, l1 = _incident_power(lums, grid, boxes)
-        self.totals["first_bounce_coarse_w"] = float(p1.sum())
-        u3, d3, f3 = _final_hop(grid, mount, boxes)
-
-        # e2 columns: only the elements a receiver branch captures.  A dropped
-        # column's histogram row stays 0.0 and meets a capture weight of
-        # exactly 0.0, so every receiver IR keeps its bits.
-        traced = _captured_columns(receivers, mount, u3)
-        cols = np.flatnonzero(traced)
-        nc = cols.size
-        centres_c, normals_c = grid.centres[cols], grid.normals[cols]
-        areas_c, f3_c, d3_c = grid.areas[cols], f3[cols], d3[cols]
-        centres, normals, rho = grid.centres, grid.normals, grid.reflectances
-
-        nbins = self.nbins
-        bin_width = cfg.bin_width
-        nl = len(lums)
-        e2_base = np.arange(nc, dtype=np.int64) * nbins
-        # rows with no incident power from any luminaire add nothing (their
-        # weights are exactly zero, with or without occlusion)
-        lit = p1.any(axis=0)
-
-        def work(start):
-            stop = min(start + _CHUNK, ne)
-            rows = start + np.flatnonzero(lit[start:stop])
-            nr = rows.size
-            dvec = centres_c[None, :, :] - centres[rows, None, :]
-            d2 = np.einsum("cek,cek->ce", dvec, dvec)
-            ok = d2 > _EPS
-            d2s = np.where(ok, d2, 1.0)
-            d = np.sqrt(d2s)
-            cos_out = np.einsum("cek,ck->ce", dvec, normals[rows]) / d
-            cos_in = -np.einsum("cek,ek->ce", dvec, normals_c) / d
-            ok &= (cos_out > 0.0) & (cos_in > 0.0)
-            t12 = np.where(ok, cos_out * cos_in, 0.0) * areas_c[None, :] / (math.pi * d2s)
-            if boxes:
-                src = np.broadcast_to(centres[rows, None, :], dvec.shape)
-                t12 = np.where(
-                    _segments_blocked(boxes, src.reshape(-1, 3),
-                                      np.broadcast_to(centres_c[None, :, :],
-                                                      dvec.shape).reshape(-1, 3)
-                                      ).reshape(t12.shape),
-                    0.0, t12)
-            del dvec, d2, ok, d2s, cos_out, cos_in
-            geom = rho[rows, None] * t12
-            del t12
-            # for bounce accounting; unlit rows stay 0 so the dot products
-            # run over the same full chunk as with every row traced
-            row_reflected = np.zeros(stop - start)
-            row_reflected[rows - start] = geom.sum(axis=1)
-            # one buffer for all luminaires, luminaire-then-row-major: the
-            # order bincount adds each cell's terms in.  Zero weights are
-            # passed through, since adding +0.0 leaves a cell's bits alone.
-            w = np.empty((nl, nr, nc))
-            flat = np.empty((nl, nr, nc), dtype=np.int64)
-            length = np.empty((nr, nc))
-            second_total = 0.0
-            for li in range(nl):
-                second_total += float(p1[li, start:stop] @ row_reflected)
-                wl = w[li]
-                np.multiply(p1[li, rows, None], geom, out=wl)
-                wl *= f3_c
-                np.add(l1[li, rows, None], d, out=length)
-                length += d3_c
-                # same expression as the point-arrival path: floor(len/c/dt)
-                length /= C_LIGHT
-                length /= bin_width
-                np.floor(length, out=length)
-                np.copyto(flat[li], length, casting="unsafe")
-                flat[li] += e2_base
-            return flat.ravel(), w.ravel(), second_total
-
-        # chunks without a lit row contribute exactly zero: skip them
-        starts = ([s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
-                  if nc else [])
-        rows_traced = int(lit.sum())
-        self.totals["second_rows_traced"] = rows_traced
-        self.totals["second_cols_traced"] = nc
-        self.totals["second_pairs_evaluated"] = rows_traced * nc
-        hist_flat = np.zeros(nc * nbins)
-        second_total = 0.0
-
-        def add_chunk(result):
-            nonlocal second_total
-            flat, w, tot = result
-            # only zero weights can index past the end: a coincident pair
-            # (d set to 1 m) in a room whose diagonal is under 1 m
-            counts = np.bincount(flat, weights=w, minlength=hist_flat.size)
-            np.add(hist_flat, counts[:hist_flat.size], out=hist_flat)
-            second_total += tot
-
-        if threads > 1:
-            # at most 2 x threads chunks in flight, reduced in chunk order
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                pending = deque()
-                for start in starts:
-                    if len(pending) == 2 * threads:
-                        add_chunk(pending.popleft().result())
-                    pending.append(ex.submit(work, start))
-                while pending:
-                    add_chunk(pending.popleft().result())
-        else:
-            for start in starts:
-                add_chunk(work(start))
-        # reflected power onto the traced elements; it is the full coarse
-        # figure only when every element was traced
-        self.totals["second_bounce_traced_w"] = second_total
-        if nc == ne:
-            self.totals["second_bounce_coarse_w"] = second_total
-            hist = hist_flat.reshape(ne, nbins)
-        else:
-            hist = np.zeros((ne, nbins))
-            hist[cols] = hist_flat.reshape(nc, nbins)
-        self.b2_dirs = u3
-        self.b2_hist = hist
-        self.b2_traced = traced
+    mount: np.ndarray
+    luminaire_ids: tuple
+    cfg: TraceConfig
+    nbins: int
+    point_flux: np.ndarray    # (P,) W/m^2 at the mount
+    point_idx: np.ndarray     # (P,) delay bin
+    point_dirs: np.ndarray    # (P, 3) propagation directions
+    b2_hist: np.ndarray | None    # (ne, nbins) W per final element; None below order 2
+    b2_dirs: np.ndarray | None    # (ne, 3)
+    b2_traced: np.ndarray | None  # (ne,) bool
+    totals: dict              # traced power and work, by name
 
     # -- applying detectors ------------------------------------------------
 
@@ -560,28 +443,8 @@ class ArrivalField:
     def detector_ir(self, detector: DetectorSpec,
                     lens: LensModel | None = None) -> ImpulseResponse:
         """Impulse response of a bare detector element (no pixel assignment)."""
-        acc_point = _single_acceptance(detector, lens, self.point_dirs)
-        acc_b2 = (_single_acceptance(detector, lens, self.b2_dirs)
-                  if self.b2_hist is not None else None)
-        if acc_b2 is not None:
-            self._check_traced(acc_b2, "detector")
-        return self._assemble(acc_point, acc_b2)
-
-
-def _single_acceptance(detector: DetectorSpec, lens, dirs) -> np.ndarray:
-    """Vectorized detector_acceptance * area for one element."""
-    toward = -np.asarray(dirs, dtype=float).reshape(-1, 3)
-    cos_theta = toward @ detector.boresight
-    gate = (cos_theta > 0.0) & (
-        cos_theta >= math.cos(math.radians(detector.fov_deg)) - 1e-15)
-    acc = np.where(gate, cos_theta, 0.0) * detector.area
-    if lens is not None:
-        y = np.arccos(np.clip(toward[:, 2], -1.0, 1.0))
-        a, b, c = lens.poly
-        trans = np.clip(a * y * y + b * y + c, 0.0, 1.0)
-        trans[y > math.radians(lens.fov_deg)] = 0.0
-        acc = acc * trans
-    return acc
+        return self.receiver_irs(
+            ReceiverSpec("detector", self.mount, (detector,), lens))[0]
 
 
 def _check_pose(scene: Scene, position):
@@ -609,7 +472,30 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     """
     _check_scene(scene)
     _check_pose(scene, mount)
-    return ArrivalField(scene, luminaire_ids, mount, cfg, threads, receivers)
+    mount = np.asarray(mount, dtype=float)
+    luminaire_ids = tuple(luminaire_ids)
+    lums = [scene.luminaires[i] for i in luminaire_ids]
+    boxes = _occluder_boxes(scene) if cfg.occlusion else []
+    nbins = _bin_count(scene, cfg)
+    totals = {}
+
+    arrivals = [_los_arrivals(lums, mount, boxes)]
+    if cfg.max_order >= 1 and lums:
+        *first, totals["first_bounce_fine_w"] = _first_order_arrivals(
+            lums, scene.surface_elements(cfg.first_edge), mount, boxes)
+        arrivals.append(first)
+    flux, lengths, dirs = (np.concatenate(parts) for parts in zip(*arrivals))
+
+    b2_hist = b2_traced = b2_dirs = None
+    if cfg.max_order >= 2 and lums:
+        b2_hist, b2_traced, b2_dirs, second = _second_order_hist(
+            lums, scene.surface_elements(cfg.second_edge), mount, boxes, nbins,
+            cfg.bin_width, max(1, int(threads)), receivers)
+        totals.update(second)
+    return ArrivalField(
+        mount, luminaire_ids, cfg, nbins, flux,
+        np.floor(lengths / C_LIGHT / cfg.bin_width).astype(np.int64), dirs,
+        b2_hist, b2_dirs, b2_traced, totals)
 
 
 def trace_impulse_response(scene: Scene, luminaire_ids, detector: DetectorSpec,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,19 +88,23 @@ def lens_transmission(incidence_rad: float, lens: LensModel | None = None) -> fl
     """
     if incidence_rad < 0.0:
         raise ValueError(f"incidence angle must be >= 0, got {incidence_rad}")
-    lens = lens or LensModel()
-    if incidence_rad > math.radians(lens.fov_deg):
-        return 0.0
+    return float(_lens_poly(lens or LensModel(),
+                            np.array([incidence_rad], dtype=float))[0])
+
+
+def _lens_poly(lens: LensModel, y: np.ndarray) -> np.ndarray:
+    """Transmission at incidence angles `y` (radians)."""
     a, b, c = lens.poly
-    t = a * incidence_rad * incidence_rad + b * incidence_rad + c
-    return min(1.0, max(0.0, t))
+    trans = np.clip(a * y * y + b * y + c, 0.0, 1.0)
+    trans[y > math.radians(lens.fov_deg)] = 0.0
+    return trans
 
 
 @dataclass(frozen=True)
 class ReceiverSpec:
     """A receiver assembly: J detector branches at one mount point."""
 
-    kind: str                # "wfov" | "adr" | "imaging"
+    kind: str                # "wfov" | "adr" | "imaging" | "detector" (one bare element)
     mount: Vec3
     branches: tuple          # tuple of DetectorSpec
     lens: LensModel | None = None
@@ -221,18 +225,10 @@ def detector_acceptance(detector: DetectorSpec, incoming,
     `incoming` is the propagation direction (unit vector from the source
     toward the detector).  Returns cos(theta) inside the FOV and 0 outside,
     times the lens transmission when a lens is present; excludes the
-    detector area.
+    detector area.  A one-element `capture_matrix` at unit area.
     """
-    d = np.asarray(incoming, dtype=float)
-    cos_theta = float(np.dot(-d, detector.boresight))
-    if cos_theta <= 0.0 or cos_theta < math.cos(math.radians(detector.fov_deg)) - 1e-15:
-        return 0.0
-    factor = cos_theta
-    if lens is not None:
-        cos_y = float(-d[2])
-        y = math.acos(min(1.0, max(-1.0, cos_y)))
-        factor *= lens_transmission(y, lens)
-    return factor
+    probe = ReceiverSpec("detector", None, (replace(detector, area=1.0),), lens)
+    return float(capture_matrix(probe, incoming)[0, 0])
 
 
 def assign_pixel(receiver: ReceiverSpec, incoming) -> int | None:
@@ -257,9 +253,10 @@ def capture_matrix(receiver: ReceiverSpec, directions: np.ndarray) -> np.ndarray
     """Effective capture area of every branch for many arrival directions.
 
     `directions` has shape (N, 3): unit propagation vectors from source to
-    mount.  Returns (J, N) with entries area * cos(theta) * FOV gate * lens
-    transmission, plus single-pixel assignment for imaging receivers.  This
-    is the vectorized counterpart of detector_acceptance used by the tracer.
+    mount.  Returns (J, N) with entries area * cos(theta) * FOV gate, times
+    the lens transmission when the receiver has a lens, plus single-pixel
+    assignment for imaging receivers.  Every detector gain in the package
+    goes through here.
     """
     dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
     toward = -dirs
@@ -271,12 +268,9 @@ def capture_matrix(receiver: ReceiverSpec, directions: np.ndarray) -> np.ndarray
     gate = (cos_theta >= cos_fov - 1e-15) & (cos_theta > 0.0)
     acc = np.where(gate, cos_theta, 0.0) * areas
     if receiver.kind == "imaging":
-        cos_y = np.clip(toward[:, 2], -1.0, 1.0)
-        y = np.arccos(cos_y)
-        a, b_, c = receiver.lens.poly
-        trans = np.clip(a * y * y + b_ * y + c, 0.0, 1.0)
-        trans[y > math.radians(receiver.lens.fov_deg)] = 0.0
         assigned = np.argmax(cos_theta, axis=0)                  # ties -> lowest index
-        one_hot = assigned[None, :] == np.arange(len(receiver.branches))[:, None]
-        acc = acc * one_hot * trans[None, :]
+        acc = acc * (assigned[None, :] == np.arange(len(receiver.branches))[:, None])
+    if receiver.lens is not None:
+        y = np.arccos(np.clip(toward[:, 2], -1.0, 1.0))
+        acc = acc * _lens_poly(receiver.lens, y)[None, :]
     return acc

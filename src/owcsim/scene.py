@@ -101,10 +101,6 @@ class ElementGrid:
             reflectance=float(self.reflectances[i]),
         )
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     @property
     def total_area(self) -> float:
         return float(self.areas.sum())
@@ -163,8 +159,8 @@ class Luminaire:
     @staticmethod
     def make(position, power_w: float, semi_angle_deg: float = 70.0,
              boresight=None, diode_count: int = 16) -> "Luminaire":
-        if power_w <= 0.0:
-            raise ValueError("luminaire power must be positive")
+        if not 0.0 < power_w < math.inf:
+            raise ValueError(f"luminaire power must be positive and finite, got {power_w}")
         bs = vec3(0.0, 0.0, -1.0) if boresight is None else unit(boresight)
         return Luminaire(
             position=np.asarray(position, dtype=float),
@@ -225,10 +221,13 @@ class Scene:
             return tuple(range(len(self.luminaires)))
         x = float(np.asarray(point, dtype=float)[0])
         row = min(self.rows, key=lambda r: abs(r.centre_x - x))
-        return tuple(
-            i for i, lum in enumerate(self.luminaires)
-            if abs(float(lum.position[0]) - row.centre_x) < 1e-9
-        )
+        return _luminaires_above(self.luminaires, row.centre_x)
+
+
+def _luminaires_above(luminaires, row_x: float) -> tuple:
+    """Indices of the luminaires over the row whose centreline is at `row_x`."""
+    return tuple(i for i, lum in enumerate(luminaires)
+                 if abs(float(lum.position[0]) - row_x) < 1e-9)
 
 
 @dataclass(frozen=True)
@@ -289,11 +288,7 @@ def build_pod(config: PodConfig) -> Scene:
     ]
     y_mid = 0.5 * (config.row_y_span[0] + config.row_y_span[1])
     mounts = [vec3(x, y_mid, config.rack_top_m) for x in ROW_X]
-    assignment = [
-        tuple(i for i, lum in enumerate(luminaires)
-              if abs(float(lum.position[0]) - x) < 1e-9)
-        for x in ROW_X
-    ]
+    assignment = [_luminaires_above(luminaires, x) for x in ROW_X]
     return Scene(room=(lx, ly, h), panels=panels, luminaires=luminaires,
                  rows=rows, mounts=mounts, assignment=assignment)
 
@@ -325,8 +320,8 @@ def validate_scene(scene: Scene) -> list:
     for k, lum in enumerate(scene.luminaires):
         if not _inside_room(lum.position, scene.room):
             diags.append(f"luminaire {k} at {tuple(lum.position)}: outside room")
-        if lum.power_w <= 0:
-            diags.append(f"luminaire {k}: non-positive power {lum.power_w}")
+        if not 0.0 < lum.power_w < math.inf:
+            diags.append(f"luminaire {k}: power {lum.power_w} is not positive and finite")
         if abs(float(np.linalg.norm(lum.boresight)) - 1.0) > 1e-12:
             diags.append(f"luminaire {k}: boresight is not a unit vector")
         expect_m = -math.log(2.0) / math.log(math.cos(math.radians(lum.semi_angle_deg)))

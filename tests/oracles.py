@@ -9,6 +9,7 @@ them.
 import math
 
 import mpmath
+import numpy as np
 
 SPEED_OF_LIGHT = 2.9979e8
 
@@ -78,6 +79,114 @@ def oracle_path_delay(points) -> float:
     return total / SPEED_OF_LIGHT
 
 
+def oracle_acceptance(detector, incoming, lens=None) -> float:
+    """Scalar detector gain factor: cos(theta) inside the FOV, 0 outside,
+    times the clamped lens polynomial inside the lens cone; no area."""
+    dx, dy, dz = (float(c) for c in incoming)
+    bx, by, bz = (float(c) for c in detector.boresight)
+    cos_theta = -(dx * bx + dy * by + dz * bz)
+    if cos_theta <= 0.0 or cos_theta < math.cos(math.radians(detector.fov_deg)) - 1e-15:
+        return 0.0
+    if lens is None:
+        return cos_theta
+    y = math.acos(min(1.0, max(-1.0, -dz)))
+    if y > math.radians(lens.fov_deg):
+        return 0.0
+    a, b, c = lens.poly
+    return cos_theta * min(1.0, max(0.0, a * y * y + b * y + c))
+
+
+# The closed-form single-path gains: the reference semantics the tracer's
+# vectorized stages reproduce.
+
+def los_gain(luminaire, detector, det_position, lens=None) -> float:
+    """Line-of-sight channel gain between one luminaire and one detector.
+
+    gain = (m+1)/(2 pi d^2) * cos^m(phi) * cos(theta) * A, gated to zero
+    outside the detector FOV or when either cosine is negative; the lens
+    transmission multiplies the gain when a lens is present.
+    """
+    pos = np.asarray(det_position, dtype=float)
+    v = pos - luminaire.position
+    d = float(np.linalg.norm(v))
+    if d < 1e-12:
+        raise ValueError("degenerate geometry: luminaire and detector coincide")
+    u = v / d
+    cos_phi = float(np.dot(u, luminaire.boresight))
+    if cos_phi <= 0.0:
+        return 0.0
+    acc = oracle_acceptance(detector, u, lens)
+    if acc == 0.0:
+        return 0.0
+    m = luminaire.order
+    return (m + 1.0) / (2.0 * math.pi * d * d) * cos_phi ** m * acc * detector.area
+
+
+def reflected_path_gain(luminaire, elements, detector, det_position,
+                        lens=None) -> tuple[float, float]:
+    """Gain and delay of one reflected path (one or two bounces).
+
+    Each hop applies the upstream emitter's Lambertian transfer (order m for
+    the luminaire, order 1 for elements) and the element reflectance is
+    applied where the ray bounces.  Returns (gain, delay_s); the gain is zero
+    for rays outside any cosine or FOV gate, but the geometric delay is
+    always reported.
+    """
+    if not 1 <= len(elements) <= 2:
+        raise ValueError("reflected path must have one or two bounces")
+    pos = np.asarray(det_position, dtype=float)
+    gain = 1.0
+    total_len = 0.0
+
+    def hop(src, dst, order, src_boresight, dst_normal, dst_area):
+        nonlocal gain, total_len
+        v = dst - src
+        d = float(np.linalg.norm(v))
+        if d < 1e-12:
+            raise ValueError("degenerate geometry: zero-length hop")
+        total_len += d
+        u = v / d
+        cos_out = float(np.dot(u, src_boresight))
+        cos_in = float(np.dot(-u, dst_normal))
+        if cos_out <= 0.0 or cos_in <= 0.0:
+            gain = 0.0
+            return
+        gain *= (order + 1.0) / (2.0 * math.pi * d * d) * cos_out ** order * cos_in * dst_area
+
+    e1 = elements[0]
+    hop(luminaire.position, e1.centre, luminaire.order,
+        luminaire.boresight, e1.normal, e1.area)
+    prev = e1
+    if len(elements) == 2:
+        e2 = elements[1]
+        if gain != 0.0:
+            gain *= prev.reflectance
+        hop(prev.centre, e2.centre, prev.emission_order, prev.normal,
+            e2.normal, e2.area)
+        prev = e2
+
+    # final hop to the detector
+    v = pos - prev.centre
+    d = float(np.linalg.norm(v))
+    if d < 1e-12:
+        raise ValueError("degenerate geometry: element and detector coincide")
+    total_len += d
+    delay = total_len / SPEED_OF_LIGHT
+    if gain == 0.0:
+        return 0.0, delay
+    u = v / d
+    cos_out = float(np.dot(u, prev.normal))
+    if cos_out <= 0.0:
+        return 0.0, delay
+    acc = oracle_acceptance(detector, u, lens)
+    if acc == 0.0:
+        return 0.0, delay
+    n = prev.emission_order
+    gain *= prev.reflectance
+    gain *= (n + 1.0) / (2.0 * math.pi * d * d) * cos_out ** n * acc * detector.area
+    return gain, delay
+
+
 def oracle_two_path_bandwidth(tau_s: float) -> float:
     """3-dB frequency of two equal paths tau apart: |cos(pi f tau)| = 1/sqrt(2)
     first at f = 1/(4 tau)."""
@@ -102,8 +211,6 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
     `_segments_blocked`, `_occluder_boxes`) with the tracer, because it is
     the bitwise reference for the kernel built on them.
     """
-    import numpy as np
-
     from owcsim.raytracer import (
         C_LIGHT,
         _occluder_boxes,

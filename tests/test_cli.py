@@ -110,6 +110,42 @@ class TestParseConfig:
                                            "wall_reflectance = 1.2"))
 
 
+class TestOverrideFlags:
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--bin-ps", "0", "trace.bin_ps"),
+        ("--bin-ps", "-5", "trace.bin_ps"),
+        ("--bin-ps", "nan", "trace.bin_ps"),
+        ("--bin-ps", "inf", "trace.bin_ps"),
+        ("--bitrate", "nan", "receiver.bitrate_bps"),
+        ("--bitrate", "inf", "receiver.bitrate_bps"),
+        ("--bitrate", "0", "receiver.bitrate_bps"),
+    ])
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, command,
+                                            flag, value, key):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(fast_config())
+        rc = main([command, "--config", str(cfg_path), flag, value,
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and f"'{key}'" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_overrides_reach_the_run_config(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr("owcsim.cli.run_scene_check",
+                            lambda cfg, receiver: seen.append(cfg) or 0)
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(REFERENCE)
+        assert main(["check", "--config", str(cfg_path), "--orders", "1",
+                     "--bin-ps", "25", "--bitrate", "1e9"]) == 0
+        want = parse_config(REFERENCE.replace("orders = 2", "orders = 1")
+                            .replace("bin_ps = 50.0", "bin_ps = 25")
+                            .replace("bitrate_bps = 2.0e9", "bitrate_bps = 1e9"))
+        assert seen == [want]
+
+
 class TestSimulate:
     def test_wfov_orders0_writes_three_los_files(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.ini"

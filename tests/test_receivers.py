@@ -16,6 +16,8 @@ from owcsim.receivers import (
     make_wfov,
 )
 
+from oracles import oracle_acceptance
+
 MOUNT = np.array([4.0, 4.0, 2.0])
 
 
@@ -203,7 +205,7 @@ class TestCaptureMatrix:
             acc = capture_matrix(rx, dirs)
             for j, det in enumerate(rx.branches):
                 for i in range(toward.shape[0]):
-                    want = detector_acceptance(det, dirs[i]) * det.area
+                    want = oracle_acceptance(det, dirs[i]) * det.area
                     assert acc[j, i] == pytest.approx(want, rel=1e-12, abs=1e-30)
 
     def test_imaging_includes_lens_and_assignment(self):

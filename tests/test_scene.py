@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from owcsim.scene import (
+    Luminaire,
     PodConfig,
     SurfacePanel,
     build_pod,
@@ -164,6 +165,15 @@ class TestValidateScene:
         object.__setattr__(wall, "reflectance", 1.2)
         diags = validate_scene(scene)
         assert len(diags) == 1 and "reflectance out of range" in diags[0]
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_luminaire_power_must_be_positive_and_finite(self, power):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Luminaire.make(vec3(1, 1, 3), power)
+        scene = build_pod(PodConfig(luminaire_power_w=1.0))
+        object.__setattr__(scene.luminaires[4], "power_w", power)
+        diags = validate_scene(scene)
+        assert len(diags) == 1 and "luminaire 4" in diags[0], diags
 
     def test_rack_above_ceiling(self):
         scene = build_pod(PodConfig(luminaire_power_w=1.0, rack_top_m=3.2))
