@@ -280,11 +280,10 @@ def _fmt(x: float) -> str:
 
 def write_ir_csv(ir: ImpulseResponse, path: str) -> None:
     """Two-column dump `time_s,power_w`, one row per non-empty bin."""
-    t = ir.times()
+    nz = np.nonzero(ir.bins)[0]
+    rows = zip(ir.times()[nz].tolist(), ir.bins[nz].tolist())
     with open(path, "w", newline="") as f:
-        f.write("time_s,power_w\n")
-        for k in np.nonzero(ir.bins)[0]:
-            f.write(f"{_fmt(t[k])},{_fmt(ir.bins[k])}\n")
+        f.write("time_s,power_w\n" + "".join(f"{t!r},{p!r}\n" for t, p in rows))
 
 
 METRICS_HEADER = ("mount_x,mount_y,mount_z,receiver,delay_spread_s,"

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import COMM_FLOOR_M, Scene, validate_scene
-from .receivers import DetectorSpec, LensModel, ReceiverSpec, capture_matrix
+from .receivers import (DetectorSpec, LensModel, ReceiverSpec, capture_matrix,
+                        sparse_capture)
 
 C_LIGHT = 2.9979e8            # m/s, air
 _CHUNK = 256                  # second-order e1 rows per work unit (fixed: determinism)
@@ -291,24 +292,30 @@ def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
         stop = min(start + _CHUNK, ne)
         rows = start + np.flatnonzero(lit[start:stop])
         nr = rows.size
-        dvec = centres_c[None, :, :] - centres[rows, None, :]
-        d2 = np.einsum("cek,cek->ce", dvec, dvec)
+        # pair vectors as separate x, y, z arrays; each dot product adds
+        # (x + z) + y, the order einsum uses for a length-3 contraction
+        dx, dy, dz = (cc[None, :] - cr[:, None]
+                      for cc, cr in zip(centres_c.T, centres[rows].T))
+        d2 = dx * dx + dz * dz + dy * dy
         ok = d2 > _EPS
         d2s = np.where(ok, d2, 1.0)
         d = np.sqrt(d2s)
-        cos_out = np.einsum("cek,ck->ce", dvec, normals[rows]) / d
-        cos_in = -np.einsum("cek,ek->ce", dvec, normals_c) / d
+        nx, ny, nz = normals[rows].T[:, :, None]
+        cos_out = (dx * nx + dz * nz + dy * ny) / d
+        nx, ny, nz = normals_c.T[:, None, :]
+        cos_in = -(dx * nx + dz * nz + dy * ny) / d
         ok &= (cos_out > 0.0) & (cos_in > 0.0)
         t12 = np.where(ok, cos_out * cos_in, 0.0) * areas_c[None, :] / (math.pi * d2s)
         if boxes:
-            src = np.broadcast_to(centres[rows, None, :], dvec.shape)
+            shape = (nr, nc, 3)
+            src = np.broadcast_to(centres[rows, None, :], shape)
             t12 = np.where(
                 _segments_blocked(boxes, src.reshape(-1, 3),
                                   np.broadcast_to(centres_c[None, :, :],
-                                                  dvec.shape).reshape(-1, 3)
+                                                  shape).reshape(-1, 3)
                                   ).reshape(t12.shape),
                 0.0, t12)
-        del dvec, d2, ok, d2s, cos_out, cos_in
+        del dx, dy, dz, d2, ok, d2s, cos_out, cos_in
         geom = rho[rows, None] * t12
         del t12
         # for bounce accounting; unlit rows stay 0 so the dot products
@@ -410,15 +417,6 @@ class ArrivalField:
 
     # -- applying detectors ------------------------------------------------
 
-    def _assemble(self, acc_point: np.ndarray, acc_b2) -> ImpulseResponse:
-        bins = np.bincount(self.point_idx, weights=acc_point * self.point_flux,
-                           minlength=self.nbins)
-        if self.b2_hist is not None:
-            bins = bins + acc_b2 @ self.b2_hist
-        nz = np.nonzero(bins)[0]
-        bins = bins[: nz[-1] + 1] if nz.size else bins[:0]
-        return ImpulseResponse(self.cfg.bin_width, 0.0, bins)
-
     def _check_traced(self, acc_b2, what: str):
         """Refuse capture weights on second-order elements that were not
         traced: their histogram rows are 0.0, not the power they receive."""
@@ -429,16 +427,29 @@ class ArrivalField:
                 "`receivers`")
 
     def receiver_irs(self, receiver: ReceiverSpec) -> list[ImpulseResponse]:
-        """One impulse response per receiver branch."""
-        acc_point = capture_matrix(receiver, self.point_dirs)
-        acc_b2 = (capture_matrix(receiver, self.b2_dirs)
-                  if self.b2_hist is not None else None)
-        if acc_b2 is not None:
+        """One impulse response per receiver branch.
+
+        Point arrivals are binned for every branch in one `bincount` over
+        `branch * nbins + bin`; each cell still adds its terms in arrival
+        order.  Second-order power is each branch's gemv over `b2_hist`."""
+        nb, nbins = receiver.branch_count, self.nbins
+        acc_b2 = None
+        if self.b2_hist is not None:
+            acc_b2 = capture_matrix(receiver, self.b2_dirs)
             self._check_traced(acc_b2, f"{receiver.kind} receiver")
-        return [
-            self._assemble(acc_point[j], acc_b2[j] if acc_b2 is not None else None)
-            for j in range(receiver.branch_count)
-        ]
+        branch, arrival, weight = sparse_capture(receiver, self.point_dirs)
+        point_bins = np.bincount(branch * nbins + self.point_idx[arrival],
+                                 weights=weight * self.point_flux[arrival],
+                                 minlength=nb * nbins).reshape(nb, nbins)
+        irs = []
+        for j in range(nb):
+            bins = point_bins[j]
+            if acc_b2 is not None:
+                bins = bins + acc_b2[j] @ self.b2_hist
+            nz = np.nonzero(bins)[0]
+            bins = bins[: nz[-1] + 1] if nz.size else bins[:0]
+            irs.append(ImpulseResponse(self.cfg.bin_width, 0.0, bins))
+        return irs
 
     def detector_ir(self, detector: DetectorSpec,
                     lens: LensModel | None = None) -> ImpulseResponse:

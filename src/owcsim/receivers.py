@@ -63,8 +63,9 @@ class DetectorSpec:
     lens_attached: bool = False
 
     def __post_init__(self):
-        if self.area <= 0 or self.responsivity <= 0:
-            raise ValueError("detector area and responsivity must be positive")
+        if not (0.0 < self.area < math.inf and 0.0 < self.responsivity < math.inf):
+            raise ValueError("detector area and responsivity must be positive and "
+                             f"finite, got {self.area} and {self.responsivity}")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ValueError(f"FOV must be in (0, 90] degrees, got {self.fov_deg}")
 
@@ -86,7 +87,7 @@ def lens_transmission(incidence_rad: float, lens: LensModel | None = None) -> fl
 
     Polynomial value clamped to [0, 1]; zero outside the acceptance cone.
     """
-    if incidence_rad < 0.0:
+    if not incidence_rad >= 0.0:
         raise ValueError(f"incidence angle must be >= 0, got {incidence_rad}")
     return float(_lens_poly(lens or LensModel(),
                             np.array([incidence_rad], dtype=float))[0])
@@ -240,37 +241,60 @@ def assign_pixel(receiver: ReceiverSpec, incoming) -> int | None:
     """
     if receiver.kind != "imaging":
         raise ValueError(f"assign_pixel needs an imaging receiver, got {receiver.kind!r}")
-    d = np.asarray(incoming, dtype=float)
-    toward = -d  # from the receiver toward the source
-    cos_y = float(toward[2])
-    if cos_y < math.cos(math.radians(receiver.lens.fov_deg)) - 1e-15:
+    toward = -np.asarray(incoming, dtype=float).reshape(1, 3)  # toward the source
+    if float(toward[0, 2]) < math.cos(math.radians(receiver.lens.fov_deg)) - 1e-15:
         return None
-    cosines = np.array([float(np.dot(toward, b.boresight)) for b in receiver.branches])
-    return int(np.argmax(cosines))
+    return int(_assigned_pixels(_branch_cosines(receiver, toward))[0])
+
+
+def _branch_cosines(receiver: ReceiverSpec, toward: np.ndarray) -> np.ndarray:
+    """cos(theta) between every arrival (rows of `toward`, unit vectors from
+    the mount toward the source) and every branch boresight: (N, J)."""
+    return toward @ np.stack([b.boresight for b in receiver.branches]).T
+
+
+def _assigned_pixels(cos_theta: np.ndarray) -> np.ndarray:
+    """The one pixel each arrival feeds: the closest boresight, ties to the
+    lowest index."""
+    return np.argmax(cos_theta, axis=1)
+
+
+def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
+    """Non-zero capture gains as `(branch, arrival, weight)` entries.
+
+    `directions` has shape (N, 3): unit propagation vectors from source to
+    mount.  Each weight is area * cos(theta) inside the branch's FOV gate,
+    times the lens transmission when the receiver has a lens.  An imaging
+    receiver gates and weighs only the pixel each arrival is assigned to;
+    every other kind gates all of its branches.  Entries are in ascending
+    arrival order within each branch.  Every detector gain in the package
+    goes through here.
+    """
+    toward = -np.asarray(directions, dtype=float).reshape(-1, 3)
+    n, nb = len(toward), receiver.branch_count
+    cos_theta = _branch_cosines(receiver, toward)                # (N, J)
+    if receiver.kind == "imaging":
+        branch = _assigned_pixels(cos_theta)
+        arrival = np.arange(n)
+    else:
+        branch = np.repeat(np.arange(nb), n)
+        arrival = np.tile(np.arange(n), nb)
+    cos = cos_theta[arrival, branch]
+    cos_fov = np.array([math.cos(math.radians(b.fov_deg)) for b in receiver.branches])
+    keep = (cos >= cos_fov[branch] - 1e-15) & (cos > 0.0)
+    branch, arrival = branch[keep], arrival[keep]
+    weight = cos[keep] * np.array([b.area for b in receiver.branches])[branch]
+    if receiver.lens is not None:
+        y = np.arccos(np.clip(toward[arrival, 2], -1.0, 1.0))
+        weight = weight * _lens_poly(receiver.lens, y)
+    nz = weight != 0.0
+    return branch[nz], arrival[nz], weight[nz]
 
 
 def capture_matrix(receiver: ReceiverSpec, directions: np.ndarray) -> np.ndarray:
-    """Effective capture area of every branch for many arrival directions.
-
-    `directions` has shape (N, 3): unit propagation vectors from source to
-    mount.  Returns (J, N) with entries area * cos(theta) * FOV gate, times
-    the lens transmission when the receiver has a lens, plus single-pixel
-    assignment for imaging receivers.  Every detector gain in the package
-    goes through here.
-    """
-    dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
-    toward = -dirs
-    bores = np.stack([b.boresight for b in receiver.branches])   # (J, 3)
-    cos_theta = bores @ toward.T                                 # (J, N)
-    cos_fov = np.array([math.cos(math.radians(b.fov_deg))
-                        for b in receiver.branches])[:, None]
-    areas = np.array([b.area for b in receiver.branches])[:, None]
-    gate = (cos_theta >= cos_fov - 1e-15) & (cos_theta > 0.0)
-    acc = np.where(gate, cos_theta, 0.0) * areas
-    if receiver.kind == "imaging":
-        assigned = np.argmax(cos_theta, axis=0)                  # ties -> lowest index
-        acc = acc * (assigned[None, :] == np.arange(len(receiver.branches))[:, None])
-    if receiver.lens is not None:
-        y = np.arccos(np.clip(toward[:, 2], -1.0, 1.0))
-        acc = acc * _lens_poly(receiver.lens, y)[None, :]
+    """Effective capture area of every branch for many arrival directions:
+    the entries of `sparse_capture` scattered into a (J, N) array of zeros."""
+    acc = np.zeros((receiver.branch_count, np.size(directions) // 3))
+    branch, arrival, weight = sparse_capture(receiver, directions)
+    acc[branch, arrival] = weight
     return acc

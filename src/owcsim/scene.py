@@ -343,12 +343,11 @@ def validate_scene(scene: Scene) -> list:
         assigned = scene.assignment[k] if k < len(scene.assignment) else ()
         if not assigned:
             diags.append(f"mount {k}: no luminaires assigned")
+        above = scene.assigned_luminaires(mount)   # all of them without rows
         for i in assigned:
             if not 0 <= i < len(scene.luminaires):
                 diags.append(f"mount {k}: assigned luminaire index {i} out of range")
-            elif scene.rows and abs(
-                    float(scene.luminaires[i].position[0]) - float(mount[0])) > 1e-9:
-                # row alignment only applies to scenes that model rack rows
+            elif i not in above:
                 diags.append(
                     f"mount {k}: assigned luminaire {i} is not above its row"
                 )

@@ -288,3 +288,47 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
         hist_flat += np.bincount(flat, weights=w, minlength=hist_flat.size)
         second_total += tot
     return hist_flat.reshape(ne, nbins), second_total
+
+
+def oracle_capture_matrix(receiver, directions):
+    """The dense capture matrix as first written, kept verbatim: full (J, N)
+    cosine, gate, one-hot and lens arrays.  The bitwise reference for
+    `capture_matrix` (only the lens polynomial is shared with it)."""
+    from owcsim.receivers import _lens_poly
+
+    dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
+    toward = -dirs
+    bores = np.stack([b.boresight for b in receiver.branches])   # (J, 3)
+    cos_theta = bores @ toward.T                                 # (J, N)
+    cos_fov = np.array([math.cos(math.radians(b.fov_deg))
+                        for b in receiver.branches])[:, None]
+    areas = np.array([b.area for b in receiver.branches])[:, None]
+    gate = (cos_theta >= cos_fov - 1e-15) & (cos_theta > 0.0)
+    acc = np.where(gate, cos_theta, 0.0) * areas
+    if receiver.kind == "imaging":
+        assigned = np.argmax(cos_theta, axis=0)                  # ties -> lowest index
+        acc = acc * (assigned[None, :] == np.arange(len(receiver.branches))[:, None])
+    if receiver.lens is not None:
+        y = np.arccos(np.clip(toward[:, 2], -1.0, 1.0))
+        acc = acc * _lens_poly(receiver.lens, y)[None, :]
+    return acc
+
+
+def oracle_receiver_irs(field, receiver):
+    """Per-branch impulse responses by the dense path as first written, kept
+    verbatim: a dense capture of every point arrival, one `bincount` per
+    branch, plus the branch's gemv over the second-order histogram.
+    Returns a list of bin arrays."""
+    def assemble(acc_point, acc_b2):
+        bins = np.bincount(field.point_idx, weights=acc_point * field.point_flux,
+                           minlength=field.nbins)
+        if field.b2_hist is not None:
+            bins = bins + acc_b2 @ field.b2_hist
+        nz = np.nonzero(bins)[0]
+        return bins[: nz[-1] + 1] if nz.size else bins[:0]
+
+    acc_point = oracle_capture_matrix(receiver, field.point_dirs)
+    acc_b2 = (oracle_capture_matrix(receiver, field.b2_dirs)
+              if field.b2_hist is not None else None)
+    return [assemble(acc_point[j], acc_b2[j] if acc_b2 is not None else None)
+            for j in range(receiver.branch_count)]

@@ -17,7 +17,7 @@ from owcsim.cli import (
     write_ir_csv,
 )
 from owcsim.linkmetrics import link_report
-from owcsim.raytracer import compute_field
+from owcsim.raytracer import ImpulseResponse, compute_field
 from owcsim.receivers import make_adr, make_imaging, make_wfov
 from owcsim.scene import build_pod
 
@@ -144,6 +144,31 @@ class TestOverrideFlags:
                             .replace("bin_ps = 50.0", "bin_ps = 25")
                             .replace("bitrate_bps = 2.0e9", "bitrate_bps = 1e9"))
         assert seen == [want]
+
+
+class TestWriteIrCsv:
+    @staticmethod
+    def row_loop(ir, path):
+        """The CSV writer as first written: one `repr` pair per row."""
+        t = ir.times()
+        with open(path, "w", newline="") as f:
+            f.write("time_s,power_w\n")
+            for k in np.nonzero(ir.bins)[0]:
+                f.write(f"{repr(float(t[k]))},{repr(float(ir.bins[k]))}\n")
+
+    @pytest.mark.parametrize("width,origin", [(50e-12, 0.0), (0.2, 0.1), (1e21, 1e22)])
+    def test_bytes_equal_row_loop(self, tmp_path, width, origin):
+        ir = ImpulseResponse(width, origin, np.array(
+            [0.0, 5e-324, 1e-300, 0.0, 1e22, 0.1 + 0.2, 0.0, 0.0, 2.5e-9]))
+        write_ir_csv(ir, str(tmp_path / "new.csv"))
+        self.row_loop(ir, str(tmp_path / "old.csv"))
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\n") == 6          # header and five non-zero bins
+
+    def test_empty_ir_is_header_only(self, tmp_path):
+        write_ir_csv(ImpulseResponse(50e-12, 0.0, np.zeros(0)), str(tmp_path / "e.csv"))
+        assert (tmp_path / "e.csv").read_bytes() == b"time_s,power_w\n"
 
 
 class TestSimulate:

@@ -36,6 +36,7 @@ from oracles import (
     oracle_los_sum,
     oracle_one_bounce,
     oracle_path_delay,
+    oracle_receiver_irs,
     oracle_second_order_hist,
     reflected_path_gain,
 )
@@ -382,6 +383,11 @@ class TestSecondOrderKernel:
     @pytest.mark.parametrize("occlusion", [False, True])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_histogram_matches_reference_loop(self, occlusion, threads):
+        """The kernel's histogram is bit-equal to the reference loop's.
+
+        The reference takes its dot products with `einsum`; the kernel sums
+        separate x, y and z products as (x + z) + y, so this also pins that
+        order to the one `einsum` uses for a length-3 contraction."""
         pod = build_pod(PodConfig(luminaire_power_w=1.0,
                                   rack_occluding=occlusion))
         cfg = TraceConfig(occlusion=occlusion, **COARSE)
@@ -564,6 +570,45 @@ class TestReceiverCulledTrace:
         with pytest.raises(ValueError, match="traced mount"):
             compute_field(pod, pod.assignment[0], pod.mounts[0], cfg,
                           receivers=[make_wfov(pod.mounts[1])])
+
+
+class TestReceiverIrs:
+    """`receiver_irs` against the dense per-branch path it replaced."""
+
+    @staticmethod
+    def assert_equal_to_dense(field, rxs):
+        for rx in rxs:
+            want = oracle_receiver_irs(field, rx)
+            got = field.receiver_irs(rx)
+            assert len(got) == len(want) == rx.branch_count
+            for a, b in zip(got, want):
+                assert a.bins.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mi", [0, 1, 2])
+    def test_reference_mounts(self, mi):
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        mount = pod.mounts[mi]
+        rxs = [make(mount) for make in MAKERS.values()]
+        field = compute_field(pod, pod.assignment[mi], mount, TraceConfig(),
+                              receivers=rxs)
+        self.assert_equal_to_dense(field, rxs)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_coarse_grid_with_occlusion(self, threads):
+        pod = coarse_pod(True)
+        cfg = TraceConfig(occlusion=True, **COARSE)
+        for mi, mount in enumerate(pod.mounts):
+            rxs = [make(mount) for make in MAKERS.values()]
+            field = compute_field(pod, pod.assignment[mi], mount, cfg,
+                                  threads=threads, receivers=rxs)
+            self.assert_equal_to_dense(field, rxs)
+
+    @pytest.mark.parametrize("max_order", [0, 1])
+    def test_without_second_order(self, max_order):
+        pod = coarse_pod(False)
+        cfg = TraceConfig(max_order=max_order, first_edge=0.4, second_edge=0.4)
+        field = compute_field(pod, pod.assignment[1], pod.mounts[1], cfg)
+        self.assert_equal_to_dense(field, [make(pod.mounts[1]) for make in MAKERS.values()])
 
 
 class TestSuppliedFieldMustMatch:

@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from owcsim.receivers import (
+    DetectorSpec,
+    LensModel,
     Orientation,
+    ReceiverSpec,
     assign_pixel,
     capture_matrix,
     default_pixel_layout,
@@ -14,9 +19,10 @@ from owcsim.receivers import (
     make_adr,
     make_imaging,
     make_wfov,
+    sparse_capture,
 )
 
-from oracles import oracle_acceptance
+from oracles import oracle_acceptance, oracle_capture_matrix
 
 MOUNT = np.array([4.0, 4.0, 2.0])
 
@@ -116,6 +122,27 @@ class TestLensTransmission:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             lens_transmission(-0.1)
+
+    @pytest.mark.parametrize("angle", [math.nan, -math.inf])
+    def test_not_a_number_rejected(self, angle):
+        with pytest.raises(ValueError, match="incidence angle"):
+            lens_transmission(angle)
+
+
+class TestDetectorSpec:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["area", "responsivity"])
+    def test_area_and_responsivity_positive_and_finite(self, name, value):
+        args = dict(area=4e-6, responsivity=0.4,
+                    boresight=np.array([0.0, 0.0, 1.0]), fov_deg=70.0)
+        args[name] = value
+        with pytest.raises(ValueError, match="positive and finite"):
+            DetectorSpec(**args)
+
+    @pytest.mark.parametrize("fov", [math.nan, math.inf, -math.inf, 0.0, 90.5])
+    def test_fov_in_range(self, fov):
+        with pytest.raises(ValueError, match="FOV"):
+            DetectorSpec(4e-6, 0.4, np.array([0.0, 0.0, 1.0]), fov)
 
 
 class TestDetectorAcceptance:
@@ -218,6 +245,87 @@ class TestCaptureMatrix:
             assert acc[k, k] == pytest.approx(want, rel=1e-12)
             others = np.delete(acc[:, k], k)
             assert np.all(others == 0.0)
+
+
+LENS_FOV = LensModel().fov_deg
+
+
+def _tilted(bore, angle, azimuth):
+    """Unit vector at `angle` (rad) from `bore`, turned by `azimuth` about it."""
+    helper = np.array([1.0, 0.0, 0.0]) if abs(bore[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    p = np.cross(bore, helper)
+    p /= np.linalg.norm(p)
+    q = np.cross(bore, p)
+    return (math.cos(angle) * bore
+            + math.sin(angle) * (math.cos(azimuth) * p + math.sin(azimuth) * q))
+
+
+def gate_edge_directions(rx, rng, n_random):
+    """Propagation directions that probe every gate of `rx`: random ones over
+    the whole sphere (half of them below the horizon), exact boresight hits,
+    directions on and a hair either side of each branch's FOV edge and of
+    the lens cone, and on the horizon."""
+    toward = [rng.normal(size=(n_random, 3))]
+    toward[0] /= np.linalg.norm(toward[0], axis=1, keepdims=True)
+    for b in rx.branches:
+        fov = math.radians(b.fov_deg)
+        toward.append([b.boresight] + [
+            _tilted(b.boresight, fov * (1.0 + s), rng.uniform(0.0, 2 * math.pi))
+            for s in (-1e-12, 0.0, 1e-12)])
+    cone = math.radians(LENS_FOV)
+    for s in (-1e-12, 0.0, 1e-12, None):
+        polar = math.pi / 2 if s is None else cone * (1.0 + s)
+        az = rng.uniform(0.0, 2 * math.pi, 8)
+        toward.append(np.stack([np.full(8, math.sin(polar)) * np.cos(az),
+                                np.full(8, math.sin(polar)) * np.sin(az),
+                                np.full(8, math.cos(polar))], axis=1))
+    return -np.concatenate([np.asarray(t, dtype=float) for t in toward])
+
+
+def receiver_under_test(kind, lens, tie):
+    """One receiver of `kind`; `lens` puts the default lens on it (or takes
+    it off the imaging receiver); `tie` gives two imaging pixels one
+    boresight, so their cosines tie exactly."""
+    if kind == "imaging":
+        layout = list(default_pixel_layout())
+        if tie:
+            layout[7] = layout[3]
+        rx = make_imaging(MOUNT, layout)
+    elif kind == "detector":
+        det = DetectorSpec(4e-6, 0.4, np.array([0.3, -0.2, 0.9]) / math.sqrt(0.94), 35.0)
+        rx = ReceiverSpec("detector", MOUNT, (det,))
+    else:
+        rx = {"wfov": make_wfov, "adr": make_adr}[kind](MOUNT)
+    return replace(rx, lens=LensModel() if lens else None)
+
+
+class TestSparseCapture:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["wfov", "adr", "imaging", "detector"]),
+           lens=st.booleans(), tie=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_capture_matrix_equals_dense_reference(self, kind, lens, tie, seed):
+        rx = receiver_under_test(kind, lens, tie)
+        dirs = gate_edge_directions(rx, np.random.default_rng(seed), 300)
+        got = capture_matrix(rx, dirs)
+        want = oracle_capture_matrix(rx, dirs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["wfov", "adr", "imaging", "detector"])
+    def test_entries_are_non_zero_and_ordered(self, kind):
+        rx = receiver_under_test(kind, True, True)
+        dirs = gate_edge_directions(rx, np.random.default_rng(4), 2000)
+        branch, arrival, weight = sparse_capture(rx, dirs)
+        assert np.all(weight > 0.0)
+        for j in range(rx.branch_count):
+            assert np.all(np.diff(arrival[branch == j]) > 0)
+        if kind == "imaging":
+            assert np.all(np.diff(arrival) > 0)     # one pixel per arrival
+
+    def test_empty_directions(self):
+        for kind in ("wfov", "imaging"):
+            rx = receiver_under_test(kind, True, False)
+            assert capture_matrix(rx, np.zeros((0, 3))).shape == (rx.branch_count, 0)
 
 
 class TestLayoutFile:

@@ -4,6 +4,8 @@ import pytest
 from owcsim.scene import (
     Luminaire,
     PodConfig,
+    RackRow,
+    Scene,
     SurfacePanel,
     build_pod,
     discretize,
@@ -174,6 +176,20 @@ class TestValidateScene:
         object.__setattr__(scene.luminaires[4], "power_w", power)
         diags = validate_scene(scene)
         assert len(diags) == 1 and "luminaire 4" in diags[0], diags
+
+    def test_row_rule_uses_row_centre_not_mount(self):
+        # two rows; the mount sits 0.3 m off the centreline of row 0, so no
+        # luminaire shares its x, yet the ones over row 0 are its own
+        lums = [Luminaire.make(vec3(x, y, 3.0), 1.0)
+                for x in (2.0, 6.0) for y in (2.0, 4.0)]
+        rows = [RackRow(x, (1.0, 7.0), 2.0) for x in (2.0, 6.0)]
+        mount = vec3(2.3, 4.0, 2.0)
+        scene = Scene(room=(8.0, 8.0, 3.0), panels=[], luminaires=lums,
+                      rows=rows, mounts=[mount], assignment=[(0, 1)])
+        assert validate_scene(scene) == []
+        scene.assignment[0] = (0, 2)           # luminaire 2 is over row 1
+        assert validate_scene(scene) == [
+            "mount 0: assigned luminaire 2 is not above its row"]
 
     def test_rack_above_ceiling(self):
         scene = build_pod(PodConfig(luminaire_power_w=1.0, rack_top_m=3.2))
