@@ -25,8 +25,6 @@ from .raytracer import (
     ImpulseResponse,
     TraceConfig,
     compute_field,
-    trace_impulse_response,
-    trace_receiver,
 )
 from .receivers import (
     DetectorSpec,

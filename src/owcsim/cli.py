@@ -397,8 +397,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, receiver: str | None = None,
             field = compute_field(scene, lum_ids, mount, cfg.trace,
                                   threads=threads, receivers=rxs)
             for rx in rxs:
-                report = link_report(scene, rx, cfg.trace, cfg.bitrate,
-                                     cfg.noise, threads=threads, field=field)
+                report = link_report(field, rx, cfg.bitrate, cfg.noise)
                 f.write(_metrics_row(report) + "\n")
     print(f"wrote {path}: {count * len(kinds)} rows")
     return 0

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raytracer import ImpulseResponse, TraceConfig, trace_receiver
+from .raytracer import ArrivalField, ImpulseResponse
 from .receivers import ReceiverSpec
-from .scene import Scene
 
 Q_ELECTRON = 1.602e-19        # C
 
@@ -52,16 +51,14 @@ class NoiseBudget:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Receiver noise configuration; bandwidth defaults to 0.7 x bit rate."""
+    """Receiver noise configuration; the noise bandwidth is
+    `bandwidth_factor` x bit rate (0.7 by default)."""
 
     preamp_density: float = 4.5e-12      # A/sqrt(Hz)
     background_current: float = 100e-6   # A
     bandwidth_factor: float = 0.7
-    bandwidth_hz: float | None = None    # explicit override
 
     def bandwidth(self, bitrate: float) -> float:
-        if self.bandwidth_hz is not None:
-            return self.bandwidth_hz
         return self.bandwidth_factor * bitrate
 
 
@@ -251,21 +248,19 @@ def max_data_rate(stats: DelayStats) -> float:
     return 1.0 / (10.0 * stats.rms_spread)
 
 
-def link_report(scene: Scene, receiver: ReceiverSpec, cfg: TraceConfig,
-                bitrate: float, noise: NoiseParams = NoiseParams(),
-                threads: int = 1, weighting: str = "power-squared",
-                field=None) -> LinkReport:
-    """Trace every branch of a receiver and evaluate the full OOK link.
+def link_report(field: ArrivalField, receiver: ReceiverSpec, bitrate: float,
+                noise: NoiseParams = NoiseParams()) -> LinkReport:
+    """Evaluate the full OOK link of a receiver from a traced field.
 
-    The receiver is served by the luminaires assigned to its mount's row.
-    Per-branch eyes feed the noise budget (average received power at 50 %
-    duty), SC picks the best branch, MRC sums all branches, and the BER is
-    reported at the MRC SNR.  Delay statistics, bandwidth and the maximum
-    data rate describe the SC-selected branch.
+    The branch impulse responses are `field.receiver_irs(receiver)`, so the
+    receiver must sit at the field's mount and the link is served by the
+    luminaires the field was traced from.  Per-branch eyes feed the noise
+    budget (average received power at 50 % duty), SC picks the best branch,
+    MRC sums all branches, and the BER is reported at the MRC SNR.  Delay
+    statistics, bandwidth and the maximum data rate describe the
+    SC-selected branch.
     """
-    lum_ids = scene.assigned_luminaires(receiver.mount)
-    irs = trace_receiver(scene, lum_ids, receiver, cfg, threads=threads,
-                         field=field)
+    irs = field.receiver_irs(receiver)
     bw = noise.bandwidth(bitrate)
     snrs, powers = [], []
     for det, ir in zip(receiver.branches, irs):
@@ -280,7 +275,7 @@ def link_report(scene: Scene, receiver: ReceiverSpec, cfg: TraceConfig,
     snr_mrc = combine_mrc(snrs)
     if powers[sc_idx] <= 0.0:
         raise ValueError("no branch received any power; link is dark")
-    stats = delay_stats(irs[sc_idx], weighting)
+    stats = delay_stats(irs[sc_idx])
     return LinkReport(
         mount=tuple(float(c) for c in receiver.mount),
         receiver_kind=receiver.kind,

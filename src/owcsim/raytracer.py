@@ -192,12 +192,18 @@ def _captured_columns(receivers, mount, u3) -> np.ndarray:
         return np.ones(len(u3), dtype=bool)
     captured = np.zeros(len(u3), dtype=bool)
     for rx in receivers:
-        if not np.array_equal(np.asarray(rx.mount, dtype=float), mount):
-            raise ValueError(
-                f"{rx.kind} receiver at {tuple(rx.mount)} does not sit at the "
-                f"traced mount {tuple(mount)}")
+        _check_mount(rx, mount)
         captured |= (capture_matrix(rx, u3) != 0.0).any(axis=0)
     return captured
+
+
+def _check_mount(receiver: ReceiverSpec, mount: np.ndarray):
+    """Refuse a receiver that does not sit at the traced mount: the
+    arrivals there are not the ones it receives."""
+    if not np.array_equal(np.asarray(receiver.mount, dtype=float), mount):
+        raise ValueError(
+            f"{receiver.kind} receiver at {tuple(receiver.mount)} does not sit "
+            f"at the traced mount {tuple(mount)}")
 
 
 def _los_arrivals(lums, mount, boxes):
@@ -398,8 +404,9 @@ class ArrivalField:
     on that element.  Applying a receiver is then just a directional
     weighting, so all branches of all receiver kinds share one trace.
 
-    Built by `compute_field`.  When second-order paths were traced only to
-    the elements some branch of its `receivers` captures (`b2_traced`),
+    Built by `compute_field`.  Applying a receiver that does not sit at
+    `mount` raises.  When second-order paths were traced only to the
+    elements some branch of its `receivers` captures (`b2_traced`),
     applying a receiver or detector that captures any other element raises.
     """
 
@@ -432,6 +439,7 @@ class ArrivalField:
         Point arrivals are binned for every branch in one `bincount` over
         `branch * nbins + bin`; each cell still adds its terms in arrival
         order.  Second-order power is each branch's gemv over `b2_hist`."""
+        _check_mount(receiver, self.mount)
         nb, nbins = receiver.branch_count, self.nbins
         acc_b2 = None
         if self.b2_hist is not None:
@@ -447,7 +455,8 @@ class ArrivalField:
             if acc_b2 is not None:
                 bins = bins + acc_b2[j] @ self.b2_hist
             nz = np.nonzero(bins)[0]
-            bins = bins[: nz[-1] + 1] if nz.size else bins[:0]
+            # not bins[:0]: bincount gives integer bins when nothing is captured
+            bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
             irs.append(ImpulseResponse(self.cfg.bin_width, 0.0, bins))
         return irs
 
@@ -468,12 +477,6 @@ def _check_pose(scene: Scene, position):
         )
 
 
-def _check_scene(scene: Scene):
-    diags = validate_scene(scene)
-    if diags:
-        raise ValueError("invalid scene: " + "; ".join(diags))
-
-
 def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
                   threads: int = 1, receivers=None) -> ArrivalField:
     """Trace LOS + reflections from a luminaire set to one mount point.
@@ -481,7 +484,9 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     `receivers` (all at `mount`) limits second-order tracing to the surface
     elements their branches capture; without it every element is traced.
     """
-    _check_scene(scene)
+    diags = validate_scene(scene)
+    if diags:
+        raise ValueError("invalid scene: " + "; ".join(diags))
     _check_pose(scene, mount)
     mount = np.asarray(mount, dtype=float)
     luminaire_ids = tuple(luminaire_ids)
@@ -507,43 +512,3 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
         mount, luminaire_ids, cfg, nbins, flux,
         np.floor(lengths / C_LIGHT / cfg.bin_width).astype(np.int64), dirs,
         b2_hist, b2_dirs, b2_traced, totals)
-
-
-def trace_impulse_response(scene: Scene, luminaire_ids, detector: DetectorSpec,
-                           position, cfg: TraceConfig,
-                           lens: LensModel | None = None,
-                           threads: int = 1) -> ImpulseResponse:
-    """Binned impulse response between a luminaire set and one detector element."""
-    if not luminaire_ids:
-        _check_scene(scene)
-        return ImpulseResponse(cfg.bin_width, 0.0, np.zeros(0))
-    field = compute_field(scene, luminaire_ids, position, cfg, threads)
-    return field.detector_ir(detector, lens)
-
-
-def trace_receiver(scene: Scene, luminaire_ids, receiver: ReceiverSpec,
-                   cfg: TraceConfig, threads: int = 1,
-                   field: ArrivalField | None = None) -> list[ImpulseResponse]:
-    """Per-branch impulse responses for a multi-branch receiver."""
-    if not luminaire_ids:
-        _check_scene(scene)
-        return [ImpulseResponse(cfg.bin_width, 0.0, np.zeros(0))
-                for _ in receiver.branches]
-    if field is None:
-        field = compute_field(scene, luminaire_ids, receiver.mount, cfg, threads,
-                              receivers=(receiver,))
-    else:
-        _check_field(field, luminaire_ids, receiver.mount, cfg)
-    return field.receiver_irs(receiver)
-
-
-def _check_field(field: ArrivalField, luminaire_ids, mount, cfg: TraceConfig):
-    """Refuse a field traced for another mount, luminaire set or config."""
-    if not np.array_equal(field.mount, np.asarray(mount, dtype=float)):
-        raise ValueError(f"field was traced at {tuple(field.mount)}, "
-                         f"not at the receiver mount {tuple(mount)}")
-    if field.luminaire_ids != tuple(luminaire_ids):
-        raise ValueError(f"field was traced from luminaires {field.luminaire_ids}, "
-                         f"not {tuple(luminaire_ids)}")
-    if field.cfg != cfg:
-        raise ValueError("field was traced with a different trace config")

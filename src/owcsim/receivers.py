@@ -60,7 +60,6 @@ class DetectorSpec:
     responsivity: float      # A/W
     boresight: Vec3
     fov_deg: float           # acceptance half-angle about the boresight
-    lens_attached: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.area < math.inf and 0.0 < self.responsivity < math.inf):
@@ -77,9 +76,6 @@ class LensModel:
 
     fov_deg: float = LENS_FOV_DEG
     poly: tuple = LENS_POLY
-
-    def transmission(self, incidence_rad: float) -> float:
-        return lens_transmission(incidence_rad, self)
 
 
 def lens_transmission(incidence_rad: float, lens: LensModel | None = None) -> float:
@@ -115,9 +111,9 @@ class ReceiverSpec:
         return len(self.branches)
 
 
-def _detector(boresight, fov_deg: float, lens_attached: bool = False) -> DetectorSpec:
+def _detector(boresight, fov_deg: float) -> DetectorSpec:
     return DetectorSpec(DETECTOR_AREA_M2, RESPONSIVITY_A_W,
-                        np.asarray(boresight, dtype=float), fov_deg, lens_attached)
+                        np.asarray(boresight, dtype=float), fov_deg)
 
 
 def make_wfov(mount) -> ReceiverSpec:
@@ -186,7 +182,7 @@ def make_imaging(mount, layout=None) -> ReceiverSpec:
     return ReceiverSpec(
         kind="imaging",
         mount=np.asarray(mount, dtype=float),
-        branches=tuple(_detector(o.to_direction(), PIXEL_FOV_DEG, True)
+        branches=tuple(_detector(o.to_direction(), PIXEL_FOV_DEG)
                        for o in orients),
         lens=lens,
     )

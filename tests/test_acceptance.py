@@ -50,15 +50,13 @@ def fields(pod):
 @pytest.fixture(scope="module")
 def reports(pod, fields):
     """LinkReport per (mount, receiver kind)."""
-    cfg = o.TraceConfig(max_order=2)
     out = []
     for mi, field in enumerate(fields):
         mount = pod.mounts[mi]
         per_kind = {}
         for kind, make in (("wfov", o.make_wfov), ("adr", o.make_adr),
                            ("imaging", o.make_imaging)):
-            per_kind[kind] = o.link_report(pod, make(mount), cfg, BITRATE,
-                                           NOISE, field=field)
+            per_kind[kind] = o.link_report(field, make(mount), BITRATE, NOISE)
         out.append(per_kind)
     return out
 
@@ -75,8 +73,8 @@ def test_criterion_1_los_oracle_equivalence(pod):
         bore /= np.linalg.norm(bore)
         fov = float(rng.uniform(30.0, 90.0))
         det = o.DetectorSpec(4e-6, 0.4, bore, fov)
-        got = o.trace_impulse_response(pod, tuple(range(9)), det, pos,
-                                       cfg).total_power()
+        got = o.compute_field(pod, tuple(range(9)), pos,
+                              cfg).detector_ir(det).total_power()
         want = oracle_los_sum(pod, bore, fov, 4e-6, pos)
         if want > 0.0:
             worst = max(worst, abs(got - want) / want)
@@ -104,8 +102,8 @@ def test_criterion_2_one_bounce_unit(pod):
     cfg = o.TraceConfig(max_order=1, first_edge=0.05)
     det = o.DetectorSpec(4e-6, 0.4, np.array([0.0, 0.0, -1.0]), 90.0)
     t0 = time.perf_counter()
-    got = o.trace_impulse_response(scene, (0,), det,
-                                   np.array([2.0, 1.0, 1.0]), cfg).total_power()
+    got = o.compute_field(scene, (0,), np.array([2.0, 1.0, 1.0]),
+                          cfg).detector_ir(det).total_power()
     elapsed = time.perf_counter() - t0
     hand = oracle_one_bounce((1, 1, 1), (0, 0, -1), scene.luminaires[0].order,
                              1.0, (1, 1, 0), (0, 0, 1), 2.5e-3, 0.8,

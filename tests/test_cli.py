@@ -383,8 +383,7 @@ class TestReceiverCulledOutputs:
                                   cfg.trace)
             for _, make in MAKERS:
                 lines.append(_metrics_row(link_report(
-                    pod, make(mount), cfg.trace, cfg.bitrate, cfg.noise,
-                    field=field)))
+                    field, make(mount), cfg.bitrate, cfg.noise)))
         assert (out / "metrics.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_check_reports_traced_pairs(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from owcsim import raytracer
+from owcsim.linkmetrics import link_report
 from owcsim.raytracer import (
     C_LIGHT,
     ImpulseResponse,
@@ -17,8 +18,6 @@ from owcsim.raytracer import (
     _occluder_boxes,
     compute_field,
     second_order_extent,
-    trace_impulse_response,
-    trace_receiver,
 )
 from owcsim.receivers import DetectorSpec, make_adr, make_imaging, make_wfov
 from owcsim.scene import (
@@ -28,6 +27,7 @@ from owcsim.scene import (
     SurfaceElement,
     SurfacePanel,
     build_pod,
+    unit,
     vec3,
 )
 
@@ -212,25 +212,40 @@ class TestTrace:
                                   ceiling_reflectance=0.0, floor_reflectance=0.0))
         cfg = TraceConfig(max_order=2, first_edge=0.5, second_edge=1.0)
         det = detector(fov=70.0)
-        ir = trace_impulse_response(pod, pod.assignment[1], det,
-                                    pod.mounts[1], cfg)
+        ir = compute_field(pod, pod.assignment[1], pod.mounts[1],
+                           cfg).detector_ir(det)
         expect = sum(los_gain(pod.luminaires[i], det, pod.mounts[1])
                      * pod.luminaires[i].power_w for i in pod.assignment[1])
         assert ir.total_power() == pytest.approx(expect, rel=1e-12)
 
     def test_empty_luminaire_set(self):
+        # empty float IRs for every order and every receiver kind
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
-        det = detector()
-        ir = trace_impulse_response(pod, (), det, pod.mounts[0],
-                                    TraceConfig(max_order=0))
-        assert ir.bins.size == 0 and ir.total_power() == 0.0
+        mount = pod.mounts[0]
+        for max_order in (0, 1, 2):
+            field = compute_field(pod, (), mount, TraceConfig(max_order=max_order))
+            irs = [field.detector_ir(detector())] + [
+                ir for make in MAKERS.values()
+                for ir in field.receiver_irs(make(mount))]
+            assert len(irs) == 1 + 1 + 3 + 50
+            for ir in irs:
+                assert ir.bins.size == 0 and ir.bins.dtype == np.float64
+
+    def test_nothing_captured_gives_float_bins(self):
+        # a face-down detector sees no LOS arrival; with no second-order
+        # histogram the point bincount alone makes the bins
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        field = compute_field(pod, pod.assignment[0], pod.mounts[0],
+                              TraceConfig(max_order=0))
+        ir = field.detector_ir(detector(boresight=(0, 0, -1)))
+        assert ir.bins.size == 0 and ir.bins.dtype == np.float64
 
     def test_single_patch_equals_closed_forms(self):
         scene = unit_patch_scene()
         cfg = TraceConfig(max_order=2, first_edge=0.05, second_edge=0.20)
         det = detector(boresight=(0, 0, -1))
         pos = vec3(2, 1, 1)
-        ir = trace_impulse_response(scene, (0,), det, pos, cfg)
+        ir = compute_field(scene, (0,), pos, cfg).detector_ir(det)
         lum = scene.luminaires[0]
         g_los = los_gain(lum, det, pos)           # zero: emitter points down
         patch = scene.surface_elements(0.05)[0]
@@ -246,8 +261,8 @@ class TestTrace:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(max_order=1, first_edge=0.2)
         det = detector(fov=70.0)
-        ir = trace_impulse_response(pod, pod.assignment[0], det,
-                                    pod.mounts[0], cfg)
+        ir = compute_field(pod, pod.assignment[0], pod.mounts[0],
+                           cfg).detector_ir(det)
         assert ir.rebin(100e-12).total_power() == pytest.approx(
             ir.total_power(), rel=1e-12)
 
@@ -263,7 +278,7 @@ class TestTrace:
             b /= np.linalg.norm(b)
             fov = float(rng.uniform(30.0, 90.0))
             det = DetectorSpec(4e-6, 0.4, b, fov)
-            ir = trace_impulse_response(pod, all_ids, det, pos, cfg)
+            ir = compute_field(pod, all_ids, pos, cfg).detector_ir(det)
             want = oracle_los_sum(pod, b, fov, 4e-6, pos)
             assert ir.total_power() == pytest.approx(want, rel=1e-12, abs=1e-30)
 
@@ -271,8 +286,8 @@ class TestTrace:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(max_order=0)
         det = detector(fov=70.0)
-        ir = trace_impulse_response(pod, pod.assignment[1], det,
-                                    pod.mounts[1], cfg)
+        ir = compute_field(pod, pod.assignment[1], pod.mounts[1],
+                           cfg).detector_ir(det)
         mount = pod.mounts[1]
         expected_bins = set()
         for i in pod.assignment[1]:
@@ -308,10 +323,9 @@ class TestTrace:
         pod_solid = build_pod(PodConfig(**base, rack_occluding=True))
         det = detector(fov=90.0)
         pos = vec3(2.9, 4.0, 0.5)  # in the aisle, below the rack tops
-        ir_clear = trace_impulse_response(
-            pod_clear, (4,), det, pos, TraceConfig(max_order=0, occlusion=True))
-        ir_solid = trace_impulse_response(
-            pod_solid, (4,), det, pos, TraceConfig(max_order=0, occlusion=True))
+        cfg = TraceConfig(max_order=0, occlusion=True)
+        ir_clear = compute_field(pod_clear, (4,), pos, cfg).detector_ir(det)
+        ir_solid = compute_field(pod_solid, (4,), pos, cfg).detector_ir(det)
         assert ir_clear.total_power() > 0.0     # rows not flagged as occluding
         assert ir_solid.total_power() == 0.0    # centre row shadows the aisle
 
@@ -323,10 +337,10 @@ class TestTrace:
         open_cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.8)
         occ_cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.8,
                               occlusion=True)
-        ir_open = trace_impulse_response(pod, pod.assignment[1], det,
-                                         pod.mounts[1], open_cfg)
-        ir_occ = trace_impulse_response(pod, pod.assignment[1], det,
-                                        pod.mounts[1], occ_cfg)
+        ir_open, ir_occ = (
+            compute_field(pod, pod.assignment[1], pod.mounts[1],
+                          cfg).detector_ir(det)
+            for cfg in (open_cfg, occ_cfg))
         assert 0.0 < ir_occ.total_power() < ir_open.total_power()
         n = min(ir_occ.bins.size, ir_open.bins.size)
         assert np.all(ir_occ.bins[:n] <= ir_open.bins[:n] + 1e-30)
@@ -336,18 +350,14 @@ class TestTrace:
 
     def test_invalid_pose_rejected(self):
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
-        det = detector()
         with pytest.raises(ValueError, match="communication floor"):
-            trace_impulse_response(pod, (0,), det, vec3(4, 4, 0.1),
-                                   TraceConfig(max_order=0))
+            compute_field(pod, (0,), vec3(4, 4, 0.1), TraceConfig(max_order=0))
 
     def test_invalid_scene_rejected(self):
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         object.__setattr__(pod.panels[0], "reflectance", 1.4)
-        det = detector()
         with pytest.raises(ValueError, match="reflectance"):
-            trace_impulse_response(pod, (0,), det, vec3(4, 4, 2),
-                                   TraceConfig(max_order=0))
+            compute_field(pod, (0,), vec3(4, 4, 2), TraceConfig(max_order=0))
 
 
 COARSE = dict(max_order=2, first_edge=0.4, second_edge=0.4)
@@ -409,6 +419,36 @@ class TestSecondOrderKernel:
         assert field.totals["second_rows_traced"] == int(lit.sum())
         assert (field.totals["second_pairs_evaluated"]
                 == int(lit.sum()) * len(grid))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_tilted_panels_pin_summation_order(self, threads):
+        """Bit-equal to the reference loop where every dot product has three
+        non-zero terms.
+
+        Every pod panel is axis-aligned, so two of the three products in
+        `d2`, `cos_out` and `cos_in` are exact zeros there and any order of
+        summation gives the same bits.  Two tilted panels facing each other
+        make all three terms non-zero."""
+        def panel(centre, normal):
+            n = unit(normal)
+            u = 0.8 * unit(np.cross(n, (1.0, 0.0, 0.0)))
+            v = 0.8 * unit(np.cross(n, u))
+            return SurfacePanel(vec3(*centre) - 0.5 * (u + v), u, v, n, 0.8,
+                                "wall")
+
+        scene = Scene(room=(3.0, 3.0, 3.0),
+                      panels=[panel((1.5, 2.0, 1.0), (-0.1, -0.5, 0.8)),
+                              panel((1.5, 1.0, 1.0), (0.2, 0.5, 0.8))],
+                      luminaires=[down_luminaire((1.5, 1.5, 2.9))],
+                      rows=[], mounts=[], assignment=[])
+        cfg = TraceConfig(first_edge=0.1, second_edge=0.1)
+        mount = vec3(1.4, 1.6, 1.8)
+        field = compute_field(scene, (0,), mount, cfg, threads=threads)
+        hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
+        assert field.b2_hist.shape[0] == 128
+        assert np.count_nonzero(hist) > 1000
+        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.totals["second_bounce_coarse_w"] == second_w
 
     def test_room_smaller_than_a_metre(self):
         # coincident e1 == e2 pairs get a 1 m stand-in distance and zero
@@ -615,34 +655,24 @@ class TestSuppliedFieldMustMatch:
     cfg = TraceConfig(max_order=0)
 
     def test_other_mount_refused(self):
+        # every path from a field to an answer checks the receiver's mount;
+        # the arrivals at another mount would give silently wrong figures
         pod = coarse_pod(False)
         field = compute_field(pod, pod.assignment[0], pod.mounts[0], self.cfg)
-        with pytest.raises(ValueError, match="receiver mount"):
-            trace_receiver(pod, pod.assignment[0], make_wfov(pod.mounts[1]),
-                           self.cfg, field=field)
-
-    def test_other_luminaires_refused(self):
-        pod = coarse_pod(False)
-        field = compute_field(pod, pod.assignment[0], pod.mounts[1], self.cfg)
-        with pytest.raises(ValueError, match="luminaires"):
-            trace_receiver(pod, pod.assignment[1], make_wfov(pod.mounts[1]),
-                           self.cfg, field=field)
-
-    def test_other_config_refused(self):
-        pod = coarse_pod(False)
-        field = compute_field(pod, pod.assignment[0], pod.mounts[0], self.cfg)
-        with pytest.raises(ValueError, match="trace config"):
-            trace_receiver(pod, pod.assignment[0], make_wfov(pod.mounts[0]),
-                           TraceConfig(max_order=0, bin_width=100e-12),
-                           field=field)
+        for make in MAKERS.values():
+            rx = make(pod.mounts[1])
+            with pytest.raises(ValueError, match="traced mount"):
+                field.receiver_irs(rx)
+            with pytest.raises(ValueError, match="traced mount"):
+                link_report(field, rx, 1e9)
 
     def test_matching_field_is_used(self):
         pod = coarse_pod(False)
         field = compute_field(pod, pod.assignment[2], pod.mounts[2], self.cfg)
         rx = make_adr(pod.mounts[2])
-        got = trace_receiver(pod, pod.assignment[2], rx, self.cfg, field=field)
-        assert [ir.bins.tobytes() for ir in got] == [
-            ir.bins.tobytes() for ir in field.receiver_irs(rx)]
+        rep = link_report(field, rx, 1e9)
+        assert rep.branch_power_w == tuple(
+            ir.total_power() for ir in field.receiver_irs(rx))
 
 
 # Physical invariants as properties, on grids small enough to trace in
