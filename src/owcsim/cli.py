@@ -92,7 +92,6 @@ _KEYS = (
     _Key("luminaires", "power_w", "float", _REQUIRED, "pod.luminaire_power_w",
          valid=_POSITIVE),
     _Key("luminaires", "semi_angle_deg", "float", 70.0, "pod.semi_angle_deg"),
-    _Key("luminaires", "diodes_per_unit", "int", 16, "pod.diodes_per_unit"),
     _Key("receiver", "kind", "choice", "adr", "receiver_kind"),
     _Key("receiver", "bitrate_bps", "float", 2e9, "bitrate", valid=_POSITIVE),
     _Key("receiver", "pixel_layout_file", "path", None, "pixel_layout_file"),
@@ -346,8 +345,8 @@ def run_simulate(cfg: RunConfig, out_dir: str, receiver: str | None = None,
     written = []
     for mi, mount in enumerate(scene.mounts):
         rxs = [_make_receiver(kind, mount, layout) for kind in kinds]
-        field = compute_field(scene, scene.assignment[mi], mount, cfg.trace,
-                              threads=threads, receivers=rxs)
+        field = compute_field(scene, scene.assigned_luminaires(mount), mount,
+                              cfg.trace, threads=threads, receivers=rxs)
         for kind, rx in zip(kinds, rxs):
             irs = field.receiver_irs(rx)
             for bj, ir in enumerate(irs):
@@ -414,7 +413,7 @@ def run_scene_check(cfg: RunConfig, receiver: str | None = None) -> int:
     n2 = len(scene.surface_elements(cfg.trace.second_edge))
     print(f"first-order elements: {n1}")
     print(f"second-order elements: {n2}")
-    per_mount = len(scene.assignment[0]) if scene.assignment else 0
+    per_mount = len(scene.assigned_luminaires(scene.mounts[0]))
     print(f"luminaires: {len(scene.luminaires)} ({per_mount} per mount)")
     print(f"estimated paths per mount: los={per_mount} "
           f"first={per_mount * n1}")
@@ -427,8 +426,8 @@ def run_scene_check(cfg: RunConfig, receiver: str | None = None) -> int:
         kinds = _receiver_kinds(cfg, receiver)
         for mi, mount in enumerate(scene.mounts):
             rxs = [_make_receiver(kind, mount, layout) for kind in kinds]
-            ext = second_order_extent(scene, scene.assignment[mi], mount,
-                                      cfg.trace, rxs)
+            ext = second_order_extent(scene, scene.assigned_luminaires(mount),
+                                      mount, cfg.trace, rxs)
             print(f"mount {mi} second-order ({'+'.join(kinds)}): "
                   f"rows={ext['rows']} cols={ext['cols']} pairs={ext['pairs']} "
                   f"histogram_bytes={ext['hist_bytes']} "
@@ -437,15 +436,21 @@ def run_scene_check(cfg: RunConfig, receiver: str | None = None) -> int:
 
 
 def _thread_count(arg: int | None) -> int:
+    """Worker threads: `--threads`, else `OWCSIM_THREADS`, else 1."""
     if arg is not None:
-        return max(1, arg)
+        if arg < 1:
+            raise ConfigError(f"--threads must be a positive integer, got {arg}")
+        return arg
     env = os.environ.get("OWCSIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"OWCSIM_THREADS must be a positive integer, got '{env}'")
+    return threads
 
 
 def main(argv=None) -> int:
@@ -482,10 +487,10 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _with_overrides(parse_config(text), args)
+        threads = _thread_count(args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    threads = _thread_count(args.threads)
 
     try:
         if args.command == "simulate":

@@ -19,6 +19,8 @@ Q_ELECTRON = 1.602e-19        # C
 
 UNBOUNDED = math.inf          # sentinel for flat spectra / zero delay spread
 
+BW_SCAN_STEP_HZ = 1e6         # frequency step of the 3-dB bandwidth scan
+
 
 def to_db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0.0 else float("-inf")
@@ -38,15 +40,16 @@ class EyePowers:
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """RMS noise currents at the receiver, combined in quadrature."""
+    """RMS noise currents at the receiver, combined in quadrature.
+
+    The bandwidth, background current and preamplifier density they come
+    from are the arguments of `noise_budget`.
+    """
 
     sigma_preamp: float       # A
     sigma_background: float   # A
     sigma_signal: float       # A
     sigma_total: float        # A
-    bandwidth: float          # Hz
-    background_current: float # A
-    preamp_density: float     # A/sqrt(Hz)
 
 
 @dataclass(frozen=True)
@@ -83,21 +86,13 @@ class LinkReport:
     max_rate_bps: float
 
 
-def delay_stats(ir: ImpulseResponse, weighting: str = "power-squared") -> DelayStats:
-    """Mean delay and RMS delay spread of a power delay profile.
-
-    Default weighting squares the bin powers before averaging; `weighting`
-    may be set to "linear" for sensitivity studies.
-    """
+def delay_stats(ir: ImpulseResponse) -> DelayStats:
+    """Mean delay and RMS delay spread of a power delay profile, weighted by
+    the squared bin powers."""
     p = ir.bins
     if p.size == 0 or float(p.sum()) <= 0.0:
         raise ValueError("delay statistics undefined for a zero-power impulse response")
-    if weighting == "power-squared":
-        w = p * p
-    elif weighting == "linear":
-        w = p
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
+    w = p * p
     t = ir.times()
     wsum = float(w.sum())
     mu = float((t * w).sum()) / wsum
@@ -105,12 +100,12 @@ def delay_stats(ir: ImpulseResponse, weighting: str = "power-squared") -> DelayS
     return DelayStats(mean_delay=mu, rms_spread=math.sqrt(max(0.0, var)))
 
 
-def bandwidth_3db(ir: ImpulseResponse, resolution: float = 1e6) -> float:
+def bandwidth_3db(ir: ImpulseResponse) -> float:
     """Lowest frequency where |H(f)| falls to 1/sqrt(2) of |H(0)|.
 
     H is the discrete-time Fourier transform of the binned impulse
-    response, scanned up to the bin Nyquist frequency at the given
-    resolution and refined by bisection.  Returns the UNBOUNDED sentinel
+    response, scanned up to the bin Nyquist frequency in `BW_SCAN_STEP_HZ`
+    steps and refined by bisection.  Returns the UNBOUNDED sentinel
     when the spectrum never crosses the 3-dB line (e.g. a single-bin IR).
     """
     p = ir.bins
@@ -135,9 +130,9 @@ def bandwidth_3db(ir: ImpulseResponse, resolution: float = 1e6) -> float:
     lo = 0.0
     hi = None
     chunk = 4096
-    f = resolution
+    f = BW_SCAN_STEP_HZ
     while f <= f_nyq:
-        freqs = f + resolution * np.arange(chunk)
+        freqs = f + BW_SCAN_STEP_HZ * np.arange(chunk)
         freqs = freqs[freqs <= f_nyq]
         if freqs.size == 0:
             break
@@ -149,7 +144,7 @@ def bandwidth_3db(ir: ImpulseResponse, resolution: float = 1e6) -> float:
             lo = float(freqs[k - 1]) if k > 0 else lo
             break
         lo = float(freqs[-1])
-        f = float(freqs[-1]) + resolution
+        f = float(freqs[-1]) + BW_SCAN_STEP_HZ
     if hi is None:
         return UNBOUNDED
     # bisect the exact DTFT inside the bracketing interval
@@ -164,8 +159,7 @@ def bandwidth_3db(ir: ImpulseResponse, resolution: float = 1e6) -> float:
     return 0.5 * (lo + hi)
 
 
-def eye_powers(ir: ImpulseResponse, bitrate: float,
-               launch_power_scale: float = 1.0) -> EyePowers:
+def eye_powers(ir: ImpulseResponse, bitrate: float) -> EyePowers:
     """Worst-case OOK eye decomposition at the given bit rate.
 
     Power arriving within one bit period of the first arrival counts toward
@@ -174,7 +168,7 @@ def eye_powers(ir: ImpulseResponse, bitrate: float,
     """
     if bitrate <= 0.0:
         raise ValueError("bit rate must be positive")
-    p = ir.bins * launch_power_scale
+    p = ir.bins
     nz = np.nonzero(p)[0]
     if nz.size == 0:
         return EyePowers(0.0, 0.0)
@@ -199,8 +193,7 @@ def noise_budget(avg_power_w: float, responsivity: float, bandwidth: float,
     s_bn = math.sqrt(2.0 * Q_ELECTRON * background_current * bandwidth)
     s_pr = preamp_density * math.sqrt(bandwidth)
     s_t = math.sqrt(s_pr * s_pr + s_bn * s_bn + s_sig * s_sig)
-    return NoiseBudget(s_pr, s_bn, s_sig, s_t, bandwidth,
-                       background_current, preamp_density)
+    return NoiseBudget(s_pr, s_bn, s_sig, s_t)
 
 
 def snr_ook(responsivity: float, eye: EyePowers, sigma_total: float) -> float:

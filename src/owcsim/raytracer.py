@@ -411,7 +411,6 @@ class ArrivalField:
     """
 
     mount: np.ndarray
-    luminaire_ids: tuple
     cfg: TraceConfig
     nbins: int
     point_flux: np.ndarray    # (P,) W/m^2 at the mount
@@ -481,6 +480,7 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
                   threads: int = 1, receivers=None) -> ArrivalField:
     """Trace LOS + reflections from a luminaire set to one mount point.
 
+    `luminaire_ids` is normally `scene.assigned_luminaires(mount)`.
     `receivers` (all at `mount`) limits second-order tracing to the surface
     elements their branches capture; without it every element is traced.
     """
@@ -489,7 +489,6 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
         raise ValueError("invalid scene: " + "; ".join(diags))
     _check_pose(scene, mount)
     mount = np.asarray(mount, dtype=float)
-    luminaire_ids = tuple(luminaire_ids)
     lums = [scene.luminaires[i] for i in luminaire_ids]
     boxes = _occluder_boxes(scene) if cfg.occlusion else []
     nbins = _bin_count(scene, cfg)
@@ -509,6 +508,6 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
             cfg.bin_width, max(1, int(threads)), receivers)
         totals.update(second)
     return ArrivalField(
-        mount, luminaire_ids, cfg, nbins, flux,
+        mount, cfg, nbins, flux,
         np.floor(lengths / C_LIGHT / cfg.bin_width).astype(np.int64), dirs,
         b2_hist, b2_dirs, b2_traced, totals)

@@ -147,28 +147,34 @@ def discretize(panel: SurfacePanel, element_edge: float) -> ElementGrid:
 
 @dataclass(frozen=True)
 class Luminaire:
-    """One ceiling light unit modelled as a point Lambertian emitter."""
+    """One ceiling light unit modelled as a point Lambertian emitter.
+
+    Its Lambertian order is not stored: `order` derives it from the
+    semi-angle, so the two cannot disagree.
+    """
 
     position: Vec3
     boresight: Vec3          # unit vector, normally straight down
     semi_angle_deg: float
-    order: float             # Lambertian mode m, fixed by the semi-angle
     power_w: float           # aggregate optical power of the unit
-    diode_count: int = 16
+
+    @property
+    def order(self) -> float:
+        """Lambertian mode m, fixed by the semi-angle."""
+        return lambertian_order(self.semi_angle_deg)
 
     @staticmethod
     def make(position, power_w: float, semi_angle_deg: float = 70.0,
-             boresight=None, diode_count: int = 16) -> "Luminaire":
+             boresight=None) -> "Luminaire":
         if not 0.0 < power_w < math.inf:
             raise ValueError(f"luminaire power must be positive and finite, got {power_w}")
+        lambertian_order(semi_angle_deg)      # rejects a semi-angle outside (0, 90)
         bs = vec3(0.0, 0.0, -1.0) if boresight is None else unit(boresight)
         return Luminaire(
             position=np.asarray(position, dtype=float),
             boresight=bs,
             semi_angle_deg=semi_angle_deg,
-            order=lambertian_order(semi_angle_deg),
             power_w=power_w,
-            diode_count=diode_count,
         )
 
 
@@ -187,8 +193,8 @@ class RackRow:
 class Scene:
     """Immutable pod description shared by the tracer and the CLI.
 
-    `assignment[i]` lists the luminaire indices serving receiver mount `i`
-    (the units directly above that mount's row).
+    Which luminaires serve a receiver is not stored: `assigned_luminaires`
+    derives it from the receiver's position (the units over its row).
     """
 
     room: tuple              # (length_x, width_y, height_z), m
@@ -196,7 +202,6 @@ class Scene:
     luminaires: list
     rows: list
     mounts: list             # receiver mount points, one per row
-    assignment: list         # list of tuples of luminaire indices
 
     def __post_init__(self):
         self._grid_cache: dict = {}
@@ -213,26 +218,26 @@ class Scene:
         return grid
 
     def assigned_luminaires(self, point) -> tuple:
-        """Luminaire indices serving a receiver at `point` (nearest row's units).
+        """Luminaire indices serving a receiver at `point`: the units over
+        the centreline of the nearest rack row.
 
         Scenes without rack rows assign every luminaire.
         """
         if not self.rows:
             return tuple(range(len(self.luminaires)))
         x = float(np.asarray(point, dtype=float)[0])
-        row = min(self.rows, key=lambda r: abs(r.centre_x - x))
-        return _luminaires_above(self.luminaires, row.centre_x)
-
-
-def _luminaires_above(luminaires, row_x: float) -> tuple:
-    """Indices of the luminaires over the row whose centreline is at `row_x`."""
-    return tuple(i for i, lum in enumerate(luminaires)
-                 if abs(float(lum.position[0]) - row_x) < 1e-9)
+        row_x = min(self.rows, key=lambda r: abs(r.centre_x - x)).centre_x
+        return tuple(i for i, lum in enumerate(self.luminaires)
+                     if abs(float(lum.position[0]) - row_x) < 1e-9)
 
 
 @dataclass(frozen=True)
 class PodConfig:
-    """Knobs for the reference pod; everything else is fixed geometry."""
+    """Knobs for the reference pod; everything else is fixed geometry.
+
+    Rows, mounts and luminaires always sit on the fixed `ROW_X` lines, so
+    every mount is served by the three units over its own row.
+    """
 
     luminaire_power_w: float                 # per light unit, required
     room: tuple = (8.0, 8.0, 3.0)
@@ -240,7 +245,6 @@ class PodConfig:
     ceiling_reflectance: float = 0.8
     floor_reflectance: float = 0.3
     semi_angle_deg: float = 70.0
-    diodes_per_unit: int = 16
     rack_top_m: float = 2.0
     row_y_span: tuple = (1.0, 7.0)
     rack_depth_m: float = 1.0
@@ -258,7 +262,7 @@ def build_pod(config: PodConfig) -> Scene:
 
     Six reflecting panels (walls/ceiling at rho 0.8, floor at 0.3), nine
     luminaires on the ceiling, three rack rows, and one receiver mount at
-    the top centre of each row with its three overhead units assigned.
+    the top centre of each row, under that row's three units.
     """
     lx, ly, h = config.room
     rho_w = config.wall_reflectance
@@ -278,7 +282,7 @@ def build_pod(config: PodConfig) -> Scene:
     ]
     luminaires = [
         Luminaire.make(vec3(x, y, h), config.luminaire_power_w,
-                       config.semi_angle_deg, diode_count=config.diodes_per_unit)
+                       config.semi_angle_deg)
         for x, y in LUMINAIRE_XY
     ]
     rows = [
@@ -288,9 +292,8 @@ def build_pod(config: PodConfig) -> Scene:
     ]
     y_mid = 0.5 * (config.row_y_span[0] + config.row_y_span[1])
     mounts = [vec3(x, y_mid, config.rack_top_m) for x in ROW_X]
-    assignment = [_luminaires_above(luminaires, x) for x in ROW_X]
     return Scene(room=(lx, ly, h), panels=panels, luminaires=luminaires,
-                 rows=rows, mounts=mounts, assignment=assignment)
+                 rows=rows, mounts=mounts)
 
 
 def _inside_room(p, room, tol=1e-9) -> bool:
@@ -324,12 +327,6 @@ def validate_scene(scene: Scene) -> list:
             diags.append(f"luminaire {k}: power {lum.power_w} is not positive and finite")
         if abs(float(np.linalg.norm(lum.boresight)) - 1.0) > 1e-12:
             diags.append(f"luminaire {k}: boresight is not a unit vector")
-        expect_m = -math.log(2.0) / math.log(math.cos(math.radians(lum.semi_angle_deg)))
-        if abs(lum.order - expect_m) > 1e-9:
-            diags.append(
-                f"luminaire {k}: order {lum.order} inconsistent with "
-                f"semi-angle {lum.semi_angle_deg} deg"
-            )
     for k, row in enumerate(scene.rows):
         if row.top_height >= h:
             diags.append(f"rack row {k}: top height {row.top_height} above ceiling")
@@ -337,18 +334,11 @@ def validate_scene(scene: Scene) -> list:
             diags.append(
                 f"rack row {k}: top height {row.top_height} below communication floor"
             )
+        if not 0.0 < row.depth < math.inf:
+            diags.append(f"rack row {k}: depth {row.depth} is not positive and finite")
     for k, mount in enumerate(scene.mounts):
         if not _inside_room(mount, scene.room):
             diags.append(f"mount {k} at {tuple(mount)}: outside room")
-        assigned = scene.assignment[k] if k < len(scene.assignment) else ()
-        if not assigned:
-            diags.append(f"mount {k}: no luminaires assigned")
-        above = scene.assigned_luminaires(mount)   # all of them without rows
-        for i in assigned:
-            if not 0 <= i < len(scene.luminaires):
-                diags.append(f"mount {k}: assigned luminaire index {i} out of range")
-            elif i not in above:
-                diags.append(
-                    f"mount {k}: assigned luminaire {i} is not above its row"
-                )
+        if not scene.assigned_luminaires(mount):
+            diags.append(f"mount {k}: no luminaire above its row")
     return diags

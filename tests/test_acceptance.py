@@ -43,8 +43,8 @@ def pod():
 def fields(pod):
     """One traced arrival field per mount at the reference settings."""
     cfg = o.TraceConfig(max_order=2)
-    return [o.compute_field(pod, pod.assignment[i], pod.mounts[i], cfg,
-                            threads=2) for i in range(3)]
+    return [o.compute_field(pod, pod.assigned_luminaires(m), m, cfg, threads=2)
+            for m in pod.mounts]
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ def test_criterion_2_one_bounce_unit(pod):
                                np.array([0.0, 0.05, 0.0]),
                                np.array([0.0, 0.0, 1.0]), 0.8, "floor")],
         luminaires=[o.Luminaire.make(np.array([1.0, 1.0, 1.0]), 1.0, 60.0)],
-        rows=[], mounts=[], assignment=[])
+        rows=[], mounts=[])
     # widen the patch grid so the panel is one element; detector wide open
     cfg = o.TraceConfig(max_order=1, first_edge=0.05)
     det = o.DetectorSpec(4e-6, 0.4, np.array([0.0, 0.0, -1.0]), 90.0)
@@ -174,7 +174,8 @@ def test_criterion_6_conservation_and_convergence(pod, fields):
         totals = []
         for edge in (0.10, 0.05):
             cfg = o.TraceConfig(max_order=1, first_edge=edge)
-            f = o.compute_field(pod, pod.assignment[mi], pod.mounts[mi], cfg)
+            f = o.compute_field(pod, pod.assigned_luminaires(pod.mounts[mi]),
+                                pod.mounts[mi], cfg)
             totals.append(f.detector_ir(det).total_power())
         changes.append(abs(totals[1] - totals[0]) / totals[1])
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import configparser
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import owcsim
 from owcsim.cli import (
+    _KEYS,
     METRICS_HEADER,
     ConfigError,
     _metrics_row,
@@ -72,6 +74,12 @@ class TestParseConfig:
         text = REFERENCE.replace("orders = 2", "orders = 2\norders = 1")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(text)
+
+    def test_reference_sets_exactly_the_schema_keys(self):
+        ini = configparser.ConfigParser()
+        ini.read_string(REFERENCE)
+        shipped = {(sec, key) for sec in ini.sections() for key in ini[sec]}
+        assert shipped == {(k.section, k.key) for k in _KEYS}
 
     def test_roundtrip_identity(self):
         cfg = parse_config(REFERENCE)
@@ -310,6 +318,17 @@ class TestCheck:
         assert rc != 0
         assert "wall_reflectance" in err
 
+    @pytest.mark.parametrize("depth", ["-1.0", "0.0"])
+    def test_bad_rack_depth_fails_nonzero(self, tmp_path, capsys, depth):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(REFERENCE.replace("rack_depth_m = 1.0",
+                                              f"rack_depth_m = {depth}"))
+        rc = main(["check", "--config", str(cfg_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"diagnostic: rack row 0: depth {float(depth)} is not" in out
+        assert "3 diagnostics" in out
+
     def test_missing_config_file(self, capsys):
         rc = main(["check", "--config", "/nonexistent/x.ini"])
         assert rc != 0
@@ -329,6 +348,43 @@ class TestEnvThreads:
                      "wfov", "--out", str(out2)]) == 0
         for p1 in sorted(out1.glob("*.csv")):
             assert p1.read_bytes() == (out2 / p1.name).read_bytes()
+
+    @pytest.mark.parametrize("flag, env, want", [
+        ("1", None, 1), ("2", None, 2), ("4", None, 4), ("2", "two", 2),
+        (None, "3", 3), (None, "", 1), (None, None, 1)])
+    def test_valid_counts_reach_the_run(self, tmp_path, monkeypatch, flag,
+                                        env, want):
+        seen = []
+        monkeypatch.setattr("owcsim.cli.run_sweep",
+                            lambda cfg, out, receiver, threads: seen.append(threads) or 0)
+        if env is None:
+            monkeypatch.delenv("OWCSIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OWCSIM_THREADS", env)
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(fast_config())
+        argv = ["sweep", "--config", str(cfg_path)]
+        assert main(argv + (["--threads", flag] if flag else [])) == 0
+        assert seen == [want]
+
+    @pytest.mark.parametrize("flag, env, name", [
+        ("0", None, "--threads"), ("-3", None, "--threads"),
+        (None, "two", "OWCSIM_THREADS"), (None, "0", "OWCSIM_THREADS"),
+        (None, "-1", "OWCSIM_THREADS"), (None, "1.5", "OWCSIM_THREADS")])
+    def test_bad_count_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                         flag, env, name):
+        if env is None:
+            monkeypatch.delenv("OWCSIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OWCSIM_THREADS", env)
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(fast_config())
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv + (["--threads", flag] if flag else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err, err
+        assert not out.exists()
 
 
 MAKERS = (("wfov", make_wfov), ("adr", make_adr), ("imaging", make_imaging))
@@ -358,7 +414,7 @@ class TestReceiverCulledOutputs:
         ref = tmp_path / "ref"
         ref.mkdir()
         for mi, mount in enumerate(pod.mounts):
-            field = compute_field(pod, pod.assignment[mi], mount, cfg.trace)
+            field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg.trace)
             for kind, make in MAKERS:
                 for bj, ir in enumerate(field.receiver_irs(make(mount))):
                     write_ir_csv(ir, str(ref / f"ir_{kind}_mount{mi}_branch{bj}.csv"))

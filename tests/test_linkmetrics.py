@@ -49,12 +49,6 @@ class TestDelayStats:
         assert st.mean_delay == pytest.approx(0.012195e-9, rel=1e-4)
         assert st.rms_spread == pytest.approx(0.10975e-9, rel=1e-4)
 
-    def test_linear_weighting_switch(self):
-        ir = ir_from([0.9, 0.1], bin_width=1e-9, origin=-0.5e-9)
-        st = delay_stats(ir, weighting="linear")
-        assert st.mean_delay == pytest.approx(0.1e-9, rel=1e-12)
-        assert st.rms_spread == pytest.approx(0.3e-9, rel=1e-12)
-
     def test_shift_and_scale_invariance(self):
         rng = np.random.default_rng(2)
         bins = rng.uniform(0.0, 1e-6, 64)
@@ -163,11 +157,6 @@ class TestEyePowers:
             assert eye.ps1 + eye.ps0 == pytest.approx(ir.total_power(),
                                                       rel=1e-12, abs=1e-30)
             assert eye.ps1 >= 0 and eye.ps0 >= 0
-
-    def test_launch_scale(self):
-        ir = ir_from([1e-6])
-        eye = eye_powers(ir, 1e9, launch_power_scale=2.0)
-        assert eye.ps1 == pytest.approx(2e-6, rel=1e-12)
 
     def test_bad_bitrate(self):
         with pytest.raises(ValueError):
@@ -295,8 +284,9 @@ def pod():
 
 def report_at(pod, mi, make, cfg):
     """Link report of one receiver kind at reference mount `mi`."""
-    field = compute_field(pod, pod.assignment[mi], pod.mounts[mi], cfg)
-    return link_report(field, make(pod.mounts[mi]), 1e9)
+    mount = pod.mounts[mi]
+    field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg)
+    return link_report(field, make(mount), 1e9)
 
 
 class TestLinkReport:
@@ -326,7 +316,8 @@ class TestLinkReport:
 
     def test_field_of_another_mount_refused(self, pod):
         # a field traced elsewhere would give a silently wrong report
-        field = compute_field(pod, pod.assignment[0], pod.mounts[0],
+        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
+                              pod.mounts[0],
                               TraceConfig(max_order=0))
         with pytest.raises(ValueError, match="traced mount"):
             link_report(field, make_adr(pod.mounts[1]), 1e9)

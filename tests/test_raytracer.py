@@ -56,7 +56,7 @@ def unit_patch_scene(rho=0.8):
                          vec3(0, 0.05, 0), vec3(0, 0, 1), rho, "floor")
     return Scene(room=(3.0, 3.0, 2.0), panels=[patch],
                  luminaires=[down_luminaire((1.0, 1.0, 1.0))],
-                 rows=[], mounts=[], assignment=[])
+                 rows=[], mounts=[])
 
 
 class TestLosGain:
@@ -212,10 +212,10 @@ class TestTrace:
                                   ceiling_reflectance=0.0, floor_reflectance=0.0))
         cfg = TraceConfig(max_order=2, first_edge=0.5, second_edge=1.0)
         det = detector(fov=70.0)
-        ir = compute_field(pod, pod.assignment[1], pod.mounts[1],
-                           cfg).detector_ir(det)
-        expect = sum(los_gain(pod.luminaires[i], det, pod.mounts[1])
-                     * pod.luminaires[i].power_w for i in pod.assignment[1])
+        ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
+        ir = compute_field(pod, ids, mount, cfg).detector_ir(det)
+        expect = sum(los_gain(pod.luminaires[i], det, mount)
+                     * pod.luminaires[i].power_w for i in ids)
         assert ir.total_power() == pytest.approx(expect, rel=1e-12)
 
     def test_empty_luminaire_set(self):
@@ -235,8 +235,8 @@ class TestTrace:
         # a face-down detector sees no LOS arrival; with no second-order
         # histogram the point bincount alone makes the bins
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
-        field = compute_field(pod, pod.assignment[0], pod.mounts[0],
-                              TraceConfig(max_order=0))
+        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
+                              pod.mounts[0], TraceConfig(max_order=0))
         ir = field.detector_ir(detector(boresight=(0, 0, -1)))
         assert ir.bins.size == 0 and ir.bins.dtype == np.float64
 
@@ -261,8 +261,8 @@ class TestTrace:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(max_order=1, first_edge=0.2)
         det = detector(fov=70.0)
-        ir = compute_field(pod, pod.assignment[0], pod.mounts[0],
-                           cfg).detector_ir(det)
+        ir = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
+                           pod.mounts[0], cfg).detector_ir(det)
         assert ir.rebin(100e-12).total_power() == pytest.approx(
             ir.total_power(), rel=1e-12)
 
@@ -286,11 +286,10 @@ class TestTrace:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(max_order=0)
         det = detector(fov=70.0)
-        ir = compute_field(pod, pod.assignment[1], pod.mounts[1],
-                           cfg).detector_ir(det)
-        mount = pod.mounts[1]
+        ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
+        ir = compute_field(pod, ids, mount, cfg).detector_ir(det)
         expected_bins = set()
-        for i in pod.assignment[1]:
+        for i in ids:
             d = float(np.linalg.norm(mount - pod.luminaires[i].position))
             expected_bins.add(int(d / C_LIGHT / cfg.bin_width))
         assert set(np.nonzero(ir.bins)[0]) == expected_bins
@@ -338,14 +337,14 @@ class TestTrace:
         occ_cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.8,
                               occlusion=True)
         ir_open, ir_occ = (
-            compute_field(pod, pod.assignment[1], pod.mounts[1],
-                          cfg).detector_ir(det)
+            compute_field(pod, pod.assigned_luminaires(pod.mounts[1]),
+                          pod.mounts[1], cfg).detector_ir(det)
             for cfg in (open_cfg, occ_cfg))
         assert 0.0 < ir_occ.total_power() < ir_open.total_power()
         n = min(ir_occ.bins.size, ir_open.bins.size)
         assert np.all(ir_occ.bins[:n] <= ir_open.bins[:n] + 1e-30)
         los = sum(los_gain(pod.luminaires[i], det, pod.mounts[1])
-                  for i in pod.assignment[1])
+                  for i in pod.assigned_luminaires(pod.mounts[1]))
         assert ir_occ.bins.sum() >= los  # overhead LOS survives
 
     def test_invalid_pose_rejected(self):
@@ -401,7 +400,7 @@ class TestSecondOrderKernel:
         pod = build_pod(PodConfig(luminaire_power_w=1.0,
                                   rack_occluding=occlusion))
         cfg = TraceConfig(occlusion=occlusion, **COARSE)
-        ids = pod.assignment[1]
+        ids = pod.assigned_luminaires(pod.mounts[1])
         # the grid must hold a chunk with no lit row and one with some
         grid = pod.surface_elements(cfg.second_edge)
         boxes = _occluder_boxes(pod) if occlusion else []
@@ -440,7 +439,7 @@ class TestSecondOrderKernel:
                       panels=[panel((1.5, 2.0, 1.0), (-0.1, -0.5, 0.8)),
                               panel((1.5, 1.0, 1.0), (0.2, 0.5, 0.8))],
                       luminaires=[down_luminaire((1.5, 1.5, 2.9))],
-                      rows=[], mounts=[], assignment=[])
+                      rows=[], mounts=[])
         cfg = TraceConfig(first_edge=0.1, second_edge=0.1)
         mount = vec3(1.4, 1.6, 1.8)
         field = compute_field(scene, (0,), mount, cfg, threads=threads)
@@ -460,8 +459,7 @@ class TestSecondOrderKernel:
                             vec3(1, 0, 0), 0.8, "wall")
         scene = Scene(room=(0.1, 0.1, 0.25), panels=[floor, wall],
                       luminaires=[down_luminaire((0.05, 0.05, 0.25))],
-                      rows=[], mounts=[vec3(0.08, 0.05, 0.25)],
-                      assignment=[(0,)])
+                      rows=[], mounts=[vec3(0.08, 0.05, 0.25)])
         cfg = TraceConfig(first_edge=0.05, second_edge=0.05)
         field = compute_field(scene, (0,), scene.mounts[0], cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
@@ -473,8 +471,8 @@ class TestSecondOrderKernel:
         # the luminaires sit in the ceiling plane (cos = 0 to every ceiling
         # element); everything else is lit when nothing occludes
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
-        field = compute_field(pod, pod.assignment[0], pod.mounts[0],
-                              TraceConfig(**COARSE))
+        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
+                              pod.mounts[0], TraceConfig(**COARSE))
         grid = pod.surface_elements(0.4)
         ceiling = int(np.sum(grid.normals[:, 2] == -1.0))
         assert ceiling > 0
@@ -486,7 +484,7 @@ class TestSecondOrderKernel:
         # one thread, read every future, and never exceed 2 x threads chunks
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(**COARSE)
-        ids, mount = pod.assignment[2], pod.mounts[2]
+        ids, mount = pod.assigned_luminaires(pod.mounts[2]), pod.mounts[2]
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
         serial = compute_field(pod, ids, mount, cfg, threads=1)
@@ -559,7 +557,7 @@ class TestReceiverCulledTrace:
     def test_run_report_counts_traced_work(self):
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
-        ids, mount = pod.assignment[1], pod.mounts[1]
+        ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
         rxs = [make_wfov(mount), make_adr(mount)]
         culled = compute_field(pod, ids, mount, cfg, receivers=rxs)
         full = compute_field(pod, ids, mount, cfg)
@@ -586,8 +584,8 @@ class TestReceiverCulledTrace:
     def test_no_receivers_traces_no_pairs(self):
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
-        field = compute_field(pod, pod.assignment[0], pod.mounts[0], cfg,
-                              receivers=[])
+        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
+                              pod.mounts[0], cfg, receivers=[])
         assert field.totals["second_pairs_evaluated"] == 0
         assert field.totals["second_bounce_traced_w"] == 0.0
         assert not field.b2_hist.any()
@@ -595,7 +593,7 @@ class TestReceiverCulledTrace:
     def test_untraced_capture_is_refused(self):
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
-        ids, mount = pod.assignment[0], pod.mounts[0]
+        ids, mount = pod.assigned_luminaires(pod.mounts[0]), pod.mounts[0]
         field = compute_field(pod, ids, mount, cfg, receivers=[make_adr(mount)])
         with pytest.raises(ValueError, match="did not trace"):
             field.receiver_irs(make_wfov(mount))
@@ -608,8 +606,8 @@ class TestReceiverCulledTrace:
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
         with pytest.raises(ValueError, match="traced mount"):
-            compute_field(pod, pod.assignment[0], pod.mounts[0], cfg,
-                          receivers=[make_wfov(pod.mounts[1])])
+            compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
+                          pod.mounts[0], cfg, receivers=[make_wfov(pod.mounts[1])])
 
 
 class TestReceiverIrs:
@@ -629,7 +627,7 @@ class TestReceiverIrs:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         mount = pod.mounts[mi]
         rxs = [make(mount) for make in MAKERS.values()]
-        field = compute_field(pod, pod.assignment[mi], mount, TraceConfig(),
+        field = compute_field(pod, pod.assigned_luminaires(mount), mount, TraceConfig(),
                               receivers=rxs)
         self.assert_equal_to_dense(field, rxs)
 
@@ -639,7 +637,7 @@ class TestReceiverIrs:
         cfg = TraceConfig(occlusion=True, **COARSE)
         for mi, mount in enumerate(pod.mounts):
             rxs = [make(mount) for make in MAKERS.values()]
-            field = compute_field(pod, pod.assignment[mi], mount, cfg,
+            field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg,
                                   threads=threads, receivers=rxs)
             self.assert_equal_to_dense(field, rxs)
 
@@ -647,7 +645,8 @@ class TestReceiverIrs:
     def test_without_second_order(self, max_order):
         pod = coarse_pod(False)
         cfg = TraceConfig(max_order=max_order, first_edge=0.4, second_edge=0.4)
-        field = compute_field(pod, pod.assignment[1], pod.mounts[1], cfg)
+        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[1]),
+                              pod.mounts[1], cfg)
         self.assert_equal_to_dense(field, [make(pod.mounts[1]) for make in MAKERS.values()])
 
 
@@ -658,7 +657,8 @@ class TestSuppliedFieldMustMatch:
         # every path from a field to an answer checks the receiver's mount;
         # the arrivals at another mount would give silently wrong figures
         pod = coarse_pod(False)
-        field = compute_field(pod, pod.assignment[0], pod.mounts[0], self.cfg)
+        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
+                              pod.mounts[0], self.cfg)
         for make in MAKERS.values():
             rx = make(pod.mounts[1])
             with pytest.raises(ValueError, match="traced mount"):
@@ -668,7 +668,8 @@ class TestSuppliedFieldMustMatch:
 
     def test_matching_field_is_used(self):
         pod = coarse_pod(False)
-        field = compute_field(pod, pod.assignment[2], pod.mounts[2], self.cfg)
+        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[2]),
+                              pod.mounts[2], self.cfg)
         rx = make_adr(pod.mounts[2])
         rep = link_report(field, rx, 1e9)
         assert rep.branch_power_w == tuple(
@@ -685,7 +686,7 @@ SMALL = dict(max_order=2, first_edge=0.4, second_edge=0.8)
 
 def branch_totals(pod, mi, cfg, makers):
     mount = pod.mounts[mi]
-    field = compute_field(pod, pod.assignment[mi], mount, cfg)
+    field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg)
     return [ir.total_power() for make in makers
             for ir in field.receiver_irs(make(mount))]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,15 @@ from owcsim.scene import (
 @pytest.fixture(scope="module")
 def pod():
     return build_pod(PodConfig(luminaire_power_w=1.0))
+
+
+def assert_units_over_own_rows(pod):
+    """Mount i is served by the three units over row i, and only by them."""
+    for mi, (mount, row) in enumerate(zip(pod.mounts, pod.rows)):
+        ids = pod.assigned_luminaires(mount)
+        assert ids == (3 * mi, 3 * mi + 1, 3 * mi + 2)
+        for i in ids:
+            assert float(pod.luminaires[i].position[0]) == row.centre_x == float(mount[0])
 
 
 class TestLambertianOrder:
@@ -66,16 +77,18 @@ class TestBuildPod:
         assert all(float(l.position[2]) == 3.0 for l in pod.luminaires)
 
     def test_three_luminaires_per_mount_same_row(self, pod):
-        for mi, mount in enumerate(pod.mounts):
-            ids = pod.assignment[mi]
-            assert len(ids) == 3
-            for i in ids:
-                assert float(pod.luminaires[i].position[0]) == float(mount[0])
+        assert_units_over_own_rows(pod)
+
+    def test_shifted_rows_keep_their_units(self):
+        pod = build_pod(PodConfig(luminaire_power_w=1.0, row_y_span=(0.5, 6.5)))
+        assert [float(m[1]) for m in pod.mounts] == [3.5, 3.5, 3.5]
+        assert_units_over_own_rows(pod)
+        assert validate_scene(pod) == []
 
     def test_deterministic_construction(self):
         cfg = PodConfig(luminaire_power_w=2.5)
         a, b = build_pod(cfg), build_pod(cfg)
-        assert a.room == b.room and a.assignment == b.assignment
+        assert a.room == b.room
         for pa, pb in zip(a.panels, b.panels):
             assert np.array_equal(pa.origin, pb.origin)
             assert pa.reflectance == pb.reflectance
@@ -84,10 +97,22 @@ class TestBuildPod:
             assert la.order == lb.order and la.power_w == lb.power_w
 
     def test_assigned_luminaires_follows_nearest_row(self, pod):
-        ids = pod.assigned_luminaires((4.0, 1.5, 2.0))
-        assert ids == pod.assignment[1]
-        ids = pod.assigned_luminaires((2.0, 6.0, 2.0))
-        assert ids == pod.assignment[0]
+        assert pod.assigned_luminaires((4.0, 1.5, 2.0)) == (3, 4, 5)
+        assert pod.assigned_luminaires((2.0, 6.0, 2.0)) == (0, 1, 2)
+
+
+class TestLuminaire:
+    def test_order_is_derived_from_semi_angle(self):
+        lum = Luminaire.make(vec3(1, 1, 3), 1.0, 45.0)
+        assert lum.order == lambertian_order(45.0)
+        object.__setattr__(lum, "semi_angle_deg", 60.0)
+        assert lum.order == lambertian_order(60.0)
+        assert "order" not in {f.name for f in dataclasses.fields(Luminaire)}
+
+    @pytest.mark.parametrize("semi_angle", [0.0, 90.0, 120.0])
+    def test_bad_semi_angle_rejected(self, semi_angle):
+        with pytest.raises(ValueError, match="semi-angle"):
+            Luminaire.make(vec3(1, 1, 3), 1.0, semi_angle)
 
 
 class TestDiscretize:
@@ -185,11 +210,25 @@ class TestValidateScene:
         rows = [RackRow(x, (1.0, 7.0), 2.0) for x in (2.0, 6.0)]
         mount = vec3(2.3, 4.0, 2.0)
         scene = Scene(room=(8.0, 8.0, 3.0), panels=[], luminaires=lums,
-                      rows=rows, mounts=[mount], assignment=[(0, 1)])
+                      rows=rows, mounts=[mount])
+        assert scene.assigned_luminaires(mount) == (0, 1)
         assert validate_scene(scene) == []
-        scene.assignment[0] = (0, 2)           # luminaire 2 is over row 1
+
+    def test_mount_without_luminaire_above_its_row(self):
+        # both units hang over row 0; mount 1 sits on row 1
+        lums = [Luminaire.make(vec3(2.0, y, 3.0), 1.0) for y in (2.0, 4.0)]
+        rows = [RackRow(x, (1.0, 7.0), 2.0) for x in (2.0, 6.0)]
+        scene = Scene(room=(8.0, 8.0, 3.0), panels=[], luminaires=lums, rows=rows,
+                      mounts=[vec3(2.0, 4.0, 2.0), vec3(6.0, 4.0, 2.0)])
+        assert validate_scene(scene) == ["mount 1: no luminaire above its row"]
+
+    @pytest.mark.parametrize("depth", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rack_depth_must_be_positive_and_finite(self, depth):
+        scene = build_pod(PodConfig(luminaire_power_w=1.0, rack_depth_m=depth,
+                                    rack_occluding=True))
         assert validate_scene(scene) == [
-            "mount 0: assigned luminaire 2 is not above its row"]
+            f"rack row {k}: depth {depth} is not positive and finite"
+            for k in range(3)]
 
     def test_rack_above_ceiling(self):
         scene = build_pod(PodConfig(luminaire_power_w=1.0, rack_top_m=3.2))
