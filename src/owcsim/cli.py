@@ -57,6 +57,7 @@ _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
 _FRACTION = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 _ORDER = (lambda v: v in (0, 1, 2), "must be 0, 1 or 2")
+_SEMI_ANGLE = (lambda v: 0.0 < v < 90.0, "must be in (0, 90) degrees")
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,8 @@ _KEYS = (
          valid=_FRACTION),
     _Key("luminaires", "power_w", "float", _REQUIRED, "pod.luminaire_power_w",
          valid=_POSITIVE),
-    _Key("luminaires", "semi_angle_deg", "float", 70.0, "pod.semi_angle_deg"),
+    _Key("luminaires", "semi_angle_deg", "float", 70.0, "pod.semi_angle_deg",
+         valid=_SEMI_ANGLE),
     _Key("receiver", "kind", "choice", "adr", "receiver_kind"),
     _Key("receiver", "bitrate_bps", "float", 2e9, "bitrate", valid=_POSITIVE),
     _Key("receiver", "pixel_layout_file", "path", None, "pixel_layout_file"),
@@ -108,7 +110,6 @@ _KEYS = (
          valid=_POSITIVE),
     _Key("trace", "bin_ps", "float", 50.0, "trace.bin_width", scale=1e-12,
          valid=_POSITIVE),
-    _Key("trace", "occlusion", "bool", False, "trace.occlusion"),
     _Key("sweep", "row_x_m", "float", 4.0, "sweep.row_x"),
     _Key("sweep", "y_start_m", "float", 1.0, "sweep.y_start"),
     _Key("sweep", "y_stop_m", "float", 7.0, "sweep.y_stop"),
@@ -120,7 +121,8 @@ _SECTIONS = tuple(dict.fromkeys(k.section for k in _KEYS))
 _PARTS = {"pod": PodConfig, "noise": NoiseParams, "trace": TraceConfig,
           "sweep": SweepSpec}
 # command-line flags that override a config key; checked like the key
-_FLAG_KEYS = {"orders": _KEY["trace", "orders"], "bin_ps": _KEY["trace", "bin_ps"],
+_FLAG_KEYS = {"receiver": _KEY["receiver", "kind"],
+              "orders": _KEY["trace", "orders"], "bin_ps": _KEY["trace", "bin_ps"],
               "bitrate": _KEY["receiver", "bitrate_bps"]}
 
 
@@ -299,21 +301,6 @@ def _metrics_row(report) -> str:
     ])
 
 
-def _make_receiver(kind: str, mount, layout):
-    if kind == "wfov":
-        return make_wfov(mount)
-    if kind == "adr":
-        return make_adr(mount)
-    if kind == "imaging":
-        return make_imaging(mount, layout)
-    raise ValueError(f"unknown receiver kind {kind!r}")
-
-
-def _receiver_kinds(cfg: RunConfig, override: str | None):
-    kind = override or cfg.receiver_kind
-    return ("wfov", "adr", "imaging") if kind == "all" else (kind,)
-
-
 def _build_scene_or_fail(cfg: RunConfig):
     scene = build_pod(cfg.pod)
     diags = validate_scene(scene)
@@ -324,33 +311,35 @@ def _build_scene_or_fail(cfg: RunConfig):
     return scene
 
 
-def _load_layout(cfg: RunConfig):
-    if cfg.pixel_layout_file is None:
-        return None
-    return load_pixel_layout(cfg.pixel_layout_file)
+def _receivers(cfg: RunConfig) -> list:
+    """The run's receivers, built once and applied at every position."""
+    layout = (None if cfg.pixel_layout_file is None
+              else load_pixel_layout(cfg.pixel_layout_file))
+    makers = {"wfov": make_wfov, "adr": make_adr,
+              "imaging": lambda: make_imaging(layout)}
+    kinds = tuple(makers) if cfg.receiver_kind == "all" else (cfg.receiver_kind,)
+    return [makers[kind]() for kind in kinds]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def run_simulate(cfg: RunConfig, out_dir: str, receiver: str | None = None,
-                 threads: int = 1, gnuplot: bool = False) -> int:
+def run_simulate(cfg: RunConfig, out_dir: str, threads: int = 1,
+                 gnuplot: bool = False) -> int:
     """Trace every branch at every mount and dump impulse-response CSVs."""
     scene = _build_scene_or_fail(cfg)
     if scene is None:
         return 1
-    layout = _load_layout(cfg)
-    kinds = _receiver_kinds(cfg, receiver)
+    rxs = _receivers(cfg)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for mi, mount in enumerate(scene.mounts):
-        rxs = [_make_receiver(kind, mount, layout) for kind in kinds]
         field = compute_field(scene, scene.assigned_luminaires(mount), mount,
                               cfg.trace, threads=threads, receivers=rxs)
-        for kind, rx in zip(kinds, rxs):
+        for rx in rxs:
             irs = field.receiver_irs(rx)
             for bj, ir in enumerate(irs):
-                path = os.path.join(out_dir, f"ir_{kind}_mount{mi}_branch{bj}.csv")
+                path = os.path.join(out_dir, f"ir_{rx.kind}_mount{mi}_branch{bj}.csv")
                 write_ir_csv(ir, path)
                 written.append(path)
             total = sum(ir.total_power() for ir in irs)
@@ -358,7 +347,7 @@ def run_simulate(cfg: RunConfig, out_dir: str, receiver: str | None = None,
             spread = (delay_stats(best).rms_spread
                       if best.total_power() > 0.0 else float("nan"))
             print(f"mount {mi} ({_fmt(mount[0])}, {_fmt(mount[1])}, "
-                  f"{_fmt(mount[2])}) {kind}: total_power_w={_fmt(total)} "
+                  f"{_fmt(mount[2])}) {rx.kind}: total_power_w={_fmt(total)} "
                   f"delay_spread_s={_fmt(spread)}")
     if gnuplot:
         script = os.path.join(out_dir, "plot_ir.gp")
@@ -373,18 +362,17 @@ def run_simulate(cfg: RunConfig, out_dir: str, receiver: str | None = None,
     return 0
 
 
-def run_sweep(cfg: RunConfig, out_dir: str, receiver: str | None = None,
-              threads: int = 1) -> int:
+def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
     """Move the receiver along the row line and write one metrics row per
     position per receiver kind."""
     scene = _build_scene_or_fail(cfg)
     if scene is None:
         return 1
-    layout = _load_layout(cfg)
-    kinds = _receiver_kinds(cfg, receiver)
+    rxs = _receivers(cfg)
     sw = cfg.sweep
     count = int(math.floor((sw.y_stop - sw.y_start) / sw.y_step + 1e-9)) + 1
-    ys = [sw.y_start + k * sw.y_step for k in range(count)]
+    # the sum can round past y_stop, and so past the room's far wall
+    ys = [min(sw.y_start + k * sw.y_step, sw.y_stop) for k in range(count)]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.csv")
     with open(path, "w", newline="") as f:
@@ -392,17 +380,16 @@ def run_sweep(cfg: RunConfig, out_dir: str, receiver: str | None = None,
         for y in ys:
             mount = np.array([sw.row_x, y, cfg.pod.rack_top_m])
             lum_ids = scene.assigned_luminaires(mount)
-            rxs = [_make_receiver(kind, mount, layout) for kind in kinds]
             field = compute_field(scene, lum_ids, mount, cfg.trace,
                                   threads=threads, receivers=rxs)
             for rx in rxs:
                 report = link_report(field, rx, cfg.bitrate, cfg.noise)
                 f.write(_metrics_row(report) + "\n")
-    print(f"wrote {path}: {count * len(kinds)} rows")
+    print(f"wrote {path}: {count * len(rxs)} rows")
     return 0
 
 
-def run_scene_check(cfg: RunConfig, receiver: str | None = None) -> int:
+def run_scene_check(cfg: RunConfig) -> int:
     """Validate the scene and report discretization / cost figures."""
     scene = build_pod(cfg.pod)
     diags = validate_scene(scene)
@@ -422,13 +409,12 @@ def run_scene_check(cfg: RunConfig, receiver: str | None = None) -> int:
     if cfg.trace.max_order >= 2:
         # the pairs the kernel will trace: lit first-bounce rows times the
         # second-bounce columns the selected receivers capture
-        layout = _load_layout(cfg)
-        kinds = _receiver_kinds(cfg, receiver)
+        rxs = _receivers(cfg)
+        kinds = "+".join(rx.kind for rx in rxs)
         for mi, mount in enumerate(scene.mounts):
-            rxs = [_make_receiver(kind, mount, layout) for kind in kinds]
             ext = second_order_extent(scene, scene.assigned_luminaires(mount),
                                       mount, cfg.trace, rxs)
-            print(f"mount {mi} second-order ({'+'.join(kinds)}): "
+            print(f"mount {mi} second-order ({kinds}): "
                   f"rows={ext['rows']} cols={ext['cols']} pairs={ext['pairs']} "
                   f"histogram_bytes={ext['hist_bytes']} "
                   f"traced_histogram_bytes={ext['traced_hist_bytes']}")
@@ -465,10 +451,9 @@ def main(argv=None) -> int:
                       ("check", "validate the scene and print cost figures")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="path to the run config")
-        p.add_argument("--receiver", choices=RECEIVER_KINDS,
-                       help="override the configured receiver kind")
-        p.add_argument("--orders", choices=("0", "1", "2"),
-                       help="override max reflection order")
+        p.add_argument("--receiver", help="override the receiver kind ("
+                       + "/".join(RECEIVER_KINDS) + ")")
+        p.add_argument("--orders", help="override max reflection order (0/1/2)")
         p.add_argument("--bin-ps", help="override bin width (ps)")
         p.add_argument("--bitrate", help="override bit rate (bps)")
         p.add_argument("--out", default="out", help="output directory")
@@ -494,11 +479,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            return run_simulate(cfg, args.out, args.receiver, threads,
-                                gnuplot=args.gnuplot)
+            return run_simulate(cfg, args.out, threads, gnuplot=args.gnuplot)
         if args.command == "sweep":
-            return run_sweep(cfg, args.out, args.receiver, threads)
-        return run_scene_check(cfg, args.receiver)
+            return run_sweep(cfg, args.out, threads)
+        return run_scene_check(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -245,13 +245,13 @@ def link_report(field: ArrivalField, receiver: ReceiverSpec, bitrate: float,
                 noise: NoiseParams = NoiseParams()) -> LinkReport:
     """Evaluate the full OOK link of a receiver from a traced field.
 
-    The branch impulse responses are `field.receiver_irs(receiver)`, so the
-    receiver must sit at the field's mount and the link is served by the
-    luminaires the field was traced from.  Per-branch eyes feed the noise
-    budget (average received power at 50 % duty), SC picks the best branch,
-    MRC sums all branches, and the BER is reported at the MRC SNR.  Delay
-    statistics, bandwidth and the maximum data rate describe the
-    SC-selected branch.
+    The branch impulse responses are `field.receiver_irs(receiver)`: the
+    receiver sits at the field's mount, which the report carries, and the
+    link is served by the luminaires the field was traced from.  Per-branch
+    eyes feed the noise budget (average received power at 50 % duty), SC
+    picks the best branch, MRC sums all branches, and the BER is reported at
+    the MRC SNR.  Delay statistics, bandwidth and the maximum data rate
+    describe the SC-selected branch.
     """
     irs = field.receiver_irs(receiver)
     bw = noise.bandwidth(bitrate)
@@ -270,7 +270,7 @@ def link_report(field: ArrivalField, receiver: ReceiverSpec, bitrate: float,
         raise ValueError("no branch received any power; link is dark")
     stats = delay_stats(irs[sc_idx])
     return LinkReport(
-        mount=tuple(float(c) for c in receiver.mount),
+        mount=tuple(float(c) for c in field.mount),
         receiver_kind=receiver.kind,
         bitrate=bitrate,
         branch_power_w=tuple(powers),

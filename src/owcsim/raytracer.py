@@ -49,7 +49,6 @@ class TraceConfig:
     first_edge: float = 0.05  # m, first-order element edge
     second_edge: float = 0.20 # m, second-order element edge (both bounces)
     bin_width: float = 50e-12 # s
-    occlusion: bool = False   # shadow rays against occluding rack boxes
 
     def __post_init__(self):
         if isinstance(self.max_order, bool) or self.max_order not in (0, 1, 2):
@@ -185,25 +184,15 @@ def _final_hop(grid, mount, boxes):
     return u3, d3, f3
 
 
-def _captured_columns(receivers, mount, u3) -> np.ndarray:
+def _captured_columns(receivers, u3) -> np.ndarray:
     """Elements whose arrival direction some branch of some receiver
     captures; every element when `receivers` is None."""
     if receivers is None:
         return np.ones(len(u3), dtype=bool)
     captured = np.zeros(len(u3), dtype=bool)
     for rx in receivers:
-        _check_mount(rx, mount)
         captured |= (capture_matrix(rx, u3) != 0.0).any(axis=0)
     return captured
-
-
-def _check_mount(receiver: ReceiverSpec, mount: np.ndarray):
-    """Refuse a receiver that does not sit at the traced mount: the
-    arrivals there are not the ones it receives."""
-    if not np.array_equal(np.asarray(receiver.mount, dtype=float), mount):
-        raise ValueError(
-            f"{receiver.kind} receiver at {tuple(receiver.mount)} does not sit "
-            f"at the traced mount {tuple(mount)}")
 
 
 def _los_arrivals(lums, mount, boxes):
@@ -250,7 +239,7 @@ def _second_order_setup(lums, grid, mount, boxes, receivers):
     are traced."""
     p1, l1 = _incident_power(lums, grid, boxes)
     u3, d3, f3 = _final_hop(grid, mount, boxes)
-    return p1, l1, p1.any(axis=0), (u3, d3, f3), _captured_columns(receivers, mount, u3)
+    return p1, l1, p1.any(axis=0), (u3, d3, f3), _captured_columns(receivers, u3)
 
 
 def second_order_extent(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
@@ -259,7 +248,7 @@ def second_order_extent(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     lit first-bounce rows, captured second-bounce columns, the pairs between
     them and the histogram bytes (the field's full histogram and the
     compact one the traced columns are accumulated in)."""
-    boxes = _occluder_boxes(scene) if cfg.occlusion else []
+    boxes = _occluder_boxes(scene)
     grid = scene.surface_elements(cfg.second_edge)
     _, _, lit, _, traced = _second_order_setup(
         [scene.luminaires[i] for i in luminaire_ids], grid,
@@ -404,8 +393,8 @@ class ArrivalField:
     on that element.  Applying a receiver is then just a directional
     weighting, so all branches of all receiver kinds share one trace.
 
-    Built by `compute_field`.  Applying a receiver that does not sit at
-    `mount` raises.  When second-order paths were traced only to the
+    Built by `compute_field`.  `mount` is where every receiver applied to
+    the field sits.  When second-order paths were traced only to the
     elements some branch of its `receivers` captures (`b2_traced`),
     applying a receiver or detector that captures any other element raises.
     """
@@ -438,7 +427,6 @@ class ArrivalField:
         Point arrivals are binned for every branch in one `bincount` over
         `branch * nbins + bin`; each cell still adds its terms in arrival
         order.  Second-order power is each branch's gemv over `b2_hist`."""
-        _check_mount(receiver, self.mount)
         nb, nbins = receiver.branch_count, self.nbins
         acc_b2 = None
         if self.b2_hist is not None:
@@ -463,7 +451,7 @@ class ArrivalField:
                     lens: LensModel | None = None) -> ImpulseResponse:
         """Impulse response of a bare detector element (no pixel assignment)."""
         return self.receiver_irs(
-            ReceiverSpec("detector", self.mount, (detector,), lens))[0]
+            ReceiverSpec("detector", (detector,), lens))[0]
 
 
 def _check_pose(scene: Scene, position):
@@ -471,8 +459,8 @@ def _check_pose(scene: Scene, position):
     lx, ly, h = scene.room
     if not (0.0 <= p[0] <= lx and 0.0 <= p[1] <= ly and COMM_FLOOR_M <= p[2] <= h):
         raise ValueError(
-            f"detector pose {tuple(p)} must be inside the room and above the "
-            f"communication floor ({COMM_FLOOR_M} m)"
+            f"detector pose {tuple(map(float, p))} must be inside the room and "
+            f"above the communication floor ({COMM_FLOOR_M} m)"
         )
 
 
@@ -480,9 +468,11 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
                   threads: int = 1, receivers=None) -> ArrivalField:
     """Trace LOS + reflections from a luminaire set to one mount point.
 
-    `luminaire_ids` is normally `scene.assigned_luminaires(mount)`.
-    `receivers` (all at `mount`) limits second-order tracing to the surface
-    elements their branches capture; without it every element is traced.
+    `luminaire_ids` is normally `scene.assigned_luminaires(mount)`.  Rack
+    rows the scene flags as occluding shadow every hop; no other setting
+    does.  `receivers`, the assemblies that will be applied at `mount`,
+    limits second-order tracing to the surface elements their branches
+    capture; without it every element is traced.
     """
     diags = validate_scene(scene)
     if diags:
@@ -490,7 +480,7 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     _check_pose(scene, mount)
     mount = np.asarray(mount, dtype=float)
     lums = [scene.luminaires[i] for i in luminaire_ids]
-    boxes = _occluder_boxes(scene) if cfg.occlusion else []
+    boxes = _occluder_boxes(scene)
     nbins = _bin_count(scene, cfg)
     totals = {}
 

@@ -99,10 +99,11 @@ def _lens_poly(lens: LensModel, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReceiverSpec:
-    """A receiver assembly: J detector branches at one mount point."""
+    """A receiver assembly: J detector branches and an optional lens.
+
+    It has no position: it sits at the mount of the field it is applied to."""
 
     kind: str                # "wfov" | "adr" | "imaging" | "detector" (one bare element)
-    mount: Vec3
     branches: tuple          # tuple of DetectorSpec
     lens: LensModel | None = None
 
@@ -116,16 +117,15 @@ def _detector(boresight, fov_deg: float) -> DetectorSpec:
                         np.asarray(boresight, dtype=float), fov_deg)
 
 
-def make_wfov(mount) -> ReceiverSpec:
+def make_wfov() -> ReceiverSpec:
     """Single face-up element with a 70 deg field of view."""
     return ReceiverSpec(
         kind="wfov",
-        mount=np.asarray(mount, dtype=float),
         branches=(_detector(vec3(0, 0, 1), WFOV_FOV_DEG),),
     )
 
 
-def make_adr(mount) -> ReceiverSpec:
+def make_adr() -> ReceiverSpec:
     """Three-branch angle-diversity receiver.
 
     One branch faces straight up; the other two tilt to 25 deg elevation at
@@ -139,7 +139,6 @@ def make_adr(mount) -> ReceiverSpec:
     )
     return ReceiverSpec(
         kind="adr",
-        mount=np.asarray(mount, dtype=float),
         branches=tuple(_detector(o.to_direction(), ADR_FOV_DEG) for o in orients),
     )
 
@@ -159,7 +158,7 @@ def default_pixel_layout() -> tuple:
     return tuple(orients)
 
 
-def make_imaging(mount, layout=None) -> ReceiverSpec:
+def make_imaging(layout=None) -> ReceiverSpec:
     """Fifty narrow-FOV pixels under a shared 65 deg lens.
 
     `layout` is an optional sequence of 50 Orientations; every boresight
@@ -181,7 +180,6 @@ def make_imaging(mount, layout=None) -> ReceiverSpec:
             )
     return ReceiverSpec(
         kind="imaging",
-        mount=np.asarray(mount, dtype=float),
         branches=tuple(_detector(o.to_direction(), PIXEL_FOV_DEG)
                        for o in orients),
         lens=lens,
@@ -224,7 +222,7 @@ def detector_acceptance(detector: DetectorSpec, incoming,
     times the lens transmission when a lens is present; excludes the
     detector area.  A one-element `capture_matrix` at unit area.
     """
-    probe = ReceiverSpec("detector", None, (replace(detector, area=1.0),), lens)
+    probe = ReceiverSpec("detector", (replace(detector, area=1.0),), lens)
     return float(capture_matrix(probe, incoming)[0, 0])
 
 

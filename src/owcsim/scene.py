@@ -322,7 +322,8 @@ def validate_scene(scene: Scene) -> list:
             diags.append(f"panel {k} ({p.kind}): normal is not a unit vector")
     for k, lum in enumerate(scene.luminaires):
         if not _inside_room(lum.position, scene.room):
-            diags.append(f"luminaire {k} at {tuple(lum.position)}: outside room")
+            diags.append(
+                f"luminaire {k} at {tuple(map(float, lum.position))}: outside room")
         if not 0.0 < lum.power_w < math.inf:
             diags.append(f"luminaire {k}: power {lum.power_w} is not positive and finite")
         if abs(float(np.linalg.norm(lum.boresight)) - 1.0) > 1e-12:
@@ -338,7 +339,7 @@ def validate_scene(scene: Scene) -> list:
             diags.append(f"rack row {k}: depth {row.depth} is not positive and finite")
     for k, mount in enumerate(scene.mounts):
         if not _inside_room(mount, scene.room):
-            diags.append(f"mount {k} at {tuple(mount)}: outside room")
+            diags.append(f"mount {k} at {tuple(map(float, mount))}: outside room")
         if not scene.assigned_luminaires(mount):
             diags.append(f"mount {k}: no luminaire above its row")
     return diags

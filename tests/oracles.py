@@ -221,7 +221,7 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
     chunk = 256
     eps = 1e-12
     lums = [scene.luminaires[i] for i in luminaire_ids]
-    boxes = _occluder_boxes(scene) if cfg.occlusion else []
+    boxes = _occluder_boxes(scene)
     mount = np.asarray(mount, dtype=float)
     diag = math.sqrt(sum(s * s for s in scene.room))
     nbins = int((cfg.max_order + 1) * diag / C_LIGHT / cfg.bin_width) + 2

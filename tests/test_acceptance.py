@@ -48,17 +48,12 @@ def fields(pod):
 
 
 @pytest.fixture(scope="module")
-def reports(pod, fields):
-    """LinkReport per (mount, receiver kind)."""
-    out = []
-    for mi, field in enumerate(fields):
-        mount = pod.mounts[mi]
-        per_kind = {}
-        for kind, make in (("wfov", o.make_wfov), ("adr", o.make_adr),
-                           ("imaging", o.make_imaging)):
-            per_kind[kind] = o.link_report(field, make(mount), BITRATE, NOISE)
-        out.append(per_kind)
-    return out
+def reports(fields):
+    """LinkReport per (mount, receiver kind); one receiver of each kind
+    serves every mount."""
+    rxs = (o.make_wfov(), o.make_adr(), o.make_imaging())
+    return [{rx.kind: o.link_report(field, rx, BITRATE, NOISE) for rx in rxs}
+            for field in fields]
 
 
 def test_criterion_1_los_oracle_equivalence(pod):

@@ -1,4 +1,5 @@
 import configparser
+import json
 import os
 import subprocess
 import sys
@@ -117,6 +118,13 @@ class TestParseConfig:
             parse_config(REFERENCE.replace("wall_reflectance = 0.8",
                                            "wall_reflectance = 1.2"))
 
+    @pytest.mark.parametrize("value", ["0", "90", "95"])
+    def test_semi_angle_out_of_range(self, value):
+        with pytest.raises(ConfigError,
+                           match=r"'luminaires\.semi_angle_deg' must be in \(0, 90\)"):
+            parse_config(REFERENCE.replace("semi_angle_deg = 70.0",
+                                           f"semi_angle_deg = {value}"))
+
 
 class TestOverrideFlags:
     @pytest.mark.parametrize("flag, value, key", [
@@ -127,6 +135,8 @@ class TestOverrideFlags:
         ("--bitrate", "nan", "receiver.bitrate_bps"),
         ("--bitrate", "inf", "receiver.bitrate_bps"),
         ("--bitrate", "0", "receiver.bitrate_bps"),
+        ("--receiver", "lens", "receiver.kind"),
+        ("--orders", "3", "trace.orders"),
     ])
     @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_bad_override_is_a_config_error(self, tmp_path, capsys, command,
@@ -143,12 +153,14 @@ class TestOverrideFlags:
     def test_overrides_reach_the_run_config(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr("owcsim.cli.run_scene_check",
-                            lambda cfg, receiver: seen.append(cfg) or 0)
+                            lambda cfg: seen.append(cfg) or 0)
         cfg_path = tmp_path / "run.ini"
         cfg_path.write_text(REFERENCE)
         assert main(["check", "--config", str(cfg_path), "--orders", "1",
-                     "--bin-ps", "25", "--bitrate", "1e9"]) == 0
+                     "--bin-ps", "25", "--bitrate", "1e9",
+                     "--receiver", "imaging"]) == 0
         want = parse_config(REFERENCE.replace("orders = 2", "orders = 1")
+                            .replace("kind = adr", "kind = imaging")
                             .replace("bin_ps = 50.0", "bin_ps = 25")
                             .replace("bitrate_bps = 2.0e9", "bitrate_bps = 1e9"))
         assert seen == [want]
@@ -297,6 +309,19 @@ class TestSweep:
         assert len(coords) == 1
         assert sorted(kinds) == ["adr", "imaging", "wfov"]
 
+    def test_last_position_clamped_to_stop(self, tmp_path):
+        # 0.3 + 7 * 1.1 rounds to 8.000000000000002, past the 8 m wall
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(fast_config(**{"y_start_m = 1.0": "y_start_m = 0.3",
+                                           "y_stop_m = 7.0": "y_stop_m = 8.0",
+                                           "y_step_m = 0.5": "y_step_m = 1.1"}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--receiver", "wfov",
+                     "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert float(rows[-1].split(",")[1]) == 8.0
+
 
 class TestCheck:
     def test_reference_is_clean(self, tmp_path, capsys):
@@ -317,6 +342,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert rc != 0
         assert "wall_reflectance" in err
+
+    def test_bad_semi_angle_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(REFERENCE.replace("semi_angle_deg = 70.0",
+                                              "semi_angle_deg = 95"))
+        rc = main(["check", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "'luminaires.semi_angle_deg'" in err
 
     @pytest.mark.parametrize("depth", ["-1.0", "0.0"])
     def test_bad_rack_depth_fails_nonzero(self, tmp_path, capsys, depth):
@@ -356,7 +390,7 @@ class TestEnvThreads:
                                         env, want):
         seen = []
         monkeypatch.setattr("owcsim.cli.run_sweep",
-                            lambda cfg, out, receiver, threads: seen.append(threads) or 0)
+                            lambda cfg, out, threads: seen.append(threads) or 0)
         if env is None:
             monkeypatch.delenv("OWCSIM_THREADS", raising=False)
         else:
@@ -387,7 +421,7 @@ class TestEnvThreads:
         assert not out.exists()
 
 
-MAKERS = (("wfov", make_wfov), ("adr", make_adr), ("imaging", make_imaging))
+RECEIVERS = (make_wfov(), make_adr(), make_imaging())
 
 
 def coarse_second_order_config(**overrides):
@@ -415,9 +449,9 @@ class TestReceiverCulledOutputs:
         ref.mkdir()
         for mi, mount in enumerate(pod.mounts):
             field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg.trace)
-            for kind, make in MAKERS:
-                for bj, ir in enumerate(field.receiver_irs(make(mount))):
-                    write_ir_csv(ir, str(ref / f"ir_{kind}_mount{mi}_branch{bj}.csv"))
+            for rx in RECEIVERS:
+                for bj, ir in enumerate(field.receiver_irs(rx)):
+                    write_ir_csv(ir, str(ref / f"ir_{rx.kind}_mount{mi}_branch{bj}.csv"))
         names = sorted(p.name for p in ref.iterdir())
         assert sorted(p.name for p in out.glob("*.csv")) == names
         for name in names:
@@ -437,9 +471,9 @@ class TestReceiverCulledOutputs:
             mount = np.array([cfg.sweep.row_x, y, cfg.pod.rack_top_m])
             field = compute_field(pod, pod.assigned_luminaires(mount), mount,
                                   cfg.trace)
-            for _, make in MAKERS:
+            for rx in RECEIVERS:
                 lines.append(_metrics_row(link_report(
-                    field, make(mount), cfg.bitrate, cfg.noise)))
+                    field, rx, cfg.bitrate, cfg.noise)))
         assert (out / "metrics.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_check_reports_traced_pairs(self, tmp_path, capsys):
@@ -469,3 +503,33 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert "0 diagnostics" in proc.stdout
+
+
+class TestBenchmarkHooks:
+    """`perfbench/child.py run` patches the calls between the layers to time
+    them; renaming one, or moving the receiver out of the argument the
+    benchmark reads its kind from, breaks `perfbench/run.py --trace 1`."""
+
+    CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "child.py")
+    SHARED = {"raytracer.compute_field", "receivers.capture_matrix",
+              "receivers.receiver_irs.wfov", "receivers.receiver_irs.adr",
+              "receivers.receiver_irs.imaging"}
+
+    @pytest.mark.parametrize("command, spans", [
+        ("simulate", {"cli.write_ir_csv"}),
+        ("sweep", {"linkmetrics.link_report", "linkmetrics.bandwidth_3db"}),
+    ], ids=("simulate", "sweep"))
+    def test_traced_run_names_every_hook(self, tmp_path, command, spans):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(coarse_second_order_config())
+        spans_path = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, self.CHILD, "run", str(spans_path), "--", command,
+             "--config", str(cfg_path), "--receiver", "all", "--orders", "2",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+        assert self.SHARED | spans <= names, sorted(names)

@@ -226,7 +226,7 @@ class TestTrace:
             field = compute_field(pod, (), mount, TraceConfig(max_order=max_order))
             irs = [field.detector_ir(detector())] + [
                 ir for make in MAKERS.values()
-                for ir in field.receiver_irs(make(mount))]
+                for ir in field.receiver_irs(make())]
             assert len(irs) == 1 + 1 + 3 + 50
             for ir in irs:
                 assert ir.bins.size == 0 and ir.bins.dtype == np.float64
@@ -322,7 +322,7 @@ class TestTrace:
         pod_solid = build_pod(PodConfig(**base, rack_occluding=True))
         det = detector(fov=90.0)
         pos = vec3(2.9, 4.0, 0.5)  # in the aisle, below the rack tops
-        cfg = TraceConfig(max_order=0, occlusion=True)
+        cfg = TraceConfig(max_order=0)
         ir_clear = compute_field(pod_clear, (4,), pos, cfg).detector_ir(det)
         ir_solid = compute_field(pod_solid, (4,), pos, cfg).detector_ir(det)
         assert ir_clear.total_power() > 0.0     # rows not flagged as occluding
@@ -331,15 +331,15 @@ class TestTrace:
     def test_occlusion_through_second_order(self):
         # occluding racks must only remove power, never add it, and must not
         # self-shadow a mount sitting on its own rack top
-        pod = build_pod(PodConfig(luminaire_power_w=1.0, rack_occluding=True))
+        pod_open, pod = (build_pod(PodConfig(luminaire_power_w=1.0,
+                                             rack_occluding=occluding))
+                         for occluding in (False, True))
         det = detector(fov=70.0)
-        open_cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.8)
-        occ_cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.8,
-                              occlusion=True)
+        cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.8)
         ir_open, ir_occ = (
-            compute_field(pod, pod.assigned_luminaires(pod.mounts[1]),
-                          pod.mounts[1], cfg).detector_ir(det)
-            for cfg in (open_cfg, occ_cfg))
+            compute_field(p, p.assigned_luminaires(p.mounts[1]),
+                          p.mounts[1], cfg).detector_ir(det)
+            for p in (pod_open, pod))
         assert 0.0 < ir_occ.total_power() < ir_open.total_power()
         n = min(ir_occ.bins.size, ir_open.bins.size)
         assert np.all(ir_occ.bins[:n] <= ir_open.bins[:n] + 1e-30)
@@ -349,7 +349,8 @@ class TestTrace:
 
     def test_invalid_pose_rejected(self):
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
-        with pytest.raises(ValueError, match="communication floor"):
+        with pytest.raises(ValueError, match=r"pose \(4\.0, 4\.0, 0\.1\) must be "
+                           "inside the room and above the communication floor"):
             compute_field(pod, (0,), vec3(4, 4, 0.1), TraceConfig(max_order=0))
 
     def test_invalid_scene_rejected(self):
@@ -399,13 +400,12 @@ class TestSecondOrderKernel:
         order to the one `einsum` uses for a length-3 contraction."""
         pod = build_pod(PodConfig(luminaire_power_w=1.0,
                                   rack_occluding=occlusion))
-        cfg = TraceConfig(occlusion=occlusion, **COARSE)
+        cfg = TraceConfig(**COARSE)
         ids = pod.assigned_luminaires(pod.mounts[1])
         # the grid must hold a chunk with no lit row and one with some
         grid = pod.surface_elements(cfg.second_edge)
-        boxes = _occluder_boxes(pod) if occlusion else []
         lit = _incident_power([pod.luminaires[i] for i in ids], grid,
-                              boxes)[0].any(axis=0)
+                              _occluder_boxes(pod))[0].any(axis=0)
         chunks = [lit[s:s + raytracer._CHUNK]
                   for s in range(0, len(grid), raytracer._CHUNK)]
         assert any(not c.any() for c in chunks)
@@ -544,8 +544,8 @@ class TestReceiverCulledTrace:
         mount = vec3(r.centre_x, r.y_span[0] + frac * (r.y_span[1] - r.y_span[0]),
                      r.top_height)
         ids = pod.assigned_luminaires(mount)
-        cfg = TraceConfig(occlusion=occlusion, **COARSE)
-        rxs = [MAKERS[k](mount) for k in sorted(kinds)]
+        cfg = TraceConfig(**COARSE)
+        rxs = [MAKERS[k]() for k in sorted(kinds)]
         full = compute_field(pod, ids, mount, cfg)
         culled = compute_field(pod, ids, mount, cfg, threads=threads,
                                receivers=rxs)
@@ -558,7 +558,7 @@ class TestReceiverCulledTrace:
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
-        rxs = [make_wfov(mount), make_adr(mount)]
+        rxs = [make_wfov(), make_adr()]
         culled = compute_field(pod, ids, mount, cfg, receivers=rxs)
         full = compute_field(pod, ids, mount, cfg)
         t, ft = culled.totals, full.totals
@@ -594,24 +594,21 @@ class TestReceiverCulledTrace:
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[0]), pod.mounts[0]
-        field = compute_field(pod, ids, mount, cfg, receivers=[make_adr(mount)])
+        field = compute_field(pod, ids, mount, cfg, receivers=[make_adr()])
         with pytest.raises(ValueError, match="did not trace"):
-            field.receiver_irs(make_wfov(mount))
+            field.receiver_irs(make_wfov())
         with pytest.raises(ValueError, match="did not trace"):
             field.detector_ir(detector())
         # a receiver inside the traced set is still served
-        assert field.receiver_irs(make_adr(mount))[0].total_power() > 0.0
-
-    def test_receiver_at_another_mount_is_refused(self):
-        pod = coarse_pod(False)
-        cfg = TraceConfig(**COARSE)
-        with pytest.raises(ValueError, match="traced mount"):
-            compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
-                          pod.mounts[0], cfg, receivers=[make_wfov(pod.mounts[1])])
+        assert field.receiver_irs(make_adr())[0].total_power() > 0.0
 
 
 class TestReceiverIrs:
-    """`receiver_irs` against the dense per-branch path it replaced."""
+    """`receiver_irs` against the dense per-branch path it replaced.
+
+    Each receiver is built once and applied at every mount."""
+
+    receivers = [make() for make in MAKERS.values()]
 
     @staticmethod
     def assert_equal_to_dense(field, rxs):
@@ -626,20 +623,18 @@ class TestReceiverIrs:
     def test_reference_mounts(self, mi):
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         mount = pod.mounts[mi]
-        rxs = [make(mount) for make in MAKERS.values()]
         field = compute_field(pod, pod.assigned_luminaires(mount), mount, TraceConfig(),
-                              receivers=rxs)
-        self.assert_equal_to_dense(field, rxs)
+                              receivers=self.receivers)
+        self.assert_equal_to_dense(field, self.receivers)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_coarse_grid_with_occlusion(self, threads):
         pod = coarse_pod(True)
-        cfg = TraceConfig(occlusion=True, **COARSE)
-        for mi, mount in enumerate(pod.mounts):
-            rxs = [make(mount) for make in MAKERS.values()]
+        cfg = TraceConfig(**COARSE)
+        for mount in pod.mounts:
             field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg,
-                                  threads=threads, receivers=rxs)
-            self.assert_equal_to_dense(field, rxs)
+                                  threads=threads, receivers=self.receivers)
+            self.assert_equal_to_dense(field, self.receivers)
 
     @pytest.mark.parametrize("max_order", [0, 1])
     def test_without_second_order(self, max_order):
@@ -647,31 +642,19 @@ class TestReceiverIrs:
         cfg = TraceConfig(max_order=max_order, first_edge=0.4, second_edge=0.4)
         field = compute_field(pod, pod.assigned_luminaires(pod.mounts[1]),
                               pod.mounts[1], cfg)
-        self.assert_equal_to_dense(field, [make(pod.mounts[1]) for make in MAKERS.values()])
+        self.assert_equal_to_dense(field, self.receivers)
 
 
 class TestSuppliedFieldMustMatch:
     cfg = TraceConfig(max_order=0)
 
-    def test_other_mount_refused(self):
-        # every path from a field to an answer checks the receiver's mount;
-        # the arrivals at another mount would give silently wrong figures
-        pod = coarse_pod(False)
-        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
-                              pod.mounts[0], self.cfg)
-        for make in MAKERS.values():
-            rx = make(pod.mounts[1])
-            with pytest.raises(ValueError, match="traced mount"):
-                field.receiver_irs(rx)
-            with pytest.raises(ValueError, match="traced mount"):
-                link_report(field, rx, 1e9)
-
     def test_matching_field_is_used(self):
         pod = coarse_pod(False)
         field = compute_field(pod, pod.assigned_luminaires(pod.mounts[2]),
                               pod.mounts[2], self.cfg)
-        rx = make_adr(pod.mounts[2])
+        rx = make_adr()
         rep = link_report(field, rx, 1e9)
+        assert rep.mount == tuple(field.mount) == tuple(pod.mounts[2])
         assert rep.branch_power_w == tuple(
             ir.total_power() for ir in field.receiver_irs(rx))
 
@@ -688,7 +671,7 @@ def branch_totals(pod, mi, cfg, makers):
     mount = pod.mounts[mi]
     field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg)
     return [ir.total_power() for make in makers
-            for ir in field.receiver_irs(make(mount))]
+            for ir in field.receiver_irs(make())]
 
 
 class TestPhysicalProperties:
@@ -713,7 +696,7 @@ class TestPhysicalProperties:
            mi=st.integers(0, 2), occlusion=st.booleans())
     def test_received_power_is_linear_in_luminaire_power(self, power, factor,
                                                          mi, occlusion):
-        cfg = TraceConfig(occlusion=occlusion, **SMALL)
+        cfg = TraceConfig(**SMALL)
         base, scaled = (
             branch_totals(build_pod(PodConfig(luminaire_power_w=p,
                                               rack_occluding=occlusion)),
@@ -739,7 +722,7 @@ class TestPhysicalProperties:
             luminaire_power_w=1.0, wall_reflectance=wall,
             ceiling_reflectance=ceiling, floor_reflectance=floor,
             semi_angle_deg=semi_angle, rack_occluding=occlusion))
-        cfg = TraceConfig(occlusion=occlusion, **SMALL)
+        cfg = TraceConfig(**SMALL)
         left, right = (branch_totals(pod, mi, cfg, (make_wfov, make_adr))
                        for mi in (0, 2))
         assert any(left)

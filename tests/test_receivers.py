@@ -24,8 +24,6 @@ from owcsim.receivers import (
 
 from oracles import oracle_acceptance, oracle_capture_matrix
 
-MOUNT = np.array([4.0, 4.0, 2.0])
-
 
 class TestOrientation:
     def test_mapping(self):
@@ -46,7 +44,7 @@ class TestOrientation:
 
 class TestMakeReceivers:
     def test_wfov(self):
-        rx = make_wfov(MOUNT)
+        rx = make_wfov()
         assert rx.branch_count == 1
         det = rx.branches[0]
         assert det.fov_deg == 70.0 and det.responsivity == 0.4
@@ -55,7 +53,7 @@ class TestMakeReceivers:
         assert rx.lens is None
 
     def test_adr(self):
-        rx = make_adr(MOUNT)
+        rx = make_adr()
         assert rx.branch_count == 3
         assert all(b.fov_deg == 20.0 for b in rx.branches)
         assert rx.branches[0].boresight == pytest.approx([0, 0, 1], abs=1e-12)
@@ -65,7 +63,7 @@ class TestMakeReceivers:
             [0.0, -0.9063, 0.4226], abs=1e-4)
 
     def test_adr_boresights_unit_and_distinct(self):
-        rx = make_adr(MOUNT)
+        rx = make_adr()
         for a in rx.branches:
             assert np.linalg.norm(a.boresight) == pytest.approx(1.0, abs=1e-12)
         for i in range(3):
@@ -74,7 +72,7 @@ class TestMakeReceivers:
                                        rx.branches[j].boresight)
 
     def test_imaging_default_layout(self):
-        rx = make_imaging(MOUNT)
+        rx = make_imaging()
         assert rx.branch_count == 50
         assert all(b.fov_deg == 17.0 and b.area == 4e-6 for b in rx.branches)
         assert rx.lens is not None and rx.lens.fov_deg == 65.0
@@ -93,14 +91,14 @@ class TestMakeReceivers:
 
     def test_imaging_rejects_bad_layouts(self):
         with pytest.raises(ValueError, match="exactly 50"):
-            make_imaging(MOUNT, default_pixel_layout()[:49])
+            make_imaging(default_pixel_layout()[:49])
         outside = list(default_pixel_layout())
         outside[10] = Orientation(0.0, 10.0)   # 80 deg off axis > 65 deg cone
         with pytest.raises(ValueError, match="lens cone"):
-            make_imaging(MOUNT, outside)
+            make_imaging(outside)
 
     def test_uniform_constants_across_kinds(self):
-        for rx in (make_wfov(MOUNT), make_adr(MOUNT), make_imaging(MOUNT)):
+        for rx in (make_wfov(), make_adr(), make_imaging()):
             assert all(b.responsivity == 0.4 and b.area == 4e-6
                        for b in rx.branches)
 
@@ -147,27 +145,27 @@ class TestDetectorSpec:
 
 class TestDetectorAcceptance:
     def test_antiparallel_is_unity(self):
-        det = make_wfov(MOUNT).branches[0]
+        det = make_wfov().branches[0]
         assert detector_acceptance(det, np.array([0.0, 0.0, -1.0])) == 1.0
 
     def test_outside_fov_is_zero(self):
-        det = make_adr(MOUNT).branches[0]   # up, FOV 20
+        det = make_adr().branches[0]   # up, FOV 20
         ang = math.radians(20.5)
         incoming = -np.array([math.sin(ang), 0.0, math.cos(ang)])
         assert detector_acceptance(det, incoming) == 0.0
 
     def test_adr_tilted_branch_rejects_zenith_ray(self):
-        det = make_adr(MOUNT).branches[1]   # Az 90, El 25
+        det = make_adr().branches[1]   # Az 90, El 25
         assert detector_acceptance(det, np.array([0.0, 0.0, -1.0])) == 0.0
 
     def test_lens_factor_applied(self):
-        rx = make_imaging(MOUNT)
+        rx = make_imaging()
         got = detector_acceptance(rx.branches[0], np.array([0.0, 0.0, -1.0]),
                                   rx.lens)
         assert got == pytest.approx(0.8778, abs=1e-12)
 
     def test_continuous_inside_fov(self):
-        det = make_wfov(MOUNT).branches[0]
+        det = make_wfov().branches[0]
         angles = np.linspace(0.0, math.radians(69.9), 200)
         vals = []
         for a in angles:
@@ -181,13 +179,13 @@ class TestDetectorAcceptance:
 
 class TestAssignPixel:
     def test_exact_boresight_hit(self):
-        rx = make_imaging(MOUNT)
+        rx = make_imaging()
         for k in (0, 5, 23, 49):
             incoming = -rx.branches[k].boresight
             assert assign_pixel(rx, incoming) == k
 
     def test_outside_lens_cone(self):
-        rx = make_imaging(MOUNT)
+        rx = make_imaging()
         ang = math.radians(70.0)
         incoming = -np.array([math.sin(ang), 0.0, math.cos(ang)])
         assert assign_pixel(rx, incoming) is None
@@ -195,16 +193,16 @@ class TestAssignPixel:
     def test_tie_goes_to_lowest_index(self):
         layout = list(default_pixel_layout())
         layout[7] = layout[3]                 # duplicate boresight: exact tie
-        rx = make_imaging(MOUNT, layout)
+        rx = make_imaging(layout)
         incoming = -rx.branches[3].boresight
         assert assign_pixel(rx, incoming) == 3
 
     def test_non_imaging_rejected(self):
         with pytest.raises(ValueError, match="imaging"):
-            assign_pixel(make_adr(MOUNT), np.array([0.0, 0.0, -1.0]))
+            assign_pixel(make_adr(), np.array([0.0, 0.0, -1.0]))
 
     def test_single_assignment_over_random_directions(self):
-        rx = make_imaging(MOUNT)
+        rx = make_imaging()
         rng = np.random.default_rng(21)
         n = 400
         az = rng.uniform(0, 2 * math.pi, n)
@@ -228,7 +226,7 @@ class TestCaptureMatrix:
         toward = rng.normal(size=(100, 3))
         toward /= np.linalg.norm(toward, axis=1, keepdims=True)
         dirs = -toward
-        for rx in (make_wfov(MOUNT), make_adr(MOUNT)):
+        for rx in (make_wfov(), make_adr()):
             acc = capture_matrix(rx, dirs)
             for j, det in enumerate(rx.branches):
                 for i in range(toward.shape[0]):
@@ -236,7 +234,7 @@ class TestCaptureMatrix:
                     assert acc[j, i] == pytest.approx(want, rel=1e-12, abs=1e-30)
 
     def test_imaging_includes_lens_and_assignment(self):
-        rx = make_imaging(MOUNT)
+        rx = make_imaging()
         dirs = -np.stack([b.boresight for b in rx.branches])
         acc = capture_matrix(rx, dirs)
         for k in range(50):
@@ -290,12 +288,12 @@ def receiver_under_test(kind, lens, tie):
         layout = list(default_pixel_layout())
         if tie:
             layout[7] = layout[3]
-        rx = make_imaging(MOUNT, layout)
+        rx = make_imaging(layout)
     elif kind == "detector":
         det = DetectorSpec(4e-6, 0.4, np.array([0.3, -0.2, 0.9]) / math.sqrt(0.94), 35.0)
-        rx = ReceiverSpec("detector", MOUNT, (det,))
+        rx = ReceiverSpec("detector", (det,))
     else:
-        rx = {"wfov": make_wfov, "adr": make_adr}[kind](MOUNT)
+        rx = {"wfov": make_wfov, "adr": make_adr}[kind]()
     return replace(rx, lens=LensModel() if lens else None)
 
 
@@ -337,7 +335,7 @@ class TestLayoutFile:
         path.write_text("\n".join(lines) + "\n")
         layout = load_pixel_layout(path)
         assert layout == default_pixel_layout()
-        make_imaging(MOUNT, layout)   # accepted
+        make_imaging(layout)   # accepted
 
     def test_wrong_row_count(self, tmp_path):
         path = tmp_path / "layout.csv"

@@ -184,7 +184,7 @@ class TestValidateScene:
         bad = scene.luminaires[0]
         object.__setattr__(bad, "position", vec3(1.8, 2.0, 3.5))
         diags = validate_scene(scene)
-        assert len(diags) == 1 and "outside room" in diags[0]
+        assert diags == ["luminaire 0 at (1.8, 2.0, 3.5): outside room"]
 
     def test_reflectance_out_of_range(self):
         scene = build_pod(PodConfig(luminaire_power_w=1.0))
