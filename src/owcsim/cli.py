@@ -102,7 +102,7 @@ _KEYS = (
     _Key("noise", "background_current_a", "float", 100e-6,
          "noise.background_current", valid=_NON_NEGATIVE),
     _Key("noise", "bandwidth_factor", "float", 0.7, "noise.bandwidth_factor",
-         valid=_NON_NEGATIVE),
+         valid=_POSITIVE),
     _Key("trace", "orders", "int", 2, "trace.max_order", valid=_ORDER),
     _Key("trace", "first_edge_m", "float", 0.05, "trace.first_edge",
          valid=_POSITIVE),
@@ -313,10 +313,10 @@ def _build_scene_or_fail(cfg: RunConfig):
 
 def _receivers(cfg: RunConfig) -> list:
     """The run's receivers, built once and applied at every position."""
-    layout = (None if cfg.pixel_layout_file is None
-              else load_pixel_layout(cfg.pixel_layout_file))
+    path = cfg.pixel_layout_file
     makers = {"wfov": make_wfov, "adr": make_adr,
-              "imaging": lambda: make_imaging(layout)}
+              "imaging": lambda: make_imaging(
+                  None if path is None else load_pixel_layout(path))}
     kinds = tuple(makers) if cfg.receiver_kind == "all" else (cfg.receiver_kind,)
     return [makers[kind]() for kind in kinds]
 

@@ -118,6 +118,13 @@ class TestParseConfig:
             parse_config(REFERENCE.replace("wall_reflectance = 0.8",
                                            "wall_reflectance = 1.2"))
 
+    def test_zero_noise_bandwidth_rejected(self):
+        # noise_budget needs a positive noise bandwidth
+        with pytest.raises(ConfigError,
+                           match=r"'noise\.bandwidth_factor' must be positive"):
+            parse_config(REFERENCE.replace("bandwidth_factor = 0.7",
+                                           "bandwidth_factor = 0"))
+
     @pytest.mark.parametrize("value", ["0", "90", "95"])
     def test_semi_angle_out_of_range(self, value):
         with pytest.raises(ConfigError,
@@ -260,6 +267,16 @@ class TestSimulate:
         assert rc == 0
         assert len(list(out.glob("ir_imaging_*.csv"))) == 150
 
+    @pytest.mark.parametrize("kind, rc", [("wfov", 0), ("adr", 0),
+                                          ("imaging", 1)])
+    def test_layout_file_read_only_for_imaging(self, tmp_path, capsys, kind, rc):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(fast_config(**{
+            "pixel_layout_file =": "pixel_layout_file = /nonexistent/layout.csv"}))
+        assert main(["simulate", "--config", str(cfg_path), "--receiver", kind,
+                     "--out", str(tmp_path / "out")]) == rc
+        assert ("/nonexistent/layout.csv" in capsys.readouterr().err) == bool(rc)
+
     def test_invalid_scene_exits_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.ini"
         # rack top above the ceiling parses but fails scene validation
@@ -351,6 +368,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error:") and "'luminaires.semi_angle_deg'" in err
+
+    def test_zero_noise_bandwidth_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(fast_config(**{"bandwidth_factor = 0.7":
+                                           "bandwidth_factor = 0"}))
+        rc = main(["check", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "'noise.bandwidth_factor'" in err
 
     @pytest.mark.parametrize("depth", ["-1.0", "0.0"])
     def test_bad_rack_depth_fails_nonzero(self, tmp_path, capsys, depth):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from owcsim.linkmetrics import (
     EyePowers,
@@ -23,7 +24,7 @@ from owcsim.raytracer import ImpulseResponse, TraceConfig, compute_field
 from owcsim.receivers import make_adr, make_wfov
 from owcsim.scene import PodConfig, build_pod
 
-from oracles import oracle_q, oracle_two_path_bandwidth
+from oracles import oracle_bandwidth_scan, oracle_q, oracle_two_path_bandwidth
 
 Q_ELECTRON = 1.602e-19
 
@@ -98,30 +99,107 @@ class TestBandwidth:
         with pytest.raises(ValueError):
             bandwidth_3db(ir_from([0.0]))
 
-    def test_dominant_bin_exits_before_scan(self, monkeypatch):
+    @staticmethod
+    def dtft_frequencies(monkeypatch, ir):
+        """Run bandwidth_3db and count the frequencies at which it evaluates
+        the exact DTFT (each evaluation is one np.exp over freqs x taps)."""
+        counted = []
+        real_exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            counted.append(np.shape(x)[0])
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        return bandwidth_3db(ir), sum(counted)
+
+    def test_crossing_evaluates_only_the_bisection(self, monkeypatch):
+        # the FFT brackets the crossing to 1 MHz; bisecting down to 1 kHz
+        # takes 10 DTFT evaluations (a full 1 MHz scan would take >= 4 096)
+        bins = np.zeros(21)
+        bins[0] = bins[20] = 1e-6
+        got, freqs = self.dtft_frequencies(
+            monkeypatch, ImpulseResponse(50e-12, 0.0, bins))
+        assert got == 250000488.28125
+        assert freqs <= 10
+
+    def test_dominant_bin_evaluates_no_dtft(self, monkeypatch):
         # one strong arrival and a weak tail: |H(f)| >= (2*1.0 - 1.15)/1.15
-        # = 0.739 of H(0) everywhere, so no DTFT needs evaluating
+        # = 0.739 of H(0) everywhere, so no FFT sample falls below the line
         bins = np.zeros(41)
         bins[0] = 1.0
         bins[[5, 12, 30, 40]] = [0.05, 0.04, 0.03, 0.03]
+        got, freqs = self.dtft_frequencies(
+            monkeypatch, ImpulseResponse(50e-12, 0.0, bins))
+        assert got == UNBOUNDED
+        assert freqs == 0
 
-        def no_dtft(*args, **kwargs):
-            raise AssertionError("the DTFT scan ran")
-
-        monkeypatch.setattr(np, "exp", no_dtft)
-        assert bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins)) == UNBOUNDED
+    def test_no_crossing_evaluates_no_dtft(self, monkeypatch):
+        # one arrival and an exponential tail of a quarter of its power: the
+        # spectrum floor is about 0.78 of H(0), as for the WFOV at the centre
+        # mount, while the triangle-inequality floor (2 - 1.25) / 1.25 = 0.6
+        # is below the 3-dB line and proves nothing
+        bins = np.zeros(101)
+        bins[0] = 1.0
+        tail = 0.8 ** np.arange(100)
+        bins[1:] = 0.25 * tail / tail.sum()
+        h0 = bins.sum()
+        assert (2.0 * bins.max() - h0) / h0 < 1.0 / math.sqrt(2.0)
+        floor = np.abs(np.fft.rfft(bins, 100_000)).min() / h0
+        assert 0.77 < floor < 0.79
+        got, freqs = self.dtft_frequencies(
+            monkeypatch, ImpulseResponse(50e-12, 0.0, bins))
+        assert got == UNBOUNDED
+        assert freqs == 0
 
     @pytest.mark.parametrize("echo, want", [
-        (1.0, 250000488.28125),            # equal pair: scan and bisection
-        (0.19, 415800292.96875),           # bound 0.681, below the 3-dB line
-        (0.17, UNBOUNDED),                 # bound 0.709: exits early
+        (1.0, 250000488.28125),            # equal pair
+        (0.19, 415800292.96875),           # minimum 0.681, below the 3-dB line
+        (0.17, UNBOUNDED),                 # minimum 0.709, above it
     ])
     def test_two_bin_values_unchanged(self, echo, want):
-        # exact values of the scan-only implementation; for two bins the
-        # bound (1 - a)/(1 + a) is the true minimum of |H(f)|/H(0)
+        # exact values of the earlier 1 MHz DTFT scan, which the FFT bracket
+        # reproduces at 50 ps; for two bins the minimum of |H(f)|/H(0) is
+        # (1 - a)/(1 + a)
         bins = np.zeros(21)
         bins[0], bins[20] = 1e-6, echo * 1e-6
         assert bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins)) == want
+
+
+@st.composite
+def sparse_bins(draw):
+    """2-300 bins of which 1-12 carry power."""
+    size = draw(st.integers(2, 300))
+    taps = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12,
+                         unique=True))
+    powers = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(taps),
+                           max_size=len(taps)))
+    bins = np.zeros(size)
+    bins[taps] = powers
+    return bins
+
+
+class TestBandwidthMatchesScan:
+    """The FFT bracket against the earlier 1 MHz DTFT scan."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(bins=sparse_bins())
+    def test_exact_where_the_grid_is_1mhz(self, bins):
+        # at these widths 1 / (n x bin_width) is exactly 1 MHz: same bracket,
+        # same bisection, same bits
+        for width in (50e-12, 25e-12, 100e-12):
+            ir = ImpulseResponse(width, 0.0, bins)
+            assert bandwidth_3db(ir) == oracle_bandwidth_scan(ir)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(bins=sparse_bins())
+    def test_within_the_bisection_stop_elsewhere(self, bins):
+        # elsewhere the grid step is 1 / (n x bin_width), close to but not
+        # 1 MHz; both bisections stop within 1 kHz of the same crossing
+        for width in (30e-12, 75e-12, 1e-9):
+            ir = ImpulseResponse(width, 0.0, bins)
+            got, want = bandwidth_3db(ir), oracle_bandwidth_scan(ir)
+            assert (got == want == UNBOUNDED) or abs(got - want) <= 1e3
 
 
 class TestEyePowers:
