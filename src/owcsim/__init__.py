@@ -11,7 +11,6 @@ from .scene import (
     PodConfig,
     RackRow,
     Scene,
-    SurfaceElement,
     SurfacePanel,
     Luminaire,
     build_pod,
@@ -31,10 +30,7 @@ from .receivers import (
     LensModel,
     Orientation,
     ReceiverSpec,
-    assign_pixel,
     default_pixel_layout,
-    detector_acceptance,
-    lens_transmission,
     load_pixel_layout,
     make_adr,
     make_imaging,
@@ -59,6 +55,6 @@ from .linkmetrics import (
     q_function,
     snr_ook,
 )
-from .cli import RunConfig, parse_config, serialize_config
+from .cli import RunConfig, parse_config
 
 __version__ = "0.1.0"

@@ -2,10 +2,9 @@
 
 Config files are flat INI-style text with a fixed schema (sections: room,
 surfaces, luminaires, receiver, noise, trace, sweep), declared once in
-`_KEYS`; parsing, serializing and the flags that override a key all go
-through that table.  Unknown keys are rejected, all outputs are
-deterministic functions of the config, and every error names the
-offending key or scene entity.
+`_KEYS`; parsing and the flags that override a key both go through that
+table.  Unknown keys are rejected, all outputs are deterministic functions
+of the config, and every error names the offending key or scene entity.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .linkmetrics import NoiseParams, delay_stats, link_report
 from .raytracer import (ImpulseResponse, TraceConfig, compute_field,
                         second_order_extent)
 from .receivers import load_pixel_layout, make_adr, make_imaging, make_wfov
-from .scene import PodConfig, build_pod, validate_scene
+from .scene import PodConfig, build_pod, lambertian_order, validate_scene
 
 RECEIVER_KINDS = ("wfov", "adr", "imaging", "all")
 
@@ -57,7 +56,18 @@ _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
 _FRACTION = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 _ORDER = (lambda v: v in (0, 1, 2), "must be 0, 1 or 2")
-_SEMI_ANGLE = (lambda v: 0.0 < v < 90.0, "must be in (0, 90) degrees")
+
+
+def _has_lambertian_order(semi_angle_deg: float) -> bool:
+    try:
+        lambertian_order(semi_angle_deg)
+    except ValueError:
+        return False
+    return True
+
+
+_SEMI_ANGLE = (_has_lambertian_order,
+               "must be in (0, 90) degrees with a finite Lambertian order")
 
 
 @dataclass(frozen=True)
@@ -250,26 +260,6 @@ def _with_overrides(cfg: RunConfig, args) -> RunConfig:
             fields[k.target] = _field_value(
                 k, _convert(k, raw, "--" + flag.replace("_", "-")))
     return _build(fields)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back to config text (parse/serialize round-trips)."""
-    lines = []
-    for sec in _SECTIONS:
-        lines.append(f"[{sec}]")
-        for k in _KEYS:
-            if k.section != sec:
-                continue
-            v = _get(cfg, k.target)
-            if k.scale is not None:
-                v = v * (1 / k.scale)      # 1 / 1e-12 is exactly 1e12
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{k.key} = {'' if v is None else v}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import COMM_FLOOR_M, Scene, validate_scene
-from .receivers import (DetectorSpec, LensModel, ReceiverSpec, capture_matrix,
-                        sparse_capture)
+from .receivers import ReceiverSpec, capture_matrix, sparse_capture
 
 C_LIGHT = 2.9979e8            # m/s, air
 _CHUNK = 256                  # second-order e1 rows per work unit (fixed: determinism)
@@ -62,33 +61,17 @@ class TraceConfig:
 
 @dataclass(frozen=True)
 class ImpulseResponse:
-    """Received power per delay bin; bin k covers [k, k+1) * bin_width + origin."""
+    """Received power per delay bin; bin k covers [k, k+1) * bin_width."""
 
     bin_width: float
-    origin: float
     bins: np.ndarray          # watts per bin
 
     def times(self) -> np.ndarray:
         """Bin centre times."""
-        return self.origin + (np.arange(self.bins.size) + 0.5) * self.bin_width
+        return (np.arange(self.bins.size) + 0.5) * self.bin_width
 
     def total_power(self) -> float:
         return float(self.bins.sum())
-
-    def rebin(self, new_width: float) -> "ImpulseResponse":
-        """Merge bins into a coarser histogram; total power is conserved."""
-        ratio = new_width / self.bin_width
-        k = int(round(ratio))
-        if k < 1 or abs(ratio - k) > 1e-9:
-            raise ValueError(
-                f"new width {new_width} is not an integer multiple of {self.bin_width}"
-            )
-        if k == 1:
-            return self
-        pad = (-self.bins.size) % k
-        padded = np.concatenate([self.bins, np.zeros(pad)])
-        return ImpulseResponse(new_width, self.origin,
-                               padded.reshape(-1, k).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +379,7 @@ class ArrivalField:
     Built by `compute_field`.  `mount` is where every receiver applied to
     the field sits.  When second-order paths were traced only to the
     elements some branch of its `receivers` captures (`b2_traced`),
-    applying a receiver or detector that captures any other element raises.
+    applying a receiver that captures any other element raises.
     """
 
     mount: np.ndarray
@@ -409,8 +392,6 @@ class ArrivalField:
     b2_dirs: np.ndarray | None    # (ne, 3)
     b2_traced: np.ndarray | None  # (ne,) bool
     totals: dict              # traced power and work, by name
-
-    # -- applying detectors ------------------------------------------------
 
     def _check_traced(self, acc_b2, what: str):
         """Refuse capture weights on second-order elements that were not
@@ -444,14 +425,8 @@ class ArrivalField:
             nz = np.nonzero(bins)[0]
             # not bins[:0]: bincount gives integer bins when nothing is captured
             bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
-            irs.append(ImpulseResponse(self.cfg.bin_width, 0.0, bins))
+            irs.append(ImpulseResponse(self.cfg.bin_width, bins))
         return irs
-
-    def detector_ir(self, detector: DetectorSpec,
-                    lens: LensModel | None = None) -> ImpulseResponse:
-        """Impulse response of a bare detector element (no pixel assignment)."""
-        return self.receiver_irs(
-            ReceiverSpec("detector", (detector,), lens))[0]
 
 
 def _check_pose(scene: Scene, position):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,17 +76,6 @@ class LensModel:
 
     fov_deg: float = LENS_FOV_DEG
     poly: tuple = LENS_POLY
-
-
-def lens_transmission(incidence_rad: float, lens: LensModel | None = None) -> float:
-    """Lens power transmission at the given incidence angle (radians).
-
-    Polynomial value clamped to [0, 1]; zero outside the acceptance cone.
-    """
-    if not incidence_rad >= 0.0:
-        raise ValueError(f"incidence angle must be >= 0, got {incidence_rad}")
-    return float(_lens_poly(lens or LensModel(),
-                            np.array([incidence_rad], dtype=float))[0])
 
 
 def _lens_poly(lens: LensModel, y: np.ndarray) -> np.ndarray:
@@ -213,46 +202,6 @@ def load_pixel_layout(path) -> tuple:
     return tuple(rows[i] for i in range(PIXEL_COUNT))
 
 
-def detector_acceptance(detector: DetectorSpec, incoming,
-                        lens: LensModel | None = None) -> float:
-    """Directional gain factor for a ray hitting a detector element.
-
-    `incoming` is the propagation direction (unit vector from the source
-    toward the detector).  Returns cos(theta) inside the FOV and 0 outside,
-    times the lens transmission when a lens is present; excludes the
-    detector area.  A one-element `capture_matrix` at unit area.
-    """
-    probe = ReceiverSpec("detector", (replace(detector, area=1.0),), lens)
-    return float(capture_matrix(probe, incoming)[0, 0])
-
-
-def assign_pixel(receiver: ReceiverSpec, incoming) -> int | None:
-    """Index of the pixel that captures a ray, or None if the lens rejects it.
-
-    The ray goes to the pixel whose boresight is angularly closest to the
-    arrival direction (ties to the lowest index); each ray feeds exactly
-    one pixel.
-    """
-    if receiver.kind != "imaging":
-        raise ValueError(f"assign_pixel needs an imaging receiver, got {receiver.kind!r}")
-    toward = -np.asarray(incoming, dtype=float).reshape(1, 3)  # toward the source
-    if float(toward[0, 2]) < math.cos(math.radians(receiver.lens.fov_deg)) - 1e-15:
-        return None
-    return int(_assigned_pixels(_branch_cosines(receiver, toward))[0])
-
-
-def _branch_cosines(receiver: ReceiverSpec, toward: np.ndarray) -> np.ndarray:
-    """cos(theta) between every arrival (rows of `toward`, unit vectors from
-    the mount toward the source) and every branch boresight: (N, J)."""
-    return toward @ np.stack([b.boresight for b in receiver.branches]).T
-
-
-def _assigned_pixels(cos_theta: np.ndarray) -> np.ndarray:
-    """The one pixel each arrival feeds: the closest boresight, ties to the
-    lowest index."""
-    return np.argmax(cos_theta, axis=1)
-
-
 def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     """Non-zero capture gains as `(branch, arrival, weight)` entries.
 
@@ -266,9 +215,12 @@ def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     """
     toward = -np.asarray(directions, dtype=float).reshape(-1, 3)
     n, nb = len(toward), receiver.branch_count
-    cos_theta = _branch_cosines(receiver, toward)                # (N, J)
+    bores = np.stack([b.boresight for b in receiver.branches])
+    cos_theta = toward @ bores.T                                 # (N, J)
     if receiver.kind == "imaging":
-        branch = _assigned_pixels(cos_theta)
+        # each arrival feeds one pixel: the closest boresight, ties to the
+        # lowest index
+        branch = np.argmax(cos_theta, axis=1)
         arrival = np.arange(n)
     else:
         branch = np.repeat(np.arange(nb), n)

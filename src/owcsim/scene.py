@@ -43,7 +43,12 @@ def lambertian_order(semi_angle_deg: float) -> float:
         raise ValueError(
             f"semi-angle must be in (0, 90) degrees, got {semi_angle_deg}"
         )
-    return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
+    # below about 6e-7 deg the cosine rounds to 1 and the order is infinite
+    log_cos = math.log(math.cos(math.radians(semi_angle_deg)))
+    if log_cos == 0.0:
+        raise ValueError(f"semi-angle {semi_angle_deg} deg gives no finite "
+                         "Lambertian order")
+    return -math.log(2.0) / log_cos
 
 
 @dataclass(frozen=True)
@@ -66,22 +71,11 @@ class SurfacePanel:
         return float(np.linalg.norm(self.u) * np.linalg.norm(self.v))
 
 
-@dataclass(frozen=True)
-class SurfaceElement:
-    """A small patch of a panel acting as a first-order Lambertian emitter."""
-
-    centre: Vec3
-    normal: Vec3
-    area: float              # dA, m^2
-    reflectance: float
-    emission_order: float = 1.0
-
-
 class ElementGrid:
     """Array-backed collection of surface elements (one panel or a whole scene).
 
     Stores centres/normals/areas/reflectances as flat numpy arrays so the
-    tracer can vectorise over them; indexing yields SurfaceElement views.
+    tracer can vectorise over them.
     """
 
     def __init__(self, centres, normals, areas, reflectances):
@@ -92,18 +86,6 @@ class ElementGrid:
 
     def __len__(self) -> int:
         return self.centres.shape[0]
-
-    def __getitem__(self, i: int) -> SurfaceElement:
-        return SurfaceElement(
-            centre=self.centres[i].copy(),
-            normal=self.normals[i].copy(),
-            area=float(self.areas[i]),
-            reflectance=float(self.reflectances[i]),
-        )
-
-    @property
-    def total_area(self) -> float:
-        return float(self.areas.sum())
 
     @staticmethod
     def concatenate(grids: list["ElementGrid"]) -> "ElementGrid":
@@ -164,15 +146,14 @@ class Luminaire:
         return lambertian_order(self.semi_angle_deg)
 
     @staticmethod
-    def make(position, power_w: float, semi_angle_deg: float = 70.0,
-             boresight=None) -> "Luminaire":
+    def make(position, power_w: float, semi_angle_deg: float = 70.0) -> "Luminaire":
+        """A unit pointing straight down."""
         if not 0.0 < power_w < math.inf:
             raise ValueError(f"luminaire power must be positive and finite, got {power_w}")
-        lambertian_order(semi_angle_deg)      # rejects a semi-angle outside (0, 90)
-        bs = vec3(0.0, 0.0, -1.0) if boresight is None else unit(boresight)
+        lambertian_order(semi_angle_deg)      # rejects a semi-angle with no finite order
         return Luminaire(
             position=np.asarray(position, dtype=float),
-            boresight=bs,
+            boresight=vec3(0.0, 0.0, -1.0),
             semi_angle_deg=semi_angle_deg,
             power_w=power_w,
         )
@@ -337,6 +318,9 @@ def validate_scene(scene: Scene) -> list:
             )
         if not 0.0 < row.depth < math.inf:
             diags.append(f"rack row {k}: depth {row.depth} is not positive and finite")
+        if not row.y_span[0] < row.y_span[1]:
+            diags.append(f"rack row {k}: y span {tuple(map(float, row.y_span))} "
+                         "is not increasing")
     for k, mount in enumerate(scene.mounts):
         if not _inside_room(mount, scene.room):
             diags.append(f"mount {k} at {tuple(map(float, mount))}: outside room")

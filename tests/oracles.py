@@ -7,6 +7,7 @@ them.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -122,6 +123,17 @@ def los_gain(luminaire, detector, det_position, lens=None) -> float:
     return (m + 1.0) / (2.0 * math.pi * d * d) * cos_phi ** m * acc * detector.area
 
 
+@dataclass(frozen=True)
+class Element:
+    """One surface patch on a reflected path: an order-1 Lambertian
+    re-emitter of what it receives, scaled by its reflectance."""
+
+    centre: np.ndarray
+    normal: np.ndarray
+    area: float              # dA, m^2
+    reflectance: float
+
+
 def reflected_path_gain(luminaire, elements, detector, det_position,
                         lens=None) -> tuple[float, float]:
     """Gain and delay of one reflected path (one or two bounces).
@@ -161,7 +173,7 @@ def reflected_path_gain(luminaire, elements, detector, det_position,
         e2 = elements[1]
         if gain != 0.0:
             gain *= prev.reflectance
-        hop(prev.centre, e2.centre, prev.emission_order, prev.normal,
+        hop(prev.centre, e2.centre, 1.0, prev.normal,
             e2.normal, e2.area)
         prev = e2
 
@@ -181,7 +193,7 @@ def reflected_path_gain(luminaire, elements, detector, det_position,
     acc = oracle_acceptance(detector, u, lens)
     if acc == 0.0:
         return 0.0, delay
-    n = prev.emission_order
+    n = 1.0
     gain *= prev.reflectance
     gain *= (n + 1.0) / (2.0 * math.pi * d * d) * cos_out ** n * acc * detector.area
     return gain, delay

@@ -10,7 +10,7 @@ measures about 2.7 against a [3, 30] window (criterion 7), the wide-FOV
 channel at the centre mount has no 3-dB point at all (criterion 8, its
 spectral floor sits near -2.3 dB), and the ADR's combiner gap exceeds the
 imaging receiver's (criterion 9).  Each failing assert carries a comment
-with the physical cause; everything else must stay green.
+with the cause; everything else must stay green.
 """
 
 import math
@@ -24,6 +24,7 @@ import owcsim as o
 from owcsim.cli import main as cli_main
 
 from oracles import oracle_los_sum, oracle_one_bounce, oracle_q
+from probes import detector_ir, lens_transmission
 
 BITRATE = 2e9          # matches the shipped reference config
 NOISE = o.NoiseParams()
@@ -68,8 +69,8 @@ def test_criterion_1_los_oracle_equivalence(pod):
         bore /= np.linalg.norm(bore)
         fov = float(rng.uniform(30.0, 90.0))
         det = o.DetectorSpec(4e-6, 0.4, bore, fov)
-        got = o.compute_field(pod, tuple(range(9)), pos,
-                              cfg).detector_ir(det).total_power()
+        got = detector_ir(o.compute_field(pod, tuple(range(9)), pos, cfg),
+                          det).total_power()
         want = oracle_los_sum(pod, bore, fov, 4e-6, pos)
         if want > 0.0:
             worst = max(worst, abs(got - want) / want)
@@ -97,8 +98,8 @@ def test_criterion_2_one_bounce_unit(pod):
     cfg = o.TraceConfig(max_order=1, first_edge=0.05)
     det = o.DetectorSpec(4e-6, 0.4, np.array([0.0, 0.0, -1.0]), 90.0)
     t0 = time.perf_counter()
-    got = o.compute_field(scene, (0,), np.array([2.0, 1.0, 1.0]),
-                          cfg).detector_ir(det).total_power()
+    got = detector_ir(o.compute_field(scene, (0,), np.array([2.0, 1.0, 1.0]), cfg),
+                      det).total_power()
     elapsed = time.perf_counter() - t0
     hand = oracle_one_bounce((1, 1, 1), (0, 0, -1), scene.luminaires[0].order,
                              1.0, (1, 1, 0), (0, 0, 1), 2.5e-3, 0.8,
@@ -144,14 +145,16 @@ def test_criterion_4_q_and_ber():
 
 def test_criterion_5_lens_polynomial():
     t0 = time.perf_counter()
-    exact_at_zero = o.lens_transmission(0.0) == 0.8778
-    clamped = all(0.0 <= o.lens_transmission(float(y)) <= 1.0
-                  for y in np.linspace(0.0, 1.6, 200))
-    beyond = (o.lens_transmission(math.radians(65.0) + 1e-6) == 0.0
-              and o.lens_transmission(1.2) == 0.0)
+    # read through a one-branch probe of the capture path, which gates out
+    # incidence past 90 deg; the lens is already 0 beyond 65 deg
+    tc0 = float(lens_transmission(0.0)[0])
+    exact_at_zero = tc0 == 0.8778
+    values = lens_transmission(np.linspace(0.0, 1.6, 200))
+    clamped = bool(np.all((values >= 0.0) & (values <= 1.0)))
+    beyond = not lens_transmission([math.radians(65.0) + 1e-6, 1.2]).any()
     elapsed = time.perf_counter() - t0
     ok = exact_at_zero and clamped and beyond and elapsed < 1.0
-    assert report(5, ok, f"Tc(0)={o.lens_transmission(0.0)}, clamped to "
+    assert report(5, ok, f"Tc(0)={tc0}, clamped to "
                          f"[0,1], zero beyond 65 deg; {elapsed:.2f} s")
 
 
@@ -171,7 +174,7 @@ def test_criterion_6_conservation_and_convergence(pod, fields):
             cfg = o.TraceConfig(max_order=1, first_edge=edge)
             f = o.compute_field(pod, pod.assigned_luminaires(pod.mounts[mi]),
                                 pod.mounts[mi], cfg)
-            totals.append(f.detector_ir(det).total_power())
+            totals.append(detector_ir(f, det).total_power())
         changes.append(abs(totals[1] - totals[0]) / totals[1])
     elapsed = time.perf_counter() - t0
     ok = all(cons) and all(c < 0.05 for c in changes) and elapsed < 1800
@@ -197,11 +200,10 @@ def test_criterion_7_delay_spread_ordering(reports):
               f"gated)")
     report(7, ok_wa and ok_ai, detail)
     assert ok_wa, detail
-    # Known-failing: the zenith pixel's acceptance cone (about 8.5 deg to
-    # its Voronoi boundary against the next ring) collects about 1/2.7 of
-    # the ADR up-branch's second-order ceiling glow, not the 1/3..1/30 the
-    # window asks for, because that glow concentrates near the overhead
-    # unit.
+    # Known-failing at the reference 0.2 m second-order grid.  The ratio
+    # depends on that grid: at the centre mount it is 2.66 at 0.2 m, 6.53
+    # at 0.1 m and 4.62 at 0.05 m, and does not converge (see README), so
+    # the failure is not a physical property of the two receivers.
     assert ok_ai, detail
 
 

@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from owcsim.linkmetrics import (
     EyePowers,
@@ -29,8 +30,8 @@ from oracles import oracle_bandwidth_scan, oracle_q, oracle_two_path_bandwidth
 Q_ELECTRON = 1.602e-19
 
 
-def ir_from(bins, bin_width=1e-9, origin=0.0):
-    return ImpulseResponse(bin_width, origin, np.asarray(bins, dtype=float))
+def ir_from(bins, bin_width=1e-9):
+    return ImpulseResponse(bin_width, np.asarray(bins, dtype=float))
 
 
 class TestDelayStats:
@@ -44,20 +45,20 @@ class TestDelayStats:
         assert st.rms_spread == pytest.approx(0.5e-9, rel=1e-12)
 
     def test_power_squared_weighting(self):
-        # powers 0.9 at t=0 and 0.1 at t=1 ns
-        ir = ir_from([0.9, 0.1], bin_width=1e-9, origin=-0.5e-9)
+        # powers 0.9 at t=0.5 ns and 0.1 at t=1.5 ns
+        ir = ir_from([0.9, 0.1], bin_width=1e-9)
         st = delay_stats(ir)
-        assert st.mean_delay == pytest.approx(0.012195e-9, rel=1e-4)
+        assert st.mean_delay == pytest.approx(0.512195e-9, rel=1e-6)
         assert st.rms_spread == pytest.approx(0.10975e-9, rel=1e-4)
 
     def test_shift_and_scale_invariance(self):
         rng = np.random.default_rng(2)
         bins = rng.uniform(0.0, 1e-6, 64)
         base = delay_stats(ir_from(bins))
-        shifted = delay_stats(ImpulseResponse(1e-9, 3.3e-9, bins))
+        shifted = delay_stats(ir_from(np.concatenate([np.zeros(33), bins])))
         scaled = delay_stats(ir_from(bins * 7.5))
         assert shifted.rms_spread == pytest.approx(base.rms_spread, rel=1e-12)
-        assert shifted.mean_delay == pytest.approx(base.mean_delay + 3.3e-9,
+        assert shifted.mean_delay == pytest.approx(base.mean_delay + 33e-9,
                                                    rel=1e-9)
         assert scaled.rms_spread == pytest.approx(base.rms_spread, rel=1e-12)
 
@@ -73,27 +74,27 @@ class TestBandwidth:
     def test_two_equal_paths_1ns(self):
         bins = np.zeros(21)
         bins[0] = bins[20] = 1e-6          # 50 ps bins, centres 1 ns apart
-        got = bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins))
+        got = bandwidth_3db(ImpulseResponse(50e-12, bins))
         assert got == pytest.approx(oracle_two_path_bandwidth(1e-9), abs=1e6)
         assert got == pytest.approx(250e6, abs=1e6)
 
     def test_two_equal_paths_2ns(self):
         bins = np.zeros(41)
         bins[0] = bins[40] = 1e-6
-        got = bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins))
+        got = bandwidth_3db(ImpulseResponse(50e-12, bins))
         assert got == pytest.approx(oracle_two_path_bandwidth(2e-9), abs=1e6)
 
     def test_amplitude_scaling_invariance(self):
         bins = np.zeros(21)
         bins[0] = bins[20] = 1e-6
-        a = bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins))
-        b = bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins * 123.0))
+        a = bandwidth_3db(ImpulseResponse(50e-12, bins))
+        b = bandwidth_3db(ImpulseResponse(50e-12, bins * 123.0))
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_weak_echo_never_crosses(self):
         bins = np.zeros(21)
         bins[0], bins[20] = 1.0, 0.05      # min |H| ratio 0.905: no 3-dB point
-        assert bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins)) == UNBOUNDED
+        assert bandwidth_3db(ImpulseResponse(50e-12, bins)) == UNBOUNDED
 
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
@@ -119,7 +120,7 @@ class TestBandwidth:
         bins = np.zeros(21)
         bins[0] = bins[20] = 1e-6
         got, freqs = self.dtft_frequencies(
-            monkeypatch, ImpulseResponse(50e-12, 0.0, bins))
+            monkeypatch, ImpulseResponse(50e-12, bins))
         assert got == 250000488.28125
         assert freqs <= 10
 
@@ -130,7 +131,7 @@ class TestBandwidth:
         bins[0] = 1.0
         bins[[5, 12, 30, 40]] = [0.05, 0.04, 0.03, 0.03]
         got, freqs = self.dtft_frequencies(
-            monkeypatch, ImpulseResponse(50e-12, 0.0, bins))
+            monkeypatch, ImpulseResponse(50e-12, bins))
         assert got == UNBOUNDED
         assert freqs == 0
 
@@ -148,7 +149,7 @@ class TestBandwidth:
         floor = np.abs(np.fft.rfft(bins, 100_000)).min() / h0
         assert 0.77 < floor < 0.79
         got, freqs = self.dtft_frequencies(
-            monkeypatch, ImpulseResponse(50e-12, 0.0, bins))
+            monkeypatch, ImpulseResponse(50e-12, bins))
         assert got == UNBOUNDED
         assert freqs == 0
 
@@ -163,7 +164,7 @@ class TestBandwidth:
         # (1 - a)/(1 + a)
         bins = np.zeros(21)
         bins[0], bins[20] = 1e-6, echo * 1e-6
-        assert bandwidth_3db(ImpulseResponse(50e-12, 0.0, bins)) == want
+        assert bandwidth_3db(ImpulseResponse(50e-12, bins)) == want
 
 
 @st.composite
@@ -179,17 +180,32 @@ def sparse_bins(draw):
     return bins
 
 
+def on_the_3db_line(ir, freq) -> bool:
+    """|H(freq)| / H(0) equals 1/sqrt(2) to within rounding (plain DTFT sum)."""
+    taps = [(float(t), float(p)) for t, p in zip(ir.times(), ir.bins) if p != 0.0]
+    h = abs(sum(p * cmath.exp(-2j * math.pi * freq * t) for t, p in taps))
+    return abs(h / sum(p for _, p in taps) - 1.0 / math.sqrt(2.0)) <= 1e-12
+
+
 class TestBandwidthMatchesScan:
     """The FFT bracket against the earlier 1 MHz DTFT scan."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(bins=sparse_bins())
+    @example(bins=np.array([0.0, 1.0, 0.0, 1.0]))
     def test_exact_where_the_grid_is_1mhz(self, bins):
         # at these widths 1 / (n x bin_width) is exactly 1 MHz: same bracket,
-        # same bisection, same bits
+        # same bisection, same bits.  The one exception is a grid sample that
+        # sits on the 3-dB line: the FFT and the exact DTFT may round to
+        # opposite sides of it (two equal taps 100 ps apart at 2.5 GHz, at
+        # 50 ps), and the two 1 kHz bisections then straddle that sample
         for width in (50e-12, 25e-12, 100e-12):
-            ir = ImpulseResponse(width, 0.0, bins)
-            assert bandwidth_3db(ir) == oracle_bandwidth_scan(ir)
+            ir = ImpulseResponse(width, bins)
+            got, want = bandwidth_3db(ir), oracle_bandwidth_scan(ir)
+            if got != want:
+                sample = round(0.5 * (got + want) / 1e6) * 1e6
+                assert on_the_3db_line(ir, sample), (got, want)
+                assert abs(got - want) <= 1e3
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(bins=sparse_bins())
@@ -197,7 +213,7 @@ class TestBandwidthMatchesScan:
         # elsewhere the grid step is 1 / (n x bin_width), close to but not
         # 1 MHz; both bisections stop within 1 kHz of the same crossing
         for width in (30e-12, 75e-12, 1e-9):
-            ir = ImpulseResponse(width, 0.0, bins)
+            ir = ImpulseResponse(width, bins)
             got, want = bandwidth_3db(ir), oracle_bandwidth_scan(ir)
             assert (got == want == UNBOUNDED) or abs(got - want) <= 1e3
 
@@ -212,7 +228,7 @@ class TestEyePowers:
         bins = np.zeros(30)
         bins[0] = 0.8e-6
         bins[25] = 0.2e-6                  # 2.5 ns after the first arrival
-        eye = eye_powers(ImpulseResponse(0.1e-9, 0.0, bins), 1e9)
+        eye = eye_powers(ImpulseResponse(0.1e-9, bins), 1e9)
         assert eye.ps1 == pytest.approx(0.8e-6, rel=1e-12)
         assert eye.ps0 == pytest.approx(0.2e-6, rel=1e-12)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -24,7 +25,6 @@ from owcsim.scene import (
     Luminaire,
     PodConfig,
     Scene,
-    SurfaceElement,
     SurfacePanel,
     build_pod,
     unit,
@@ -32,6 +32,7 @@ from owcsim.scene import (
 )
 
 from oracles import (
+    Element,
     los_gain,
     oracle_los_sum,
     oracle_one_bounce,
@@ -40,6 +41,7 @@ from oracles import (
     oracle_second_order_hist,
     reflected_path_gain,
 )
+from probes import detector_ir
 
 
 def detector(boresight=(0, 0, 1), fov=90.0, area=4e-6):
@@ -94,8 +96,8 @@ class TestLosGain:
 
 class TestReflectedPathGain:
     def spec_patch(self, rho=0.8):
-        return SurfaceElement(centre=vec3(1, 1, 0), normal=vec3(0, 0, 1),
-                              area=2.5e-3, reflectance=rho)
+        return Element(centre=vec3(1, 1, 0), normal=vec3(0, 0, 1),
+                       area=2.5e-3, reflectance=rho)
 
     def test_absorbing_surface(self):
         lum = down_luminaire((1, 1, 1))
@@ -123,8 +125,8 @@ class TestReflectedPathGain:
         # elements mirrored about the luminaire-detector vertical plane
         lum = down_luminaire((1, 1, 1))
         det = detector(boresight=(0, 0, -1))
-        left = SurfaceElement(vec3(0.6, 1.5, 0), vec3(0, 0, 1), 2.5e-3, 0.8)
-        right = SurfaceElement(vec3(1.4, 1.5, 0), vec3(0, 0, 1), 2.5e-3, 0.8)
+        left = Element(vec3(0.6, 1.5, 0), vec3(0, 0, 1), 2.5e-3, 0.8)
+        right = Element(vec3(1.4, 1.5, 0), vec3(0, 0, 1), 2.5e-3, 0.8)
         gl, dl = reflected_path_gain(lum, [left], det, vec3(1, 2, 1))
         gr, dr = reflected_path_gain(lum, [right], det, vec3(1, 2, 1))
         assert gl == pytest.approx(gr, rel=1e-12)
@@ -133,8 +135,8 @@ class TestReflectedPathGain:
 
     def test_two_bounce_composes_three_hops(self):
         lum = down_luminaire((1, 1, 1))
-        e1 = SurfaceElement(vec3(1, 1, 0), vec3(0, 0, 1), 2.5e-3, 0.8)
-        e2 = SurfaceElement(vec3(2, 1, 1.5), vec3(0, 0, -1), 2.5e-3, 0.5)
+        e1 = Element(vec3(1, 1, 0), vec3(0, 0, 1), 2.5e-3, 0.8)
+        e2 = Element(vec3(2, 1, 1.5), vec3(0, 0, -1), 2.5e-3, 0.5)
         det = detector(boresight=(0, 0, 1))
         g, delay = reflected_path_gain(lum, [e1, e2], det, vec3(2, 2, 0.5))
         # compose by hand from the two partial paths
@@ -153,7 +155,7 @@ class TestReflectedPathGain:
     def test_degenerate_hop_raises(self):
         lum = down_luminaire((1, 1, 0))
         det = detector()
-        patch = SurfaceElement(vec3(1, 1, 0), vec3(0, 0, 1), 2.5e-3, 0.8)
+        patch = Element(vec3(1, 1, 0), vec3(0, 0, 1), 2.5e-3, 0.8)
         with pytest.raises(ValueError, match="degenerate"):
             reflected_path_gain(lum, [patch], det, vec3(2, 1, 1))
 
@@ -166,31 +168,18 @@ class TestReflectedPathGain:
 
 class TestImpulseResponse:
     def test_total_power_empty_and_single(self):
-        empty = ImpulseResponse(50e-12, 0.0, np.zeros(0))
+        empty = ImpulseResponse(50e-12, np.zeros(0))
         assert empty.total_power() == 0.0
-        one = ImpulseResponse(50e-12, 0.0, np.array([1e-6]))
+        one = ImpulseResponse(50e-12, np.array([1e-6]))
         assert one.total_power() == 1e-6
 
     def test_total_power_linearity(self):
         rng = np.random.default_rng(3)
         bins = rng.uniform(0, 1e-6, 40)
-        ir = ImpulseResponse(50e-12, 0.0, bins)
-        scaled = ImpulseResponse(50e-12, 0.0, bins * 3.5)
+        ir = ImpulseResponse(50e-12, bins)
+        scaled = ImpulseResponse(50e-12, bins * 3.5)
         assert scaled.total_power() == pytest.approx(3.5 * ir.total_power(),
                                                      rel=1e-12)
-
-    def test_rebin_conserves_power(self):
-        rng = np.random.default_rng(4)
-        bins = rng.uniform(0, 1e-6, 101)  # odd length forces padding
-        ir = ImpulseResponse(50e-12, 0.0, bins)
-        coarse = ir.rebin(100e-12)
-        assert coarse.bins.size == 51
-        assert coarse.total_power() == pytest.approx(ir.total_power(), rel=1e-12)
-
-    def test_rebin_rejects_non_multiple(self):
-        ir = ImpulseResponse(50e-12, 0.0, np.ones(4))
-        with pytest.raises(ValueError):
-            ir.rebin(75e-12)
 
 
 class TestTraceConfig:
@@ -213,7 +202,7 @@ class TestTrace:
         cfg = TraceConfig(max_order=2, first_edge=0.5, second_edge=1.0)
         det = detector(fov=70.0)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
-        ir = compute_field(pod, ids, mount, cfg).detector_ir(det)
+        ir = detector_ir(compute_field(pod, ids, mount, cfg), det)
         expect = sum(los_gain(pod.luminaires[i], det, mount)
                      * pod.luminaires[i].power_w for i in ids)
         assert ir.total_power() == pytest.approx(expect, rel=1e-12)
@@ -224,7 +213,7 @@ class TestTrace:
         mount = pod.mounts[0]
         for max_order in (0, 1, 2):
             field = compute_field(pod, (), mount, TraceConfig(max_order=max_order))
-            irs = [field.detector_ir(detector())] + [
+            irs = [detector_ir(field, detector())] + [
                 ir for make in MAKERS.values()
                 for ir in field.receiver_irs(make())]
             assert len(irs) == 1 + 1 + 3 + 50
@@ -237,7 +226,7 @@ class TestTrace:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
                               pod.mounts[0], TraceConfig(max_order=0))
-        ir = field.detector_ir(detector(boresight=(0, 0, -1)))
+        ir = detector_ir(field, detector(boresight=(0, 0, -1)))
         assert ir.bins.size == 0 and ir.bins.dtype == np.float64
 
     def test_single_patch_equals_closed_forms(self):
@@ -245,10 +234,12 @@ class TestTrace:
         cfg = TraceConfig(max_order=2, first_edge=0.05, second_edge=0.20)
         det = detector(boresight=(0, 0, -1))
         pos = vec3(2, 1, 1)
-        ir = compute_field(scene, (0,), pos, cfg).detector_ir(det)
+        ir = detector_ir(compute_field(scene, (0,), pos, cfg), det)
         lum = scene.luminaires[0]
         g_los = los_gain(lum, det, pos)           # zero: emitter points down
-        patch = scene.surface_elements(0.05)[0]
+        grid = scene.surface_elements(0.05)
+        patch = Element(grid.centres[0], grid.normals[0], float(grid.areas[0]),
+                        float(grid.reflectances[0]))
         g_ref, delay = reflected_path_gain(lum, [patch], det, pos)
         assert g_los == 0.0
         assert ir.total_power() == pytest.approx(g_ref * lum.power_w, rel=1e-12)
@@ -256,15 +247,6 @@ class TestTrace:
         k = int(delay / cfg.bin_width)
         assert ir.bins[k] == pytest.approx(g_ref * lum.power_w, rel=1e-12)
         assert np.count_nonzero(ir.bins) == 1
-
-    def test_rebin_trace_output(self):
-        pod = build_pod(PodConfig(luminaire_power_w=1.0))
-        cfg = TraceConfig(max_order=1, first_edge=0.2)
-        det = detector(fov=70.0)
-        ir = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
-                           pod.mounts[0], cfg).detector_ir(det)
-        assert ir.rebin(100e-12).total_power() == pytest.approx(
-            ir.total_power(), rel=1e-12)
 
     def test_orders0_matches_oracle_on_random_poses(self):
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
@@ -278,7 +260,7 @@ class TestTrace:
             b /= np.linalg.norm(b)
             fov = float(rng.uniform(30.0, 90.0))
             det = DetectorSpec(4e-6, 0.4, b, fov)
-            ir = compute_field(pod, all_ids, pos, cfg).detector_ir(det)
+            ir = detector_ir(compute_field(pod, all_ids, pos, cfg), det)
             want = oracle_los_sum(pod, b, fov, 4e-6, pos)
             assert ir.total_power() == pytest.approx(want, rel=1e-12, abs=1e-30)
 
@@ -287,7 +269,7 @@ class TestTrace:
         cfg = TraceConfig(max_order=0)
         det = detector(fov=70.0)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
-        ir = compute_field(pod, ids, mount, cfg).detector_ir(det)
+        ir = detector_ir(compute_field(pod, ids, mount, cfg), det)
         expected_bins = set()
         for i in ids:
             d = float(np.linalg.norm(mount - pod.luminaires[i].position))
@@ -310,9 +292,11 @@ class TestTrace:
             n2 /= np.linalg.norm(n2)
             if np.dot(u, n1) <= 0.05 or np.dot(-u, n2) <= 0.05:
                 continue
-            fwd = los_gain(Luminaire.make(p1, 1.0, 60.0, boresight=n1),
+            fwd = los_gain(dataclasses.replace(Luminaire.make(p1, 1.0, 60.0),
+                                               boresight=n1),
                            detector(boresight=n2), p2)
-            rev = los_gain(Luminaire.make(p2, 1.0, 60.0, boresight=n2),
+            rev = los_gain(dataclasses.replace(Luminaire.make(p2, 1.0, 60.0),
+                                               boresight=n2),
                            detector(boresight=n1), p1)
             assert fwd == pytest.approx(rev, rel=1e-12)
 
@@ -323,8 +307,8 @@ class TestTrace:
         det = detector(fov=90.0)
         pos = vec3(2.9, 4.0, 0.5)  # in the aisle, below the rack tops
         cfg = TraceConfig(max_order=0)
-        ir_clear = compute_field(pod_clear, (4,), pos, cfg).detector_ir(det)
-        ir_solid = compute_field(pod_solid, (4,), pos, cfg).detector_ir(det)
+        ir_clear = detector_ir(compute_field(pod_clear, (4,), pos, cfg), det)
+        ir_solid = detector_ir(compute_field(pod_solid, (4,), pos, cfg), det)
         assert ir_clear.total_power() > 0.0     # rows not flagged as occluding
         assert ir_solid.total_power() == 0.0    # centre row shadows the aisle
 
@@ -337,8 +321,8 @@ class TestTrace:
         det = detector(fov=70.0)
         cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.8)
         ir_open, ir_occ = (
-            compute_field(p, p.assigned_luminaires(p.mounts[1]),
-                          p.mounts[1], cfg).detector_ir(det)
+            detector_ir(compute_field(p, p.assigned_luminaires(p.mounts[1]),
+                                      p.mounts[1], cfg), det)
             for p in (pod_open, pod))
         assert 0.0 < ir_occ.total_power() < ir_open.total_power()
         n = min(ir_occ.bins.size, ir_open.bins.size)
@@ -598,7 +582,7 @@ class TestReceiverCulledTrace:
         with pytest.raises(ValueError, match="did not trace"):
             field.receiver_irs(make_wfov())
         with pytest.raises(ValueError, match="did not trace"):
-            field.detector_ir(detector())
+            detector_ir(field, detector())
         # a receiver inside the traced set is still served
         assert field.receiver_irs(make_adr())[0].total_power() > 0.0
 
@@ -675,19 +659,6 @@ def branch_totals(pod, mi, cfg, makers):
 
 
 class TestPhysicalProperties:
-    # Tolerance: 1e-12 relative.  Merging bins adds the same non-negative
-    # terms in another order; at most 300 terms give a worst case near
-    # 300 x 2.2e-16 = 7e-14.
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(bins=st.lists(st.floats(0.0, 1e-3), max_size=300),
-           k=st.integers(1, 16))
-    def test_rebin_conserves_total_power(self, bins, k):
-        ir = ImpulseResponse(50e-12, 0.0, np.array(bins, dtype=float))
-        coarse = ir.rebin(k * 50e-12)
-        assert coarse.bins.size == -(-len(bins) // k)
-        assert math.isclose(coarse.total_power(), ir.total_power(),
-                            rel_tol=1e-12, abs_tol=0.0)
-
     # Tolerance: 1e-12 relative.  Every path's power is a product that
     # starts with the luminaire power, so the two traces differ only in
     # rounding (measured at most 5e-16 on these grids).

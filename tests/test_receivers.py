@@ -10,11 +10,8 @@ from owcsim.receivers import (
     LensModel,
     Orientation,
     ReceiverSpec,
-    assign_pixel,
     capture_matrix,
     default_pixel_layout,
-    detector_acceptance,
-    lens_transmission,
     load_pixel_layout,
     make_adr,
     make_imaging,
@@ -23,6 +20,7 @@ from owcsim.receivers import (
 )
 
 from oracles import oracle_acceptance, oracle_capture_matrix
+from probes import lens_transmission
 
 
 class TestOrientation:
@@ -104,27 +102,25 @@ class TestMakeReceivers:
 
 
 class TestLensTransmission:
+    """The lens polynomial as the capture path applies it, read through a
+    one-branch probe."""
+
     def test_normal_incidence(self):
-        assert lens_transmission(0.0) == 0.8778
+        assert lens_transmission(0.0)[0] == 0.8778
 
     def test_one_radian(self):
-        assert lens_transmission(1.0) == pytest.approx(0.7221, abs=1e-12)
+        assert lens_transmission(1.0)[0] == pytest.approx(0.7221, abs=1e-12)
 
     def test_beyond_acceptance(self):
-        assert lens_transmission(1.2) == 0.0   # 1.2 rad > 65 deg
+        assert lens_transmission(1.2)[0] == 0.0   # 1.2 rad > 65 deg
 
     def test_clamped_to_unit_interval(self):
-        for y in np.linspace(0.0, math.radians(65.0), 50):
-            assert 0.0 <= lens_transmission(float(y)) <= 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            lens_transmission(-0.1)
-
-    @pytest.mark.parametrize("angle", [math.nan, -math.inf])
-    def test_not_a_number_rejected(self, angle):
-        with pytest.raises(ValueError, match="incidence angle"):
-            lens_transmission(angle)
+        y = np.linspace(0.0, math.radians(65.0), 50)
+        assert np.all((lens_transmission(y) >= 0.0) & (lens_transmission(y) <= 1.0))
+        # polynomials that leave [0, 1] inside the cone are clamped
+        assert np.all(lens_transmission(y, LensModel(poly=(0.0, 0.0, 1.5)))
+                      == pytest.approx(1.0, rel=1e-12))
+        assert np.all(lens_transmission(y, LensModel(poly=(0.0, 0.0, -0.5))) == 0.0)
 
 
 class TestDetectorSpec:
@@ -143,63 +139,61 @@ class TestDetectorSpec:
             DetectorSpec(4e-6, 0.4, np.array([0.0, 0.0, 1.0]), fov)
 
 
+DOWN = np.array([[0.0, 0.0, -1.0]])     # a ray from the zenith
+
+
 class TestDetectorAcceptance:
+    """Per-branch gains of `capture_matrix`: area times cos(theta) inside
+    the FOV, 0 outside, times the lens transmission under a lens."""
+
     def test_antiparallel_is_unity(self):
-        det = make_wfov().branches[0]
-        assert detector_acceptance(det, np.array([0.0, 0.0, -1.0])) == 1.0
+        assert capture_matrix(make_wfov(), DOWN)[0, 0] == 4e-6
 
     def test_outside_fov_is_zero(self):
-        det = make_adr().branches[0]   # up, FOV 20
-        ang = math.radians(20.5)
-        incoming = -np.array([math.sin(ang), 0.0, math.cos(ang)])
-        assert detector_acceptance(det, incoming) == 0.0
+        ang = math.radians(20.5)                # ADR branch 0: up, FOV 20
+        incoming = -np.array([[math.sin(ang), 0.0, math.cos(ang)]])
+        assert capture_matrix(make_adr(), incoming)[0, 0] == 0.0
 
     def test_adr_tilted_branch_rejects_zenith_ray(self):
-        det = make_adr().branches[1]   # Az 90, El 25
-        assert detector_acceptance(det, np.array([0.0, 0.0, -1.0])) == 0.0
+        assert capture_matrix(make_adr(), DOWN)[1, 0] == 0.0   # Az 90, El 25
 
     def test_lens_factor_applied(self):
-        rx = make_imaging()
-        got = detector_acceptance(rx.branches[0], np.array([0.0, 0.0, -1.0]),
-                                  rx.lens)
-        assert got == pytest.approx(0.8778, abs=1e-12)
+        got = capture_matrix(make_imaging(), DOWN)[0, 0]
+        assert got == pytest.approx(4e-6 * 0.8778, rel=1e-12)
 
     def test_continuous_inside_fov(self):
-        det = make_wfov().branches[0]
         angles = np.linspace(0.0, math.radians(69.9), 200)
-        vals = []
-        for a in angles:
-            incoming = -np.array([math.sin(a), 0.0, math.cos(a)])
-            vals.append(detector_acceptance(det, incoming))
-        diffs = np.abs(np.diff(vals))
-        assert vals == sorted(vals, reverse=True)
-        assert diffs.max() < 0.02
-        assert min(vals) >= 0.0
+        incoming = -np.stack([np.sin(angles), np.zeros(200), np.cos(angles)], axis=1)
+        vals = capture_matrix(make_wfov(), incoming)[0] / 4e-6
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.abs(np.diff(vals)).max() < 0.02
+        assert vals.min() >= 0.0
 
 
 class TestAssignPixel:
+    """An imaging arrival feeds one pixel of `sparse_capture`: the closest
+    boresight, ties to the lowest index, none outside the lens cone."""
+
+    @staticmethod
+    def pixels(rx, incoming):
+        branch, _, _ = sparse_capture(rx, np.reshape(incoming, (-1, 3)))
+        return branch.tolist()
+
     def test_exact_boresight_hit(self):
         rx = make_imaging()
         for k in (0, 5, 23, 49):
-            incoming = -rx.branches[k].boresight
-            assert assign_pixel(rx, incoming) == k
+            assert self.pixels(rx, -rx.branches[k].boresight) == [k]
 
     def test_outside_lens_cone(self):
-        rx = make_imaging()
         ang = math.radians(70.0)
         incoming = -np.array([math.sin(ang), 0.0, math.cos(ang)])
-        assert assign_pixel(rx, incoming) is None
+        assert self.pixels(make_imaging(), incoming) == []
 
     def test_tie_goes_to_lowest_index(self):
         layout = list(default_pixel_layout())
         layout[7] = layout[3]                 # duplicate boresight: exact tie
         rx = make_imaging(layout)
-        incoming = -rx.branches[3].boresight
-        assert assign_pixel(rx, incoming) == 3
-
-    def test_non_imaging_rejected(self):
-        with pytest.raises(ValueError, match="imaging"):
-            assign_pixel(make_adr(), np.array([0.0, 0.0, -1.0]))
+        assert self.pixels(rx, -rx.branches[3].boresight) == [3]
 
     def test_single_assignment_over_random_directions(self):
         rx = make_imaging()
@@ -209,15 +203,12 @@ class TestAssignPixel:
         pol = np.arccos(rng.uniform(math.cos(math.radians(64.9)), 1.0, n))
         toward = np.stack([np.sin(pol) * np.cos(az),
                            np.sin(pol) * np.sin(az), np.cos(pol)], axis=1)
-        dirs = -toward
-        acc = capture_matrix(rx, dirs)
-        hit_count = (acc > 0).sum(axis=0)
-        assert hit_count.max() <= 1            # never double-counted
-        for i in range(n):
-            k = assign_pixel(rx, dirs[i])
-            nz = np.nonzero(acc[:, i])[0]
-            if nz.size:                        # may be dropped by pixel FOV
-                assert nz[0] == k
+        branch, arrival, _ = sparse_capture(rx, -toward)
+        assert np.all(np.diff(arrival) > 0)    # never double-counted
+        bores = [tuple(float(c) for c in b.boresight) for b in rx.branches]
+        for k, i in zip(branch, arrival):      # some dropped by the pixel FOV
+            dots = [sum(a * b for a, b in zip(toward[i], bore)) for bore in bores]
+            assert k == dots.index(max(dots))
 
 
 class TestCaptureMatrix:
@@ -239,7 +230,7 @@ class TestCaptureMatrix:
         acc = capture_matrix(rx, dirs)
         for k in range(50):
             cos_y = float(rx.branches[k].boresight[2])
-            want = 4e-6 * lens_transmission(math.acos(min(1.0, cos_y)))
+            want = 4e-6 * lens_transmission(math.acos(min(1.0, cos_y)))[0]
             assert acc[k, k] == pytest.approx(want, rel=1e-12)
             others = np.delete(acc[:, k], k)
             assert np.all(others == 0.0)

@@ -42,7 +42,8 @@ class TestLambertianOrder:
         assert lambertian_order(70.0) == pytest.approx(0.6461, abs=1e-4)
 
     def test_out_of_range_rejected(self):
-        for bad in (0.0, -5.0, 90.0, 120.0):
+        # below about 6e-7 deg the cosine rounds to 1: no finite order
+        for bad in (0.0, -5.0, 90.0, 120.0, 1e-7, 1e-9):
             with pytest.raises(ValueError):
                 lambertian_order(bad)
 
@@ -142,7 +143,7 @@ class TestDiscretize:
             panel = SurfacePanel(vec3(0, 0, 0), vec3(lu, 0, 0), vec3(0, 0, lv),
                                  vec3(0, 1, 0), 0.5, "wall")
             grid = discretize(panel, edge)
-            assert grid.total_area == pytest.approx(panel.area, rel=1e-9)
+            assert grid.areas.sum() == pytest.approx(panel.area, rel=1e-9)
 
     def test_centres_are_cell_centres(self):
         panel = SurfacePanel(vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0),
@@ -156,7 +157,7 @@ class TestDiscretize:
         panel = SurfacePanel(vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 0.9, 0),
                              vec3(0, 0, 1), 0.5, "floor")
         grid = discretize(panel, 0.4)  # 1/0.4 -> 2 or 3 cells, 0.9/0.4 -> 2
-        assert grid.total_area == pytest.approx(0.9, rel=1e-12)
+        assert grid.areas.sum() == pytest.approx(0.9, rel=1e-12)
 
     def test_non_positive_edge_rejected(self):
         panel = SurfacePanel(vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0),
@@ -169,10 +170,11 @@ class TestDiscretize:
     def test_element_view_fields(self):
         panel = SurfacePanel(vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0),
                              vec3(0, 0, 1), 0.35, "floor")
-        el = discretize(panel, 0.5)[0]
-        assert el.area == pytest.approx(0.25)
-        assert el.reflectance == 0.35
-        assert el.emission_order == 1.0
+        grid = discretize(panel, 0.5)
+        assert len(grid) == 4
+        assert np.all(grid.areas == pytest.approx(0.25))
+        assert np.all(grid.reflectances == 0.35)
+        assert np.all(grid.normals == [0.0, 0.0, 1.0])
 
 
 class TestValidateScene:
@@ -229,6 +231,14 @@ class TestValidateScene:
         assert validate_scene(scene) == [
             f"rack row {k}: depth {depth} is not positive and finite"
             for k in range(3)]
+
+    def test_reversed_row_span_rejected(self):
+        # the shadowing test assumes y_min < y_max, and a reversed span
+        # would shade differently from the same span written forwards
+        scene = build_pod(PodConfig(luminaire_power_w=1.0, row_y_span=(7.0, 1.0),
+                                    rack_occluding=True))
+        assert validate_scene(scene) == [
+            f"rack row {k}: y span (7.0, 1.0) is not increasing" for k in range(3)]
 
     def test_rack_above_ceiling(self):
         scene = build_pod(PodConfig(luminaire_power_w=1.0, rack_top_m=3.2))
