@@ -108,8 +108,9 @@ def bandwidth_3db(ir: ImpulseResponse) -> float:
     frequency on a grid of about `BW_SCAN_STEP_HZ` (exactly that step when
     1 / (step x bin width) is an integer, as at 50 ps); the first sample
     below the 3-dB line brackets the crossing, which bisection of the exact
-    DTFT then refines to 1 kHz.  Returns the UNBOUNDED sentinel when the
-    spectrum never crosses the 3-dB line (e.g. a single-bin IR).
+    DTFT then refines to 1 kHz.  An FFT sample within rounding of the line
+    is decided by the exact DTFT instead.  Returns the UNBOUNDED sentinel
+    when the spectrum never crosses the 3-dB line (e.g. a single-bin IR).
     """
     p = ir.bins
     nz = np.nonzero(p)[0]
@@ -119,29 +120,42 @@ def bandwidth_3db(ir: ImpulseResponse) -> float:
     p = p[nz]
     h0 = float(p.sum())
     target = 1.0 / math.sqrt(2.0)
-
-    def ratio(freqs):
-        ph = np.exp(-2j * math.pi * np.multiply.outer(freqs, t))
-        return np.abs(ph @ p) / h0
+    tie = 1e-9          # |H|/H(0) this close to the line is a tie
 
     # an n-point DFT samples H at k / (n * bin_width), k = 0 .. n // 2; taking
-    # n no shorter than the IR means the FFT never truncates it
+    # n no shorter than the IR means the FFT never truncates it.  The FFT is
+    # 2n long: its even samples are that grid, its odd ones the midpoints
+    # where the bisection starts
     n = max(ir.bins.size, round(1.0 / (BW_SCAN_STEP_HZ * ir.bin_width)))
     step = 1.0 / (n * ir.bin_width)
-    below = np.flatnonzero(np.abs(np.fft.rfft(ir.bins, n)[1:]) / h0 < target)
-    if below.size == 0:
+    fft = np.abs(np.fft.rfft(ir.bins, 2 * n)) / h0
+
+    def below(freq, j=None):
+        # FFT sample j stands for the exact DTFT at freq unless the two could
+        # round to opposite sides of the line
+        if j is not None and abs(fft[j] - target) > tie:
+            return bool(fft[j] < target)
+        ph = np.exp(-2j * math.pi * np.multiply.outer(np.array([freq]), t))
+        return float(np.abs(ph @ p)[0] / h0) < target
+
+    grid = fft[2::2]
+    for k in np.flatnonzero(grid < target + tie) + 1:
+        if below(k * step, 2 * k):
+            break
+    else:
         return UNBOUNDED
-    k = int(below[0]) + 1
     lo, hi = (k - 1) * step, k * step
     # bisect the exact DTFT inside the bracketing interval
+    j = 2 * k - 1
     for _ in range(60):
         if hi - lo <= 1e3:
             break
         mid = 0.5 * (lo + hi)
-        if float(ratio(np.array([mid]))[0]) < target:
+        if below(mid, j):
             hi = mid
         else:
             lo = mid
+        j = None
     return 0.5 * (lo + hi)
 
 
