@@ -61,6 +61,17 @@ class NoiseParams:
     background_current: float = 100e-6   # A
     bandwidth_factor: float = 0.7
 
+    def __post_init__(self):
+        if not 0.0 <= self.preamp_density < math.inf:
+            raise ValueError("preamp density must be non-negative and finite, "
+                             f"got {self.preamp_density}")
+        if not 0.0 <= self.background_current < math.inf:
+            raise ValueError("background current must be non-negative and "
+                             f"finite, got {self.background_current}")
+        if not 0.0 < self.bandwidth_factor < math.inf:
+            raise ValueError("bandwidth factor must be positive and finite, "
+                             f"got {self.bandwidth_factor}")
+
     def bandwidth(self, bitrate: float) -> float:
         return self.bandwidth_factor * bitrate
 
@@ -185,10 +196,11 @@ def noise_budget(avg_power_w: float, responsivity: float, bandwidth: float,
     sigma_signal = sqrt(2 q R P B), sigma_background = sqrt(2 q I_b B),
     sigma_preamp = eta sqrt(B); the total is their quadrature sum.
     """
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    if min(avg_power_w, responsivity, background_current, preamp_density) < 0.0:
-        raise ValueError("noise inputs must be non-negative")
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
+    if not all(0.0 <= x < math.inf for x in
+               (avg_power_w, responsivity, background_current, preamp_density)):
+        raise ValueError("noise inputs must be non-negative and finite")
     s_sig = math.sqrt(2.0 * Q_ELECTRON * responsivity * avg_power_w * bandwidth)
     s_bn = math.sqrt(2.0 * Q_ELECTRON * background_current * bandwidth)
     s_pr = preamp_density * math.sqrt(bandwidth)

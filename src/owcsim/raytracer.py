@@ -38,6 +38,11 @@ from .receivers import ReceiverSpec, capture_matrix, sparse_capture
 C_LIGHT = 2.9979e8            # m/s, air
 _CHUNK = 256                  # second-order e1 rows per work unit (fixed: determinism)
 _EPS = 1e-12
+# Each branch's second-order gemv runs over the aligned blocks of this many
+# `b2_hist` rows that hold one of its non-zero weights.  OpenBLAS's gemv
+# adds the element axis into y in aligned groups of 4 or 8; an all-zero
+# group adds +0.0, so dropping whole 8-aligned blocks keeps every bit.
+_GEMV_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -407,12 +412,15 @@ class ArrivalField:
 
         Point arrivals are binned for every branch in one `bincount` over
         `branch * nbins + bin`; each cell still adds its terms in arrival
-        order.  Second-order power is each branch's gemv over `b2_hist`."""
+        order.  Second-order power is each branch's gemv over the
+        `_GEMV_BLOCK`-row blocks of `b2_hist` it weighs, in ascending order;
+        the blocks it skips would only add +0.0 to the full gemv."""
         nb, nbins = receiver.branch_count, self.nbins
         acc_b2 = None
         if self.b2_hist is not None:
             acc_b2 = capture_matrix(receiver, self.b2_dirs)
             self._check_traced(acc_b2, f"{receiver.kind} receiver")
+            rows = _weighed_rows(acc_b2)
         branch, arrival, weight = sparse_capture(receiver, self.point_dirs)
         point_bins = np.bincount(branch * nbins + self.point_idx[arrival],
                                  weights=weight * self.point_flux[arrival],
@@ -421,12 +429,21 @@ class ArrivalField:
         for j in range(nb):
             bins = point_bins[j]
             if acc_b2 is not None:
-                bins = bins + acc_b2[j] @ self.b2_hist
+                bins = bins + acc_b2[j, rows[j]] @ self.b2_hist[rows[j]]
             nz = np.nonzero(bins)[0]
             # not bins[:0]: bincount gives integer bins when nothing is captured
             bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
             irs.append(ImpulseResponse(self.cfg.bin_width, bins))
         return irs
+
+
+def _weighed_rows(acc: np.ndarray) -> np.ndarray:
+    """(nb, ne) bool: per branch, every row of each `_GEMV_BLOCK`-row block
+    (aligned at row 0, the last clipped at `ne`) holding a non-zero weight."""
+    nb, ne = acc.shape
+    pad = np.pad(acc != 0.0, ((0, 0), (0, -ne % _GEMV_BLOCK)))
+    blocks = pad.reshape(nb, -1, _GEMV_BLOCK).any(axis=2)
+    return np.repeat(blocks, _GEMV_BLOCK, axis=1)[:, :ne]
 
 
 def _check_pose(scene: Scene, position):

@@ -231,6 +231,23 @@ class PodConfig:
     rack_depth_m: float = 1.0
     rack_occluding: bool = False
 
+    def __post_init__(self):
+        """Refuse what `owcsim`'s config parser refuses: non-finite geometry,
+        a reflectance outside [0, 1] and a semi-angle with no finite
+        Lambertian order (`build_pod` refuses the power).  Whether finite
+        geometry fits together (positive room edges and rack depth, a rack
+        top between floor and ceiling, an increasing row span) is left to
+        `validate_scene`, whose diagnostics `owcsim check` lists."""
+        for name in ("room", "row_y_span", "rack_top_m"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("wall_reflectance", "ceiling_reflectance", "floor_reflectance"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        lambertian_order(self.semi_angle_deg)
+
 
 # Fixed coordinates of the reference pod: three rack rows and a 3x3 grid of
 # ceiling units, three per row, spaced 2 m apart along each row.

@@ -271,6 +271,33 @@ class TestNoiseBudget:
         with pytest.raises(ValueError):
             noise_budget(-1e-6, 0.4, 1e9, 0.0, 0.0)
 
+    @pytest.mark.parametrize("arg", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs(self, arg, bad):
+        args = [1e-6, 0.4, 1e9, 100e-6, 4.5e-12]
+        args[arg] = bad
+        with pytest.raises(ValueError, match="finite"):
+            noise_budget(*args)
+
+
+class TestNoiseParams:
+    # a NaN preamp density once gave snr_sc_db = -inf, ber = nan and
+    # max_rate_bps = inf from link_report without an error
+    @pytest.mark.parametrize("field, values", [
+        ("preamp_density", [math.nan, math.inf, -1e-12]),
+        ("background_current", [math.nan, math.inf, -1e-6]),
+        ("bandwidth_factor", [math.nan, math.inf, 0.0, -0.7]),
+    ])
+    def test_rejects_non_finite_and_out_of_range(self, field, values):
+        for value in values:
+            with pytest.raises(ValueError, match="finite"):
+                NoiseParams(**{field: value})
+
+    def test_range_edges_accepted(self):
+        noise = NoiseParams(preamp_density=0.0, background_current=0.0,
+                            bandwidth_factor=1e-3)
+        assert noise.bandwidth(2e9) == pytest.approx(2e6)
+
 
 class TestSnrAndCombining:
     def test_closed_eye(self):

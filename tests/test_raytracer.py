@@ -13,14 +13,18 @@ from owcsim import raytracer
 from owcsim.linkmetrics import link_report
 from owcsim.raytracer import (
     C_LIGHT,
+    ArrivalField,
     ImpulseResponse,
     TraceConfig,
+    _GEMV_BLOCK,
     _incident_power,
     _occluder_boxes,
+    _weighed_rows,
     compute_field,
     second_order_extent,
 )
-from owcsim.receivers import DetectorSpec, make_adr, make_imaging, make_wfov
+from owcsim.receivers import (DetectorSpec, ReceiverSpec, capture_matrix, make_adr,
+                              make_imaging, make_wfov)
 from owcsim.scene import (
     Luminaire,
     PodConfig,
@@ -627,6 +631,68 @@ class TestReceiverIrs:
         field = compute_field(pod, pod.assigned_luminaires(pod.mounts[1]),
                               pod.mounts[1], cfg)
         self.assert_equal_to_dense(field, self.receivers)
+
+
+@st.composite
+def sparse_weights(draw):
+    """A weight vector over 1..200 elements with at most 16 non-zero entries."""
+    w = np.zeros(draw(st.integers(1, 200)))
+    picks = draw(st.dictionaries(st.integers(0, w.size - 1),
+                                 st.floats(1e-9, 1e-2), max_size=16))
+    w[list(picks)] = list(picks.values())
+    return w
+
+
+class TestBlockGather:
+    """Each branch's gemv runs over only the aligned row blocks it weighs;
+    its bits must be those of the full gemv over every row."""
+
+    def test_element_count_not_a_multiple_of_the_block(self):
+        pod = coarse_pod(False)
+        cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.6)
+        assert len(pod.surface_elements(cfg.second_edge)) % _GEMV_BLOCK != 0
+        for mount in pod.mounts:
+            field = compute_field(pod, pod.assigned_luminaires(mount), mount,
+                                  cfg, receivers=TestReceiverIrs.receivers)
+            TestReceiverIrs.assert_equal_to_dense(field, TestReceiverIrs.receivers)
+
+    def test_empty_gather_and_final_partial_block(self):
+        # 21 rows: rows 0..19 arrive from above, row 20 (in the partial
+        # third block) from below, and nothing from the side
+        ne, nbins = 21, 40
+        rng = np.random.default_rng(12)
+        dirs = np.tile(unit((0.1, 0.2, -1.0)), (ne, 1))
+        dirs[-1] = unit((0.1, 0.0, 1.0))
+        hist = rng.random((ne, nbins)) * (rng.random((ne, nbins)) < 0.4)
+        field = ArrivalField(
+            vec3(1.0, 1.0, 1.0), TraceConfig(), nbins, np.zeros(0),
+            np.zeros(0, dtype=int), np.zeros((0, 3)), hist, dirs,
+            np.ones(ne, dtype=bool), {})
+        rx = ReceiverSpec("adr", (detector((0, 0, 1), 60.0),
+                                  detector((0, 0, -1), 60.0),
+                                  detector((1, 0, 0), 10.0)))
+        rows = _weighed_rows(capture_matrix(rx, dirs))
+        assert rows[0].all()
+        assert rows[1].tolist() == [False] * 16 + [True] * 5
+        assert not rows[2].any()
+        up, down, side = field.receiver_irs(rx)
+        assert up.total_power() > 0.0 and down.total_power() > 0.0
+        assert side.bins.size == 0
+        TestReceiverIrs.assert_equal_to_dense(field, [rx])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(w=sparse_weights(), nbins=st.integers(1, 80),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gather_equals_full_gemv(self, w, nbins, seed):
+        rng = np.random.default_rng(seed)
+        hist = rng.random((w.size, nbins)) * (rng.random((w.size, nbins)) < 0.3)
+        rows = _weighed_rows(w[None])[0]
+        assert rows[w != 0.0].all()
+        # whole blocks, aligned at row 0
+        padded = np.pad(rows, (0, -w.size % _GEMV_BLOCK), mode="edge")
+        blocks = padded.reshape(-1, _GEMV_BLOCK)
+        assert (blocks == blocks[:, :1]).all()
+        assert (w[rows] @ hist[rows]).tobytes() == (w @ hist).tobytes()
 
 
 class TestSuppliedFieldMustMatch:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -96,6 +97,31 @@ class TestBuildPod:
         for la, lb in zip(a.luminaires, b.luminaires):
             assert np.array_equal(la.position, lb.position)
             assert la.order == lb.order and la.power_w == lb.power_w
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("room", (8.0, 8.0, math.inf), "room must be finite"),
+        ("room", (math.nan, 8.0, 3.0), "room must be finite"),
+        ("rack_top_m", math.nan, "rack_top_m must be finite"),
+        ("rack_top_m", math.inf, "rack_top_m must be finite"),
+        ("row_y_span", (1.0, math.inf), "row_y_span must be finite"),
+        ("row_y_span", (math.nan, 7.0), "row_y_span must be finite"),
+        ("wall_reflectance", 1.2, r"wall_reflectance must be in \[0, 1\]"),
+        ("ceiling_reflectance", -0.1, r"ceiling_reflectance must be in \[0, 1\]"),
+        ("floor_reflectance", math.nan, r"floor_reflectance must be in \[0, 1\]"),
+        ("semi_angle_deg", math.nan, "semi-angle must be in"),
+        ("semi_angle_deg", 1e-9, "no finite Lambertian order"),
+    ])
+    def test_config_refuses_what_the_parser_refuses(self, field, value, match):
+        # an infinite room edge used to build and then overflow the bin
+        # count in compute_field; a NaN one reached validate_scene
+        with pytest.raises(ValueError, match=match):
+            PodConfig(luminaire_power_w=1.0, **{field: value})
+
+    def test_finite_geometry_is_left_to_validate_scene(self):
+        # `owcsim check` lists these as diagnostics, so the config builds
+        scene = build_pod(PodConfig(luminaire_power_w=1.0, room=(8.0, 8.0, -3.0),
+                                    rack_top_m=0.1, row_y_span=(7.0, 1.0)))
+        assert validate_scene(scene)
 
     def test_assigned_luminaires_follows_nearest_row(self, pod):
         assert pod.assigned_luminaires((4.0, 1.5, 2.0)) == (3, 4, 5)
