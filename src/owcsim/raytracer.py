@@ -13,9 +13,15 @@ arrays, and the `ArrivalField` it returns only holds them.  Second-order
 work is split into fixed chunks of first-bounce (e1) rows of the coarse grid.
 Rows that receive no power from any luminaire are dropped before any pair
 geometry is built, and a chunk left with no rows is skipped; the rest are
-binned, every luminaire in one pass, into a per-chunk histogram.  With
+binned, every luminaire in one pass, by the worker that traced them, into a
+per-chunk histogram over only the delay window its own paths span.  With
 several threads at most 2 x threads chunks are in flight.  Chunks are always
-reduced in chunk order, so results are bit-identical for any worker count.
+added into the field's histogram in chunk order, so every cell gets the
+same partial sums in the same order for any worker count.
+
+Point arrivals keep an index into a table of distinct arrival directions,
+so a receiver's gains are computed once per direction, not once per
+arrival: every luminaire's first-order arrival from one element shares it.
 
 When the receivers to be applied are known up front, only the second-bounce
 (e2) columns that some branch captures are traced; every other histogram
@@ -184,7 +190,8 @@ def _captured_columns(receivers, u3) -> np.ndarray:
 
 
 def _los_arrivals(lums, mount, boxes):
-    """Line-of-sight arrivals, one per luminaire: (flux, length, direction).
+    """Line-of-sight arrivals, one per luminaire: (flux, length, row of
+    `dirs`, `dirs`), with one direction per arrival.
 
     Kept apart from `_incident_power`: this computes 2*pi*d*d left to right
     where that computes 2*pi*(d**2), and the two round differently."""
@@ -204,18 +211,24 @@ def _los_arrivals(lums, mount, boxes):
                        * cos_phi ** lum.order)
         length[k] = d
         dirs[k] = u
-    return flux, length, dirs
+    return flux, length, np.arange(n), dirs
 
 
 def _first_order_arrivals(lums, grid, mount, boxes):
-    """One-bounce arrivals with non-zero flux: (flux, length, direction,
-    first-bounce power summed over the grid)."""
+    """One-bounce arrivals with non-zero flux, luminaire by luminaire:
+    (flux, length, row of `dirs`, `dirs`, first-bounce power summed over
+    the grid).  `dirs` holds one arrival direction per element that passes
+    any flux, in element order; every luminaire's arrival from an element
+    shares its row."""
     p1, l1 = _incident_power(lums, grid, boxes)
     u, dm, f_out = _final_hop(grid, mount, boxes)
     flux = p1 * f_out[None, :]
     lengths = l1 + dm[None, :]
-    li, ei = np.nonzero(flux > 0.0)
-    return flux[li, ei], lengths[li, ei], u[ei], float(p1.sum())
+    passed = flux > 0.0
+    li, ei = np.nonzero(passed)
+    seen = passed.any(axis=0)
+    row = np.cumsum(seen) - 1
+    return flux[li, ei], lengths[li, ei], row[ei], u[seen], float(p1.sum())
 
 
 def _second_order_setup(lums, grid, mount, boxes, receivers):
@@ -269,7 +282,6 @@ def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
     centres, normals, rho = grid.centres, grid.normals, grid.reflectances
 
     nl = len(lums)
-    e2_base = np.arange(nc, dtype=np.int64) * nbins
 
     def work(start):
         stop = min(start + _CHUNK, ne)
@@ -324,8 +336,12 @@ def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
             length /= bin_width
             np.floor(length, out=length)
             np.copyto(flat[li], length, casting="unsafe")
-            flat[li] += e2_base
-        return flat.ravel(), w.ravel(), second_total
+        # bin this chunk over the delay window its own paths span
+        lo, width, span = _delay_window(flat, nbins)
+        flat += np.arange(nc, dtype=np.int64) * width - lo
+        counts = np.bincount(flat.ravel(), weights=w.ravel(),
+                             minlength=nc * width).reshape(nc, width)
+        return lo, counts[:, :span], second_total
 
     # chunks without a lit row contribute exactly zero: skip them
     starts = ([s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
@@ -334,16 +350,14 @@ def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
     totals["second_rows_traced"] = rows_traced
     totals["second_cols_traced"] = nc
     totals["second_pairs_evaluated"] = rows_traced * nc
-    hist_flat = np.zeros(nc * nbins)
+    hist_c = np.zeros((nc, nbins))
     second_total = 0.0
 
     def add_chunk(result):
         nonlocal second_total
-        flat, w, tot = result
-        # only zero weights can index past the end: a coincident pair
-        # (d set to 1 m) in a room whose diagonal is under 1 m
-        counts = np.bincount(flat, weights=w, minlength=hist_flat.size)
-        np.add(hist_flat, counts[:hist_flat.size], out=hist_flat)
+        lo, counts, tot = result
+        window = hist_c[:, lo:lo + counts.shape[1]]
+        np.add(window, counts, out=window)
         second_total += tot
 
     if threads > 1:
@@ -364,11 +378,24 @@ def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
     totals["second_bounce_traced_w"] = second_total
     if nc == ne:
         totals["second_bounce_coarse_w"] = second_total
-        hist = hist_flat.reshape(ne, nbins)
+        hist = hist_c
     else:
         hist = np.zeros((ne, nbins))
-        hist[cols] = hist_flat.reshape(nc, nbins)
+        hist[cols] = hist_c
     return hist, traced, u3, totals
+
+
+def _delay_window(bins: np.ndarray, nbins: int):
+    """(lo, width, span): a chunk's bin indices lie in [lo, lo + width), and
+    [lo, lo + span) is the part of that window inside the histogram.
+
+    Only zero weights lie past the end, and they are dropped: a coincident
+    pair gets a 1 m stand-in distance, which in a room whose diagonal is
+    under 1 m is longer than any path.  `span` is 0 when every index lies
+    past the end."""
+    lo = int(bins.min())
+    width = int(bins.max()) + 1 - lo
+    return lo, width, min(max(nbins - lo, 0), width)
 
 
 @dataclass(eq=False)
@@ -376,10 +403,14 @@ class ArrivalField:
     """All traced arrivals at one point, before any detector directivity.
 
     Point arrivals (LOS and first-order) are kept as flat arrays of
-    (irradiance flux, bin index, direction); second-order power is
-    pre-binned per final element, since its arrival direction only depends
-    on that element.  Applying a receiver is then just a directional
-    weighting, so all branches of all receiver kinds share one trace.
+    (irradiance flux, bin index, direction row).  The rows index
+    `dir_table`, one table of distinct arrival directions: the LOS
+    directions, one per luminaire, then one per first-order element that
+    passes any flux, which every luminaire's arrival from that element
+    shares.  Second-order power is pre-binned per final element, since its
+    arrival direction only depends on that element.  Applying a receiver is
+    then just a directional weighting, computed once per direction, so all
+    branches of all receiver kinds share one trace.
 
     Built by `compute_field`.  `mount` is where every receiver applied to
     the field sits.  When second-order paths were traced only to the
@@ -392,7 +423,8 @@ class ArrivalField:
     nbins: int
     point_flux: np.ndarray    # (P,) W/m^2 at the mount
     point_idx: np.ndarray     # (P,) delay bin
-    point_dirs: np.ndarray    # (P, 3) propagation directions
+    point_dir: np.ndarray     # (P,) row of dir_table
+    dir_table: np.ndarray     # (D, 3) distinct propagation directions
     b2_hist: np.ndarray | None    # (ne, nbins) W per final element; None below order 2
     b2_dirs: np.ndarray | None    # (ne, 3)
     b2_traced: np.ndarray | None  # (ne,) bool
@@ -410,7 +442,9 @@ class ArrivalField:
     def receiver_irs(self, receiver: ReceiverSpec) -> list[ImpulseResponse]:
         """One impulse response per receiver branch.
 
-        Point arrivals are binned for every branch in one `bincount` over
+        Point-arrival gains come from one `sparse_capture` over the
+        direction table, expanded to the arrivals in ascending order, and
+        are binned for every branch in one `bincount` over
         `branch * nbins + bin`; each cell still adds its terms in arrival
         order.  Second-order power is each branch's gemv over the
         `_GEMV_BLOCK`-row blocks of `b2_hist` it weighs, in ascending order;
@@ -421,7 +455,8 @@ class ArrivalField:
             acc_b2 = capture_matrix(receiver, self.b2_dirs)
             self._check_traced(acc_b2, f"{receiver.kind} receiver")
             rows = _weighed_rows(acc_b2)
-        branch, arrival, weight = sparse_capture(receiver, self.point_dirs)
+        branch, arrival, weight = _arrival_capture(receiver, self.dir_table,
+                                                   self.point_dir)
         point_bins = np.bincount(branch * nbins + self.point_idx[arrival],
                                  weights=weight * self.point_flux[arrival],
                                  minlength=nb * nbins).reshape(nb, nbins)
@@ -435,6 +470,27 @@ class ArrivalField:
             bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
             irs.append(ImpulseResponse(self.cfg.bin_width, bins))
         return irs
+
+
+def _arrival_capture(receiver: ReceiverSpec, dirs: np.ndarray,
+                     dir_row: np.ndarray):
+    """`sparse_capture` entries of every arrival, `dirs[dir_row]`, from one
+    capture of each direction in `dirs`.
+
+    Returns (branch, arrival, weight) ordered by arrival, then by branch.
+    Each arrival's weights are its direction's, bit for bit, since every
+    gain is computed from that direction's vector alone."""
+    branch, d, weight = sparse_capture(receiver, dirs)
+    # entries grouped by direction, branches ascending within one
+    order = np.argsort(d, kind="stable")
+    count = np.bincount(d, minlength=len(dirs))
+    first = np.cumsum(count) - count
+    per = count[dir_row]
+    arrival = np.repeat(np.arange(dir_row.size), per)
+    # the k-th entry of each arrival's direction
+    k = np.arange(arrival.size) - np.repeat(np.cumsum(per) - per, per)
+    entry = order[first[dir_row[arrival]] + k]
+    return branch[entry], arrival, weight[entry]
 
 
 def _weighed_rows(acc: np.ndarray) -> np.ndarray:
@@ -480,8 +536,10 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     if cfg.max_order >= 1 and lums:
         *first, totals["first_bounce_fine_w"] = _first_order_arrivals(
             lums, scene.surface_elements(cfg.first_edge), mount, boxes)
+        first[2] += len(lums)     # its rows follow the LOS directions
         arrivals.append(first)
-    flux, lengths, dirs = (np.concatenate(parts) for parts in zip(*arrivals))
+    flux, lengths, point_dir, dir_table = (np.concatenate(parts)
+                                           for parts in zip(*arrivals))
 
     b2_hist = b2_traced = b2_dirs = None
     if cfg.max_order >= 2 and lums:
@@ -491,5 +549,5 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
         totals.update(second)
     return ArrivalField(
         mount, cfg, nbins, flux,
-        np.floor(lengths / C_LIGHT / cfg.bin_width).astype(np.int64), dirs,
-        b2_hist, b2_dirs, b2_traced, totals)
+        np.floor(lengths / C_LIGHT / cfg.bin_width).astype(np.int64), point_dir,
+        dir_table, b2_hist, b2_dirs, b2_traced, totals)

@@ -212,6 +212,11 @@ def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     every other kind gates all of its branches.  Entries are in ascending
     arrival order within each branch.  Every detector gain in the package
     goes through here.
+
+    Each entry depends only on its own row of `directions`, so a caller may
+    pass each distinct direction once and share its entries among the
+    arrivals that have it: `ArrivalField.receiver_irs` passes the field's
+    direction table.
     """
     toward = -np.asarray(directions, dtype=float).reshape(-1, 3)
     n, nb = len(toward), receiver.branch_count

@@ -393,10 +393,10 @@ def oracle_capture_matrix(receiver, directions):
 
 
 def oracle_receiver_irs(field, receiver):
-    """Per-branch impulse responses by the dense path as first written, kept
-    verbatim: a dense capture of every point arrival, one `bincount` per
-    branch, plus the branch's gemv over the second-order histogram.
-    Returns a list of bin arrays."""
+    """Per-branch impulse responses by the dense path as first written: a
+    dense capture of every point arrival (its row of the field's direction
+    table), one `bincount` per branch, plus the branch's gemv over the
+    second-order histogram.  Returns a list of bin arrays."""
     def assemble(acc_point, acc_b2):
         bins = np.bincount(field.point_idx, weights=acc_point * field.point_flux,
                            minlength=field.nbins)
@@ -405,8 +405,22 @@ def oracle_receiver_irs(field, receiver):
         nz = np.nonzero(bins)[0]
         return bins[: nz[-1] + 1] if nz.size else bins[:0]
 
-    acc_point = oracle_capture_matrix(receiver, field.point_dirs)
+    acc_point = oracle_capture_matrix(receiver, field.dir_table[field.point_dir])
     acc_b2 = (oracle_capture_matrix(receiver, field.b2_dirs)
               if field.b2_hist is not None else None)
     return [assemble(acc_point[j], acc_b2[j] if acc_b2 is not None else None)
             for j in range(receiver.branch_count)]
+
+
+def oracle_point_bins(receiver, directions, point_idx, point_flux, nbins):
+    """(branches, nbins) point-arrival bins by the per-arrival capture path
+    `ArrivalField.receiver_irs` used before its direction table, kept
+    verbatim: one `sparse_capture` over a (P, 3) direction per arrival and
+    one `bincount` over `branch * nbins + bin`."""
+    from owcsim.receivers import sparse_capture
+
+    nb = receiver.branch_count
+    branch, arrival, weight = sparse_capture(receiver, directions)
+    return np.bincount(branch * nbins + point_idx[arrival],
+                       weights=weight * point_flux[arrival],
+                       minlength=nb * nbins).reshape(nb, nbins)

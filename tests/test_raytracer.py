@@ -351,6 +351,49 @@ class TestTrace:
 COARSE = dict(max_order=2, first_edge=0.4, second_edge=0.4)
 
 
+def tilted_panel_scene():
+    """Two tilted 0.8 m panels facing each other, one luminaire above them,
+    and one mount between them."""
+    def panel(centre, normal):
+        n = unit(normal)
+        u = 0.8 * unit(np.cross(n, (1.0, 0.0, 0.0)))
+        v = 0.8 * unit(np.cross(n, u))
+        return SurfacePanel(vec3(*centre) - 0.5 * (u + v), u, v, n, 0.8, "wall")
+
+    return Scene(room=(3.0, 3.0, 3.0),
+                 panels=[panel((1.5, 2.0, 1.0), (-0.1, -0.5, 0.8)),
+                         panel((1.5, 1.0, 1.0), (0.2, 0.5, 0.8))],
+                 luminaires=[down_luminaire((1.5, 1.5, 2.9))],
+                 rows=[], mounts=[vec3(1.4, 1.6, 1.8)])
+
+
+def sub_metre_scene():
+    """A 0.1 x 0.1 x 0.25 m room (diagonal 0.29 m) with a floor, one wall,
+    one luminaire and one mount."""
+    floor = SurfacePanel(vec3(0, 0, 0), vec3(0.1, 0, 0), vec3(0, 0.1, 0),
+                         vec3(0, 0, 1), 0.8, "floor")
+    wall = SurfacePanel(vec3(0, 0, 0), vec3(0, 0.1, 0), vec3(0, 0, 0.25),
+                        vec3(1, 0, 0), 0.8, "wall")
+    return Scene(room=(0.1, 0.1, 0.25), panels=[floor, wall],
+                 luminaires=[down_luminaire((0.05, 0.05, 0.25))],
+                 rows=[], mounts=[vec3(0.08, 0.05, 0.25)])
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Every chunk's (lo, width, span, nbins) delay window, in call order."""
+    seen = []
+    window = raytracer._delay_window
+
+    def spy(bins, nbins):
+        got = window(bins, nbins)
+        seen.append((*got, nbins))
+        return got
+
+    monkeypatch.setattr(raytracer, "_delay_window", spy)
+    return seen
+
+
 class RecordingExecutor(ThreadPoolExecutor):
     """Thread pool that records its futures, which of them had their result
     read, and the most that were outstanding at any submit."""
@@ -416,20 +459,9 @@ class TestSecondOrderKernel:
         `d2`, `cos_out` and `cos_in` are exact zeros there and any order of
         summation gives the same bits.  Two tilted panels facing each other
         make all three terms non-zero."""
-        def panel(centre, normal):
-            n = unit(normal)
-            u = 0.8 * unit(np.cross(n, (1.0, 0.0, 0.0)))
-            v = 0.8 * unit(np.cross(n, u))
-            return SurfacePanel(vec3(*centre) - 0.5 * (u + v), u, v, n, 0.8,
-                                "wall")
-
-        scene = Scene(room=(3.0, 3.0, 3.0),
-                      panels=[panel((1.5, 2.0, 1.0), (-0.1, -0.5, 0.8)),
-                              panel((1.5, 1.0, 1.0), (0.2, 0.5, 0.8))],
-                      luminaires=[down_luminaire((1.5, 1.5, 2.9))],
-                      rows=[], mounts=[])
+        scene = tilted_panel_scene()
+        mount = scene.mounts[0]
         cfg = TraceConfig(first_edge=0.1, second_edge=0.1)
-        mount = vec3(1.4, 1.6, 1.8)
         field = compute_field(scene, (0,), mount, cfg, threads=threads)
         hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
         assert field.b2_hist.shape[0] == 128
@@ -437,23 +469,61 @@ class TestSecondOrderKernel:
         assert field.b2_hist.tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
 
-    def test_room_smaller_than_a_metre(self):
+    def test_room_smaller_than_a_metre(self, windows):
         # coincident e1 == e2 pairs get a 1 m stand-in distance and zero
         # weight; in a room with a diagonal under 1 m their bin lies past
         # the histogram and must be dropped, not break the reduction
-        floor = SurfacePanel(vec3(0, 0, 0), vec3(0.1, 0, 0), vec3(0, 0.1, 0),
-                             vec3(0, 0, 1), 0.8, "floor")
-        wall = SurfacePanel(vec3(0, 0, 0), vec3(0, 0.1, 0), vec3(0, 0, 0.25),
-                            vec3(1, 0, 0), 0.8, "wall")
-        scene = Scene(room=(0.1, 0.1, 0.25), panels=[floor, wall],
-                      luminaires=[down_luminaire((0.05, 0.05, 0.25))],
-                      rows=[], mounts=[vec3(0.08, 0.05, 0.25)])
+        scene = sub_metre_scene()
         cfg = TraceConfig(first_edge=0.05, second_edge=0.05)
         field = compute_field(scene, (0,), scene.mounts[0], cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
                                                   cfg)
         assert field.b2_hist.tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w > 0.0
+        # the chunk's window is clipped at the end, the rest dropped
+        (lo, width, span, nbins), = windows
+        assert 0 < lo < lo + span == nbins < lo + width
+
+    @pytest.mark.parametrize("scene, reach, window", [
+        # from bin 0, ending before the last bin
+        (tilted_panel_scene, 3.0, (0, 2, 2, 7)),
+        # a single bin, past bin 0
+        (tilted_panel_scene, 2.7, (1, 1, 1, 7)),
+        # from bin 0 to the last bin: the coincident pairs' stand-in 1 m
+        # puts them in it, every other pair in bin 0
+        (sub_metre_scene, 0.9, (0, 2, 2, 2)),
+    ], ids=["from-bin-0", "one-bin", "to-last-bin"])
+    def test_window_edges(self, windows, scene, reach, window):
+        """A chunk is binned over the delay window its own bins span;
+        `reach` is the bin width in metres of light travel."""
+        scene = scene()
+        mount = scene.mounts[0]
+        cfg = TraceConfig(first_edge=0.1, second_edge=0.1,
+                          bin_width=reach / C_LIGHT)
+        field = compute_field(scene, (0,), mount, cfg)
+        hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
+        assert windows == [window]
+        assert hist.any()
+        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.totals["second_bounce_coarse_w"] == second_w
+
+    def test_chunk_wholly_past_the_end(self, windows):
+        # one floor element: its only pair is coincident, and the stand-in
+        # 1 m puts that zero-weight pair past the end of a sub-metre room's
+        # histogram, so the chunk's window is empty
+        patch = SurfacePanel(vec3(0.025, 0.025, 0), vec3(0.05, 0, 0),
+                             vec3(0, 0.05, 0), vec3(0, 0, 1), 0.8, "floor")
+        scene = dataclasses.replace(sub_metre_scene(), panels=[patch])
+        cfg = TraceConfig(first_edge=0.05, second_edge=0.05)
+        field = compute_field(scene, (0,), scene.mounts[0], cfg)
+        hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
+                                                  cfg)
+        (lo, width, span, nbins), = windows
+        assert lo >= nbins and width == 1 and span == 0
+        assert field.totals["second_pairs_evaluated"] == 1
+        assert field.b2_hist.shape == (1, nbins) and not field.b2_hist.any()
+        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.totals["second_bounce_coarse_w"] == second_w == 0.0
 
     def test_unlit_ceiling_rows_are_not_traced(self):
         # the luminaires sit in the ceiling plane (cos = 0 to every ceiling
@@ -609,11 +679,21 @@ class TestReceiverIrs:
 
     @pytest.mark.parametrize("mi", [0, 1, 2])
     def test_reference_mounts(self, mi):
+        # the dense reference reads the threads=1 field; every thread count
+        # must give its bits
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         mount = pod.mounts[mi]
-        field = compute_field(pod, pod.assigned_luminaires(mount), mount, TraceConfig(),
-                              receivers=self.receivers)
-        self.assert_equal_to_dense(field, self.receivers)
+        fields = [compute_field(pod, pod.assigned_luminaires(mount), mount,
+                                TraceConfig(), threads=threads,
+                                receivers=self.receivers)
+                  for threads in (1, 2, 4)]
+        for rx in self.receivers:
+            want = oracle_receiver_irs(fields[0], rx)
+            for field in fields:
+                got = field.receiver_irs(rx)
+                assert len(got) == len(want) == rx.branch_count
+                for a, b in zip(got, want):
+                    assert a.bins.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_coarse_grid_with_occlusion(self, threads):
@@ -666,7 +746,8 @@ class TestBlockGather:
         hist = rng.random((ne, nbins)) * (rng.random((ne, nbins)) < 0.4)
         field = ArrivalField(
             vec3(1.0, 1.0, 1.0), TraceConfig(), nbins, np.zeros(0),
-            np.zeros(0, dtype=int), np.zeros((0, 3)), hist, dirs,
+            np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)),
+            hist, dirs,
             np.ones(ne, dtype=bool), {})
         rx = ReceiverSpec("adr", (detector((0, 0, 1), 60.0),
                                   detector((0, 0, -1), 60.0),

@@ -19,7 +19,9 @@ from owcsim.receivers import (
     sparse_capture,
 )
 
-from oracles import oracle_acceptance, oracle_capture_matrix
+from owcsim.raytracer import ArrivalField, TraceConfig, _arrival_capture
+
+from oracles import oracle_acceptance, oracle_capture_matrix, oracle_point_bins
 from probes import lens_transmission
 
 
@@ -315,6 +317,48 @@ class TestSparseCapture:
         for kind in ("wfov", "imaging"):
             rx = receiver_under_test(kind, True, False)
             assert capture_matrix(rx, np.zeros((0, 3))).shape == (rx.branch_count, 0)
+
+
+class TestDirectionTable:
+    """Point-arrival gains are computed once per distinct direction and
+    expanded to the arrivals; they must be the per-arrival capture, bit for
+    bit, and bin to the same bits."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["wfov", "adr", "imaging", "detector"]),
+           lens=st.booleans(), tie=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           extra=st.integers(0, 400))
+    def test_expanded_capture_equals_per_arrival_capture(self, kind, lens, tie,
+                                                         seed, extra):
+        rx = receiver_under_test(kind, lens, tie)
+        rng = np.random.default_rng(seed)
+        table = gate_edge_directions(rx, rng, 60)
+        # every direction at least once, `extra` repeats, in no order
+        dir_row = rng.permutation(np.concatenate(
+            [np.arange(len(table)), rng.integers(0, len(table), extra)]))
+        n, nbins = dir_row.size, 24
+        dirs = table[dir_row]
+
+        branch, arrival, weight = _arrival_capture(rx, table, dir_row)
+        want_b, want_a, want_w = sparse_capture(rx, dirs)
+        order = np.lexsort((want_b, want_a))      # by arrival, then branch
+        assert arrival.tobytes() == want_a[order].tobytes()
+        assert branch.tobytes() == want_b[order].tobytes()
+        assert weight.tobytes() == want_w[order].tobytes()
+        # some arrivals lie outside every FOV or behind every detector
+        assert np.unique(arrival).size < n
+        if kind == "imaging" and tie:
+            # pixel 7 shares pixel 3's boresight: the lower index wins
+            assert 3 in branch and 7 not in branch
+
+        idx, flux = rng.integers(0, nbins, n), rng.random(n)
+        field = ArrivalField(np.zeros(3), TraceConfig(max_order=1), nbins, flux,
+                             idx, dir_row, table, None, None, None, {})
+        want = oracle_point_bins(rx, dirs, idx, flux, nbins)
+        for ir, bins in zip(field.receiver_irs(rx), want, strict=True):
+            nz = np.flatnonzero(bins)
+            bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
+            assert ir.bins.tobytes() == bins.tobytes()
 
 
 class TestLayoutFile:

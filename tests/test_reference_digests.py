@@ -1,0 +1,40 @@
+"""The seed-0 outputs of both benchmark workloads, byte for byte.
+
+Each workload's seed-0 config is built with `perfbench/inputs.make_config`
+and run through `owcsim.cli.main`; the digest of every file it writes
+(`perfbench/checks.digest`) must equal the one recorded in
+`perfbench/reference.json`.  Only perfbench's files are read.
+
+These bits rest on OpenBLAS's gemv grouping.  Each branch's second-order
+sum is a gemv over histogram rows, and OpenBLAS adds the row axis into the
+output in aligned groups of 4 or 8, with the kernel picked for the CPU at
+run time.  A CPU family whose gemv kernel groups differently may give
+other digests with no change to owcsim.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from owcsim import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+sys.path.insert(0, str(PERFBENCH))
+import checks  # noqa: E402
+import inputs  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(inputs.WORKLOADS))
+def test_seed0_digest_matches_reference(name, tmp_path):
+    workload = inputs.WORKLOADS[name]
+    config = tmp_path / "config.ini"
+    config.write_text(inputs.make_config(
+        (ROOT / inputs.REFERENCE_INI).read_text(), workload, 0))
+    out = tmp_path / "out"
+    assert cli.main(workload.cli_args(str(config), str(out))) == 0
+    want = json.loads((PERFBENCH / "reference.json").read_text())["digests"]
+    assert checks.digest(str(out)) == want[name]
