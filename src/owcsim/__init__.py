@@ -27,7 +27,6 @@ from .raytracer import (
 )
 from .receivers import (
     DetectorSpec,
-    LensModel,
     Orientation,
     ReceiverSpec,
     default_pixel_layout,

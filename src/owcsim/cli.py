@@ -412,21 +412,12 @@ def run_scene_check(cfg: RunConfig) -> int:
 
 
 def _thread_count(arg: int | None) -> int:
-    """Worker threads: `--threads`, else `OWCSIM_THREADS`, else 1."""
-    if arg is not None:
-        if arg < 1:
-            raise ConfigError(f"--threads must be a positive integer, got {arg}")
-        return arg
-    env = os.environ.get("OWCSIM_THREADS")
-    if not env:
+    """Worker threads: `--threads`, else 1."""
+    if arg is None:
         return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"OWCSIM_THREADS must be a positive integer, got '{env}'")
-    return threads
+    if arg < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {arg}")
+    return arg
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raytracer import ArrivalField, ImpulseResponse
-from .receivers import ReceiverSpec
+from .receivers import RESPONSIVITY_A_W, ReceiverSpec
 
 Q_ELECTRON = 1.602e-19        # C
 
@@ -268,12 +268,12 @@ def link_report(field: ArrivalField, receiver: ReceiverSpec, bitrate: float,
     irs = field.receiver_irs(receiver)
     bw = noise.bandwidth(bitrate)
     snrs, powers = [], []
-    for det, ir in zip(receiver.branches, irs):
+    for ir in irs:
         eye = eye_powers(ir, bitrate)
         avg_power = 0.5 * (eye.ps1 + eye.ps0)    # equiprobable OOK symbols
-        budget = noise_budget(avg_power, det.responsivity, bw,
+        budget = noise_budget(avg_power, RESPONSIVITY_A_W, bw,
                               noise.background_current, noise.preamp_density)
-        snrs.append(snr_ook(det.responsivity, eye, budget.sigma_total))
+        snrs.append(snr_ook(RESPONSIVITY_A_W, eye, budget.sigma_total))
         powers.append(ir.total_power())
     sc_idx = int(np.argmax(snrs))
     snr_sc = combine_sc(snrs)

@@ -140,7 +140,7 @@ def _incident_power(luminaires, grid, boxes):
         safe = d > _EPS
         dd = np.where(safe, d, 1.0)
         u = v / dd[:, None]
-        cos_phi = u @ lum.boresight
+        cos_phi = -u[:, 2]       # every luminaire points along (0, 0, -1)
         cos_in = -(u * grid.normals).sum(axis=1)
         sel = safe & (cos_phi > 0.0) & (cos_in > 0.0)
         p = np.zeros(n)
@@ -203,7 +203,7 @@ def _los_arrivals(lums, mount, boxes):
         if d < _EPS:
             raise ValueError("degenerate geometry: luminaire coincides with mount")
         u = v / d
-        cos_phi = float(np.dot(u, lum.boresight))
+        cos_phi = float(-u[2])
         visible = cos_phi > 0.0 and not (
             boxes and bool(_segments_blocked(boxes, lum.position, mount[None, :])[0]))
         if visible:
@@ -520,12 +520,15 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     rows the scene flags as occluding shadow every hop; no other setting
     does.  `receivers`, the assemblies that will be applied at `mount`,
     limits second-order tracing to the surface elements their branches
-    capture; without it every element is traced.
+    capture; without it every element is traced.  `threads`, at least 1,
+    changes only the speed.
     """
     diags = validate_scene(scene)
     if diags:
         raise ValueError("invalid scene: " + "; ".join(diags))
     _check_pose(scene, mount)
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads}")
     mount = np.asarray(mount, dtype=float)
     lums = [scene.luminaires[i] for i in luminaire_ids]
     boxes = _occluder_boxes(scene)
@@ -545,7 +548,7 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     if cfg.max_order >= 2 and lums:
         b2_hist, b2_traced, b2_dirs, second = _second_order_hist(
             lums, scene.surface_elements(cfg.second_edge), mount, boxes, nbins,
-            cfg.bin_width, max(1, int(threads)), receivers)
+            cfg.bin_width, threads, receivers)
         totals.update(second)
     return ArrivalField(
         mount, cfg, nbins, flux,

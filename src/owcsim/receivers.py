@@ -54,63 +54,59 @@ class Orientation:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """One photodetector element: area, responsivity, pointing and FOV gate."""
+    """One photodetector element: pointing and FOV gate.
 
-    area: float              # m^2
-    responsivity: float      # A/W
+    Every element is the paper's photodetector, `DETECTOR_AREA_M2` and
+    `RESPONSIVITY_A_W`."""
+
     boresight: Vec3
     fov_deg: float           # acceptance half-angle about the boresight
 
     def __post_init__(self):
-        if not (0.0 < self.area < math.inf and 0.0 < self.responsivity < math.inf):
-            raise ValueError("detector area and responsivity must be positive and "
-                             f"finite, got {self.area} and {self.responsivity}")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ValueError(f"FOV must be in (0, 90] degrees, got {self.fov_deg}")
 
 
-@dataclass(frozen=True)
-class LensModel:
-    """Collection lens over the imaging pixels: acceptance cone plus a
-    quadratic transmission-vs-incidence polynomial, clamped to [0, 1]."""
-
-    fov_deg: float = LENS_FOV_DEG
-    poly: tuple = LENS_POLY
-
-
-def _lens_poly(lens: LensModel, y: np.ndarray) -> np.ndarray:
-    """Transmission at incidence angles `y` (radians)."""
-    a, b, c = lens.poly
-    trans = np.clip(a * y * y + b * y + c, 0.0, 1.0)
-    trans[y > math.radians(lens.fov_deg)] = 0.0
+def _lens_poly(y: np.ndarray) -> np.ndarray:
+    """Transmission of the imaging lens at incidence angles `y` (radians):
+    `LENS_POLY` inside the `LENS_FOV_DEG` cone, 0 outside.  On [0, 65 deg]
+    the polynomial lies in [0.671, 0.881], so it needs no clamp."""
+    a, b, c = LENS_POLY
+    trans = a * y * y + b * y + c
+    trans[y > math.radians(LENS_FOV_DEG)] = 0.0
     return trans
 
 
 @dataclass(frozen=True)
 class ReceiverSpec:
-    """A receiver assembly: J detector branches and an optional lens.
+    """A receiver assembly of J detector branches.
 
-    It has no position: it sits at the mount of the field it is applied to."""
+    The kind fixes how they capture: an "imaging" receiver sits under the
+    collection lens and feeds each arrival to one pixel; every other kind
+    ("detector" is one bare element) gates all of its branches, with no
+    lens.  It has no position: it sits at the mount of the field it is
+    applied to."""
 
-    kind: str                # "wfov" | "adr" | "imaging" | "detector" (one bare element)
+    kind: str                # "wfov" | "adr" | "imaging" | "detector"
     branches: tuple          # tuple of DetectorSpec
-    lens: LensModel | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("wfov", "adr", "imaging", "detector"):
+            raise ValueError("receiver kind must be wfov, adr, imaging or "
+                             f"detector, got {self.kind!r}")
+        if not self.branches:
+            raise ValueError("a receiver needs at least one branch")
 
     @property
     def branch_count(self) -> int:
         return len(self.branches)
 
 
-def _detector(boresight, fov_deg: float) -> DetectorSpec:
-    return DetectorSpec(DETECTOR_AREA_M2, RESPONSIVITY_A_W,
-                        np.asarray(boresight, dtype=float), fov_deg)
-
-
 def make_wfov() -> ReceiverSpec:
     """Single face-up element with a 70 deg field of view."""
     return ReceiverSpec(
         kind="wfov",
-        branches=(_detector(vec3(0, 0, 1), WFOV_FOV_DEG),),
+        branches=(DetectorSpec(vec3(0, 0, 1), WFOV_FOV_DEG),),
     )
 
 
@@ -128,7 +124,7 @@ def make_adr() -> ReceiverSpec:
     )
     return ReceiverSpec(
         kind="adr",
-        branches=tuple(_detector(o.to_direction(), ADR_FOV_DEG) for o in orients),
+        branches=tuple(DetectorSpec(o.to_direction(), ADR_FOV_DEG) for o in orients),
     )
 
 
@@ -153,25 +149,23 @@ def make_imaging(layout=None) -> ReceiverSpec:
     `layout` is an optional sequence of 50 Orientations; every boresight
     must lie inside the lens acceptance cone.
     """
-    lens = LensModel()
     orients = default_pixel_layout() if layout is None else tuple(layout)
     if len(orients) != PIXEL_COUNT:
         raise ValueError(
             f"imaging layout must have exactly {PIXEL_COUNT} pixels, "
             f"got {len(orients)}"
         )
-    min_el = 90.0 - lens.fov_deg
+    min_el = 90.0 - LENS_FOV_DEG
     for i, o in enumerate(orients):
         if o.el_deg < min_el - 1e-9:
             raise ValueError(
                 f"pixel {i} boresight at elevation {o.el_deg} deg lies outside "
-                f"the {lens.fov_deg} deg lens cone"
+                f"the {LENS_FOV_DEG} deg lens cone"
             )
     return ReceiverSpec(
         kind="imaging",
-        branches=tuple(_detector(o.to_direction(), PIXEL_FOV_DEG)
+        branches=tuple(DetectorSpec(o.to_direction(), PIXEL_FOV_DEG)
                        for o in orients),
-        lens=lens,
     )
 
 
@@ -206,12 +200,11 @@ def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     """Non-zero capture gains as `(branch, arrival, weight)` entries.
 
     `directions` has shape (N, 3): unit propagation vectors from source to
-    mount.  Each weight is area * cos(theta) inside the branch's FOV gate,
-    times the lens transmission when the receiver has a lens.  An imaging
-    receiver gates and weighs only the pixel each arrival is assigned to;
-    every other kind gates all of its branches.  Entries are in ascending
-    arrival order within each branch.  Every detector gain in the package
-    goes through here.
+    mount.  Each weight is area * cos(theta) inside the branch's FOV gate.
+    An imaging receiver gates and weighs only the pixel each arrival is
+    assigned to, times the lens transmission; every other kind gates all of
+    its branches.  Entries are in ascending arrival order within each
+    branch.  Every detector gain in the package goes through here.
 
     Each entry depends only on its own row of `directions`, so a caller may
     pass each distinct direction once and share its entries among the
@@ -234,10 +227,10 @@ def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     cos_fov = np.array([math.cos(math.radians(b.fov_deg)) for b in receiver.branches])
     keep = (cos >= cos_fov[branch] - 1e-15) & (cos > 0.0)
     branch, arrival = branch[keep], arrival[keep]
-    weight = cos[keep] * np.array([b.area for b in receiver.branches])[branch]
-    if receiver.lens is not None:
+    weight = cos[keep] * DETECTOR_AREA_M2
+    if receiver.kind == "imaging":
         y = np.arccos(np.clip(toward[arrival, 2], -1.0, 1.0))
-        weight = weight * _lens_poly(receiver.lens, y)
+        weight = weight * _lens_poly(y)
     nz = weight != 0.0
     return branch[nz], arrival[nz], weight[nz]
 

@@ -129,14 +129,14 @@ def discretize(panel: SurfacePanel, element_edge: float) -> ElementGrid:
 
 @dataclass(frozen=True)
 class Luminaire:
-    """One ceiling light unit modelled as a point Lambertian emitter.
+    """One ceiling light unit modelled as a point Lambertian emitter that
+    points straight down, along (0, 0, -1).
 
     Its Lambertian order is not stored: `order` derives it from the
     semi-angle, so the two cannot disagree.
     """
 
     position: Vec3
-    boresight: Vec3          # unit vector, normally straight down
     semi_angle_deg: float
     power_w: float           # aggregate optical power of the unit
 
@@ -153,7 +153,6 @@ class Luminaire:
         lambertian_order(semi_angle_deg)      # rejects a semi-angle with no finite order
         return Luminaire(
             position=np.asarray(position, dtype=float),
-            boresight=vec3(0.0, 0.0, -1.0),
             semi_angle_deg=semi_angle_deg,
             power_w=power_w,
         )
@@ -324,8 +323,6 @@ def validate_scene(scene: Scene) -> list:
                 f"luminaire {k} at {tuple(map(float, lum.position))}: outside room")
         if not 0.0 < lum.power_w < math.inf:
             diags.append(f"luminaire {k}: power {lum.power_w} is not positive and finite")
-        if abs(float(np.linalg.norm(lum.boresight)) - 1.0) > 1e-12:
-            diags.append(f"luminaire {k}: boresight is not a unit vector")
     for k, row in enumerate(scene.rows):
         if row.top_height >= h:
             diags.append(f"rack row {k}: top height {row.top_height} above ceiling")

@@ -13,6 +13,11 @@ import mpmath
 import numpy as np
 
 SPEED_OF_LIGHT = 2.9979e8
+# The paper's fixed hardware, written out here rather than imported:
+DETECTOR_AREA = 4e-6                    # m^2, every photodetector element
+LENS_POLY = (-0.1982, 0.0425, 0.8778)   # imaging-lens transmission vs angle (rad)
+LENS_CONE_DEG = 65.0                    # lens acceptance half-angle
+DOWN = (0.0, 0.0, -1.0)                 # every luminaire's boresight
 
 
 def oracle_los_sum(scene, boresight, fov_deg, area, position,
@@ -26,7 +31,7 @@ def oracle_los_sum(scene, boresight, fov_deg, area, position,
     for i in ids:
         lum = scene.luminaires[i]
         lx, ly, lz = (float(c) for c in lum.position)
-        ax, ay, az = (float(c) for c in lum.boresight)
+        ax, ay, az = DOWN
         dx, dy, dz = px - lx, py - ly, pz - lz
         d = math.sqrt(dx * dx + dy * dy + dz * dz)
         if d == 0.0:
@@ -80,32 +85,35 @@ def oracle_path_delay(points) -> float:
     return total / SPEED_OF_LIGHT
 
 
-def oracle_acceptance(detector, incoming, lens=None) -> float:
+def oracle_acceptance(detector, incoming, lens=False) -> float:
     """Scalar detector gain factor: cos(theta) inside the FOV, 0 outside,
-    times the clamped lens polynomial inside the lens cone; no area."""
+    times the clamped lens polynomial inside the lens cone when `lens`;
+    no area."""
     dx, dy, dz = (float(c) for c in incoming)
     bx, by, bz = (float(c) for c in detector.boresight)
     cos_theta = -(dx * bx + dy * by + dz * bz)
     if cos_theta <= 0.0 or cos_theta < math.cos(math.radians(detector.fov_deg)) - 1e-15:
         return 0.0
-    if lens is None:
+    if not lens:
         return cos_theta
     y = math.acos(min(1.0, max(-1.0, -dz)))
-    if y > math.radians(lens.fov_deg):
+    if y > math.radians(LENS_CONE_DEG):
         return 0.0
-    a, b, c = lens.poly
+    a, b, c = LENS_POLY
     return cos_theta * min(1.0, max(0.0, a * y * y + b * y + c))
 
 
 # The closed-form single-path gains: the reference semantics the tracer's
 # vectorized stages reproduce.
 
-def los_gain(luminaire, detector, det_position, lens=None) -> float:
-    """Line-of-sight channel gain between one luminaire and one detector.
+def los_gain(luminaire, detector, det_position, lens=False,
+             boresight=DOWN) -> float:
+    """Line-of-sight channel gain between one luminaire, pointing along
+    `boresight`, and one detector.
 
     gain = (m+1)/(2 pi d^2) * cos^m(phi) * cos(theta) * A, gated to zero
     outside the detector FOV or when either cosine is negative; the lens
-    transmission multiplies the gain when a lens is present.
+    transmission multiplies the gain when `lens`.
     """
     pos = np.asarray(det_position, dtype=float)
     v = pos - luminaire.position
@@ -113,14 +121,14 @@ def los_gain(luminaire, detector, det_position, lens=None) -> float:
     if d < 1e-12:
         raise ValueError("degenerate geometry: luminaire and detector coincide")
     u = v / d
-    cos_phi = float(np.dot(u, luminaire.boresight))
+    cos_phi = float(np.dot(u, boresight))
     if cos_phi <= 0.0:
         return 0.0
     acc = oracle_acceptance(detector, u, lens)
     if acc == 0.0:
         return 0.0
     m = luminaire.order
-    return (m + 1.0) / (2.0 * math.pi * d * d) * cos_phi ** m * acc * detector.area
+    return (m + 1.0) / (2.0 * math.pi * d * d) * cos_phi ** m * acc * DETECTOR_AREA
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ class Element:
 
 
 def reflected_path_gain(luminaire, elements, detector, det_position,
-                        lens=None) -> tuple[float, float]:
+                        lens=False) -> tuple[float, float]:
     """Gain and delay of one reflected path (one or two bounces).
 
     Each hop applies the upstream emitter's Lambertian transfer (order m for
@@ -167,7 +175,7 @@ def reflected_path_gain(luminaire, elements, detector, det_position,
 
     e1 = elements[0]
     hop(luminaire.position, e1.centre, luminaire.order,
-        luminaire.boresight, e1.normal, e1.area)
+        DOWN, e1.normal, e1.area)
     prev = e1
     if len(elements) == 2:
         e2 = elements[1]
@@ -195,7 +203,7 @@ def reflected_path_gain(luminaire, elements, detector, det_position,
         return 0.0, delay
     n = 1.0
     gain *= prev.reflectance
-    gain *= (n + 1.0) / (2.0 * math.pi * d * d) * cos_out ** n * acc * detector.area
+    gain *= (n + 1.0) / (2.0 * math.pi * d * d) * cos_out ** n * acc * DETECTOR_AREA
     return gain, delay
 
 
@@ -369,26 +377,26 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
 
 
 def oracle_capture_matrix(receiver, directions):
-    """The dense capture matrix as first written, kept verbatim: full (J, N)
-    cosine, gate, one-hot and lens arrays.  The bitwise reference for
-    `capture_matrix` (only the lens polynomial is shared with it)."""
-    from owcsim.receivers import _lens_poly
-
+    """The dense capture matrix as first written: full (J, N) cosine, gate,
+    one-hot and clamped lens arrays, the last two for an imaging receiver
+    only.  The bitwise reference for `capture_matrix`."""
     dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
     toward = -dirs
     bores = np.stack([b.boresight for b in receiver.branches])   # (J, 3)
     cos_theta = bores @ toward.T                                 # (J, N)
     cos_fov = np.array([math.cos(math.radians(b.fov_deg))
                         for b in receiver.branches])[:, None]
-    areas = np.array([b.area for b in receiver.branches])[:, None]
+    areas = np.full((len(receiver.branches), 1), DETECTOR_AREA)
     gate = (cos_theta >= cos_fov - 1e-15) & (cos_theta > 0.0)
     acc = np.where(gate, cos_theta, 0.0) * areas
     if receiver.kind == "imaging":
         assigned = np.argmax(cos_theta, axis=0)                  # ties -> lowest index
         acc = acc * (assigned[None, :] == np.arange(len(receiver.branches))[:, None])
-    if receiver.lens is not None:
         y = np.arccos(np.clip(toward[:, 2], -1.0, 1.0))
-        acc = acc * _lens_poly(receiver.lens, y)[None, :]
+        a, b, c = LENS_POLY
+        trans = np.clip(a * y * y + b * y + c, 0.0, 1.0)
+        trans[y > math.radians(LENS_CONE_DEG)] = 0.0
+        acc = acc * trans[None, :]
     return acc
 
 

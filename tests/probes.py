@@ -3,32 +3,33 @@
 The package applies every detector through `ReceiverSpec` assemblies
 (`sparse_capture`, `capture_matrix`, `ArrivalField.receiver_irs`); these
 helpers wrap one element in a one-branch receiver so that tests can read
-a single element's gain or impulse response from that same path.
+a single element's gain or impulse response from that same path.  A
+one-branch "imaging" receiver is that element under the collection lens.
 """
 
 import numpy as np
 
-from owcsim.receivers import DetectorSpec, LensModel, ReceiverSpec, capture_matrix
+from owcsim.receivers import DetectorSpec, ReceiverSpec, capture_matrix
 
 
-def detector_ir(field, detector, lens=None):
-    """Impulse response of one bare detector element at the field's mount."""
-    return field.receiver_irs(ReceiverSpec("detector", (detector,), lens))[0]
+def detector_ir(field, detector, lens=False):
+    """Impulse response of one detector element at the field's mount, bare
+    or under the lens."""
+    kind = "imaging" if lens else "detector"
+    return field.receiver_irs(ReceiverSpec(kind, (detector,)))[0]
 
 
-def lens_transmission(angles, lens=None) -> np.ndarray:
+def lens_transmission(angles) -> np.ndarray:
     """Lens transmission at incidence angles (radians from the lens axis), as
     the capture path applies it.
 
-    The probe is a unit-area, face-up element with a 90 deg FOV under the
-    lens, so its capture is cos(angle) times the transmission; dividing by
-    the cosine leaves the transmission (exact at normal incidence).  Only
-    angles below 90 deg can be read: the element gates out the rest."""
+    The probe is a face-up element with a 90 deg FOV under the lens, so its
+    capture is its area times cos(angle) times the transmission; dividing
+    by the same element's capture without the lens leaves the transmission.
+    Only angles below 90 deg can be read: the element gates out the rest."""
     y = np.atleast_1d(np.asarray(angles, dtype=float))
-    probe = ReceiverSpec(
-        "detector", (DetectorSpec(1.0, 0.4, np.array([0.0, 0.0, 1.0]), 90.0),),
-        LensModel() if lens is None else lens)
+    element = (DetectorSpec(np.array([0.0, 0.0, 1.0]), 90.0),)
     toward = np.stack([np.sin(y), np.zeros_like(y), np.cos(y)], axis=1)
-    captured = capture_matrix(probe, -toward)[0]
-    return np.divide(captured, np.cos(y), out=np.zeros_like(y),
-                     where=captured != 0.0)
+    lensed = capture_matrix(ReceiverSpec("imaging", element), -toward)[0]
+    bare = capture_matrix(ReceiverSpec("detector", element), -toward)[0]
+    return np.divide(lensed, bare, out=np.zeros_like(y), where=lensed != 0.0)

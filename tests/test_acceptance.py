@@ -68,7 +68,7 @@ def test_criterion_1_los_oracle_equivalence(pod):
         bore = rng.normal(size=3)
         bore /= np.linalg.norm(bore)
         fov = float(rng.uniform(30.0, 90.0))
-        det = o.DetectorSpec(4e-6, 0.4, bore, fov)
+        det = o.DetectorSpec(bore, fov)
         got = detector_ir(o.compute_field(pod, tuple(range(9)), pos, cfg),
                           det).total_power()
         want = oracle_los_sum(pod, bore, fov, 4e-6, pos)
@@ -96,7 +96,7 @@ def test_criterion_2_one_bounce_unit(pod):
         rows=[], mounts=[])
     # widen the patch grid so the panel is one element; detector wide open
     cfg = o.TraceConfig(max_order=1, first_edge=0.05)
-    det = o.DetectorSpec(4e-6, 0.4, np.array([0.0, 0.0, -1.0]), 90.0)
+    det = o.DetectorSpec(np.array([0.0, 0.0, -1.0]), 90.0)
     t0 = time.perf_counter()
     got = detector_ir(o.compute_field(scene, (0,), np.array([2.0, 1.0, 1.0]), cfg),
                       det).total_power()
@@ -166,7 +166,7 @@ def test_criterion_6_conservation_and_convergence(pod, fields):
         first = field.totals["first_bounce_coarse_w"]
         second = field.totals["second_bounce_coarse_w"]
         cons.append(second <= rho_max * first)
-    det = o.DetectorSpec(4e-6, 0.4, np.array([0.0, 0.0, 1.0]), 70.0)
+    det = o.DetectorSpec(np.array([0.0, 0.0, 1.0]), 70.0)
     changes = []
     for mi in range(3):
         totals = []

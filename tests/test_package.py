@@ -1,6 +1,8 @@
 """The package's public surface is an explicit list: adding or removing a
-top-level name has to be a deliberate edit here."""
+top-level name, or a field of a public dataclass, has to be a deliberate
+edit here."""
 
+import dataclasses
 import types
 
 import owcsim
@@ -12,7 +14,7 @@ PUBLIC = {
     # raytracer
     "C_LIGHT", "ArrivalField", "ImpulseResponse", "TraceConfig", "compute_field",
     # receivers
-    "DetectorSpec", "LensModel", "Orientation", "ReceiverSpec",
+    "DetectorSpec", "Orientation", "ReceiverSpec",
     "default_pixel_layout", "load_pixel_layout", "make_adr", "make_imaging",
     "make_wfov",
     # linkmetrics
@@ -24,8 +26,52 @@ PUBLIC = {
     "RunConfig", "parse_config",
 }
 
+# Every field is a value a caller can set; the paper's fixed hardware
+# (detector area and responsivity, the imaging lens, downward luminaires)
+# is module constants, not fields.
+FIELDS = {
+    # scene
+    "PodConfig": ("luminaire_power_w", "room", "wall_reflectance",
+                  "ceiling_reflectance", "floor_reflectance", "semi_angle_deg",
+                  "rack_top_m", "row_y_span", "rack_depth_m", "rack_occluding"),
+    "RackRow": ("centre_x", "y_span", "top_height", "occluding", "depth"),
+    "Scene": ("room", "panels", "luminaires", "rows", "mounts"),
+    "SurfacePanel": ("origin", "u", "v", "normal", "reflectance", "kind"),
+    "Luminaire": ("position", "semi_angle_deg", "power_w"),
+    # raytracer
+    "ArrivalField": ("mount", "cfg", "nbins", "point_flux", "point_idx",
+                     "point_dir", "dir_table", "b2_hist", "b2_dirs", "b2_traced",
+                     "totals"),
+    "ImpulseResponse": ("bin_width", "bins"),
+    "TraceConfig": ("max_order", "first_edge", "second_edge", "bin_width"),
+    # receivers
+    "DetectorSpec": ("boresight", "fov_deg"),
+    "Orientation": ("az_deg", "el_deg"),
+    "ReceiverSpec": ("kind", "branches"),
+    # linkmetrics
+    "DelayStats": ("mean_delay", "rms_spread"),
+    "EyePowers": ("ps1", "ps0"),
+    "LinkReport": ("mount", "receiver_kind", "bitrate", "branch_power_w",
+                   "branch_snr", "branch_snr_db", "sc_branch", "snr_sc",
+                   "snr_sc_db", "snr_mrc", "snr_mrc_db", "ber", "delay",
+                   "bandwidth_hz", "max_rate_bps"),
+    "NoiseBudget": ("sigma_preamp", "sigma_background", "sigma_signal",
+                    "sigma_total"),
+    "NoiseParams": ("preamp_density", "background_current", "bandwidth_factor"),
+    # cli
+    "RunConfig": ("pod", "receiver_kind", "pixel_layout_file", "bitrate",
+                  "noise", "trace", "sweep"),
+}
+
 
 def test_public_names_are_the_listed_ones():
     names = {name for name, value in vars(owcsim).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC
+
+
+def test_public_dataclass_fields_are_the_listed_ones():
+    fields = {name: tuple(f.name for f in dataclasses.fields(value))
+              for name, value in vars(owcsim).items()
+              if name in PUBLIC and dataclasses.is_dataclass(value)}
+    assert fields == FIELDS

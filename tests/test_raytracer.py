@@ -48,8 +48,8 @@ from oracles import (
 from probes import detector_ir
 
 
-def detector(boresight=(0, 0, 1), fov=90.0, area=4e-6):
-    return DetectorSpec(area, 0.4, np.asarray(boresight, dtype=float), fov)
+def detector(boresight=(0, 0, 1), fov=90.0):
+    return DetectorSpec(np.asarray(boresight, dtype=float), fov)
 
 
 def down_luminaire(pos, semi_angle=60.0, power=1.0):
@@ -76,8 +76,7 @@ class TestLosGain:
         lum = down_luminaire((0, 0, 1))
         # tilt the detector so the arrival sits just past a 70 deg FOV
         tilt = math.radians(70.1)
-        det = DetectorSpec(4e-6, 0.4,
-                           vec3(math.sin(tilt), 0.0, math.cos(tilt)), 70.0)
+        det = DetectorSpec(vec3(math.sin(tilt), 0.0, math.cos(tilt)), 70.0)
         assert los_gain(lum, det, vec3(0, 0, 0)) == 0.0
 
     def test_45_deg_closed_form(self):
@@ -263,7 +262,7 @@ class TestTrace:
             b = rng.normal(size=3)
             b /= np.linalg.norm(b)
             fov = float(rng.uniform(30.0, 90.0))
-            det = DetectorSpec(4e-6, 0.4, b, fov)
+            det = DetectorSpec(b, fov)
             ir = detector_ir(compute_field(pod, all_ids, pos, cfg), det)
             want = oracle_los_sum(pod, b, fov, 4e-6, pos)
             assert ir.total_power() == pytest.approx(want, rel=1e-12, abs=1e-30)
@@ -296,12 +295,10 @@ class TestTrace:
             n2 /= np.linalg.norm(n2)
             if np.dot(u, n1) <= 0.05 or np.dot(-u, n2) <= 0.05:
                 continue
-            fwd = los_gain(dataclasses.replace(Luminaire.make(p1, 1.0, 60.0),
-                                               boresight=n1),
-                           detector(boresight=n2), p2)
-            rev = los_gain(dataclasses.replace(Luminaire.make(p2, 1.0, 60.0),
-                                               boresight=n2),
-                           detector(boresight=n1), p1)
+            fwd = los_gain(Luminaire.make(p1, 1.0, 60.0),
+                           detector(boresight=n2), p2, boresight=n1)
+            rev = los_gain(Luminaire.make(p2, 1.0, 60.0),
+                           detector(boresight=n1), p1, boresight=n2)
             assert fwd == pytest.approx(rev, rel=1e-12)
 
     def test_occluding_rack_blocks_los(self):
@@ -346,6 +343,17 @@ class TestTrace:
         object.__setattr__(pod.panels[0], "reflectance", 1.4)
         with pytest.raises(ValueError, match="reflectance"):
             compute_field(pod, (0,), vec3(4, 4, 2), TraceConfig(max_order=0))
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_below_one_rejected(self, monkeypatch, threads):
+        # refused before any stage traces, not clamped to one thread
+        def traced(*args):
+            raise AssertionError("traced with a bad thread count")
+        monkeypatch.setattr(raytracer, "_los_arrivals", traced)
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        with pytest.raises(ValueError, match="thread count must be at least 1"):
+            compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
+                          pod.mounts[0], TraceConfig(), threads=threads)
 
 
 COARSE = dict(max_order=2, first_edge=0.4, second_edge=0.4)

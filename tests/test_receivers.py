@@ -1,13 +1,13 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from owcsim.receivers import (
+    LENS_FOV_DEG,
+    LENS_POLY,
     DetectorSpec,
-    LensModel,
     Orientation,
     ReceiverSpec,
     capture_matrix,
@@ -47,10 +47,8 @@ class TestMakeReceivers:
         rx = make_wfov()
         assert rx.branch_count == 1
         det = rx.branches[0]
-        assert det.fov_deg == 70.0 and det.responsivity == 0.4
-        assert det.area == 4e-6
+        assert det.fov_deg == 70.0
         assert list(det.boresight) == [0.0, 0.0, 1.0]
-        assert rx.lens is None
 
     def test_adr(self):
         rx = make_adr()
@@ -74,8 +72,7 @@ class TestMakeReceivers:
     def test_imaging_default_layout(self):
         rx = make_imaging()
         assert rx.branch_count == 50
-        assert all(b.fov_deg == 17.0 and b.area == 4e-6 for b in rx.branches)
-        assert rx.lens is not None and rx.lens.fov_deg == 65.0
+        assert all(b.fov_deg == 17.0 for b in rx.branches)
         min_cos = math.cos(math.radians(65.0))
         for b in rx.branches:
             assert b.boresight[2] >= min_cos - 1e-12
@@ -98,9 +95,23 @@ class TestMakeReceivers:
             make_imaging(outside)
 
     def test_uniform_constants_across_kinds(self):
+        # every branch of every kind captures a ray along its boresight
+        # with the one 4 mm^2 area, times the lens for the imaging pixels
         for rx in (make_wfov(), make_adr(), make_imaging()):
-            assert all(b.responsivity == 0.4 and b.area == 4e-6
-                       for b in rx.branches)
+            dirs = -np.stack([b.boresight for b in rx.branches])
+            lens = (lens_transmission(np.arccos(-dirs[:, 2]))
+                    if rx.kind == "imaging" else 1.0)
+            assert np.diag(capture_matrix(rx, dirs)) == pytest.approx(
+                4e-6 * lens, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["imagin", "all", ""])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(ValueError, match="receiver kind"):
+            ReceiverSpec(kind, make_wfov().branches)
+
+    def test_no_branches_refused(self):
+        with pytest.raises(ValueError, match="at least one branch"):
+            ReceiverSpec("adr", ())
 
 
 class TestLensTransmission:
@@ -116,29 +127,24 @@ class TestLensTransmission:
     def test_beyond_acceptance(self):
         assert lens_transmission(1.2)[0] == 0.0   # 1.2 rad > 65 deg
 
-    def test_clamped_to_unit_interval(self):
-        y = np.linspace(0.0, math.radians(65.0), 50)
-        assert np.all((lens_transmission(y) >= 0.0) & (lens_transmission(y) <= 1.0))
-        # polynomials that leave [0, 1] inside the cone are clamped
-        assert np.all(lens_transmission(y, LensModel(poly=(0.0, 0.0, 1.5)))
-                      == pytest.approx(1.0, rel=1e-12))
-        assert np.all(lens_transmission(y, LensModel(poly=(0.0, 0.0, -0.5))) == 0.0)
+    def test_polynomial_inside_unit_interval_over_the_cone(self):
+        # why the capture path needs no clamp: a concave quadratic's
+        # minimum over [0, cone] is at an end, its maximum at the vertex
+        a, b, c = LENS_POLY
+        cone = math.radians(LENS_FOV_DEG)
+        y = np.concatenate([np.linspace(0.0, cone, 1001), [-b / (2 * a)]])
+        t = a * y * y + b * y + c
+        assert a < 0.0 and 0.0 <= -b / (2 * a) <= cone
+        assert 0.0 <= t.min() and t.max() <= 1.0
+        assert t.min() == pytest.approx(0.6709, abs=1e-4)
+        assert t.max() == pytest.approx(0.8801, abs=1e-4)
 
 
 class TestDetectorSpec:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    @pytest.mark.parametrize("name", ["area", "responsivity"])
-    def test_area_and_responsivity_positive_and_finite(self, name, value):
-        args = dict(area=4e-6, responsivity=0.4,
-                    boresight=np.array([0.0, 0.0, 1.0]), fov_deg=70.0)
-        args[name] = value
-        with pytest.raises(ValueError, match="positive and finite"):
-            DetectorSpec(**args)
-
     @pytest.mark.parametrize("fov", [math.nan, math.inf, -math.inf, 0.0, 90.5])
     def test_fov_in_range(self, fov):
         with pytest.raises(ValueError, match="FOV"):
-            DetectorSpec(4e-6, 0.4, np.array([0.0, 0.0, 1.0]), fov)
+            DetectorSpec(np.array([0.0, 0.0, 1.0]), fov)
 
 
 DOWN = np.array([[0.0, 0.0, -1.0]])     # a ray from the zenith
@@ -223,7 +229,7 @@ class TestCaptureMatrix:
             acc = capture_matrix(rx, dirs)
             for j, det in enumerate(rx.branches):
                 for i in range(toward.shape[0]):
-                    want = oracle_acceptance(det, dirs[i]) * det.area
+                    want = oracle_acceptance(det, dirs[i]) * 4e-6
                     assert acc[j, i] == pytest.approx(want, rel=1e-12, abs=1e-30)
 
     def test_imaging_includes_lens_and_assignment(self):
@@ -236,9 +242,6 @@ class TestCaptureMatrix:
             assert acc[k, k] == pytest.approx(want, rel=1e-12)
             others = np.delete(acc[:, k], k)
             assert np.all(others == 0.0)
-
-
-LENS_FOV = LensModel().fov_deg
 
 
 def _tilted(bore, angle, azimuth):
@@ -263,7 +266,7 @@ def gate_edge_directions(rx, rng, n_random):
         toward.append([b.boresight] + [
             _tilted(b.boresight, fov * (1.0 + s), rng.uniform(0.0, 2 * math.pi))
             for s in (-1e-12, 0.0, 1e-12)])
-    cone = math.radians(LENS_FOV)
+    cone = math.radians(LENS_FOV_DEG)
     for s in (-1e-12, 0.0, 1e-12, None):
         polar = math.pi / 2 if s is None else cone * (1.0 + s)
         az = rng.uniform(0.0, 2 * math.pi, 8)
@@ -273,38 +276,41 @@ def gate_edge_directions(rx, rng, n_random):
     return -np.concatenate([np.asarray(t, dtype=float) for t in toward])
 
 
-def receiver_under_test(kind, lens, tie):
-    """One receiver of `kind`; `lens` puts the default lens on it (or takes
-    it off the imaging receiver); `tie` gives two imaging pixels one
-    boresight, so their cosines tie exactly."""
+KINDS = ["wfov", "adr", "imaging", "detector", "lensed detector"]
+
+
+def receiver_under_test(kind, tie):
+    """One receiver of `kind`, where "lensed detector" is one tilted element
+    under the lens (a one-branch imaging receiver) and "detector" the same
+    element bare; `tie` gives two imaging pixels one boresight, so their
+    cosines tie exactly."""
     if kind == "imaging":
         layout = list(default_pixel_layout())
         if tie:
             layout[7] = layout[3]
-        rx = make_imaging(layout)
-    elif kind == "detector":
-        det = DetectorSpec(4e-6, 0.4, np.array([0.3, -0.2, 0.9]) / math.sqrt(0.94), 35.0)
-        rx = ReceiverSpec("detector", (det,))
-    else:
-        rx = {"wfov": make_wfov, "adr": make_adr}[kind]()
-    return replace(rx, lens=LensModel() if lens else None)
+        return make_imaging(layout)
+    if kind in ("detector", "lensed detector"):
+        det = DetectorSpec(np.array([0.3, -0.2, 0.9]) / math.sqrt(0.94), 35.0)
+        return ReceiverSpec("imaging" if kind == "lensed detector" else "detector",
+                            (det,))
+    return {"wfov": make_wfov, "adr": make_adr}[kind]()
 
 
 class TestSparseCapture:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(kind=st.sampled_from(["wfov", "adr", "imaging", "detector"]),
-           lens=st.booleans(), tie=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_capture_matrix_equals_dense_reference(self, kind, lens, tie, seed):
-        rx = receiver_under_test(kind, lens, tie)
+    @given(kind=st.sampled_from(KINDS), tie=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_capture_matrix_equals_dense_reference(self, kind, tie, seed):
+        rx = receiver_under_test(kind, tie)
         dirs = gate_edge_directions(rx, np.random.default_rng(seed), 300)
         got = capture_matrix(rx, dirs)
         want = oracle_capture_matrix(rx, dirs)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("kind", ["wfov", "adr", "imaging", "detector"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_entries_are_non_zero_and_ordered(self, kind):
-        rx = receiver_under_test(kind, True, True)
+        rx = receiver_under_test(kind, True)
         dirs = gate_edge_directions(rx, np.random.default_rng(4), 2000)
         branch, arrival, weight = sparse_capture(rx, dirs)
         assert np.all(weight > 0.0)
@@ -315,7 +321,7 @@ class TestSparseCapture:
 
     def test_empty_directions(self):
         for kind in ("wfov", "imaging"):
-            rx = receiver_under_test(kind, True, False)
+            rx = receiver_under_test(kind, False)
             assert capture_matrix(rx, np.zeros((0, 3))).shape == (rx.branch_count, 0)
 
 
@@ -325,12 +331,11 @@ class TestDirectionTable:
     bit, and bin to the same bits."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(kind=st.sampled_from(["wfov", "adr", "imaging", "detector"]),
-           lens=st.booleans(), tie=st.booleans(), seed=st.integers(0, 2**32 - 1),
-           extra=st.integers(0, 400))
-    def test_expanded_capture_equals_per_arrival_capture(self, kind, lens, tie,
-                                                         seed, extra):
-        rx = receiver_under_test(kind, lens, tie)
+    @given(kind=st.sampled_from(KINDS), tie=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 400))
+    def test_expanded_capture_equals_per_arrival_capture(self, kind, tie, seed,
+                                                         extra):
+        rx = receiver_under_test(kind, tie)
         rng = np.random.default_rng(seed)
         table = gate_edge_directions(rx, rng, 60)
         # every direction at least once, `extra` repeats, in no order
