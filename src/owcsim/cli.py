@@ -170,25 +170,23 @@ def _convert(k: _Key, raw: str, where: str):
     return value
 
 
-def _field_value(k: _Key, value):
-    return value if k.scale is None else value * k.scale
-
-
-def _get(cfg: RunConfig, target: str):
-    for part in target.split("."):
-        cfg = cfg[int(part)] if part.isdigit() else getattr(cfg, part)
-    return cfg
-
-
-def _build(fields: dict) -> RunConfig:
-    """RunConfig from {target: field value}, with the checks that span keys."""
+def _build(values: dict) -> RunConfig:
+    """RunConfig from {key: checked value in the config unit}: omitted keys
+    take their defaults, then the checks that span keys run."""
     tree = {}
-    for target, value in fields.items():
-        *path, last = target.split(".")
+    for k in _KEYS:
+        if k in values:
+            value = values[k]
+        elif k.default is _REQUIRED:
+            raise ConfigError(
+                f"missing required key '{k.key}' in section [{k.section}]")
+        else:
+            value = k.default
+        *path, last = k.target.split(".")
         node = tree
         for part in path:
             node = node.setdefault(part, {})
-        node[last] = value
+        node[last] = value if k.scale is None else value * k.scale
     try:
         for name, cls in _PARTS.items():
             tree[name] = cls(**{
@@ -214,6 +212,11 @@ def parse_config(text: str) -> RunConfig:
     ConfigError with the offending line; omitted optional keys take their
     documented defaults.
     """
+    return _build(_key_values(text))
+
+
+def _key_values(text: str) -> dict:
+    """{key: checked value in the config unit} of each key the text sets."""
     values = {}
     section = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -240,26 +243,7 @@ def parse_config(text: str) -> RunConfig:
                 f"line {line_no}: duplicate key '{key}' in section [{section}]"
             )
         values[k] = _convert(k, raw, f"line {line_no}")
-
-    for k in _KEYS:
-        if k not in values:
-            if k.default is _REQUIRED:
-                raise ConfigError(
-                    f"missing required key '{k.key}' in section [{k.section}]"
-                )
-            values[k] = k.default
-    return _build({k.target: _field_value(k, values[k]) for k in _KEYS})
-
-
-def _with_overrides(cfg: RunConfig, args) -> RunConfig:
-    """Apply the flags that override config keys, checked like the keys."""
-    fields = {k.target: _get(cfg, k.target) for k in _KEYS}
-    for flag, k in _FLAG_KEYS.items():
-        raw = getattr(args, flag)
-        if raw is not None:
-            fields[k.target] = _field_value(
-                k, _convert(k, raw, "--" + flag.replace("_", "-")))
-    return _build(fields)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +390,7 @@ def run_scene_check(cfg: RunConfig) -> int:
                                       mount, cfg.trace, rxs)
             print(f"mount {mi} second-order ({kinds}): "
                   f"rows={ext['rows']} cols={ext['cols']} pairs={ext['pairs']} "
-                  f"histogram_bytes={ext['hist_bytes']} "
-                  f"traced_histogram_bytes={ext['traced_hist_bytes']}")
+                  f"histogram_bytes={ext['hist_bytes']}")
     return 0
 
 
@@ -452,7 +435,13 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = _with_overrides(parse_config(text), args)
+        values = _key_values(text)
+        # the flags that override config keys, checked like the keys
+        for flag, k in _FLAG_KEYS.items():
+            raw = getattr(args, flag)
+            if raw is not None:
+                values[k] = _convert(k, raw, "--" + flag.replace("_", "-"))
+        cfg = _build(values)
         threads = _thread_count(args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -189,30 +189,32 @@ def eye_powers(ir: ImpulseResponse, bitrate: float) -> EyePowers:
     return EyePowers(ps1=float(p[slot].sum()), ps0=float(p[~slot].sum()))
 
 
-def noise_budget(avg_power_w: float, responsivity: float, bandwidth: float,
+def noise_budget(avg_power_w: float, bandwidth: float,
                  background_current: float, preamp_density: float) -> NoiseBudget:
     """Shot, background and preamplifier noise currents for one branch.
 
-    sigma_signal = sqrt(2 q R P B), sigma_background = sqrt(2 q I_b B),
-    sigma_preamp = eta sqrt(B); the total is their quadrature sum.
+    sigma_signal = sqrt(2 q R P B), with R = RESPONSIVITY_A_W,
+    sigma_background = sqrt(2 q I_b B), sigma_preamp = eta sqrt(B); the
+    total is their quadrature sum.
     """
     if not 0.0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be positive and finite")
     if not all(0.0 <= x < math.inf for x in
-               (avg_power_w, responsivity, background_current, preamp_density)):
+               (avg_power_w, background_current, preamp_density)):
         raise ValueError("noise inputs must be non-negative and finite")
-    s_sig = math.sqrt(2.0 * Q_ELECTRON * responsivity * avg_power_w * bandwidth)
+    s_sig = math.sqrt(2.0 * Q_ELECTRON * RESPONSIVITY_A_W * avg_power_w * bandwidth)
     s_bn = math.sqrt(2.0 * Q_ELECTRON * background_current * bandwidth)
     s_pr = preamp_density * math.sqrt(bandwidth)
     s_t = math.sqrt(s_pr * s_pr + s_bn * s_bn + s_sig * s_sig)
     return NoiseBudget(s_pr, s_bn, s_sig, s_t)
 
 
-def snr_ook(responsivity: float, eye: EyePowers, sigma_total: float) -> float:
-    """Linear electrical SNR of the two-level eye: (R (ps1 - ps0) / sigma)^2."""
+def snr_ook(eye: EyePowers, sigma_total: float) -> float:
+    """Linear electrical SNR of the two-level eye: (R (ps1 - ps0) / sigma)^2,
+    with R = RESPONSIVITY_A_W."""
     if sigma_total <= 0.0:
         raise ValueError("total noise must be positive")
-    x = responsivity * (eye.ps1 - eye.ps0) / sigma_total
+    x = RESPONSIVITY_A_W * (eye.ps1 - eye.ps0) / sigma_total
     return x * x
 
 
@@ -271,9 +273,9 @@ def link_report(field: ArrivalField, receiver: ReceiverSpec, bitrate: float,
     for ir in irs:
         eye = eye_powers(ir, bitrate)
         avg_power = 0.5 * (eye.ps1 + eye.ps0)    # equiprobable OOK symbols
-        budget = noise_budget(avg_power, RESPONSIVITY_A_W, bw,
-                              noise.background_current, noise.preamp_density)
-        snrs.append(snr_ook(RESPONSIVITY_A_W, eye, budget.sigma_total))
+        budget = noise_budget(avg_power, bw, noise.background_current,
+                              noise.preamp_density)
+        snrs.append(snr_ook(eye, budget.sigma_total))
         powers.append(ir.total_power())
     sc_idx = int(np.argmax(snrs))
     snr_sc = combine_sc(snrs)

@@ -24,8 +24,8 @@ so a receiver's gains are computed once per direction, not once per
 arrival: every luminaire's first-order arrival from one element shares it.
 
 When the receivers to be applied are known up front, only the second-bounce
-(e2) columns that some branch captures are traced; every other histogram
-row stays 0.0 and meets a capture weight of exactly 0.0, so the impulse
+(e2) columns that some branch captures are traced, one histogram row each;
+every other column meets a capture weight of exactly 0.0, so the impulse
 responses of those receivers are bit-identical to a full trace.
 """
 
@@ -45,7 +45,7 @@ C_LIGHT = 2.9979e8            # m/s, air
 _CHUNK = 256                  # second-order e1 rows per work unit (fixed: determinism)
 _EPS = 1e-12
 # Each branch's second-order gemv runs over the aligned blocks of this many
-# `b2_hist` rows that hold one of its non-zero weights.  OpenBLAS's gemv
+# grid elements that hold one of its non-zero weights.  OpenBLAS's gemv
 # adds the element axis into y in aligned groups of 4 or 8; an all-zero
 # group adds +0.0, so dropping whole 8-aligned blocks keeps every bit.
 _GEMV_BLOCK = 8
@@ -247,34 +247,32 @@ def second_order_extent(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
                         receivers=None) -> dict:
     """What the second-order kernel traces for one mount, without tracing:
     lit first-bounce rows, captured second-bounce columns, the pairs between
-    them and the histogram bytes (the field's full histogram and the
-    compact one the traced columns are accumulated in)."""
+    them and the bytes of the histogram, one row per traced column."""
     boxes = _occluder_boxes(scene)
     grid = scene.surface_elements(cfg.second_edge)
     _, _, lit, _, traced = _second_order_setup(
         [scene.luminaires[i] for i in luminaire_ids], grid,
         np.asarray(mount, dtype=float), boxes, receivers)
     rows, cols = int(lit.sum()), int(traced.sum())
-    row_bytes = _bin_count(scene, cfg) * 8
     return {"rows": rows, "cols": cols, "pairs": rows * cols,
-            "hist_bytes": len(grid) * row_bytes,
-            "traced_hist_bytes": cols * row_bytes}
+            "hist_bytes": cols * _bin_count(scene, cfg) * 8}
 
 
 def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
                        receivers):
-    """Second-order power per final (e2) element and delay bin.
+    """Second-order power per traced final (e2) element and delay bin.
 
-    Returns (hist (ne, nbins), traced e2 columns, e2 arrival directions,
-    totals).  Only traced columns get paths; the other rows stay 0.0."""
+    Returns (hist (traced columns, nbins), traced e2 columns as an (ne,)
+    mask, e2 arrival directions (ne, 3), totals).  Row i of `hist` is the
+    i-th traced column in element order."""
     ne = len(grid)
     p1, l1, lit, (u3, d3, f3), traced = _second_order_setup(
         lums, grid, mount, boxes, receivers)
     totals = {"first_bounce_coarse_w": float(p1.sum())}
 
     # e2 columns: only the elements a receiver branch captures.  A dropped
-    # column's histogram row stays 0.0 and meets a capture weight of
-    # exactly 0.0, so every receiver IR keeps its bits.
+    # column meets a capture weight of exactly 0.0, so every receiver IR
+    # keeps its bits.
     cols = np.flatnonzero(traced)
     nc = cols.size
     centres_c, normals_c = grid.centres[cols], grid.normals[cols]
@@ -350,13 +348,13 @@ def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
     totals["second_rows_traced"] = rows_traced
     totals["second_cols_traced"] = nc
     totals["second_pairs_evaluated"] = rows_traced * nc
-    hist_c = np.zeros((nc, nbins))
+    hist = np.zeros((nc, nbins))
     second_total = 0.0
 
     def add_chunk(result):
         nonlocal second_total
         lo, counts, tot = result
-        window = hist_c[:, lo:lo + counts.shape[1]]
+        window = hist[:, lo:lo + counts.shape[1]]
         np.add(window, counts, out=window)
         second_total += tot
 
@@ -378,10 +376,6 @@ def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
     totals["second_bounce_traced_w"] = second_total
     if nc == ne:
         totals["second_bounce_coarse_w"] = second_total
-        hist = hist_c
-    else:
-        hist = np.zeros((ne, nbins))
-        hist[cols] = hist_c
     return hist, traced, u3, totals
 
 
@@ -407,10 +401,11 @@ class ArrivalField:
     `dir_table`, one table of distinct arrival directions: the LOS
     directions, one per luminaire, then one per first-order element that
     passes any flux, which every luminaire's arrival from that element
-    shares.  Second-order power is pre-binned per final element, since its
-    arrival direction only depends on that element.  Applying a receiver is
-    then just a directional weighting, computed once per direction, so all
-    branches of all receiver kinds share one trace.
+    shares.  Second-order power is pre-binned per traced final element, one
+    `b2_hist` row each in element order, since its arrival direction only
+    depends on that element.  Applying a receiver is then just a directional
+    weighting, computed once per direction, so all branches of all receiver
+    kinds share one trace.
 
     Built by `compute_field`.  `mount` is where every receiver applied to
     the field sits.  When second-order paths were traced only to the
@@ -425,14 +420,14 @@ class ArrivalField:
     point_idx: np.ndarray     # (P,) delay bin
     point_dir: np.ndarray     # (P,) row of dir_table
     dir_table: np.ndarray     # (D, 3) distinct propagation directions
-    b2_hist: np.ndarray | None    # (ne, nbins) W per final element; None below order 2
+    b2_hist: np.ndarray | None    # (traced, nbins) W; None below order 2
     b2_dirs: np.ndarray | None    # (ne, 3)
-    b2_traced: np.ndarray | None  # (ne,) bool
+    b2_traced: np.ndarray | None  # (ne,) bool, the elements with a b2_hist row
     totals: dict              # traced power and work, by name
 
     def _check_traced(self, acc_b2, what: str):
         """Refuse capture weights on second-order elements that were not
-        traced: their histogram rows are 0.0, not the power they receive."""
+        traced: they have no histogram row to hold the power they receive."""
         if acc_b2[..., ~self.b2_traced].any():
             raise ValueError(
                 f"{what} captures second-order light from surface elements "
@@ -446,15 +441,14 @@ class ArrivalField:
         direction table, expanded to the arrivals in ascending order, and
         are binned for every branch in one `bincount` over
         `branch * nbins + bin`; each cell still adds its terms in arrival
-        order.  Second-order power is each branch's gemv over the
-        `_GEMV_BLOCK`-row blocks of `b2_hist` it weighs, in ascending order;
-        the blocks it skips would only add +0.0 to the full gemv."""
+        order.  Second-order power is `_second_order_bins` of the
+        branches' capture of `b2_dirs`."""
         nb, nbins = receiver.branch_count, self.nbins
-        acc_b2 = None
+        b2_bins = None
         if self.b2_hist is not None:
             acc_b2 = capture_matrix(receiver, self.b2_dirs)
             self._check_traced(acc_b2, f"{receiver.kind} receiver")
-            rows = _weighed_rows(acc_b2)
+            b2_bins = _second_order_bins(acc_b2, self.b2_hist, self.b2_traced)
         branch, arrival, weight = _arrival_capture(receiver, self.dir_table,
                                                    self.point_dir)
         point_bins = np.bincount(branch * nbins + self.point_idx[arrival],
@@ -463,8 +457,8 @@ class ArrivalField:
         irs = []
         for j in range(nb):
             bins = point_bins[j]
-            if acc_b2 is not None:
-                bins = bins + acc_b2[j, rows[j]] @ self.b2_hist[rows[j]]
+            if b2_bins is not None:
+                bins = bins + b2_bins[j]
             nz = np.nonzero(bins)[0]
             # not bins[:0]: bincount gives integer bins when nothing is captured
             bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
@@ -491,6 +485,17 @@ def _arrival_capture(receiver: ReceiverSpec, dirs: np.ndarray,
     k = np.arange(arrival.size) - np.repeat(np.cumsum(per) - per, per)
     entry = order[first[dir_row[arrival]] + k]
     return branch[entry], arrival, weight[entry]
+
+
+def _second_order_bins(acc: np.ndarray, hist: np.ndarray, traced: np.ndarray):
+    """Each branch's `acc[j] @ full`, `full` being the (ne, nbins) histogram
+    with `hist`'s rows at the `traced` elements and 0.0 elsewhere, by a gemv
+    over only the `_GEMV_BLOCK`-element blocks the branch weighs.  An
+    untraced element in such a block has weight 0.0 (`_check_traced`), so
+    it may read any traced row: 0.0 times a finite value >= 0 adds +0.0."""
+    rows = _weighed_rows(acc)
+    hist_row = np.maximum(np.cumsum(traced) - 1, 0)
+    return [a[r] @ hist[hist_row[r]] for a, r in zip(acc, rows)]
 
 
 def _weighed_rows(acc: np.ndarray) -> np.ndarray:

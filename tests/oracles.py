@@ -404,12 +404,17 @@ def oracle_receiver_irs(field, receiver):
     """Per-branch impulse responses by the dense path as first written: a
     dense capture of every point arrival (its row of the field's direction
     table), one `bincount` per branch, plus the branch's gemv over the
-    second-order histogram.  Returns a list of bin arrays."""
+    full-shape second-order histogram, its untraced rows 0.0.  Returns a
+    list of bin arrays."""
+    if field.b2_hist is not None:
+        full = np.zeros((field.b2_traced.size, field.nbins))
+        full[field.b2_traced] = field.b2_hist
+
     def assemble(acc_point, acc_b2):
         bins = np.bincount(field.point_idx, weights=acc_point * field.point_flux,
                            minlength=field.nbins)
         if field.b2_hist is not None:
-            bins = bins + acc_b2 @ field.b2_hist
+            bins = bins + acc_b2 @ full
         nz = np.nonzero(bins)[0]
         return bins[: nz[-1] + 1] if nz.size else bins[:0]
 

@@ -507,6 +507,14 @@ class TestReceiverCulledOutputs:
         fields = dict(kv.split("=") for kv in lines[0].split() if "=" in kv)
         assert int(fields["pairs"]) == int(fields["rows"]) * int(fields["cols"])
         assert 0 < int(fields["cols"]) < 1400
+        # one histogram byte figure: the traced rows the field holds
+        assert set(fields) == {"rows", "cols", "pairs", "histogram_bytes"}
+        cfg = parse_config(coarse_second_order_config())
+        pod = build_pod(cfg.pod)
+        mount = pod.mounts[0]
+        field = compute_field(pod, pod.assigned_luminaires(mount), mount,
+                              cfg.trace, receivers=[make_wfov()])
+        assert int(fields["histogram_bytes"]) == field.b2_hist.nbytes
 
 
 class TestModuleEntryPoint:

@@ -246,7 +246,7 @@ class TestEyePowers:
 
 class TestNoiseBudget:
     def test_preamp_only(self):
-        nb = noise_budget(0.0, 0.4, 1e9, 0.0, 4.5e-12)
+        nb = noise_budget(0.0, 1e9, 0.0, 4.5e-12)
         assert nb.sigma_total == nb.sigma_preamp
         assert nb.sigma_total == pytest.approx(4.5e-12 * math.sqrt(1e9),
                                                rel=1e-12)
@@ -255,26 +255,26 @@ class TestNoiseBudget:
         # choose inputs so the components come out 3, 4 and 0
         eta = 3.0
         bg = 16.0 / (2.0 * Q_ELECTRON)
-        nb = noise_budget(0.0, 0.4, 1.0, bg, eta)
+        nb = noise_budget(0.0, 1.0, bg, eta)
         assert nb.sigma_preamp == pytest.approx(3.0, rel=1e-12)
         assert nb.sigma_background == pytest.approx(4.0, rel=1e-12)
         assert nb.sigma_signal == 0.0
         assert nb.sigma_total == pytest.approx(5.0, rel=1e-12)
 
     def test_signal_shot_noise_value(self):
-        nb = noise_budget(1e-6, 0.4, 1e9, 0.0, 0.0)
+        nb = noise_budget(1e-6, 1e9, 0.0, 0.0)
         assert nb.sigma_signal == pytest.approx(1.1321e-8, rel=1e-4)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            noise_budget(1e-6, 0.4, 0.0, 0.0, 0.0)
+            noise_budget(1e-6, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            noise_budget(-1e-6, 0.4, 1e9, 0.0, 0.0)
+            noise_budget(-1e-6, 1e9, 0.0, 0.0)
 
-    @pytest.mark.parametrize("arg", range(5))
+    @pytest.mark.parametrize("arg", range(4))
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_inputs(self, arg, bad):
-        args = [1e-6, 0.4, 1e9, 100e-6, 4.5e-12]
+        args = [1e-6, 1e9, 100e-6, 4.5e-12]
         args[arg] = bad
         with pytest.raises(ValueError, match="finite"):
             noise_budget(*args)
@@ -301,19 +301,20 @@ class TestNoiseParams:
 
 class TestSnrAndCombining:
     def test_closed_eye(self):
-        assert snr_ook(1.0, EyePowers(2e-6, 2e-6), 1e-8) == 0.0
+        assert snr_ook(EyePowers(2e-6, 2e-6), 1e-8) == 0.0
 
     def test_direct_substitution(self):
-        assert snr_ook(1.0, EyePowers(3.0, 0.0), 1.0) == pytest.approx(9.0)
+        # (R (ps1 - ps0) / sigma)^2 with R = 0.4 A/W
+        assert snr_ook(EyePowers(3.0, 0.0), 1.0) == pytest.approx(1.44)
 
     def test_reference_case(self):
-        snr = snr_ook(0.4, EyePowers(1e-6, 0.0), 1e-8)
+        snr = snr_ook(EyePowers(1e-6, 0.0), 1e-8)
         assert snr == pytest.approx(1600.0, rel=1e-12)
         assert 10 * math.log10(snr) == pytest.approx(32.04, abs=5e-3)
 
     def test_zero_noise_rejected(self):
         with pytest.raises(ValueError):
-            snr_ook(0.4, EyePowers(1e-6, 0.0), 0.0)
+            snr_ook(EyePowers(1e-6, 0.0), 0.0)
 
     def test_combiner_examples(self):
         assert combine_sc([9.0]) == 9.0
@@ -336,8 +337,8 @@ class TestSnrAndCombining:
         rng = np.random.default_rng(14)
         diffs = rng.uniform(0.1e-6, 2e-6, 5)
         k = 3.7
-        base = [snr_ook(0.4, EyePowers(d, 0.0), 2e-8) for d in diffs]
-        scaled = [snr_ook(0.4, EyePowers(k * d, 0.0), 2e-8) for d in diffs]
+        base = [snr_ook(EyePowers(d, 0.0), 2e-8) for d in diffs]
+        scaled = [snr_ook(EyePowers(k * d, 0.0), 2e-8) for d in diffs]
         assert combine_sc(scaled) == pytest.approx(k * k * combine_sc(base),
                                                    rel=1e-12)
         assert combine_mrc(scaled) == pytest.approx(k * k * combine_mrc(base),

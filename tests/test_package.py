@@ -1,11 +1,14 @@
 """The package's public surface is an explicit list: adding or removing a
-top-level name, or a field of a public dataclass, has to be a deliberate
-edit here."""
+top-level name, a field of a public dataclass or a parameter default of a
+public function or method has to be a deliberate edit here."""
 
 import dataclasses
+import inspect
 import types
 
 import owcsim
+from owcsim import cli, linkmetrics, raytracer, receivers, scene
+from owcsim.linkmetrics import NoiseParams
 
 PUBLIC = {
     # scene
@@ -75,3 +78,45 @@ def test_public_dataclass_fields_are_the_listed_ones():
               for name, value in vars(owcsim).items()
               if name in PUBLIC and dataclasses.is_dataclass(value)}
     assert fields == FIELDS
+
+
+# Every parameter with a default of a public function or method of the five
+# modules, with that default: each is a value a caller can set.  Dataclass
+# field defaults are fields, listed above.
+DEFAULTS = {
+    "scene.Luminaire.make": {"semi_angle_deg": 70.0},
+    "raytracer.compute_field": {"threads": 1, "receivers": None},
+    "raytracer.second_order_extent": {"receivers": None},
+    "receivers.make_imaging": {"layout": None},
+    "linkmetrics.link_report": {"noise": NoiseParams()},
+    "cli.main": {"argv": None},
+    "cli.run_simulate": {"threads": 1, "gnuplot": False},
+    "cli.run_sweep": {"threads": 1},
+}
+
+
+def public_callables(module):
+    """(dotted name, callable) of the module's own public functions and of
+    the public methods of its classes."""
+    for name, value in vars(module).items():
+        if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield name, value
+        elif inspect.isclass(value):
+            for attr in vars(value):
+                if not attr.startswith("_") and callable(getattr(value, attr)):
+                    yield f"{name}.{attr}", getattr(value, attr)
+
+
+def test_parameter_defaults_are_the_listed_ones():
+    defaults = {}
+    for module in (scene, raytracer, receivers, linkmetrics, cli):
+        short = module.__name__.rsplit(".", 1)[1]
+        for name, fn in public_callables(module):
+            params = {p.name: p.default
+                      for p in inspect.signature(fn).parameters.values()
+                      if p.default is not p.empty}
+            if params:
+                defaults[f"{short}.{name}"] = params
+    assert defaults == DEFAULTS

@@ -3,11 +3,12 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from owcsim import raytracer
 from owcsim.linkmetrics import link_report
@@ -19,6 +20,7 @@ from owcsim.raytracer import (
     _GEMV_BLOCK,
     _incident_power,
     _occluder_boxes,
+    _second_order_bins,
     _weighed_rows,
     compute_field,
     second_order_extent,
@@ -615,7 +617,8 @@ class TestReceiverCulledTrace:
         full = compute_field(pod, ids, mount, cfg)
         culled = compute_field(pod, ids, mount, cfg, threads=threads,
                                receivers=rxs)
-        assert culled.b2_hist.shape == full.b2_hist.shape
+        assert (culled.b2_hist.tobytes()
+                == full.b2_hist[culled.b2_traced].tobytes())
         for rx in rxs:
             for a, b in zip(culled.receiver_irs(rx), full.receiver_irs(rx)):
                 assert a.bins.tobytes() == b.bins.tobytes()
@@ -637,15 +640,34 @@ class TestReceiverCulledTrace:
         assert "second_bounce_coarse_w" not in t
         assert 0.0 < t["second_bounce_traced_w"] < ft["second_bounce_coarse_w"]
         assert ft["second_bounce_traced_w"] == ft["second_bounce_coarse_w"]
-        # untraced rows are exactly zero; traced rows equal the full trace
-        assert not culled.b2_hist[~culled.b2_traced].any()
-        assert (culled.b2_hist[culled.b2_traced].tobytes()
+        # one row per traced column, equal to that column's full-trace row
+        assert culled.b2_hist.shape == (t["second_cols_traced"], culled.nbins)
+        assert (culled.b2_hist.tobytes()
                 == full.b2_hist[culled.b2_traced].tobytes())
         ext = second_order_extent(pod, ids, mount, cfg, rxs)
         assert ext["rows"] == t["second_rows_traced"]
         assert ext["cols"] == t["second_cols_traced"]
         assert ext["pairs"] == t["second_pairs_evaluated"]
         assert ext["hist_bytes"] == culled.b2_hist.nbytes
+
+    @pytest.mark.parametrize("mi", [0, 1, 2])
+    def test_reference_mount_holds_only_traced_rows(self, mi):
+        # the simulate-all trace: no (elements x nbins) array is allocated
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        mount, cfg = pod.mounts[mi], TraceConfig()
+        ids, rxs = pod.assigned_luminaires(mount), TestReceiverIrs.receivers
+        tracemalloc.start()
+        try:
+            field = compute_field(pod, ids, mount, cfg, receivers=rxs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ne = len(pod.surface_elements(cfg.second_edge))
+        cols = field.totals["second_cols_traced"]
+        assert field.b2_hist.shape == (cols, field.nbins) and cols < ne
+        assert (second_order_extent(pod, ids, mount, cfg, rxs)["hist_bytes"]
+                == field.b2_hist.nbytes)
+        assert peak < ne * field.nbins * 8
 
     def test_no_receivers_traces_no_pairs(self):
         pod = coarse_pod(False)
@@ -731,6 +753,16 @@ def sparse_weights(draw):
     return w
 
 
+@st.composite
+def traced_weights(draw):
+    """`sparse_weights` and a traced-element mask holding every non-zero
+    weight, so every untraced element weighs exactly 0.0."""
+    w = draw(sparse_weights())
+    traced = np.array(draw(st.lists(st.booleans(), min_size=w.size,
+                                    max_size=w.size)))
+    return w, traced | (w != 0.0)
+
+
 class TestBlockGather:
     """Each branch's gemv runs over only the aligned row blocks it weighs;
     its bits must be those of the full gemv over every row."""
@@ -782,6 +814,26 @@ class TestBlockGather:
         blocks = padded.reshape(-1, _GEMV_BLOCK)
         assert (blocks == blocks[:, :1]).all()
         assert (w[rows] @ hist[rows]).tobytes() == (w @ hist).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(wt=traced_weights(), nbins=st.integers(1, 80),
+           seed=st.integers(0, 2**32 - 1))
+    # weighed blocks [0, 8) and the partial [8, 11) both hold untraced
+    # elements, element 0 among them, before the first traced row
+    @example(wt=(np.array([0, 0, 1e-3, 0, 0, 0, 0, 0, 0, 2e-3, 0]),
+                 np.array([0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0], dtype=bool)),
+             nbins=7, seed=3)
+    def test_compact_gather_equals_full_gemv(self, wt, nbins, seed):
+        """The gather through the compact-row index reads the bits of the
+        full gemv over a histogram whose untraced rows are zero."""
+        w, traced = wt
+        rng = np.random.default_rng(seed)
+        nc = int(traced.sum())
+        hist = rng.random((nc, nbins)) * (rng.random((nc, nbins)) < 0.3)
+        full = np.zeros((w.size, nbins))
+        full[traced] = hist
+        got, = _second_order_bins(w[None], hist, traced)
+        assert got.tobytes() == (w @ full).tobytes()
 
 
 class TestSuppliedFieldMustMatch:
