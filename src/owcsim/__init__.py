@@ -27,10 +27,7 @@ from .raytracer import (
 )
 from .receivers import (
     DetectorSpec,
-    Orientation,
     ReceiverSpec,
-    default_pixel_layout,
-    load_pixel_layout,
     make_adr,
     make_imaging,
     make_wfov,

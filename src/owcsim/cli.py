@@ -20,7 +20,7 @@ import numpy as np
 from .linkmetrics import NoiseParams, delay_stats, link_report
 from .raytracer import (ImpulseResponse, TraceConfig, compute_field,
                         second_order_extent)
-from .receivers import load_pixel_layout, make_adr, make_imaging, make_wfov
+from .receivers import make_adr, make_imaging, make_wfov
 from .scene import PodConfig, build_pod, lambertian_order, validate_scene
 
 RECEIVER_KINDS = ("wfov", "adr", "imaging", "all")
@@ -42,7 +42,6 @@ class SweepSpec:
 class RunConfig:
     pod: PodConfig
     receiver_kind: str
-    pixel_layout_file: str | None
     bitrate: float
     noise: NoiseParams
     trace: TraceConfig
@@ -78,7 +77,7 @@ class _Key:
 
     section: str
     key: str
-    kind: str             # float | int | bool | path ('' = none) | choice
+    kind: str             # float | int | bool | choice
     default: object       # in the config unit
     target: str
     scale: float | None = None
@@ -106,7 +105,6 @@ _KEYS = (
          valid=_SEMI_ANGLE),
     _Key("receiver", "kind", "choice", "adr", "receiver_kind"),
     _Key("receiver", "bitrate_bps", "float", 2e9, "bitrate", valid=_POSITIVE),
-    _Key("receiver", "pixel_layout_file", "path", None, "pixel_layout_file"),
     _Key("noise", "preamp_a_per_sqrt_hz", "float", 4.5e-12,
          "noise.preamp_density", valid=_NON_NEGATIVE),
     _Key("noise", "background_current_a", "float", 100e-6,
@@ -158,13 +156,11 @@ def _convert(k: _Key, raw: str, where: str):
         if raw not in ("true", "false"):
             raise ConfigError(f"{where}: expected true/false for {name}, got '{raw}'")
         value = raw == "true"
-    elif k.kind == "choice":
+    else:
         if raw not in RECEIVER_KINDS:
             raise ConfigError(f"{where}: {name} must be one of "
                               f"{'/'.join(RECEIVER_KINDS)}, got '{raw}'")
         value = raw
-    else:
-        value = raw or None
     if k.valid is not None and not k.valid[0](value):
         raise ConfigError(f"{where}: {name} {k.valid[1]}, got {value}")
     return value
@@ -287,10 +283,7 @@ def _build_scene_or_fail(cfg: RunConfig):
 
 def _receivers(cfg: RunConfig) -> list:
     """The run's receivers, built once and applied at every position."""
-    path = cfg.pixel_layout_file
-    makers = {"wfov": make_wfov, "adr": make_adr,
-              "imaging": lambda: make_imaging(
-                  None if path is None else load_pixel_layout(path))}
+    makers = {"wfov": make_wfov, "adr": make_adr, "imaging": make_imaging}
     kinds = tuple(makers) if cfg.receiver_kind == "all" else (cfg.receiver_kind,)
     return [makers[kind]() for kind in kinds]
 

@@ -7,7 +7,6 @@ collection lens sits above them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -23,33 +22,20 @@ ADR_FOV_DEG = 20.0
 ADR_TILT_EL_DEG = 25.0
 PIXEL_FOV_DEG = 17.0
 LENS_FOV_DEG = 65.0
-PIXEL_COUNT = 50
 
 # Lens transmission polynomial over incidence angle in radians.
 LENS_POLY = (-0.1982, 0.0425, 0.8778)
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Pointing direction as azimuth/elevation angles in degrees."""
-
-    az_deg: float
-    el_deg: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.az_deg < 360.0:
-            raise ValueError(f"azimuth must be in [0, 360), got {self.az_deg}")
-        if not 0.0 <= self.el_deg <= 90.0:
-            raise ValueError(f"elevation must be in [0, 90], got {self.el_deg}")
-
-    def to_direction(self) -> Vec3:
-        """Unit boresight (cos El cos Az, cos El sin Az, sin El)."""
-        az = math.radians(self.az_deg)
-        el = math.radians(self.el_deg)
-        v = [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
-        # suppress trig dust so straight-up comes out exactly (0, 0, 1)
-        v = [0.0 if abs(c) < 1e-15 else c for c in v]
-        return unit(v)
+def _boresight(az_deg: float, el_deg: float) -> Vec3:
+    """Unit boresight (cos El cos Az, cos El sin Az, sin El) pointing at
+    azimuth `az_deg` and elevation `el_deg`."""
+    az = math.radians(az_deg)
+    el = math.radians(el_deg)
+    v = [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
+    # suppress trig dust so straight-up comes out exactly (0, 0, 1)
+    v = [0.0 if abs(c) < 1e-15 else c for c in v]
+    return unit(v)
 
 
 @dataclass(frozen=True)
@@ -59,10 +45,15 @@ class DetectorSpec:
     Every element is the paper's photodetector, `DETECTOR_AREA_M2` and
     `RESPONSIVITY_A_W`."""
 
-    boresight: Vec3
+    boresight: Vec3          # unit vector the element faces
     fov_deg: float           # acceptance half-angle about the boresight
 
     def __post_init__(self):
+        b = np.asarray(self.boresight, dtype=float)
+        if (b.shape != (3,) or not np.all(np.isfinite(b))
+                or abs(np.linalg.norm(b) - 1.0) > 1e-9):
+            raise ValueError("boresight must be a finite unit 3-vector, "
+                             f"got {self.boresight!r}")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ValueError(f"FOV must be in (0, 90] degrees, got {self.fov_deg}")
 
@@ -117,83 +108,29 @@ def make_adr() -> ReceiverSpec:
     azimuths 90 and 270 so they look along the rack row, toward the two
     flanking light units.  Every branch has a 20 deg FOV.
     """
-    orients = (
-        Orientation(0.0, 90.0),
-        Orientation(90.0, ADR_TILT_EL_DEG),
-        Orientation(270.0, ADR_TILT_EL_DEG),
-    )
+    angles = ((0.0, 90.0), (90.0, ADR_TILT_EL_DEG), (270.0, ADR_TILT_EL_DEG))
     return ReceiverSpec(
         kind="adr",
-        branches=tuple(DetectorSpec(o.to_direction(), ADR_FOV_DEG) for o in orients),
+        branches=tuple(DetectorSpec(_boresight(az, el), ADR_FOV_DEG)
+                       for az, el in angles),
     )
 
 
-# Default pixel layout: concentric rings about the lens axis.  Ring
-# elevations step down in 17 deg increments so neighbouring rings overlap
-# under the 17 deg pixel FOV; populations 1+7+14+28 = 50.
+# Pixel layout: concentric rings about the lens axis, every one inside the
+# lens cone.  Ring elevations step down in 17 deg increments so neighbouring
+# rings overlap under the 17 deg pixel FOV; populations 1+7+14+28 = 50.
 PIXEL_RINGS = ((90.0, 1), (73.0, 7), (56.0, 14), (39.0, 28))
 
 
-def default_pixel_layout() -> tuple:
-    """The 50 default pixel orientations, ring by ring, azimuth ascending."""
-    orients = []
-    for el, count in PIXEL_RINGS:
-        for k in range(count):
-            orients.append(Orientation(360.0 * k / count, el))
-    return tuple(orients)
-
-
-def make_imaging(layout=None) -> ReceiverSpec:
-    """Fifty narrow-FOV pixels under a shared 65 deg lens.
-
-    `layout` is an optional sequence of 50 Orientations; every boresight
-    must lie inside the lens acceptance cone.
-    """
-    orients = default_pixel_layout() if layout is None else tuple(layout)
-    if len(orients) != PIXEL_COUNT:
-        raise ValueError(
-            f"imaging layout must have exactly {PIXEL_COUNT} pixels, "
-            f"got {len(orients)}"
-        )
-    min_el = 90.0 - LENS_FOV_DEG
-    for i, o in enumerate(orients):
-        if o.el_deg < min_el - 1e-9:
-            raise ValueError(
-                f"pixel {i} boresight at elevation {o.el_deg} deg lies outside "
-                f"the {LENS_FOV_DEG} deg lens cone"
-            )
+def make_imaging() -> ReceiverSpec:
+    """Fifty narrow-FOV pixels under a shared 65 deg lens, ring by ring
+    (`PIXEL_RINGS`), azimuth ascending within a ring."""
     return ReceiverSpec(
         kind="imaging",
-        branches=tuple(DetectorSpec(o.to_direction(), PIXEL_FOV_DEG)
-                       for o in orients),
+        branches=tuple(DetectorSpec(_boresight(360.0 * k / count, el),
+                                    PIXEL_FOV_DEG)
+                       for el, count in PIXEL_RINGS for k in range(count)),
     )
-
-
-def load_pixel_layout(path) -> tuple:
-    """Read a pixel layout override: CSV `pixel_index,az_deg,el_deg`, 50 rows."""
-    rows = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["pixel_index", "az_deg", "el_deg"]:
-            raise ValueError(f"{path}: expected header 'pixel_index,az_deg,el_deg'")
-        for rec in reader:
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            try:
-                idx = int(rec[0])
-                az, el = float(rec[1]), float(rec[2])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: malformed row {rec!r}") from None
-            if idx in rows:
-                raise ValueError(f"{path}: duplicate pixel index {idx}")
-            rows[idx] = Orientation(az, el)
-    if sorted(rows) != list(range(PIXEL_COUNT)):
-        raise ValueError(
-            f"{path}: layout must define pixel indices 0..{PIXEL_COUNT - 1} "
-            f"exactly once ({len(rows)} rows found)"
-        )
-    return tuple(rows[i] for i in range(PIXEL_COUNT))
 
 
 def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):

@@ -9,7 +9,8 @@ one-branch "imaging" receiver is that element under the collection lens.
 
 import numpy as np
 
-from owcsim.receivers import DetectorSpec, ReceiverSpec, capture_matrix
+from owcsim.receivers import (DetectorSpec, ReceiverSpec, capture_matrix,
+                              make_imaging)
 
 
 def detector_ir(field, detector, lens=False):
@@ -33,3 +34,11 @@ def lens_transmission(angles) -> np.ndarray:
     lensed = capture_matrix(ReceiverSpec("imaging", element), -toward)[0]
     bare = capture_matrix(ReceiverSpec("detector", element), -toward)[0]
     return np.divide(lensed, bare, out=np.zeros_like(y), where=lensed != 0.0)
+
+
+def tied_imaging() -> ReceiverSpec:
+    """The imaging receiver with pixel 7 given pixel 3's boresight, so that
+    an arrival can tie exactly between two pixels."""
+    branches = list(make_imaging().branches)
+    branches[7] = branches[3]
+    return ReceiverSpec("imaging", tuple(branches))

@@ -48,11 +48,16 @@ class TestParseConfig:
         assert len(scene.luminaires) == 9
 
     def test_unknown_key_named(self):
-        text = REFERENCE.replace("wall_reflectance", "refelctance")
-        with pytest.raises(ConfigError, match="refelctance"):
-            parse_config(text)
-        with pytest.raises(ConfigError, match=r"\[surfaces\]"):
-            parse_config(text)
+        # a misspelt key, and the pixel-layout key the schema no longer has
+        for text, key, section in (
+                (REFERENCE.replace("wall_reflectance", "refelctance"),
+                 "refelctance", "surfaces"),
+                (REFERENCE.replace("bitrate_bps = 2.0e9\n",
+                                   "bitrate_bps = 2.0e9\npixel_layout_file = x\n"),
+                 "pixel_layout_file", "receiver")):
+            with pytest.raises(ConfigError,
+                               match=rf"unknown key '{key}' in section \[{section}\]"):
+                parse_config(text)
 
     def test_unknown_section_named(self):
         with pytest.raises(ConfigError, match=r"\[extras\]"):
@@ -251,32 +256,6 @@ class TestSimulate:
                      "wfov", "--out", str(out2), "--threads", "4"]) == 0
         for p1 in sorted(out1.glob("*.csv")):
             assert p1.read_bytes() == (out2 / p1.name).read_bytes()
-
-    def test_imaging_with_layout_override(self, tmp_path):
-        from owcsim.receivers import default_pixel_layout
-        layout_path = tmp_path / "layout.csv"
-        rows = ["pixel_index,az_deg,el_deg"]
-        rows += [f"{i},{o.az_deg},{o.el_deg}"
-                 for i, o in enumerate(default_pixel_layout())]
-        layout_path.write_text("\n".join(rows) + "\n")
-        cfg_path = tmp_path / "run.ini"
-        cfg_path.write_text(fast_config(**{
-            "pixel_layout_file =": f"pixel_layout_file = {layout_path}"}))
-        out = tmp_path / "out"
-        rc = main(["simulate", "--config", str(cfg_path),
-                   "--receiver", "imaging", "--out", str(out)])
-        assert rc == 0
-        assert len(list(out.glob("ir_imaging_*.csv"))) == 150
-
-    @pytest.mark.parametrize("kind, rc", [("wfov", 0), ("adr", 0),
-                                          ("imaging", 1)])
-    def test_layout_file_read_only_for_imaging(self, tmp_path, capsys, kind, rc):
-        cfg_path = tmp_path / "run.ini"
-        cfg_path.write_text(fast_config(**{
-            "pixel_layout_file =": "pixel_layout_file = /nonexistent/layout.csv"}))
-        assert main(["simulate", "--config", str(cfg_path), "--receiver", kind,
-                     "--out", str(tmp_path / "out")]) == rc
-        assert ("/nonexistent/layout.csv" in capsys.readouterr().err) == bool(rc)
 
     def test_invalid_scene_exits_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.ini"

@@ -17,9 +17,7 @@ PUBLIC = {
     # raytracer
     "C_LIGHT", "ArrivalField", "ImpulseResponse", "TraceConfig", "compute_field",
     # receivers
-    "DetectorSpec", "Orientation", "ReceiverSpec",
-    "default_pixel_layout", "load_pixel_layout", "make_adr", "make_imaging",
-    "make_wfov",
+    "DetectorSpec", "ReceiverSpec", "make_adr", "make_imaging", "make_wfov",
     # linkmetrics
     "DelayStats", "EyePowers", "LinkReport", "NoiseBudget", "NoiseParams",
     "UNBOUNDED", "bandwidth_3db", "ber_from_snr", "combine_mrc", "combine_sc",
@@ -30,8 +28,8 @@ PUBLIC = {
 }
 
 # Every field is a value a caller can set; the paper's fixed hardware
-# (detector area and responsivity, the imaging lens, downward luminaires)
-# is module constants, not fields.
+# (detector area and responsivity, the imaging lens and its 50-pixel ring
+# layout, downward luminaires) is module constants, not fields.
 FIELDS = {
     # scene
     "PodConfig": ("luminaire_power_w", "room", "wall_reflectance",
@@ -49,7 +47,6 @@ FIELDS = {
     "TraceConfig": ("max_order", "first_edge", "second_edge", "bin_width"),
     # receivers
     "DetectorSpec": ("boresight", "fov_deg"),
-    "Orientation": ("az_deg", "el_deg"),
     "ReceiverSpec": ("kind", "branches"),
     # linkmetrics
     "DelayStats": ("mean_delay", "rms_spread"),
@@ -62,8 +59,7 @@ FIELDS = {
                     "sigma_total"),
     "NoiseParams": ("preamp_density", "background_current", "bandwidth_factor"),
     # cli
-    "RunConfig": ("pod", "receiver_kind", "pixel_layout_file", "bitrate",
-                  "noise", "trace", "sweep"),
+    "RunConfig": ("pod", "receiver_kind", "bitrate", "noise", "trace", "sweep"),
 }
 
 
@@ -87,7 +83,6 @@ DEFAULTS = {
     "scene.Luminaire.make": {"semi_angle_deg": 70.0},
     "raytracer.compute_field": {"threads": 1, "receivers": None},
     "raytracer.second_order_extent": {"receivers": None},
-    "receivers.make_imaging": {"layout": None},
     "linkmetrics.link_report": {"noise": NoiseParams()},
     "cli.main": {"argv": None},
     "cli.run_simulate": {"threads": 1, "gnuplot": False},

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,11 +9,9 @@ from owcsim.receivers import (
     LENS_FOV_DEG,
     LENS_POLY,
     DetectorSpec,
-    Orientation,
     ReceiverSpec,
+    _boresight,
     capture_matrix,
-    default_pixel_layout,
-    load_pixel_layout,
     make_adr,
     make_imaging,
     make_wfov,
@@ -22,24 +21,20 @@ from owcsim.receivers import (
 from owcsim.raytracer import ArrivalField, TraceConfig, _arrival_capture
 
 from oracles import oracle_acceptance, oracle_capture_matrix, oracle_point_bins
-from probes import lens_transmission
+from probes import lens_transmission, tied_imaging
 
 
-class TestOrientation:
+class TestBoresight:
     def test_mapping(self):
-        d = Orientation(90.0, 25.0).to_direction()
+        d = _boresight(90.0, 25.0)
         assert d == pytest.approx([0.0, math.cos(math.radians(25)),
                                    math.sin(math.radians(25))], abs=1e-12)
         assert np.allclose(d, [0.0, 0.9063, 0.4226], atol=1e-4)
 
     def test_straight_up_is_exact(self):
-        assert list(Orientation(0.0, 90.0).to_direction()) == [0.0, 0.0, 1.0]
-
-    def test_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            Orientation(360.0, 10.0)
-        with pytest.raises(ValueError):
-            Orientation(0.0, 95.0)
+        assert list(_boresight(0.0, 90.0)) == [0.0, 0.0, 1.0]
+        assert list(make_adr().branches[0].boresight) == [0.0, 0.0, 1.0]
+        assert list(make_imaging().branches[0].boresight) == [0.0, 0.0, 1.0]
 
 
 class TestMakeReceivers:
@@ -70,29 +65,21 @@ class TestMakeReceivers:
                                        rx.branches[j].boresight)
 
     def test_imaging_default_layout(self):
+        # every pixel is a unit boresight inside the lens cone
         rx = make_imaging()
         assert rx.branch_count == 50
         assert all(b.fov_deg == 17.0 for b in rx.branches)
-        min_cos = math.cos(math.radians(65.0))
+        min_cos = math.cos(math.radians(LENS_FOV_DEG))
         for b in rx.branches:
-            assert b.boresight[2] >= min_cos - 1e-12
+            assert np.linalg.norm(b.boresight) == pytest.approx(1.0, abs=1e-12)
+            assert b.boresight[2] >= min_cos
 
     def test_default_ring_populations(self):
-        layout = default_pixel_layout()
-        by_el = {}
-        for o in layout:
-            by_el.setdefault(o.el_deg, []).append(o.az_deg)
-        assert {el: len(az) for el, az in by_el.items()} == {
-            90.0: 1, 73.0: 7, 56.0: 14, 39.0: 28}
-        assert sum(len(az) for az in by_el.values()) == 50
-
-    def test_imaging_rejects_bad_layouts(self):
-        with pytest.raises(ValueError, match="exactly 50"):
-            make_imaging(default_pixel_layout()[:49])
-        outside = list(default_pixel_layout())
-        outside[10] = Orientation(0.0, 10.0)   # 80 deg off axis > 65 deg cone
-        with pytest.raises(ValueError, match="lens cone"):
-            make_imaging(outside)
+        # rings of 1 + 7 + 14 + 28 pixels, read from the boresight elevations
+        els = [round(math.degrees(math.asin(b.boresight[2])), 9)
+               for b in make_imaging().branches]
+        rings = [(el, len(list(run))) for el, run in itertools.groupby(els)]
+        assert rings == [(90.0, 1), (73.0, 7), (56.0, 14), (39.0, 28)]
 
     def test_uniform_constants_across_kinds(self):
         # every branch of every kind captures a ray along its boresight
@@ -146,6 +133,14 @@ class TestDetectorSpec:
         with pytest.raises(ValueError, match="FOV"):
             DetectorSpec(np.array([0.0, 0.0, 1.0]), fov)
 
+    @pytest.mark.parametrize("boresight", [
+        [0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [[0.0, 0.0, 1.0]],
+        [0.0, math.nan, 1.0], [math.inf, 0.0, 0.0], [0.0, 0.0, 2.0],
+        [0.0, 0.0, 0.0]])
+    def test_boresight_must_be_a_finite_unit_vector(self, boresight):
+        with pytest.raises(ValueError, match="boresight"):
+            DetectorSpec(np.array(boresight), 30.0)
+
 
 DOWN = np.array([[0.0, 0.0, -1.0]])     # a ray from the zenith
 
@@ -198,9 +193,7 @@ class TestAssignPixel:
         assert self.pixels(make_imaging(), incoming) == []
 
     def test_tie_goes_to_lowest_index(self):
-        layout = list(default_pixel_layout())
-        layout[7] = layout[3]                 # duplicate boresight: exact tie
-        rx = make_imaging(layout)
+        rx = tied_imaging()                   # pixel 7 shares pixel 3's boresight
         assert self.pixels(rx, -rx.branches[3].boresight) == [3]
 
     def test_single_assignment_over_random_directions(self):
@@ -285,10 +278,7 @@ def receiver_under_test(kind, tie):
     element bare; `tie` gives two imaging pixels one boresight, so their
     cosines tie exactly."""
     if kind == "imaging":
-        layout = list(default_pixel_layout())
-        if tie:
-            layout[7] = layout[3]
-        return make_imaging(layout)
+        return tied_imaging() if tie else make_imaging()
     if kind in ("detector", "lensed detector"):
         det = DetectorSpec(np.array([0.3, -0.2, 0.9]) / math.sqrt(0.94), 35.0)
         return ReceiverSpec("imaging" if kind == "lensed detector" else "detector",
@@ -365,34 +355,3 @@ class TestDirectionTable:
             bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
             assert ir.bins.tobytes() == bins.tobytes()
 
-
-class TestLayoutFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "layout.csv"
-        lines = ["pixel_index,az_deg,el_deg"]
-        for i, o in enumerate(default_pixel_layout()):
-            lines.append(f"{i},{o.az_deg},{o.el_deg}")
-        path.write_text("\n".join(lines) + "\n")
-        layout = load_pixel_layout(path)
-        assert layout == default_pixel_layout()
-        make_imaging(layout)   # accepted
-
-    def test_wrong_row_count(self, tmp_path):
-        path = tmp_path / "layout.csv"
-        path.write_text("pixel_index,az_deg,el_deg\n0,0.0,90.0\n")
-        with pytest.raises(ValueError, match="0..49"):
-            load_pixel_layout(path)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "layout.csv"
-        path.write_text("idx,az,el\n")
-        with pytest.raises(ValueError, match="header"):
-            load_pixel_layout(path)
-
-    def test_duplicate_index(self, tmp_path):
-        path = tmp_path / "layout.csv"
-        rows = ["pixel_index,az_deg,el_deg"]
-        rows += [f"0,{10 * k},45.0" for k in range(50)]
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match="duplicate"):
-            load_pixel_layout(path)

@@ -5,11 +5,17 @@ and run through `owcsim.cli.main`; the digest of every file it writes
 (`perfbench/checks.digest`) must equal the one recorded in
 `perfbench/reference.json`.  Only perfbench's files are read.
 
-These bits rest on OpenBLAS's gemv grouping.  Each branch's second-order
-sum is a gemv over histogram rows, and OpenBLAS adds the row axis into the
-output in aligned groups of 4 or 8, with the kernel picked for the CPU at
-run time.  A CPU family whose gemv kernel groups differently may give
-other digests with no change to owcsim.
+The committed digests hold only on hosts with AVX-512, because the bits
+rest on two paths picked for the CPU at run time:
+
+- OpenBLAS's gemv grouping.  Each branch's second-order sum is a gemv over
+  histogram rows, and OpenBLAS adds the row axis into the output in aligned
+  groups of 4 or 8.  Both cases fail under `OPENBLAS_CORETYPE=Haswell`.
+- numpy's AVX-512 paths for `np.power` and `np.arccos`, whose last bits
+  differ from glibc's `pow` and `acos`.  Both cases fail under
+  `NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`.
+
+On a host without AVX-512 this test fails with no change to owcsim.
 """
 
 import json
