@@ -19,7 +19,7 @@ import numpy as np
 
 from .linkmetrics import NoiseParams, delay_stats, link_report
 from .raytracer import (ImpulseResponse, TraceConfig, compute_field,
-                        second_order_extent)
+                        position_groups, second_order_extent)
 from .receivers import make_adr, make_imaging, make_wfov
 from .scene import PodConfig, build_pod, lambertian_order, validate_scene
 
@@ -329,30 +329,40 @@ def run_simulate(cfg: RunConfig, out_dir: str, threads: int = 1,
     return 0
 
 
-def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
-    """Move the receiver along the row line and write one metrics row per
-    position per receiver kind."""
-    scene = _build_scene_or_fail(cfg)
-    if scene is None:
-        return 1
-    rxs = _receivers(cfg)
+def _sweep_mounts(cfg: RunConfig) -> list:
+    """The sweep's receiver positions along the row line, in order."""
     sw = cfg.sweep
     count = int(math.floor((sw.y_stop - sw.y_start) / sw.y_step + 1e-9)) + 1
     # the sum can round past y_stop, and so past the room's far wall
     ys = [min(sw.y_start + k * sw.y_step, sw.y_stop) for k in range(count)]
+    return [np.array([sw.row_x, y, cfg.pod.rack_top_m]) for y in ys]
+
+
+def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
+    """Move the receiver along the row line and write one metrics row per
+    position per receiver kind.  Consecutive positions under one luminaire
+    set are traced as a group (`raytracer.position_groups`)."""
+    scene = _build_scene_or_fail(cfg)
+    if scene is None:
+        return 1
+    rxs = _receivers(cfg)
+    mounts = _sweep_mounts(cfg)
+    groups = position_groups(scene, mounts, cfg.trace, rxs)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.csv")
     with open(path, "w", newline="") as f:
         f.write(METRICS_HEADER + "\n")
-        for y in ys:
-            mount = np.array([sw.row_x, y, cfg.pod.rack_top_m])
-            lum_ids = scene.assigned_luminaires(mount)
-            field = compute_field(scene, lum_ids, mount, cfg.trace,
-                                  threads=threads, receivers=rxs)
-            for rx in rxs:
-                report = link_report(field, rx, cfg.bitrate, cfg.noise)
-                f.write(_metrics_row(report) + "\n")
-    print(f"wrote {path}: {count * len(rxs)} rows")
+        for group in groups:
+            for mount in group.mounts:
+                field = compute_field(scene, group.luminaire_ids, mount, cfg.trace,
+                                      threads=threads, receivers=rxs, group=group)
+                for rx in rxs:
+                    report = link_report(field, rx, cfg.bitrate, cfg.noise)
+                    f.write(_metrics_row(report) + "\n")
+                # a group's histograms share one allocation, freed with the
+                # last of its fields: drop each before the next is traced
+                del field
+    print(f"wrote {path}: {len(mounts) * len(rxs)} rows")
     return 0
 
 
@@ -384,6 +394,16 @@ def run_scene_check(cfg: RunConfig) -> int:
             print(f"mount {mi} second-order ({kinds}): "
                   f"rows={ext['rows']} cols={ext['cols']} pairs={ext['pairs']} "
                   f"histogram_bytes={ext['hist_bytes']}")
+        # the sweep's groups share each chunk's pair geometry over the
+        # union of their positions' columns; a group holds one histogram
+        # per position at once
+        exts = [g.extent() for g in
+                position_groups(scene, _sweep_mounts(cfg), cfg.trace, rxs)]
+        print(f"sweep ({kinds}): "
+              f"positions={sum(e['positions'] for e in exts)} groups={len(exts)} "
+              f"union_cols={sum(e['cols'] for e in exts)} "
+              f"pairs={sum(e['pairs'] for e in exts)} "
+              f"group_histogram_bytes={max(e['hist_bytes'] for e in exts)}")
     return 0
 
 

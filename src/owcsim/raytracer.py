@@ -9,15 +9,30 @@ coarser grid for both bounces to keep the pair count tractable.
 
 The tracer is a pure function of (scene, config): `compute_field` runs
 three stages (line of sight, first order, second order) that each return
-arrays, and the `ArrivalField` it returns only holds them.  Second-order
-work is split into fixed chunks of first-bounce (e1) rows of the coarse grid.
-Rows that receive no power from any luminaire are dropped before any pair
-geometry is built, and a chunk left with no rows is skipped; the rest are
-binned, every luminaire in one pass, by the worker that traced them, into a
-per-chunk histogram over only the delay window its own paths span.  With
-several threads at most 2 x threads chunks are in flight.  Chunks are always
-added into the field's histogram in chunk order, so every cell gets the
-same partial sums in the same order for any worker count.
+arrays, and the `ArrivalField` it returns only holds them.
+
+Mounts that share a luminaire set can be traced as one `PositionGroup`
+(a sweep's positions along one row; `position_groups` makes them, at most
+`_GROUP_CAP` to a group); a lone mount is a group of one, through the same
+code.  A group computes the set's incident power on both grids once, and
+each second-order chunk's pair geometry once, over the union of the
+second-bounce columns its mounts trace; each mount then gathers its own
+columns, in ascending order, and bins them as a lone trace does.  A
+group's histograms share one anonymous mapping, 14-15 MB per mount at the
+reference mounts (about 60 MB for a group of four), which lives until the
+last of the group's fields is dropped.  `simulate`'s mounts each have
+their own set and share nothing.
+
+Second-order work is split into fixed chunks of first-bounce (e1) rows of
+the coarse grid.  Rows that receive no power from any luminaire are
+dropped before any pair geometry is built, and a chunk left with no rows
+is skipped.  The worker that traces a chunk also bins it, every luminaire
+in one pass, one block of a mount's columns at a time, over only the
+delay window that block's paths span, and adds each window into the
+mount's histogram in its turn: chunk k adds into a block only after chunk
+k - 1 has, so every cell gets the same partial sums in the same order for
+any worker count.  With several threads at most 2 x threads chunks are in
+flight; each worker keeps its work arrays from chunk to chunk.
 
 Point arrivals keep an index into a table of distinct arrival directions,
 so a receiver's gains are computed once per direction, not once per
@@ -32,8 +47,12 @@ responses of those receivers are bit-identical to a full trace.
 from __future__ import annotations
 
 import math
+import mmap
+import queue
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +68,12 @@ _EPS = 1e-12
 # adds the element axis into y in aligned groups of 4 or 8; an all-zero
 # group adds +0.0, so dropping whole 8-aligned blocks keeps every bit.
 _GEMV_BLOCK = 8
+# Columns per step of the second-order pair geometry and binning: bounds
+# the chunk's work arrays, not the bits (every pair and cell is its own).
+_BLOCK = 256
+# Mounts traced together at most: a group holds all their histograms at
+# once (14-15 MB each at a reference mount).
+_GROUP_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -214,13 +239,14 @@ def _los_arrivals(lums, mount, boxes):
     return flux, length, np.arange(n), dirs
 
 
-def _first_order_arrivals(lums, grid, mount, boxes):
+def _first_order_arrivals(incident, grid, mount, boxes):
     """One-bounce arrivals with non-zero flux, luminaire by luminaire:
     (flux, length, row of `dirs`, `dirs`, first-bounce power summed over
-    the grid).  `dirs` holds one arrival direction per element that passes
+    the grid).  `incident` is `_incident_power` of the luminaires on
+    `grid`.  `dirs` holds one arrival direction per element that passes
     any flux, in element order; every luminaire's arrival from an element
     shares its row."""
-    p1, l1 = _incident_power(lums, grid, boxes)
+    p1, l1 = incident
     u, dm, f_out = _final_hop(grid, mount, boxes)
     flux = p1 * f_out[None, :]
     lengths = l1 + dm[None, :]
@@ -231,156 +257,321 @@ def _first_order_arrivals(lums, grid, mount, boxes):
     return flux[li, ei], lengths[li, ei], row[ei], u[seen], float(p1.sum())
 
 
-def _second_order_setup(lums, grid, mount, boxes, receivers):
-    """What the second-order kernel starts from: first-bounce power and
-    length (L, ne), the lit e1 rows, the final hop and the traced e2 columns.
-
-    Rows with no incident power from any luminaire add nothing (their
-    weights are exactly zero, with or without occlusion), so only lit rows
-    are traced."""
-    p1, l1 = _incident_power(lums, grid, boxes)
-    u3, d3, f3 = _final_hop(grid, mount, boxes)
-    return p1, l1, p1.any(axis=0), (u3, d3, f3), _captured_columns(receivers, u3)
-
-
 def second_order_extent(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
                         receivers=None) -> dict:
     """What the second-order kernel traces for one mount, without tracing:
     lit first-bounce rows, captured second-bounce columns, the pairs between
     them and the bytes of the histogram, one row per traced column."""
-    boxes = _occluder_boxes(scene)
-    grid = scene.surface_elements(cfg.second_edge)
-    _, _, lit, _, traced = _second_order_setup(
-        [scene.luminaires[i] for i in luminaire_ids], grid,
-        np.asarray(mount, dtype=float), boxes, receivers)
-    rows, cols = int(lit.sum()), int(traced.sum())
-    return {"rows": rows, "cols": cols, "pairs": rows * cols,
-            "hist_bytes": cols * _bin_count(scene, cfg) * 8}
+    return PositionGroup(scene, luminaire_ids, [mount], cfg, receivers).extent()
 
 
-def _second_order_hist(lums, grid, mount, boxes, nbins, bin_width, threads,
-                       receivers):
-    """Second-order power per traced final (e2) element and delay bin.
+class _Scratch:
+    """One worker's chunk-sized work arrays, kept from chunk to chunk.
 
-    Returns (hist (traced columns, nbins), traced e2 columns as an (ne,)
-    mask, e2 arrival directions (ne, 3), totals).  Row i of `hist` is the
-    i-th traced column in element order."""
+    The kernel writes its temporaries into these through `out=`: fresh
+    arrays of this size are mapped from the OS for each chunk and fault in
+    page by page.  Every view is a C-contiguous run of one arena.  A
+    chunk's `geom` and `d` come first; the work arrays of one column block
+    of the pair geometry, and later those of one mount's binning, reuse
+    the space past them."""
+
+    def __init__(self, nl: int, nu: int, nc: int):
+        work = max(5 * _BLOCK, nc + (2 + 2 * nl) * _BLOCK)
+        self.arena = np.empty(_CHUNK * (2 * nu + work))
+        self.mask = np.empty(2 * _CHUNK * _BLOCK, dtype=bool)
+
+    def pair(self, nr: int, nu: int, nb: int):
+        """geom and d (nr, nu); five (nr, nb) work arrays and two masks."""
+        return (_carve(self.arena, 0, (nr, nu), (nr, nu), *[(nr, nb)] * 5)
+                + _carve(self.mask, 0, (nr, nb), (nr, nb)))
+
+    def picked(self, nr: int, nu: int, nc: int):
+        """One mount's gathered geom (nr, nc), past geom and d."""
+        return _carve(self.arena, 2 * nr * nu, (nr, nc))[0]
+
+    def block(self, nl: int, nr: int, nu: int, nc: int, nb: int):
+        """Past the gathered geom: one column block's gathered d and
+        lengths (nr, nb), and its weights and flat bin indices (nl, nr, nb)."""
+        *views, flat = _carve(self.arena, (2 * nu + nc) * nr, (nr, nb), (nr, nb),
+                              (nl, nr, nb), (nl, nr, nb))
+        return (*views, flat.view(np.int64))
+
+
+def _carve(buf: np.ndarray, start: int, *shapes) -> list:
+    """C-contiguous views of consecutive runs of `buf` from `start`."""
+    views = []
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(buf[start:start + n].reshape(shape))
+        start += n
+    return views
+
+
+def _pair_geometry(s: _Scratch, rows, grid, cols, boxes):
+    """`geom` (the e1 reflectance times the Lambertian transfer from e1 to
+    e2) and distance `d` of every pair of lit e1 `rows` and e2 `cols`, as
+    (rows, cols) views of `s`, computed `_BLOCK` columns at a time.  Each
+    pair's value depends on that pair alone, so it is the same for any
+    set of columns."""
+    nr, nu = rows.size, cols.size
+    centres_r = grid.centres[rows]
+    nx, ny, nz = grid.normals[rows].T[:, :, None]
+    for c0 in range(0, nu, _BLOCK):
+        c = cols[c0:c0 + _BLOCK]
+        geom, d, dx, dy, dz, d2, cos_in, ok, test = s.pair(nr, nu, c.size)
+        g, dd = geom[:, c0:c0 + c.size], d[:, c0:c0 + c.size]
+        # pair vectors as separate x, y, z arrays; each dot product adds
+        # (x + z) + y, the order einsum uses for a length-3 contraction.
+        # cos_in's array holds the products until cos_in is computed, and
+        # `g` holds cos_out until it becomes geom.
+        for out, cc, cr in zip((dx, dy, dz), grid.centres[c].T, centres_r.T):
+            np.subtract(cc[None, :], cr[:, None], out=out)
+        np.multiply(dx, dx, out=d2)
+        d2 += np.multiply(dz, dz, out=cos_in)
+        d2 += np.multiply(dy, dy, out=cos_in)
+        np.greater(d2, _EPS, out=ok)
+        np.copyto(d2, 1.0, where=np.logical_not(ok, out=test))
+        np.sqrt(d2, out=dd)
+        cos_out = g
+        np.multiply(dx, nx, out=cos_out)
+        cos_out += np.multiply(dz, nz, out=cos_in)
+        cos_out += np.multiply(dy, ny, out=cos_in)
+        cos_out /= dd
+        mx, my, mz = grid.normals[c].T[:, None, :]
+        np.multiply(dx, mx, out=cos_in)
+        cos_in += np.multiply(dz, mz, out=dx)
+        cos_in += np.multiply(dy, my, out=dx)
+        np.negative(cos_in, out=cos_in)
+        cos_in /= dd
+        ok &= np.greater(cos_out, 0.0, out=test)
+        ok &= np.greater(cos_in, 0.0, out=test)
+        # rho * where(ok, cos_out * cos_in, 0) * area / (pi * d2)
+        g *= cos_in
+        np.copyto(g, 0.0, where=np.logical_not(ok, out=test))
+        g *= grid.areas[c]
+        d2 *= math.pi
+        g /= d2
+        if boxes:
+            shape = (nr, c.size, 3)
+            src = np.broadcast_to(centres_r[:, None, :], shape)
+            dst = np.broadcast_to(grid.centres[c][None, :, :], shape)
+            blocked = _segments_blocked(boxes, src.reshape(-1, 3), dst.reshape(-1, 3))
+            np.copyto(g, 0.0, where=blocked.reshape(nr, c.size))
+        g *= grid.reflectances[rows, None]
+    return geom, d
+
+
+class _Target:
+    """One mount's share of a group's second-order trace."""
+
+    def __init__(self, pick, f3, d3, hist):
+        self.pick = pick      # its columns among the union's; None: all of them
+        self.f3 = f3          # final-hop weight of its columns
+        self.d3 = d3          # final-hop length of its columns
+        self.hist = hist      # (its columns, nbins)
+        self.total = 0.0      # reflected power onto its columns
+
+    def blocks(self) -> list:
+        """Its columns in runs of `_BLOCK`, each binned on its own."""
+        nc = self.f3.size
+        return [slice(c, min(c + _BLOCK, nc)) for c in range(0, nc, _BLOCK)]
+
+    def add(self, cols: slice, lo: int, counts: np.ndarray) -> None:
+        """Add one chunk's delay window of a block of its columns."""
+        window = self.hist[cols, lo:lo + counts.shape[1]]
+        np.add(window, counts, out=window)
+
+
+def _mount_geom(s: _Scratch, t: _Target, geom, p1, rows, start, stop):
+    """A mount's columns of a chunk's `geom` (gathered when the mount has
+    not every column of the union) and the chunk's reflected power onto
+    them."""
+    if t.pick is not None:
+        nr, nu = geom.shape
+        geom = np.take(geom, t.pick, axis=1, mode="clip",
+                       out=s.picked(nr, nu, t.pick.size))
+    # for bounce accounting; unlit rows stay 0 so the dot products
+    # run over the same full chunk as with every row traced
+    row_reflected = np.zeros(stop - start)
+    row_reflected[rows - start] = geom.sum(axis=1)
+    total = 0.0
+    for li in range(len(p1)):
+        total += float(p1[li, start:stop] @ row_reflected)
+    return geom, total
+
+
+def _bin_block(s: _Scratch, t: _Target, cols: slice, geom, d, incident,
+               rows, nbins, bin_width):
+    """(lo, counts): one block of a mount's columns of a chunk, every
+    luminaire in one `bincount`, over the delay window its pairs span.
+    `geom` is `_mount_geom`'s; `d` is the union's.
+
+    A cell only gets terms from its own column, so each cell's sum and the
+    order of its terms are those of a bincount over all the columns."""
+    p1, l1 = incident
+    (nr, nu), nc, nb = d.shape, t.f3.size, cols.stop - cols.start
+    gathered_d, length, w, flat = s.block(len(p1), nr, nu, nc, nb)
+    if t.pick is None:
+        d = d[:, cols]
+    else:
+        d = np.take(d, t.pick[cols], axis=1, mode="clip", out=gathered_d)
+    geom, f3, d3 = geom[:, cols], t.f3[cols], t.d3[cols]
+    # one buffer for all luminaires, luminaire-then-row-major: the
+    # order bincount adds each cell's terms in.  Zero weights are
+    # passed through, since adding +0.0 leaves a cell's bits alone.
+    for li in range(len(p1)):
+        wl = w[li]
+        np.multiply(p1[li, rows, None], geom, out=wl)
+        wl *= f3
+        np.add(l1[li, rows, None], d, out=length)
+        length += d3
+        # same expression as the point-arrival path: floor(len/c/dt)
+        length /= C_LIGHT
+        length /= bin_width
+        np.floor(length, out=length)
+        np.copyto(flat[li], length, casting="unsafe")
+    lo, width, span = _delay_window(flat, nbins)
+    flat += np.arange(nb, dtype=np.int64) * width - lo
+    counts = np.bincount(flat.ravel(), weights=w.ravel(),
+                         minlength=nb * width).reshape(nb, width)
+    return lo, counts[:, :span]
+
+
+class _Turns:
+    """Turns on the histogram blocks: chunk k adds into a block only after
+    chunk k - 1 has, so every cell gets its partial sums in chunk order.
+
+    Chunks are submitted in order to a FIFO pool, so when chunk k runs,
+    every earlier chunk has started: a chunk only ever waits for chunks
+    that are running, and the earliest of them never waits."""
+
+    def __init__(self, n: int):
+        self._next = [0] * n
+        self._cond = threading.Condition()
+
+    @contextmanager
+    def turn(self, u: int, k: int):
+        with self._cond:
+            self._cond.wait_for(lambda: self._next[u] == k)
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._next[u] += 1
+                self._cond.notify_all()
+
+
+def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
+                        bin_width, threads):
+    """Second-order power per traced final (e2) element and delay bin, for
+    every mount of a group that shares one luminaire set.
+
+    `incident` is `_incident_power` of the set on `grid`, `lit` its lit
+    rows; `hops` and `traced` hold each mount's `_final_hop` and traced e2
+    columns.  Returns one (hist (traced columns, nbins), totals) per mount,
+    row i of `hist` being its i-th traced column in element order: the
+    bits a group of that mount alone gives.
+
+    Each chunk's pair geometry is computed once, over the union of the
+    mounts' columns, then each mount's columns are gathered from it in
+    ascending order and binned as a lone trace bins them."""
     ne = len(grid)
-    p1, l1, lit, (u3, d3, f3), traced = _second_order_setup(
-        lums, grid, mount, boxes, receivers)
-    totals = {"first_bounce_coarse_w": float(p1.sum())}
+    p1 = incident[0]
+    ucols = np.flatnonzero(np.logical_or.reduce(traced))
+    nu = ucols.size
+    # every mount's histogram is a run of rows of one anonymous mapping:
+    # its pages stay unmapped zeros until a window reaches them, and it is
+    # returned whole once the last field viewing it is dropped.  Freed
+    # histograms on the heap stayed resident and raised later peaks (at 1
+    # thread: simulate-all 121 MB against 107 MB; a 13-position sweep,
+    # one array per position, 181 MB against 153 MB).
+    cells = sum(int(m.sum()) for m in traced) * nbins
+    mapped = mmap.mmap(-1, max(8 * cells, mmap.PAGESIZE))
+    hists = np.frombuffer(mapped, dtype=np.float64)[:cells].reshape(-1, nbins)
+    targets, row = [], 0
+    for (_, d3, f3), mask in zip(hops, traced):
+        pick = np.flatnonzero(mask[ucols])
+        cols = ucols[pick]
+        targets.append(_Target(None if pick.size == nu else pick, f3[cols],
+                               d3[cols], hists[row:row + cols.size]))
+        row += cols.size
+    active = [t for t in targets if t.f3.size]
+    units = sum(len(t.blocks()) for t in active)
+    turns = _Turns(units)
+    free = queue.SimpleQueue()
+    nc_max = max((t.f3.size for t in active), default=0)
 
-    # e2 columns: only the elements a receiver branch captures.  A dropped
-    # column meets a capture weight of exactly 0.0, so every receiver IR
-    # keeps its bits.
-    cols = np.flatnonzero(traced)
-    nc = cols.size
-    centres_c, normals_c = grid.centres[cols], grid.normals[cols]
-    areas_c, f3_c, d3_c = grid.areas[cols], f3[cols], d3[cols]
-    centres, normals, rho = grid.centres, grid.normals, grid.reflectances
-
-    nl = len(lums)
-
-    def work(start):
+    def work(k, start):
+        """Trace chunk k; each block is added into its mount's histogram
+        in its turn.  Returns the reflected power onto each mount."""
+        try:
+            s = free.get_nowait()
+        except queue.Empty:
+            s = _Scratch(len(p1), nu, nc_max)
         stop = min(start + _CHUNK, ne)
         rows = start + np.flatnonzero(lit[start:stop])
-        nr = rows.size
-        # pair vectors as separate x, y, z arrays; each dot product adds
-        # (x + z) + y, the order einsum uses for a length-3 contraction
-        dx, dy, dz = (cc[None, :] - cr[:, None]
-                      for cc, cr in zip(centres_c.T, centres[rows].T))
-        d2 = dx * dx + dz * dz + dy * dy
-        ok = d2 > _EPS
-        d2s = np.where(ok, d2, 1.0)
-        d = np.sqrt(d2s)
-        nx, ny, nz = normals[rows].T[:, :, None]
-        cos_out = (dx * nx + dz * nz + dy * ny) / d
-        nx, ny, nz = normals_c.T[:, None, :]
-        cos_in = -(dx * nx + dz * nz + dy * ny) / d
-        ok &= (cos_out > 0.0) & (cos_in > 0.0)
-        t12 = np.where(ok, cos_out * cos_in, 0.0) * areas_c[None, :] / (math.pi * d2s)
-        if boxes:
-            shape = (nr, nc, 3)
-            src = np.broadcast_to(centres[rows, None, :], shape)
-            t12 = np.where(
-                _segments_blocked(boxes, src.reshape(-1, 3),
-                                  np.broadcast_to(centres_c[None, :, :],
-                                                  shape).reshape(-1, 3)
-                                  ).reshape(t12.shape),
-                0.0, t12)
-        del dx, dy, dz, d2, ok, d2s, cos_out, cos_in
-        geom = rho[rows, None] * t12
-        del t12
-        # for bounce accounting; unlit rows stay 0 so the dot products
-        # run over the same full chunk as with every row traced
-        row_reflected = np.zeros(stop - start)
-        row_reflected[rows - start] = geom.sum(axis=1)
-        # one buffer for all luminaires, luminaire-then-row-major: the
-        # order bincount adds each cell's terms in.  Zero weights are
-        # passed through, since adding +0.0 leaves a cell's bits alone.
-        w = np.empty((nl, nr, nc))
-        flat = np.empty((nl, nr, nc), dtype=np.int64)
-        length = np.empty((nr, nc))
-        second_total = 0.0
-        for li in range(nl):
-            second_total += float(p1[li, start:stop] @ row_reflected)
-            wl = w[li]
-            np.multiply(p1[li, rows, None], geom, out=wl)
-            wl *= f3_c
-            np.add(l1[li, rows, None], d, out=length)
-            length += d3_c
-            # same expression as the point-arrival path: floor(len/c/dt)
-            length /= C_LIGHT
-            length /= bin_width
-            np.floor(length, out=length)
-            np.copyto(flat[li], length, casting="unsafe")
-        # bin this chunk over the delay window its own paths span
-        lo, width, span = _delay_window(flat, nbins)
-        flat += np.arange(nc, dtype=np.int64) * width - lo
-        counts = np.bincount(flat.ravel(), weights=w.ravel(),
-                             minlength=nc * width).reshape(nc, width)
-        return lo, counts[:, :span], second_total
+        totals, done = [], 0
+        try:
+            geom, d = _pair_geometry(s, rows, grid, ucols, boxes)
+            for t in active:
+                g, total = _mount_geom(s, t, geom, p1, rows, start, stop)
+                totals.append(total)
+                for cols in t.blocks():
+                    binned = _bin_block(s, t, cols, g, d, incident, rows,
+                                        nbins, bin_width)
+                    with turns.turn(done, k):
+                        done += 1
+                        t.add(cols, *binned)
+        finally:
+            # a failed chunk still passes on its turns, so no later chunk
+            # waits for it; its error reaches the caller through its future
+            for u in range(done, units):
+                with turns.turn(u, k):
+                    pass
+            free.put(s)
+        return totals
+
+    def add_totals(totals):
+        for t, total in zip(active, totals):
+            t.total += total
 
     # chunks without a lit row contribute exactly zero: skip them
     starts = ([s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
-              if nc else [])
-    rows_traced = int(lit.sum())
-    totals["second_rows_traced"] = rows_traced
-    totals["second_cols_traced"] = nc
-    totals["second_pairs_evaluated"] = rows_traced * nc
-    hist = np.zeros((nc, nbins))
-    second_total = 0.0
-
-    def add_chunk(result):
-        nonlocal second_total
-        lo, counts, tot = result
-        window = hist[:, lo:lo + counts.shape[1]]
-        np.add(window, counts, out=window)
-        second_total += tot
-
+              if nu else [])
     if threads > 1:
-        # at most 2 x threads chunks in flight, reduced in chunk order
+        # at most 2 x threads chunks in flight; the reflected power is
+        # added in chunk order as their results are read
         with ThreadPoolExecutor(max_workers=threads) as ex:
             pending = deque()
-            for start in starts:
+            for k, start in enumerate(starts):
                 if len(pending) == 2 * threads:
-                    add_chunk(pending.popleft().result())
-                pending.append(ex.submit(work, start))
+                    add_totals(pending.popleft().result())
+                pending.append(ex.submit(work, k, start))
             while pending:
-                add_chunk(pending.popleft().result())
+                add_totals(pending.popleft().result())
     else:
-        for start in starts:
-            add_chunk(work(start))
-    # reflected power onto the traced elements; it is the full coarse
-    # figure only when every element was traced
-    totals["second_bounce_traced_w"] = second_total
-    if nc == ne:
-        totals["second_bounce_coarse_w"] = second_total
-    return hist, traced, u3, totals
+        for k, start in enumerate(starts):
+            add_totals(work(k, start))
+
+    rows_traced = int(lit.sum())
+    out = []
+    for t in targets:
+        nc = t.f3.size
+        totals = {"first_bounce_coarse_w": float(p1.sum()),
+                  "second_rows_traced": rows_traced,
+                  "second_cols_traced": nc,
+                  "second_pairs_evaluated": rows_traced * nc,
+                  # reflected power onto the traced elements; it is the
+                  # full coarse figure only when every element was traced
+                  "second_bounce_traced_w": t.total}
+        if nc == ne:
+            totals["second_bounce_coarse_w"] = t.total
+        out.append((t.hist, totals))
+    return out
 
 
 def _delay_window(bins: np.ndarray, nbins: int):
-    """(lo, width, span): a chunk's bin indices lie in [lo, lo + width), and
+    """(lo, width, span): a block's bin indices lie in [lo, lo + width), and
     [lo, lo + span) is the part of that window inside the histogram.
 
     Only zero weights lie past the end, and they are dropped: a coincident
@@ -517,8 +708,149 @@ def _check_pose(scene: Scene, position):
         )
 
 
+class PositionGroup:
+    """Mounts that share one luminaire set, traced together.
+
+    What depends only on the scene, the luminaire set and the grids is
+    computed once for the group: the incident power on the first- and
+    second-order grids, and each second-order chunk's pair geometry, over
+    the union of the columns its mounts trace.  The second-order
+    histograms of all its mounts are traced together, by the first
+    `compute_field` call that needs one, at that call's thread count.
+    `compute_field(..., group=g)` hands each mount's field out once, bit
+    for bit the field a group of that mount alone gives.
+
+    The histograms of all its mounts are one anonymous mapping, held until
+    the last of its fields is dropped, so a group holds at most
+    `_GROUP_CAP` mounts; `position_groups` splits a sweep into such groups.
+    Once its last field is handed out, it keeps none of its shared work.
+    """
+
+    def __init__(self, scene: Scene, luminaire_ids, mounts, cfg: TraceConfig,
+                 receivers=None):
+        if not 0 < len(mounts) <= _GROUP_CAP:
+            raise ValueError(f"a group holds 1 to {_GROUP_CAP} mounts, "
+                             f"got {len(mounts)}")
+        diags = validate_scene(scene)
+        if diags:
+            raise ValueError("invalid scene: " + "; ".join(diags))
+        for mount in mounts:
+            _check_pose(scene, mount)
+        self.scene, self.cfg, self.receivers = scene, cfg, receivers
+        self.luminaire_ids = tuple(luminaire_ids)
+        self.mounts = tuple(np.asarray(m, dtype=float) for m in mounts)
+        self._lums = [scene.luminaires[i] for i in self.luminaire_ids]
+        self._boxes = _occluder_boxes(scene)
+        self._incident = {}           # element edge -> (grid, power, length)
+        self._served = [False] * len(self.mounts)
+        self._second = None           # per mount: (hist, traced, u3, totals)
+
+    def _incident_on(self, edge: float):
+        if edge not in self._incident:
+            grid = self.scene.surface_elements(edge)
+            self._incident[edge] = (grid, _incident_power(self._lums, grid,
+                                                          self._boxes))
+        return self._incident[edge]
+
+    def _second_setup(self):
+        """The coarse grid, the set's incident power on it, the lit e1 rows,
+        and each mount's final hop and traced e2 columns.
+
+        Rows with no incident power from any luminaire add nothing (their
+        weights are exactly zero, with or without occlusion), so only lit
+        rows are traced."""
+        grid, incident = self._incident_on(self.cfg.second_edge)
+        hops = [_final_hop(grid, m, self._boxes) for m in self.mounts]
+        traced = [_captured_columns(self.receivers, u3) for u3, _, _ in hops]
+        return grid, incident, incident[0].any(axis=0), hops, traced
+
+    def extent(self) -> dict:
+        """What the second-order kernel traces for the group, without
+        tracing: its mounts, the lit first-bounce rows, the union of the
+        second-bounce columns its mounts capture, the pair geometries
+        between them (computed once for the group) and the bytes of the
+        histograms the group holds at once, one row per traced column per
+        mount.  For one mount these are that mount's own figures."""
+        _, _, lit, _, traced = self._second_setup()
+        rows = int(lit.sum())
+        cols = int(np.logical_or.reduce(traced).sum())
+        held = sum(int(t.sum()) for t in traced)
+        return {"positions": len(self.mounts), "rows": rows, "cols": cols,
+                "pairs": rows * cols,
+                "hist_bytes": held * _bin_count(self.scene, self.cfg) * 8}
+
+    def _trace_second_order(self, threads: int):
+        grid, incident, lit, hops, traced = self._second_setup()
+        hists = _second_order_hists(
+            grid, incident, lit, hops, traced, self._boxes,
+            _bin_count(self.scene, self.cfg), self.cfg.bin_width, threads)
+        return [(hist, mask, u3, totals)
+                for (hist, totals), mask, (u3, _, _) in zip(hists, traced, hops)]
+
+    def _field(self, mount, threads: int) -> "ArrivalField":
+        mount = np.asarray(mount, dtype=float)
+        i = next((i for i, m in enumerate(self.mounts)
+                  if not self._served[i] and np.array_equal(m, mount)), None)
+        if i is None:
+            raise ValueError(f"mount {tuple(map(float, mount))} is not a mount "
+                             "of this group whose field is still to be handed out")
+        self._served[i] = True
+        cfg, lums, boxes = self.cfg, self._lums, self._boxes
+        nbins = _bin_count(self.scene, cfg)
+        totals = {}
+
+        arrivals = [_los_arrivals(lums, mount, boxes)]
+        if cfg.max_order >= 1 and lums:
+            grid, incident = self._incident_on(cfg.first_edge)
+            *first, totals["first_bounce_fine_w"] = _first_order_arrivals(
+                incident, grid, mount, boxes)
+            first[2] += len(lums)     # its rows follow the LOS directions
+            arrivals.append(first)
+        flux, lengths, point_dir, dir_table = (np.concatenate(parts)
+                                               for parts in zip(*arrivals))
+
+        b2_hist = b2_traced = b2_dirs = None
+        if cfg.max_order >= 2 and lums:
+            if self._second is None:
+                self._second = self._trace_second_order(threads)
+            # the field owns its histogram from here on
+            (b2_hist, b2_traced, b2_dirs, second), self._second[i] = \
+                self._second[i], None
+            totals.update(second)
+        if all(self._served):
+            # every field is out: a caller that keeps the group keeps none
+            # of its shared work
+            self._incident = {}
+        return ArrivalField(
+            mount, cfg, nbins, flux,
+            np.floor(lengths / C_LIGHT / cfg.bin_width).astype(np.int64), point_dir,
+            dir_table, b2_hist, b2_dirs, b2_traced, totals)
+
+
+def position_groups(scene: Scene, mounts, cfg: TraceConfig,
+                    receivers=None) -> list:
+    """`PositionGroup`s of `mounts`, in order: each run of consecutive
+    mounts with one luminaire set (`scene.assigned_luminaires`) is split
+    into the fewest groups of at most `_GROUP_CAP`, of near-equal size."""
+    runs = []
+    for mount in mounts:
+        ids = scene.assigned_luminaires(mount)
+        if runs and runs[-1][0] == ids:
+            runs[-1][1].append(mount)
+        else:
+            runs.append((ids, [mount]))
+    groups = []
+    for ids, run in runs:
+        n = -(-len(run) // _GROUP_CAP)
+        for k in range(n):
+            part = run[k * len(run) // n:(k + 1) * len(run) // n]
+            groups.append(PositionGroup(scene, ids, part, cfg, receivers))
+    return groups
+
+
 def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
-                  threads: int = 1, receivers=None) -> ArrivalField:
+                  threads: int = 1, receivers=None, *,
+                  group: PositionGroup | None = None) -> ArrivalField:
     """Trace LOS + reflections from a luminaire set to one mount point.
 
     `luminaire_ids` is normally `scene.assigned_luminaires(mount)`.  Rack
@@ -527,35 +859,19 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     limits second-order tracing to the surface elements their branches
     capture; without it every element is traced.  `threads`, at least 1,
     changes only the speed.
+
+    `group`, a `PositionGroup` built from the same scene, luminaire set,
+    config and receivers with `mount` among its mounts, shares the work
+    that does not depend on the mount with the group's other mounts; the
+    field is the same, bit for bit.  Without it the mount is a group of one.
     """
-    diags = validate_scene(scene)
-    if diags:
-        raise ValueError("invalid scene: " + "; ".join(diags))
-    _check_pose(scene, mount)
+    if group is None:
+        group = PositionGroup(scene, luminaire_ids, [mount], cfg, receivers)
+    elif (group.scene is not scene or group.cfg != cfg
+          or group.luminaire_ids != tuple(luminaire_ids)
+          or group.receivers is not receivers):
+        raise ValueError("the group was built for another scene, luminaire "
+                         "set, trace config or receivers")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1, got {threads}")
-    mount = np.asarray(mount, dtype=float)
-    lums = [scene.luminaires[i] for i in luminaire_ids]
-    boxes = _occluder_boxes(scene)
-    nbins = _bin_count(scene, cfg)
-    totals = {}
-
-    arrivals = [_los_arrivals(lums, mount, boxes)]
-    if cfg.max_order >= 1 and lums:
-        *first, totals["first_bounce_fine_w"] = _first_order_arrivals(
-            lums, scene.surface_elements(cfg.first_edge), mount, boxes)
-        first[2] += len(lums)     # its rows follow the LOS directions
-        arrivals.append(first)
-    flux, lengths, point_dir, dir_table = (np.concatenate(parts)
-                                           for parts in zip(*arrivals))
-
-    b2_hist = b2_traced = b2_dirs = None
-    if cfg.max_order >= 2 and lums:
-        b2_hist, b2_traced, b2_dirs, second = _second_order_hist(
-            lums, scene.surface_elements(cfg.second_edge), mount, boxes, nbins,
-            cfg.bin_width, threads, receivers)
-        totals.update(second)
-    return ArrivalField(
-        mount, cfg, nbins, flux,
-        np.floor(lengths / C_LIGHT / cfg.bin_width).astype(np.int64), point_dir,
-        dir_table, b2_hist, b2_dirs, b2_traced, totals)
+    return group._field(mount, threads)

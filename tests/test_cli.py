@@ -14,12 +14,13 @@ from owcsim.cli import (
     METRICS_HEADER,
     ConfigError,
     _metrics_row,
+    _sweep_mounts,
     main,
     parse_config,
     write_ir_csv,
 )
 from owcsim.linkmetrics import link_report
-from owcsim.raytracer import ImpulseResponse, compute_field
+from owcsim.raytracer import ImpulseResponse, compute_field, position_groups
 from owcsim.receivers import make_adr, make_imaging, make_wfov
 from owcsim.scene import build_pod
 
@@ -494,6 +495,35 @@ class TestReceiverCulledOutputs:
         field = compute_field(pod, pod.assigned_luminaires(mount), mount,
                               cfg.trace, receivers=[make_wfov()])
         assert int(fields["histogram_bytes"]) == field.b2_hist.nbytes
+
+
+    def test_check_reports_sweep_groups(self, tmp_path, capsys):
+        # seven positions under one luminaire set: groups of three and four,
+        # each sharing its pair geometry over the union of its columns
+        text = coarse_second_order_config(**{"y_step_m = 0.5": "y_step_m = 1.0"})
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(text)
+        assert main(["check", "--config", str(cfg_path),
+                     "--receiver", "all"]) == 0
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("sweep ")]
+        assert line.startswith("sweep (wfov+adr+imaging): ")
+        fields = {k: int(v) for k, v in
+                  (kv.split("=") for kv in line.split() if "=" in kv)}
+        cfg = parse_config(text)
+        pod = build_pod(cfg.pod)
+        groups = position_groups(pod, _sweep_mounts(cfg), cfg.trace)
+        assert [len(g.mounts) for g in groups] == [3, 4]
+        cols = pairs = held = 0
+        for g in groups:
+            traced = [compute_field(pod, g.luminaire_ids, m, cfg.trace,
+                                    receivers=list(RECEIVERS)) for m in g.mounts]
+            union = int(np.logical_or.reduce([f.b2_traced for f in traced]).sum())
+            cols += union
+            pairs += traced[0].totals["second_rows_traced"] * union
+            held = max(held, sum(f.b2_hist.nbytes for f in traced))
+        assert fields == {"positions": 7, "groups": 2, "union_cols": cols,
+                          "pairs": pairs, "group_histogram_bytes": held}
 
 
 class TestModuleEntryPoint:

@@ -81,7 +81,8 @@ def test_public_dataclass_fields_are_the_listed_ones():
 # field defaults are fields, listed above.
 DEFAULTS = {
     "scene.Luminaire.make": {"semi_angle_deg": 70.0},
-    "raytracer.compute_field": {"threads": 1, "receivers": None},
+    "raytracer.compute_field": {"threads": 1, "receivers": None, "group": None},
+    "raytracer.position_groups": {"receivers": None},
     "raytracer.second_order_extent": {"receivers": None},
     "linkmetrics.link_report": {"noise": NoiseParams()},
     "cli.main": {"argv": None},

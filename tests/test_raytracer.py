@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -16,13 +17,16 @@ from owcsim.raytracer import (
     C_LIGHT,
     ArrivalField,
     ImpulseResponse,
+    PositionGroup,
     TraceConfig,
     _GEMV_BLOCK,
+    _GROUP_CAP,
     _incident_power,
     _occluder_boxes,
     _second_order_bins,
     _weighed_rows,
     compute_field,
+    position_groups,
     second_order_extent,
 )
 from owcsim.receivers import (DetectorSpec, ReceiverSpec, capture_matrix, make_adr,
@@ -404,6 +408,29 @@ def windows(monkeypatch):
     return seen
 
 
+def run_stressed(trace):
+    """(result, errors) of `trace()` run in a thread with a 1 us switch
+    interval; fails if it does not finish in time."""
+    out, errors = [None], []
+
+    def run():
+        try:
+            out[0] = trace()
+        except Exception as exc:          # returned to the caller
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not worker.is_alive(), "threaded trace did not finish in time"
+    return out[0], errors
+
+
 class RecordingExecutor(ThreadPoolExecutor):
     """Thread pool that records its futures, which of them had their result
     read, and the most that were outstanding at any submit."""
@@ -556,25 +583,9 @@ class TestSecondOrderKernel:
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
         serial = compute_field(pod, ids, mount, cfg, threads=1)
-        out, errors = {}, []
-
-        def run():
-            try:
-                out["field"] = compute_field(pod, ids, mount, cfg, threads=4)
-            except Exception as exc:          # re-raised below
-                errors.append(exc)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=run)
-            worker.start()
-            worker.join(timeout=300)
-        finally:
-            sys.setswitchinterval(old)
-        assert not worker.is_alive(), "threaded trace did not finish in time"
+        field, errors = run_stressed(
+            lambda: compute_field(pod, ids, mount, cfg, threads=4))
         assert not errors, errors
-        field = out["field"]
         assert field.b2_hist.tobytes() == serial.b2_hist.tobytes()
         assert (field.totals["second_bounce_coarse_w"]
                 == serial.totals["second_bounce_coarse_w"])
@@ -689,6 +700,184 @@ class TestReceiverCulledTrace:
             detector_ir(field, detector())
         # a receiver inside the traced set is still served
         assert field.receiver_irs(make_adr())[0].total_power() > 0.0
+
+
+# the reference sweep's 13 positions, on the centre row under one set
+SWEEP_YS = tuple(1.0 + 0.5 * k for k in range(13))
+
+
+def assert_same_field(a, b):
+    """Every array equal by bytes, every total equal by value."""
+    for f in dataclasses.fields(ArrivalField):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.shape, x.dtype) == (y.shape, y.dtype), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@functools.cache
+def lone_field(occlusion, y, kinds):
+    """The centre-row field at `y`, traced alone on one thread."""
+    pod = coarse_pod(occlusion)
+    mount = vec3(4.0, y, 2.0)
+    return compute_field(pod, pod.assigned_luminaires(mount), mount,
+                         TraceConfig(**COARSE),
+                         receivers=[MAKERS[k]() for k in kinds])
+
+
+def traced_group(picks, threads, occlusion=False, kinds=tuple(sorted(MAKERS))):
+    """Fields of the centre-row positions `picks`, traced as one group."""
+    pod = coarse_pod(occlusion)
+    mounts = [vec3(4.0, SWEEP_YS[k], 2.0) for k in picks]
+    ids = pod.assigned_luminaires(mounts[0])
+    cfg, rxs = TraceConfig(**COARSE), [MAKERS[k]() for k in kinds]
+    group = PositionGroup(pod, ids, mounts, cfg, rxs)
+    return [compute_field(pod, ids, m, cfg, threads=threads, receivers=rxs,
+                          group=group) for m in mounts]
+
+
+class TestPositionGroups:
+    """Positions that share a luminaire set are traced together; each field
+    must be the one its position gives traced alone, bit for bit."""
+
+    # each example traces up to four positions as a group; a failing one is
+    # reported as drawn, since shrinking would trace hundreds more
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(picks=st.lists(st.integers(0, len(SWEEP_YS) - 1), min_size=1,
+                          max_size=_GROUP_CAP, unique=True),
+           threads=st.sampled_from([1, 2, 4]), occlusion=st.booleans(),
+           kinds=st.sets(st.sampled_from(sorted(MAKERS)), min_size=1))
+    @example(picks=[0, 12, 6, 5], threads=4, occlusion=True,
+             kinds={"wfov", "adr", "imaging"})
+    def test_grouped_fields_equal_lone_fields(self, picks, threads, occlusion,
+                                              kinds):
+        kinds = tuple(sorted(kinds))
+        fields = traced_group(picks, threads, occlusion, kinds)
+        for k, field in zip(picks, fields):
+            assert_same_field(field, lone_field(occlusion, SWEEP_YS[k], kinds))
+
+    def test_shared_work_is_done_once(self, monkeypatch):
+        # the set's incident power once per grid (both orders use the 0.4 m
+        # grid here) and each lit chunk's pair geometry once, over the union
+        calls = {"incident": 0, "pairs": []}
+        incident, pairs = raytracer._incident_power, raytracer._pair_geometry
+
+        def count_incident(*args):
+            calls["incident"] += 1
+            return incident(*args)
+
+        def count_pairs(s, rows, grid, cols, boxes):
+            calls["pairs"].append(cols.size)
+            return pairs(s, rows, grid, cols, boxes)
+
+        monkeypatch.setattr(raytracer, "_incident_power", count_incident)
+        monkeypatch.setattr(raytracer, "_pair_geometry", count_pairs)
+        fields = traced_group([0, 4, 8, 12], threads=2)
+        pod = coarse_pod(False)
+        lit = incident([pod.luminaires[i] for i in (3, 4, 5)],
+                       pod.surface_elements(0.4), [])[0].any(axis=0)
+        lit_chunks = len({r // raytracer._CHUNK for r in np.flatnonzero(lit)})
+        union = np.logical_or.reduce([f.b2_traced for f in fields])
+        assert calls["incident"] == 1
+        assert calls["pairs"] == [int(union.sum())] * lit_chunks
+        # traced one at a time, the positions take more pair geometry
+        assert sum(f.totals["second_cols_traced"] for f in fields) > union.sum()
+
+    @pytest.mark.parametrize("where", ["binning", "reduction"])
+    def test_failing_chunk_propagates_without_hang(self, monkeypatch, where):
+        # one chunk raises, before its turn or while it holds one; the error
+        # must reach the caller, and no worker may wait for it forever
+        monkeypatch.setattr(raytracer, "_CHUNK", 32)
+        monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
+        calls = itertools.count()
+        name, owner = (("_delay_window", raytracer) if where == "binning"
+                       else ("add", raytracer._Target))
+        real = getattr(owner, name)
+
+        def failing(*args):
+            if next(calls) == 10:
+                raise RuntimeError("chunk failed")
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, failing)
+        _, errors = run_stressed(lambda: traced_group([0, 6, 12], threads=4))
+        assert [str(e) for e in errors] == ["chunk failed"]
+        ex = RecordingExecutor.last
+        assert len(ex.futures) > 2 * 4
+        assert all(f.done() for f in ex.futures)
+        assert ex.max_outstanding <= 2 * 4
+
+    def test_thread_stress_bounded_in_flight(self, monkeypatch):
+        # the group's turns under more threads than cores, a short switch
+        # interval and many small chunks: the bits of one thread, every
+        # future read, never more than 2 x threads chunks in flight
+        picks = [1, 5, 9, 12]
+        monkeypatch.setattr(raytracer, "_CHUNK", 32)
+        serial = traced_group(picks, threads=1)
+        monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
+        fields, errors = run_stressed(lambda: traced_group(picks, threads=4))
+        assert not errors, errors
+        for field, want in zip(fields, serial):
+            assert_same_field(field, want)
+        ex = RecordingExecutor.last
+        assert len(ex.futures) > 2 * 4
+        assert ex.read == {id(f) for f in ex.futures}
+        assert ex.max_outstanding <= 2 * 4
+
+    def test_shared_work_is_dropped_with_the_last_field(self):
+        # `run_sweep` keeps its list of groups: each must let go of the
+        # set's incident power once its last field is out, or a long
+        # sweep's memory grows group by group
+        pod = coarse_pod(False)
+        cfg, rxs = TraceConfig(**COARSE), [make_adr()]
+        mounts = [vec3(4.0, y, 2.0) for y in (2.0, 3.0)]
+        ids = pod.assigned_luminaires(mounts[0])
+        group = PositionGroup(pod, ids, mounts, cfg, rxs)
+        compute_field(pod, ids, mounts[0], cfg, receivers=rxs, group=group)
+        assert group._incident
+        compute_field(pod, ids, mounts[1], cfg, receivers=rxs, group=group)
+        assert not group._incident
+
+    def test_reference_sweep_groups(self):
+        pod = coarse_pod(False)
+        cfg = TraceConfig(**COARSE)
+        mounts = [vec3(4.0, y, 2.0) for y in SWEEP_YS]
+        groups = position_groups(pod, mounts, cfg)
+        assert [len(g.mounts) for g in groups] == [3, 3, 3, 4]
+        assert [m for g in groups for m in g.mounts] == mounts
+        assert {g.luminaire_ids for g in groups} == {(3, 4, 5)}
+        # a change of luminaire set starts a new group
+        other = [vec3(1.8, 2.0, 2.0), vec3(1.8, 3.0, 2.0)]
+        groups = position_groups(pod, mounts[:2] + other + mounts[2:3], cfg)
+        assert [len(g.mounts) for g in groups] == [2, 2, 1]
+        assert [g.luminaire_ids for g in groups] == [(3, 4, 5), (0, 1, 2),
+                                                     (3, 4, 5)]
+
+    def test_misuse_is_refused(self):
+        pod = coarse_pod(False)
+        cfg, rxs = TraceConfig(**COARSE), [make_adr()]
+        mounts = [vec3(4.0, y, 2.0) for y in (2.0, 3.0)]
+        ids = pod.assigned_luminaires(mounts[0])
+        with pytest.raises(ValueError, match="a group holds 1 to"):
+            PositionGroup(pod, ids, [mounts[0]] * (_GROUP_CAP + 1), cfg, rxs)
+        with pytest.raises(ValueError, match="detector pose"):
+            PositionGroup(pod, ids, [vec3(4.0, 2.0, 3.5)], cfg, rxs)
+        group = PositionGroup(pod, ids, mounts, cfg, rxs)
+        with pytest.raises(ValueError, match="built for another"):
+            compute_field(pod, ids, mounts[0], cfg, receivers=[make_adr()],
+                          group=group)
+        with pytest.raises(ValueError, match="built for another"):
+            compute_field(pod, (0, 1, 2), mounts[0], cfg, receivers=rxs,
+                          group=group)
+        with pytest.raises(ValueError, match="not a mount of this group"):
+            compute_field(pod, ids, vec3(4.0, 5.0, 2.0), cfg, receivers=rxs,
+                          group=group)
+        compute_field(pod, ids, mounts[1], cfg, receivers=rxs, group=group)
+        with pytest.raises(ValueError, match="still to be handed out"):
+            compute_field(pod, ids, mounts[1], cfg, receivers=rxs, group=group)
 
 
 class TestReceiverIrs:
