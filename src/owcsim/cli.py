@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -249,12 +250,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# `repr(t) + ","` of each bin centre time, one list per bin width: the
+# reference simulate's 141 777 rows use 1 372 distinct times
+_TIME_LABELS: dict = {}
+
+
 def write_ir_csv(ir: ImpulseResponse, path: str) -> None:
-    """Two-column dump `time_s,power_w`, one row per non-empty bin."""
+    """Two-column dump `time_s,power_w`, one row per non-empty bin, each
+    value its float's `repr`.  The powers come from one `repr` of the list
+    of non-empty bins, which writes each element with `repr`."""
     nz = np.nonzero(ir.bins)[0]
-    rows = zip(ir.times()[nz].tolist(), ir.bins[nz].tolist())
+    text = "time_s,power_w\n"
+    if nz.size:
+        # a bin's centre time does not depend on the IR's length, so a
+        # longer IR only appends to its width's labels
+        labels = _TIME_LABELS.setdefault(ir.bin_width, [])
+        labels += [repr(t) + "," for t in ir.times()[len(labels):].tolist()]
+        powers = repr(ir.bins[nz].tolist())[1:-1].split(", ")
+        text += "\n".join(map(operator.add, map(labels.__getitem__, nz.tolist()),
+                                powers)) + "\n"
     with open(path, "w", newline="") as f:
-        f.write("time_s,power_w\n" + "".join(f"{t!r},{p!r}\n" for t, p in rows))
+        f.write(text)
 
 
 METRICS_HEADER = ("mount_x,mount_y,mount_z,receiver,delay_spread_s,"
@@ -316,6 +332,9 @@ def run_simulate(cfg: RunConfig, out_dir: str, threads: int = 1,
             print(f"mount {mi} ({_fmt(mount[0])}, {_fmt(mount[1])}, "
                   f"{_fmt(mount[2])}) {rx.kind}: total_power_w={_fmt(total)} "
                   f"delay_spread_s={_fmt(spread)}")
+        # a field's histogram is 15 MB at a reference mount: drop it before
+        # the next mount is traced
+        del field
     if gnuplot:
         script = os.path.join(out_dir, "plot_ir.gp")
         with open(script, "w") as f:

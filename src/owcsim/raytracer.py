@@ -425,10 +425,10 @@ def _bin_block(s: _Scratch, t: _Target, cols: slice, geom, d, incident,
         wl *= f3
         np.add(l1[li, rows, None], d, out=length)
         length += d3
-        # same expression as the point-arrival path: floor(len/c/dt)
+        # same expression as the point-arrival path: len/c/dt, cast to int64
         length /= C_LIGHT
         length /= bin_width
-        np.floor(length, out=length)
+        # lengths are sums of distances, never negative: truncation is a floor
         np.copyto(flat[li], length, casting="unsafe")
     lo, width, span = _delay_window(flat, nbins)
     flat += np.arange(nb, dtype=np.int64) * width - lo
@@ -823,7 +823,8 @@ class PositionGroup:
             self._incident = {}
         return ArrivalField(
             mount, cfg, nbins, flux,
-            np.floor(lengths / C_LIGHT / cfg.bin_width).astype(np.int64), point_dir,
+            # distances are never negative: truncation is a floor
+            (lengths / C_LIGHT / cfg.bin_width).astype(np.int64), point_dir,
             dir_table, b2_hist, b2_dirs, b2_traced, totals)
 
 

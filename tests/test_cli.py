@@ -1,14 +1,17 @@
 import configparser
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
 import owcsim
+from owcsim import cli
 from owcsim.cli import (
     _KEYS,
     METRICS_HEADER,
@@ -203,6 +206,36 @@ class TestWriteIrCsv:
     def test_empty_ir_is_header_only(self, tmp_path):
         write_ir_csv(ImpulseResponse(50e-12, np.zeros(0)), str(tmp_path / "e.csv"))
         assert (tmp_path / "e.csv").read_bytes() == b"time_s,power_w\n"
+
+    def assert_equal_row_loop(self, tmp_path, ir):
+        write_ir_csv(ir, str(tmp_path / "new.csv"))
+        self.row_loop(ir, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_time_labels_per_bin_width(self, tmp_path):
+        # two bin widths in turn, each longer than the last at its width,
+        # so each width's labels are built, reused and grown in one process
+        rng = np.random.default_rng(7)
+        for n in (5, 40, 300, 2344):
+            for width in (50e-12, 1e-10 / 3):
+                bins = rng.random(n) * (rng.random(n) < 0.3)
+                self.assert_equal_row_loop(tmp_path, ImpulseResponse(width, bins))
+
+    def test_longer_ir_grows_the_labels(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_TIME_LABELS", {})
+        width = 7e-12 / 3
+        self.assert_equal_row_loop(tmp_path, ImpulseResponse(width, np.full(10, 0.5)))
+        assert len(cli._TIME_LABELS[width]) == 10
+        self.assert_equal_row_loop(tmp_path, ImpulseResponse(width, np.full(1000, 0.25)))
+        assert len(cli._TIME_LABELS[width]) == 1000
+        assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1001
+
+    def test_only_the_last_bin_set(self, tmp_path):
+        for n in (1, 2, 3001):
+            bins = np.zeros(n)
+            bins[-1] = 1e-7 / 3
+            self.assert_equal_row_loop(tmp_path, ImpulseResponse(11e-12 / 7, bins))
+            assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 2
 
 
 class TestSimulate:
@@ -437,12 +470,11 @@ class TestReceiverCulledOutputs:
     equal the ones built from fully traced fields, byte for byte."""
 
     def test_simulate_equals_full_fields(self, tmp_path):
+        # the reference is the per-row writer, so that a fault of
+        # `write_ir_csv` cannot pass by writing both sides
         text = coarse_second_order_config()
         cfg_path = tmp_path / "run.ini"
         cfg_path.write_text(text)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg_path), "--receiver",
-                     "all", "--out", str(out), "--threads", "2"]) == 0
         cfg = parse_config(text)
         pod = build_pod(cfg.pod)
         ref = tmp_path / "ref"
@@ -451,11 +483,39 @@ class TestReceiverCulledOutputs:
             field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg.trace)
             for rx in RECEIVERS:
                 for bj, ir in enumerate(field.receiver_irs(rx)):
-                    write_ir_csv(ir, str(ref / f"ir_{rx.kind}_mount{mi}_branch{bj}.csv"))
+                    TestWriteIrCsv.row_loop(
+                        ir, str(ref / f"ir_{rx.kind}_mount{mi}_branch{bj}.csv"))
         names = sorted(p.name for p in ref.iterdir())
-        assert sorted(p.name for p in out.glob("*.csv")) == names
-        for name in names:
-            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        assert len(names) == 162
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            assert main(["simulate", "--config", str(cfg_path), "--receiver",
+                         "all", "--out", str(out), "--threads", threads]) == 0
+            assert sorted(p.name for p in out.glob("*.csv")) == names
+            for name in names:
+                assert (out / name).read_bytes() == (ref / name).read_bytes(), \
+                    (threads, name)
+
+    def test_simulate_holds_one_field_at_a_time(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(coarse_second_order_config())
+        fields, alive = [], []
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in fields])
+            field = compute_field(*args, **kwargs)
+            fields.append(weakref.ref(field))
+            return field
+
+        monkeypatch.setattr(cli, "compute_field", spy)
+        # freed by its reference count, not by a later collection
+        gc.disable()
+        try:
+            assert main(["simulate", "--config", str(cfg_path), "--receiver",
+                         "all", "--out", str(tmp_path / "out")]) == 0
+        finally:
+            gc.enable()
+        assert alive == [[], [False], [False, False]]
 
     def test_sweep_equals_full_fields(self, tmp_path):
         text = coarse_second_order_config()
@@ -568,5 +628,13 @@ class TestBenchmarkHooks:
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0, proc.stderr
-        names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+        dump = json.loads(spans_path.read_text())
+        names = {span[0] for span in dump["spans"]}
         assert self.SHARED | spans <= names, sorted(names)
+        if command == "simulate":
+            # one wrapped `write_ir_csv` call per file, so that its span
+            # times all of the CSV output
+            csvs = list((tmp_path / "out").glob("*.csv"))
+            assert len(csvs) == 162
+            assert dump["counts"]["ir_files"] == len(csvs)
+            assert dump["counts"]["csv_bytes"] == sum(p.stat().st_size for p in csvs)
