@@ -177,8 +177,8 @@ def eye_powers(ir: ImpulseResponse, bitrate: float) -> EyePowers:
     logic 1; everything later is intersymbol spill-over that raises the
     logic-0 level.  ps1 + ps0 equals the total power exactly.
     """
-    if bitrate <= 0.0:
-        raise ValueError("bit rate must be positive")
+    if not 0.0 < bitrate < math.inf:
+        raise ValueError(f"bit rate must be positive and finite, got {bitrate}")
     p = ir.bins
     nz = np.nonzero(p)[0]
     if nz.size == 0:
@@ -241,8 +241,8 @@ def q_function(x: float) -> float:
 
 def ber_from_snr(snr_linear: float) -> float:
     """OOK bit error rate Q(sqrt(SNR))."""
-    if snr_linear < 0.0:
-        raise ValueError("SNR must be non-negative")
+    if not 0.0 <= snr_linear < math.inf:
+        raise ValueError(f"SNR must be non-negative and finite, got {snr_linear}")
     return q_function(math.sqrt(snr_linear))
 
 

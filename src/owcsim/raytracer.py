@@ -26,9 +26,11 @@ their own set and share nothing.
 Second-order work is split into fixed chunks of first-bounce (e1) rows of
 the coarse grid.  Rows that receive no power from any luminaire are
 dropped before any pair geometry is built, and a chunk left with no rows
-is skipped.  The worker that traces a chunk also bins it, every luminaire
-in one pass, one block of a mount's columns at a time, over only the
-delay window that block's paths span, and adds each window into the
+is skipped.  A chunk's pair geometry takes each panel's normal,
+reflectance and area as scalars, on the runs of its rows and columns that
+lie on that panel.  The worker that traces a chunk also bins it, every
+luminaire in one pass, one block of a mount's columns at a time, over only
+the delay window that block's paths span, and adds each window into the
 mount's histogram in its turn: chunk k adds into a block only after chunk
 k - 1 has, so every cell gets the same partial sums in the same order for
 any worker count.  With several threads at most 2 x threads chunks are in
@@ -159,6 +161,7 @@ def _incident_power(luminaires, grid, boxes):
     nl = len(luminaires)
     power = np.zeros((nl, n))
     length = np.zeros((nl, n))
+    runs = grid.panel_runs(np.arange(n))
     for li, lum in enumerate(luminaires):
         v = grid.centres - lum.position[None, :]
         d = np.linalg.norm(v, axis=1)
@@ -166,7 +169,8 @@ def _incident_power(luminaires, grid, boxes):
         dd = np.where(safe, d, 1.0)
         u = v / dd[:, None]
         cos_phi = -u[:, 2]       # every luminaire points along (0, 0, -1)
-        cos_in = -(u * grid.normals).sum(axis=1)
+        # x, y, z: the order `-(u * normals).sum(axis=1)` adds in
+        cos_in = _dots(np.empty(n), np.empty(n), runs, u.T, (0, 1, 2), -1.0)
         sel = safe & (cos_phi > 0.0) & (cos_in > 0.0)
         p = np.zeros(n)
         p[sel] = (lum.power_w * (lum.order + 1.0) / (2.0 * math.pi * d[sel] ** 2)
@@ -177,6 +181,19 @@ def _incident_power(luminaires, grid, boxes):
         power[li] = p
         length[li] = d
     return power, length
+
+
+def _dots(out, tmp, runs, comps, axes, sign: float):
+    """`out` = `sign` times the sum, in the order of `comps`, of `comps[i] *
+    normal[axes[i]]` on each of `runs` (`ElementGrid.panel_runs`) over the
+    normal's non-zero terms: a 0.0 term's +-0.0 adds nothing to a non-zero
+    sum, so that is the full sum, or +-0.0 where the full sum is zero."""
+    for k, normal, _, _ in runs:
+        terms = [(c[k], sign * normal[i]) for c, i in zip(comps, axes) if normal[i]]
+        o = np.multiply(*terms[0], out=out[k])
+        for c, n in terms[1:]:
+            o += np.multiply(c, n, out=tmp[k])
+    return out
 
 
 def _bin_count(scene: Scene, cfg: TraceConfig) -> int:
@@ -194,7 +211,8 @@ def _final_hop(grid, mount, boxes):
     safe = d3 > _EPS
     dd3 = np.where(safe, d3, 1.0)
     u3 = v3 / dd3[:, None]
-    cos3 = (u3 * grid.normals).sum(axis=1)
+    cos3 = _dots(np.empty(len(grid)), np.empty(len(grid)),
+                 grid.panel_runs(np.arange(len(grid))), u3.T, (0, 1, 2), 1.0)
     f3 = np.zeros(len(grid))
     sel = safe & (cos3 > 0.0)
     f3[sel] = grid.reflectances[sel] * cos3[sel] / (math.pi * d3[sel] ** 2)
@@ -276,14 +294,14 @@ class _Scratch:
     the space past them."""
 
     def __init__(self, nl: int, nu: int, nc: int):
-        work = max(5 * _BLOCK, nc + (2 + 2 * nl) * _BLOCK)
+        work = max(6 * _BLOCK, nc + (2 + 2 * nl) * _BLOCK)
         self.arena = np.empty(_CHUNK * (2 * nu + work))
-        self.mask = np.empty(2 * _CHUNK * _BLOCK, dtype=bool)
+        self.mask = np.empty(_CHUNK * _BLOCK, dtype=bool)
 
     def pair(self, nr: int, nu: int, nb: int):
-        """geom and d (nr, nu); five (nr, nb) work arrays and two masks."""
-        return (_carve(self.arena, 0, (nr, nu), (nr, nu), *[(nr, nb)] * 5)
-                + _carve(self.mask, 0, (nr, nb), (nr, nb)))
+        """geom and d (nr, nu); six (nr, nb) work arrays and a mask."""
+        return (_carve(self.arena, 0, (nr, nu), (nr, nu), *[(nr, nb)] * 6)
+                + _carve(self.mask, 0, (nr, nb)))
 
     def picked(self, nr: int, nu: int, nc: int):
         """One mount's gathered geom (nr, nc), past geom and d."""
@@ -312,43 +330,38 @@ def _pair_geometry(s: _Scratch, rows, grid, cols, boxes):
     e2) and distance `d` of every pair of lit e1 `rows` and e2 `cols`, as
     (rows, cols) views of `s`, computed `_BLOCK` columns at a time.  Each
     pair's value depends on that pair alone, so it is the same for any
-    set of columns."""
+    set of columns.  Normals, reflectances and areas are Python scalars,
+    one per run of rows or columns on one panel (`ElementGrid.panel_runs`)."""
     nr, nu = rows.size, cols.size
     centres_r = grid.centres[rows]
-    nx, ny, nz = grid.normals[rows].T[:, :, None]
+    row_runs = grid.panel_runs(rows)
     for c0 in range(0, nu, _BLOCK):
         c = cols[c0:c0 + _BLOCK]
-        geom, d, dx, dy, dz, d2, cos_in, ok, test = s.pair(nr, nu, c.size)
+        geom, d, dx, dy, dz, d2, cos_in, tmp, near = s.pair(nr, nu, c.size)
         g, dd = geom[:, c0:c0 + c.size], d[:, c0:c0 + c.size]
-        # pair vectors as separate x, y, z arrays; each dot product adds
-        # (x + z) + y, the order einsum uses for a length-3 contraction.
-        # cos_in's array holds the products until cos_in is computed, and
-        # `g` holds cos_out until it becomes geom.
+        # pair vectors as separate x, y, z arrays; each sum adds (x + z) + y,
+        # the order einsum uses for a length-3 contraction.  `g` holds
+        # cos_out until it becomes geom.
         for out, cc, cr in zip((dx, dy, dz), grid.centres[c].T, centres_r.T):
             np.subtract(cc[None, :], cr[:, None], out=out)
         np.multiply(dx, dx, out=d2)
-        d2 += np.multiply(dz, dz, out=cos_in)
-        d2 += np.multiply(dy, dy, out=cos_in)
-        np.greater(d2, _EPS, out=ok)
-        np.copyto(d2, 1.0, where=np.logical_not(ok, out=test))
+        d2 += np.multiply(dz, dz, out=tmp)
+        d2 += np.multiply(dy, dy, out=tmp)
+        # coincident pairs get a 1 m stand-in distance and zero weight
+        np.less_equal(d2, _EPS, out=near)
+        np.copyto(d2, 1.0, where=near)
         np.sqrt(d2, out=dd)
-        cos_out = g
-        np.multiply(dx, nx, out=cos_out)
-        cos_out += np.multiply(dz, nz, out=cos_in)
-        cos_out += np.multiply(dy, ny, out=cos_in)
-        cos_out /= dd
-        mx, my, mz = grid.normals[c].T[:, None, :]
-        np.multiply(dx, mx, out=cos_in)
-        cos_in += np.multiply(dz, mz, out=dx)
-        cos_in += np.multiply(dy, my, out=dx)
-        np.negative(cos_in, out=cos_in)
-        cos_in /= dd
-        ok &= np.greater(cos_out, 0.0, out=test)
-        ok &= np.greater(cos_in, 0.0, out=test)
-        # rho * where(ok, cos_out * cos_in, 0) * area / (pi * d2)
+        col_runs = [((slice(None), k), *v) for k, *v in grid.panel_runs(c)]
+        _dots(g, tmp, row_runs, (dx, dz, dy), (0, 2, 1), 1.0)
+        _dots(cos_in, tmp, col_runs, (dx, dz, dy), (0, 2, 1), -1.0)
+        # rho * max(cos_out, 0) * max(cos_in, 0) * area / (pi * d2)
+        for cos in (g, cos_in):
+            cos /= dd
+            np.maximum(cos, 0.0, out=cos)
         g *= cos_in
-        np.copyto(g, 0.0, where=np.logical_not(ok, out=test))
-        g *= grid.areas[c]
+        np.copyto(g, 0.0, where=near)
+        for k, _, _, area in col_runs:
+            g[k] *= area
         d2 *= math.pi
         g /= d2
         if boxes:
@@ -357,7 +370,8 @@ def _pair_geometry(s: _Scratch, rows, grid, cols, boxes):
             dst = np.broadcast_to(grid.centres[c][None, :, :], shape)
             blocked = _segments_blocked(boxes, src.reshape(-1, 3), dst.reshape(-1, 3))
             np.copyto(g, 0.0, where=blocked.reshape(nr, c.size))
-        g *= grid.reflectances[rows, None]
+        for r, _, rho, _ in row_runs:
+            g[r] *= rho
     return geom, d
 
 
@@ -425,11 +439,10 @@ def _bin_block(s: _Scratch, t: _Target, cols: slice, geom, d, incident,
         wl *= f3
         np.add(l1[li, rows, None], d, out=length)
         length += d3
-        # same expression as the point-arrival path: len/c/dt, cast to int64
-        length /= C_LIGHT
-        length /= bin_width
+        # same expression as the point-arrival path: len/c/dt, cast to int64;
         # lengths are sums of distances, never negative: truncation is a floor
-        np.copyto(flat[li], length, casting="unsafe")
+        length /= C_LIGHT
+        np.divide(length, bin_width, out=flat[li], casting="unsafe")
     lo, width, span = _delay_window(flat, nbins)
     flat += np.arange(nb, dtype=np.int64) * width - lo
     counts = np.bincount(flat.ravel(), weights=w.ravel(),

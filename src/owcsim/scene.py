@@ -75,25 +75,37 @@ class ElementGrid:
     """Array-backed collection of surface elements (one panel or a whole scene).
 
     Stores centres/normals/areas/reflectances as flat numpy arrays so the
-    tracer can vectorise over them.
+    tracer can vectorise over them.  `starts` holds each panel's first
+    element; a panel's elements share its normal, area and reflectance.
     """
 
-    def __init__(self, centres, normals, areas, reflectances):
+    def __init__(self, centres, normals, areas, reflectances, starts):
         self.centres = np.asarray(centres, dtype=float).reshape(-1, 3)
         self.normals = np.asarray(normals, dtype=float).reshape(-1, 3)
         self.areas = np.asarray(areas, dtype=float).ravel()
         self.reflectances = np.asarray(reflectances, dtype=float).ravel()
+        self.starts = np.asarray(starts, dtype=np.int64)
 
     def __len__(self) -> int:
         return self.centres.shape[0]
 
+    def panel_runs(self, idx) -> list:
+        """(run, normal, reflectance, area) of each slice `run` of the ascending
+        element indices `idx` that lies on one panel, its values Python floats."""
+        cut = np.searchsorted(idx, self.starts).tolist() + [len(idx)]
+        return [(slice(lo, hi), tuple(self.normals[p].tolist()),
+                 float(self.reflectances[p]), float(self.areas[p]))
+                for p, lo, hi in zip(self.starts.tolist(), cut, cut[1:]) if lo < hi]
+
     @staticmethod
     def concatenate(grids: list["ElementGrid"]) -> "ElementGrid":
+        offsets = np.cumsum([0] + [len(g) for g in grids])
         return ElementGrid(
             np.concatenate([g.centres for g in grids]),
             np.concatenate([g.normals for g in grids]),
             np.concatenate([g.areas for g in grids]),
             np.concatenate([g.reflectances for g in grids]),
+            np.concatenate([g.starts + o for g, o in zip(grids, offsets)]),
         )
 
 
@@ -124,6 +136,7 @@ def discretize(panel: SurfacePanel, element_edge: float) -> ElementGrid:
         np.tile(panel.normal, (n, 1)),
         np.full(n, area),
         np.full(n, panel.reflectance),
+        [0],
     )
 
 

@@ -287,22 +287,46 @@ def oracle_q(x: float) -> float:
         return float(0.5 * mpmath.erfc(x / mpmath.sqrt(2)))
 
 
+def oracle_incident_power(luminaires, grid, boxes):
+    """`_incident_power` as first written, kept verbatim: every element's
+    cosine is a full (N, 3) product with the element normals, added by
+    `sum(axis=1)`.  Returns (power (L, N) W, length (L, N) m)."""
+    from owcsim.raytracer import _segments_blocked
+
+    n = len(grid)
+    power = np.zeros((len(luminaires), n))
+    length = np.zeros((len(luminaires), n))
+    for li, lum in enumerate(luminaires):
+        v = grid.centres - lum.position[None, :]
+        d = np.linalg.norm(v, axis=1)
+        safe = d > 1e-12
+        dd = np.where(safe, d, 1.0)
+        u = v / dd[:, None]
+        cos_phi = -u[:, 2]
+        cos_in = -(u * grid.normals).sum(axis=1)
+        sel = safe & (cos_phi > 0.0) & (cos_in > 0.0)
+        p = np.zeros(n)
+        p[sel] = (lum.power_w * (lum.order + 1.0) / (2.0 * math.pi * d[sel] ** 2)
+                  * cos_phi[sel] ** lum.order * cos_in[sel] * grid.areas[sel])
+        if boxes:
+            p[_segments_blocked(boxes, lum.position, grid.centres)] = 0.0
+        power[li] = p
+        length[li] = d
+    return power, length
+
+
 def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
     """Second-order histogram by the original chunked kernel, kept verbatim.
 
     Every e1 row of the coarse grid is traced, one luminaire at a time, and
     only pairs with positive weight are kept; chunks are reduced in order.
     Returns (b2_hist, second_bounce_coarse_w).  Unlike the scalar oracles
-    above this shares the unchanged helpers (`_incident_power`,
-    `_segments_blocked`, `_occluder_boxes`) with the tracer, because it is
-    the bitwise reference for the kernel built on them.
+    above this shares the unchanged helpers (`_segments_blocked`,
+    `_occluder_boxes`) with the tracer, because it is the bitwise reference
+    for the kernel built on them; the incident power is
+    `oracle_incident_power`'s.
     """
-    from owcsim.raytracer import (
-        C_LIGHT,
-        _occluder_boxes,
-        _incident_power,
-        _segments_blocked,
-    )
+    from owcsim.raytracer import C_LIGHT, _occluder_boxes, _segments_blocked
 
     chunk = 256
     eps = 1e-12
@@ -316,7 +340,7 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
     ne = len(grid)
     centres, normals = grid.centres, grid.normals
     areas, rho = grid.areas, grid.reflectances
-    p1, l1 = _incident_power(lums, grid, boxes)
+    p1, l1 = oracle_incident_power(lums, grid, boxes)
 
     v3 = mount[None, :] - centres
     d3 = np.linalg.norm(v3, axis=1)

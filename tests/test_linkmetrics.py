@@ -243,6 +243,12 @@ class TestEyePowers:
         with pytest.raises(ValueError):
             eye_powers(ir_from([1e-6]), 0.0)
 
+    @pytest.mark.parametrize("bitrate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bitrate_is_refused(self, bitrate):
+        # nan and inf pass a `<= 0` test and gave ps1 = 0, a closed eye
+        with pytest.raises(ValueError, match="bit rate must be positive and finite"):
+            eye_powers(ir_from([1e-6, 2e-6]), bitrate)
+
 
 class TestNoiseBudget:
     def test_preamp_only(self):
@@ -371,6 +377,11 @@ class TestQAndBer:
     def test_ber_rejects_negative(self):
         with pytest.raises(ValueError):
             ber_from_snr(-1.0)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf])
+    def test_ber_rejects_non_finite(self, snr):
+        with pytest.raises(ValueError, match="SNR must be non-negative and finite"):
+            ber_from_snr(snr)
 
 
 class TestMaxDataRate:

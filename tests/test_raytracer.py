@@ -44,6 +44,7 @@ from owcsim.scene import (
 from oracles import (
     Element,
     los_gain,
+    oracle_incident_power,
     oracle_los_sum,
     oracle_one_bounce,
     oracle_path_delay,
@@ -381,6 +382,43 @@ def tilted_panel_scene():
                  rows=[], mounts=[vec3(1.4, 1.6, 1.8)])
 
 
+def panel_room(edge, rho, tilt, lum, mount):
+    """A 4 x 3 x 2.4 m box room whose floor is two panels of one normal
+    (1.1 m and 2.9 m long, so their elements differ in area at any edge),
+    with reflectances `rho`, plus a tilted panel whose normal has three
+    non-zero terms, (tilt, 0.8) normalised, and one with exactly two,
+    (0, 0.6, 0.8).  One luminaire at `lum` in the ceiling, one mount."""
+    lx, ly, h = 4.0, 3.0, 2.4
+
+    def tilted(centre, normal):
+        n = unit(normal)
+        u = 0.8 * unit(np.cross(n, (1.0, 0.0, 0.0)))
+        v = 0.8 * unit(np.cross(n, u))
+        return SurfacePanel(vec3(*centre) - 0.5 * (u + v), u, v, n, 0.6, "wall")
+
+    panels = [
+        SurfacePanel(vec3(0, 0, h), vec3(lx, 0, 0), vec3(0, ly, 0),
+                     vec3(0, 0, -1), 0.8, "ceiling"),
+        SurfacePanel(vec3(0, 0, 0), vec3(1.1, 0, 0), vec3(0, ly, 0),
+                     vec3(0, 0, 1), rho[0], "floor"),
+        SurfacePanel(vec3(1.1, 0, 0), vec3(2.9, 0, 0), vec3(0, ly, 0),
+                     vec3(0, 0, 1), rho[1], "floor"),
+        SurfacePanel(vec3(0, 0, 0), vec3(0, ly, 0), vec3(0, 0, h),
+                     vec3(1, 0, 0), 0.7, "wall"),
+        SurfacePanel(vec3(lx, 0, 0), vec3(0, ly, 0), vec3(0, 0, h),
+                     vec3(-1, 0, 0), 0.7, "wall"),
+        tilted((2.0, 2.2, 0.8), (*tilt, 0.8)),
+        tilted((2.0, 0.8, 0.8), (0.0, 0.6, 0.8)),
+        SurfacePanel(vec3(0, 0, 0), vec3(lx, 0, 0), vec3(0, 0, h),
+                     vec3(0, 1, 0), 0.7, "wall"),
+        SurfacePanel(vec3(0, ly, 0), vec3(lx, 0, 0), vec3(0, 0, h),
+                     vec3(0, -1, 0), 0.7, "wall"),
+    ]
+    return Scene(room=(lx, ly, h), panels=panels,
+                 luminaires=[down_luminaire((*lum, h))], rows=[],
+                 mounts=[vec3(*mount)])
+
+
 def sub_metre_scene():
     """A 0.1 x 0.1 x 0.25 m room (diagonal 0.29 m) with a floor, one wall,
     one luminaire and one mount."""
@@ -463,9 +501,10 @@ class TestSecondOrderKernel:
     def test_histogram_matches_reference_loop(self, occlusion, threads):
         """The kernel's histogram is bit-equal to the reference loop's.
 
-        The reference takes its dot products with `einsum`; the kernel sums
-        separate x, y and z products as (x + z) + y, so this also pins that
-        order to the one `einsum` uses for a length-3 contraction."""
+        The reference takes its dot products with `einsum` over full (N, 3)
+        normals.  The kernel takes each cosine from only the non-zero terms
+        of a panel's normal, as Python scalars, and clamps it at 0; on the
+        pod's axis-aligned panels that is one product per cosine."""
         pod = build_pod(PodConfig(luminaire_power_w=1.0,
                                   rack_occluding=occlusion))
         cfg = TraceConfig(**COARSE)
@@ -492,10 +531,10 @@ class TestSecondOrderKernel:
         """Bit-equal to the reference loop where every dot product has three
         non-zero terms.
 
-        Every pod panel is axis-aligned, so two of the three products in
-        `d2`, `cos_out` and `cos_in` are exact zeros there and any order of
-        summation gives the same bits.  Two tilted panels facing each other
-        make all three terms non-zero."""
+        Every pod panel is axis-aligned, so the kernel's cosines there have
+        one term and no order of summation to pin.  Two tilted panels facing
+        each other make all three terms non-zero; the kernel adds them as
+        (x + z) + y, the order `einsum` uses for a length-3 contraction."""
         scene = tilted_panel_scene()
         mount = scene.mounts[0]
         cfg = TraceConfig(first_edge=0.1, second_edge=0.1)
@@ -503,6 +542,78 @@ class TestSecondOrderKernel:
         hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
         assert field.b2_hist.shape[0] == 128
         assert np.count_nonzero(hist) > 1000
+        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.totals["second_bounce_coarse_w"] == second_w
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(edge=st.floats(0.2, 0.4),
+           rho=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).filter(
+               lambda r: r[0] != r[1]),
+           tilt=st.tuples(st.floats(-0.5, -0.1), st.floats(-0.6, -0.2)),
+           lum=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 2.5)),
+           mount=st.tuples(st.floats(0.3, 3.7), st.floats(0.3, 2.7),
+                           st.floats(0.5, 2.2)))
+    @example(edge=0.2, rho=(0.3, 0.7), tilt=(-0.3, -0.5), lum=(2.0, 1.5),
+             mount=(1.0, 1.2, 1.5))
+    def test_panel_runs_across_chunks_and_blocks(self, edge, rho, tilt, lum,
+                                                 mount):
+        """Bit-equal to the reference loop where chunks and 256-column blocks
+        hold runs of several panels: a box room, two adjacent floor panels
+        with one normal and different reflectances and element areas, and
+        tilted panels with three and with exactly two non-zero terms."""
+        scene = panel_room(edge, rho, tilt, lum, mount)
+        cfg = TraceConfig(first_edge=0.4, second_edge=edge)
+        grid = scene.surface_elements(edge)
+        lums = scene.luminaires
+        incident = _incident_power(lums, grid, [])
+        assert (incident[0].tobytes()
+                == oracle_incident_power(lums, grid, [])[0].tobytes())
+        # past the first, some column block (every column is traced) and
+        # the lit rows of some chunk span two panels or more
+        n = raytracer._CHUNK
+        assert len(grid) > n == raytracer._BLOCK
+        panel = np.searchsorted(grid.starts, np.arange(len(grid)), side="right")
+        lit = incident[0].any(axis=0)
+        assert any(np.unique(panel[s:s + n]).size > 1
+                   and np.unique(panel[s:s + n][lit[s:s + n]]).size > 1
+                   for s in range(n, len(grid), n))
+        # the two floor panels share a normal, not a reflectance or an area
+        a, b = grid.starts[1:3]
+        assert grid.normals[a].tolist() == grid.normals[b].tolist()
+        assert grid.areas[a] != grid.areas[b]
+        hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
+                                                  cfg)
+        assert np.count_nonzero(hist) > 1000
+        for threads in (1, 3):
+            field = compute_field(scene, (0,), scene.mounts[0], cfg,
+                                  threads=threads)
+            assert field.b2_hist.tobytes() == hist.tobytes()
+            assert field.totals["second_bounce_coarse_w"] == second_w
+
+    def test_coincident_elements_of_two_panels(self):
+        """Two overlapping vertical panels 0.1 um apart face each other, so
+        each element of the lit one and the element of the other that the
+        mount sees make a coincident pair (d2 <= 1e-12) whose cosines are
+        both positive: only the coincident-pair mask gives it zero weight,
+        as the reference loop does."""
+        lit = SurfacePanel(vec3(0.5, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1),
+                           vec3(1, 0, 0), 0.8, "wall")
+        seen = SurfacePanel(vec3(0.5 + 1e-7, 0, 0), vec3(0, 1, 0),
+                            vec3(0, 0, 1), vec3(-1, 0, 0), 0.8, "wall")
+        floor = SurfacePanel(vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0),
+                             vec3(0, 0, 1), 0.8, "floor")
+        scene = Scene(room=(1.0, 1.0, 1.0), panels=[lit, seen, floor],
+                      luminaires=[down_luminaire((0.8, 0.5, 1.0))], rows=[],
+                      mounts=[vec3(0.2, 0.5, 0.5)])
+        cfg = TraceConfig(first_edge=0.1, second_edge=0.1)
+        grid = scene.surface_elements(cfg.second_edge)
+        gap = grid.centres[100:200] - grid.centres[:100]
+        assert np.all((gap * gap).sum(axis=1) <= 1e-12) and np.all(gap[:, 0] > 0)
+        field = compute_field(scene, (0,), scene.mounts[0], cfg)
+        hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
+                                                  cfg)
+        assert np.count_nonzero(hist[100:200]) > 100
         assert field.b2_hist.tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
 
