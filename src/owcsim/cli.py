@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linkmetrics import NoiseParams, delay_stats, link_report
-from .raytracer import (ImpulseResponse, TraceConfig, compute_field,
-                        position_groups, second_order_extent)
+from .raytracer import (ImpulseResponse, PositionGroup, TraceConfig,
+                        compute_field, position_groups)
 from .receivers import make_adr, make_imaging, make_wfov
 from .scene import PodConfig, build_pod, lambertian_order, validate_scene
 
@@ -408,8 +408,8 @@ def run_scene_check(cfg: RunConfig) -> int:
         rxs = _receivers(cfg)
         kinds = "+".join(rx.kind for rx in rxs)
         for mi, mount in enumerate(scene.mounts):
-            ext = second_order_extent(scene, scene.assigned_luminaires(mount),
-                                      mount, cfg.trace, rxs)
+            ext = PositionGroup(scene, scene.assigned_luminaires(mount),
+                                [mount], cfg.trace, rxs).extent()
             print(f"mount {mi} second-order ({kinds}): "
                   f"rows={ext['rows']} cols={ext['cols']} pairs={ext['pairs']} "
                   f"histogram_bytes={ext['hist_bytes']}")

@@ -33,8 +33,14 @@ luminaire in one pass, one block of a mount's columns at a time, over only
 the delay window that block's paths span, and adds each window into the
 mount's histogram in its turn: chunk k adds into a block only after chunk
 k - 1 has, so every cell gets the same partial sums in the same order for
-any worker count.  With several threads at most 2 x threads chunks are in
-flight; each worker keeps its work arrays from chunk to chunk.
+any worker count; a mount's reflected power is added in the turn of its
+first block.  With several threads every lit chunk is queued to one pool
+at once, a queued chunk holding only its index and first row, and every
+one runs, even after another fails: none is cancelled.  One thread
+traces in the calling thread: on a 1-worker pool the 1-thread
+simulate-all peak RSS rose from 99 to 117 MB, mostly the worker thread's
+own glibc malloc arena.  Each worker keeps its work arrays from chunk to
+chunk.
 
 Point arrivals keep an index into a table of distinct arrival directions,
 so a receiver's gains are computed once per direction, not once per
@@ -52,7 +58,6 @@ import math
 import mmap
 import queue
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -158,19 +163,11 @@ def _incident_power(luminaires, grid, boxes):
     Returns (power (L, N) watts, length (L, N) metres).
     """
     n = len(grid)
-    nl = len(luminaires)
-    power = np.zeros((nl, n))
-    length = np.zeros((nl, n))
-    runs = grid.panel_runs(np.arange(n))
+    power = np.zeros((len(luminaires), n))
+    length = np.zeros((len(luminaires), n))
     for li, lum in enumerate(luminaires):
-        v = grid.centres - lum.position[None, :]
-        d = np.linalg.norm(v, axis=1)
-        safe = d > _EPS
-        dd = np.where(safe, d, 1.0)
-        u = v / dd[:, None]
-        cos_phi = -u[:, 2]       # every luminaire points along (0, 0, -1)
-        # x, y, z: the order `-(u * normals).sum(axis=1)` adds in
-        cos_in = _dots(np.empty(n), np.empty(n), runs, u.T, (0, 1, 2), -1.0)
+        u, d, safe, cos_in = _hop(grid, lum.position)
+        cos_phi = u[:, 2]        # -u against the luminaire's (0, 0, -1)
         sel = safe & (cos_phi > 0.0) & (cos_in > 0.0)
         p = np.zeros(n)
         p[sel] = (lum.power_w * (lum.order + 1.0) / (2.0 * math.pi * d[sel] ** 2)
@@ -181,6 +178,21 @@ def _incident_power(luminaires, grid, boxes):
         power[li] = p
         length[li] = d
     return power, length
+
+
+def _hop(grid, point):
+    """One hop between every element of `grid` and `point`: the unit
+    directions from the elements toward `point`, their lengths, the mask of
+    lengths over `_EPS`, and each element's cosine, added x, y, z as
+    `sum(axis=1)` adds them."""
+    v = point[None, :] - grid.centres
+    d = np.linalg.norm(v, axis=1)
+    safe = d > _EPS
+    u = v / np.where(safe, d, 1.0)[:, None]
+    n = len(grid)
+    cos = _dots(np.empty(n), np.empty(n), grid.panel_runs(np.arange(n)), u.T,
+                (0, 1, 2), 1.0)
+    return u, d, safe, cos
 
 
 def _dots(out, tmp, runs, comps, axes, sign: float):
@@ -206,13 +218,7 @@ def _bin_count(scene: Scene, cfg: TraceConfig) -> int:
 def _final_hop(grid, mount, boxes):
     """Last hop, element -> mount: unit directions, lengths and the
     branch-independent weight (reflectance times the Lambertian emission)."""
-    v3 = mount[None, :] - grid.centres
-    d3 = np.linalg.norm(v3, axis=1)
-    safe = d3 > _EPS
-    dd3 = np.where(safe, d3, 1.0)
-    u3 = v3 / dd3[:, None]
-    cos3 = _dots(np.empty(len(grid)), np.empty(len(grid)),
-                 grid.panel_runs(np.arange(len(grid))), u3.T, (0, 1, 2), 1.0)
+    u3, d3, safe, cos3 = _hop(grid, mount)
     f3 = np.zeros(len(grid))
     sel = safe & (cos3 > 0.0)
     f3[sel] = grid.reflectances[sel] * cos3[sel] / (math.pi * d3[sel] ** 2)
@@ -273,14 +279,6 @@ def _first_order_arrivals(incident, grid, mount, boxes):
     seen = passed.any(axis=0)
     row = np.cumsum(seen) - 1
     return flux[li, ei], lengths[li, ei], row[ei], u[seen], float(p1.sum())
-
-
-def second_order_extent(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
-                        receivers=None) -> dict:
-    """What the second-order kernel traces for one mount, without tracing:
-    lit first-bounce rows, captured second-bounce columns, the pairs between
-    them and the bytes of the histogram, one row per traced column."""
-    return PositionGroup(scene, luminaire_ids, [mount], cfg, receivers).extent()
 
 
 class _Scratch:
@@ -515,26 +513,28 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     nc_max = max((t.f3.size for t in active), default=0)
 
     def work(k, start):
-        """Trace chunk k; each block is added into its mount's histogram
-        in its turn.  Returns the reflected power onto each mount."""
+        """Trace chunk k: each block is added into its mount's histogram
+        in its turn, and the reflected power onto a mount in the turn of
+        its first block, so both are added in chunk order."""
         try:
             s = free.get_nowait()
         except queue.Empty:
             s = _Scratch(len(p1), nu, nc_max)
         stop = min(start + _CHUNK, ne)
         rows = start + np.flatnonzero(lit[start:stop])
-        totals, done = [], 0
+        done = 0
         try:
             geom, d = _pair_geometry(s, rows, grid, ucols, boxes)
             for t in active:
                 g, total = _mount_geom(s, t, geom, p1, rows, start, stop)
-                totals.append(total)
                 for cols in t.blocks():
                     binned = _bin_block(s, t, cols, g, d, incident, rows,
                                         nbins, bin_width)
                     with turns.turn(done, k):
                         done += 1
                         t.add(cols, *binned)
+                        if cols.start == 0:
+                            t.total += total
         finally:
             # a failed chunk still passes on its turns, so no later chunk
             # waits for it; its error reaches the caller through its future
@@ -542,29 +542,22 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
                 with turns.turn(u, k):
                     pass
             free.put(s)
-        return totals
-
-    def add_totals(totals):
-        for t, total in zip(active, totals):
-            t.total += total
 
     # chunks without a lit row contribute exactly zero: skip them
     starts = ([s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
               if nu else [])
     if threads > 1:
-        # at most 2 x threads chunks in flight; the reflected power is
-        # added in chunk order as their results are read
+        # every chunk is queued at once and runs even after one fails: a
+        # cancelled chunk would never pass on its turns, and `map` (or
+        # `cancel_futures`) can cancel one that a later running chunk waits on
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            pending = deque()
-            for k, start in enumerate(starts):
-                if len(pending) == 2 * threads:
-                    add_totals(pending.popleft().result())
-                pending.append(ex.submit(work, k, start))
-            while pending:
-                add_totals(pending.popleft().result())
+            for f in [ex.submit(work, k, s) for k, s in enumerate(starts)]:
+                f.result()
     else:
+        # in the caller: on a 1-worker pool, simulate-all's peak RSS rose
+        # from 99 to 117 MB, mostly that thread's own glibc malloc arena
         for k, start in enumerate(starts):
-            add_totals(work(k, start))
+            work(k, start)
 
     rows_traced = int(lit.sum())
     out = []
@@ -741,6 +734,11 @@ class PositionGroup:
 
     def __init__(self, scene: Scene, luminaire_ids, mounts, cfg: TraceConfig,
                  receivers=None):
+        ids, n = tuple(luminaire_ids), len(scene.luminaires)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   and 0 <= i < n for i in ids) or len(set(ids)) < len(ids):
+            raise ValueError(f"luminaire ids must be distinct integers in "
+                             f"[0, {n}), got {ids}")
         if not 0 < len(mounts) <= _GROUP_CAP:
             raise ValueError(f"a group holds 1 to {_GROUP_CAP} mounts, "
                              f"got {len(mounts)}")
@@ -750,7 +748,7 @@ class PositionGroup:
         for mount in mounts:
             _check_pose(scene, mount)
         self.scene, self.cfg, self.receivers = scene, cfg, receivers
-        self.luminaire_ids = tuple(luminaire_ids)
+        self.luminaire_ids = ids
         self.mounts = tuple(np.asarray(m, dtype=float) for m in mounts)
         self._lums = [scene.luminaires[i] for i in self.luminaire_ids]
         self._boxes = _occluder_boxes(scene)

@@ -315,6 +315,26 @@ def oracle_incident_power(luminaires, grid, boxes):
     return power, length
 
 
+def oracle_final_hop(grid, mount, boxes):
+    """`_final_hop` as it was before it shared a hop with the incident
+    power, kept verbatim: (unit directions, lengths, weights)."""
+    from owcsim.raytracer import _EPS, _dots, _segments_blocked
+
+    v3 = mount[None, :] - grid.centres
+    d3 = np.linalg.norm(v3, axis=1)
+    safe = d3 > _EPS
+    dd3 = np.where(safe, d3, 1.0)
+    u3 = v3 / dd3[:, None]
+    cos3 = _dots(np.empty(len(grid)), np.empty(len(grid)),
+                 grid.panel_runs(np.arange(len(grid))), u3.T, (0, 1, 2), 1.0)
+    f3 = np.zeros(len(grid))
+    sel = safe & (cos3 > 0.0)
+    f3[sel] = grid.reflectances[sel] * cos3[sel] / (math.pi * d3[sel] ** 2)
+    if boxes:
+        f3[_segments_blocked(boxes, grid.centres, mount[None, :])] = 0.0
+    return u3, d3, f3
+
+
 def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
     """Second-order histogram by the original chunked kernel, kept verbatim.
 

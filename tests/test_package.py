@@ -83,7 +83,6 @@ DEFAULTS = {
     "scene.Luminaire.make": {"semi_angle_deg": 70.0},
     "raytracer.compute_field": {"threads": 1, "receivers": None, "group": None},
     "raytracer.position_groups": {"receivers": None},
-    "raytracer.second_order_extent": {"receivers": None},
     "linkmetrics.link_report": {"noise": NoiseParams()},
     "cli.main": {"argv": None},
     "cli.run_simulate": {"threads": 1, "gnuplot": False},

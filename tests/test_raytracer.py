@@ -21,13 +21,13 @@ from owcsim.raytracer import (
     TraceConfig,
     _GEMV_BLOCK,
     _GROUP_CAP,
+    _final_hop,
     _incident_power,
     _occluder_boxes,
     _second_order_bins,
     _weighed_rows,
     compute_field,
     position_groups,
-    second_order_extent,
 )
 from owcsim.receivers import (DetectorSpec, ReceiverSpec, capture_matrix, make_adr,
                               make_imaging, make_wfov)
@@ -44,6 +44,7 @@ from owcsim.scene import (
 from oracles import (
     Element,
     los_gain,
+    oracle_final_hop,
     oracle_incident_power,
     oracle_los_sum,
     oracle_one_bounce,
@@ -470,14 +471,13 @@ def run_stressed(trace):
 
 
 class RecordingExecutor(ThreadPoolExecutor):
-    """Thread pool that records its futures, which of them had their result
-    read, and the most that were outstanding at any submit."""
+    """Thread pool that records its futures and which of them had their
+    result read."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.futures = []
         self.read = set()
-        self.max_outstanding = 0
         RecordingExecutor.last = self
 
     def submit(self, fn, *args, **kwargs):
@@ -490,8 +490,6 @@ class RecordingExecutor(ThreadPoolExecutor):
 
         fut.result = read_result
         self.futures.append(fut)
-        self.max_outstanding = max(self.max_outstanding,
-                                   len(self.futures) - len(self.read))
         return fut
 
 
@@ -565,10 +563,17 @@ class TestSecondOrderKernel:
         scene = panel_room(edge, rho, tilt, lum, mount)
         cfg = TraceConfig(first_edge=0.4, second_edge=edge)
         grid = scene.surface_elements(edge)
-        lums = scene.luminaires
+        # a point exactly above a floor element's centre, in the ceiling
+        # plane: zero x and y differences there, zero z ones on the ceiling
+        above = grid.centres[grid.starts[2]] * (1.0, 1.0, 0.0) + (0.0, 0.0, 2.4)
+        lums = scene.luminaires + [down_luminaire(above)]
         incident = _incident_power(lums, grid, [])
         assert (incident[0].tobytes()
                 == oracle_incident_power(lums, grid, [])[0].tobytes())
+        for point in (scene.mounts[0], above, above - (0.0, 0.0, 1.0)):
+            for a, b in zip(_final_hop(grid, point, []),
+                            oracle_final_hop(grid, point, [])):
+                assert a.tobytes() == b.tobytes()
         # past the first, some column block (every column is traced) and
         # the lit rows of some chunk span two panels or more
         n = raytracer._CHUNK
@@ -684,10 +689,10 @@ class TestSecondOrderKernel:
         assert ceiling > 0
         assert field.totals["second_rows_traced"] == len(grid) - ceiling
 
-    def test_thread_stress_bounded_in_flight(self, monkeypatch):
-        # more threads than cores, a short switch interval and small chunks
-        # (many more than the in-flight bound) must still give the bits of
-        # one thread, read every future, and never exceed 2 x threads chunks
+    def test_thread_stress_matches_one_thread(self, monkeypatch):
+        # more threads than cores, a short switch interval and many small
+        # chunks, all queued at once, must still give the bits of one
+        # thread and read every future
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[2]), pod.mounts[2]
@@ -707,7 +712,22 @@ class TestSecondOrderKernel:
         assert len(ex.futures) == lit_chunks > 2 * 4
         assert all(f.done() for f in ex.futures)
         assert ex.read == {id(f) for f in ex.futures}
-        assert ex.max_outstanding <= 2 * 4
+
+    def test_one_thread_builds_no_pool(self, monkeypatch):
+        # one thread traces every chunk in the calling thread
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(raytracer, "ThreadPoolExecutor", no_pool)
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        cfg = TraceConfig(**COARSE)
+        ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
+        field = compute_field(pod, ids, mount, cfg, threads=1)
+        hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
+        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.totals["second_bounce_coarse_w"] == second_w
+        with pytest.raises(AssertionError, match="pool was built"):
+            compute_field(pod, ids, mount, cfg, threads=2)
 
 
 MAKERS = {"wfov": make_wfov, "adr": make_adr, "imaging": make_imaging}
@@ -766,7 +786,7 @@ class TestReceiverCulledTrace:
         assert culled.b2_hist.shape == (t["second_cols_traced"], culled.nbins)
         assert (culled.b2_hist.tobytes()
                 == full.b2_hist[culled.b2_traced].tobytes())
-        ext = second_order_extent(pod, ids, mount, cfg, rxs)
+        ext = PositionGroup(pod, ids, [mount], cfg, rxs).extent()
         assert ext["rows"] == t["second_rows_traced"]
         assert ext["cols"] == t["second_cols_traced"]
         assert ext["pairs"] == t["second_pairs_evaluated"]
@@ -787,7 +807,7 @@ class TestReceiverCulledTrace:
         ne = len(pod.surface_elements(cfg.second_edge))
         cols = field.totals["second_cols_traced"]
         assert field.b2_hist.shape == (cols, field.nbins) and cols < ne
-        assert (second_order_extent(pod, ids, mount, cfg, rxs)["hist_bytes"]
+        assert (PositionGroup(pod, ids, [mount], cfg, rxs).extent()["hist_bytes"]
                 == field.b2_hist.nbytes)
         assert peak < ne * field.nbins * 8
 
@@ -897,8 +917,11 @@ class TestPositionGroups:
         # traced one at a time, the positions take more pair geometry
         assert sum(f.totals["second_cols_traced"] for f in fields) > union.sum()
 
-    @pytest.mark.parametrize("where", ["binning", "reduction"])
-    def test_failing_chunk_propagates_without_hang(self, monkeypatch, where):
+    @pytest.mark.parametrize("where, threads", [
+        ("binning", 4), ("reduction", 4), ("binning", 1), ("reduction", 1)],
+        ids=["binning", "reduction", "binning-1-thread", "reduction-1-thread"])
+    def test_failing_chunk_propagates_without_hang(self, monkeypatch, where,
+                                                   threads):
         # one chunk raises, before its turn or while it holds one; the error
         # must reach the caller, and no worker may wait for it forever
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
@@ -914,17 +937,23 @@ class TestPositionGroups:
             return real(*args)
 
         monkeypatch.setattr(owner, name, failing)
-        _, errors = run_stressed(lambda: traced_group([0, 6, 12], threads=4))
+        RecordingExecutor.last = None
+        _, errors = run_stressed(
+            lambda: traced_group([0, 6, 12], threads=threads))
         assert [str(e) for e in errors] == ["chunk failed"]
         ex = RecordingExecutor.last
-        assert len(ex.futures) > 2 * 4
-        assert all(f.done() for f in ex.futures)
-        assert ex.max_outstanding <= 2 * 4
+        if threads == 1:
+            assert ex is None
+        else:
+            assert len(ex.futures) > 2 * 4
+            # none cancelled: a cancelled chunk never passes on its turns,
+            # and a later chunk already running would wait for it forever
+            assert all(f.done() and not f.cancelled() for f in ex.futures)
 
-    def test_thread_stress_bounded_in_flight(self, monkeypatch):
+    def test_thread_stress_matches_one_thread(self, monkeypatch):
         # the group's turns under more threads than cores, a short switch
-        # interval and many small chunks: the bits of one thread, every
-        # future read, never more than 2 x threads chunks in flight
+        # interval and many small chunks, all queued at once: the bits of
+        # one thread and every future read
         picks = [1, 5, 9, 12]
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
         serial = traced_group(picks, threads=1)
@@ -936,7 +965,6 @@ class TestPositionGroups:
         ex = RecordingExecutor.last
         assert len(ex.futures) > 2 * 4
         assert ex.read == {id(f) for f in ex.futures}
-        assert ex.max_outstanding <= 2 * 4
 
     def test_shared_work_is_dropped_with_the_last_field(self):
         # `run_sweep` keeps its list of groups: each must let go of the
@@ -976,6 +1004,16 @@ class TestPositionGroups:
             PositionGroup(pod, ids, [mounts[0]] * (_GROUP_CAP + 1), cfg, rxs)
         with pytest.raises(ValueError, match="detector pose"):
             PositionGroup(pod, ids, [vec3(4.0, 2.0, 3.5)], cfg, rxs)
+        # ids out of range, repeated or not integers are refused before
+        # any trace: -5 would trace luminaire 4, (4, 4) it twice
+        assert len(pod.luminaires) == 9
+        for bad in [(-5,), (4, 4), (9,), (4.0,), (True,), ([4],), (3, 4, 3)]:
+            with pytest.raises(ValueError, match="distinct integers"):
+                PositionGroup(pod, bad, [pod.mounts[1]],
+                              TraceConfig(max_order=0), rxs)
+            with pytest.raises(ValueError, match="distinct integers"):
+                compute_field(pod, bad, pod.mounts[1], TraceConfig(max_order=0))
+        PositionGroup(pod, (np.int64(4),), [pod.mounts[1]], cfg, rxs)
         group = PositionGroup(pod, ids, mounts, cfg, rxs)
         with pytest.raises(ValueError, match="built for another"):
             compute_field(pod, ids, mounts[0], cfg, receivers=[make_adr()],
