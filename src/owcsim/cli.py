@@ -426,15 +426,6 @@ def run_scene_check(cfg: RunConfig) -> int:
     return 0
 
 
-def _thread_count(arg: int | None) -> int:
-    """Worker threads: `--threads`, else 1."""
-    if arg is None:
-        return 1
-    if arg < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {arg}")
-    return arg
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="owcsim",
@@ -454,7 +445,8 @@ def main(argv=None) -> int:
         p.add_argument("--bitrate", help="override bit rate (bps)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int,
-                       help="worker threads (speed only; results identical)")
+                       help="tracing threads, the calling thread and N - 1 "
+                            "helpers (speed only; results identical)")
         if name == "simulate":
             p.add_argument("--gnuplot", action="store_true",
                            help="also emit a gnuplot script for the IR dumps")
@@ -474,7 +466,9 @@ def main(argv=None) -> int:
             if raw is not None:
                 values[k] = _convert(k, raw, "--" + flag.replace("_", "-"))
         cfg = _build(values)
-        threads = _thread_count(args.threads)
+        threads = 1 if args.threads is None else args.threads
+        if threads < 1:
+            raise ConfigError(f"--threads must be a positive integer, got {threads}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,19 +28,20 @@ the coarse grid.  Rows that receive no power from any luminaire are
 dropped before any pair geometry is built, and a chunk left with no rows
 is skipped.  A chunk's pair geometry takes each panel's normal,
 reflectance and area as scalars, on the runs of its rows and columns that
-lie on that panel.  The worker that traces a chunk also bins it, every
+lie on that panel.  The runner that traces a chunk also bins it, every
 luminaire in one pass, one block of a mount's columns at a time, over only
 the delay window that block's paths span, and adds each window into the
 mount's histogram in its turn: chunk k adds into a block only after chunk
 k - 1 has, so every cell gets the same partial sums in the same order for
-any worker count; a mount's reflected power is added in the turn of its
-first block.  With several threads every lit chunk is queued to one pool
-at once, a queued chunk holding only its index and first row, and every
-one runs, even after another fails: none is cancelled.  One thread
-traces in the calling thread: on a 1-worker pool the 1-thread
-simulate-all peak RSS rose from 99 to 117 MB, mostly the worker thread's
-own glibc malloc arena.  Each worker keeps its work arrays from chunk to
-chunk.
+any thread count; a mount's reflected power is added in the turn of its
+first block.  N threads are the calling thread and N - 1 helpers, never
+more than there are lit chunks; each runner takes the next chunk in order
+until none is left, so a chunk is only ever taken by a runner that traces
+it.  The caller traces rather than waits: on a 1-worker pool the 1-thread
+simulate-all peak RSS rose from 99 to 117 MB, mostly the worker's own
+glibc malloc arena.  A runner keeps its work arrays from chunk to chunk,
+allocated with its first chunk, so a runner left without one allocates
+none.
 
 Point arrivals keep an index into a table of distinct arrival directions,
 so a receiver's gains are computed once per direction, not once per
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -234,7 +234,7 @@ def _captured_columns(receivers, u3) -> np.ndarray:
         return np.ones(len(u3), dtype=bool)
     captured = np.zeros(len(u3), dtype=bool)
     for rx in receivers:
-        captured |= (capture_matrix(rx, u3) != 0.0).any(axis=0)
+        captured[sparse_capture(rx, u3)[1]] = True
     return captured
 
 
@@ -282,7 +282,7 @@ def _first_order_arrivals(incident, grid, mount, boxes):
 
 
 class _Scratch:
-    """One worker's chunk-sized work arrays, kept from chunk to chunk.
+    """One runner's chunk-sized work arrays, kept from chunk to chunk.
 
     The kernel writes its temporaries into these through `out=`: fresh
     arrays of this size are mapped from the OS for each chunk and fault in
@@ -452,9 +452,9 @@ class _Turns:
     """Turns on the histogram blocks: chunk k adds into a block only after
     chunk k - 1 has, so every cell gets its partial sums in chunk order.
 
-    Chunks are submitted in order to a FIFO pool, so when chunk k runs,
-    every earlier chunk has started: a chunk only ever waits for chunks
-    that are running, and the earliest of them never waits."""
+    Chunks are taken in order, each by a runner that traces it, so when
+    chunk k is taken every earlier chunk has been: a chunk only ever waits
+    for chunks that are being traced, and the earliest of them never waits."""
 
     def __init__(self, n: int):
         self._next = [0] * n
@@ -509,21 +509,19 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     active = [t for t in targets if t.f3.size]
     units = sum(len(t.blocks()) for t in active)
     turns = _Turns(units)
-    free = queue.SimpleQueue()
     nc_max = max((t.f3.size for t in active), default=0)
 
-    def work(k, start):
-        """Trace chunk k: each block is added into its mount's histogram
-        in its turn, and the reflected power onto a mount in the turn of
-        its first block, so both are added in chunk order."""
-        try:
-            s = free.get_nowait()
-        except queue.Empty:
-            s = _Scratch(len(p1), nu, nc_max)
+    def work(s, k, start):
+        """Trace chunk k with arena `s`, allocated in the `try` when None,
+        and return it: each block is added into its mount's histogram in
+        its turn, and the reflected power onto a mount in the turn of its
+        first block, so both are added in chunk order."""
         stop = min(start + _CHUNK, ne)
         rows = start + np.flatnonzero(lit[start:stop])
         done = 0
         try:
+            if s is None:
+                s = _Scratch(len(p1), nu, nc_max)
             geom, d = _pair_geometry(s, rows, grid, ucols, boxes)
             for t in active:
                 g, total = _mount_geom(s, t, geom, p1, rows, start, stop)
@@ -537,27 +535,34 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
                             t.total += total
         finally:
             # a failed chunk still passes on its turns, so no later chunk
-            # waits for it; its error reaches the caller through its future
+            # waits for it; its error reaches the caller through its runner
             for u in range(done, units):
                 with turns.turn(u, k):
                     pass
-            free.put(s)
+        return s
 
     # chunks without a lit row contribute exactly zero: skip them
     starts = ([s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
               if nu else [])
-    if threads > 1:
-        # every chunk is queued at once and runs even after one fails: a
-        # cancelled chunk would never pass on its turns, and `map` (or
-        # `cancel_futures`) can cancel one that a later running chunk waits on
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for f in [ex.submit(work, k, s) for k, s in enumerate(starts)]:
-                f.result()
-    else:
-        # in the caller: on a 1-worker pool, simulate-all's peak RSS rose
-        # from 99 to 117 MB, mostly that thread's own glibc malloc arena
-        for k, start in enumerate(starts):
-            work(k, start)
+    chunks, take = enumerate(starts), threading.Lock()
+
+    def run():
+        """Trace the next chunk until none is left; a runner that has not
+        taken a chunk holds no turn, so none can strand one."""
+        s = None
+        while True:
+            with take:
+                k, start = next(chunks, (None, None))
+            if k is None:
+                return
+            s = work(s, k, start)
+
+    # `threads` runners, the caller among them, and no more than lit chunks
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        helpers = [ex.submit(run) for _ in range(min(threads, len(starts)) - 1)]
+        run()
+        for h in helpers:
+            h.result()
 
     rows_traced = int(lit.sum())
     out = []
@@ -869,8 +874,8 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     rows the scene flags as occluding shadow every hop; no other setting
     does.  `receivers`, the assemblies that will be applied at `mount`,
     limits second-order tracing to the surface elements their branches
-    capture; without it every element is traced.  `threads`, at least 1,
-    changes only the speed.
+    capture; without it every element is traced.  `threads`, an integer
+    of at least 1 (the caller and threads - 1 helpers), changes only speed.
 
     `group`, a `PositionGroup` built from the same scene, luminaire set,
     config and receivers with `mount` among its mounts, shares the work
@@ -884,6 +889,7 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
           or group.receivers is not receivers):
         raise ValueError("the group was built for another scene, luminaire "
                          "set, trace config or receivers")
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {threads}")
+    if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
+            or threads < 1):
+        raise ValueError(f"thread count must be at least 1, an integer, got {threads!r}")
     return group._field(mount, threads)

@@ -470,9 +470,17 @@ def run_stressed(trace):
     return out[0], errors
 
 
+def lit_chunk_count(pod, ids, chunk):
+    """Chunks of `chunk` rows of the 0.4 m grid that a luminaire of `ids`
+    lights, nothing occluding."""
+    lit = _incident_power([pod.luminaires[i] for i in ids],
+                          pod.surface_elements(0.4), [])[0].any(axis=0)
+    return len({r // chunk for r in np.flatnonzero(lit)})
+
+
 class RecordingExecutor(ThreadPoolExecutor):
-    """Thread pool that records its futures and which of them had their
-    result read."""
+    """Thread pool that records its futures (the tracer's helper runners)
+    and which of them had their result read."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -691,8 +699,8 @@ class TestSecondOrderKernel:
 
     def test_thread_stress_matches_one_thread(self, monkeypatch):
         # more threads than cores, a short switch interval and many small
-        # chunks, all queued at once, must still give the bits of one
-        # thread and read every future
+        # chunks taken by four runners must still give the bits of one
+        # thread, and every helper must be done and read
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[2]), pod.mounts[2]
@@ -706,28 +714,64 @@ class TestSecondOrderKernel:
         assert (field.totals["second_bounce_coarse_w"]
                 == serial.totals["second_bounce_coarse_w"])
         ex = RecordingExecutor.last
-        lit_chunks = len({r // 32 for r in np.flatnonzero(
-            _incident_power([pod.luminaires[i] for i in ids],
-                            pod.surface_elements(0.4), [])[0].any(axis=0))})
-        assert len(ex.futures) == lit_chunks > 2 * 4
+        lit_chunks = lit_chunk_count(pod, ids, 32)
+        assert lit_chunks > 2 * 4
+        assert len(ex.futures) == min(4, lit_chunks) - 1
         assert all(f.done() for f in ex.futures)
         assert ex.read == {id(f) for f in ex.futures}
 
-    def test_one_thread_builds_no_pool(self, monkeypatch):
-        # one thread traces every chunk in the calling thread
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
+    def test_one_thread_starts_no_thread(self, monkeypatch):
+        # one thread traces every chunk in the calling thread and submits
+        # no helper; two threads submit exactly one
+        tracers = []
+        pairs = raytracer._pair_geometry
 
-        monkeypatch.setattr(raytracer, "ThreadPoolExecutor", no_pool)
+        def record_thread(*args):
+            tracers.append(threading.get_ident())
+            return pairs(*args)
+
+        monkeypatch.setattr(raytracer, "_pair_geometry", record_thread)
+        monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
         field = compute_field(pod, ids, mount, cfg, threads=1)
+        assert RecordingExecutor.last.futures == []
+        assert tracers and set(tracers) == {threading.get_ident()}
         hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
         assert field.b2_hist.tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
-        with pytest.raises(AssertionError, match="pool was built"):
-            compute_field(pod, ids, mount, cfg, threads=2)
+        compute_field(pod, ids, mount, cfg, threads=2)
+        assert len(RecordingExecutor.last.futures) == 1
+
+    def test_helpers_are_capped_at_the_lit_chunks(self, monkeypatch):
+        # a thread count far above the lit chunks starts one runner per
+        # lit chunk, the caller among them, and gives the bits of one thread
+        monkeypatch.setattr(raytracer, "_CHUNK", 32)
+        monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
+        pod = coarse_pod(False)
+        cfg = TraceConfig(**COARSE)
+        ids, mount = pod.assigned_luminaires(pod.mounts[0]), pod.mounts[0]
+        serial = compute_field(pod, ids, mount, cfg, threads=1)
+        field = compute_field(pod, ids, mount, cfg, threads=64)
+        lit_chunks = lit_chunk_count(pod, ids, 32)
+        assert 1 < lit_chunks < 64
+        assert len(RecordingExecutor.last.futures) == min(64, lit_chunks) - 1
+        assert_same_field(field, serial)
+
+    def test_no_traced_column_runs_no_chunk(self, monkeypatch):
+        # `receivers=[]` captures no element: no column, no chunk and no
+        # helper, and the same field at any thread count
+        monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
+        pod = coarse_pod(False)
+        cfg = TraceConfig(**COARSE)
+        ids, mount = pod.assigned_luminaires(pod.mounts[0]), pod.mounts[0]
+        fields = [compute_field(pod, ids, mount, cfg, threads=n, receivers=[])
+                  for n in (1, 4)]
+        assert RecordingExecutor.last.futures == []
+        assert not fields[0].b2_traced.any()
+        assert fields[0].totals["second_pairs_evaluated"] == 0
+        assert_same_field(fields[1], fields[0])
 
 
 MAKERS = {"wfov": make_wfov, "adr": make_adr, "imaging": make_imaging}
@@ -907,10 +951,7 @@ class TestPositionGroups:
         monkeypatch.setattr(raytracer, "_incident_power", count_incident)
         monkeypatch.setattr(raytracer, "_pair_geometry", count_pairs)
         fields = traced_group([0, 4, 8, 12], threads=2)
-        pod = coarse_pod(False)
-        lit = incident([pod.luminaires[i] for i in (3, 4, 5)],
-                       pod.surface_elements(0.4), [])[0].any(axis=0)
-        lit_chunks = len({r // raytracer._CHUNK for r in np.flatnonzero(lit)})
+        lit_chunks = lit_chunk_count(coarse_pod(False), (3, 4, 5), raytracer._CHUNK)
         union = np.logical_or.reduce([f.b2_traced for f in fields])
         assert calls["incident"] == 1
         assert calls["pairs"] == [int(union.sum())] * lit_chunks
@@ -942,18 +983,16 @@ class TestPositionGroups:
             lambda: traced_group([0, 6, 12], threads=threads))
         assert [str(e) for e in errors] == ["chunk failed"]
         ex = RecordingExecutor.last
-        if threads == 1:
-            assert ex is None
-        else:
-            assert len(ex.futures) > 2 * 4
-            # none cancelled: a cancelled chunk never passes on its turns,
-            # and a later chunk already running would wait for it forever
-            assert all(f.done() and not f.cancelled() for f in ex.futures)
+        assert lit_chunk_count(coarse_pod(False), (3, 4, 5), 32) > 2 * 4
+        assert len(ex.futures) == threads - 1
+        # every runner ran to its end: none was cancelled, and none holds
+        # a turn that a chunk of another runner waits for
+        assert all(f.done() and not f.cancelled() for f in ex.futures)
 
     def test_thread_stress_matches_one_thread(self, monkeypatch):
         # the group's turns under more threads than cores, a short switch
-        # interval and many small chunks, all queued at once: the bits of
-        # one thread and every future read
+        # interval and many small chunks taken by four runners: the bits
+        # of one thread, and every helper done and read
         picks = [1, 5, 9, 12]
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
         serial = traced_group(picks, threads=1)
@@ -963,7 +1002,10 @@ class TestPositionGroups:
         for field, want in zip(fields, serial):
             assert_same_field(field, want)
         ex = RecordingExecutor.last
-        assert len(ex.futures) > 2 * 4
+        lit_chunks = lit_chunk_count(coarse_pod(False), (3, 4, 5), 32)
+        assert lit_chunks > 2 * 4
+        assert len(ex.futures) == min(4, lit_chunks) - 1
+        assert all(f.done() for f in ex.futures)
         assert ex.read == {id(f) for f in ex.futures}
 
     def test_shared_work_is_dropped_with_the_last_field(self):
@@ -995,7 +1037,7 @@ class TestPositionGroups:
         assert [g.luminaire_ids for g in groups] == [(3, 4, 5), (0, 1, 2),
                                                      (3, 4, 5)]
 
-    def test_misuse_is_refused(self):
+    def test_misuse_is_refused(self, monkeypatch):
         pod = coarse_pod(False)
         cfg, rxs = TraceConfig(**COARSE), [make_adr()]
         mounts = [vec3(4.0, y, 2.0) for y in (2.0, 3.0)]
@@ -1024,7 +1066,17 @@ class TestPositionGroups:
         with pytest.raises(ValueError, match="not a mount of this group"):
             compute_field(pod, ids, vec3(4.0, 5.0, 2.0), cfg, receivers=rxs,
                           group=group)
-        compute_field(pod, ids, mounts[1], cfg, receivers=rxs, group=group)
+        # a thread count that is not an integer of at least 1 is refused
+        # before any trace, numpy integers accepted
+        with monkeypatch.context() as m:
+            m.setattr(raytracer, "_los_arrivals", lambda *args: pytest.fail(
+                "traced with a bad thread count"))
+            for bad in [True, math.nan, 2.5, 0, -1]:
+                with pytest.raises(ValueError, match="thread count"):
+                    compute_field(pod, ids, mounts[1], cfg, threads=bad,
+                                  receivers=rxs, group=group)
+        compute_field(pod, ids, mounts[1], cfg, threads=np.int64(2),
+                      receivers=rxs, group=group)
         with pytest.raises(ValueError, match="still to be handed out"):
             compute_field(pod, ids, mounts[1], cfg, receivers=rxs, group=group)
 
