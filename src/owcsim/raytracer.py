@@ -8,8 +8,10 @@ First-order paths run over a fine surface grid, second-order paths use a
 coarser grid for both bounces to keep the pair count tractable.
 
 The tracer is a pure function of (scene, config): `compute_field` runs
-three stages (line of sight, first order, second order) that each return
-arrays, and the `ArrivalField` it returns only holds them.
+three stages that each return arrays, second order first, then line of
+sight and first order, so the second-order histograms are built before the
+fine grid's incident power and the point arrivals are live.  The
+`ArrivalField` it returns only holds them.
 
 Mounts that share a luminaire set can be traced as one `PositionGroup`
 (a sweep's positions along one row; `position_groups` makes them, at most
@@ -30,18 +32,18 @@ is skipped.  A chunk's pair geometry takes each panel's normal,
 reflectance and area as scalars, on the runs of its rows and columns that
 lie on that panel.  The runner that traces a chunk also bins it, every
 luminaire in one pass, one block of a mount's columns at a time, over only
-the delay window that block's paths span, and adds each window into the
-mount's histogram in its turn: chunk k adds into a block only after chunk
-k - 1 has, so every cell gets the same partial sums in the same order for
-any thread count; a mount's reflected power is added in the turn of its
-first block.  N threads are the calling thread and N - 1 helpers, never
-more than there are lit chunks; each runner takes the next chunk in order
-until none is left, so a chunk is only ever taken by a runner that traces
-it.  The caller traces rather than waits: on a 1-worker pool the 1-thread
-simulate-all peak RSS rose from 99 to 117 MB, mostly the worker's own
-glibc malloc arena.  A runner keeps its work arrays from chunk to chunk,
-allocated with its first chunk, so a runner left without one allocates
-none.
+the delay window that block's paths span, into counts of its own, and adds
+each window into the mount's histogram in its turn: chunk k adds into a
+block only after chunk k - 1 has, so every cell gets the same partial sums
+in the same order for any thread count; a mount's reflected power is added
+in the turn of its first block.  N threads are the calling thread and
+N - 1 helpers, never more than there are lit chunks; each runner takes the
+next chunk in order until none is left, so a chunk is only ever taken by a
+runner that traces it.  The caller traces rather than waits: on a 1-worker
+pool the 1-thread simulate-all peak RSS rose from 99 to 117 MB, mostly the
+worker's own glibc malloc arena.  A runner keeps its work arrays and
+counts from chunk to chunk, allocated with its first chunk (a runner left
+without one allocates none); the counts grow to the widest window needed.
 
 Point arrivals keep an index into a table of distinct arrival directions,
 so a receiver's gains are computed once per direction, not once per
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import COMM_FLOOR_M, Scene, validate_scene
-from .receivers import ReceiverSpec, capture_matrix, sparse_capture
+from .receivers import ReceiverSpec, block_slices, capture_matrix, sparse_capture
 
 C_LIGHT = 2.9979e8            # m/s, air
 _CHUNK = 256                  # second-order e1 rows per work unit (fixed: determinism)
@@ -75,6 +77,8 @@ _EPS = 1e-12
 # adds the element axis into y in aligned groups of 4 or 8; an all-zero
 # group adds +0.0, so dropping whole 8-aligned blocks keeps every bit.
 _GEMV_BLOCK = 8
+# Delay bins per step of that gemv, which bounds the rows it gathers.
+_GEMV_BINS = 256
 # Columns per step of the second-order pair geometry and binning: bounds
 # the chunk's work arrays, not the bits (every pair and cell is its own).
 _BLOCK = 256
@@ -295,6 +299,14 @@ class _Scratch:
         work = max(6 * _BLOCK, nc + (2 + 2 * nl) * _BLOCK)
         self.arena = np.empty(_CHUNK * (2 * nu + work))
         self.mask = np.empty(_CHUNK * _BLOCK, dtype=bool)
+        self._counts = np.empty(0)
+
+    def counts(self, n: int) -> np.ndarray:
+        """`n` zeroed bin counts, in one buffer grown to the most asked for."""
+        if self._counts.size < n:
+            self._counts = np.empty(n)
+        self._counts[:n].fill(0.0)
+        return self._counts[:n]
 
     def pair(self, nr: int, nu: int, nb: int):
         """geom and d (nr, nu); six (nr, nb) work arrays and a mask."""
@@ -415,9 +427,10 @@ def _mount_geom(s: _Scratch, t: _Target, geom, p1, rows, start, stop):
 def _bin_block(s: _Scratch, t: _Target, cols: slice, geom, d, incident,
                rows, nbins, bin_width):
     """(lo, counts): one block of a mount's columns of a chunk, every
-    luminaire in one `bincount`, over the delay window its pairs span.
-    `geom` is `_mount_geom`'s; `d` is the union's.
+    luminaire in one `np.add.at` into `s`'s zeroed counts, over the delay
+    window its pairs span.  `geom` is `_mount_geom`'s; `d` is the union's.
 
+    Like a `bincount`, `add.at` adds each weight into +0.0 in input order.
     A cell only gets terms from its own column, so each cell's sum and the
     order of its terms are those of a bincount over all the columns."""
     p1, l1 = incident
@@ -429,7 +442,7 @@ def _bin_block(s: _Scratch, t: _Target, cols: slice, geom, d, incident,
         d = np.take(d, t.pick[cols], axis=1, mode="clip", out=gathered_d)
     geom, f3, d3 = geom[:, cols], t.f3[cols], t.d3[cols]
     # one buffer for all luminaires, luminaire-then-row-major: the
-    # order bincount adds each cell's terms in.  Zero weights are
+    # order add.at adds each cell's terms in.  Zero weights are
     # passed through, since adding +0.0 leaves a cell's bits alone.
     for li in range(len(p1)):
         wl = w[li]
@@ -443,9 +456,9 @@ def _bin_block(s: _Scratch, t: _Target, cols: slice, geom, d, incident,
         np.divide(length, bin_width, out=flat[li], casting="unsafe")
     lo, width, span = _delay_window(flat, nbins)
     flat += np.arange(nb, dtype=np.int64) * width - lo
-    counts = np.bincount(flat.ravel(), weights=w.ravel(),
-                         minlength=nb * width).reshape(nb, width)
-    return lo, counts[:, :span]
+    counts = s.counts(nb * width)
+    np.add.at(counts, flat.ravel(), w.ravel())
+    return lo, counts.reshape(nb, width)[:, :span]
 
 
 class _Turns:
@@ -627,14 +640,16 @@ class ArrivalField:
     b2_traced: np.ndarray | None  # (ne,) bool, the elements with a b2_hist row
     totals: dict              # traced power and work, by name
 
-    def _check_traced(self, acc_b2, what: str):
-        """Refuse capture weights on second-order elements that were not
-        traced: they have no histogram row to hold the power they receive."""
-        if acc_b2[..., ~self.b2_traced].any():
+    def _b2_capture(self, receiver: ReceiverSpec) -> np.ndarray:
+        """`capture_matrix` of `b2_dirs`, refused where it weighs an element
+        that was not traced: it has no histogram row to hold that power."""
+        acc = capture_matrix(receiver, self.b2_dirs)
+        if (acc != 0.0).any(axis=0)[~self.b2_traced].any():
             raise ValueError(
-                f"{what} captures second-order light from surface elements "
-                "this field did not trace; build the field with it among "
-                "`receivers`")
+                f"{receiver.kind} receiver captures second-order light from "
+                "surface elements this field did not trace; build the field "
+                "with it among `receivers`")
+        return acc
 
     def receiver_irs(self, receiver: ReceiverSpec) -> list[ImpulseResponse]:
         """One impulse response per receiver branch.
@@ -648,9 +663,8 @@ class ArrivalField:
         nb, nbins = receiver.branch_count, self.nbins
         b2_bins = None
         if self.b2_hist is not None:
-            acc_b2 = capture_matrix(receiver, self.b2_dirs)
-            self._check_traced(acc_b2, f"{receiver.kind} receiver")
-            b2_bins = _second_order_bins(acc_b2, self.b2_hist, self.b2_traced)
+            b2_bins = _second_order_bins(self._b2_capture(receiver),
+                                         self.b2_hist, self.b2_traced)
         branch, arrival, weight = _arrival_capture(receiver, self.dir_table,
                                                    self.point_dir)
         point_bins = np.bincount(branch * nbins + self.point_idx[arrival],
@@ -681,8 +695,10 @@ def _arrival_capture(receiver: ReceiverSpec, dirs: np.ndarray,
     order = np.argsort(d, kind="stable")
     count = np.bincount(d, minlength=len(dirs))
     first = np.cumsum(count) - count
-    per = count[dir_row]
-    arrival = np.repeat(np.arange(dir_row.size), per)
+    # only the arrivals whose direction has an entry: no array per arrival
+    hit = np.flatnonzero((count > 0)[dir_row])
+    per = count[dir_row[hit]]
+    arrival = np.repeat(hit, per)
     # the k-th entry of each arrival's direction
     k = np.arange(arrival.size) - np.repeat(np.cumsum(per) - per, per)
     entry = order[first[dir_row[arrival]] + k]
@@ -690,14 +706,20 @@ def _arrival_capture(receiver: ReceiverSpec, dirs: np.ndarray,
 
 
 def _second_order_bins(acc: np.ndarray, hist: np.ndarray, traced: np.ndarray):
-    """Each branch's `acc[j] @ full`, `full` being the (ne, nbins) histogram
-    with `hist`'s rows at the `traced` elements and 0.0 elsewhere, by a gemv
-    over only the `_GEMV_BLOCK`-element blocks the branch weighs.  An
-    untraced element in such a block has weight 0.0 (`_check_traced`), so
+    """(nb, nbins): each branch's `acc[j] @ full`, `full` being the (ne,
+    nbins) histogram with `hist`'s rows at the `traced` elements and 0.0
+    elsewhere, by a gemv over only the `_GEMV_BLOCK`-element blocks the
+    branch weighs, `_GEMV_BINS` bins at a time (`block_slices`).  An
+    untraced element in such a block has weight 0.0 (`_b2_capture`), so
     it may read any traced row: 0.0 times a finite value >= 0 adds +0.0."""
     rows = _weighed_rows(acc)
     hist_row = np.maximum(np.cumsum(traced) - 1, 0)
-    return [a[r] @ hist[hist_row[r]] for a, r in zip(acc, rows)]
+    out = np.empty((len(acc), hist.shape[1]))
+    for a, r, o in zip(acc, rows, out):
+        a, r = a[r], hist_row[r]
+        for b in block_slices(hist.shape[1], _GEMV_BINS):
+            np.matmul(a, hist[r, b], out=o[b])
+    return out
 
 
 def _weighed_rows(acc: np.ndarray) -> np.ndarray:
@@ -735,6 +757,9 @@ class PositionGroup:
     the last of its fields is dropped, so a group holds at most
     `_GROUP_CAP` mounts; `position_groups` splits a sweep into such groups.
     Once its last field is handed out, it keeps none of its shared work.
+    A field takes its second order before its point arrivals are traced,
+    so the group's first field traces the histograms before any fine grid
+    incident power or point arrival of the group is live.
     """
 
     def __init__(self, scene: Scene, luminaire_ids, mounts, cfg: TraceConfig,
@@ -813,8 +838,15 @@ class PositionGroup:
         self._served[i] = True
         cfg, lums, boxes = self.cfg, self._lums, self._boxes
         nbins = _bin_count(self.scene, cfg)
+        # second order first: no fine-grid incident power or point arrival yet
+        b2_hist, b2_traced, b2_dirs, second = None, None, None, {}
+        if cfg.max_order >= 2 and lums:
+            if self._second is None:
+                self._second = self._trace_second_order(threads)
+            # the field owns its histogram from here on
+            (b2_hist, b2_traced, b2_dirs, second), self._second[i] = \
+                self._second[i], None
         totals = {}
-
         arrivals = [_los_arrivals(lums, mount, boxes)]
         if cfg.max_order >= 1 and lums:
             grid, incident = self._incident_on(cfg.first_edge)
@@ -824,15 +856,7 @@ class PositionGroup:
             arrivals.append(first)
         flux, lengths, point_dir, dir_table = (np.concatenate(parts)
                                                for parts in zip(*arrivals))
-
-        b2_hist = b2_traced = b2_dirs = None
-        if cfg.max_order >= 2 and lums:
-            if self._second is None:
-                self._second = self._trace_second_order(threads)
-            # the field owns its histogram from here on
-            (b2_hist, b2_traced, b2_dirs, second), self._second[i] = \
-                self._second[i], None
-            totals.update(second)
+        totals.update(second)
         if all(self._served):
             # every field is out: a caller that keeps the group keeps none
             # of its shared work

@@ -26,6 +26,9 @@ LENS_FOV_DEG = 65.0
 # Lens transmission polynomial over incidence angle in radians.
 LENS_POLY = (-0.1982, 0.0425, 0.8778)
 
+# Directions per block of `sparse_capture`'s cosines (bounds memory only).
+_CAPTURE_ROWS = 2048
+
 
 def _boresight(az_deg: float, el_deg: float) -> Vec3:
     """Unit boresight (cos El cos Az, cos El sin Az, sin El) pointing at
@@ -133,6 +136,16 @@ def make_imaging() -> ReceiverSpec:
     )
 
 
+def block_slices(n: int, size: int) -> list:
+    """[0, n) in runs of `size` (one empty run when n is 0), a last run of
+    one folded into the run before it: numpy hands a 1-wide operand to
+    another BLAS call than the full product, whose last bits differ."""
+    starts = list(range(0, n, size)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     """Non-zero capture gains as `(branch, arrival, weight)` entries.
 
@@ -141,32 +154,35 @@ def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     An imaging receiver gates and weighs only the pixel each arrival is
     assigned to, times the lens transmission; every other kind gates all of
     its branches.  Entries are in ascending arrival order within each
-    branch.  Every detector gain in the package goes through here.
+    branch, branch by branch.  Every detector gain in the package goes
+    through here.
 
+    The (N, J) cosines are computed and gated `_CAPTURE_ROWS` directions at
+    a time (`block_slices`), so only the gated entries outlive a block.
     Each entry depends only on its own row of `directions`, so a caller may
     pass each distinct direction once and share its entries among the
     arrivals that have it: `ArrivalField.receiver_irs` passes the field's
     direction table.
     """
-    toward = -np.asarray(directions, dtype=float).reshape(-1, 3)
-    n, nb = len(toward), receiver.branch_count
+    dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
     bores = np.stack([b.boresight for b in receiver.branches])
-    cos_theta = toward @ bores.T                                 # (N, J)
-    if receiver.kind == "imaging":
-        # each arrival feeds one pixel: the closest boresight, ties to the
-        # lowest index
-        branch = np.argmax(cos_theta, axis=1)
-        arrival = np.arange(n)
-    else:
-        branch = np.repeat(np.arange(nb), n)
-        arrival = np.tile(np.arange(n), nb)
-    cos = cos_theta[arrival, branch]
     cos_fov = np.array([math.cos(math.radians(b.fov_deg)) for b in receiver.branches])
-    keep = (cos >= cos_fov[branch] - 1e-15) & (cos > 0.0)
-    branch, arrival = branch[keep], arrival[keep]
-    weight = cos[keep] * DETECTOR_AREA_M2
-    if receiver.kind == "imaging":
-        y = np.arccos(np.clip(toward[arrival, 2], -1.0, 1.0))
+    imaging = receiver.kind == "imaging"
+    parts = [[] for _ in range(1 if imaging else len(bores))]
+    for r in block_slices(len(dirs), _CAPTURE_ROWS):
+        cos_theta = (-dirs[r]) @ bores.T
+        # an imaging arrival feeds one pixel: the closest boresight, ties to
+        # the lowest index
+        picks = ([np.argmax(cos_theta, axis=1)] if imaging else
+                 [np.full(len(cos_theta), j) for j in range(len(bores))])
+        for part, branch in zip(parts, picks):
+            cos = np.take_along_axis(cos_theta, branch[:, None], 1)[:, 0]
+            keep = (cos >= cos_fov[branch] - 1e-15) & (cos > 0.0)
+            part.append((branch[keep], r.start + np.flatnonzero(keep), cos[keep]))
+    branch, arrival, cos = map(np.concatenate, zip(*sum(parts, [])))
+    weight = cos * DETECTOR_AREA_M2
+    if imaging:
+        y = np.arccos(np.clip(-dirs[arrival, 2], -1.0, 1.0))
         weight = weight * _lens_poly(y)
     nz = weight != 0.0
     return branch[nz], arrival[nz], weight[nz]
@@ -175,7 +191,7 @@ def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
 def capture_matrix(receiver: ReceiverSpec, directions: np.ndarray) -> np.ndarray:
     """Effective capture area of every branch for many arrival directions:
     the entries of `sparse_capture` scattered into a (J, N) array of zeros."""
-    acc = np.zeros((receiver.branch_count, np.size(directions) // 3))
     branch, arrival, weight = sparse_capture(receiver, directions)
+    acc = np.zeros((receiver.branch_count, np.size(directions) // 3))
     acc[branch, arrival] = weight
     return acc

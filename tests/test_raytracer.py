@@ -19,6 +19,7 @@ from owcsim.raytracer import (
     ImpulseResponse,
     PositionGroup,
     TraceConfig,
+    _GEMV_BINS,
     _GEMV_BLOCK,
     _GROUP_CAP,
     _final_hop,
@@ -686,6 +687,18 @@ class TestSecondOrderKernel:
         assert field.b2_hist.tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w == 0.0
 
+    def test_counts_are_zeroed_and_grow_to_the_largest_request(self):
+        """A runner bins every block into one buffer, zeroed for each block
+        and grown only when a block's window needs more."""
+        s = raytracer._Scratch(3, 10, 10)
+        first = s.counts(6)
+        first[:] = 1.0
+        again = s.counts(4)
+        assert again.tobytes() == bytes(32) and np.shares_memory(first, again)
+        grown = s.counts(9)
+        assert grown.tobytes() == bytes(72) and not np.shares_memory(first, grown)
+        assert np.shares_memory(grown, s.counts(2))
+
     def test_unlit_ceiling_rows_are_not_traced(self):
         # the luminaires sit in the ceiling plane (cos = 0 to every ceiling
         # element); everything else is lit when nothing occludes
@@ -1153,6 +1166,10 @@ def traced_weights(draw):
     return w, traced | (w != 0.0)
 
 
+# 200 weighed elements, every one traced: many terms in every bin
+DENSE_WEIGHTS = (np.linspace(1e-5, 1e-2, 200), np.ones(200, dtype=bool))
+
+
 class TestBlockGather:
     """Each branch's gemv runs over only the aligned row blocks it weighs;
     its bits must be those of the full gemv over every row."""
@@ -1206,16 +1223,23 @@ class TestBlockGather:
         assert (w[rows] @ hist[rows]).tobytes() == (w @ hist).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(wt=traced_weights(), nbins=st.integers(1, 80),
+    @given(wt=traced_weights(), nbins=st.integers(1, 2 * _GEMV_BINS + 40),
            seed=st.integers(0, 2**32 - 1))
     # weighed blocks [0, 8) and the partial [8, 11) both hold untraced
     # elements, element 0 among them, before the first traced row
     @example(wt=(np.array([0, 0, 1e-3, 0, 0, 0, 0, 0, 0, 2e-3, 0]),
                  np.array([0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0], dtype=bool)),
              nbins=7, seed=3)
+    # a last bin block of one bin, which must join the block before it: in
+    # these two, a 1-bin gemv gives other bits in the last bin
+    @example(wt=DENSE_WEIGHTS, nbins=_GEMV_BINS + 1, seed=2)
+    @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 1, seed=2)
     def test_compact_gather_equals_full_gemv(self, wt, nbins, seed):
-        """The gather through the compact-row index reads the bits of the
-        full gemv over a histogram whose untraced rows are zero."""
+        """The gather through the compact-row index, one bin block at a
+        time, reads the bits of the full gemv over a histogram whose
+        untraced rows are zero.  Every size here is under OpenBLAS's
+        threading threshold (rows x bins < 460 800), so the full gemv runs
+        on one thread, as every bin block of the kernel does."""
         w, traced = wt
         rng = np.random.default_rng(seed)
         nc = int(traced.sum())
@@ -1224,6 +1248,39 @@ class TestBlockGather:
         full[traced] = hist
         got, = _second_order_bins(w[None], hist, traced)
         assert got.tobytes() == (w @ full).tobytes()
+
+
+class TestReceiverIrsMemory:
+    """`receiver_irs` at reference mount 0, as traced by tracemalloc, which
+    sees numpy's allocations: the imaging capture holds no (directions x
+    pixels) cosines, and the second-order gemv no (weighed rows x bins)
+    gather."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        mount = pod.mounts[0]
+        return compute_field(pod, pod.assigned_luminaires(mount), mount,
+                             TraceConfig(), receivers=TestReceiverIrs.receivers)
+
+    @staticmethod
+    def traced_peak(field, rx) -> int:
+        tracemalloc.start()
+        try:
+            field.receiver_irs(rx)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_imaging_capture_runs_in_blocks(self, field):
+        rx = make_imaging()
+        cosines = len(field.dir_table) * rx.branch_count * 8
+        assert self.traced_peak(field, rx) < cosines / 4
+
+    def test_wfov_gemv_runs_in_bin_blocks(self, field):
+        rx = make_wfov()
+        rows = int(_weighed_rows(capture_matrix(rx, field.b2_dirs)).sum())
+        assert self.traced_peak(field, rx) < rows * field.nbins * 8 / 4
 
 
 class TestSuppliedFieldMustMatch:

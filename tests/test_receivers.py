@@ -10,7 +10,9 @@ from owcsim.receivers import (
     LENS_POLY,
     DetectorSpec,
     ReceiverSpec,
+    _CAPTURE_ROWS,
     _boresight,
+    block_slices,
     capture_matrix,
     make_adr,
     make_imaging,
@@ -19,6 +21,7 @@ from owcsim.receivers import (
 )
 
 from owcsim.raytracer import ArrivalField, TraceConfig, _arrival_capture
+from owcsim.scene import unit
 
 from oracles import oracle_acceptance, oracle_capture_matrix, oracle_point_bins
 from probes import lens_transmission, tied_imaging
@@ -309,10 +312,38 @@ class TestSparseCapture:
         if kind == "imaging":
             assert np.all(np.diff(arrival) > 0)     # one pixel per arrival
 
+    @pytest.mark.parametrize("n", [_CAPTURE_ROWS + 1, 2 * _CAPTURE_ROWS + 1])
+    def test_imaging_blocks_equal_dense_reference(self, n):
+        """The cosines are taken `_CAPTURE_ROWS` directions at a time, and
+        a last block of one direction joins the block before it; the bits
+        are those of one (N, J) product.  Pixels 3 and 7 tie exactly on
+        either side of every block edge.  The last direction is captured,
+        and a 1-row product gives other bits for it."""
+        rx = tied_imaging()
+        dirs = gate_edge_directions(rx, np.random.default_rng(n), n)[-n:]
+        ties = [r for e in range(_CAPTURE_ROWS, n, _CAPTURE_ROWS)
+                for r in (e - 1, e) if r < n - 1]
+        dirs[ties] = -np.asarray(rx.branches[3].boresight)
+        dirs[-1] = -np.array(unit((0.4, 0.4, 0.9)))
+        branch, arrival, _ = sparse_capture(rx, dirs)
+        assert set(ties) <= set(arrival[branch == 3]) and 7 not in branch
+        assert arrival[-1] == n - 1
+        got = capture_matrix(rx, dirs)
+        assert got.tobytes() == oracle_capture_matrix(rx, dirs).tobytes()
+
     def test_empty_directions(self):
         for kind in ("wfov", "imaging"):
             rx = receiver_under_test(kind, False)
             assert capture_matrix(rx, np.zeros((0, 3))).shape == (rx.branch_count, 0)
+
+
+class TestBlockSlices:
+    @pytest.mark.parametrize("n, want", [
+        (0, [(0, 0)]), (1, [(0, 1)]), (4, [(0, 4)]), (5, [(0, 5)]),
+        (8, [(0, 4), (4, 8)]), (9, [(0, 4), (4, 9)]),
+        (10, [(0, 4), (4, 8), (8, 10)])])
+    def test_runs_cover_the_axis_and_none_is_one_wide(self, n, want):
+        assert [(s.start, s.stop) for s in block_slices(n, 4)] == want
 
 
 class TestDirectionTable:
