@@ -24,6 +24,7 @@ from .raytracer import (
     ImpulseResponse,
     TraceConfig,
     compute_field,
+    trace_fields,
 )
 from .receivers import (
     DetectorSpec,

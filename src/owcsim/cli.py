@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linkmetrics import NoiseParams, delay_stats, link_report
-from .raytracer import (ImpulseResponse, PositionGroup, TraceConfig,
-                        compute_field, position_groups)
+from .raytracer import (ImpulseResponse, TraceConfig, _group_extent,
+                        _position_groups, trace_fields)
 from .receivers import make_adr, make_imaging, make_wfov
 from .scene import PodConfig, build_pod, lambertian_order, validate_scene
 
@@ -315,10 +315,10 @@ def run_simulate(cfg: RunConfig, out_dir: str, threads: int = 1,
         return 1
     rxs = _receivers(cfg)
     os.makedirs(out_dir, exist_ok=True)
+    fields = trace_fields(scene, scene.mounts, cfg.trace, threads, rxs)
     written = []
     for mi, mount in enumerate(scene.mounts):
-        field = compute_field(scene, scene.assigned_luminaires(mount), mount,
-                              cfg.trace, threads=threads, receivers=rxs)
+        field = next(fields)
         for rx in rxs:
             irs = field.receiver_irs(rx)
             for bj, ir in enumerate(irs):
@@ -359,28 +359,27 @@ def _sweep_mounts(cfg: RunConfig) -> list:
 
 def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
     """Move the receiver along the row line and write one metrics row per
-    position per receiver kind.  Consecutive positions under one luminaire
-    set are traced as a group (`raytracer.position_groups`)."""
+    position per receiver kind.  `trace_fields` traces consecutive
+    positions under one luminaire set as a group, which shares the work
+    that does not depend on the position."""
     scene = _build_scene_or_fail(cfg)
     if scene is None:
         return 1
     rxs = _receivers(cfg)
     mounts = _sweep_mounts(cfg)
-    groups = position_groups(scene, mounts, cfg.trace, rxs)
+    fields = trace_fields(scene, mounts, cfg.trace, threads, rxs)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.csv")
     with open(path, "w", newline="") as f:
         f.write(METRICS_HEADER + "\n")
-        for group in groups:
-            for mount in group.mounts:
-                field = compute_field(scene, group.luminaire_ids, mount, cfg.trace,
-                                      threads=threads, receivers=rxs, group=group)
-                for rx in rxs:
-                    report = link_report(field, rx, cfg.bitrate, cfg.noise)
-                    f.write(_metrics_row(report) + "\n")
-                # a group's histograms share one allocation, freed with the
-                # last of its fields: drop each before the next is traced
-                del field
+        for _ in mounts:
+            field = next(fields)
+            for rx in rxs:
+                report = link_report(field, rx, cfg.bitrate, cfg.noise)
+                f.write(_metrics_row(report) + "\n")
+            # a group's histograms share one allocation, freed with the
+            # last of its fields: drop each before the next is traced
+            del field
     print(f"wrote {path}: {len(mounts) * len(rxs)} rows")
     return 0
 
@@ -408,16 +407,16 @@ def run_scene_check(cfg: RunConfig) -> int:
         rxs = _receivers(cfg)
         kinds = "+".join(rx.kind for rx in rxs)
         for mi, mount in enumerate(scene.mounts):
-            ext = PositionGroup(scene, scene.assigned_luminaires(mount),
-                                [mount], cfg.trace, rxs).extent()
+            ext = _group_extent(scene, scene.assigned_luminaires(mount),
+                                [mount], cfg.trace, rxs)
             print(f"mount {mi} second-order ({kinds}): "
                   f"rows={ext['rows']} cols={ext['cols']} pairs={ext['pairs']} "
                   f"histogram_bytes={ext['hist_bytes']}")
         # the sweep's groups share each chunk's pair geometry over the
         # union of their positions' columns; a group holds one histogram
         # per position at once
-        exts = [g.extent() for g in
-                position_groups(scene, _sweep_mounts(cfg), cfg.trace, rxs)]
+        exts = [_group_extent(scene, ids, mounts, cfg.trace, rxs) for ids, mounts
+                in _position_groups(scene, _sweep_mounts(cfg))]
         print(f"sweep ({kinds}): "
               f"positions={sum(e['positions'] for e in exts)} groups={len(exts)} "
               f"union_cols={sum(e['cols'] for e in exts)} "

@@ -7,23 +7,25 @@ second-order reflections are accumulated into a fixed-width delay histogram.
 First-order paths run over a fine surface grid, second-order paths use a
 coarser grid for both bounces to keep the pair count tractable.
 
-The tracer is a pure function of (scene, config): `compute_field` runs
-three stages that each return arrays, second order first, then line of
-sight and first order, so the second-order histograms are built before the
-fine grid's incident power and the point arrivals are live.  The
-`ArrivalField` it returns only holds them.
+The tracer is a pure function of (scene, config): `compute_field` traces
+one mount, `trace_fields` yields the field of each of many mounts in order,
+each traced when it is asked for.  A field's three stages each return
+arrays, second order first, then line of sight and first order, so the
+second-order histograms are built before the fine grid's incident power
+and the point arrivals are live.  The `ArrivalField` only holds them.
 
-Mounts that share a luminaire set can be traced as one `PositionGroup`
-(a sweep's positions along one row; `position_groups` makes them, at most
-`_GROUP_CAP` to a group); a lone mount is a group of one, through the same
-code.  A group computes the set's incident power on both grids once, and
-each second-order chunk's pair geometry once, over the union of the
+`trace_fields` traces consecutive mounts that share a luminaire set (a
+sweep's positions along one row) as one group of at most `_GROUP_CAP`;
+`compute_field` is a group of one, through the same code.  A group
+computes the set's incident power on both grids once, and each
+second-order chunk's pair geometry once, over the union of the
 second-bounce columns its mounts trace; each mount then gathers its own
 columns, in ascending order, and bins them as a lone trace does.  A
 group's histograms share one anonymous mapping, 14-15 MB per mount at the
 reference mounts (about 60 MB for a group of four), which lives until the
-last of the group's fields is dropped.  `simulate`'s mounts each have
-their own set and share nothing.
+last of the group's fields is dropped; the group lets go of its incident
+power once its last field is out.  `simulate`'s mounts each have their own
+set and share nothing.
 
 Second-order work is split into fixed chunks of first-bounce (e1) rows of
 the coarse grid.  Rows that receive no power from any luminaire are
@@ -492,9 +494,10 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
 
     `incident` is `_incident_power` of the set on `grid`, `lit` its lit
     rows; `hops` and `traced` hold each mount's `_final_hop` and traced e2
-    columns.  Returns one (hist (traced columns, nbins), totals) per mount,
-    row i of `hist` being its i-th traced column in element order: the
-    bits a group of that mount alone gives.
+    columns.  Returns one (hist (traced columns, nbins), traced columns,
+    arrival directions `u3`, totals) per mount, row i of `hist` being its
+    i-th traced column in element order: the bits a group of that mount
+    alone gives.
 
     Each chunk's pair geometry is computed once, over the union of the
     mounts' columns, then each mount's columns are gathered from it in
@@ -579,7 +582,7 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
 
     rows_traced = int(lit.sum())
     out = []
-    for t in targets:
+    for t, mask, (u3, _, _) in zip(targets, traced, hops):
         nc = t.f3.size
         totals = {"first_bounce_coarse_w": float(p1.sum()),
                   "second_rows_traced": rows_traced,
@@ -590,7 +593,7 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
                   "second_bounce_traced_w": t.total}
         if nc == ne:
             totals["second_bounce_coarse_w"] = t.total
-        out.append((t.hist, totals))
+        out.append((t.hist, mask, u3, totals))
     return out
 
 
@@ -741,140 +744,30 @@ def _check_pose(scene: Scene, position):
         )
 
 
-class PositionGroup:
-    """Mounts that share one luminaire set, traced together.
-
-    What depends only on the scene, the luminaire set and the grids is
-    computed once for the group: the incident power on the first- and
-    second-order grids, and each second-order chunk's pair geometry, over
-    the union of the columns its mounts trace.  The second-order
-    histograms of all its mounts are traced together, by the first
-    `compute_field` call that needs one, at that call's thread count.
-    `compute_field(..., group=g)` hands each mount's field out once, bit
-    for bit the field a group of that mount alone gives.
-
-    The histograms of all its mounts are one anonymous mapping, held until
-    the last of its fields is dropped, so a group holds at most
-    `_GROUP_CAP` mounts; `position_groups` splits a sweep into such groups.
-    Once its last field is handed out, it keeps none of its shared work.
-    A field takes its second order before its point arrivals are traced,
-    so the group's first field traces the histograms before any fine grid
-    incident power or point arrival of the group is live.
-    """
-
-    def __init__(self, scene: Scene, luminaire_ids, mounts, cfg: TraceConfig,
-                 receivers=None):
-        ids, n = tuple(luminaire_ids), len(scene.luminaires)
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   and 0 <= i < n for i in ids) or len(set(ids)) < len(ids):
-            raise ValueError(f"luminaire ids must be distinct integers in "
-                             f"[0, {n}), got {ids}")
-        if not 0 < len(mounts) <= _GROUP_CAP:
-            raise ValueError(f"a group holds 1 to {_GROUP_CAP} mounts, "
-                             f"got {len(mounts)}")
-        diags = validate_scene(scene)
-        if diags:
-            raise ValueError("invalid scene: " + "; ".join(diags))
-        for mount in mounts:
-            _check_pose(scene, mount)
-        self.scene, self.cfg, self.receivers = scene, cfg, receivers
-        self.luminaire_ids = ids
-        self.mounts = tuple(np.asarray(m, dtype=float) for m in mounts)
-        self._lums = [scene.luminaires[i] for i in self.luminaire_ids]
-        self._boxes = _occluder_boxes(scene)
-        self._incident = {}           # element edge -> (grid, power, length)
-        self._served = [False] * len(self.mounts)
-        self._second = None           # per mount: (hist, traced, u3, totals)
-
-    def _incident_on(self, edge: float):
-        if edge not in self._incident:
-            grid = self.scene.surface_elements(edge)
-            self._incident[edge] = (grid, _incident_power(self._lums, grid,
-                                                          self._boxes))
-        return self._incident[edge]
-
-    def _second_setup(self):
-        """The coarse grid, the set's incident power on it, the lit e1 rows,
-        and each mount's final hop and traced e2 columns.
-
-        Rows with no incident power from any luminaire add nothing (their
-        weights are exactly zero, with or without occlusion), so only lit
-        rows are traced."""
-        grid, incident = self._incident_on(self.cfg.second_edge)
-        hops = [_final_hop(grid, m, self._boxes) for m in self.mounts]
-        traced = [_captured_columns(self.receivers, u3) for u3, _, _ in hops]
-        return grid, incident, incident[0].any(axis=0), hops, traced
-
-    def extent(self) -> dict:
-        """What the second-order kernel traces for the group, without
-        tracing: its mounts, the lit first-bounce rows, the union of the
-        second-bounce columns its mounts capture, the pair geometries
-        between them (computed once for the group) and the bytes of the
-        histograms the group holds at once, one row per traced column per
-        mount.  For one mount these are that mount's own figures."""
-        _, _, lit, _, traced = self._second_setup()
-        rows = int(lit.sum())
-        cols = int(np.logical_or.reduce(traced).sum())
-        held = sum(int(t.sum()) for t in traced)
-        return {"positions": len(self.mounts), "rows": rows, "cols": cols,
-                "pairs": rows * cols,
-                "hist_bytes": held * _bin_count(self.scene, self.cfg) * 8}
-
-    def _trace_second_order(self, threads: int):
-        grid, incident, lit, hops, traced = self._second_setup()
-        hists = _second_order_hists(
-            grid, incident, lit, hops, traced, self._boxes,
-            _bin_count(self.scene, self.cfg), self.cfg.bin_width, threads)
-        return [(hist, mask, u3, totals)
-                for (hist, totals), mask, (u3, _, _) in zip(hists, traced, hops)]
-
-    def _field(self, mount, threads: int) -> "ArrivalField":
-        mount = np.asarray(mount, dtype=float)
-        i = next((i for i, m in enumerate(self.mounts)
-                  if not self._served[i] and np.array_equal(m, mount)), None)
-        if i is None:
-            raise ValueError(f"mount {tuple(map(float, mount))} is not a mount "
-                             "of this group whose field is still to be handed out")
-        self._served[i] = True
-        cfg, lums, boxes = self.cfg, self._lums, self._boxes
-        nbins = _bin_count(self.scene, cfg)
-        # second order first: no fine-grid incident power or point arrival yet
-        b2_hist, b2_traced, b2_dirs, second = None, None, None, {}
-        if cfg.max_order >= 2 and lums:
-            if self._second is None:
-                self._second = self._trace_second_order(threads)
-            # the field owns its histogram from here on
-            (b2_hist, b2_traced, b2_dirs, second), self._second[i] = \
-                self._second[i], None
-        totals = {}
-        arrivals = [_los_arrivals(lums, mount, boxes)]
-        if cfg.max_order >= 1 and lums:
-            grid, incident = self._incident_on(cfg.first_edge)
-            *first, totals["first_bounce_fine_w"] = _first_order_arrivals(
-                incident, grid, mount, boxes)
-            first[2] += len(lums)     # its rows follow the LOS directions
-            arrivals.append(first)
-        flux, lengths, point_dir, dir_table = (np.concatenate(parts)
-                                               for parts in zip(*arrivals))
-        totals.update(second)
-        if all(self._served):
-            # every field is out: a caller that keeps the group keeps none
-            # of its shared work
-            self._incident = {}
-        return ArrivalField(
-            mount, cfg, nbins, flux,
-            # distances are never negative: truncation is a floor
-            (lengths / C_LIGHT / cfg.bin_width).astype(np.int64), point_dir,
-            dir_table, b2_hist, b2_dirs, b2_traced, totals)
+def _check_threads(threads) -> None:
+    if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
+            or threads < 1):
+        raise ValueError(f"thread count must be at least 1, an integer, got {threads!r}")
 
 
-def position_groups(scene: Scene, mounts, cfg: TraceConfig,
-                    receivers=None) -> list:
-    """`PositionGroup`s of `mounts`, in order: each run of consecutive
-    mounts with one luminaire set (`scene.assigned_luminaires`) is split
-    into the fewest groups of at most `_GROUP_CAP`, of near-equal size."""
-    runs = []
+def _checked_mounts(scene: Scene, mounts) -> list:
+    """`mounts` as float arrays, once the scene and every pose are checked."""
+    diags = validate_scene(scene)
+    if diags:
+        raise ValueError("invalid scene: " + "; ".join(diags))
+    mounts = [np.asarray(m, dtype=float) for m in mounts]
     for mount in mounts:
+        _check_pose(scene, mount)
+    return mounts
+
+
+def _position_groups(scene: Scene, mounts) -> list:
+    """(luminaire ids, mounts) of each group of `mounts`, in order, once
+    they are checked: each run of consecutive mounts with one luminaire set
+    (`scene.assigned_luminaires`) is split into the fewest groups of at
+    most `_GROUP_CAP`, of near-equal size."""
+    runs = []
+    for mount in _checked_mounts(scene, mounts):
         ids = scene.assigned_luminaires(mount)
         if runs and runs[-1][0] == ids:
             runs[-1][1].append(mount)
@@ -883,15 +776,126 @@ def position_groups(scene: Scene, mounts, cfg: TraceConfig,
     groups = []
     for ids, run in runs:
         n = -(-len(run) // _GROUP_CAP)
-        for k in range(n):
-            part = run[k * len(run) // n:(k + 1) * len(run) // n]
-            groups.append(PositionGroup(scene, ids, part, cfg, receivers))
+        groups += [(ids, run[k * len(run) // n:(k + 1) * len(run) // n])
+                   for k in range(n)]
     return groups
 
 
+def _lit_grid(scene: Scene, lums, boxes, edge: float):
+    """The grid of element edge `edge` and the set's incident power on it."""
+    grid = scene.surface_elements(edge)
+    return grid, _incident_power(lums, grid, boxes)
+
+
+def _second_setup(coarse, mounts, receivers, boxes):
+    """The coarse grid and the set's incident power on it (`coarse`), the
+    lit e1 rows, and each mount's final hop and traced e2 columns.
+
+    Rows with no incident power from any luminaire add nothing (their
+    weights are exactly zero, with or without occlusion), so only lit rows
+    are traced."""
+    grid, incident = coarse
+    hops = [_final_hop(grid, m, boxes) for m in mounts]
+    traced = [_captured_columns(receivers, u3) for u3, _, _ in hops]
+    return grid, incident, incident[0].any(axis=0), hops, traced
+
+
+def _group_extent(scene: Scene, ids, mounts, cfg: TraceConfig, receivers) -> dict:
+    """What the second-order kernel traces for one group, without tracing:
+    its mounts, the lit first-bounce rows, the union of the second-bounce
+    columns its mounts capture, the pair geometries between them (computed
+    once for the group) and the bytes of the histograms the group holds at
+    once, one row per traced column per mount.  For one mount these are
+    that mount's own figures."""
+    lums, boxes = [scene.luminaires[i] for i in ids], _occluder_boxes(scene)
+    _, _, lit, _, traced = _second_setup(
+        _lit_grid(scene, lums, boxes, cfg.second_edge), mounts, receivers, boxes)
+    rows = int(lit.sum())
+    cols = int(np.logical_or.reduce(traced).sum())
+    held = sum(int(t.sum()) for t in traced)
+    return {"positions": len(mounts), "rows": rows, "cols": cols,
+            "pairs": rows * cols,
+            "hist_bytes": held * _bin_count(scene, cfg) * 8}
+
+
+def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
+    """The field of each mount of `groups`, (luminaire ids, mounts) pairs
+    checked by the caller, in order.
+
+    What depends only on the scene, a group's set and the grids is
+    computed once for the group: the incident power on the first- and
+    second-order grids, and each second-order chunk's pair geometry, over
+    the union of the columns its mounts trace.  Every mount's second-order
+    histogram is traced, at `threads`, when the group's first field is
+    asked for, before any fine-grid incident power or point arrival is
+    live.  Each field is built by `_field` and yielded as it comes, so
+    this frame never holds one while the next is traced."""
+    boxes, nbins = _occluder_boxes(scene), _bin_count(scene, cfg)
+    for ids, mounts in groups:
+        lums = [scene.luminaires[i] for i in ids]
+        seconds, coarse = [None] * len(mounts), None
+        if cfg.max_order >= 2 and lums:
+            coarse = _lit_grid(scene, lums, boxes, cfg.second_edge)
+            seconds = _second_order_hists(
+                *_second_setup(coarse, mounts, receivers, boxes), boxes, nbins,
+                cfg.bin_width, threads)
+        fine = [None]
+        if cfg.max_order >= 1 and lums:
+            fine = [coarse if coarse and cfg.first_edge == cfg.second_edge
+                    else _lit_grid(scene, lums, boxes, cfg.first_edge)]
+        del coarse
+        for k, mount in enumerate(mounts, 1):
+            # each field takes its second order from the list, and the last
+            # takes the incident power: once a group's last field is out,
+            # nothing holds the group's shared work
+            yield _field(lums, mount, cfg, boxes, nbins, seconds.pop(0),
+                         fine.pop() if k == len(mounts) else fine[0])
+
+
+def _field(lums, mount, cfg: TraceConfig, boxes, nbins: int, second,
+           fine) -> "ArrivalField":
+    """One mount's field: `second`, its share of its group's second order
+    (None below order 2), then its LOS and first-order arrivals, those on
+    `fine`, the first-order grid and the set's incident power on it."""
+    b2_hist, b2_traced, b2_dirs, second = second or (None, None, None, {})
+    totals = {}
+    arrivals = [_los_arrivals(lums, mount, boxes)]
+    if fine is not None:
+        *first, totals["first_bounce_fine_w"] = _first_order_arrivals(
+            fine[1], fine[0], mount, boxes)
+        first[2] += len(lums)     # its rows follow the LOS directions
+        arrivals.append(first)
+    flux, lengths, point_dir, dir_table = (np.concatenate(parts)
+                                           for parts in zip(*arrivals))
+    totals.update(second)
+    return ArrivalField(
+        mount, cfg, nbins, flux,
+        # distances are never negative: truncation is a floor
+        (lengths / C_LIGHT / cfg.bin_width).astype(np.int64), point_dir,
+        dir_table, b2_hist, b2_dirs, b2_traced, totals)
+
+
+def trace_fields(scene: Scene, mounts, cfg: TraceConfig, threads: int = 1,
+                 receivers=None):
+    """An iterator over the `ArrivalField` of each of `mounts`, in order,
+    each traced when it is asked for.
+
+    Consecutive mounts under one luminaire set (`scene.assigned_luminaires`)
+    are traced as a group of at most `_GROUP_CAP`, which shares the work
+    that does not depend on the mount; each field is bit for bit the one
+    `compute_field` gives its mount alone.  A group's histograms share one
+    mapping, returned once all of its fields are dropped: drop each field
+    before asking for the next.  The thread count, the scene and every pose
+    are checked here, before any field is traced.  `threads` and
+    `receivers` are as for `compute_field`.
+    """
+    _check_threads(threads)
+    return _fields(scene, _position_groups(scene, mounts), cfg, threads,
+                   receivers)
+
+
 def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
-                  threads: int = 1, receivers=None, *,
-                  group: PositionGroup | None = None) -> ArrivalField:
+                  threads: int = 1, receivers=None) -> ArrivalField:
     """Trace LOS + reflections from a luminaire set to one mount point.
 
     `luminaire_ids` is normally `scene.assigned_luminaires(mount)`.  Rack
@@ -900,20 +904,13 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     limits second-order tracing to the surface elements their branches
     capture; without it every element is traced.  `threads`, an integer
     of at least 1 (the caller and threads - 1 helpers), changes only speed.
-
-    `group`, a `PositionGroup` built from the same scene, luminaire set,
-    config and receivers with `mount` among its mounts, shares the work
-    that does not depend on the mount with the group's other mounts; the
-    field is the same, bit for bit.  Without it the mount is a group of one.
+    For many mounts, `trace_fields` shares work between them.
     """
-    if group is None:
-        group = PositionGroup(scene, luminaire_ids, [mount], cfg, receivers)
-    elif (group.scene is not scene or group.cfg != cfg
-          or group.luminaire_ids != tuple(luminaire_ids)
-          or group.receivers is not receivers):
-        raise ValueError("the group was built for another scene, luminaire "
-                         "set, trace config or receivers")
-    if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
-            or threads < 1):
-        raise ValueError(f"thread count must be at least 1, an integer, got {threads!r}")
-    return group._field(mount, threads)
+    ids, n = tuple(luminaire_ids), len(scene.luminaires)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+               and 0 <= i < n for i in ids) or len(set(ids)) < len(ids):
+        raise ValueError(f"luminaire ids must be distinct integers in "
+                         f"[0, {n}), got {ids}")
+    _check_threads(threads)
+    return next(_fields(scene, [(ids, _checked_mounts(scene, [mount]))], cfg,
+                        threads, receivers))

@@ -16,6 +16,7 @@ PUBLIC = {
     "discretize", "lambertian_order", "validate_scene",
     # raytracer
     "C_LIGHT", "ArrivalField", "ImpulseResponse", "TraceConfig", "compute_field",
+    "trace_fields",
     # receivers
     "DetectorSpec", "ReceiverSpec", "make_adr", "make_imaging", "make_wfov",
     # linkmetrics
@@ -81,8 +82,8 @@ def test_public_dataclass_fields_are_the_listed_ones():
 # field defaults are fields, listed above.
 DEFAULTS = {
     "scene.Luminaire.make": {"semi_angle_deg": 70.0},
-    "raytracer.compute_field": {"threads": 1, "receivers": None, "group": None},
-    "raytracer.position_groups": {"receivers": None},
+    "raytracer.compute_field": {"threads": 1, "receivers": None},
+    "raytracer.trace_fields": {"threads": 1, "receivers": None},
     "linkmetrics.link_report": {"noise": NoiseParams()},
     "cli.main": {"argv": None},
     "cli.run_simulate": {"threads": 1, "gnuplot": False},

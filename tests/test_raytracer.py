@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,18 +19,19 @@ from owcsim.raytracer import (
     C_LIGHT,
     ArrivalField,
     ImpulseResponse,
-    PositionGroup,
     TraceConfig,
     _GEMV_BINS,
     _GEMV_BLOCK,
     _GROUP_CAP,
     _final_hop,
+    _group_extent,
     _incident_power,
     _occluder_boxes,
+    _position_groups,
     _second_order_bins,
     _weighed_rows,
     compute_field,
-    position_groups,
+    trace_fields,
 )
 from owcsim.receivers import (DetectorSpec, ReceiverSpec, capture_matrix, make_adr,
                               make_imaging, make_wfov)
@@ -843,7 +846,7 @@ class TestReceiverCulledTrace:
         assert culled.b2_hist.shape == (t["second_cols_traced"], culled.nbins)
         assert (culled.b2_hist.tobytes()
                 == full.b2_hist[culled.b2_traced].tobytes())
-        ext = PositionGroup(pod, ids, [mount], cfg, rxs).extent()
+        ext = _group_extent(pod, ids, [mount], cfg, rxs)
         assert ext["rows"] == t["second_rows_traced"]
         assert ext["cols"] == t["second_cols_traced"]
         assert ext["pairs"] == t["second_pairs_evaluated"]
@@ -864,7 +867,7 @@ class TestReceiverCulledTrace:
         ne = len(pod.surface_elements(cfg.second_edge))
         cols = field.totals["second_cols_traced"]
         assert field.b2_hist.shape == (cols, field.nbins) and cols < ne
-        assert (PositionGroup(pod, ids, [mount], cfg, rxs).extent()["hist_bytes"]
+        assert (_group_extent(pod, ids, [mount], cfg, rxs)["hist_bytes"]
                 == field.b2_hist.nbytes)
         assert peak < ne * field.nbins * 8
 
@@ -892,6 +895,8 @@ class TestReceiverCulledTrace:
 
 # the reference sweep's 13 positions, on the centre row under one set
 SWEEP_YS = tuple(1.0 + 0.5 * k for k in range(13))
+# the x of the centre row and of one side row, each under its own set
+ROW_XS = (4.0, 1.8)
 
 
 def assert_same_field(a, b):
@@ -906,46 +911,54 @@ def assert_same_field(a, b):
 
 
 @functools.cache
-def lone_field(occlusion, y, kinds):
-    """The centre-row field at `y`, traced alone on one thread."""
+def lone_field(occlusion, y, kinds, x=4.0):
+    """The field at (x, y) on a row top, traced alone on one thread."""
     pod = coarse_pod(occlusion)
-    mount = vec3(4.0, y, 2.0)
+    mount = vec3(x, y, 2.0)
     return compute_field(pod, pod.assigned_luminaires(mount), mount,
                          TraceConfig(**COARSE),
                          receivers=[MAKERS[k]() for k in kinds])
 
 
-def traced_group(picks, threads, occlusion=False, kinds=tuple(sorted(MAKERS))):
-    """Fields of the centre-row positions `picks`, traced as one group."""
+def traced_fields(picks, threads, occlusion=False, kinds=tuple(sorted(MAKERS))):
+    """`trace_fields`' fields of the positions `picks`, (row, index into
+    `SWEEP_YS`) pairs or centre-row indices."""
     pod = coarse_pod(occlusion)
-    mounts = [vec3(4.0, SWEEP_YS[k], 2.0) for k in picks]
-    ids = pod.assigned_luminaires(mounts[0])
+    picks = [p if isinstance(p, tuple) else (0, p) for p in picks]
+    mounts = [vec3(ROW_XS[r], SWEEP_YS[k], 2.0) for r, k in picks]
     cfg, rxs = TraceConfig(**COARSE), [MAKERS[k]() for k in kinds]
-    group = PositionGroup(pod, ids, mounts, cfg, rxs)
-    return [compute_field(pod, ids, m, cfg, threads=threads, receivers=rxs,
-                          group=group) for m in mounts]
+    return list(trace_fields(pod, mounts, cfg, threads=threads, receivers=rxs))
 
 
 class TestPositionGroups:
-    """Positions that share a luminaire set are traced together; each field
-    must be the one its position gives traced alone, bit for bit."""
+    """`trace_fields` traces positions that share a luminaire set together;
+    each field must be the one its position gives traced alone, bit for bit."""
 
-    # each example traces up to four positions as a group; a failing one is
-    # reported as drawn, since shrinking would trace hundreds more
+    # each example traces up to 12 positions; a failing one is reported as
+    # drawn, since shrinking would trace hundreds more
     @settings(max_examples=16, deadline=None, derandomize=True, database=None,
               phases=(Phase.explicit, Phase.generate))
-    @given(picks=st.lists(st.integers(0, len(SWEEP_YS) - 1), min_size=1,
-                          max_size=_GROUP_CAP, unique=True),
+    @given(runs=st.lists(st.tuples(st.integers(0, len(ROW_XS) - 1),
+                                   st.lists(st.integers(0, len(SWEEP_YS) - 1),
+                                            min_size=1, max_size=2 * _GROUP_CAP)),
+                         min_size=1, max_size=2),
            threads=st.sampled_from([1, 2, 4]), occlusion=st.booleans(),
            kinds=st.sets(st.sampled_from(sorted(MAKERS)), min_size=1))
-    @example(picks=[0, 12, 6, 5], threads=4, occlusion=True,
+    @example(runs=[(0, [0, 12, 6, 5])], threads=4, occlusion=True,
              kinds={"wfov", "adr", "imaging"})
-    def test_grouped_fields_equal_lone_fields(self, picks, threads, occlusion,
+    # a run longer than a group, a change of set midway and back, and a
+    # position given twice
+    @example(runs=[(0, [0, 2, 4, 6, 8, 10]), (1, [3, 3]), (0, [12])], threads=2,
+             occlusion=False, kinds={"wfov", "adr", "imaging"})
+    def test_grouped_fields_equal_lone_fields(self, runs, threads, occlusion,
                                               kinds):
         kinds = tuple(sorted(kinds))
-        fields = traced_group(picks, threads, occlusion, kinds)
-        for k, field in zip(picks, fields):
-            assert_same_field(field, lone_field(occlusion, SWEEP_YS[k], kinds))
+        picks = [(r, k) for r, ks in runs for k in ks]
+        fields = traced_fields(picks, threads, occlusion, kinds)
+        assert len(fields) == len(picks)
+        for (r, k), field in zip(picks, fields):
+            assert_same_field(field, lone_field(occlusion, SWEEP_YS[k], kinds,
+                                                ROW_XS[r]))
 
     def test_shared_work_is_done_once(self, monkeypatch):
         # the set's incident power once per grid (both orders use the 0.4 m
@@ -963,7 +976,7 @@ class TestPositionGroups:
 
         monkeypatch.setattr(raytracer, "_incident_power", count_incident)
         monkeypatch.setattr(raytracer, "_pair_geometry", count_pairs)
-        fields = traced_group([0, 4, 8, 12], threads=2)
+        fields = traced_fields([0, 4, 8, 12], threads=2)
         lit_chunks = lit_chunk_count(coarse_pod(False), (3, 4, 5), raytracer._CHUNK)
         union = np.logical_or.reduce([f.b2_traced for f in fields])
         assert calls["incident"] == 1
@@ -993,7 +1006,7 @@ class TestPositionGroups:
         monkeypatch.setattr(owner, name, failing)
         RecordingExecutor.last = None
         _, errors = run_stressed(
-            lambda: traced_group([0, 6, 12], threads=threads))
+            lambda: traced_fields([0, 6, 12], threads=threads))
         assert [str(e) for e in errors] == ["chunk failed"]
         ex = RecordingExecutor.last
         assert lit_chunk_count(coarse_pod(False), (3, 4, 5), 32) > 2 * 4
@@ -1008,9 +1021,9 @@ class TestPositionGroups:
         # of one thread, and every helper done and read
         picks = [1, 5, 9, 12]
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
-        serial = traced_group(picks, threads=1)
+        serial = traced_fields(picks, threads=1)
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
-        fields, errors = run_stressed(lambda: traced_group(picks, threads=4))
+        fields, errors = run_stressed(lambda: traced_fields(picks, threads=4))
         assert not errors, errors
         for field, want in zip(fields, serial):
             assert_same_field(field, want)
@@ -1021,64 +1034,81 @@ class TestPositionGroups:
         assert all(f.done() for f in ex.futures)
         assert ex.read == {id(f) for f in ex.futures}
 
-    def test_shared_work_is_dropped_with_the_last_field(self):
-        # `run_sweep` keeps its list of groups: each must let go of the
-        # set's incident power once its last field is out, or a long
-        # sweep's memory grows group by group
+    def test_shared_work_is_dropped_with_the_last_field(self, monkeypatch):
+        # a group lets go of the set's incident power on both grids once
+        # its last field is out, while the caller still holds that field;
+        # five positions make groups of two and three
+        refs, incident = [], raytracer._incident_power
+
+        def record(*args):
+            out = incident(*args)
+            refs.extend(weakref.ref(a) for a in out)
+            return out
+
+        monkeypatch.setattr(raytracer, "_incident_power", record)
         pod = coarse_pod(False)
-        cfg, rxs = TraceConfig(**COARSE), [make_adr()]
-        mounts = [vec3(4.0, y, 2.0) for y in (2.0, 3.0)]
-        ids = pod.assigned_luminaires(mounts[0])
-        group = PositionGroup(pod, ids, mounts, cfg, rxs)
-        compute_field(pod, ids, mounts[0], cfg, receivers=rxs, group=group)
-        assert group._incident
-        compute_field(pod, ids, mounts[1], cfg, receivers=rxs, group=group)
-        assert not group._incident
+        cfg = TraceConfig(max_order=2, first_edge=0.2, second_edge=0.4)
+        mounts = [vec3(4.0, y, 2.0) for y in (2.0, 3.0, 4.0, 5.0, 6.0)]
+        fields = trace_fields(pod, mounts, cfg, receivers=[make_adr()])
+        gc.disable()
+        try:
+            live = []
+            for _ in mounts:
+                field = next(fields)
+                live.append(sum(r() is not None for r in refs))
+                del field
+        finally:
+            gc.enable()
+        assert len(refs) == 8
+        # the fine grid's power and length are kept for the group's next
+        # field, nothing once its last field is out
+        assert live == [2, 0, 2, 2, 0]
+
+    def test_dropped_field_leaves_nothing_behind(self):
+        # at a reference mount, a field dropped before the next is asked
+        # for takes everything its trace allocated with it
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        cfg = TraceConfig()
+        for edge in (cfg.first_edge, cfg.second_edge):
+            pod.surface_elements(edge)    # the scene keeps its grids
+        fields = trace_fields(pod, pod.mounts, cfg,
+                              receivers=TestReceiverIrs.receivers)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            field = next(fields)
+            assert field.b2_hist is not None
+            del field
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert abs(after - before) < 1e6
 
     def test_reference_sweep_groups(self):
         pod = coarse_pod(False)
-        cfg = TraceConfig(**COARSE)
         mounts = [vec3(4.0, y, 2.0) for y in SWEEP_YS]
-        groups = position_groups(pod, mounts, cfg)
-        assert [len(g.mounts) for g in groups] == [3, 3, 3, 4]
-        assert [m for g in groups for m in g.mounts] == mounts
-        assert {g.luminaire_ids for g in groups} == {(3, 4, 5)}
+        groups = _position_groups(pod, mounts)
+        assert [len(g) for _, g in groups] == [3, 3, 3, 4]
+        assert np.array_equal(np.concatenate([g for _, g in groups]), mounts)
+        assert {ids for ids, _ in groups} == {(3, 4, 5)}
         # a change of luminaire set starts a new group
         other = [vec3(1.8, 2.0, 2.0), vec3(1.8, 3.0, 2.0)]
-        groups = position_groups(pod, mounts[:2] + other + mounts[2:3], cfg)
-        assert [len(g.mounts) for g in groups] == [2, 2, 1]
-        assert [g.luminaire_ids for g in groups] == [(3, 4, 5), (0, 1, 2),
-                                                     (3, 4, 5)]
+        groups = _position_groups(pod, mounts[:2] + other + mounts[2:3])
+        assert [len(g) for _, g in groups] == [2, 2, 1]
+        assert [ids for ids, _ in groups] == [(3, 4, 5), (0, 1, 2), (3, 4, 5)]
 
     def test_misuse_is_refused(self, monkeypatch):
         pod = coarse_pod(False)
         cfg, rxs = TraceConfig(**COARSE), [make_adr()]
-        mounts = [vec3(4.0, y, 2.0) for y in (2.0, 3.0)]
-        ids = pod.assigned_luminaires(mounts[0])
-        with pytest.raises(ValueError, match="a group holds 1 to"):
-            PositionGroup(pod, ids, [mounts[0]] * (_GROUP_CAP + 1), cfg, rxs)
-        with pytest.raises(ValueError, match="detector pose"):
-            PositionGroup(pod, ids, [vec3(4.0, 2.0, 3.5)], cfg, rxs)
+        mount = pod.mounts[1]
+        ids = pod.assigned_luminaires(mount)
         # ids out of range, repeated or not integers are refused before
         # any trace: -5 would trace luminaire 4, (4, 4) it twice
         assert len(pod.luminaires) == 9
         for bad in [(-5,), (4, 4), (9,), (4.0,), (True,), ([4],), (3, 4, 3)]:
             with pytest.raises(ValueError, match="distinct integers"):
-                PositionGroup(pod, bad, [pod.mounts[1]],
-                              TraceConfig(max_order=0), rxs)
-            with pytest.raises(ValueError, match="distinct integers"):
-                compute_field(pod, bad, pod.mounts[1], TraceConfig(max_order=0))
-        PositionGroup(pod, (np.int64(4),), [pod.mounts[1]], cfg, rxs)
-        group = PositionGroup(pod, ids, mounts, cfg, rxs)
-        with pytest.raises(ValueError, match="built for another"):
-            compute_field(pod, ids, mounts[0], cfg, receivers=[make_adr()],
-                          group=group)
-        with pytest.raises(ValueError, match="built for another"):
-            compute_field(pod, (0, 1, 2), mounts[0], cfg, receivers=rxs,
-                          group=group)
-        with pytest.raises(ValueError, match="not a mount of this group"):
-            compute_field(pod, ids, vec3(4.0, 5.0, 2.0), cfg, receivers=rxs,
-                          group=group)
+                compute_field(pod, bad, mount, TraceConfig(max_order=0))
+        compute_field(pod, (np.int64(4),), mount, TraceConfig(max_order=0))
         # a thread count that is not an integer of at least 1 is refused
         # before any trace, numpy integers accepted
         with monkeypatch.context() as m:
@@ -1086,12 +1116,35 @@ class TestPositionGroups:
                 "traced with a bad thread count"))
             for bad in [True, math.nan, 2.5, 0, -1]:
                 with pytest.raises(ValueError, match="thread count"):
-                    compute_field(pod, ids, mounts[1], cfg, threads=bad,
-                                  receivers=rxs, group=group)
-        compute_field(pod, ids, mounts[1], cfg, threads=np.int64(2),
-                      receivers=rxs, group=group)
-        with pytest.raises(ValueError, match="still to be handed out"):
-            compute_field(pod, ids, mounts[1], cfg, receivers=rxs, group=group)
+                    compute_field(pod, ids, mount, cfg, threads=bad,
+                                  receivers=rxs)
+        compute_field(pod, ids, mount, cfg, threads=np.int64(2), receivers=rxs)
+
+    def test_bad_calls_are_refused_before_tracing(self, monkeypatch):
+        # `trace_fields` checks everything at the call, before any field
+        # is asked for, down to the last pose of the last group
+        def traced(*args):
+            raise AssertionError("traced a refused call")
+
+        monkeypatch.setattr(raytracer, "_incident_power", traced)
+        monkeypatch.setattr(raytracer, "_los_arrivals", traced)
+        pod = coarse_pod(False)
+        cfg, rxs = TraceConfig(**COARSE), [make_adr()]
+        mounts = [vec3(4.0, 2.0, 2.0), vec3(1.8, 2.0, 2.0)]
+        for bad in [True, math.nan, 2.5, 0, -1]:
+            with pytest.raises(ValueError, match="thread count"):
+                trace_fields(pod, mounts, cfg, threads=bad, receivers=rxs)
+        outside = vec3(4.0, 2.0, 3.5)
+        assert len(_position_groups(pod, mounts + [vec3(4.0, 2.0, 2.5)])) == 3
+        with pytest.raises(ValueError, match=r"detector pose \(4\.0, 2\.0, 3\.5\)"):
+            trace_fields(pod, mounts + [outside], cfg, receivers=rxs)
+        broken = build_pod(PodConfig(luminaire_power_w=1.0))
+        object.__setattr__(broken.panels[0], "reflectance", 1.4)
+        with pytest.raises(ValueError, match="invalid scene: .*reflectance"):
+            trace_fields(broken, mounts, cfg, receivers=rxs)
+        fields = trace_fields(pod, mounts, cfg, threads=np.int64(2), receivers=rxs)
+        with pytest.raises(AssertionError, match="traced a refused call"):
+            next(fields)
 
 
 class TestReceiverIrs:
