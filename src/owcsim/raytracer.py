@@ -787,17 +787,16 @@ def _lit_grid(scene: Scene, lums, boxes, edge: float):
     return grid, _incident_power(lums, grid, boxes)
 
 
-def _second_setup(coarse, mounts, receivers, boxes):
-    """The coarse grid and the set's incident power on it (`coarse`), the
-    lit e1 rows, and each mount's final hop and traced e2 columns.
+def _second_setup(grid, incident, mounts, receivers, boxes):
+    """The lit e1 rows of `incident`, the set's incident power on the
+    coarse `grid`, and each mount's final hop and traced e2 columns.
 
     Rows with no incident power from any luminaire add nothing (their
     weights are exactly zero, with or without occlusion), so only lit rows
     are traced."""
-    grid, incident = coarse
     hops = [_final_hop(grid, m, boxes) for m in mounts]
     traced = [_captured_columns(receivers, u3) for u3, _, _ in hops]
-    return grid, incident, incident[0].any(axis=0), hops, traced
+    return incident[0].any(axis=0), hops, traced
 
 
 def _group_extent(scene: Scene, ids, mounts, cfg: TraceConfig, receivers) -> dict:
@@ -808,8 +807,8 @@ def _group_extent(scene: Scene, ids, mounts, cfg: TraceConfig, receivers) -> dic
     once, one row per traced column per mount.  For one mount these are
     that mount's own figures."""
     lums, boxes = [scene.luminaires[i] for i in ids], _occluder_boxes(scene)
-    _, _, lit, _, traced = _second_setup(
-        _lit_grid(scene, lums, boxes, cfg.second_edge), mounts, receivers, boxes)
+    grid, incident = _lit_grid(scene, lums, boxes, cfg.second_edge)
+    lit, _, traced = _second_setup(grid, incident, mounts, receivers, boxes)
     rows = int(lit.sum())
     cols = int(np.logical_or.reduce(traced).sum())
     held = sum(int(t.sum()) for t in traced)
@@ -835,10 +834,13 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
         lums = [scene.luminaires[i] for i in ids]
         seconds, coarse = [None] * len(mounts), None
         if cfg.max_order >= 2 and lums:
-            coarse = _lit_grid(scene, lums, boxes, cfg.second_edge)
+            grid, incident = coarse = _lit_grid(scene, lums, boxes,
+                                                cfg.second_edge)
             seconds = _second_order_hists(
-                *_second_setup(coarse, mounts, receivers, boxes), boxes, nbins,
-                cfg.bin_width, threads)
+                grid, incident,
+                *_second_setup(grid, incident, mounts, receivers, boxes),
+                boxes, nbins, cfg.bin_width, threads)
+            del grid, incident
         fine = [None]
         if cfg.max_order >= 1 and lums:
             fine = [coarse if coarse and cfg.first_edge == cfg.second_edge

@@ -628,37 +628,47 @@ class TestBenchmarkHooks:
 
     CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench", "child.py")
-    # `raytracer.compute_field` is not among them: the tracer wraps
-    # `cli.compute_field`, and the CLI traces through `trace_fields`, so
-    # those spans and counts are missing until the tracer wraps that
     SHARED = {"scene.build_pod", "scene.surface_elements",
               "receivers.capture_matrix", "receivers.receiver_irs.wfov",
               "receivers.receiver_irs.adr", "receivers.receiver_irs.imaging",
               "linkmetrics.delay_stats"}
+    SPANS = {"simulate": {"cli.write_ir_csv"},
+             "sweep": {"linkmetrics.link_report", "linkmetrics.bandwidth_3db",
+                       "linkmetrics.eye_powers", "linkmetrics.noise_budget"}}
 
-    @pytest.mark.parametrize("command, spans", [
-        ("simulate", {"cli.write_ir_csv"}),
-        ("sweep", {"linkmetrics.link_report", "linkmetrics.bandwidth_3db",
-                   "linkmetrics.eye_powers", "linkmetrics.noise_budget"}),
-    ], ids=("simulate", "sweep"))
-    def test_traced_run_names_every_hook(self, tmp_path, command, spans):
-        cfg_path = tmp_path / "run.ini"
+    @pytest.fixture(scope="class", params=["simulate", "sweep"])
+    def traced_run(self, request, tmp_path_factory):
+        """The command, its output directory and the spans file of one
+        traced run on the coarse config."""
+        command, tmp = request.param, tmp_path_factory.mktemp("traced")
+        cfg_path = tmp / "run.ini"
         cfg_path.write_text(coarse_second_order_config())
-        spans_path = tmp_path / "spans.json"
+        spans_path = tmp / "spans.json"
         proc = subprocess.run(
             [sys.executable, self.CHILD, "run", str(spans_path), "--", command,
              "--config", str(cfg_path), "--receiver", "all", "--orders", "2",
-             "--out", str(tmp_path / "out")],
+             "--out", str(tmp / "out")],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0, proc.stderr
-        dump = json.loads(spans_path.read_text())
+        return command, tmp / "out", json.loads(spans_path.read_text())
+
+    def test_traced_run_names_every_hook(self, traced_run):
+        command, out, dump = traced_run
         names = {span[0] for span in dump["spans"]}
-        assert self.SHARED | spans <= names, sorted(names)
+        assert self.SHARED | self.SPANS[command] <= names, sorted(names)
         if command == "simulate":
             # one wrapped `write_ir_csv` call per file, so that its span
             # times all of the CSV output
-            csvs = list((tmp_path / "out").glob("*.csv"))
+            csvs = list(out.glob("*.csv"))
             assert len(csvs) == 162
             assert dump["counts"]["ir_files"] == len(csvs)
             assert dump["counts"]["csv_bytes"] == sum(p.stat().st_size for p in csvs)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the tracer wraps `cli.compute_field`, which the CLI no longer calls "
+        "now that it traces through `trace_fields`, so the trace's spans and "
+        "counts are missing until the tracer wraps `cli.trace_fields`"))
+    def test_traced_run_times_the_trace(self, traced_run):
+        _, _, dump = traced_run
+        assert "raytracer.compute_field" in {span[0] for span in dump["spans"]}

@@ -934,7 +934,7 @@ class TestPositionGroups:
     """`trace_fields` traces positions that share a luminaire set together;
     each field must be the one its position gives traced alone, bit for bit."""
 
-    # each example traces up to 12 positions; a failing one is reported as
+    # each example traces up to 16 positions; a failing one is reported as
     # drawn, since shrinking would trace hundreds more
     @settings(max_examples=16, deadline=None, derandomize=True, database=None,
               phases=(Phase.explicit, Phase.generate))
