@@ -377,8 +377,8 @@ def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
             for rx in rxs:
                 report = link_report(field, rx, cfg.bitrate, cfg.noise)
                 f.write(_metrics_row(report) + "\n")
-            # a group's histograms share one allocation, freed with the
-            # last of its fields: drop each before the next is traced
+            # each field's histogram is freed with it: drop each before
+            # the next is traced
             del field
     print(f"wrote {path}: {len(mounts) * len(rxs)} rows")
     return 0

@@ -20,12 +20,12 @@ sweep's positions along one row) as one group of at most `_GROUP_CAP`;
 computes the set's incident power on both grids once, and each
 second-order chunk's pair geometry once, over the union of the
 second-bounce columns its mounts trace; each mount then gathers its own
-columns, in ascending order, and bins them as a lone trace does.  A
-group's histograms share one anonymous mapping, 14-15 MB per mount at the
-reference mounts (about 60 MB for a group of four), which lives until the
-last of the group's fields is dropped; the group lets go of its incident
-power once its last field is out.  `simulate`'s mounts each have their own
-set and share nothing.
+columns, in ascending order, and bins them as a lone trace does.  Each
+mount's histogram is its own anonymous mapping, 14-15 MB at the reference
+mounts (about 60 MB for a group of four while the group is traced), which
+goes back to the OS as soon as that mount's field is dropped; the group
+lets go of its incident power once its last field is out.  `simulate`'s
+mounts each have their own set and share nothing.
 
 Second-order work is split into fixed chunks of first-bounce (e1) rows of
 the coarse grid.  Rows that receive no power from any luminaire are
@@ -172,12 +172,15 @@ def _incident_power(luminaires, grid, boxes):
     power = np.zeros((len(luminaires), n))
     length = np.zeros((len(luminaires), n))
     for li, lum in enumerate(luminaires):
-        u, d, safe, cos_in = _hop(grid, lum.position)
+        u, d, safe, cos_in, runs = _hop(grid, lum.position)
         cos_phi = u[:, 2]        # -u against the luminaire's (0, 0, -1)
         sel = safe & (cos_phi > 0.0) & (cos_in > 0.0)
         p = np.zeros(n)
         p[sel] = (lum.power_w * (lum.order + 1.0) / (2.0 * math.pi * d[sel] ** 2)
-                  * cos_phi[sel] ** lum.order * cos_in[sel] * grid.areas[sel])
+                  * cos_phi[sel] ** lum.order * cos_in[sel])
+        # the element area is the last factor; +0.0 elsewhere stays +0.0
+        for k, _, _, area in runs:
+            p[k] *= area
         if boxes:
             hit = _segments_blocked(boxes, lum.position, grid.centres)
             p[hit] = 0.0
@@ -189,16 +192,16 @@ def _incident_power(luminaires, grid, boxes):
 def _hop(grid, point):
     """One hop between every element of `grid` and `point`: the unit
     directions from the elements toward `point`, their lengths, the mask of
-    lengths over `_EPS`, and each element's cosine, added x, y, z as
-    `sum(axis=1)` adds them."""
+    lengths over `_EPS`, each element's cosine, added x, y, z as
+    `sum(axis=1)` adds them, and the grid's `panel_runs`."""
     v = point[None, :] - grid.centres
     d = np.linalg.norm(v, axis=1)
     safe = d > _EPS
     u = v / np.where(safe, d, 1.0)[:, None]
     n = len(grid)
-    cos = _dots(np.empty(n), np.empty(n), grid.panel_runs(np.arange(n)), u.T,
-                (0, 1, 2), 1.0)
-    return u, d, safe, cos
+    runs = grid.panel_runs(np.arange(n))
+    cos = _dots(np.empty(n), np.empty(n), runs, u.T, (0, 1, 2), 1.0)
+    return u, d, safe, cos, runs
 
 
 def _dots(out, tmp, runs, comps, axes, sign: float):
@@ -224,10 +227,13 @@ def _bin_count(scene: Scene, cfg: TraceConfig) -> int:
 def _final_hop(grid, mount, boxes):
     """Last hop, element -> mount: unit directions, lengths and the
     branch-independent weight (reflectance times the Lambertian emission)."""
-    u3, d3, safe, cos3 = _hop(grid, mount)
+    u3, d3, safe, cos3, runs = _hop(grid, mount)
     f3 = np.zeros(len(grid))
     sel = safe & (cos3 > 0.0)
-    f3[sel] = grid.reflectances[sel] * cos3[sel] / (math.pi * d3[sel] ** 2)
+    # cos3 * rho has the bits of rho * cos3
+    for k, _, rho, _ in runs:
+        cos3[k] *= rho
+    f3[sel] = cos3[sel] / (math.pi * d3[sel] ** 2)
     if boxes:
         f3[_segments_blocked(boxes, grid.centres, mount[None, :])] = 0.0
     return u3, d3, f3
@@ -506,22 +512,12 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     p1 = incident[0]
     ucols = np.flatnonzero(np.logical_or.reduce(traced))
     nu = ucols.size
-    # every mount's histogram is a run of rows of one anonymous mapping:
-    # its pages stay unmapped zeros until a window reaches them, and it is
-    # returned whole once the last field viewing it is dropped.  Freed
-    # histograms on the heap stayed resident and raised later peaks (at 1
-    # thread: simulate-all 121 MB against 107 MB; a 13-position sweep,
-    # one array per position, 181 MB against 153 MB).
-    cells = sum(int(m.sum()) for m in traced) * nbins
-    mapped = mmap.mmap(-1, max(8 * cells, mmap.PAGESIZE))
-    hists = np.frombuffer(mapped, dtype=np.float64)[:cells].reshape(-1, nbins)
-    targets, row = [], 0
+    targets = []
     for (_, d3, f3), mask in zip(hops, traced):
         pick = np.flatnonzero(mask[ucols])
         cols = ucols[pick]
         targets.append(_Target(None if pick.size == nu else pick, f3[cols],
-                               d3[cols], hists[row:row + cols.size]))
-        row += cols.size
+                               d3[cols], _mapped_zeros(cols.size, nbins)))
     active = [t for t in targets if t.f3.size]
     units = sum(len(t.blocks()) for t in active)
     turns = _Turns(units)
@@ -597,6 +593,20 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     return out
 
 
+def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
+    """A zeroed (rows, cols) float64 array in its own anonymous mapping.
+
+    Its pages stay unmapped zeros until a window reaches them, and the
+    mapping goes back to the OS as soon as the last array viewing it is
+    dropped, so each mount's histogram leaves with its own field.  Freed
+    histograms on the heap stayed resident and raised later peaks (at 1
+    thread: simulate-all 121 MB against 107 MB; a 13-position sweep, one
+    array per position, 181 MB against 153 MB)."""
+    cells = rows * cols
+    mapped = mmap.mmap(-1, max(8 * cells, mmap.PAGESIZE))
+    return np.frombuffer(mapped, dtype=np.float64)[:cells].reshape(rows, cols)
+
+
 def _delay_window(bins: np.ndarray, nbins: int):
     """(lo, width, span): a block's bin indices lie in [lo, lo + width), and
     [lo, lo + span) is the part of that window inside the histogram.
@@ -625,10 +635,11 @@ class ArrivalField:
     weighting, computed once per direction, so all branches of all receiver
     kinds share one trace.
 
-    Built by `compute_field`.  `mount` is where every receiver applied to
-    the field sits.  When second-order paths were traced only to the
-    elements some branch of its `receivers` captures (`b2_traced`),
-    applying a receiver that captures any other element raises.
+    Built by `trace_fields` or `compute_field`.  `mount` is where every
+    receiver applied to the field sits.  When second-order paths were
+    traced only to the elements some branch of its `receivers` captures
+    (`b2_traced`), applying a receiver that captures any other element
+    raises.
     """
 
     mount: np.ndarray
@@ -885,11 +896,11 @@ def trace_fields(scene: Scene, mounts, cfg: TraceConfig, threads: int = 1,
     Consecutive mounts under one luminaire set (`scene.assigned_luminaires`)
     are traced as a group of at most `_GROUP_CAP`, which shares the work
     that does not depend on the mount; each field is bit for bit the one
-    `compute_field` gives its mount alone.  A group's histograms share one
-    mapping, returned once all of its fields are dropped: drop each field
-    before asking for the next.  The thread count, the scene and every pose
-    are checked here, before any field is traced.  `threads` and
-    `receivers` are as for `compute_field`.
+    `compute_field` gives its mount alone.  Each field's histogram is
+    returned to the OS when that field is dropped: drop each field before
+    asking for the next.  The thread count, the scene and every pose are
+    checked here, before any field is traced.  `threads` and `receivers`
+    are as for `compute_field`.
     """
     _check_threads(threads)
     return _fields(scene, _position_groups(scene, mounts), cfg, threads,

@@ -74,38 +74,58 @@ class SurfacePanel:
 class ElementGrid:
     """Array-backed collection of surface elements (one panel or a whole scene).
 
-    Stores centres/normals/areas/reflectances as flat numpy arrays so the
-    tracer can vectorise over them.  `starts` holds each panel's first
-    element; a panel's elements share its normal, area and reflectance.
+    Stores the element centres as one flat numpy array so the tracer can
+    vectorise over them.  `starts` holds each panel's first element (the
+    first is 0); a panel's elements share its normal, area and reflectance,
+    which are stored once per panel and read per panel (`panel_runs`).
+    `normals`, `areas` and `reflectances` build the per-element arrays on
+    request; the tracer never asks for them.
     """
 
-    def __init__(self, centres, normals, areas, reflectances, starts):
+    def __init__(self, centres, starts, panel_normals, panel_areas,
+                 panel_reflectances):
         self.centres = np.asarray(centres, dtype=float).reshape(-1, 3)
-        self.normals = np.asarray(normals, dtype=float).reshape(-1, 3)
-        self.areas = np.asarray(areas, dtype=float).ravel()
-        self.reflectances = np.asarray(reflectances, dtype=float).ravel()
         self.starts = np.asarray(starts, dtype=np.int64)
+        self.panel_normals = np.asarray(panel_normals, dtype=float).reshape(-1, 3)
+        self.panel_areas = np.asarray(panel_areas, dtype=float).ravel()
+        self.panel_reflectances = np.asarray(panel_reflectances, dtype=float).ravel()
 
     def __len__(self) -> int:
         return self.centres.shape[0]
+
+    def _per_element(self, values: np.ndarray) -> np.ndarray:
+        counts = np.diff(self.starts, append=len(self))
+        return np.repeat(values, counts, axis=0)
+
+    @property
+    def normals(self) -> np.ndarray:
+        return self._per_element(self.panel_normals)
+
+    @property
+    def areas(self) -> np.ndarray:
+        return self._per_element(self.panel_areas)
+
+    @property
+    def reflectances(self) -> np.ndarray:
+        return self._per_element(self.panel_reflectances)
 
     def panel_runs(self, idx) -> list:
         """(run, normal, reflectance, area) of each slice `run` of the ascending
         element indices `idx` that lies on one panel, its values Python floats."""
         cut = np.searchsorted(idx, self.starts).tolist() + [len(idx)]
-        return [(slice(lo, hi), tuple(self.normals[p].tolist()),
-                 float(self.reflectances[p]), float(self.areas[p]))
-                for p, lo, hi in zip(self.starts.tolist(), cut, cut[1:]) if lo < hi]
+        return [(slice(lo, hi), tuple(self.panel_normals[p].tolist()),
+                 float(self.panel_reflectances[p]), float(self.panel_areas[p]))
+                for p, (lo, hi) in enumerate(zip(cut, cut[1:])) if lo < hi]
 
     @staticmethod
     def concatenate(grids: list["ElementGrid"]) -> "ElementGrid":
         offsets = np.cumsum([0] + [len(g) for g in grids])
         return ElementGrid(
             np.concatenate([g.centres for g in grids]),
-            np.concatenate([g.normals for g in grids]),
-            np.concatenate([g.areas for g in grids]),
-            np.concatenate([g.reflectances for g in grids]),
             np.concatenate([g.starts + o for g, o in zip(grids, offsets)]),
+            np.concatenate([g.panel_normals for g in grids]),
+            np.concatenate([g.panel_areas for g in grids]),
+            np.concatenate([g.panel_reflectances for g in grids]),
         )
 
 
@@ -128,16 +148,8 @@ def discretize(panel: SurfacePanel, element_edge: float) -> ElementGrid:
     iu = (np.arange(nu) + 0.5)[:, None, None]
     iv = (np.arange(nv) + 0.5)[None, :, None]
     centres = panel.origin[None, None, :] + iu * du[None, None, :] + iv * dv[None, None, :]
-    centres = centres.reshape(-1, 3)
-    n = centres.shape[0]
     area = (lu / nu) * (lv / nv)
-    return ElementGrid(
-        centres,
-        np.tile(panel.normal, (n, 1)),
-        np.full(n, area),
-        np.full(n, panel.reflectance),
-        [0],
-    )
+    return ElementGrid(centres, [0], panel.normal, [area], [panel.reflectance])
 
 
 @dataclass(frozen=True)

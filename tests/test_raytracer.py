@@ -899,6 +899,13 @@ SWEEP_YS = tuple(1.0 + 0.5 * k for k in range(13))
 ROW_XS = (4.0, 1.8)
 
 
+def memory_owner(a: np.ndarray):
+    """The object at the end of `a`'s chain of bases: what holds its memory."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a
+
+
 def assert_same_field(a, b):
     """Every array equal by bytes, every total equal by value."""
     for f in dataclasses.fields(ArrivalField):
@@ -1063,6 +1070,46 @@ class TestPositionGroups:
         # the fine grid's power and length are kept for the group's next
         # field, nothing once its last field is out
         assert live == [2, 0, 2, 2, 0]
+
+    def test_each_field_returns_its_own_histogram(self, monkeypatch):
+        # one group of four: each position's histogram mapping goes back to
+        # the OS when its own field is dropped, in any order, and not
+        # before; closing the iterator lets go of the fields not yet taken
+        pod, picks = coarse_pod(False), [1, 5, 9, 12]
+        mounts = [vec3(4.0, SWEEP_YS[k], 2.0) for k in picks]
+        cfg, kinds = TraceConfig(**COARSE), tuple(sorted(MAKERS))
+        rxs = [MAKERS[k]() for k in kinds]
+        lone = [lone_field(False, SWEEP_YS[k], kinds) for k in picks]
+        refs, hists = [], raytracer._second_order_hists
+
+        def record(*args):
+            out = hists(*args)
+            refs.extend(weakref.ref(memory_owner(h)) for h, *_ in out)
+            return out
+
+        monkeypatch.setattr(raytracer, "_second_order_hists", record)
+        gc.disable()
+        try:
+            fields = list(trace_fields(pod, mounts, cfg, receivers=rxs))
+            assert len(refs) == 4
+            for k in (2, 0, 3, 1):
+                assert refs[k]() is not None
+                fields[k] = None
+                assert refs[k]() is None
+                for j in range(4):
+                    if fields[j] is not None:
+                        assert refs[j]() is not None
+                        assert_same_field(fields[j], lone[j])
+            refs.clear()
+            fields = trace_fields(pod, mounts, cfg, receivers=rxs)
+            first = next(fields)
+            fields.close()
+            assert [r() is None for r in refs] == [False, True, True, True]
+            assert_same_field(first, lone[0])
+            del first
+            assert refs[0]() is None
+        finally:
+            gc.enable()
 
     def test_dropped_field_leaves_nothing_behind(self):
         # at a reference mount, a field dropped before the next is asked

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from owcsim.scene import (
+    ElementGrid,
     Luminaire,
     PodConfig,
     RackRow,
@@ -201,6 +202,50 @@ class TestDiscretize:
         assert np.all(grid.areas == pytest.approx(0.25))
         assert np.all(grid.reflectances == 0.35)
         assert np.all(grid.normals == [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("edge", [0.05, 0.2])
+    def test_panel_values_are_stored_once(self, edge):
+        # the pod's grid keeps its centres per element and each panel's
+        # normal, element area and reflectance once; the per-element
+        # arrays built on request, and every panel run, hold what a panel
+        # tiled by hand gives
+        pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        grid = pod.surface_elements(edge)
+        n, npanel = len(grid), len(pod.panels)
+        normals, areas, rhos, counts = [], [], [], []
+        for p in pod.panels:
+            lu, lv = float(np.linalg.norm(p.u)), float(np.linalg.norm(p.v))
+            nu, nv = max(1, round(lu / edge)), max(1, round(lv / edge))
+            counts.append(nu * nv)
+            normals.append(tuple(p.normal.tolist()))
+            areas.append((lu / nu) * (lv / nv))
+            rhos.append(p.reflectance)
+        assert n == sum(counts)
+        stored = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert [a for a in stored if a is not grid.centres and len(a) == n] == []
+        assert sum(a.nbytes for a in stored) <= 24 * n + 48 * npanel
+        starts = np.cumsum([0] + counts[:-1])
+        runs = [(slice(s, s + c), nrm, rho, area) for s, c, nrm, rho, area
+                in zip(starts, counts, normals, rhos, areas)]
+        per_element = (np.repeat(normals, counts, axis=0),
+                       np.repeat(areas, counts), np.repeat(rhos, counts))
+        # a second copy after it: the runs and values of both
+        both = ElementGrid.concatenate([grid, grid])
+        twice = [(slice(k.start + n, k.stop + n), *v) for k, *v in runs]
+        for g, want_runs, k in ((grid, runs, 1), (both, runs + twice, 2)):
+            assert g.panel_runs(np.arange(len(g))) == want_runs
+            got = (g.normals, g.areas, g.reflectances)
+            for a, b in zip(got, per_element):
+                assert a.tobytes() == np.concatenate([b] * k).tobytes()
+        assert both.centres.tobytes() == np.concatenate([grid.centres] * 2).tobytes()
+        # a subset of elements: runs of its positions, one per panel it meets
+        idx = np.arange(0, n, 7)
+        panel = np.searchsorted(starts, idx, side="right") - 1
+        got = grid.panel_runs(idx)
+        assert [r[1:] for r in got] == [runs[p][1:] for p in np.unique(panel)]
+        for k, *_ in got:
+            assert np.unique(panel[k]).size == 1
+        assert sum(k.stop - k.start for k, *_ in got) == idx.size
 
 
 class TestValidateScene:
