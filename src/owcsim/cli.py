@@ -481,6 +481,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,35 +17,26 @@ and the point arrivals are live.  The `ArrivalField` only holds them.
 `trace_fields` traces consecutive mounts that share a luminaire set (a
 sweep's positions along one row) as one group of at most `_GROUP_CAP`;
 `compute_field` is a group of one, through the same code.  A group
-computes the set's incident power on both grids once, and each
-second-order chunk's pair geometry once, over the union of the
-second-bounce columns its mounts trace; each mount then gathers its own
-columns, in ascending order, and bins them as a lone trace does.  Each
+computes the set's incident power on both grids once, and the pair
+geometry once, over the union of the second-bounce columns its mounts
+trace; each mount bins its own columns of it as a lone trace does.  Each
 mount's histogram is its own anonymous mapping, 14-15 MB at the reference
-mounts (about 60 MB for a group of four while the group is traced), which
-goes back to the OS as soon as that mount's field is dropped; the group
-lets go of its incident power once its last field is out.  `simulate`'s
-mounts each have their own set and share nothing.
+mounts, which goes back to the OS as soon as that mount's field is
+dropped; the group lets go of its incident power once its last field is
+out.  `simulate`'s mounts each have their own set and share nothing.
 
-Second-order work is split into fixed chunks of first-bounce (e1) rows of
-the coarse grid.  Rows that receive no power from any luminaire are
-dropped before any pair geometry is built, and a chunk left with no rows
-is skipped.  A chunk's pair geometry takes each panel's normal,
-reflectance and area as scalars, on the runs of its rows and columns that
-lie on that panel.  The runner that traces a chunk also bins it, every
-luminaire in one pass, one block of a mount's columns at a time, over only
-the delay window that block's paths span, into counts of its own, and adds
-each window into the mount's histogram in its turn: chunk k adds into a
-block only after chunk k - 1 has, so every cell gets the same partial sums
-in the same order for any thread count; a mount's reflected power is added
-in the turn of its first block.  N threads are the calling thread and
-N - 1 helpers, never more than there are lit chunks; each runner takes the
-next chunk in order until none is left, so a chunk is only ever taken by a
-runner that traces it.  The caller traces rather than waits: on a 1-worker
-pool the 1-thread simulate-all peak RSS rose from 99 to 117 MB, mostly the
-worker's own glibc malloc arena.  A runner keeps its work arrays and
-counts from chunk to chunk, allocated with its first chunk (a runner left
-without one allocates none); the counts grow to the widest window needed.
+Second-order work is split into blocks of `_BLOCK` union columns.  A
+runner takes the next block and walks the chunks of `_CHUNK` first-bounce
+(e1) rows of the coarse grid in order, skipping rows that receive no
+power; it computes the chunk's pair geometry over the block, bins each
+mount's columns of it, every luminaire in one pass, over only the delay
+window their paths span, and adds that window into the mount's
+histogram.  Only that runner writes those histogram rows, so every cell
+gets the same per-chunk partial sums in chunk order for any block width,
+unit order or thread count.  N threads are the calling thread and N - 1
+helpers, never more than there are blocks.  The caller traces rather
+than waits: on a 1-worker pool the 1-thread simulate-all peak RSS rose
+from 99 to 117 MB, mostly the worker's own glibc malloc arena.
 
 Point arrivals keep an index into a table of distinct arrival directions,
 so a receiver's gains are computed once per direction, not once per
@@ -63,7 +54,6 @@ import math
 import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +62,7 @@ from .scene import COMM_FLOOR_M, Scene, validate_scene
 from .receivers import ReceiverSpec, block_slices, capture_matrix, sparse_capture
 
 C_LIGHT = 2.9979e8            # m/s, air
-_CHUNK = 256                  # second-order e1 rows per work unit (fixed: determinism)
+_CHUNK = 256                  # e1 rows per second-order chunk (fixed: determinism)
 _EPS = 1e-12
 # Each branch's second-order gemv runs over the aligned blocks of this many
 # grid elements that hold one of its non-zero weights.  OpenBLAS's gemv
@@ -81,9 +71,9 @@ _EPS = 1e-12
 _GEMV_BLOCK = 8
 # Delay bins per step of that gemv, which bounds the rows it gathers.
 _GEMV_BINS = 256
-# Columns per step of the second-order pair geometry and binning: bounds
-# the chunk's work arrays, not the bits (every pair and cell is its own).
-_BLOCK = 256
+# Union columns per second-order work unit: bounds its work arrays, not
+# the bits (every pair and histogram row is its own).
+_BLOCK = 128
 # Mounts traced together at most: a group holds all their histograms at
 # once (14-15 MB each at a reference mount).
 _GROUP_CAP = 4
@@ -294,203 +284,134 @@ def _first_order_arrivals(incident, grid, mount, boxes):
 
 
 class _Scratch:
-    """One runner's chunk-sized work arrays, kept from chunk to chunk.
+    """One runner's work arrays, kept from block to block.
 
-    The kernel writes its temporaries into these through `out=`: fresh
-    arrays of this size are mapped from the OS for each chunk and fault in
-    page by page.  Every view is a C-contiguous run of one arena.  A
-    chunk's `geom` and `d` come first; the work arrays of one column block
-    of the pair geometry, and later those of one mount's binning, reuse
-    the space past them."""
+    Each is C-contiguous and holds the largest request under its name.
+    Fresh arrays of a block's size are trimmed from the heap when freed
+    and faulted back in for the next chunk: a seed-0 `sweep-all` run at 2
+    threads read 216k minor faults and 0.51 s of system time with them,
+    and 50k and 0.17 s with the arrays kept."""
 
-    def __init__(self, nl: int, nu: int, nc: int):
-        work = max(6 * _BLOCK, nc + (2 + 2 * nl) * _BLOCK)
-        self.arena = np.empty(_CHUNK * (2 * nu + work))
-        self.mask = np.empty(_CHUNK * _BLOCK, dtype=bool)
-        self._counts = np.empty(0)
+    def __init__(self):
+        self._bufs = {}
 
-    def counts(self, n: int) -> np.ndarray:
-        """`n` zeroed bin counts, in one buffer grown to the most asked for."""
-        if self._counts.size < n:
-            self._counts = np.empty(n)
-        self._counts[:n].fill(0.0)
-        return self._counts[:n]
-
-    def pair(self, nr: int, nu: int, nb: int):
-        """geom and d (nr, nu); six (nr, nb) work arrays and a mask."""
-        return (_carve(self.arena, 0, (nr, nu), (nr, nu), *[(nr, nb)] * 6)
-                + _carve(self.mask, 0, (nr, nb)))
-
-    def picked(self, nr: int, nu: int, nc: int):
-        """One mount's gathered geom (nr, nc), past geom and d."""
-        return _carve(self.arena, 2 * nr * nu, (nr, nc))[0]
-
-    def block(self, nl: int, nr: int, nu: int, nc: int, nb: int):
-        """Past the gathered geom: one column block's gathered d and
-        lengths (nr, nb), and its weights and flat bin indices (nl, nr, nb)."""
-        *views, flat = _carve(self.arena, (2 * nu + nc) * nr, (nr, nb), (nr, nb),
-                              (nl, nr, nb), (nl, nr, nb))
-        return (*views, flat.view(np.int64))
-
-
-def _carve(buf: np.ndarray, start: int, *shapes) -> list:
-    """C-contiguous views of consecutive runs of `buf` from `start`."""
-    views = []
-    for shape in shapes:
+    def get(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         n = math.prod(shape)
-        views.append(buf[start:start + n].reshape(shape))
-        start += n
-    return views
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < n:
+            # at least doubled, so that growing requests reallocate rarely
+            old = 0 if buf is None else buf.size
+            buf = self._bufs[name] = np.empty(max(n, 2 * old), dtype)
+        return buf[:n].reshape(shape)
 
 
-def _pair_geometry(s: _Scratch, rows, grid, cols, boxes):
+def _pair_geometry(s: _Scratch, grid, rows, row_runs, cols, col_runs, boxes):
     """`geom` (the e1 reflectance times the Lambertian transfer from e1 to
     e2) and distance `d` of every pair of lit e1 `rows` and e2 `cols`, as
-    (rows, cols) views of `s`, computed `_BLOCK` columns at a time.  Each
-    pair's value depends on that pair alone, so it is the same for any
-    set of columns.  Normals, reflectances and areas are Python scalars,
-    one per run of rows or columns on one panel (`ElementGrid.panel_runs`)."""
-    nr, nu = rows.size, cols.size
+    (rows, cols) arrays of `s`.  Each pair's value depends on that pair
+    alone, so it is the same for any set of rows or columns.  Normals,
+    reflectances and areas are Python scalars, one per run of rows or
+    columns on one panel: `row_runs` is `ElementGrid.panel_runs(rows)`,
+    `col_runs` the same for `cols` with each run indexing the column axis."""
+    shape = (rows.size, cols.size)
+    dx, dy, dz, d2, d, tmp, g, cos_in = (
+        s.get(name, shape) for name in ("dx", "dy", "dz", "d2", "d", "tmp",
+                                        "geom", "cos_in"))
     centres_r = grid.centres[rows]
-    row_runs = grid.panel_runs(rows)
-    for c0 in range(0, nu, _BLOCK):
-        c = cols[c0:c0 + _BLOCK]
-        geom, d, dx, dy, dz, d2, cos_in, tmp, near = s.pair(nr, nu, c.size)
-        g, dd = geom[:, c0:c0 + c.size], d[:, c0:c0 + c.size]
-        # pair vectors as separate x, y, z arrays; each sum adds (x + z) + y,
-        # the order einsum uses for a length-3 contraction.  `g` holds
-        # cos_out until it becomes geom.
-        for out, cc, cr in zip((dx, dy, dz), grid.centres[c].T, centres_r.T):
-            np.subtract(cc[None, :], cr[:, None], out=out)
-        np.multiply(dx, dx, out=d2)
-        d2 += np.multiply(dz, dz, out=tmp)
-        d2 += np.multiply(dy, dy, out=tmp)
-        # coincident pairs get a 1 m stand-in distance and zero weight
-        np.less_equal(d2, _EPS, out=near)
-        np.copyto(d2, 1.0, where=near)
-        np.sqrt(d2, out=dd)
-        col_runs = [((slice(None), k), *v) for k, *v in grid.panel_runs(c)]
-        _dots(g, tmp, row_runs, (dx, dz, dy), (0, 2, 1), 1.0)
-        _dots(cos_in, tmp, col_runs, (dx, dz, dy), (0, 2, 1), -1.0)
-        # rho * max(cos_out, 0) * max(cos_in, 0) * area / (pi * d2)
-        for cos in (g, cos_in):
-            cos /= dd
-            np.maximum(cos, 0.0, out=cos)
-        g *= cos_in
-        np.copyto(g, 0.0, where=near)
-        for k, _, _, area in col_runs:
-            g[k] *= area
-        d2 *= math.pi
-        g /= d2
-        if boxes:
-            shape = (nr, c.size, 3)
-            src = np.broadcast_to(centres_r[:, None, :], shape)
-            dst = np.broadcast_to(grid.centres[c][None, :, :], shape)
-            blocked = _segments_blocked(boxes, src.reshape(-1, 3), dst.reshape(-1, 3))
-            np.copyto(g, 0.0, where=blocked.reshape(nr, c.size))
-        for r, _, rho, _ in row_runs:
-            g[r] *= rho
-    return geom, d
+    # pair vectors as separate x, y, z arrays; each sum adds (x + z) + y,
+    # the order einsum uses for a length-3 contraction
+    for out, cc, cr in zip((dx, dy, dz), grid.centres[cols].T, centres_r.T):
+        np.subtract(cc[None, :], cr[:, None], out=out)
+    np.multiply(dx, dx, out=d2)
+    d2 += np.multiply(dz, dz, out=tmp)
+    d2 += np.multiply(dy, dy, out=tmp)
+    # coincident pairs get a 1 m stand-in distance and zero weight
+    near = np.less_equal(d2, _EPS, out=s.get("near", shape, bool))
+    np.copyto(d2, 1.0, where=near)
+    np.sqrt(d2, out=d)
+    # `g` holds cos_out until it becomes geom
+    _dots(g, tmp, row_runs, (dx, dz, dy), (0, 2, 1), 1.0)
+    _dots(cos_in, tmp, col_runs, (dx, dz, dy), (0, 2, 1), -1.0)
+    # rho * max(cos_out, 0) * max(cos_in, 0) * area / (pi * d2)
+    for cos in (g, cos_in):
+        cos /= d
+        np.maximum(cos, 0.0, out=cos)
+    g *= cos_in
+    np.copyto(g, 0.0, where=near)
+    for k, _, _, area in col_runs:
+        g[k] *= area
+    d2 *= math.pi
+    g /= d2
+    if boxes:
+        src = np.broadcast_to(centres_r[:, None, :], (*shape, 3))
+        dst = np.broadcast_to(grid.centres[cols][None, :, :], (*shape, 3))
+        blocked = _segments_blocked(boxes, src.reshape(-1, 3), dst.reshape(-1, 3))
+        np.copyto(g, 0.0, where=blocked.reshape(shape))
+    for r, _, rho, _ in row_runs:
+        g[r] *= rho
+    return g, d
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 1 of an (L, rows, cols) array, each added in row
+    order.  numpy reduces a C-contiguous array row by row when its last
+    axis has two or more entries, but a single column by pairwise partial
+    sums, so one column is accumulated instead."""
+    if a.shape[2] > 1:
+        return np.add.reduce(a, axis=1)
+    return np.add.accumulate(a, axis=1)[:, -1]
+
+
+@dataclass
 class _Target:
     """One mount's share of a group's second-order trace."""
 
-    def __init__(self, pick, f3, d3, hist):
-        self.pick = pick      # its columns among the union's; None: all of them
-        self.f3 = f3          # final-hop weight of its columns
-        self.d3 = d3          # final-hop length of its columns
-        self.hist = hist      # (its columns, nbins)
-        self.total = 0.0      # reflected power onto its columns
-
-    def blocks(self) -> list:
-        """Its columns in runs of `_BLOCK`, each binned on its own."""
-        nc = self.f3.size
-        return [slice(c, min(c + _BLOCK, nc)) for c in range(0, nc, _BLOCK)]
-
-    def add(self, cols: slice, lo: int, counts: np.ndarray) -> None:
-        """Add one chunk's delay window of a block of its columns."""
-        window = self.hist[cols, lo:lo + counts.shape[1]]
-        np.add(window, counts, out=window)
+    pos: np.ndarray           # its columns' places among the union's
+    f3: np.ndarray            # final-hop weight of its columns
+    d3: np.ndarray            # final-hop length of its columns
+    hist: np.ndarray          # (its columns, nbins)
 
 
-def _mount_geom(s: _Scratch, t: _Target, geom, p1, rows, start, stop):
-    """A mount's columns of a chunk's `geom` (gathered when the mount has
-    not every column of the union) and the chunk's reflected power onto
-    them."""
-    if t.pick is not None:
-        nr, nu = geom.shape
-        geom = np.take(geom, t.pick, axis=1, mode="clip",
-                       out=s.picked(nr, nu, t.pick.size))
-    # for bounce accounting; unlit rows stay 0 so the dot products
-    # run over the same full chunk as with every row traced
-    row_reflected = np.zeros(stop - start)
-    row_reflected[rows - start] = geom.sum(axis=1)
-    total = 0.0
-    for li in range(len(p1)):
-        total += float(p1[li, start:stop] @ row_reflected)
-    return geom, total
+def _bin_block(s: _Scratch, t: _Target, hrows: slice, pick, pw, d, l1, nbins,
+               bin_width):
+    """Bin one chunk's pairs onto a mount's columns of one column block,
+    every luminaire in one `np.add.at` over the delay window they span,
+    and add that window into its histogram rows `hrows`.  `pw` is each
+    luminaire's incident power times `geom` and `d` the distance, over the
+    block's columns; `pick` selects the mount's among them (None: all).
 
-
-def _bin_block(s: _Scratch, t: _Target, cols: slice, geom, d, incident,
-               rows, nbins, bin_width):
-    """(lo, counts): one block of a mount's columns of a chunk, every
-    luminaire in one `np.add.at` into `s`'s zeroed counts, over the delay
-    window its pairs span.  `geom` is `_mount_geom`'s; `d` is the union's.
-
-    Like a `bincount`, `add.at` adds each weight into +0.0 in input order.
-    A cell only gets terms from its own column, so each cell's sum and the
-    order of its terms are those of a bincount over all the columns."""
-    p1, l1 = incident
-    (nr, nu), nc, nb = d.shape, t.f3.size, cols.stop - cols.start
-    gathered_d, length, w, flat = s.block(len(p1), nr, nu, nc, nb)
-    if t.pick is None:
-        d = d[:, cols]
+    Like a `bincount`, `add.at` adds each weight into +0.0 in input order,
+    here luminaire-then-row: a cell only gets terms from its own column,
+    so its sum and the order of its terms are those of a bincount over all
+    the columns."""
+    nl, nr, nc = pw.shape[0], pw.shape[1], hrows.stop - hrows.start
+    # zero weights are passed through: adding +0.0 leaves a cell's bits alone
+    w = s.get("w", (nl, nr, nc))
+    if pick is None:
+        np.multiply(pw, t.f3[hrows], out=w)
     else:
-        d = np.take(d, t.pick[cols], axis=1, mode="clip", out=gathered_d)
-    geom, f3, d3 = geom[:, cols], t.f3[cols], t.d3[cols]
-    # one buffer for all luminaires, luminaire-then-row-major: the
-    # order add.at adds each cell's terms in.  Zero weights are
-    # passed through, since adding +0.0 leaves a cell's bits alone.
-    for li in range(len(p1)):
-        wl = w[li]
-        np.multiply(p1[li, rows, None], geom, out=wl)
-        wl *= f3
-        np.add(l1[li, rows, None], d, out=length)
-        length += d3
-        # same expression as the point-arrival path: len/c/dt, cast to int64;
-        # lengths are sums of distances, never negative: truncation is a floor
-        length /= C_LIGHT
-        np.divide(length, bin_width, out=flat[li], casting="unsafe")
+        np.take(pw, pick, axis=2, mode="clip", out=w)
+        w *= t.f3[hrows]
+        d = np.take(d, pick, axis=1, mode="clip", out=s.get("d_pick", (nr, nc)))
+    length = np.add(l1, d, out=s.get("length", w.shape))
+    length += t.d3[hrows]
+    # same expression as the point-arrival path: len/c/dt, cast to int64;
+    # lengths are sums of distances, never negative: truncation is a floor
+    length /= C_LIGHT
+    flat = np.divide(length, bin_width, out=s.get("flat", w.shape, np.int64),
+                     casting="unsafe")
     lo, width, span = _delay_window(flat, nbins)
-    flat += np.arange(nb, dtype=np.int64) * width - lo
-    counts = s.counts(nb * width)
+    flat += np.arange(nc, dtype=np.int64) * width - lo
+    counts = s.get("counts", (nc * width,))
+    counts.fill(0.0)
     np.add.at(counts, flat.ravel(), w.ravel())
-    return lo, counts.reshape(nb, width)[:, :span]
+    window = t.hist[hrows, lo:lo + span]
+    window += counts.reshape(nc, width)[:, :span]
 
 
-class _Turns:
-    """Turns on the histogram blocks: chunk k adds into a block only after
-    chunk k - 1 has, so every cell gets its partial sums in chunk order.
-
-    Chunks are taken in order, each by a runner that traces it, so when
-    chunk k is taken every earlier chunk has been: a chunk only ever waits
-    for chunks that are being traced, and the earliest of them never waits."""
-
-    def __init__(self, n: int):
-        self._next = [0] * n
-        self._cond = threading.Condition()
-
-    @contextmanager
-    def turn(self, u: int, k: int):
-        with self._cond:
-            self._cond.wait_for(lambda: self._next[u] == k)
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._next[u] += 1
-                self._cond.notify_all()
+def _column_blocks(nu: int) -> list:
+    """The work units of a union of `nu` columns: runs of `_BLOCK`."""
+    return [slice(c, min(c + _BLOCK, nu)) for c in range(0, nu, _BLOCK)]
 
 
 def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
@@ -505,90 +426,86 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     i-th traced column in element order: the bits a group of that mount
     alone gives.
 
-    Each chunk's pair geometry is computed once, over the union of the
-    mounts' columns, then each mount's columns are gathered from it in
-    ascending order and binned as a lone trace bins them."""
-    ne = len(grid)
-    p1 = incident[0]
+    The work unit is a block of the union of the mounts' columns.  Its
+    runner walks the lit chunks of e1 rows in order, computes each chunk's
+    pair geometry over the block once, and bins every mount's columns of
+    it, so it is the only writer of those histogram rows: each cell gets
+    one partial sum per chunk, in chunk order, for any block width, unit
+    order or thread count.  The reflected power is summed the same way,
+    per column, then over a mount's columns."""
+    p1, l1 = incident
     ucols = np.flatnonzero(np.logical_or.reduce(traced))
-    nu = ucols.size
+    # chunks without a lit row contribute exactly zero: skip them
+    chunks = []
+    for start in range(0, len(grid), _CHUNK):
+        rows = start + np.flatnonzero(lit[start:start + _CHUNK])
+        if rows.size:
+            chunks.append((rows, grid.panel_runs(rows), p1[:, rows, None],
+                           l1[:, rows, None]))
     targets = []
     for (_, d3, f3), mask in zip(hops, traced):
-        pick = np.flatnonzero(mask[ucols])
-        cols = ucols[pick]
-        targets.append(_Target(None if pick.size == nu else pick, f3[cols],
-                               d3[cols], _mapped_zeros(cols.size, nbins)))
-    active = [t for t in targets if t.f3.size]
-    units = sum(len(t.blocks()) for t in active)
-    turns = _Turns(units)
-    nc_max = max((t.f3.size for t in active), default=0)
+        pos = np.flatnonzero(mask[ucols])
+        cols = ucols[pos]
+        targets.append(_Target(pos, f3[cols], d3[cols],
+                               _mapped_zeros(pos.size, nbins)))
+    reflected = np.zeros(ucols.size)   # per union column
 
-    def work(s, k, start):
-        """Trace chunk k with arena `s`, allocated in the `try` when None,
-        and return it: each block is added into its mount's histogram in
-        its turn, and the reflected power onto a mount in the turn of its
-        first block, so both are added in chunk order."""
-        stop = min(start + _CHUNK, ne)
-        rows = start + np.flatnonzero(lit[start:stop])
-        done = 0
-        try:
-            if s is None:
-                s = _Scratch(len(p1), nu, nc_max)
-            geom, d = _pair_geometry(s, rows, grid, ucols, boxes)
-            for t in active:
-                g, total = _mount_geom(s, t, geom, p1, rows, start, stop)
-                for cols in t.blocks():
-                    binned = _bin_block(s, t, cols, g, d, incident, rows,
-                                        nbins, bin_width)
-                    with turns.turn(done, k):
-                        done += 1
-                        t.add(cols, *binned)
-                        if cols.start == 0:
-                            t.total += total
-        finally:
-            # a failed chunk still passes on its turns, so no later chunk
-            # waits for it; its error reaches the caller through its runner
-            for u in range(done, units):
-                with turns.turn(u, k):
-                    pass
-        return s
+    def trace(s, block):
+        """Trace every lit chunk onto one block of the union's columns,
+        with work arrays `s`."""
+        cols = ucols[block]
+        col_runs = [((slice(None), k), *v) for k, *v in grid.panel_runs(cols)]
+        parts = []                     # (mount, its rows, pick) in the block
+        for t in targets:
+            a, b = np.searchsorted(t.pos, (block.start, block.stop)).tolist()
+            if a < b:
+                parts.append((t, slice(a, b), None if b - a == cols.size
+                              else t.pos[a:b] - block.start))
+        for rows, row_runs, p, l in chunks:
+            geom, d = _pair_geometry(s, grid, rows, row_runs, cols, col_runs,
+                                     boxes)
+            pw = np.multiply(p, geom, out=s.get("pw", (len(p), *geom.shape)))
+            # for bounce accounting: per luminaire, in chunk order
+            for sums in _column_sums(pw):
+                reflected[block] += sums
+            for part in parts:
+                _bin_block(s, *part, pw, d, l, nbins, bin_width)
 
-    # chunks without a lit row contribute exactly zero: skip them
-    starts = ([s for s in range(0, ne, _CHUNK) if lit[s:s + _CHUNK].any()]
-              if nu else [])
-    chunks, take = enumerate(starts), threading.Lock()
+    blocks = _column_blocks(ucols.size) if chunks else []
+    units, take = iter(blocks), threading.Lock()
 
     def run():
-        """Trace the next chunk until none is left; a runner that has not
-        taken a chunk holds no turn, so none can strand one."""
-        s = None
+        """Trace the next unit until none is left; a runner that takes none
+        allocates no work array."""
+        s = _Scratch()
         while True:
             with take:
-                k, start = next(chunks, (None, None))
-            if k is None:
+                block = next(units, None)
+            if block is None:
                 return
-            s = work(s, k, start)
+            trace(s, block)
 
-    # `threads` runners, the caller among them, and no more than lit chunks
+    # `threads` runners, the caller among them, and no more than units
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        helpers = [ex.submit(run) for _ in range(min(threads, len(starts)) - 1)]
+        helpers = [ex.submit(run) for _ in range(min(threads, len(blocks)) - 1)]
         run()
         for h in helpers:
             h.result()
 
-    rows_traced = int(lit.sum())
+    rows_traced, ne = int(lit.sum()), len(grid)
     out = []
     for t, mask, (u3, _, _) in zip(targets, traced, hops):
-        nc = t.f3.size
+        nc = t.pos.size
+        total = float(reflected[t.pos].sum())
         totals = {"first_bounce_coarse_w": float(p1.sum()),
                   "second_rows_traced": rows_traced,
                   "second_cols_traced": nc,
                   "second_pairs_evaluated": rows_traced * nc,
                   # reflected power onto the traced elements; it is the
                   # full coarse figure only when every element was traced
-                  "second_bounce_traced_w": t.total}
+                  "second_bounce_traced_w": total}
         if nc == ne:
-            totals["second_bounce_coarse_w"] = t.total
+            totals["second_bounce_coarse_w"] = total
         out.append((t.hist, mask, u3, totals))
     return out
 

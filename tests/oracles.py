@@ -340,7 +340,9 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
 
     Every e1 row of the coarse grid is traced, one luminaire at a time, and
     only pairs with positive weight are kept; chunks are reduced in order.
-    Returns (b2_hist, second_bounce_coarse_w).  Unlike the scalar oracles
+    Returns (b2_hist, second_bounce_coarse_w), the latter the sum over the
+    columns of each column's reflected power, itself added chunk by chunk,
+    luminaire by luminaire and row by row.  Unlike the scalar oracles
     above this shares the unchanged helpers (`_segments_blocked`,
     `_occluder_boxes`) with the tracer, because it is the bitwise reference
     for the kernel built on them; the incident power is
@@ -396,28 +398,30 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
                                   ).reshape(t12.shape),
                 0.0, t12)
         geom = rho[start:stop, None] * t12
-        row_reflected = geom.sum(axis=1)
-        flat_parts, w_parts = [], []
-        second_total = 0.0
+        flat_parts, w_parts, sums = [], [], []
         for li in range(len(lums)):
-            second_total += float(p1[li, start:stop] @ row_reflected)
-            w = p1[li, start:stop, None] * geom * f3[None, :]
+            pw = p1[li, start:stop, None] * geom
+            # reflected power onto each column, added row by row
+            sums.append(np.zeros(ne))
+            for row in pw:
+                sums[-1] += row
+            w = pw * f3[None, :]
             length = l1[li, start:stop, None] + d + d3[None, :]
             idx = np.floor(length / C_LIGHT / cfg.bin_width).astype(np.int64)
             flat = e2_base[None, :] + idx
             keep = w > 0.0
             flat_parts.append(flat[keep])
             w_parts.append(w[keep])
-        return (np.concatenate(flat_parts), np.concatenate(w_parts),
-                second_total)
+        return np.concatenate(flat_parts), np.concatenate(w_parts), sums
 
     hist_flat = np.zeros(ne * nbins)
-    second_total = 0.0
+    reflected = np.zeros(ne)
     for start in range(0, ne, chunk):
-        flat, w, tot = work(start)
+        flat, w, sums = work(start)
         hist_flat += np.bincount(flat, weights=w, minlength=hist_flat.size)
-        second_total += tot
-    return hist_flat.reshape(ne, nbins), second_total
+        for s in sums:
+            reflected += s
+    return hist_flat.reshape(ne, nbins), float(reflected.sum())
 
 
 def oracle_capture_matrix(receiver, directions):

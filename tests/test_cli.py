@@ -26,7 +26,7 @@ from owcsim.linkmetrics import link_report
 from owcsim.raytracer import (ImpulseResponse, _position_groups, compute_field,
                               trace_fields)
 from owcsim.receivers import make_adr, make_imaging, make_wfov
-from owcsim.scene import build_pod
+from owcsim.scene import Scene, build_pod
 
 REFERENCE = files("owcsim").joinpath("data/pod_reference.ini").read_text()
 
@@ -423,6 +423,29 @@ class TestCheck:
         assert rc == 1
         assert f"diagnostic: rack row 0: depth {float(depth)} is not" in out
         assert "3 diagnostics" in out
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 143. GiB for an array with shape (80000, 80000, 3) "
+         "and data type float64",
+         "error: out of memory: Unable to allocate 143. GiB for an array with "
+         "shape (80000, 80000, 3) and data type float64"),
+        ("", "error: out of memory")], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys,
+                                             monkeypatch, message, line):
+        # `first_edge_m = 1e-4` asks numpy for 143 GiB while the scene is
+        # discretized; the stand-in raises before anything is allocated
+        def exhausted(self, element_edge):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(Scene, "surface_elements", exhausted)
+        cfg_path = tmp_path / "huge.ini"
+        cfg_path.write_text(REFERENCE.replace("first_edge_m = 0.05",
+                                              "first_edge_m = 1e-4"))
+        rc = main(["check", "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err == line + "\n"
+        assert "0 diagnostics" in out
 
     def test_missing_config_file(self, capsys):
         rc = main(["check", "--config", "/nonexistent/x.ini"])

@@ -438,7 +438,8 @@ def sub_metre_scene():
 
 @pytest.fixture
 def windows(monkeypatch):
-    """Every chunk's (lo, width, span, nbins) delay window, in call order."""
+    """The (lo, width, span, nbins) delay window of every chunk binned onto
+    a mount's columns of a column block, in call order."""
     seen = []
     window = raytracer._delay_window
 
@@ -568,7 +569,7 @@ class TestSecondOrderKernel:
              mount=(1.0, 1.2, 1.5))
     def test_panel_runs_across_chunks_and_blocks(self, edge, rho, tilt, lum,
                                                  mount):
-        """Bit-equal to the reference loop where chunks and 256-column blocks
+        """Bit-equal to the reference loop where chunks and column blocks
         hold runs of several panels: a box room, two adjacent floor panels
         with one normal and different reflectances and element areas, and
         tilted panels with three and with exactly two non-zero terms."""
@@ -588,10 +589,12 @@ class TestSecondOrderKernel:
                 assert a.tobytes() == b.tobytes()
         # past the first, some column block (every column is traced) and
         # the lit rows of some chunk span two panels or more
-        n = raytracer._CHUNK
-        assert len(grid) > n == raytracer._BLOCK
+        n, w = raytracer._CHUNK, raytracer._BLOCK
+        assert len(grid) > n > w
         panel = np.searchsorted(grid.starts, np.arange(len(grid)), side="right")
         lit = incident[0].any(axis=0)
+        assert any(np.unique(panel[s:s + w]).size > 1
+                   for s in range(w, len(grid), w))
         assert any(np.unique(panel[s:s + n]).size > 1
                    and np.unique(panel[s:s + n][lit[s:s + n]]).size > 1
                    for s in range(n, len(grid), n))
@@ -658,19 +661,31 @@ class TestSecondOrderKernel:
         # puts them in it, every other pair in bin 0
         (sub_metre_scene, 0.9, (0, 2, 2, 2)),
     ], ids=["from-bin-0", "one-bin", "to-last-bin"])
-    def test_window_edges(self, windows, scene, reach, window):
-        """A chunk is binned over the delay window its own bins span;
-        `reach` is the bin width in metres of light travel."""
+    def test_window_edges(self, monkeypatch, windows, scene, reach, window):
+        """A chunk is binned onto each column block over the delay window
+        that block's own bins span; `reach` is the bin width in metres of
+        light travel.  Narrower blocks split the window, not the bits."""
         scene = scene()
         mount = scene.mounts[0]
         cfg = TraceConfig(first_edge=0.1, second_edge=0.1,
                           bin_width=reach / C_LIGHT)
         field = compute_field(scene, (0,), mount, cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
+        ne = len(scene.surface_elements(cfg.second_edge))
+        assert ne <= raytracer._BLOCK
         assert windows == [window]
         assert hist.any()
         assert field.b2_hist.tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
+        windows.clear()
+        monkeypatch.setattr(raytracer, "_BLOCK", 64)
+        split = compute_field(scene, (0,), mount, cfg)
+        lo, _, span, nbins = window
+        assert len(windows) == -(-ne // 64)
+        assert min(w[0] for w in windows) == lo
+        assert max(w[0] + w[2] for w in windows) == lo + span
+        assert {w[3] for w in windows} == {nbins}
+        assert_same_field(split, field)
 
     def test_chunk_wholly_past_the_end(self, windows):
         # one floor element: its only pair is coincident, and the stand-in
@@ -690,17 +705,81 @@ class TestSecondOrderKernel:
         assert field.b2_hist.tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w == 0.0
 
-    def test_counts_are_zeroed_and_grow_to_the_largest_request(self):
-        """A runner bins every block into one buffer, zeroed for each block
-        and grown only when a block's window needs more."""
-        s = raytracer._Scratch(3, 10, 10)
-        first = s.counts(6)
-        first[:] = 1.0
-        again = s.counts(4)
-        assert again.tobytes() == bytes(32) and np.shares_memory(first, again)
-        grown = s.counts(9)
-        assert grown.tobytes() == bytes(72) and not np.shares_memory(first, grown)
-        assert np.shares_memory(grown, s.counts(2))
+    @pytest.mark.parametrize("occlusion", [False, True],
+                             ids=["racks-clear", "racks-occluding"])
+    def test_bits_do_not_depend_on_the_partition(self, monkeypatch, occlusion):
+        """The same histograms and totals for any column-block width, unit
+        order and thread count, and those of the reference loop: each
+        histogram row has one writer, and every cell and column sum gets
+        its terms in one order.  A width of `ne - 1` leaves a last block of
+        a single column; a group of three positions covers blocks that
+        hold only some of a position's columns."""
+        pod, cfg = coarse_pod(occlusion), TraceConfig(**COARSE)
+        mount = pod.mounts[1]
+        ids = pod.assigned_luminaires(mount)
+        hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
+        ne = len(pod.surface_elements(cfg.second_edge))
+        blocks = raytracer._column_blocks
+        runs = []
+        for width, reverse, threads in itertools.product(
+                (8, 64, raytracer._BLOCK, ne - 1), (False, True), (1, 4)):
+            with monkeypatch.context() as m:
+                m.setattr(raytracer, "_BLOCK", width)
+                if reverse:
+                    m.setattr(raytracer, "_column_blocks",
+                              lambda nu: blocks(nu)[::-1])
+                field = compute_field(pod, ids, mount, cfg, threads=threads)
+                group = traced_fields([0, 6, 12], threads, occlusion)
+            assert field.b2_hist.tobytes() == hist.tobytes()
+            assert field.totals["second_bounce_coarse_w"] == second_w
+            runs.append((field, *group))
+        for run in runs[1:]:
+            for a, b in zip(run, runs[0]):
+                assert_same_field(a, b)
+
+    def test_counts_are_zeroed_and_grow_to_the_largest_request(self,
+                                                                monkeypatch):
+        """A runner keeps each work array by name: a request no larger than
+        the largest so far shares its memory, a larger one grows it to at
+        least twice.  Every array is written before it is read, the counts
+        zeroed for each block: with every request handed out with all its
+        bytes set (NaN, -1, True), the fields are still the reference's."""
+        s = raytracer._Scratch()
+        first = s.get("counts", (6,))
+        assert np.shares_memory(first, s.get("counts", (2, 3)))
+        grown = s.get("counts", (9,))
+        assert not np.shares_memory(first, grown)
+        assert np.shares_memory(grown, s.get("counts", (3, 4)))
+        assert not np.shares_memory(grown, s.get("counts", (13,)))
+        assert s.get("flat", (2, 2), np.int64).dtype == np.int64
+        get = raytracer._Scratch.get
+
+        def poisoned(self, *args):
+            out = get(self, *args)
+            out.view(np.uint8).fill(0xFF)
+            return out
+
+        monkeypatch.setattr(raytracer._Scratch, "get", poisoned)
+        pod, cfg = coarse_pod(False), TraceConfig(**COARSE)
+        ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
+        field = compute_field(pod, ids, mount, cfg, threads=2)
+        hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
+        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.totals["second_bounce_coarse_w"] == second_w
+        kinds = tuple(sorted(MAKERS))
+        for k, grouped in zip((0, 6, 12), traced_fields([0, 6, 12], 2)):
+            assert_same_field(grouped, lone_field(False, SWEEP_YS[k], kinds))
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 9])
+    def test_column_sums_add_in_row_order(self, cols):
+        # numpy sums a single column pairwise, several row by row; either
+        # way each column's sum must be its rows added in order
+        rng = np.random.default_rng(cols)
+        a = rng.random((3, 200, cols)) * rng.random((1, 200, 1)) ** 8
+        want = np.zeros((3, cols))
+        for row in a.transpose(1, 0, 2):
+            want += row
+        assert raytracer._column_sums(a).tobytes() == want.tobytes()
 
     def test_unlit_ceiling_rows_are_not_traced(self):
         # the luminaires sit in the ceiling plane (cos = 0 to every ceiling
@@ -715,12 +794,13 @@ class TestSecondOrderKernel:
 
     def test_thread_stress_matches_one_thread(self, monkeypatch):
         # more threads than cores, a short switch interval and many small
-        # chunks taken by four runners must still give the bits of one
-        # thread, and every helper must be done and read
+        # chunks and column blocks taken by four runners must still give
+        # the bits of one thread, and every helper must be done and read
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[2]), pod.mounts[2]
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
+        monkeypatch.setattr(raytracer, "_BLOCK", 48)
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
         serial = compute_field(pod, ids, mount, cfg, threads=1)
         field, errors = run_stressed(
@@ -730,9 +810,10 @@ class TestSecondOrderKernel:
         assert (field.totals["second_bounce_coarse_w"]
                 == serial.totals["second_bounce_coarse_w"])
         ex = RecordingExecutor.last
-        lit_chunks = lit_chunk_count(pod, ids, 32)
-        assert lit_chunks > 2 * 4
-        assert len(ex.futures) == min(4, lit_chunks) - 1
+        assert lit_chunk_count(pod, ids, 32) > 2 * 4
+        blocks = -(-len(pod.surface_elements(0.4)) // 48)
+        assert blocks > 2 * 4
+        assert len(ex.futures) == 4 - 1
         assert all(f.done() for f in ex.futures)
         assert ex.read == {id(f) for f in ex.futures}
 
@@ -760,19 +841,18 @@ class TestSecondOrderKernel:
         compute_field(pod, ids, mount, cfg, threads=2)
         assert len(RecordingExecutor.last.futures) == 1
 
-    def test_helpers_are_capped_at_the_lit_chunks(self, monkeypatch):
-        # a thread count far above the lit chunks starts one runner per
-        # lit chunk, the caller among them, and gives the bits of one thread
-        monkeypatch.setattr(raytracer, "_CHUNK", 32)
+    def test_helpers_are_capped_at_the_column_blocks(self, monkeypatch):
+        # a thread count far above the column blocks starts one runner per
+        # block, the caller among them, and gives the bits of one thread
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[0]), pod.mounts[0]
         serial = compute_field(pod, ids, mount, cfg, threads=1)
         field = compute_field(pod, ids, mount, cfg, threads=64)
-        lit_chunks = lit_chunk_count(pod, ids, 32)
-        assert 1 < lit_chunks < 64
-        assert len(RecordingExecutor.last.futures) == min(64, lit_chunks) - 1
+        blocks = -(-len(pod.surface_elements(0.4)) // raytracer._BLOCK)
+        assert 1 < blocks < 64
+        assert len(RecordingExecutor.last.futures) == blocks - 1
         assert_same_field(field, serial)
 
     def test_no_traced_column_runs_no_chunk(self, monkeypatch):
@@ -969,7 +1049,8 @@ class TestPositionGroups:
 
     def test_shared_work_is_done_once(self, monkeypatch):
         # the set's incident power once per grid (both orders use the 0.4 m
-        # grid here) and each lit chunk's pair geometry once, over the union
+        # grid here) and the pair geometry of each lit chunk and each block
+        # of the union's columns once
         calls = {"incident": 0, "pairs": []}
         incident, pairs = raytracer._incident_power, raytracer._pair_geometry
 
@@ -977,40 +1058,49 @@ class TestPositionGroups:
             calls["incident"] += 1
             return incident(*args)
 
-        def count_pairs(s, rows, grid, cols, boxes):
-            calls["pairs"].append(cols.size)
-            return pairs(s, rows, grid, cols, boxes)
+        def count_pairs(s, grid, rows, row_runs, cols, col_runs, boxes):
+            calls["pairs"].append((int(rows[0]) // raytracer._CHUNK,
+                                   tuple(cols.tolist())))
+            return pairs(s, grid, rows, row_runs, cols, col_runs, boxes)
 
         monkeypatch.setattr(raytracer, "_incident_power", count_incident)
         monkeypatch.setattr(raytracer, "_pair_geometry", count_pairs)
         fields = traced_fields([0, 4, 8, 12], threads=2)
-        lit_chunks = lit_chunk_count(coarse_pod(False), (3, 4, 5), raytracer._CHUNK)
-        union = np.logical_or.reduce([f.b2_traced for f in fields])
+        pod = coarse_pod(False)
+        lit = _incident_power([pod.luminaires[i] for i in (3, 4, 5)],
+                              pod.surface_elements(0.4), [])[0].any(axis=0)
+        chunks = {r // raytracer._CHUNK for r in np.flatnonzero(lit).tolist()}
+        union = np.flatnonzero(np.logical_or.reduce([f.b2_traced for f in fields]))
+        blocks = raytracer._column_blocks(union.size)
         assert calls["incident"] == 1
-        assert calls["pairs"] == [int(union.sum())] * lit_chunks
+        assert len(blocks) > 1 and len(chunks) == lit_chunk_count(
+            pod, (3, 4, 5), raytracer._CHUNK) > 1
+        assert sorted(calls["pairs"]) == sorted(
+            (k, tuple(union[b].tolist())) for k in chunks for b in blocks)
         # traced one at a time, the positions take more pair geometry
-        assert sum(f.totals["second_cols_traced"] for f in fields) > union.sum()
+        assert sum(f.totals["second_cols_traced"] for f in fields) > union.size
 
     @pytest.mark.parametrize("where, threads", [
         ("binning", 4), ("reduction", 4), ("binning", 1), ("reduction", 1)],
         ids=["binning", "reduction", "binning-1-thread", "reduction-1-thread"])
     def test_failing_chunk_propagates_without_hang(self, monkeypatch, where,
                                                    threads):
-        # one chunk raises, before its turn or while it holds one; the error
-        # must reach the caller, and no worker may wait for it forever
+        # one chunk of one column block raises, while it is binned or while
+        # its reflected power is summed; the error must reach the caller,
+        # and every runner must still come to its end
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
+        monkeypatch.setattr(raytracer, "_BLOCK", 24)
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
         calls = itertools.count()
-        name, owner = (("_delay_window", raytracer) if where == "binning"
-                       else ("add", raytracer._Target))
-        real = getattr(owner, name)
+        name = "_delay_window" if where == "binning" else "_column_sums"
+        real = getattr(raytracer, name)
 
         def failing(*args):
             if next(calls) == 10:
                 raise RuntimeError("chunk failed")
             return real(*args)
 
-        monkeypatch.setattr(owner, name, failing)
+        monkeypatch.setattr(raytracer, name, failing)
         RecordingExecutor.last = None
         _, errors = run_stressed(
             lambda: traced_fields([0, 6, 12], threads=threads))
@@ -1018,16 +1108,16 @@ class TestPositionGroups:
         ex = RecordingExecutor.last
         assert lit_chunk_count(coarse_pod(False), (3, 4, 5), 32) > 2 * 4
         assert len(ex.futures) == threads - 1
-        # every runner ran to its end: none was cancelled, and none holds
-        # a turn that a chunk of another runner waits for
+        # every runner ran to its end: none was cancelled
         assert all(f.done() and not f.cancelled() for f in ex.futures)
 
     def test_thread_stress_matches_one_thread(self, monkeypatch):
-        # the group's turns under more threads than cores, a short switch
-        # interval and many small chunks taken by four runners: the bits
-        # of one thread, and every helper done and read
+        # a group under more threads than cores, a short switch interval
+        # and many small chunks and column blocks taken by four runners:
+        # the bits of one thread, and every helper done and read
         picks = [1, 5, 9, 12]
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
+        monkeypatch.setattr(raytracer, "_BLOCK", 24)
         serial = traced_fields(picks, threads=1)
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
         fields, errors = run_stressed(lambda: traced_fields(picks, threads=4))
@@ -1035,9 +1125,10 @@ class TestPositionGroups:
         for field, want in zip(fields, serial):
             assert_same_field(field, want)
         ex = RecordingExecutor.last
-        lit_chunks = lit_chunk_count(coarse_pod(False), (3, 4, 5), 32)
-        assert lit_chunks > 2 * 4
-        assert len(ex.futures) == min(4, lit_chunks) - 1
+        assert lit_chunk_count(coarse_pod(False), (3, 4, 5), 32) > 2 * 4
+        union = np.logical_or.reduce([f.b2_traced for f in fields])
+        assert len(raytracer._column_blocks(int(union.sum()))) > 2 * 4
+        assert len(ex.futures) == 4 - 1
         assert all(f.done() for f in ex.futures)
         assert ex.read == {id(f) for f in ex.futures}
 
