@@ -20,23 +20,27 @@ sweep's positions along one row) as one group of at most `_GROUP_CAP`;
 computes the set's incident power on both grids once, and the pair
 geometry once, over the union of the second-bounce columns its mounts
 trace; each mount bins its own columns of it as a lone trace does.  Each
-mount's histogram is its own anonymous mapping, 14-15 MB at the reference
-mounts, which goes back to the OS as soon as that mount's field is
-dropped; the group lets go of its incident power once its last field is
-out.  `simulate`'s mounts each have their own set and share nothing.
+mount's histogram is a `HistRuns`: only its 256-bin runs that hold a
+non-zero value, packed in its own anonymous mapping (6.6-7.3 of the
+dense 14-15 MB at the reference mounts), which goes back to the OS as
+soon as that mount's field is dropped; the group lets go of its incident
+power once its last field is out.  `simulate`'s mounts each have their
+own set and share nothing.
 
 Second-order work is split into blocks of `_BLOCK` union columns.  A
 runner takes the next block and walks the chunks of `_CHUNK` first-bounce
 (e1) rows of the coarse grid in order, skipping rows that receive no
 power; it computes the chunk's pair geometry over the block, bins each
 mount's columns of it, every luminaire in one pass, over only the delay
-window their paths span, and adds that window into the mount's
-histogram.  Only that runner writes those histogram rows, so every cell
-gets the same per-chunk partial sums in chunk order for any block width,
-unit order or thread count.  N threads are the calling thread and N - 1
-helpers, never more than there are blocks.  The caller traces rather
-than waits: on a 1-worker pool the 1-thread simulate-all peak RSS rose
-from 99 to 117 MB, mostly the worker's own glibc malloc arena.
+window their paths span, and adds that window into the block's
+accumulator of those histogram rows.  Only that runner writes those
+rows, so every cell gets the same per-chunk partial sums in chunk order
+for any block width, unit order or thread count; once the block is done
+the runner keeps the rows' non-zero runs and drops the accumulator.  N
+threads are the calling thread and N - 1 helpers, never more than there
+are blocks.  The caller traces rather than waits: on a 1-worker pool the
+1-thread simulate-all peak RSS rose from 99 to 117 MB, mostly the
+worker's own glibc malloc arena.
 
 Point arrivals keep an index into a table of distinct arrival directions,
 so a receiver's gains are computed once per direction, not once per
@@ -50,6 +54,7 @@ responses of those receivers are bit-identical to a full trace.
 
 from __future__ import annotations
 
+import bisect
 import math
 import mmap
 import threading
@@ -69,13 +74,14 @@ _EPS = 1e-12
 # adds the element axis into y in aligned groups of 4 or 8; an all-zero
 # group adds +0.0, so dropping whole 8-aligned blocks keeps every bit.
 _GEMV_BLOCK = 8
-# Delay bins per step of that gemv, which bounds the rows it gathers.
+# Delay bins per step of that gemv, which bounds the rows it gathers, and
+# per run of a second-order histogram that a `HistRuns` keeps or drops.
 _GEMV_BINS = 256
 # Union columns per second-order work unit: bounds its work arrays, not
 # the bits (every pair and histogram row is its own).
 _BLOCK = 128
 # Mounts traced together at most: a group holds all their histograms at
-# once (14-15 MB each at a reference mount).
+# once (6.6-7.3 MB of kept runs each at a reference mount).
 _GROUP_CAP = 4
 
 
@@ -369,16 +375,18 @@ class _Target:
     pos: np.ndarray           # its columns' places among the union's
     f3: np.ndarray            # final-hop weight of its columns
     d3: np.ndarray            # final-hop length of its columns
-    hist: np.ndarray          # (its columns, nbins)
+    hist: HistRuns            # (its columns, nbins)
 
 
-def _bin_block(s: _Scratch, t: _Target, hrows: slice, pick, pw, d, l1, nbins,
-               bin_width):
+def _bin_block(s: _Scratch, t: _Target, hrows: slice, pick, acc, pw, d, l1,
+               nbins, bin_width):
     """Bin one chunk's pairs onto a mount's columns of one column block,
     every luminaire in one `np.add.at` over the delay window they span,
-    and add that window into its histogram rows `hrows`.  `pw` is each
-    luminaire's incident power times `geom` and `d` the distance, over the
-    block's columns; `pick` selects the mount's among them (None: all).
+    and add that window into `acc`, the block's accumulator of its
+    histogram rows `hrows`; returns the window's bins [lo, hi) that lie in
+    the histogram.  `pw` is each luminaire's incident power times `geom`
+    and `d` the distance, over the block's columns; `pick` selects the
+    mount's among them (None: all).
 
     Like a `bincount`, `add.at` adds each weight into +0.0 in input order,
     here luminaire-then-row: a cell only gets terms from its own column,
@@ -405,8 +413,9 @@ def _bin_block(s: _Scratch, t: _Target, hrows: slice, pick, pw, d, l1, nbins,
     counts = s.get("counts", (nc * width,))
     counts.fill(0.0)
     np.add.at(counts, flat.ravel(), w.ravel())
-    window = t.hist[hrows, lo:lo + span]
+    window = acc[:, lo:lo + span]
     window += counts.reshape(nc, width)[:, :span]
+    return lo, lo + span
 
 
 def _column_blocks(nu: int) -> list:
@@ -421,18 +430,20 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
 
     `incident` is `_incident_power` of the set on `grid`, `lit` its lit
     rows; `hops` and `traced` hold each mount's `_final_hop` and traced e2
-    columns.  Returns one (hist (traced columns, nbins), traced columns,
-    arrival directions `u3`, totals) per mount, row i of `hist` being its
-    i-th traced column in element order: the bits a group of that mount
-    alone gives.
+    columns.  Returns one (hist, traced columns, arrival directions `u3`,
+    totals) per mount, `hist` a `HistRuns` of (traced columns, nbins)
+    whose row i is its i-th traced column in element order: the bits a
+    group of that mount alone gives.
 
     The work unit is a block of the union of the mounts' columns.  Its
     runner walks the lit chunks of e1 rows in order, computes each chunk's
     pair geometry over the block once, and bins every mount's columns of
-    it, so it is the only writer of those histogram rows: each cell gets
-    one partial sum per chunk, in chunk order, for any block width, unit
-    order or thread count.  The reflected power is summed the same way,
-    per column, then over a mount's columns."""
+    it into an accumulator of their own, so it is the only writer of those
+    histogram rows: each cell gets one partial sum per chunk, in chunk
+    order, for any block width, unit order or thread count.  Once the
+    block is done, the runner keeps the accumulator's runs that hold a
+    non-zero value (`HistRuns.keep`) and drops it.  The reflected power is
+    summed the same way, per column, then over a mount's columns."""
     p1, l1 = incident
     ucols = np.flatnonzero(np.logical_or.reduce(traced))
     # chunks without a lit row contribute exactly zero: skip them
@@ -447,7 +458,7 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
         pos = np.flatnonzero(mask[ucols])
         cols = ucols[pos]
         targets.append(_Target(pos, f3[cols], d3[cols],
-                               _mapped_zeros(pos.size, nbins)))
+                               HistRuns(pos.size, nbins)))
     reflected = np.zeros(ucols.size)   # per union column
 
     def trace(s, block):
@@ -455,12 +466,16 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
         with work arrays `s`."""
         cols = ucols[block]
         col_runs = [((slice(None), k), *v) for k, *v in grid.panel_runs(cols)]
-        parts = []                     # (mount, its rows, pick) in the block
+        # (mount, its rows, pick, accumulator) in the block, and the bins
+        # [lo, hi) its windows cover, empty while lo >= hi
+        parts, bands = [], []
         for t in targets:
             a, b = np.searchsorted(t.pos, (block.start, block.stop)).tolist()
             if a < b:
                 parts.append((t, slice(a, b), None if b - a == cols.size
-                              else t.pos[a:b] - block.start))
+                              else t.pos[a:b] - block.start,
+                              _mapped_zeros(b - a, nbins)))
+                bands.append((nbins, 0))
         for rows, row_runs, p, l in chunks:
             geom, d = _pair_geometry(s, grid, rows, row_runs, cols, col_runs,
                                      boxes)
@@ -468,8 +483,12 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
             # for bounce accounting: per luminaire, in chunk order
             for sums in _column_sums(pw):
                 reflected[block] += sums
-            for part in parts:
-                _bin_block(s, *part, pw, d, l, nbins, bin_width)
+            for k, part in enumerate(parts):
+                lo, hi = _bin_block(s, *part, pw, d, l, nbins, bin_width)
+                if lo < hi:
+                    bands[k] = min(bands[k][0], lo), max(bands[k][1], hi)
+        for (t, hrows, _, acc), band in zip(parts, bands):
+            t.hist.keep(hrows, acc, band, take)
 
     blocks = _column_blocks(ucols.size) if chunks else []
     units, take = iter(blocks), threading.Lock()
@@ -513,15 +532,73 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
 def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
     """A zeroed (rows, cols) float64 array in its own anonymous mapping.
 
-    Its pages stay unmapped zeros until a window reaches them, and the
-    mapping goes back to the OS as soon as the last array viewing it is
-    dropped, so each mount's histogram leaves with its own field.  Freed
-    histograms on the heap stayed resident and raised later peaks (at 1
-    thread: simulate-all 121 MB against 107 MB; a 13-position sweep, one
-    array per position, 181 MB against 153 MB)."""
+    Its pages stay unmapped zeros until they are touched, reading included
+    (the mapping is shared), and the mapping goes back to the OS as soon
+    as the last array viewing it is dropped: a block's accumulators leave
+    with the block, each mount's `HistRuns` pool with its own field.
+    Freed histograms on the heap stayed resident and raised later peaks
+    (at 1 thread: simulate-all 121 MB against 107 MB; a 13-position
+    sweep, one array per position, 181 MB against 153 MB)."""
     cells = rows * cols
     mapped = mmap.mmap(-1, max(8 * cells, mmap.PAGESIZE))
     return np.frombuffer(mapped, dtype=np.float64)[:cells].reshape(rows, cols)
+
+
+class HistRuns:
+    """A (rows, nbins) float64 second-order histogram, kept as the runs of
+    its rows that hold a non-zero value.
+
+    The runs are `block_slices(nbins, _GEMV_BINS)`, the steps of the
+    second-order gemv.  Run j of row r is `pool[slots[r, j], :width]`,
+    `width` that run's; pool run 0 is all zeros, and every run that holds
+    no non-zero value points at it.  The pool is one `_mapped_zeros`
+    mapping with room for every run, of which only the runs kept, packed
+    from run 1 on, are ever touched.  Which pool run a run lands in
+    depends on the order in which blocks finish, its values do not:
+    compare histograms through `toarray`."""
+
+    def __init__(self, rows: int, nbins: int):
+        self.shape = (rows, nbins)
+        self.runs = block_slices(nbins, _GEMV_BINS)
+        self.slots = np.zeros((rows, len(self.runs)), dtype=np.intp)
+        self.pool = _mapped_zeros(1 + self.slots.size,
+                                  max(b.stop - b.start for b in self.runs))
+        self.used = 0             # pool runs kept, after run 0
+
+    def keep(self, rows: slice, acc: np.ndarray, band, lock) -> None:
+        """Keep the runs of `acc`, the values of rows `rows`, that hold a
+        non-zero value.  `acc` is +0.0 outside its bins [lo, hi) = `band`,
+        the only ones read; the runs' pool slots are reserved under
+        `lock`, and only `rows` of the slot table are written."""
+        lo, hi = band
+        if lo >= hi:
+            return
+        starts = [b.start for b in self.runs]
+        # the runs [j0, j1) that meet the band, each cut to it
+        j0 = bisect.bisect_right(starts, lo) - 1
+        j1 = bisect.bisect_left(starts, hi)
+        cuts = [(max(lo, b.start), min(hi, b.stop), b.start)
+                for b in self.runs[j0:j1]]
+        held = np.logical_or.reduceat(acc[:, lo:hi] != 0.0,
+                                      [a - lo for a, _, _ in cuts], axis=1)
+        n = int(held.sum())
+        with lock:
+            first = self.used + 1
+            self.used += n
+        slots = np.zeros(held.shape, dtype=np.intp)
+        slots[held] = np.arange(first, first + n)
+        self.slots[rows, j0:j1] = slots
+        # a kept run's bins outside the band stay the pool's +0.0
+        for k, (a, z, start) in enumerate(cuts):
+            r = np.flatnonzero(held[:, k])
+            self.pool[slots[r, k], a - start:z - start] = acc[r, a:z]
+
+    def toarray(self) -> np.ndarray:
+        """The dense (rows, nbins) histogram."""
+        out = np.empty(self.shape)
+        for j, b in enumerate(self.runs):
+            out[:, b] = self.pool[self.slots[:, j], :b.stop - b.start]
+        return out
 
 
 def _delay_window(bins: np.ndarray, nbins: int):
@@ -566,7 +643,7 @@ class ArrivalField:
     point_idx: np.ndarray     # (P,) delay bin
     point_dir: np.ndarray     # (P,) row of dir_table
     dir_table: np.ndarray     # (D, 3) distinct propagation directions
-    b2_hist: np.ndarray | None    # (traced, nbins) W; None below order 2
+    b2_hist: HistRuns | None      # (traced, nbins) W; None below order 2
     b2_dirs: np.ndarray | None    # (ne, 3)
     b2_traced: np.ndarray | None  # (ne,) bool, the elements with a b2_hist row
     totals: dict              # traced power and work, by name
@@ -636,20 +713,26 @@ def _arrival_capture(receiver: ReceiverSpec, dirs: np.ndarray,
     return branch[entry], arrival, weight[entry]
 
 
-def _second_order_bins(acc: np.ndarray, hist: np.ndarray, traced: np.ndarray):
+def _second_order_bins(acc: np.ndarray, hist: HistRuns, traced: np.ndarray):
     """(nb, nbins): each branch's `acc[j] @ full`, `full` being the (ne,
     nbins) histogram with `hist`'s rows at the `traced` elements and 0.0
     elsewhere, by a gemv over only the `_GEMV_BLOCK`-element blocks the
-    branch weighs, `_GEMV_BINS` bins at a time (`block_slices`).  An
-    untraced element in such a block has weight 0.0 (`_b2_capture`), so
-    it may read any traced row: 0.0 times a finite value >= 0 adds +0.0."""
+    branch weighs, one run of `hist` at a time.  An untraced element in
+    such a block has weight 0.0 (`_b2_capture`), so it may read any
+    traced row: 0.0 times a finite value >= 0 adds +0.0.  A run that
+    every weighed row holds as zeros is +0.0 without a gemv: each of its
+    products is +-0.0, and a gemv with beta 0 sums them into +0.0."""
     rows = _weighed_rows(acc)
     hist_row = np.maximum(np.cumsum(traced) - 1, 0)
     out = np.empty((len(acc), hist.shape[1]))
     for a, r, o in zip(acc, rows, out):
-        a, r = a[r], hist_row[r]
-        for b in block_slices(hist.shape[1], _GEMV_BINS):
-            np.matmul(a, hist[r, b], out=o[b])
+        a, slots = a[r], hist.slots[hist_row[r]]
+        for j, b in enumerate(hist.runs):
+            s = slots[:, j]
+            if s.any():
+                np.matmul(a, hist.pool[s, :b.stop - b.start], out=o[b])
+            else:
+                o[b] = 0.0
     return out
 
 

@@ -456,7 +456,7 @@ def oracle_receiver_irs(field, receiver):
     list of bin arrays."""
     if field.b2_hist is not None:
         full = np.zeros((field.b2_traced.size, field.nbins))
-        full[field.b2_traced] = field.b2_hist
+        full[field.b2_traced] = field.b2_hist.toarray()
 
     def assemble(acc_point, acc_b2):
         bins = np.bincount(field.point_idx, weights=acc_point * field.point_flux,

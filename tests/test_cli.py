@@ -1,6 +1,7 @@
 import configparser
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -589,14 +590,15 @@ class TestReceiverCulledOutputs:
         fields = dict(kv.split("=") for kv in lines[0].split() if "=" in kv)
         assert int(fields["pairs"]) == int(fields["rows"]) * int(fields["cols"])
         assert 0 < int(fields["cols"]) < 1400
-        # one histogram byte figure: the traced rows the field holds
+        # one histogram byte figure: the traced rows' dense bytes, a bound
+        # on what the field keeps of them
         assert set(fields) == {"rows", "cols", "pairs", "histogram_bytes"}
         cfg = parse_config(coarse_second_order_config())
         pod = build_pod(cfg.pod)
         mount = pod.mounts[0]
         field = compute_field(pod, pod.assigned_luminaires(mount), mount,
                               cfg.trace, receivers=[make_wfov()])
-        assert int(fields["histogram_bytes"]) == field.b2_hist.nbytes
+        assert int(fields["histogram_bytes"]) == 8 * math.prod(field.b2_hist.shape)
 
 
     def test_check_reports_sweep_groups(self, tmp_path, capsys):
@@ -623,7 +625,8 @@ class TestReceiverCulledOutputs:
             union = int(np.logical_or.reduce([f.b2_traced for f in traced]).sum())
             cols += union
             pairs += traced[0].totals["second_rows_traced"] * union
-            held = max(held, sum(f.b2_hist.nbytes for f in traced))
+            held = max(held, sum(8 * math.prod(f.b2_hist.shape)
+                                 for f in traced))
         assert fields == {"positions": 7, "groups": 2, "union_cols": cols,
                           "pairs": pairs, "group_histogram_bytes": held}
 

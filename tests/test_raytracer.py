@@ -18,6 +18,7 @@ from owcsim.linkmetrics import link_report
 from owcsim.raytracer import (
     C_LIGHT,
     ArrivalField,
+    HistRuns,
     ImpulseResponse,
     TraceConfig,
     _GEMV_BINS,
@@ -33,8 +34,8 @@ from owcsim.raytracer import (
     compute_field,
     trace_fields,
 )
-from owcsim.receivers import (DetectorSpec, ReceiverSpec, capture_matrix, make_adr,
-                              make_imaging, make_wfov)
+from owcsim.receivers import (DetectorSpec, ReceiverSpec, block_slices,
+                              capture_matrix, make_adr, make_imaging, make_wfov)
 from owcsim.scene import (
     Luminaire,
     PodConfig,
@@ -531,7 +532,7 @@ class TestSecondOrderKernel:
 
         field = compute_field(pod, ids, pod.mounts[1], cfg, threads=threads)
         hist, second_w = oracle_second_order_hist(pod, ids, pod.mounts[1], cfg)
-        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
         assert field.totals["second_rows_traced"] == int(lit.sum())
         assert (field.totals["second_pairs_evaluated"]
@@ -553,7 +554,7 @@ class TestSecondOrderKernel:
         hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
         assert field.b2_hist.shape[0] == 128
         assert np.count_nonzero(hist) > 1000
-        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None,
@@ -608,7 +609,7 @@ class TestSecondOrderKernel:
         for threads in (1, 3):
             field = compute_field(scene, (0,), scene.mounts[0], cfg,
                                   threads=threads)
-            assert field.b2_hist.tobytes() == hist.tobytes()
+            assert field.b2_hist.toarray().tobytes() == hist.tobytes()
             assert field.totals["second_bounce_coarse_w"] == second_w
 
     def test_coincident_elements_of_two_panels(self):
@@ -634,7 +635,7 @@ class TestSecondOrderKernel:
         hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
                                                   cfg)
         assert np.count_nonzero(hist[100:200]) > 100
-        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
 
     def test_room_smaller_than_a_metre(self, windows):
@@ -646,7 +647,7 @@ class TestSecondOrderKernel:
         field = compute_field(scene, (0,), scene.mounts[0], cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
                                                   cfg)
-        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w > 0.0
         # the chunk's window is clipped at the end, the rest dropped
         (lo, width, span, nbins), = windows
@@ -675,7 +676,7 @@ class TestSecondOrderKernel:
         assert ne <= raytracer._BLOCK
         assert windows == [window]
         assert hist.any()
-        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
         windows.clear()
         monkeypatch.setattr(raytracer, "_BLOCK", 64)
@@ -701,9 +702,41 @@ class TestSecondOrderKernel:
         (lo, width, span, nbins), = windows
         assert lo >= nbins and width == 1 and span == 0
         assert field.totals["second_pairs_evaluated"] == 1
-        assert field.b2_hist.shape == (1, nbins) and not field.b2_hist.any()
-        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.b2_hist.shape == (1, nbins)
+        # no run is kept: the row is pool run 0's zeros
+        assert field.b2_hist.used == 0
+        assert_kept_runs(field, hist)
         assert field.totals["second_bounce_coarse_w"] == second_w == 0.0
+
+    @pytest.mark.parametrize("extra", [0, 1, 88],
+                             ids=["whole-runs", "folded-run", "short-run"])
+    def test_kept_runs_at_the_run_edges(self, extra):
+        """A histogram of `2 * _GEMV_BINS + extra` bins keeps runs of
+        `_GEMV_BINS` bins, the last one `_GEMV_BINS + 1` wide when `extra`
+        is 1 and `extra` wide when it is more, and only those that hold a
+        non-zero value, at any thread count.  The racks occlude: the rows
+        of the elements they hide from the mount keep no run.  The 0.8 m
+        grid keeps the oracle's dense gemv under OpenBLAS's threading
+        threshold (`test_compact_gather_equals_full_gemv`)."""
+        pod = coarse_pod(True)
+        mount = pod.mounts[1]
+        ids = pod.assigned_luminaires(mount)
+        nbins = 2 * _GEMV_BINS + extra
+        reach = 3 * math.sqrt(sum(x * x for x in pod.room))
+        # `_bin_count` gives int(reach / c / bin_width) + 2 bins
+        cfg = TraceConfig(first_edge=0.4, second_edge=0.8,
+                          bin_width=reach / C_LIGHT / (nbins - 1.5))
+        hist, _ = oracle_second_order_hist(pod, ids, mount, cfg)
+        assert hist.shape[1] == nbins
+        widths = [b.stop - b.start for b in block_slices(nbins, _GEMV_BINS)]
+        assert widths == {0: [256, 256], 1: [256, 257],
+                          88: [256, 256, 88]}[extra]
+        assert not hist.any(axis=1).all()
+        assert hist.size < 460_800
+        for threads in (1, 4):
+            field = compute_field(pod, ids, mount, cfg, threads=threads)
+            assert field.b2_hist.pool.shape[1] == max(widths)
+            assert_kept_runs(field, hist)
 
     @pytest.mark.parametrize("occlusion", [False, True],
                              ids=["racks-clear", "racks-occluding"])
@@ -730,7 +763,7 @@ class TestSecondOrderKernel:
                               lambda nu: blocks(nu)[::-1])
                 field = compute_field(pod, ids, mount, cfg, threads=threads)
                 group = traced_fields([0, 6, 12], threads, occlusion)
-            assert field.b2_hist.tobytes() == hist.tobytes()
+            assert field.b2_hist.toarray().tobytes() == hist.tobytes()
             assert field.totals["second_bounce_coarse_w"] == second_w
             runs.append((field, *group))
         for run in runs[1:]:
@@ -764,7 +797,7 @@ class TestSecondOrderKernel:
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
         field = compute_field(pod, ids, mount, cfg, threads=2)
         hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
-        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
         kinds = tuple(sorted(MAKERS))
         for k, grouped in zip((0, 6, 12), traced_fields([0, 6, 12], 2)):
@@ -806,7 +839,8 @@ class TestSecondOrderKernel:
         field, errors = run_stressed(
             lambda: compute_field(pod, ids, mount, cfg, threads=4))
         assert not errors, errors
-        assert field.b2_hist.tobytes() == serial.b2_hist.tobytes()
+        assert (field.b2_hist.toarray().tobytes()
+                == serial.b2_hist.toarray().tobytes())
         assert (field.totals["second_bounce_coarse_w"]
                 == serial.totals["second_bounce_coarse_w"])
         ex = RecordingExecutor.last
@@ -836,7 +870,7 @@ class TestSecondOrderKernel:
         assert RecordingExecutor.last.futures == []
         assert tracers and set(tracers) == {threading.get_ident()}
         hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
-        assert field.b2_hist.tobytes() == hist.tobytes()
+        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
         assert field.totals["second_bounce_coarse_w"] == second_w
         compute_field(pod, ids, mount, cfg, threads=2)
         assert len(RecordingExecutor.last.futures) == 1
@@ -899,8 +933,8 @@ class TestReceiverCulledTrace:
         full = compute_field(pod, ids, mount, cfg)
         culled = compute_field(pod, ids, mount, cfg, threads=threads,
                                receivers=rxs)
-        assert (culled.b2_hist.tobytes()
-                == full.b2_hist[culled.b2_traced].tobytes())
+        assert (culled.b2_hist.toarray().tobytes()
+                == full.b2_hist.toarray()[culled.b2_traced].tobytes())
         for rx in rxs:
             for a, b in zip(culled.receiver_irs(rx), full.receiver_irs(rx)):
                 assert a.bins.tobytes() == b.bins.tobytes()
@@ -924,13 +958,14 @@ class TestReceiverCulledTrace:
         assert ft["second_bounce_traced_w"] == ft["second_bounce_coarse_w"]
         # one row per traced column, equal to that column's full-trace row
         assert culled.b2_hist.shape == (t["second_cols_traced"], culled.nbins)
-        assert (culled.b2_hist.tobytes()
-                == full.b2_hist[culled.b2_traced].tobytes())
+        assert (culled.b2_hist.toarray().tobytes()
+                == full.b2_hist.toarray()[culled.b2_traced].tobytes())
         ext = _group_extent(pod, ids, [mount], cfg, rxs)
         assert ext["rows"] == t["second_rows_traced"]
         assert ext["cols"] == t["second_cols_traced"]
         assert ext["pairs"] == t["second_pairs_evaluated"]
-        assert ext["hist_bytes"] == culled.b2_hist.nbytes
+        # the dense histogram's bytes: a bound on what the field keeps
+        assert ext["hist_bytes"] == 8 * math.prod(culled.b2_hist.shape)
 
     @pytest.mark.parametrize("mi", [0, 1, 2])
     def test_reference_mount_holds_only_traced_rows(self, mi):
@@ -948,7 +983,7 @@ class TestReceiverCulledTrace:
         cols = field.totals["second_cols_traced"]
         assert field.b2_hist.shape == (cols, field.nbins) and cols < ne
         assert (_group_extent(pod, ids, [mount], cfg, rxs)["hist_bytes"]
-                == field.b2_hist.nbytes)
+                == 8 * math.prod(field.b2_hist.shape))
         assert peak < ne * field.nbins * 8
 
     def test_no_receivers_traces_no_pairs(self):
@@ -958,7 +993,7 @@ class TestReceiverCulledTrace:
                               pod.mounts[0], cfg, receivers=[])
         assert field.totals["second_pairs_evaluated"] == 0
         assert field.totals["second_bounce_traced_w"] == 0.0
-        assert not field.b2_hist.any()
+        assert field.b2_hist.shape[0] == field.b2_hist.used == 0
 
     def test_untraced_capture_is_refused(self):
         pod = coarse_pod(False)
@@ -986,10 +1021,27 @@ def memory_owner(a: np.ndarray):
     return a
 
 
+def assert_kept_runs(field, hist):
+    """`field.b2_hist` holds the rows of `hist`, a histogram of every
+    element, kept as one pool run per (row, run) pair that holds a
+    non-zero value, and every receiver's IRs are the dense oracle's."""
+    runs = field.b2_hist
+    assert runs.toarray().tobytes() == hist.tobytes()
+    held = np.stack([(hist[:, b] != 0.0).any(axis=1) for b in runs.runs],
+                    axis=1)
+    assert runs.used == int(held.sum())
+    assert ((runs.slots != 0) == held).all()
+    assert sorted(runs.slots[held].tolist()) == list(range(1, runs.used + 1))
+    TestReceiverIrs.assert_equal_to_dense(field, TestReceiverIrs.receivers)
+
+
 def assert_same_field(a, b):
-    """Every array equal by bytes, every total equal by value."""
+    """Every array equal by bytes, the second-order histograms through
+    `toarray`, every total equal by value."""
     for f in dataclasses.fields(ArrivalField):
         x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, HistRuns):
+            x, y = x.toarray(), y.toarray()
         if isinstance(x, np.ndarray):
             assert (x.shape, x.dtype) == (y.shape, y.dtype), f.name
             assert x.tobytes() == y.tobytes(), f.name
@@ -1175,7 +1227,7 @@ class TestPositionGroups:
 
         def record(*args):
             out = hists(*args)
-            refs.extend(weakref.ref(memory_owner(h)) for h, *_ in out)
+            refs.extend(weakref.ref(memory_owner(h.pool)) for h, *_ in out)
             return out
 
         monkeypatch.setattr(raytracer, "_second_order_hists", record)
@@ -1361,6 +1413,14 @@ def traced_weights(draw):
 DENSE_WEIGHTS = (np.linspace(1e-5, 1e-2, 200), np.ones(200, dtype=bool))
 
 
+def kept_runs(hist: np.ndarray) -> HistRuns:
+    """`hist` as the kernel keeps it: its runs that hold a non-zero value,
+    by `HistRuns.keep`."""
+    runs = HistRuns(*hist.shape)
+    runs.keep(slice(None), hist, (0, hist.shape[1]), threading.Lock())
+    return runs
+
+
 class TestBlockGather:
     """Each branch's gemv runs over only the aligned row blocks it weighs;
     its bits must be those of the full gemv over every row."""
@@ -1385,7 +1445,7 @@ class TestBlockGather:
         field = ArrivalField(
             vec3(1.0, 1.0, 1.0), TraceConfig(), nbins, np.zeros(0),
             np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)),
-            hist, dirs,
+            kept_runs(hist), dirs,
             np.ones(ne, dtype=bool), {})
         rx = ReceiverSpec("adr", (detector((0, 0, 1), 60.0),
                                   detector((0, 0, -1), 60.0),
@@ -1415,29 +1475,42 @@ class TestBlockGather:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(wt=traced_weights(), nbins=st.integers(1, 2 * _GEMV_BINS + 40),
-           seed=st.integers(0, 2**32 - 1))
+           zero_runs=st.sets(st.integers(0, 2)), seed=st.integers(0, 2**32 - 1))
     # weighed blocks [0, 8) and the partial [8, 11) both hold untraced
     # elements, element 0 among them, before the first traced row
     @example(wt=(np.array([0, 0, 1e-3, 0, 0, 0, 0, 0, 0, 2e-3, 0]),
                  np.array([0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0], dtype=bool)),
-             nbins=7, seed=3)
+             nbins=7, zero_runs=set(), seed=3)
     # a last bin block of one bin, which must join the block before it: in
     # these two, a 1-bin gemv gives other bits in the last bin
-    @example(wt=DENSE_WEIGHTS, nbins=_GEMV_BINS + 1, seed=2)
-    @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 1, seed=2)
-    def test_compact_gather_equals_full_gemv(self, wt, nbins, seed):
-        """The gather through the compact-row index, one bin block at a
-        time, reads the bits of the full gemv over a histogram whose
-        untraced rows are zero.  Every size here is under OpenBLAS's
-        threading threshold (rows x bins < 460 800), so the full gemv runs
-        on one thread, as every bin block of the kernel does."""
+    @example(wt=DENSE_WEIGHTS, nbins=_GEMV_BINS + 1, zero_runs=set(), seed=2)
+    @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 1, zero_runs=set(),
+             seed=2)
+    # whole runs of zeros in every row at the start, in the middle and at
+    # the end, the last a short one
+    @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 40, zero_runs={0},
+             seed=4)
+    @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 40, zero_runs={1},
+             seed=4)
+    @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 40, zero_runs={0, 2},
+             seed=4)
+    def test_compact_gather_equals_full_gemv(self, wt, nbins, zero_runs, seed):
+        """The gather through the compact-row index, one run of the kept
+        histogram at a time, reads the bits of the full gemv over a
+        histogram whose untraced rows are zero, also where every row holds
+        a run as zeros and no gemv runs over it.  Every size here is under
+        OpenBLAS's threading threshold (rows x bins < 460 800), so the full
+        gemv runs on one thread, as every run of the kernel does."""
         w, traced = wt
         rng = np.random.default_rng(seed)
         nc = int(traced.sum())
         hist = rng.random((nc, nbins)) * (rng.random((nc, nbins)) < 0.3)
+        runs = block_slices(nbins, _GEMV_BINS)
+        for j in zero_runs & set(range(len(runs))):
+            hist[:, runs[j]] = 0.0
         full = np.zeros((w.size, nbins))
         full[traced] = hist
-        got, = _second_order_bins(w[None], hist, traced)
+        got, = _second_order_bins(w[None], kept_runs(hist), traced)
         assert got.tobytes() == (w @ full).tobytes()
 
 
