@@ -332,8 +332,8 @@ def run_simulate(cfg: RunConfig, out_dir: str, threads: int = 1,
             print(f"mount {mi} ({_fmt(mount[0])}, {_fmt(mount[1])}, "
                   f"{_fmt(mount[2])}) {rx.kind}: total_power_w={_fmt(total)} "
                   f"delay_spread_s={_fmt(spread)}")
-        # a field's histogram is 15 MB at a reference mount: drop it before
-        # the next mount is traced
+        # a field's arrivals and branch bins take 7 MB at a reference
+        # mount: drop it before the next mount is traced
         del field
     if gnuplot:
         script = os.path.join(out_dir, "plot_ir.gp")
@@ -377,7 +377,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
             for rx in rxs:
                 report = link_report(field, rx, cfg.bitrate, cfg.noise)
                 f.write(_metrics_row(report) + "\n")
-            # each field's histogram is freed with it: drop each before
+            # each field's arrivals are freed with it: drop each before
             # the next is traced
             del field
     print(f"wrote {path}: {len(mounts) * len(rxs)} rows")

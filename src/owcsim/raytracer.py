@@ -13,6 +13,10 @@ each traced when it is asked for.  A field's three stages each return
 arrays, second order first, then line of sight and first order, so the
 second-order histograms are built before the fine grid's incident power
 and the point arrivals are live.  The `ArrivalField` only holds them.
+When the receivers to be applied are known up front, each histogram is
+reduced to those receivers' branch bins as soon as the stage returns and
+is dropped before any first-order work; the fine-grid hops and the point
+arrivals then run one panel and one luminaire at a time.
 
 `trace_fields` traces consecutive mounts that share a luminaire set (a
 sweep's positions along one row) as one group of at most `_GROUP_CAP`;
@@ -23,24 +27,26 @@ trace; each mount bins its own columns of it as a lone trace does.  Each
 mount's histogram is a `HistRuns`: only its 256-bin runs that hold a
 non-zero value, packed in its own anonymous mapping (6.6-7.3 of the
 dense 14-15 MB at the reference mounts), which goes back to the OS as
-soon as that mount's field is dropped; the group lets go of its incident
+soon as nothing holds it: right after the stage when the receivers are
+known, else with that mount's field.  The group lets go of its incident
 power once its last field is out.  `simulate`'s mounts each have their
 own set and share nothing.
 
-Second-order work is split into blocks of `_BLOCK` union columns.  A
-runner takes the next block and walks the chunks of `_CHUNK` first-bounce
-(e1) rows of the coarse grid in order, skipping rows that receive no
-power; it computes the chunk's pair geometry over the block, bins each
-mount's columns of it, every luminaire in one pass, over only the delay
-window their paths span, and adds that window into the block's
+Second-order work is split into blocks of consecutive union columns that
+hold at most `_BLOCK` histogram rows, one per mount that traces a column.
+A runner takes the next block and walks the chunks of `_CHUNK`
+first-bounce (e1) rows of the coarse grid in order, skipping rows that
+receive no power; it computes the chunk's pair geometry over the block,
+bins every mount's columns of it, every luminaire in one pass, over only
+the delay window their paths span, and adds that window into its
 accumulator of those histogram rows.  Only that runner writes those
 rows, so every cell gets the same per-chunk partial sums in chunk order
 for any block width, unit order or thread count; once the block is done
-the runner keeps the rows' non-zero runs and drops the accumulator.  N
-threads are the calling thread and N - 1 helpers, never more than there
-are blocks.  The caller traces rather than waits: on a 1-worker pool the
-1-thread simulate-all peak RSS rose from 99 to 117 MB, mostly the
-worker's own glibc malloc arena.
+the runner keeps the rows' non-zero runs and zeroes what it wrote of its
+accumulator for the next block.  N threads are the calling thread and
+N - 1 helpers, never more than there are blocks.  The caller traces
+rather than waits: on a 1-worker pool the 1-thread simulate-all peak RSS
+rose from 99 to 117 MB, mostly the worker's own glibc malloc arena.
 
 Point arrivals keep an index into a table of distinct arrival directions,
 so a receiver's gains are computed once per direction, not once per
@@ -49,7 +55,9 @@ arrival: every luminaire's first-order arrival from one element shares it.
 When the receivers to be applied are known up front, only the second-bounce
 (e2) columns that some branch captures are traced, one histogram row each;
 every other column meets a capture weight of exactly 0.0, so the impulse
-responses of those receivers are bit-identical to a full trace.
+responses of those receivers are bit-identical to a full trace.  Their
+branch bins are the same gemv `receiver_irs` runs over a kept histogram,
+only run at trace time.
 """
 
 from __future__ import annotations
@@ -77,11 +85,14 @@ _GEMV_BLOCK = 8
 # Delay bins per step of that gemv, which bounds the rows it gathers, and
 # per run of a second-order histogram that a `HistRuns` keeps or drops.
 _GEMV_BINS = 256
-# Union columns per second-order work unit: bounds its work arrays, not
-# the bits (every pair and histogram row is its own).
-_BLOCK = 128
-# Mounts traced together at most: a group holds all their histograms at
-# once (6.6-7.3 MB of kept runs each at a reference mount).
+# Histogram rows per second-order work unit (a run of union columns, each
+# with one row per mount that traces it): bounds a runner's work arrays and
+# accumulator, not the bits (every pair and histogram row is its own).
+_BLOCK = 96
+# Mounts traced together at most: a group's second-order stage holds all
+# their histograms at once (6.6-7.3 MB of kept runs each at a reference
+# mount), until each is reduced to its receivers' bins or its field is
+# dropped.
 _GROUP_CAP = 4
 
 
@@ -160,44 +171,46 @@ def _segments_blocked(boxes, p0, p1) -> np.ndarray:
 # vectorized field computation
 
 def _incident_power(luminaires, grid, boxes):
-    """First-bounce power and path length from each luminaire onto a grid.
+    """First-bounce power and path length from each luminaire onto a grid,
+    one panel run at a time.
 
     Returns (power (L, N) watts, length (L, N) metres).
     """
     n = len(grid)
     power = np.zeros((len(luminaires), n))
     length = np.zeros((len(luminaires), n))
+    runs = grid.panel_runs(np.arange(n))
     for li, lum in enumerate(luminaires):
-        u, d, safe, cos_in, runs = _hop(grid, lum.position)
-        cos_phi = u[:, 2]        # -u against the luminaire's (0, 0, -1)
-        sel = safe & (cos_phi > 0.0) & (cos_in > 0.0)
-        p = np.zeros(n)
-        p[sel] = (lum.power_w * (lum.order + 1.0) / (2.0 * math.pi * d[sel] ** 2)
-                  * cos_phi[sel] ** lum.order * cos_in[sel])
-        # the element area is the last factor; +0.0 elsewhere stays +0.0
-        for k, _, _, area in runs:
-            p[k] *= area
-        if boxes:
-            hit = _segments_blocked(boxes, lum.position, grid.centres)
-            p[hit] = 0.0
-        power[li] = p
-        length[li] = d
+        for k, normal, _, area in runs:
+            centres = grid.centres[k]
+            u, d, cos_in = _hop(centres, lum.position, normal)
+            cos_phi = u[:, 2]    # -u against the luminaire's (0, 0, -1)
+            sel = (d > _EPS) & (cos_phi > 0.0) & (cos_in > 0.0)
+            p = power[li, k]
+            p[sel] = (lum.power_w * (lum.order + 1.0)
+                      / (2.0 * math.pi * d[sel] ** 2)
+                      * cos_phi[sel] ** lum.order * cos_in[sel])
+            # the element area is the last factor; +0.0 elsewhere stays +0.0
+            p *= area
+            if boxes:
+                p[_segments_blocked(boxes, lum.position, centres)] = 0.0
+            length[li, k] = d
     return power, length
 
 
-def _hop(grid, point):
-    """One hop between every element of `grid` and `point`: the unit
-    directions from the elements toward `point`, their lengths, the mask of
-    lengths over `_EPS`, each element's cosine, added x, y, z as
-    `sum(axis=1)` adds them, and the grid's `panel_runs`."""
-    v = point[None, :] - grid.centres
-    d = np.linalg.norm(v, axis=1)
-    safe = d > _EPS
-    u = v / np.where(safe, d, 1.0)[:, None]
-    n = len(grid)
-    runs = grid.panel_runs(np.arange(n))
-    cos = _dots(np.empty(n), np.empty(n), runs, u.T, (0, 1, 2), 1.0)
-    return u, d, safe, cos, runs
+def _hop(centres, point, normal):
+    """One hop between elements at `centres`, all on one panel of normal
+    `normal` (Python floats), and `point`: the unit directions from the
+    elements toward `point`, their lengths, and each element's cosine,
+    added x, y, z as `sum(axis=1)` adds them.  A length of `_EPS` or less
+    gets direction `point - centre` itself."""
+    u = point[None, :] - centres
+    d = np.linalg.norm(u, axis=1)
+    u /= np.where(d > _EPS, d, 1.0)[:, None]
+    m = len(d)
+    cos = _dots(np.empty(m), np.empty(m), [(slice(None), normal, None, None)],
+                u.T, (0, 1, 2), 1.0)
+    return u, d, cos
 
 
 def _dots(out, tmp, runs, comps, axes, sign: float):
@@ -221,17 +234,21 @@ def _bin_count(scene: Scene, cfg: TraceConfig) -> int:
 
 
 def _final_hop(grid, mount, boxes):
-    """Last hop, element -> mount: unit directions, lengths and the
-    branch-independent weight (reflectance times the Lambertian emission)."""
-    u3, d3, safe, cos3, runs = _hop(grid, mount)
-    f3 = np.zeros(len(grid))
-    sel = safe & (cos3 > 0.0)
-    # cos3 * rho has the bits of rho * cos3
-    for k, _, rho, _ in runs:
-        cos3[k] *= rho
-    f3[sel] = cos3[sel] / (math.pi * d3[sel] ** 2)
-    if boxes:
-        f3[_segments_blocked(boxes, grid.centres, mount[None, :])] = 0.0
+    """Last hop, element -> mount, one panel run at a time: unit directions,
+    lengths and the branch-independent weight (reflectance times the
+    Lambertian emission)."""
+    n = len(grid)
+    u3, d3, f3 = np.empty((n, 3)), np.empty(n), np.zeros(n)
+    for k, normal, rho, _ in grid.panel_runs(np.arange(n)):
+        centres = grid.centres[k]
+        u3[k], d3[k], cos3 = _hop(centres, mount, normal)
+        d, f = d3[k], f3[k]
+        sel = (d > _EPS) & (cos3 > 0.0)
+        # cos3 * rho has the bits of rho * cos3
+        cos3 *= rho
+        f[sel] = cos3[sel] / (math.pi * d[sel] ** 2)
+        if boxes:
+            f[_segments_blocked(boxes, centres, mount[None, :])] = 0.0
     return u3, d3, f3
 
 
@@ -247,8 +264,7 @@ def _captured_columns(receivers, u3) -> np.ndarray:
 
 
 def _los_arrivals(lums, mount, boxes):
-    """Line-of-sight arrivals, one per luminaire: (flux, length, row of
-    `dirs`, `dirs`), with one direction per arrival.
+    """Line-of-sight arrivals, one per luminaire: (flux, length, direction).
 
     Kept apart from `_incident_power`: this computes 2*pi*d*d left to right
     where that computes 2*pi*(d**2), and the two round differently."""
@@ -268,25 +284,59 @@ def _los_arrivals(lums, mount, boxes):
                        * cos_phi ** lum.order)
         length[k] = d
         dirs[k] = u
-    return flux, length, np.arange(n), dirs
+    return flux, length, dirs
 
 
-def _first_order_arrivals(incident, grid, mount, boxes):
-    """One-bounce arrivals with non-zero flux, luminaire by luminaire:
-    (flux, length, row of `dirs`, `dirs`, first-bounce power summed over
-    the grid).  `incident` is `_incident_power` of the luminaires on
-    `grid`.  `dirs` holds one arrival direction per element that passes
-    any flux, in element order; every luminaire's arrival from an element
-    shares its row."""
-    p1, l1 = incident
+def _delay_bins(lengths, bin_width: float, out: np.ndarray) -> np.ndarray:
+    """The delay bin of each path length into int64 `out`: len/c/dt, cast.
+    Lengths are sums of distances, never negative, so truncation is a
+    floor.  `lengths` is overwritten."""
+    lengths /= C_LIGHT
+    return np.divide(lengths, bin_width, out=out, casting="unsafe")
+
+
+def _first_order_arrivals(los, fine, mount, boxes, bin_width: float):
+    """A field's point arrivals: (flux, delay bin, row of `dirs`, `dirs`,
+    first-bounce power summed over the first-order grid, None without
+    one).  The line-of-sight arrivals `los`, `_los_arrivals`' (flux,
+    length, direction) per luminaire, come first, each with its own
+    direction row.  `fine`, the first-order grid and `_incident_power` of
+    the luminaires on it (None: no first order), adds every one-bounce
+    arrival with non-zero flux, luminaire by luminaire, each written into
+    the output arrays one luminaire at a time.  After the LOS directions,
+    `dirs` holds one arrival direction per element that passes any flux,
+    in element order; every luminaire's arrival from an element shares
+    its row."""
+    flux0, length0, dirs0 = los
+    nl = len(flux0)
+    if fine is None:
+        return (flux0, _delay_bins(length0, bin_width, np.empty(nl, np.int64)),
+                np.arange(nl), dirs0, None)
+    grid, (p1, l1) = fine
     u, dm, f_out = _final_hop(grid, mount, boxes)
-    flux = p1 * f_out[None, :]
-    lengths = l1 + dm[None, :]
-    passed = flux > 0.0
-    li, ei = np.nonzero(passed)
-    seen = passed.any(axis=0)
-    row = np.cumsum(seen) - 1
-    return flux[li, ei], lengths[li, ei], row[ei], u[seen], float(p1.sum())
+    f = np.empty(len(grid))
+    seen, counts = np.zeros(len(grid), dtype=bool), []
+    for p in p1:
+        passed = np.multiply(p, f_out, out=f) > 0.0
+        counts.append(int(np.count_nonzero(passed)))
+        seen |= passed
+    n = nl + sum(counts)
+    flux, bins, row = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+    flux[:nl], row[:nl] = flux0, np.arange(nl)
+    _delay_bins(length0, bin_width, out=bins[:nl])
+    dirs = np.concatenate([dirs0, u[seen]])
+    # each element's direction row, after the LOS directions
+    erow = np.cumsum(seen) - 1 + nl
+    a = nl
+    for p, l, c in zip(p1, l1, counts):
+        e = np.flatnonzero(np.multiply(p, f_out, out=f) > 0.0)
+        np.take(f, e, out=flux[a:a + c])
+        np.take(erow, e, out=row[a:a + c])
+        lengths = l[e]
+        lengths += dm[e]
+        _delay_bins(lengths, bin_width, out=bins[a:a + c])
+        a += c
+    return flux, bins, row, dirs, float(p1.sum())
 
 
 class _Scratch:
@@ -296,7 +346,10 @@ class _Scratch:
     Fresh arrays of a block's size are trimmed from the heap when freed
     and faulted back in for the next chunk: a seed-0 `sweep-all` run at 2
     threads read 216k minor faults and 0.51 s of system time with them,
-    and 50k and 0.17 s with the arrays kept."""
+    and 50k and 0.17 s with the arrays kept.  Each is its own
+    `_mapped_zeros`, so the arrays a runner outgrows and those it holds
+    at its end go back to the OS: on the malloc heap they stayed resident,
+    and the seed-0 `sweep-all` peak read 77.1 MB against 73.9 MB."""
 
     def __init__(self):
         self._bufs = {}
@@ -307,7 +360,7 @@ class _Scratch:
         if buf is None or buf.size < n:
             # at least doubled, so that growing requests reallocate rarely
             old = 0 if buf is None else buf.size
-            buf = self._bufs[name] = np.empty(max(n, 2 * old), dtype)
+            buf = self._bufs[name] = _mapped_zeros((max(n, 2 * old),), dtype)
         return buf[:n].reshape(shape)
 
 
@@ -378,36 +431,33 @@ class _Target:
     hist: HistRuns            # (its columns, nbins)
 
 
-def _bin_block(s: _Scratch, t: _Target, hrows: slice, pick, acc, pw, d, l1,
-               nbins, bin_width):
-    """Bin one chunk's pairs onto a mount's columns of one column block,
-    every luminaire in one `np.add.at` over the delay window they span,
-    and add that window into `acc`, the block's accumulator of its
-    histogram rows `hrows`; returns the window's bins [lo, hi) that lie in
-    the histogram.  `pw` is each luminaire's incident power times `geom`
-    and `d` the distance, over the block's columns; `pick` selects the
-    mount's among them (None: all).
+def _bin_block(s: _Scratch, pick, f3, d3, acc, pw, d, l1, nbins, bin_width):
+    """Bin one chunk's pairs onto the histogram rows of one column block,
+    every luminaire and mount in one `np.add.at` over the delay window they
+    span, and add that window into `acc`, the block's accumulator of those
+    rows; returns the window's bins [lo, hi) that lie in the histogram.
+    `pw` is each luminaire's incident power times `geom` and `d` the
+    distance, over the block's columns; `pick` gives each row's column
+    among them (None: one row per column, in order), `f3` and `d3` each
+    row's final hop.
 
     Like a `bincount`, `add.at` adds each weight into +0.0 in input order,
-    here luminaire-then-row: a cell only gets terms from its own column,
-    so its sum and the order of its terms are those of a bincount over all
-    the columns."""
-    nl, nr, nc = pw.shape[0], pw.shape[1], hrows.stop - hrows.start
+    here luminaire-then-row: a cell only gets terms from its own row, so
+    its sum and the order of its terms are those of a bincount over all
+    the columns.  A row's cells outside its own paths' bins get +0.0,
+    which leaves a non-negative sum as it was."""
+    nl, nr, nc = pw.shape[0], pw.shape[1], len(f3)
     # zero weights are passed through: adding +0.0 leaves a cell's bits alone
     w = s.get("w", (nl, nr, nc))
     if pick is None:
-        np.multiply(pw, t.f3[hrows], out=w)
+        np.multiply(pw, f3, out=w)
     else:
         np.take(pw, pick, axis=2, mode="clip", out=w)
-        w *= t.f3[hrows]
+        w *= f3
         d = np.take(d, pick, axis=1, mode="clip", out=s.get("d_pick", (nr, nc)))
     length = np.add(l1, d, out=s.get("length", w.shape))
-    length += t.d3[hrows]
-    # same expression as the point-arrival path: len/c/dt, cast to int64;
-    # lengths are sums of distances, never negative: truncation is a floor
-    length /= C_LIGHT
-    flat = np.divide(length, bin_width, out=s.get("flat", w.shape, np.int64),
-                     casting="unsafe")
+    length += d3
+    flat = _delay_bins(length, bin_width, s.get("flat", w.shape, np.int64))
     lo, width, span = _delay_window(flat, nbins)
     flat += np.arange(nc, dtype=np.int64) * width - lo
     counts = s.get("counts", (nc * width,))
@@ -418,9 +468,17 @@ def _bin_block(s: _Scratch, t: _Target, hrows: slice, pick, acc, pw, d, l1,
     return lo, lo + span
 
 
-def _column_blocks(nu: int) -> list:
-    """The work units of a union of `nu` columns: runs of `_BLOCK`."""
-    return [slice(c, min(c + _BLOCK, nu)) for c in range(0, nu, _BLOCK)]
+def _column_blocks(col_rows: np.ndarray) -> list:
+    """The work units of a union of columns, `col_rows` holding the
+    histogram rows of each (one per mount that traces it): runs of
+    consecutive columns of at most `_BLOCK` rows, or of one column."""
+    blocks, start, held = [], 0, 0
+    for c, n in enumerate(col_rows.tolist()):
+        if held + n > _BLOCK and c > start:
+            blocks.append(slice(start, c))
+            start, held = c, 0
+        held += n
+    return blocks + [slice(start, len(col_rows))] if len(col_rows) else []
 
 
 def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
@@ -435,14 +493,16 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     whose row i is its i-th traced column in element order: the bits a
     group of that mount alone gives.
 
-    The work unit is a block of the union of the mounts' columns.  Its
-    runner walks the lit chunks of e1 rows in order, computes each chunk's
-    pair geometry over the block once, and bins every mount's columns of
-    it into an accumulator of their own, so it is the only writer of those
-    histogram rows: each cell gets one partial sum per chunk, in chunk
-    order, for any block width, unit order or thread count.  Once the
-    block is done, the runner keeps the accumulator's runs that hold a
-    non-zero value (`HistRuns.keep`) and drops it.  The reflected power is
+    The work unit is a block of the union of the mounts' columns
+    (`_column_blocks`).  Its runner walks the lit chunks of e1 rows in
+    order, computes each chunk's pair geometry over the block once, and
+    bins every mount's columns of it in one pass into the runner's own
+    accumulator of those histogram rows, so it is the only writer of them:
+    each cell gets one partial sum per chunk, in chunk order, for any block
+    width, unit order or thread count.  Once the block is done, the runner
+    keeps the accumulator's runs that hold a non-zero value
+    (`HistRuns.keep`) and zeroes the bins it wrote, so the accumulator's
+    touched pages serve every block it takes.  The reflected power is
     summed the same way, per column, then over a mount's columns."""
     p1, l1 = incident
     ucols = np.flatnonzero(np.logical_or.reduce(traced))
@@ -461,21 +521,27 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
                                HistRuns(pos.size, nbins)))
     reflected = np.zeros(ucols.size)   # per union column
 
-    def trace(s, block):
+    def trace(s, acc, block):
         """Trace every lit chunk onto one block of the union's columns,
-        with work arrays `s`."""
+        with work arrays `s` and accumulator `acc`."""
         cols = ucols[block]
         col_runs = [((slice(None), k), *v) for k, *v in grid.panel_runs(cols)]
-        # (mount, its rows, pick, accumulator) in the block, and the bins
-        # [lo, hi) its windows cover, empty while lo >= hi
-        parts, bands = [], []
+        # each mount's rows of its histogram and of `acc` in the block, and
+        # every row's column in the block and final hop
+        parts, picks, n = [], [], 0
         for t in targets:
             a, b = np.searchsorted(t.pos, (block.start, block.stop)).tolist()
             if a < b:
-                parts.append((t, slice(a, b), None if b - a == cols.size
-                              else t.pos[a:b] - block.start,
-                              _mapped_zeros(b - a, nbins)))
-                bands.append((nbins, 0))
+                parts.append((t, slice(a, b), slice(n, n + b - a)))
+                picks.append(t.pos[a:b] - block.start)
+                n += b - a
+        pick = np.concatenate(picks)
+        if len(parts) == 1 and n == cols.size:
+            pick = None               # one mount, every column
+        f3 = np.concatenate([t.f3[h] for t, h, _ in parts])
+        d3 = np.concatenate([t.d3[h] for t, h, _ in parts])
+        acc = acc[:n]
+        lo, hi = nbins, 0             # the bins the windows cover
         for rows, row_runs, p, l in chunks:
             geom, d = _pair_geometry(s, grid, rows, row_runs, cols, col_runs,
                                      boxes)
@@ -483,26 +549,32 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
             # for bounce accounting: per luminaire, in chunk order
             for sums in _column_sums(pw):
                 reflected[block] += sums
-            for k, part in enumerate(parts):
-                lo, hi = _bin_block(s, *part, pw, d, l, nbins, bin_width)
-                if lo < hi:
-                    bands[k] = min(bands[k][0], lo), max(bands[k][1], hi)
-        for (t, hrows, _, acc), band in zip(parts, bands):
-            t.hist.keep(hrows, acc, band, take)
+            a, b = _bin_block(s, pick, f3, d3, acc, pw, d, l, nbins, bin_width)
+            if a < b:
+                lo, hi = min(lo, a), max(hi, b)
+        for t, hrows, arows in parts:
+            t.hist.keep(hrows, acc[arows], (lo, hi), take)
+        # +0.0 again for the runner's next block
+        acc[:, lo:hi] = 0.0
 
-    blocks = _column_blocks(ucols.size) if chunks else []
+    # histogram rows per union column: one per mount that traces it
+    col_rows = np.sum([mask[ucols] for mask in traced], axis=0)
+    blocks = _column_blocks(col_rows) if chunks else []
     units, take = iter(blocks), threading.Lock()
+    height = max((int(col_rows[b].sum()) for b in blocks), default=0)
 
     def run():
         """Trace the next unit until none is left; a runner that takes none
         allocates no work array."""
-        s = _Scratch()
+        s, acc = _Scratch(), None
         while True:
             with take:
                 block = next(units, None)
             if block is None:
                 return
-            trace(s, block)
+            if acc is None:
+                acc = _mapped_zeros((height, nbins))
+            trace(s, acc, block)
 
     # `threads` runners, the caller among them, and no more than units
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -529,19 +601,19 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     return out
 
 
-def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
-    """A zeroed (rows, cols) float64 array in its own anonymous mapping.
+def _mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
+    """A zeroed array of `shape` in its own anonymous mapping.
 
     Its pages stay unmapped zeros until they are touched, reading included
     (the mapping is shared), and the mapping goes back to the OS as soon
-    as the last array viewing it is dropped: a block's accumulators leave
-    with the block, each mount's `HistRuns` pool with its own field.
-    Freed histograms on the heap stayed resident and raised later peaks
-    (at 1 thread: simulate-all 121 MB against 107 MB; a 13-position
+    as the last array viewing it is dropped: a runner's work arrays and
+    accumulator leave with the runner, each `HistRuns` pool with its
+    owner.  Freed histograms on the heap stayed resident and raised later
+    peaks (at 1 thread: simulate-all 121 MB against 107 MB; a 13-position
     sweep, one array per position, 181 MB against 153 MB)."""
-    cells = rows * cols
-    mapped = mmap.mmap(-1, max(8 * cells, mmap.PAGESIZE))
-    return np.frombuffer(mapped, dtype=np.float64)[:cells].reshape(rows, cols)
+    cells = math.prod(shape)
+    mapped = mmap.mmap(-1, max(cells * np.dtype(dtype).itemsize, mmap.PAGESIZE))
+    return np.frombuffer(mapped, dtype)[:cells].reshape(shape)
 
 
 class HistRuns:
@@ -561,8 +633,8 @@ class HistRuns:
         self.shape = (rows, nbins)
         self.runs = block_slices(nbins, _GEMV_BINS)
         self.slots = np.zeros((rows, len(self.runs)), dtype=np.intp)
-        self.pool = _mapped_zeros(1 + self.slots.size,
-                                  max(b.stop - b.start for b in self.runs))
+        self.pool = _mapped_zeros((1 + self.slots.size,
+                                   max(b.stop - b.start for b in self.runs)))
         self.used = 0             # pool runs kept, after run 0
 
     def keep(self, rows: slice, acc: np.ndarray, band, lock) -> None:
@@ -623,17 +695,23 @@ class ArrivalField:
     `dir_table`, one table of distinct arrival directions: the LOS
     directions, one per luminaire, then one per first-order element that
     passes any flux, which every luminaire's arrival from that element
-    shares.  Second-order power is pre-binned per traced final element, one
-    `b2_hist` row each in element order, since its arrival direction only
-    depends on that element.  Applying a receiver is then just a directional
-    weighting, computed once per direction, so all branches of all receiver
-    kinds share one trace.
+    shares.  Applying a receiver is then a directional weighting, computed
+    once per direction, so all branches of all receiver kinds share one
+    trace.
+
+    Second-order power is binned per traced final element, since its
+    arrival direction (`b2_dirs`) only depends on that element.  A field
+    traced without `receivers` keeps that histogram, `b2_hist`, one row
+    per element, and serves any receiver from it.  A field traced for
+    `receivers` keeps only what they read of it, `b2_bins`: each of them
+    with its branches' second-order bins, the very sums `receiver_irs`
+    would take over the histogram, which is dropped before the point
+    arrivals are traced.  It serves those receivers, and any receiver
+    equal to one of them in kind and in every branch's boresight and FOV,
+    and refuses any other.
 
     Built by `trace_fields` or `compute_field`.  `mount` is where every
-    receiver applied to the field sits.  When second-order paths were
-    traced only to the elements some branch of its `receivers` captures
-    (`b2_traced`), applying a receiver that captures any other element
-    raises.
+    receiver applied to the field sits.
     """
 
     mount: np.ndarray
@@ -644,20 +722,23 @@ class ArrivalField:
     point_dir: np.ndarray     # (P,) row of dir_table
     dir_table: np.ndarray     # (D, 3) distinct propagation directions
     b2_hist: HistRuns | None      # (traced, nbins) W; None below order 2
+                                  # or when traced for `receivers`
+    b2_bins: tuple | None         # ((receiver, (branches, nbins) W), ...)
+                                  # when traced for `receivers`
     b2_dirs: np.ndarray | None    # (ne, 3)
-    b2_traced: np.ndarray | None  # (ne,) bool, the elements with a b2_hist row
+    b2_traced: np.ndarray | None  # (ne,) bool, the elements traced
     totals: dict              # traced power and work, by name
 
-    def _b2_capture(self, receiver: ReceiverSpec) -> np.ndarray:
-        """`capture_matrix` of `b2_dirs`, refused where it weighs an element
-        that was not traced: it has no histogram row to hold that power."""
-        acc = capture_matrix(receiver, self.b2_dirs)
-        if (acc != 0.0).any(axis=0)[~self.b2_traced].any():
-            raise ValueError(
-                f"{receiver.kind} receiver captures second-order light from "
-                "surface elements this field did not trace; build the field "
-                "with it among `receivers`")
-        return acc
+    def _traced_bins(self, receiver: ReceiverSpec) -> np.ndarray:
+        """The second-order bins of the traced receiver that captures as
+        `receiver` does; refused for any other."""
+        for rx, bins in self.b2_bins:
+            if _same_capture(rx, receiver):
+                return bins
+        raise ValueError(
+            f"this field did not trace second-order light for a "
+            f"{receiver.kind} receiver; build the field with it among "
+            "`receivers`")
 
     def receiver_irs(self, receiver: ReceiverSpec) -> list[ImpulseResponse]:
         """One impulse response per receiver branch.
@@ -667,12 +748,15 @@ class ArrivalField:
         are binned for every branch in one `bincount` over
         `branch * nbins + bin`; each cell still adds its terms in arrival
         order.  Second-order power is `_second_order_bins` of the
-        branches' capture of `b2_dirs`."""
+        branches' capture of `b2_dirs`, taken here from `b2_hist` or at
+        trace time into `b2_bins`."""
         nb, nbins = receiver.branch_count, self.nbins
         b2_bins = None
         if self.b2_hist is not None:
-            b2_bins = _second_order_bins(self._b2_capture(receiver),
+            b2_bins = _second_order_bins(capture_matrix(receiver, self.b2_dirs),
                                          self.b2_hist, self.b2_traced)
+        elif self.b2_bins is not None:
+            b2_bins = self._traced_bins(receiver)
         branch, arrival, weight = _arrival_capture(receiver, self.dir_table,
                                                    self.point_dir)
         point_bins = np.bincount(branch * nbins + self.point_idx[arrival],
@@ -688,6 +772,16 @@ class ArrivalField:
             bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
             irs.append(ImpulseResponse(self.cfg.bin_width, bins))
         return irs
+
+
+def _same_capture(a: ReceiverSpec, b: ReceiverSpec) -> bool:
+    """Whether `a` and `b` capture alike: one kind and, branch by branch,
+    one boresight and FOV, compared by value (`==` on the specs raises on
+    their numpy boresights)."""
+    return (a.kind == b.kind and a.branch_count == b.branch_count
+            and all(x.fov_deg == y.fov_deg
+                    and np.array_equal(x.boresight, y.boresight)
+                    for x, y in zip(a.branches, b.branches)))
 
 
 def _arrival_capture(receiver: ReceiverSpec, dirs: np.ndarray,
@@ -717,11 +811,12 @@ def _second_order_bins(acc: np.ndarray, hist: HistRuns, traced: np.ndarray):
     """(nb, nbins): each branch's `acc[j] @ full`, `full` being the (ne,
     nbins) histogram with `hist`'s rows at the `traced` elements and 0.0
     elsewhere, by a gemv over only the `_GEMV_BLOCK`-element blocks the
-    branch weighs, one run of `hist` at a time.  An untraced element in
-    such a block has weight 0.0 (`_b2_capture`), so it may read any
-    traced row: 0.0 times a finite value >= 0 adds +0.0.  A run that
-    every weighed row holds as zeros is +0.0 without a gemv: each of its
-    products is +-0.0, and a gemv with beta 0 sums them into +0.0."""
+    branch weighs, one run of `hist` at a time.  Every element `acc`
+    weighs must be traced; an untraced one in such a block has weight 0.0,
+    so it may read any traced row: 0.0 times a finite value >= 0 adds
+    +0.0.  A run that every weighed row holds as zeros is +0.0 without a
+    gemv: each of its products is +-0.0, and a gemv with beta 0 sums them
+    into +0.0."""
     rows = _weighed_rows(acc)
     hist_row = np.maximum(np.cumsum(traced) - 1, 0)
     out = np.empty((len(acc), hist.shape[1]))
@@ -852,6 +947,11 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
                 *_second_setup(grid, incident, mounts, receivers, boxes),
                 boxes, nbins, cfg.bin_width, threads)
             del grid, incident
+            # with its receivers known, each mount keeps their branch bins
+            # and lets go of its histogram before any first-order work
+            seconds = [(hist, None, *rest) if receivers is None
+                       else _receiver_bins(receivers, hist, *rest)
+                       for hist, *rest in seconds]
         fine = [None]
         if cfg.max_order >= 1 and lums:
             fine = [coarse if coarse and cfg.first_edge == cfg.second_edge
@@ -865,27 +965,28 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
                          fine.pop() if k == len(mounts) else fine[0])
 
 
+def _receiver_bins(receivers, hist, traced, u3, totals):
+    """One mount's share of its group's second order with its histogram
+    `hist` replaced by each of `receivers` and its branches'
+    `_second_order_bins`, (branches, nbins), over its capture of `u3`."""
+    bins = tuple((rx, _second_order_bins(capture_matrix(rx, u3), hist, traced))
+                 for rx in receivers)
+    return None, bins, traced, u3, totals
+
+
 def _field(lums, mount, cfg: TraceConfig, boxes, nbins: int, second,
            fine) -> "ArrivalField":
     """One mount's field: `second`, its share of its group's second order
     (None below order 2), then its LOS and first-order arrivals, those on
     `fine`, the first-order grid and the set's incident power on it."""
-    b2_hist, b2_traced, b2_dirs, second = second or (None, None, None, {})
-    totals = {}
-    arrivals = [_los_arrivals(lums, mount, boxes)]
-    if fine is not None:
-        *first, totals["first_bounce_fine_w"] = _first_order_arrivals(
-            fine[1], fine[0], mount, boxes)
-        first[2] += len(lums)     # its rows follow the LOS directions
-        arrivals.append(first)
-    flux, lengths, point_dir, dir_table = (np.concatenate(parts)
-                                           for parts in zip(*arrivals))
+    b2_hist, b2_bins, b2_traced, b2_dirs, second = (
+        second or (None, None, None, None, {}))
+    flux, bins, point_dir, dir_table, first_w = _first_order_arrivals(
+        _los_arrivals(lums, mount, boxes), fine, mount, boxes, cfg.bin_width)
+    totals = {} if first_w is None else {"first_bounce_fine_w": first_w}
     totals.update(second)
-    return ArrivalField(
-        mount, cfg, nbins, flux,
-        # distances are never negative: truncation is a floor
-        (lengths / C_LIGHT / cfg.bin_width).astype(np.int64), point_dir,
-        dir_table, b2_hist, b2_dirs, b2_traced, totals)
+    return ArrivalField(mount, cfg, nbins, flux, bins, point_dir, dir_table,
+                        b2_hist, b2_bins, b2_dirs, b2_traced, totals)
 
 
 def trace_fields(scene: Scene, mounts, cfg: TraceConfig, threads: int = 1,
@@ -896,11 +997,13 @@ def trace_fields(scene: Scene, mounts, cfg: TraceConfig, threads: int = 1,
     Consecutive mounts under one luminaire set (`scene.assigned_luminaires`)
     are traced as a group of at most `_GROUP_CAP`, which shares the work
     that does not depend on the mount; each field is bit for bit the one
-    `compute_field` gives its mount alone.  Each field's histogram is
-    returned to the OS when that field is dropped: drop each field before
-    asking for the next.  The thread count, the scene and every pose are
-    checked here, before any field is traced.  `threads` and `receivers`
-    are as for `compute_field`.
+    `compute_field` gives its mount alone.  With `receivers`, a group's
+    histograms go back to the OS once their receivers' bins are taken,
+    before its first field is out; without, each field's histogram goes
+    back when that field is dropped: drop each field before asking for the
+    next.  The thread count, the scene and every pose are checked here,
+    before any field is traced.  `threads` and `receivers` are as for
+    `compute_field`.
     """
     _check_threads(threads)
     return _fields(scene, _position_groups(scene, mounts), cfg, threads,
@@ -915,8 +1018,11 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
     rows the scene flags as occluding shadow every hop; no other setting
     does.  `receivers`, the assemblies that will be applied at `mount`,
     limits second-order tracing to the surface elements their branches
-    capture; without it every element is traced.  `threads`, an integer
-    of at least 1 (the caller and threads - 1 helpers), changes only speed.
+    capture, and the field keeps only their second-order branch bins, so
+    it serves those receivers alone; without it every element is traced
+    and the field keeps the histogram, which serves any.  `threads`, an
+    integer of at least 1 (the caller and threads - 1 helpers), changes
+    only speed.
     For many mounts, `trace_fields` shares work between them.
     """
     ids, n = tuple(luminaire_ids), len(scene.luminaires)

@@ -448,27 +448,47 @@ def oracle_capture_matrix(receiver, directions):
     return acc
 
 
-def oracle_receiver_irs(field, receiver):
+def oracle_receiver_irs(field, receiver, hist=None):
     """Per-branch impulse responses by the dense path as first written: a
     dense capture of every point arrival (its row of the field's direction
     table), one `bincount` per branch, plus the branch's gemv over the
-    full-shape second-order histogram, its untraced rows 0.0.  Returns a
-    list of bin arrays."""
-    if field.b2_hist is not None:
+    full-shape second-order histogram, its untraced rows 0.0.  `hist` is
+    the dense histogram of the traced elements, `field.b2_hist`'s by
+    default; a field traced for its receivers keeps none, so its caller
+    records it.  Returns a list of bin arrays.
+
+    The gemv runs one product per 256-bin block of the histogram, not one
+    over every bin: OpenBLAS runs a gemv of 460 800 cells or more on
+    several threads, and where a thread's share of the bins is not a
+    multiple of 4 it ends in a scalar tail whose last bits differ.  A
+    block of up to 257 bins stays under that size on grids of up to 1 793
+    elements, so there it runs on one thread whatever the host's core
+    count.  A last block of one bin joins the one before it: numpy hands
+    a 1-wide operand to another BLAS call than the full product."""
+    if hist is None and field.b2_hist is not None:
+        hist = field.b2_hist.toarray()
+    if hist is not None:
         full = np.zeros((field.b2_traced.size, field.nbins))
-        full[field.b2_traced] = field.b2_hist.toarray()
+        full[field.b2_traced] = hist
+        starts = list(range(0, field.nbins, 256))
+        if len(starts) > 1 and field.nbins - starts[-1] == 1:
+            starts.pop()
+        blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [field.nbins])]
 
     def assemble(acc_point, acc_b2):
         bins = np.bincount(field.point_idx, weights=acc_point * field.point_flux,
                            minlength=field.nbins)
-        if field.b2_hist is not None:
-            bins = bins + acc_b2 @ full
+        if hist is not None:
+            b2 = np.empty(field.nbins)
+            for b in blocks:
+                b2[b] = acc_b2 @ full[:, b]
+            bins = bins + b2
         nz = np.nonzero(bins)[0]
         return bins[: nz[-1] + 1] if nz.size else bins[:0]
 
     acc_point = oracle_capture_matrix(receiver, field.dir_table[field.point_dir])
     acc_b2 = (oracle_capture_matrix(receiver, field.b2_dirs)
-              if field.b2_hist is not None else None)
+              if hist is not None else None)
     return [assemble(acc_point[j], acc_b2[j] if acc_b2 is not None else None)
             for j in range(receiver.branch_count)]
 

@@ -1,7 +1,6 @@
 import configparser
 import gc
 import json
-import math
 import os
 import subprocess
 import sys
@@ -598,7 +597,8 @@ class TestReceiverCulledOutputs:
         mount = pod.mounts[0]
         field = compute_field(pod, pod.assigned_luminaires(mount), mount,
                               cfg.trace, receivers=[make_wfov()])
-        assert int(fields["histogram_bytes"]) == 8 * math.prod(field.b2_hist.shape)
+        assert int(fields["histogram_bytes"]) == (
+            8 * field.totals["second_cols_traced"] * field.nbins)
 
 
     def test_check_reports_sweep_groups(self, tmp_path, capsys):
@@ -625,7 +625,7 @@ class TestReceiverCulledOutputs:
             union = int(np.logical_or.reduce([f.b2_traced for f in traced]).sum())
             cols += union
             pairs += traced[0].totals["second_rows_traced"] * union
-            held = max(held, sum(8 * math.prod(f.b2_hist.shape)
+            held = max(held, sum(8 * f.totals["second_cols_traced"] * f.nbins
                                  for f in traced))
         assert fields == {"positions": 7, "groups": 2, "union_cols": cols,
                           "pairs": pairs, "group_histogram_bytes": held}

@@ -670,6 +670,8 @@ class TestSecondOrderKernel:
         mount = scene.mounts[0]
         cfg = TraceConfig(first_edge=0.1, second_edge=0.1,
                           bin_width=reach / C_LIGHT)
+        # one block holds every column, then blocks of 64 split them
+        monkeypatch.setattr(raytracer, "_BLOCK", 128)
         field = compute_field(scene, (0,), mount, cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
         ne = len(scene.surface_elements(cfg.second_edge))
@@ -715,16 +717,17 @@ class TestSecondOrderKernel:
         `_GEMV_BINS` bins, the last one `_GEMV_BINS + 1` wide when `extra`
         is 1 and `extra` wide when it is more, and only those that hold a
         non-zero value, at any thread count.  The racks occlude: the rows
-        of the elements they hide from the mount keep no run.  The 0.8 m
-        grid keeps the oracle's dense gemv under OpenBLAS's threading
-        threshold (`test_compact_gather_equals_full_gemv`)."""
+        of the elements they hide from the mount keep no run.  On the
+        0.4 m grid the dense histogram crosses OpenBLAS's gemv threading
+        threshold; the oracle's 256-bin blocks stay under it, so its bits
+        do not depend on the host's BLAS threads."""
         pod = coarse_pod(True)
         mount = pod.mounts[1]
         ids = pod.assigned_luminaires(mount)
         nbins = 2 * _GEMV_BINS + extra
         reach = 3 * math.sqrt(sum(x * x for x in pod.room))
         # `_bin_count` gives int(reach / c / bin_width) + 2 bins
-        cfg = TraceConfig(first_edge=0.4, second_edge=0.8,
+        cfg = TraceConfig(first_edge=0.4, second_edge=0.4,
                           bin_width=reach / C_LIGHT / (nbins - 1.5))
         hist, _ = oracle_second_order_hist(pod, ids, mount, cfg)
         assert hist.shape[1] == nbins
@@ -732,7 +735,7 @@ class TestSecondOrderKernel:
         assert widths == {0: [256, 256], 1: [256, 257],
                           88: [256, 256, 88]}[extra]
         assert not hist.any(axis=1).all()
-        assert hist.size < 460_800
+        assert hist.shape[0] * max(widths) < 460_800 <= hist.size
         for threads in (1, 4):
             field = compute_field(pod, ids, mount, cfg, threads=threads)
             assert field.b2_hist.pool.shape[1] == max(widths)
@@ -802,6 +805,20 @@ class TestSecondOrderKernel:
         kinds = tuple(sorted(MAKERS))
         for k, grouped in zip((0, 6, 12), traced_fields([0, 6, 12], 2)):
             assert_same_field(grouped, lone_field(False, SWEEP_YS[k], kinds))
+
+    def test_column_blocks_hold_at_most_block_rows(self, monkeypatch):
+        # a block is a run of columns whose histogram rows (one per mount
+        # that traces the column) add up to `_BLOCK` at most; a column of
+        # more rows is a block of its own
+        monkeypatch.setattr(raytracer, "_BLOCK", 7)
+        blocks = raytracer._column_blocks(np.array([1, 4, 2, 3, 3, 1, 1, 1, 4,
+                                                    4, 2]))
+        assert [(b.start, b.stop) for b in blocks] == [(0, 3), (3, 6), (6, 9),
+                                                       (9, 11)]
+        monkeypatch.setattr(raytracer, "_BLOCK", 2)
+        blocks = raytracer._column_blocks(np.array([3, 1, 1, 3]))
+        assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 3), (3, 4)]
+        assert raytracer._column_blocks(np.zeros(0, dtype=int)) == []
 
     @pytest.mark.parametrize("cols", [1, 2, 3, 9])
     def test_column_sums_add_in_row_order(self, cols):
@@ -931,19 +948,23 @@ class TestReceiverCulledTrace:
         cfg = TraceConfig(**COARSE)
         rxs = [MAKERS[k]() for k in sorted(kinds)]
         full = compute_field(pod, ids, mount, cfg)
-        culled = compute_field(pod, ids, mount, cfg, threads=threads,
-                               receivers=rxs)
-        assert (culled.b2_hist.toarray().tobytes()
+        with pytest.MonkeyPatch.context() as m:
+            hists = record_hists(m)
+            culled = compute_field(pod, ids, mount, cfg, threads=threads,
+                                   receivers=rxs)
+        assert culled.b2_hist is None
+        assert (hists[0].tobytes()
                 == full.b2_hist.toarray()[culled.b2_traced].tobytes())
         for rx in rxs:
             for a, b in zip(culled.receiver_irs(rx), full.receiver_irs(rx)):
                 assert a.bins.tobytes() == b.bins.tobytes()
 
-    def test_run_report_counts_traced_work(self):
+    def test_run_report_counts_traced_work(self, monkeypatch):
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
         rxs = [make_wfov(), make_adr()]
+        hists = record_hists(monkeypatch)
         culled = compute_field(pod, ids, mount, cfg, receivers=rxs)
         full = compute_field(pod, ids, mount, cfg)
         t, ft = culled.totals, full.totals
@@ -957,15 +978,16 @@ class TestReceiverCulledTrace:
         assert 0.0 < t["second_bounce_traced_w"] < ft["second_bounce_coarse_w"]
         assert ft["second_bounce_traced_w"] == ft["second_bounce_coarse_w"]
         # one row per traced column, equal to that column's full-trace row
-        assert culled.b2_hist.shape == (t["second_cols_traced"], culled.nbins)
-        assert (culled.b2_hist.toarray().tobytes()
+        hist = hists[0]
+        assert hist.shape == (t["second_cols_traced"], culled.nbins)
+        assert (hist.tobytes()
                 == full.b2_hist.toarray()[culled.b2_traced].tobytes())
         ext = _group_extent(pod, ids, [mount], cfg, rxs)
         assert ext["rows"] == t["second_rows_traced"]
         assert ext["cols"] == t["second_cols_traced"]
         assert ext["pairs"] == t["second_pairs_evaluated"]
         # the dense histogram's bytes: a bound on what the field keeps
-        assert ext["hist_bytes"] == 8 * math.prod(culled.b2_hist.shape)
+        assert ext["hist_bytes"] == hist.nbytes
 
     @pytest.mark.parametrize("mi", [0, 1, 2])
     def test_reference_mount_holds_only_traced_rows(self, mi):
@@ -981,9 +1003,11 @@ class TestReceiverCulledTrace:
             tracemalloc.stop()
         ne = len(pod.surface_elements(cfg.second_edge))
         cols = field.totals["second_cols_traced"]
-        assert field.b2_hist.shape == (cols, field.nbins) and cols < ne
+        assert field.b2_hist is None and 0 < cols < ne
+        assert [bins.shape for _, bins in field.b2_bins] == [
+            (rx.branch_count, field.nbins) for rx in rxs]
         assert (_group_extent(pod, ids, [mount], cfg, rxs)["hist_bytes"]
-                == 8 * math.prod(field.b2_hist.shape))
+                == 8 * cols * field.nbins)
         assert peak < ne * field.nbins * 8
 
     def test_no_receivers_traces_no_pairs(self):
@@ -993,19 +1017,37 @@ class TestReceiverCulledTrace:
                               pod.mounts[0], cfg, receivers=[])
         assert field.totals["second_pairs_evaluated"] == 0
         assert field.totals["second_bounce_traced_w"] == 0.0
-        assert field.b2_hist.shape[0] == field.b2_hist.used == 0
+        assert field.b2_hist is None and field.b2_bins == ()
 
     def test_untraced_capture_is_refused(self):
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[0]), pod.mounts[0]
-        field = compute_field(pod, ids, mount, cfg, receivers=[make_adr()])
-        with pytest.raises(ValueError, match="did not trace"):
-            field.receiver_irs(make_wfov())
+        adr = make_adr()
+        field = compute_field(pod, ids, mount, cfg, receivers=[adr])
+        want = [ir.bins.tobytes() for ir in field.receiver_irs(adr)]
+        assert field.receiver_irs(adr)[0].total_power() > 0.0
+        # a receiver equal to the traced one by value is served its bits:
+        # one built afresh, and one with copied boresights and FOVs
+        copied = ReceiverSpec("adr", tuple(
+            DetectorSpec(np.array(b.boresight), float(b.fov_deg))
+            for b in adr.branches))
+        for rx in (make_adr(), copied):
+            assert [ir.bins.tobytes() for ir in field.receiver_irs(rx)] == want
+        # any other is refused, even one that captures only traced elements
+        def changed(j, **kw):
+            branches = list(adr.branches)
+            branches[j] = dataclasses.replace(branches[j], **kw)
+            return ReceiverSpec("adr", tuple(branches))
+        others = [make_wfov(), ReceiverSpec("detector", adr.branches),
+                  ReceiverSpec("adr", adr.branches[:2]),
+                  changed(1, fov_deg=19.0),
+                  changed(2, boresight=adr.branches[1].boresight)]
+        for rx in others:
+            with pytest.raises(ValueError, match="did not trace"):
+                field.receiver_irs(rx)
         with pytest.raises(ValueError, match="did not trace"):
             detector_ir(field, detector())
-        # a receiver inside the traced set is still served
-        assert field.receiver_irs(make_adr())[0].total_power() > 0.0
 
 
 # the reference sweep's 13 positions, on the centre row under one set
@@ -1019,6 +1061,21 @@ def memory_owner(a: np.ndarray):
     while isinstance(a, np.ndarray) and a.base is not None:
         a = a.base
     return a
+
+
+def record_hists(monkeypatch) -> list:
+    """The dense second-order histogram of every mount traced from here on,
+    in trace order, recorded as `_second_order_hists` returns them: a field
+    traced for its receivers keeps none."""
+    hists, real = [], raytracer._second_order_hists
+
+    def record(*args):
+        out = real(*args)
+        hists.extend(h.toarray() for h, *_ in out)
+        return out
+
+    monkeypatch.setattr(raytracer, "_second_order_hists", record)
+    return hists
 
 
 def assert_kept_runs(field, hist):
@@ -1037,9 +1094,16 @@ def assert_kept_runs(field, hist):
 
 def assert_same_field(a, b):
     """Every array equal by bytes, the second-order histograms through
-    `toarray`, every total equal by value."""
+    `toarray`, each traced receiver's bins with receivers that capture
+    alike, every total equal by value."""
     for f in dataclasses.fields(ArrivalField):
         x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "b2_bins" and x is not None:
+            assert y is not None and len(x) == len(y), f.name
+            for (rx, u), (ry, v) in zip(x, y):
+                assert raytracer._same_capture(rx, ry), f.name
+                assert (u.shape, u.tobytes()) == (v.shape, v.tobytes()), f.name
+            continue
         if isinstance(x, HistRuns):
             x, y = x.toarray(), y.toarray()
         if isinstance(x, np.ndarray):
@@ -1123,7 +1187,8 @@ class TestPositionGroups:
                               pod.surface_elements(0.4), [])[0].any(axis=0)
         chunks = {r // raytracer._CHUNK for r in np.flatnonzero(lit).tolist()}
         union = np.flatnonzero(np.logical_or.reduce([f.b2_traced for f in fields]))
-        blocks = raytracer._column_blocks(union.size)
+        rows = np.sum([f.b2_traced[union] for f in fields], axis=0)
+        blocks = raytracer._column_blocks(rows)
         assert calls["incident"] == 1
         assert len(blocks) > 1 and len(chunks) == lit_chunk_count(
             pod, (3, 4, 5), raytracer._CHUNK) > 1
@@ -1178,8 +1243,8 @@ class TestPositionGroups:
             assert_same_field(field, want)
         ex = RecordingExecutor.last
         assert lit_chunk_count(coarse_pod(False), (3, 4, 5), 32) > 2 * 4
-        union = np.logical_or.reduce([f.b2_traced for f in fields])
-        assert len(raytracer._column_blocks(int(union.sum()))) > 2 * 4
+        rows = np.sum([f.b2_traced for f in fields], axis=0)
+        assert len(raytracer._column_blocks(rows[rows > 0])) > 2 * 4
         assert len(ex.futures) == 4 - 1
         assert all(f.done() for f in ex.futures)
         assert ex.read == {id(f) for f in ex.futures}
@@ -1215,14 +1280,14 @@ class TestPositionGroups:
         assert live == [2, 0, 2, 2, 0]
 
     def test_each_field_returns_its_own_histogram(self, monkeypatch):
-        # one group of four: each position's histogram mapping goes back to
+        # one group of four traced without receivers, so each field keeps
+        # its histogram: each position's histogram mapping goes back to
         # the OS when its own field is dropped, in any order, and not
         # before; closing the iterator lets go of the fields not yet taken
         pod, picks = coarse_pod(False), [1, 5, 9, 12]
         mounts = [vec3(4.0, SWEEP_YS[k], 2.0) for k in picks]
-        cfg, kinds = TraceConfig(**COARSE), tuple(sorted(MAKERS))
-        rxs = [MAKERS[k]() for k in kinds]
-        lone = [lone_field(False, SWEEP_YS[k], kinds) for k in picks]
+        cfg = TraceConfig(**COARSE)
+        lone = [compute_field(pod, (3, 4, 5), m, cfg) for m in mounts]
         refs, hists = [], raytracer._second_order_hists
 
         def record(*args):
@@ -1233,8 +1298,9 @@ class TestPositionGroups:
         monkeypatch.setattr(raytracer, "_second_order_hists", record)
         gc.disable()
         try:
-            fields = list(trace_fields(pod, mounts, cfg, receivers=rxs))
+            fields = list(trace_fields(pod, mounts, cfg))
             assert len(refs) == 4
+            assert all(isinstance(f.b2_hist, HistRuns) for f in fields)
             for k in (2, 0, 3, 1):
                 assert refs[k]() is not None
                 fields[k] = None
@@ -1244,7 +1310,7 @@ class TestPositionGroups:
                         assert refs[j]() is not None
                         assert_same_field(fields[j], lone[j])
             refs.clear()
-            fields = trace_fields(pod, mounts, cfg, receivers=rxs)
+            fields = trace_fields(pod, mounts, cfg)
             first = next(fields)
             fields.close()
             assert [r() is None for r in refs] == [False, True, True, True]
@@ -1253,6 +1319,41 @@ class TestPositionGroups:
             assert refs[0]() is None
         finally:
             gc.enable()
+
+    def test_group_fields_hold_no_histogram(self, monkeypatch):
+        # one group of four traced for its receivers: every position's
+        # histogram mapping goes back to the OS once its receivers' bins
+        # are taken, before the first field is out, and no field holds a
+        # `HistRuns`; each is still the field its position gives alone
+        pod, picks = coarse_pod(False), [1, 5, 9, 12]
+        mounts = [vec3(4.0, SWEEP_YS[k], 2.0) for k in picks]
+        cfg, kinds = TraceConfig(**COARSE), tuple(sorted(MAKERS))
+        rxs = [MAKERS[k]() for k in kinds]
+        refs, hists = [], raytracer._second_order_hists
+
+        def record(*args):
+            out = hists(*args)
+            refs.extend(weakref.ref(memory_owner(h.pool)) for h, *_ in out)
+            return out
+
+        first = raytracer._first_order_arrivals
+
+        def checked(*args):
+            assert all(r() is None for r in refs), "a histogram is held"
+            return first(*args)
+
+        monkeypatch.setattr(raytracer, "_second_order_hists", record)
+        monkeypatch.setattr(raytracer, "_first_order_arrivals", checked)
+        gc.disable()
+        try:
+            fields = list(trace_fields(pod, mounts, cfg, receivers=rxs))
+        finally:
+            gc.enable()
+        assert len(refs) == 4 and all(r() is None for r in refs)
+        for k, field in zip(picks, fields):
+            assert not any(isinstance(v, HistRuns) for v in vars(field).values())
+            assert [rx.kind for rx, _ in field.b2_bins] == list(kinds)
+            assert_same_field(field, lone_field(False, SWEEP_YS[k], kinds))
 
     def test_dropped_field_leaves_nothing_behind(self):
         # at a reference mount, a field dropped before the next is asked
@@ -1267,7 +1368,7 @@ class TestPositionGroups:
         try:
             before = tracemalloc.get_traced_memory()[0]
             field = next(fields)
-            assert field.b2_hist is not None
+            assert field.b2_bins
             del field
             after = tracemalloc.get_traced_memory()[0]
         finally:
@@ -1345,26 +1446,30 @@ class TestReceiverIrs:
     receivers = [make() for make in MAKERS.values()]
 
     @staticmethod
-    def assert_equal_to_dense(field, rxs):
+    def assert_equal_to_dense(field, rxs, hist=None):
+        """`hist`: the field's recorded histogram (`record_hists`), which a
+        field traced for its receivers does not keep."""
         for rx in rxs:
-            want = oracle_receiver_irs(field, rx)
+            want = oracle_receiver_irs(field, rx, hist)
             got = field.receiver_irs(rx)
             assert len(got) == len(want) == rx.branch_count
             for a, b in zip(got, want):
                 assert a.bins.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("mi", [0, 1, 2])
-    def test_reference_mounts(self, mi):
-        # the dense reference reads the threads=1 field; every thread count
-        # must give its bits
+    def test_reference_mounts(self, monkeypatch, mi):
+        # the dense reference reads the threads=1 field and histogram;
+        # every thread count must give its bits
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         mount = pod.mounts[mi]
+        hists = record_hists(monkeypatch)
         fields = [compute_field(pod, pod.assigned_luminaires(mount), mount,
                                 TraceConfig(), threads=threads,
                                 receivers=self.receivers)
                   for threads in (1, 2, 4)]
+        assert len({h.tobytes() for h in hists}) == 1
         for rx in self.receivers:
-            want = oracle_receiver_irs(fields[0], rx)
+            want = oracle_receiver_irs(fields[0], rx, hists[0])
             for field in fields:
                 got = field.receiver_irs(rx)
                 assert len(got) == len(want) == rx.branch_count
@@ -1372,13 +1477,24 @@ class TestReceiverIrs:
                     assert a.bins.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_coarse_grid_with_occlusion(self, threads):
-        pod = coarse_pod(True)
+    def test_coarse_grid_with_occlusion(self, monkeypatch, threads):
+        self.assert_coarse_mounts(monkeypatch, True, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_coarse_grid_racks_clear(self, monkeypatch, threads):
+        self.assert_coarse_mounts(monkeypatch, False, threads)
+
+    def assert_coarse_mounts(self, monkeypatch, occlusion, threads):
+        """Fields traced for the receivers at every mount of the coarse pod
+        serve the dense reference's bits over their recorded histograms."""
+        pod = coarse_pod(occlusion)
         cfg = TraceConfig(**COARSE)
+        hists = record_hists(monkeypatch)
         for mount in pod.mounts:
             field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg,
                                   threads=threads, receivers=self.receivers)
-            self.assert_equal_to_dense(field, self.receivers)
+            assert field.b2_hist is None
+            self.assert_equal_to_dense(field, self.receivers, hists[-1])
 
     @pytest.mark.parametrize("max_order", [0, 1])
     def test_without_second_order(self, max_order):
@@ -1425,14 +1541,16 @@ class TestBlockGather:
     """Each branch's gemv runs over only the aligned row blocks it weighs;
     its bits must be those of the full gemv over every row."""
 
-    def test_element_count_not_a_multiple_of_the_block(self):
+    def test_element_count_not_a_multiple_of_the_block(self, monkeypatch):
         pod = coarse_pod(False)
         cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.6)
         assert len(pod.surface_elements(cfg.second_edge)) % _GEMV_BLOCK != 0
+        hists = record_hists(monkeypatch)
         for mount in pod.mounts:
             field = compute_field(pod, pod.assigned_luminaires(mount), mount,
                                   cfg, receivers=TestReceiverIrs.receivers)
-            TestReceiverIrs.assert_equal_to_dense(field, TestReceiverIrs.receivers)
+            TestReceiverIrs.assert_equal_to_dense(field, TestReceiverIrs.receivers,
+                                                  hists[-1])
 
     def test_empty_gather_and_final_partial_block(self):
         # 21 rows: rows 0..19 arrive from above, row 20 (in the partial
@@ -1445,7 +1563,7 @@ class TestBlockGather:
         field = ArrivalField(
             vec3(1.0, 1.0, 1.0), TraceConfig(), nbins, np.zeros(0),
             np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)),
-            kept_runs(hist), dirs,
+            kept_runs(hist), None, dirs,
             np.ones(ne, dtype=bool), {})
         rx = ReceiverSpec("adr", (detector((0, 0, 1), 60.0),
                                   detector((0, 0, -1), 60.0),
@@ -1515,36 +1633,55 @@ class TestBlockGather:
 
 
 class TestReceiverIrsMemory:
-    """`receiver_irs` at reference mount 0, as traced by tracemalloc, which
-    sees numpy's allocations: the imaging capture holds no (directions x
-    pixels) cosines, and the second-order gemv no (weighed rows x bins)
+    """Receiver work at reference mount 0, as traced by tracemalloc, which
+    sees numpy's allocations: `receiver_irs`' imaging capture holds no
+    (directions x pixels) cosines, and the second-order gemv that reduces
+    a histogram to a receiver's branch bins no (weighed rows x bins)
     gather."""
 
     @pytest.fixture(scope="class")
-    def field(self):
+    def traced(self):
+        """The field traced for the receivers, and its share of the second
+        order as `_second_order_hists` returned it, histogram included."""
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         mount = pod.mounts[0]
-        return compute_field(pod, pod.assigned_luminaires(mount), mount,
-                             TraceConfig(), receivers=TestReceiverIrs.receivers)
+        seconds, real = [], raytracer._second_order_hists
+
+        def record(*args):
+            out = real(*args)
+            seconds.extend(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(raytracer, "_second_order_hists", record)
+            field = compute_field(pod, pod.assigned_luminaires(mount), mount,
+                                  TraceConfig(), receivers=TestReceiverIrs.receivers)
+        return field, seconds[0]
 
     @staticmethod
-    def traced_peak(field, rx) -> int:
+    def traced_peak(fn) -> int:
         tracemalloc.start()
         try:
-            field.receiver_irs(rx)
+            fn()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_imaging_capture_runs_in_blocks(self, field):
+    def test_imaging_capture_runs_in_blocks(self, traced):
+        field, _ = traced
         rx = make_imaging()
         cosines = len(field.dir_table) * rx.branch_count * 8
-        assert self.traced_peak(field, rx) < cosines / 4
+        assert self.traced_peak(lambda: field.receiver_irs(rx)) < cosines / 4
 
-    def test_wfov_gemv_runs_in_bin_blocks(self, field):
+    def test_wfov_gemv_runs_in_bin_blocks(self, traced):
+        field, second = traced
         rx = make_wfov()
         rows = int(_weighed_rows(capture_matrix(rx, field.b2_dirs)).sum())
-        assert self.traced_peak(field, rx) < rows * field.nbins * 8 / 4
+        # the reduction step, as the trace runs it, gives the field's bins
+        _, bins, *_ = raytracer._receiver_bins([rx], *second)
+        assert bins[0][1].tobytes() == field.b2_bins[0][1].tobytes()
+        peak = self.traced_peak(lambda: raytracer._receiver_bins([rx], *second))
+        assert peak < rows * field.nbins * 8 / 4
 
 
 class TestSuppliedFieldMustMatch:
