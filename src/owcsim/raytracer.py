@@ -24,13 +24,13 @@ sweep's positions along one row) as one group of at most `_GROUP_CAP`;
 computes the set's incident power on both grids once, and the pair
 geometry once, over the union of the second-bounce columns its mounts
 trace; each mount bins its own columns of it as a lone trace does.  Each
-mount's histogram is a `HistRuns`: only its 256-bin runs that hold a
-non-zero value, packed in its own anonymous mapping (6.6-7.3 of the
+mount's histogram is a `HistRuns`: only its 32-bin pieces that hold a
+non-zero value, packed in its own anonymous mapping (5.1-6.0 of the
 dense 14-15 MB at the reference mounts), which goes back to the OS as
-soon as nothing holds it: right after the stage when the receivers are
-known, else with that mount's field.  The group lets go of its incident
-power once its last field is out.  `simulate`'s mounts each have their
-own set and share nothing.
+soon as nothing holds it: right after its receivers' bins are taken
+when they are known, else with that mount's field.  The group lets go of
+its incident power once its last field is out.  `simulate`'s mounts each
+have their own set and share nothing.
 
 Second-order work is split into blocks of consecutive union columns that
 hold at most `_BLOCK` histogram rows, one per mount that traces a column.
@@ -42,7 +42,7 @@ the delay window their paths span, and adds that window into its
 accumulator of those histogram rows.  Only that runner writes those
 rows, so every cell gets the same per-chunk partial sums in chunk order
 for any block width, unit order or thread count; once the block is done
-the runner keeps the rows' non-zero runs and zeroes what it wrote of its
+the runner keeps the rows' non-zero pieces and zeroes what it wrote of its
 accumulator for the next block.  N threads are the calling thread and
 N - 1 helpers, never more than there are blocks.  The caller traces
 rather than waits: on a 1-worker pool the 1-thread simulate-all peak RSS
@@ -62,7 +62,6 @@ only run at trace time.
 
 from __future__ import annotations
 
-import bisect
 import math
 import mmap
 import threading
@@ -82,17 +81,22 @@ _EPS = 1e-12
 # adds the element axis into y in aligned groups of 4 or 8; an all-zero
 # group adds +0.0, so dropping whole 8-aligned blocks keeps every bit.
 _GEMV_BLOCK = 8
-# Delay bins per step of that gemv, which bounds the rows it gathers, and
-# per run of a second-order histogram that a `HistRuns` keeps or drops.
+# Delay bins per step of that gemv, which bounds the operand it gathers
+# from a `HistRuns`' pieces.
 _GEMV_BINS = 256
+# Delay bins per piece of a second-order histogram that a `HistRuns` keeps
+# or drops; it divides `_GEMV_BINS`, so each gemv step reads whole pieces.
+# Finer pieces keep fewer zeros, and cost a larger slot table and more
+# gather indices: see README for the sizes measured.
+_PIECE = 32
 # Histogram rows per second-order work unit (a run of union columns, each
 # with one row per mount that traces it): bounds a runner's work arrays and
 # accumulator, not the bits (every pair and histogram row is its own).
 _BLOCK = 96
 # Mounts traced together at most: a group's second-order stage holds all
-# their histograms at once (6.6-7.3 MB of kept runs each at a reference
-# mount), until each is reduced to its receivers' bins or its field is
-# dropped.
+# their histograms at once (5.1-6.0 MB of kept pieces each at a reference
+# mount, 20.9 MB for `sweep-all`'s four), until each is reduced to its
+# receivers' bins or its field is dropped.
 _GROUP_CAP = 4
 
 
@@ -500,7 +504,7 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     accumulator of those histogram rows, so it is the only writer of them:
     each cell gets one partial sum per chunk, in chunk order, for any block
     width, unit order or thread count.  Once the block is done, the runner
-    keeps the accumulator's runs that hold a non-zero value
+    keeps the accumulator's pieces that hold a non-zero value
     (`HistRuns.keep`) and zeroes the bins it wrote, so the accumulator's
     touched pages serve every block it takes.  The reflected power is
     summed the same way, per column, then over a mount's columns."""
@@ -616,61 +620,78 @@ def _mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(mapped, dtype)[:cells].reshape(shape)
 
 
-class HistRuns:
-    """A (rows, nbins) float64 second-order histogram, kept as the runs of
-    its rows that hold a non-zero value.
+def _pieces(lo: int, hi: int) -> slice:
+    """The pieces of a `HistRuns` row that bins [lo, hi) meet."""
+    return slice(lo // _PIECE, -(-hi // _PIECE))
 
-    The runs are `block_slices(nbins, _GEMV_BINS)`, the steps of the
-    second-order gemv.  Run j of row r is `pool[slots[r, j], :width]`,
-    `width` that run's; pool run 0 is all zeros, and every run that holds
-    no non-zero value points at it.  The pool is one `_mapped_zeros`
-    mapping with room for every run, of which only the runs kept, packed
-    from run 1 on, are ever touched.  Which pool run a run lands in
-    depends on the order in which blocks finish, its values do not:
-    compare histograms through `toarray`."""
+
+class HistRuns:
+    """A (rows, nbins) float64 second-order histogram, kept as the pieces
+    of its rows that hold a non-zero value.
+
+    Piece k is bins [k * _PIECE, (k + 1) * _PIECE), the last one cut at
+    `nbins`; `_PIECE` divides `_GEMV_BINS`, so every piece lies in one of
+    the `runs`, `block_slices(nbins, _GEMV_BINS)`, the steps of the
+    second-order gemv (a folded 257-bin run ends in a 1-bin piece).  Piece
+    k of row r is `pool[slots[r, k]]`, `_PIECE` wide, bins past `nbins`
+    +0.0; pool piece 0 is all zeros, and every piece that holds no non-zero
+    value points at it.  The pool is one `_mapped_zeros` mapping with room
+    for every piece, of which only the pieces kept, packed from piece 1 on,
+    are ever touched.  Which pool piece a piece lands in depends on the
+    order in which blocks finish, its values do not: compare histograms
+    through `toarray`."""
 
     def __init__(self, rows: int, nbins: int):
         self.shape = (rows, nbins)
         self.runs = block_slices(nbins, _GEMV_BINS)
-        self.slots = np.zeros((rows, len(self.runs)), dtype=np.intp)
-        self.pool = _mapped_zeros((1 + self.slots.size,
-                                   max(b.stop - b.start for b in self.runs)))
-        self.used = 0             # pool runs kept, after run 0
+        pieces = -(-nbins // _PIECE)
+        if rows * pieces >= 2**31 - 1:
+            raise MemoryError(
+                f"a ({rows}, {nbins}) second-order histogram has more "
+                f"{_PIECE}-bin pieces than an int32 slot table can index")
+        self.slots = np.zeros((rows, pieces), dtype=np.int32)
+        self.pool = _mapped_zeros((1 + self.slots.size, _PIECE))
+        self.used = 0             # pool pieces kept, after piece 0
 
     def keep(self, rows: slice, acc: np.ndarray, band, lock) -> None:
-        """Keep the runs of `acc`, the values of rows `rows`, that hold a
+        """Keep the pieces of `acc`, the values of rows `rows`, that hold a
         non-zero value.  `acc` is +0.0 outside its bins [lo, hi) = `band`,
-        the only ones read; the runs' pool slots are reserved under
-        `lock`, and only `rows` of the slot table are written."""
+        so only the pieces that meet the band are read, whole; their pool
+        slots are reserved under `lock`, and only `rows` of the slot table
+        are written."""
         lo, hi = band
         if lo >= hi:
             return
-        starts = [b.start for b in self.runs]
-        # the runs [j0, j1) that meet the band, each cut to it
-        j0 = bisect.bisect_right(starts, lo) - 1
-        j1 = bisect.bisect_left(starts, hi)
-        cuts = [(max(lo, b.start), min(hi, b.stop), b.start)
-                for b in self.runs[j0:j1]]
-        held = np.logical_or.reduceat(acc[:, lo:hi] != 0.0,
-                                      [a - lo for a, _, _ in cuts], axis=1)
-        n = int(held.sum())
+        k = _pieces(lo, hi)
+        k0, k1 = k.start, k.stop
+        vals = acc[:, k0 * _PIECE:k1 * _PIECE]
+        # the histogram's last piece may be short: the pool holds it padded
+        short = (k1 - k0) * _PIECE - vals.shape[1]
+        if short:
+            vals = np.pad(vals, ((0, 0), (0, short)))
+        vals = vals.reshape(len(vals), k1 - k0, _PIECE)
+        held = (vals != 0.0).any(axis=2)
+        n = int(np.count_nonzero(held))
         with lock:
             first = self.used + 1
             self.used += n
-        slots = np.zeros(held.shape, dtype=np.intp)
-        slots[held] = np.arange(first, first + n)
-        self.slots[rows, j0:j1] = slots
-        # a kept run's bins outside the band stay the pool's +0.0
-        for k, (a, z, start) in enumerate(cuts):
-            r = np.flatnonzero(held[:, k])
-            self.pool[slots[r, k], a - start:z - start] = acc[r, a:z]
+        slots = np.zeros(held.shape, dtype=np.int32)
+        slots[held] = np.arange(first, first + n, dtype=np.int32)
+        self.slots[rows, k0:k1] = slots
+        self.pool[first:first + n] = vals[held]
+
+    def run(self, slots: np.ndarray, b: slice) -> np.ndarray:
+        """The C-contiguous (len(slots), width) values of run `b` of the
+        rows whose slots are `slots`: one gather of the run's pieces."""
+        k = _pieces(b.start, b.stop)
+        vals = np.take(self.pool, slots[:, k], axis=0).reshape(
+            len(slots), (k.stop - k.start) * _PIECE)
+        width = b.stop - b.start
+        return vals if vals.shape[1] == width else vals[:, :width].copy()
 
     def toarray(self) -> np.ndarray:
         """The dense (rows, nbins) histogram."""
-        out = np.empty(self.shape)
-        for j, b in enumerate(self.runs):
-            out[:, b] = self.pool[self.slots[:, j], :b.stop - b.start]
-        return out
+        return self.run(self.slots, slice(0, self.shape[1]))
 
 
 def _delay_window(bins: np.ndarray, nbins: int):
@@ -811,21 +832,20 @@ def _second_order_bins(acc: np.ndarray, hist: HistRuns, traced: np.ndarray):
     """(nb, nbins): each branch's `acc[j] @ full`, `full` being the (ne,
     nbins) histogram with `hist`'s rows at the `traced` elements and 0.0
     elsewhere, by a gemv over only the `_GEMV_BLOCK`-element blocks the
-    branch weighs, one run of `hist` at a time.  Every element `acc`
-    weighs must be traced; an untraced one in such a block has weight 0.0,
-    so it may read any traced row: 0.0 times a finite value >= 0 adds
-    +0.0.  A run that every weighed row holds as zeros is +0.0 without a
-    gemv: each of its products is +-0.0, and a gemv with beta 0 sums them
-    into +0.0."""
+    branch weighs, one run of `hist` at a time, its operand gathered from
+    the run's pieces (`HistRuns.run`).  Every element `acc` weighs must be
+    traced; an untraced one in such a block has weight 0.0, so it may read
+    any traced row: 0.0 times a finite value >= 0 adds +0.0.  A run that
+    every weighed row holds as zeros is +0.0 without a gemv: each of its
+    products is +-0.0, and a gemv with beta 0 sums them into +0.0."""
     rows = _weighed_rows(acc)
     hist_row = np.maximum(np.cumsum(traced) - 1, 0)
     out = np.empty((len(acc), hist.shape[1]))
     for a, r, o in zip(acc, rows, out):
         a, slots = a[r], hist.slots[hist_row[r]]
-        for j, b in enumerate(hist.runs):
-            s = slots[:, j]
-            if s.any():
-                np.matmul(a, hist.pool[s, :b.stop - b.start], out=o[b])
+        for b in hist.runs:
+            if slots[:, _pieces(b.start, b.stop)].any():
+                np.matmul(a, hist.run(slots, b), out=o[b])
             else:
                 o[b] = 0.0
     return out
@@ -947,11 +967,14 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
                 *_second_setup(grid, incident, mounts, receivers, boxes),
                 boxes, nbins, cfg.bin_width, threads)
             del grid, incident
-            # with its receivers known, each mount keeps their branch bins
-            # and lets go of its histogram before any first-order work
-            seconds = [(hist, None, *rest) if receivers is None
-                       else _receiver_bins(receivers, hist, *rest)
-                       for hist, *rest in seconds]
+            if receivers is None:
+                seconds = [(hist, None, *rest) for hist, *rest in seconds]
+            else:
+                # each mount keeps its receivers' branch bins, and its
+                # histogram goes back to the OS before the next is reduced
+                for i, second in enumerate(seconds):
+                    seconds[i] = _receiver_bins(receivers, *second)
+                del second
         fine = [None]
         if cfg.max_order >= 1 and lums:
             fine = [coarse if coarse and cfg.first_edge == cfg.second_edge
@@ -997,13 +1020,13 @@ def trace_fields(scene: Scene, mounts, cfg: TraceConfig, threads: int = 1,
     Consecutive mounts under one luminaire set (`scene.assigned_luminaires`)
     are traced as a group of at most `_GROUP_CAP`, which shares the work
     that does not depend on the mount; each field is bit for bit the one
-    `compute_field` gives its mount alone.  With `receivers`, a group's
-    histograms go back to the OS once their receivers' bins are taken,
-    before its first field is out; without, each field's histogram goes
-    back when that field is dropped: drop each field before asking for the
-    next.  The thread count, the scene and every pose are checked here,
-    before any field is traced.  `threads` and `receivers` are as for
-    `compute_field`.
+    `compute_field` gives its mount alone.  With `receivers`, each of a
+    group's histograms goes back to the OS once its receivers' bins are
+    taken, before the next is reduced and before the first field is out;
+    without, each field's histogram goes back when that field is dropped:
+    drop each field before asking for the next.  The thread count, the
+    scene and every pose are checked here, before any field is traced.
+    `threads` and `receivers` are as for `compute_field`.
     """
     _check_threads(threads)
     return _fields(scene, _position_groups(scene, mounts), cfg, threads,

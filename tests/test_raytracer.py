@@ -24,6 +24,7 @@ from owcsim.raytracer import (
     _GEMV_BINS,
     _GEMV_BLOCK,
     _GROUP_CAP,
+    _PIECE,
     _final_hop,
     _group_extent,
     _incident_power,
@@ -705,19 +706,20 @@ class TestSecondOrderKernel:
         assert lo >= nbins and width == 1 and span == 0
         assert field.totals["second_pairs_evaluated"] == 1
         assert field.b2_hist.shape == (1, nbins)
-        # no run is kept: the row is pool run 0's zeros
+        # no piece is kept: the row is pool piece 0's zeros
         assert field.b2_hist.used == 0
-        assert_kept_runs(field, hist)
+        assert_kept_pieces(field, hist)
         assert field.totals["second_bounce_coarse_w"] == second_w == 0.0
 
     @pytest.mark.parametrize("extra", [0, 1, 88],
                              ids=["whole-runs", "folded-run", "short-run"])
     def test_kept_runs_at_the_run_edges(self, extra):
-        """A histogram of `2 * _GEMV_BINS + extra` bins keeps runs of
+        """A histogram of `2 * _GEMV_BINS + extra` bins has gemv runs of
         `_GEMV_BINS` bins, the last one `_GEMV_BINS + 1` wide when `extra`
-        is 1 and `extra` wide when it is more, and only those that hold a
-        non-zero value, at any thread count.  The racks occlude: the rows
-        of the elements they hide from the mount keep no run.  On the
+        is 1 and `extra` wide when it is more, neither a multiple of
+        `_PIECE`; it keeps the `_PIECE`-bin pieces of those runs that hold
+        a non-zero value, at any thread count.  The racks occlude: the rows
+        of the elements they hide from the mount keep no piece.  On the
         0.4 m grid the dense histogram crosses OpenBLAS's gemv threading
         threshold; the oracle's 256-bin blocks stay under it, so its bits
         do not depend on the host's BLAS threads."""
@@ -734,12 +736,13 @@ class TestSecondOrderKernel:
         widths = [b.stop - b.start for b in block_slices(nbins, _GEMV_BINS)]
         assert widths == {0: [256, 256], 1: [256, 257],
                           88: [256, 256, 88]}[extra]
+        assert (widths[-1] % _PIECE != 0) == (extra != 0)
         assert not hist.any(axis=1).all()
         assert hist.shape[0] * max(widths) < 460_800 <= hist.size
         for threads in (1, 4):
             field = compute_field(pod, ids, mount, cfg, threads=threads)
-            assert field.b2_hist.pool.shape[1] == max(widths)
-            assert_kept_runs(field, hist)
+            assert field.b2_hist.pool.shape[1] == _PIECE
+            assert_kept_pieces(field, hist)
 
     @pytest.mark.parametrize("occlusion", [False, True],
                              ids=["racks-clear", "racks-occluding"])
@@ -1078,18 +1081,33 @@ def record_hists(monkeypatch) -> list:
     return hists
 
 
-def assert_kept_runs(field, hist):
+def assert_kept_pieces(field, hist):
     """`field.b2_hist` holds the rows of `hist`, a histogram of every
-    element, kept as one pool run per (row, run) pair that holds a
-    non-zero value, and every receiver's IRs are the dense oracle's."""
-    runs = field.b2_hist
-    assert runs.toarray().tobytes() == hist.tobytes()
-    held = np.stack([(hist[:, b] != 0.0).any(axis=1) for b in runs.runs],
-                    axis=1)
-    assert runs.used == int(held.sum())
-    assert ((runs.slots != 0) == held).all()
-    assert sorted(runs.slots[held].tolist()) == list(range(1, runs.used + 1))
+    element (`assert_holds`), and every receiver's IRs are the dense
+    oracle's."""
+    assert_holds(field.b2_hist, hist)
     TestReceiverIrs.assert_equal_to_dense(field, TestReceiverIrs.receivers)
+
+
+def assert_holds(kept: HistRuns, hist: np.ndarray):
+    """`kept` holds `hist` as one pool piece per (row, piece) pair that
+    holds a non-zero value, each pool piece used once, every piece inside
+    one gemv run, and the pool's other cells +0.0."""
+    nbins = hist.shape[1]
+    assert kept.toarray().tobytes() == hist.tobytes()
+    pieces = [slice(a, min(a + _PIECE, nbins)) for a in range(0, nbins, _PIECE)]
+    assert all(sum(b.start <= p.start and p.stop <= b.stop for b in kept.runs)
+               == 1 for p in pieces)
+    held = (np.stack([(hist[:, p] != 0.0).any(axis=1) for p in pieces], axis=1)
+            .reshape(len(hist), len(pieces)))
+    assert kept.slots.dtype == np.int32
+    assert kept.used == int(held.sum())
+    assert ((kept.slots != 0) == held).all()
+    assert sorted(kept.slots[held].tolist()) == list(range(1, kept.used + 1))
+    # pool piece 0, the bins past `nbins` and the unused pieces are +0.0
+    dense = kept.pool[kept.slots].reshape(len(hist), len(pieces) * _PIECE)
+    assert not dense[:, nbins:].any() and not kept.pool[0].any()
+    assert not kept.pool[kept.used + 1:].any()
 
 
 def assert_same_field(a, b):
@@ -1322,9 +1340,10 @@ class TestPositionGroups:
 
     def test_group_fields_hold_no_histogram(self, monkeypatch):
         # one group of four traced for its receivers: every position's
-        # histogram mapping goes back to the OS once its receivers' bins
-        # are taken, before the first field is out, and no field holds a
-        # `HistRuns`; each is still the field its position gives alone
+        # histogram mapping and slot table go back to the OS once its
+        # receivers' bins are taken, before the next position's are, and
+        # no field holds a `HistRuns`; each is still the field its position
+        # gives alone
         pod, picks = coarse_pod(False), [1, 5, 9, 12]
         mounts = [vec3(4.0, SWEEP_YS[k], 2.0) for k in picks]
         cfg, kinds = TraceConfig(**COARSE), tuple(sorted(MAKERS))
@@ -1333,23 +1352,35 @@ class TestPositionGroups:
 
         def record(*args):
             out = hists(*args)
-            refs.extend(weakref.ref(memory_owner(h.pool)) for h, *_ in out)
+            refs.extend((weakref.ref(memory_owner(h.pool)),
+                         weakref.ref(h.slots)) for h, *_ in out)
             return out
+
+        reduce, calls = raytracer._receiver_bins, []
+
+        def gone(held):
+            return all(p() is None and t() is None for p, t in held)
+
+        def reducing(*args):
+            assert gone(refs[:len(calls)]), "a reduced histogram is held"
+            calls.append(None)
+            return reduce(*args)
 
         first = raytracer._first_order_arrivals
 
         def checked(*args):
-            assert all(r() is None for r in refs), "a histogram is held"
+            assert gone(refs), "a histogram is held"
             return first(*args)
 
         monkeypatch.setattr(raytracer, "_second_order_hists", record)
+        monkeypatch.setattr(raytracer, "_receiver_bins", reducing)
         monkeypatch.setattr(raytracer, "_first_order_arrivals", checked)
         gc.disable()
         try:
             fields = list(trace_fields(pod, mounts, cfg, receivers=rxs))
         finally:
             gc.enable()
-        assert len(refs) == 4 and all(r() is None for r in refs)
+        assert len(calls) == len(refs) == 4 and gone(refs)
         for k, field in zip(picks, fields):
             assert not any(isinstance(v, HistRuns) for v in vars(field).values())
             assert [rx.kind for rx, _ in field.b2_bins] == list(kinds)
@@ -1529,12 +1560,12 @@ def traced_weights(draw):
 DENSE_WEIGHTS = (np.linspace(1e-5, 1e-2, 200), np.ones(200, dtype=bool))
 
 
-def kept_runs(hist: np.ndarray) -> HistRuns:
-    """`hist` as the kernel keeps it: its runs that hold a non-zero value,
-    by `HistRuns.keep`."""
-    runs = HistRuns(*hist.shape)
-    runs.keep(slice(None), hist, (0, hist.shape[1]), threading.Lock())
-    return runs
+def kept_pieces(hist: np.ndarray) -> HistRuns:
+    """`hist` as the kernel keeps it: its pieces that hold a non-zero
+    value, by `HistRuns.keep`."""
+    kept = HistRuns(*hist.shape)
+    kept.keep(slice(None), hist, (0, hist.shape[1]), threading.Lock())
+    return kept
 
 
 class TestBlockGather:
@@ -1563,7 +1594,7 @@ class TestBlockGather:
         field = ArrivalField(
             vec3(1.0, 1.0, 1.0), TraceConfig(), nbins, np.zeros(0),
             np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)),
-            kept_runs(hist), None, dirs,
+            kept_pieces(hist), None, dirs,
             np.ones(ne, dtype=bool), {})
         rx = ReceiverSpec("adr", (detector((0, 0, 1), 60.0),
                                   detector((0, 0, -1), 60.0),
@@ -1593,32 +1624,41 @@ class TestBlockGather:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(wt=traced_weights(), nbins=st.integers(1, 2 * _GEMV_BINS + 40),
-           zero_runs=st.sets(st.integers(0, 2)), seed=st.integers(0, 2**32 - 1))
+           zero_runs=st.sets(st.integers(0, 2)),
+           zero_pieces=st.sets(st.integers(0, (2 * _GEMV_BINS + 40) // _PIECE)),
+           seed=st.integers(0, 2**32 - 1))
     # weighed blocks [0, 8) and the partial [8, 11) both hold untraced
     # elements, element 0 among them, before the first traced row
     @example(wt=(np.array([0, 0, 1e-3, 0, 0, 0, 0, 0, 0, 2e-3, 0]),
                  np.array([0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0], dtype=bool)),
-             nbins=7, zero_runs=set(), seed=3)
+             nbins=7, zero_runs=set(), zero_pieces=set(), seed=3)
     # a last bin block of one bin, which must join the block before it: in
     # these two, a 1-bin gemv gives other bits in the last bin
-    @example(wt=DENSE_WEIGHTS, nbins=_GEMV_BINS + 1, zero_runs=set(), seed=2)
+    @example(wt=DENSE_WEIGHTS, nbins=_GEMV_BINS + 1, zero_runs=set(),
+             zero_pieces=set(), seed=2)
     @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 1, zero_runs=set(),
-             seed=2)
+             zero_pieces=set(), seed=2)
     # whole runs of zeros in every row at the start, in the middle and at
     # the end, the last a short one
     @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 40, zero_runs={0},
-             seed=4)
+             zero_pieces=set(), seed=4)
     @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 40, zero_runs={1},
-             seed=4)
+             zero_pieces=set(), seed=4)
     @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 40, zero_runs={0, 2},
-             seed=4)
-    def test_compact_gather_equals_full_gemv(self, wt, nbins, zero_runs, seed):
+             zero_pieces=set(), seed=4)
+    # zeroed pieces in half the rows: a run's first and last piece, and
+    # the histogram's short last one
+    @example(wt=DENSE_WEIGHTS, nbins=2 * _GEMV_BINS + 40, zero_runs=set(),
+             zero_pieces={0, 7, 8, 17}, seed=4)
+    def test_compact_gather_equals_full_gemv(self, wt, nbins, zero_runs,
+                                             zero_pieces, seed):
         """The gather through the compact-row index, one run of the kept
-        histogram at a time, reads the bits of the full gemv over a
-        histogram whose untraced rows are zero, also where every row holds
-        a run as zeros and no gemv runs over it.  Every size here is under
-        OpenBLAS's threading threshold (rows x bins < 460 800), so the full
-        gemv runs on one thread, as every run of the kernel does."""
+        histogram at a time from its pieces, reads the bits of the full
+        gemv over a histogram whose untraced rows are zero, also where
+        every row holds a run as zeros and no gemv runs over it, and where
+        some rows hold some of a run's pieces as zeros.  Every size here
+        is under OpenBLAS's threading threshold (rows x bins < 460 800), so
+        the full gemv runs on one thread, as every run of the kernel does."""
         w, traced = wt
         rng = np.random.default_rng(seed)
         nc = int(traced.sum())
@@ -1626,10 +1666,55 @@ class TestBlockGather:
         runs = block_slices(nbins, _GEMV_BINS)
         for j in zero_runs & set(range(len(runs))):
             hist[:, runs[j]] = 0.0
+        for k in sorted(zero_pieces):
+            hist[rng.random(nc) < 0.5, k * _PIECE:(k + 1) * _PIECE] = 0.0
         full = np.zeros((w.size, nbins))
         full[traced] = hist
-        got, = _second_order_bins(w[None], kept_runs(hist), traced)
+        kept = kept_pieces(hist)
+        assert_holds(kept, hist)
+        got, = _second_order_bins(w[None], kept, traced)
         assert got.tobytes() == (w @ full).tobytes()
+
+
+class TestHistPieces:
+    """`HistRuns` keeps a histogram as its `_PIECE`-bin pieces that hold a
+    non-zero value, whatever blocks of rows and bands it is kept in, and in
+    whatever order they come."""
+
+    def test_row_within_one_piece(self):
+        nbins = 2 * _GEMV_BINS + 1     # a folded last run: a 1-bin last piece
+        hist = np.zeros((4, nbins))
+        hist[0, _PIECE + 3:2 * _PIECE - 1] = 0.25    # inside one piece
+        hist[1, 2 * _PIECE] = 1.0                    # a piece's first bin
+        hist[2, nbins - 1] = 0.5                     # the 1-bin piece
+        kept = kept_pieces(hist)                     # row 3: all zeros
+        assert_holds(kept, hist)
+        assert kept.used == 3
+        assert np.count_nonzero(kept.slots, axis=1).tolist() == [1, 1, 1, 0]
+        assert kept.slots[0, 1] and kept.slots[1, 2] and kept.slots[2, -1]
+        w = np.linspace(0.1, 0.4, 4)
+        got, = _second_order_bins(w[None], kept, np.ones(4, dtype=bool))
+        assert got.tobytes() == (w @ hist).tobytes()
+
+    def test_blocks_kept_in_any_order(self):
+        """Blocks of rows, each +0.0 outside its own band, kept last block
+        first, as runners that finish out of order keep them; one band
+        reaches the short last piece of a 600-bin histogram."""
+        nbins = 2 * _GEMV_BINS + 88
+        rng = np.random.default_rng(5)
+        hist, lock = np.zeros((9, nbins)), threading.Lock()
+        kept = HistRuns(*hist.shape)
+        for a, lo, hi in [(6, 500, nbins), (3, 40, 41), (0, 0, 300)]:
+            band = hist[a:a + 3, lo:hi]
+            band[...] = rng.random(band.shape) * (rng.random(band.shape) < 0.2)
+            kept.keep(slice(a, a + 3), hist[a:a + 3], (lo, hi), lock)
+        assert hist[6:, nbins - 1].any()
+        assert_holds(kept, hist)
+
+    def test_slot_table_is_int32(self):
+        # refused before any table or pool is allocated
+        with pytest.raises(MemoryError, match="int32"):
+            HistRuns(1 << 20, (1 << 11) * _PIECE)
 
 
 class TestReceiverIrsMemory:
