@@ -332,8 +332,8 @@ def run_simulate(cfg: RunConfig, out_dir: str, threads: int = 1,
             print(f"mount {mi} ({_fmt(mount[0])}, {_fmt(mount[1])}, "
                   f"{_fmt(mount[2])}) {rx.kind}: total_power_w={_fmt(total)} "
                   f"delay_spread_s={_fmt(spread)}")
-        # a field's arrivals and branch bins take 7 MB at a reference
-        # mount: drop it before the next mount is traced
+        # a field's branch bins take 2 MB at a reference mount: drop it
+        # before the next mount is traced
         del field
     if gnuplot:
         script = os.path.join(out_dir, "plot_ir.gp")

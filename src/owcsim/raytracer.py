@@ -15,8 +15,10 @@ second-order histograms are built before the fine grid's incident power
 and the point arrivals are live.  The `ArrivalField` only holds them.
 When the receivers to be applied are known up front, each histogram is
 reduced to those receivers' branch bins as soon as the stage returns and
-is dropped before any first-order work; the fine-grid hops and the point
-arrivals then run one panel and one luminaire at a time.
+is dropped before any first-order work.  The fine-grid hops run one panel
+at a time and the arrivals one luminaire at a time; given the receivers,
+each luminaire's arrivals are binned straight into their branch bins, and
+no point arrival is kept.
 
 `trace_fields` traces consecutive mounts that share a luminaire set (a
 sweep's positions along one row) as one group of at most `_GROUP_CAP`;
@@ -48,16 +50,19 @@ N - 1 helpers, never more than there are blocks.  The caller traces
 rather than waits: on a 1-worker pool the 1-thread simulate-all peak RSS
 rose from 99 to 117 MB, mostly the worker's own glibc malloc arena.
 
-Point arrivals keep an index into a table of distinct arrival directions,
-so a receiver's gains are computed once per direction, not once per
-arrival: every luminaire's first-order arrival from one element shares it.
+A receiver's gains for the point arrivals are computed once per distinct
+arrival direction, not once per arrival: every luminaire's first-order
+arrival from one element shares that element's direction.  A field traced
+without receivers keeps its point arrivals with an index into a table of
+those directions.
 
 When the receivers to be applied are known up front, only the second-bounce
 (e2) columns that some branch captures are traced, one histogram row each;
 every other column meets a capture weight of exactly 0.0, so the impulse
 responses of those receivers are bit-identical to a full trace.  Their
-branch bins are the same gemv `receiver_irs` runs over a kept histogram,
-only run at trace time.
+second-order branch bins are the same gemv `receiver_irs` runs over a kept
+histogram, and their point bins the same sums, in the same order, as the
+`bincount` it runs over kept point arrivals, only taken at trace time.
 """
 
 from __future__ import annotations
@@ -178,11 +183,15 @@ def _incident_power(luminaires, grid, boxes):
     """First-bounce power and path length from each luminaire onto a grid,
     one panel run at a time.
 
-    Returns (power (L, N) watts, length (L, N) metres).
+    Returns (power (L, N) watts, length (L, N) metres), each its own
+    `_mapped_zeros`, so that a group's incident power goes back to the OS
+    with its last field: on the malloc heap, the fine grid's 4.3 MB stayed
+    resident under the next mount's second-order stage, which then set the
+    seed-0 `simulate-all` peak (53.5 MiB against 50.8 MiB).
     """
     n = len(grid)
-    power = np.zeros((len(luminaires), n))
-    length = np.zeros((len(luminaires), n))
+    power = _mapped_zeros((len(luminaires), n))
+    length = _mapped_zeros((len(luminaires), n))
     runs = grid.panel_runs(np.arange(n))
     for li, lum in enumerate(luminaires):
         for k, normal, _, area in runs:
@@ -299,48 +308,105 @@ def _delay_bins(lengths, bin_width: float, out: np.ndarray) -> np.ndarray:
     return np.divide(lengths, bin_width, out=out, casting="unsafe")
 
 
-def _first_order_arrivals(los, fine, mount, boxes, bin_width: float):
-    """A field's point arrivals: (flux, delay bin, row of `dirs`, `dirs`,
-    first-bounce power summed over the first-order grid, None without
-    one).  The line-of-sight arrivals `los`, `_los_arrivals`' (flux,
-    length, direction) per luminaire, come first, each with its own
-    direction row.  `fine`, the first-order grid and `_incident_power` of
-    the luminaires on it (None: no first order), adds every one-bounce
-    arrival with non-zero flux, luminaire by luminaire, each written into
-    the output arrays one luminaire at a time.  After the LOS directions,
-    `dirs` holds one arrival direction per element that passes any flux,
-    in element order; every luminaire's arrival from an element shares
-    its row."""
-    flux0, length0, dirs0 = los
-    nl = len(flux0)
+def _one_bounce(p1, l1, f_out, dm, bin_width: float):
+    """Luminaire by luminaire, the one-bounce arrival from every element of
+    the first-order grid: (passes, flux, delay bin), arrays over the grid's
+    elements that are reused for the next luminaire.  `p1` and `l1` are
+    the luminaires' `_incident_power` on the grid, `f_out` and `dm` its
+    `_final_hop` weight and length; `passes` marks the arrivals with
+    non-zero flux, the only ones a field takes."""
+    n = len(f_out)
+    flux, length, bins = np.empty(n), np.empty(n), np.empty(n, np.int64)
+    for p, l in zip(p1, l1):
+        passes = np.multiply(p, f_out, out=flux) > 0.0
+        np.add(l, dm, out=length)
+        yield passes, flux, _delay_bins(length, bin_width, bins)
+
+
+def _first_order_arrivals(dirs0, fine, mount, boxes, bin_width: float):
+    """A field's first-order arrivals, before any receiver: (`dirs`,
+    `seen`, point-arrival count, hops, first-bounce power summed over the
+    first-order grid, None without one).
+
+    `fine` is the first-order grid and `_incident_power` of the luminaires
+    on it (None: no first order), and hops a `_one_bounce` iterator over
+    it.  `dirs` is the table of distinct point-arrival directions: the
+    line-of-sight ones `dirs0`, one per luminaire, then one per element
+    that passes any luminaire's flux (`seen`), in element order; every
+    luminaire's arrival from an element shares its row.  The count
+    includes the LOS arrivals."""
+    nl = len(dirs0)
     if fine is None:
-        return (flux0, _delay_bins(length0, bin_width, np.empty(nl, np.int64)),
-                np.arange(nl), dirs0, None)
+        return dirs0, np.zeros(0, dtype=bool), nl, iter(()), None
     grid, (p1, l1) = fine
     u, dm, f_out = _final_hop(grid, mount, boxes)
-    f = np.empty(len(grid))
-    seen, counts = np.zeros(len(grid), dtype=bool), []
-    for p in p1:
-        passed = np.multiply(p, f_out, out=f) > 0.0
-        counts.append(int(np.count_nonzero(passed)))
-        seen |= passed
-    n = nl + sum(counts)
-    flux, bins, row = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
-    flux[:nl], row[:nl] = flux0, np.arange(nl)
-    _delay_bins(length0, bin_width, out=bins[:nl])
-    dirs = np.concatenate([dirs0, u[seen]])
+    seen, count = np.zeros(len(grid), dtype=bool), nl
+    for passes, _, _ in _one_bounce(p1, l1, f_out, dm, bin_width):
+        seen |= passes
+        count += int(np.count_nonzero(passes))
+    dirs = np.empty((nl + int(np.count_nonzero(seen)), 3))
+    dirs[:nl] = dirs0
+    # "clip" writes straight into `out`; every index is in range
+    np.take(u, np.flatnonzero(seen), axis=0, mode="clip", out=dirs[nl:])
+    return (dirs, seen, count, _one_bounce(p1, l1, f_out, dm, bin_width),
+            float(p1.sum()))
+
+
+def _point_arrays(los, seen, count: int, hops):
+    """The point arrivals of `_first_order_arrivals` as flat (flux, delay
+    bin, row of `dirs`) arrays: the LOS arrivals `los`, (flux, delay bin)
+    per luminaire, then every hop's arrivals that pass, written into the
+    arrays one luminaire at a time."""
+    nl = len(los[0])
+    flux, bins = np.empty(count), np.empty(count, np.int64)
+    row = np.empty(count, np.int64)
+    flux[:nl], bins[:nl], row[:nl] = *los, np.arange(nl)
     # each element's direction row, after the LOS directions
     erow = np.cumsum(seen) - 1 + nl
     a = nl
-    for p, l, c in zip(p1, l1, counts):
-        e = np.flatnonzero(np.multiply(p, f_out, out=f) > 0.0)
+    for passes, f, b in hops:
+        e = np.flatnonzero(passes)
+        c = e.size
         np.take(f, e, out=flux[a:a + c])
+        np.take(b, e, out=bins[a:a + c])
         np.take(erow, e, out=row[a:a + c])
-        lengths = l[e]
-        lengths += dm[e]
-        _delay_bins(lengths, bin_width, out=bins[a:a + c])
         a += c
-    return flux, bins, row, dirs, float(p1.sum())
+    return flux, bins, row
+
+
+def _point_bins(receivers, los, dirs, seen, hops, nbins: int) -> tuple:
+    """Each of `receivers` with its branches' point-arrival bins, (branches,
+    nbins) W, binned from `_first_order_arrivals`' `dirs` and hops as the
+    hops are taken: no per-arrival array is built.
+
+    Each receiver's `sparse_capture` of `dirs` is taken once, one receiver
+    at a time, its entries ordered by direction row, branches ascending
+    within one.  The LOS arrivals `los`, (flux, delay bin) per luminaire,
+    are `np.add.at` first as `branch * nbins + bin` with weight times
+    flux, then each hop's for the entries whose element passes.  Like a
+    `bincount`, `add.at` adds into +0.0 in input order, so each cell gets
+    its terms in arrival order, then branch order: the bits
+    `receiver_irs` gives over a field's point arrays."""
+    (flux0, bins0), nl = los, len(los[0])
+    # the grid element of each direction row after the LOS ones
+    elements = np.flatnonzero(seen)
+    captures = []
+    for rx in receivers:
+        branch, row, weight = sparse_capture(rx, dirs)
+        order = np.argsort(row, kind="stable")
+        cell, row, weight = branch[order] * nbins, row[order], weight[order]
+        acc = np.zeros(rx.branch_count * nbins)
+        k = np.searchsorted(row, nl)
+        r = row[:k]
+        np.add.at(acc, cell[:k] + bins0[r], weight[:k] * flux0[r])
+        captures.append((cell[k:], elements[row[k:] - nl], weight[k:], acc))
+    for passes, flux, bins in hops:
+        for cell, elem, weight, acc in captures:
+            hit = passes[elem]
+            e = elem[hit]
+            np.add.at(acc, cell[hit] + bins[e], weight[hit] * flux[e])
+    return tuple((rx, acc.reshape(rx.branch_count, nbins))
+                 for rx, (*_, acc) in zip(receivers, captures))
 
 
 class _Scratch:
@@ -711,25 +777,25 @@ def _delay_window(bins: np.ndarray, nbins: int):
 class ArrivalField:
     """All traced arrivals at one point, before any detector directivity.
 
-    Point arrivals (LOS and first-order) are kept as flat arrays of
-    (irradiance flux, bin index, direction row).  The rows index
-    `dir_table`, one table of distinct arrival directions: the LOS
-    directions, one per luminaire, then one per first-order element that
-    passes any flux, which every luminaire's arrival from that element
-    shares.  Applying a receiver is then a directional weighting, computed
-    once per direction, so all branches of all receiver kinds share one
-    trace.
+    A field traced for `receivers` keeps, for each of them, only its
+    branches' bins, (branches, nbins) each: `point_bins` for the LOS and
+    first-order arrivals, binned while they are traced, and `b2_bins` for
+    the second order, the very sums `receiver_irs` would take over the
+    second-order histogram, which is dropped before any first-order work.
+    It keeps no point arrays and no histogram, serves those receivers, and
+    any receiver equal to one of them in kind and in every branch's
+    boresight and FOV, and refuses any other, at every order.
 
-    Second-order power is binned per traced final element, since its
-    arrival direction (`b2_dirs`) only depends on that element.  A field
-    traced without `receivers` keeps that histogram, `b2_hist`, one row
-    per element, and serves any receiver from it.  A field traced for
-    `receivers` keeps only what they read of it, `b2_bins`: each of them
-    with its branches' second-order bins, the very sums `receiver_irs`
-    would take over the histogram, which is dropped before the point
-    arrivals are traced.  It serves those receivers, and any receiver
-    equal to one of them in kind and in every branch's boresight and FOV,
-    and refuses any other.
+    A field traced without `receivers` serves any receiver.  It keeps its
+    point arrivals as flat arrays of (irradiance flux, bin index,
+    direction row).  The rows index `dir_table`, one table of distinct
+    arrival directions: the LOS directions, one per luminaire, then one
+    per first-order element that passes any flux, which every luminaire's
+    arrival from that element shares.  Applying a receiver is then a
+    directional weighting, computed once per direction.  It keeps its
+    second-order power binned per traced final element, `b2_hist`, one row
+    per element, since its arrival direction (`b2_dirs`) only depends on
+    that element.
 
     Built by `trace_fields` or `compute_field`.  `mount` is where every
     receiver applied to the field sits.
@@ -738,56 +804,62 @@ class ArrivalField:
     mount: np.ndarray
     cfg: TraceConfig
     nbins: int
-    point_flux: np.ndarray    # (P,) W/m^2 at the mount
-    point_idx: np.ndarray     # (P,) delay bin
-    point_dir: np.ndarray     # (P,) row of dir_table
-    dir_table: np.ndarray     # (D, 3) distinct propagation directions
+    # the point arrays: None when traced for `receivers`
+    point_flux: np.ndarray | None  # (P,) W/m^2 at the mount
+    point_idx: np.ndarray | None   # (P,) delay bin
+    point_dir: np.ndarray | None   # (P,) row of dir_table
+    dir_table: np.ndarray | None   # (D, 3) distinct propagation directions
+    point_bins: tuple | None      # ((receiver, (branches, nbins) W), ...)
+                                  # when traced for `receivers`
     b2_hist: HistRuns | None      # (traced, nbins) W; None below order 2
                                   # or when traced for `receivers`
     b2_bins: tuple | None         # ((receiver, (branches, nbins) W), ...)
-                                  # when traced for `receivers`
+                                  # when traced for `receivers` at order 2
     b2_dirs: np.ndarray | None    # (ne, 3)
     b2_traced: np.ndarray | None  # (ne,) bool, the elements traced
     totals: dict              # traced power and work, by name
 
-    def _traced_bins(self, receiver: ReceiverSpec) -> np.ndarray:
-        """The second-order bins of the traced receiver that captures as
-        `receiver` does; refused for any other."""
-        for rx, bins in self.b2_bins:
+    def _traced_bins(self, receiver: ReceiverSpec):
+        """The point and second-order bins (None below order 2) of the
+        traced receiver that captures as `receiver` does; refused for any
+        other."""
+        for k, (rx, bins) in enumerate(self.point_bins):
             if _same_capture(rx, receiver):
-                return bins
+                return bins, None if self.b2_bins is None else self.b2_bins[k][1]
         raise ValueError(
-            f"this field did not trace second-order light for a "
-            f"{receiver.kind} receiver; build the field with it among "
-            "`receivers`")
+            f"this field did not trace light for a {receiver.kind} "
+            "receiver; build the field with it among `receivers`")
 
     def receiver_irs(self, receiver: ReceiverSpec) -> list[ImpulseResponse]:
         """One impulse response per receiver branch.
 
-        Point-arrival gains come from one `sparse_capture` over the
-        direction table, expanded to the arrivals in ascending order, and
-        are binned for every branch in one `bincount` over
+        A field traced for `receivers` adds the bins it took at trace time.
+        Otherwise the point-arrival gains come from one `sparse_capture`
+        over the direction table, expanded to the arrivals in ascending
+        order, and are binned for every branch in one `bincount` over
         `branch * nbins + bin`; each cell still adds its terms in arrival
-        order.  Second-order power is `_second_order_bins` of the
-        branches' capture of `b2_dirs`, taken here from `b2_hist` or at
-        trace time into `b2_bins`."""
+        order.  The second-order power is then `_second_order_bins` of the
+        branches' capture of `b2_dirs` over `b2_hist`."""
         nb, nbins = receiver.branch_count, self.nbins
-        b2_bins = None
-        if self.b2_hist is not None:
-            b2_bins = _second_order_bins(capture_matrix(receiver, self.b2_dirs),
-                                         self.b2_hist, self.b2_traced)
-        elif self.b2_bins is not None:
-            b2_bins = self._traced_bins(receiver)
-        branch, arrival, weight = _arrival_capture(receiver, self.dir_table,
-                                                   self.point_dir)
-        point_bins = np.bincount(branch * nbins + self.point_idx[arrival],
-                                 weights=weight * self.point_flux[arrival],
-                                 minlength=nb * nbins).reshape(nb, nbins)
+        if self.point_bins is not None:
+            point_bins, b2_bins = self._traced_bins(receiver)
+        else:
+            b2_bins = None
+            if self.b2_hist is not None:
+                b2_bins = _second_order_bins(
+                    capture_matrix(receiver, self.b2_dirs), self.b2_hist,
+                    self.b2_traced)
+            branch, arrival, weight = _arrival_capture(
+                receiver, self.dir_table, self.point_dir)
+            point_bins = np.bincount(
+                branch * nbins + self.point_idx[arrival],
+                weights=weight * self.point_flux[arrival],
+                minlength=nb * nbins).reshape(nb, nbins)
         irs = []
         for j in range(nb):
-            bins = point_bins[j]
-            if b2_bins is not None:
-                bins = bins + b2_bins[j]
+            # a sum or a copy: an IR never views a field's own bins
+            bins = (point_bins[j].copy() if b2_bins is None
+                    else point_bins[j] + b2_bins[j])
             nz = np.nonzero(bins)[0]
             # not bins[:0]: bincount gives integer bins when nothing is captured
             bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
@@ -985,7 +1057,8 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
             # takes the incident power: once a group's last field is out,
             # nothing holds the group's shared work
             yield _field(lums, mount, cfg, boxes, nbins, seconds.pop(0),
-                         fine.pop() if k == len(mounts) else fine[0])
+                         fine.pop() if k == len(mounts) else fine[0],
+                         receivers)
 
 
 def _receiver_bins(receivers, hist, traced, u3, totals):
@@ -998,18 +1071,31 @@ def _receiver_bins(receivers, hist, traced, u3, totals):
 
 
 def _field(lums, mount, cfg: TraceConfig, boxes, nbins: int, second,
-           fine) -> "ArrivalField":
+           fine, receivers) -> "ArrivalField":
     """One mount's field: `second`, its share of its group's second order
     (None below order 2), then its LOS and first-order arrivals, those on
-    `fine`, the first-order grid and the set's incident power on it."""
+    `fine`, the first-order grid and the set's incident power on it, kept
+    as point arrays, or binned into the branch bins of `receivers` when
+    they are given."""
     b2_hist, b2_bins, b2_traced, b2_dirs, second = (
         second or (None, None, None, None, {}))
-    flux, bins, point_dir, dir_table, first_w = _first_order_arrivals(
-        _los_arrivals(lums, mount, boxes), fine, mount, boxes, cfg.bin_width)
-    totals = {} if first_w is None else {"first_bounce_fine_w": first_w}
+    flux0, length0, dirs0 = _los_arrivals(lums, mount, boxes)
+    los = (flux0, _delay_bins(length0, cfg.bin_width,
+                              np.empty(len(flux0), np.int64)))
+    dirs, seen, count, hops, first_w = _first_order_arrivals(
+        dirs0, fine, mount, boxes, cfg.bin_width)
+    if receivers is None:
+        points = (*_point_arrays(los, seen, count, hops), dirs)
+        point_bins = None
+    else:
+        points = (None, None, None, None)
+        point_bins = _point_bins(receivers, los, dirs, seen, hops, nbins)
+    totals = {"point_arrivals": count}
+    if first_w is not None:
+        totals["first_bounce_fine_w"] = first_w
     totals.update(second)
-    return ArrivalField(mount, cfg, nbins, flux, bins, point_dir, dir_table,
-                        b2_hist, b2_bins, b2_dirs, b2_traced, totals)
+    return ArrivalField(mount, cfg, nbins, *points, point_bins, b2_hist,
+                        b2_bins, b2_dirs, b2_traced, totals)
 
 
 def trace_fields(scene: Scene, mounts, cfg: TraceConfig, threads: int = 1,

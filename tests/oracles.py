@@ -448,14 +448,18 @@ def oracle_capture_matrix(receiver, directions):
     return acc
 
 
-def oracle_receiver_irs(field, receiver, hist=None):
+def oracle_receiver_irs(field, receiver, hist=None, points=None):
     """Per-branch impulse responses by the dense path as first written: a
-    dense capture of every point arrival (its row of the field's direction
-    table), one `bincount` per branch, plus the branch's gemv over the
-    full-shape second-order histogram, its untraced rows 0.0.  `hist` is
-    the dense histogram of the traced elements, `field.b2_hist`'s by
-    default; a field traced for its receivers keeps none, so its caller
-    records it.  Returns a list of bin arrays.
+    dense capture of every point arrival (its row of the direction table),
+    one `bincount` per branch, plus the branch's gemv over the full-shape
+    second-order histogram, its untraced rows 0.0.  `hist` is the dense
+    histogram of the traced elements, `field.b2_hist`'s by default; a
+    field traced for its receivers keeps none, so its caller records it.
+    The point arrivals are those of `points`, `field` by default: a field
+    traced for its receivers keeps none either, so its caller passes a
+    field traced without receivers at the same mount on the same
+    first-order grid, whose point arrays do not depend on receivers.
+    Returns a list of bin arrays.
 
     The gemv runs one product per 256-bin block of the histogram, not one
     over every bin: OpenBLAS runs a gemv of 460 800 cells or more on
@@ -465,6 +469,7 @@ def oracle_receiver_irs(field, receiver, hist=None):
     elements, so there it runs on one thread whatever the host's core
     count.  A last block of one bin joins the one before it: numpy hands
     a 1-wide operand to another BLAS call than the full product."""
+    points = field if points is None else points
     if hist is None and field.b2_hist is not None:
         hist = field.b2_hist.toarray()
     if hist is not None:
@@ -476,7 +481,7 @@ def oracle_receiver_irs(field, receiver, hist=None):
         blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [field.nbins])]
 
     def assemble(acc_point, acc_b2):
-        bins = np.bincount(field.point_idx, weights=acc_point * field.point_flux,
+        bins = np.bincount(points.point_idx, weights=acc_point * points.point_flux,
                            minlength=field.nbins)
         if hist is not None:
             b2 = np.empty(field.nbins)
@@ -486,7 +491,7 @@ def oracle_receiver_irs(field, receiver, hist=None):
         nz = np.nonzero(bins)[0]
         return bins[: nz[-1] + 1] if nz.size else bins[:0]
 
-    acc_point = oracle_capture_matrix(receiver, field.dir_table[field.point_dir])
+    acc_point = oracle_capture_matrix(receiver, points.dir_table[points.point_dir])
     acc_b2 = (oracle_capture_matrix(receiver, field.b2_dirs)
               if hist is not None else None)
     return [assemble(acc_point[j], acc_b2[j] if acc_b2 is not None else None)

@@ -42,8 +42,8 @@ FIELDS = {
     "Luminaire": ("position", "semi_angle_deg", "power_w"),
     # raytracer
     "ArrivalField": ("mount", "cfg", "nbins", "point_flux", "point_idx",
-                     "point_dir", "dir_table", "b2_hist", "b2_bins", "b2_dirs",
-                     "b2_traced", "totals"),
+                     "point_dir", "dir_table", "point_bins", "b2_hist",
+                     "b2_bins", "b2_dirs", "b2_traced", "totals"),
     "ImpulseResponse": ("bin_width", "bins"),
     "TraceConfig": ("max_order", "first_edge", "second_edge", "bin_width"),
     # receivers

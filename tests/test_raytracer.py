@@ -933,6 +933,14 @@ def coarse_pod(occlusion):
     return build_pod(PodConfig(luminaire_power_w=1.0, rack_occluding=occlusion))
 
 
+def point_field(pod, mount, cfg):
+    """The field traced at `mount` without receivers, to first order at
+    most: it keeps the point arrays a field traced for its receivers with
+    `cfg` does not, and they depend on neither receivers nor order 2."""
+    return compute_field(pod, pod.assigned_luminaires(mount), mount,
+                         dataclasses.replace(cfg, max_order=min(cfg.max_order, 1)))
+
+
 class TestReceiverCulledTrace:
     # each example traces two fields; a failing one is reported as drawn
     # (five small arguments), since shrinking would trace hundreds more
@@ -1014,6 +1022,7 @@ class TestReceiverCulledTrace:
         assert peak < ne * field.nbins * 8
 
     def test_no_receivers_traces_no_pairs(self):
+        # and bins no point arrival, though it counts every one
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
         field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
@@ -1021,6 +1030,47 @@ class TestReceiverCulledTrace:
         assert field.totals["second_pairs_evaluated"] == 0
         assert field.totals["second_bounce_traced_w"] == 0.0
         assert field.b2_hist is None and field.b2_bins == ()
+        assert field.point_bins == () and field.point_flux is None
+        points = point_field(pod, pod.mounts[0], cfg)
+        assert field.totals["point_arrivals"] == points.point_flux.size > 3
+        with pytest.raises(ValueError, match="did not trace"):
+            field.receiver_irs(make_wfov())
+
+    # every order, with racks occluding and clear; threads split only the
+    # second order.  A 50 ns bin holds every LOS and first-order path of the
+    # pod, so a branch's bin 0 then rests on the order of all its terms
+    @pytest.mark.parametrize("max_order", [0, 1, 2])
+    @pytest.mark.parametrize("occlusion", [False, True],
+                             ids=["racks-clear", "racks-occluding"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bin_width", [50e-12, 50e-9], ids=["50ps", "50ns"])
+    def test_traced_irs_equal_untraced_irs(self, max_order, occlusion,
+                                           threads, bin_width):
+        """A field traced for its receivers bins its point arrivals as they
+        are traced and keeps no point array; its IRs are the bits, and its
+        arrival count the count, of a field traced without receivers, and
+        it refuses any other receiver, at order 0 too."""
+        pod = coarse_pod(occlusion)
+        cfg = TraceConfig(**{**COARSE, "max_order": max_order,
+                             "bin_width": bin_width})
+        rxs = TestReceiverIrs.receivers
+        for mount in pod.mounts:
+            ids = pod.assigned_luminaires(mount)
+            full = compute_field(pod, ids, mount, cfg)
+            traced = compute_field(pod, ids, mount, cfg, threads=threads,
+                                   receivers=rxs)
+            assert [traced.point_flux, traced.point_idx, traced.point_dir,
+                    traced.dir_table] == [None] * 4
+            assert [rx for rx, _ in traced.point_bins] == rxs
+            assert (traced.totals["point_arrivals"]
+                    == full.totals["point_arrivals"] == full.point_flux.size)
+            for rx in rxs:
+                for a, b in zip(traced.receiver_irs(rx), full.receiver_irs(rx),
+                                strict=True):
+                    assert a.bins.tobytes() == b.bins.tobytes()
+            assert detector_ir(full, detector()).total_power() > 0.0
+            with pytest.raises(ValueError, match="did not trace"):
+                detector_ir(traced, detector())
 
     def test_untraced_capture_is_refused(self):
         pod = coarse_pod(False)
@@ -1112,11 +1162,11 @@ def assert_holds(kept: HistRuns, hist: np.ndarray):
 
 def assert_same_field(a, b):
     """Every array equal by bytes, the second-order histograms through
-    `toarray`, each traced receiver's bins with receivers that capture
-    alike, every total equal by value."""
+    `toarray`, each traced receiver's point and second-order bins with
+    receivers that capture alike, every total equal by value."""
     for f in dataclasses.fields(ArrivalField):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "b2_bins" and x is not None:
+        if f.name in ("point_bins", "b2_bins") and x is not None:
             assert y is not None and len(x) == len(y), f.name
             for (rx, u), (ry, v) in zip(x, y):
                 assert raytracer._same_capture(rx, ry), f.name
@@ -1477,11 +1527,12 @@ class TestReceiverIrs:
     receivers = [make() for make in MAKERS.values()]
 
     @staticmethod
-    def assert_equal_to_dense(field, rxs, hist=None):
-        """`hist`: the field's recorded histogram (`record_hists`), which a
-        field traced for its receivers does not keep."""
+    def assert_equal_to_dense(field, rxs, hist=None, points=None):
+        """`hist`: the field's recorded histogram (`record_hists`), and
+        `points` its mount's `point_field`: a field traced for its
+        receivers keeps neither."""
         for rx in rxs:
-            want = oracle_receiver_irs(field, rx, hist)
+            want = oracle_receiver_irs(field, rx, hist, points)
             got = field.receiver_irs(rx)
             assert len(got) == len(want) == rx.branch_count
             for a, b in zip(got, want):
@@ -1499,8 +1550,9 @@ class TestReceiverIrs:
                                 receivers=self.receivers)
                   for threads in (1, 2, 4)]
         assert len({h.tobytes() for h in hists}) == 1
+        points = point_field(pod, mount, TraceConfig())
         for rx in self.receivers:
-            want = oracle_receiver_irs(fields[0], rx, hists[0])
+            want = oracle_receiver_irs(fields[0], rx, hists[0], points)
             for field in fields:
                 got = field.receiver_irs(rx)
                 assert len(got) == len(want) == rx.branch_count
@@ -1525,7 +1577,8 @@ class TestReceiverIrs:
             field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg,
                                   threads=threads, receivers=self.receivers)
             assert field.b2_hist is None
-            self.assert_equal_to_dense(field, self.receivers, hists[-1])
+            self.assert_equal_to_dense(field, self.receivers, hists[-1],
+                                       point_field(pod, mount, cfg))
 
     @pytest.mark.parametrize("max_order", [0, 1])
     def test_without_second_order(self, max_order):
@@ -1581,7 +1634,8 @@ class TestBlockGather:
             field = compute_field(pod, pod.assigned_luminaires(mount), mount,
                                   cfg, receivers=TestReceiverIrs.receivers)
             TestReceiverIrs.assert_equal_to_dense(field, TestReceiverIrs.receivers,
-                                                  hists[-1])
+                                                  hists[-1],
+                                                  point_field(pod, mount, cfg))
 
     def test_empty_gather_and_final_partial_block(self):
         # 21 rows: rows 0..19 arrive from above, row 20 (in the partial
@@ -1594,7 +1648,7 @@ class TestBlockGather:
         field = ArrivalField(
             vec3(1.0, 1.0, 1.0), TraceConfig(), nbins, np.zeros(0),
             np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)),
-            kept_pieces(hist), None, dirs,
+            None, kept_pieces(hist), None, dirs,
             np.ones(ne, dtype=bool), {})
         rx = ReceiverSpec("adr", (detector((0, 0, 1), 60.0),
                                   detector((0, 0, -1), 60.0),
@@ -1719,29 +1773,42 @@ class TestHistPieces:
 
 class TestReceiverIrsMemory:
     """Receiver work at reference mount 0, as traced by tracemalloc, which
-    sees numpy's allocations: `receiver_irs`' imaging capture holds no
-    (directions x pixels) cosines, and the second-order gemv that reduces
-    a histogram to a receiver's branch bins no (weighed rows x bins)
-    gather."""
+    sees numpy's allocations: the trace-time imaging capture holds no
+    (directions x pixels) cosines, the second-order gemv that reduces a
+    histogram to a receiver's branch bins no (weighed rows x bins) gather,
+    and the LOS and first-order stage no point array."""
 
     @pytest.fixture(scope="class")
     def traced(self):
-        """The field traced for the receivers, and its share of the second
-        order as `_second_order_hists` returned it, histogram included."""
+        """The field traced for the receivers; its share of the second
+        order as `_second_order_hists` returned it, histogram included;
+        the arguments of `_field`, its LOS and first-order stage; and that
+        stage's tracemalloc peak."""
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         mount = pod.mounts[0]
-        seconds, real = [], raytracer._second_order_hists
+        seconds, calls = [], []
+        hists, field = raytracer._second_order_hists, raytracer._field
 
         def record(*args):
-            out = real(*args)
+            out = hists(*args)
             seconds.extend(out)
+            return out
+
+        def first_order(*args):
+            tracemalloc.start()
+            try:
+                out = field(*args)
+                calls.append((args, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
             return out
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(raytracer, "_second_order_hists", record)
-            field = compute_field(pod, pod.assigned_luminaires(mount), mount,
-                                  TraceConfig(), receivers=TestReceiverIrs.receivers)
-        return field, seconds[0]
+            m.setattr(raytracer, "_field", first_order)
+            traced = compute_field(pod, pod.assigned_luminaires(mount), mount,
+                                   TraceConfig(), receivers=TestReceiverIrs.receivers)
+        return traced, seconds[0], *calls[0]
 
     @staticmethod
     def traced_peak(fn) -> int:
@@ -1752,14 +1819,44 @@ class TestReceiverIrsMemory:
         finally:
             tracemalloc.stop()
 
-    def test_imaging_capture_runs_in_blocks(self, traced):
-        field, _ = traced
+    def test_imaging_capture_runs_in_blocks(self, traced, monkeypatch):
+        field, _, args, _ = traced
         rx = make_imaging()
-        cosines = len(field.dir_table) * rx.branch_count * 8
-        assert self.traced_peak(lambda: field.receiver_irs(rx)) < cosines / 4
+        calls, point_bins = [], raytracer._point_bins
+
+        def record(receivers, los, dirs, seen, hops, nbins):
+            # each hop's arrays are reused for the next: keep copies
+            hops = [tuple(a.copy() for a in hop) for hop in hops]
+            calls.append((los, dirs, seen, hops, nbins))
+            return point_bins(receivers, los, dirs, seen, iter(hops), nbins)
+
+        monkeypatch.setattr(raytracer, "_point_bins", record)
+        raytracer._field(*args)
+        los, dirs, seen, hops, nbins = calls[0]
+
+        def bin_points():
+            return point_bins([rx], los, dirs, seen, iter(hops), nbins)
+
+        # the binning step, as the trace runs it, gives the field's bins
+        (_, bins), = bin_points()
+        assert [bins.tobytes()] == [b.tobytes() for r, b in field.point_bins
+                                    if r.kind == "imaging"]
+        cosines = len(dirs) * rx.branch_count * 8
+        assert self.traced_peak(bin_points) < cosines / 4
+
+    def test_field_holds_only_branch_bins(self, traced):
+        # no point array: nothing the field holds is longer than its
+        # largest branch bins, and the stage peaks at 6.7 MiB, against
+        # 12.4 MiB while it built the point arrays
+        field, _, _, peak = traced
+        bins = [b for _, b in field.point_bins + field.b2_bins]
+        held = bins + [v for v in vars(field).values()
+                       if isinstance(v, np.ndarray)]
+        assert max(a.size for a in held) == max(b.size for b in bins)
+        assert peak < 9 * 2**20
 
     def test_wfov_gemv_runs_in_bin_blocks(self, traced):
-        field, second = traced
+        field, second, *_ = traced
         rx = make_wfov()
         rows = int(_weighed_rows(capture_matrix(rx, field.b2_dirs)).sum())
         # the reduction step, as the trace runs it, gives the field's bins

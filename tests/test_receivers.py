@@ -379,7 +379,8 @@ class TestDirectionTable:
 
         idx, flux = rng.integers(0, nbins, n), rng.random(n)
         field = ArrivalField(np.zeros(3), TraceConfig(max_order=1), nbins, flux,
-                             idx, dir_row, table, None, None, None, None, {})
+                             idx, dir_row, table, None, None, None, None,
+                             None, {})
         want = oracle_point_bins(rx, dirs, idx, flux, nbins)
         for ir, bins in zip(field.receiver_irs(rx), want, strict=True):
             nz = np.flatnonzero(bins)
