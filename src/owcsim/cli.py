@@ -315,7 +315,7 @@ def run_simulate(cfg: RunConfig, out_dir: str, threads: int = 1,
         return 1
     rxs = _receivers(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    fields = trace_fields(scene, scene.mounts, cfg.trace, threads, rxs)
+    fields = trace_fields(scene, scene.mounts, cfg.trace, threads, receivers=rxs)
     written = []
     for mi, mount in enumerate(scene.mounts):
         field = next(fields)
@@ -367,7 +367,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
         return 1
     rxs = _receivers(cfg)
     mounts = _sweep_mounts(cfg)
-    fields = trace_fields(scene, mounts, cfg.trace, threads, rxs)
+    fields = trace_fields(scene, mounts, cfg.trace, threads, receivers=rxs)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.csv")
     with open(path, "w", newline="") as f:

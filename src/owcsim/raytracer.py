@@ -7,18 +7,18 @@ second-order reflections are accumulated into a fixed-width delay histogram.
 First-order paths run over a fine surface grid, second-order paths use a
 coarser grid for both bounces to keep the pair count tractable.
 
-The tracer is a pure function of (scene, config): `compute_field` traces
-one mount, `trace_fields` yields the field of each of many mounts in order,
-each traced when it is asked for.  A field's three stages each return
-arrays, second order first, then line of sight and first order, so the
-second-order histograms are built before the fine grid's incident power
-and the point arrivals are live.  The `ArrivalField` only holds them.
-When the receivers to be applied are known up front, each histogram is
-reduced to those receivers' branch bins as soon as the stage returns and
-is dropped before any first-order work.  The fine-grid hops run one panel
-at a time and the arrivals one luminaire at a time; given the receivers,
-each luminaire's arrivals are binned straight into their branch bins, and
-no point arrival is kept.
+The tracer is a pure function of (scene, config, receivers): every field
+is traced for the receivers that will be applied at its mount, and serves
+those alone.  `compute_field` traces one mount, `trace_fields` yields the
+field of each of many mounts in order, each traced when it is asked for.
+A field's three stages each return arrays, second order first, then line
+of sight and first order, so the second-order histograms are built before
+the fine grid's incident power and the point arrivals are live.  Each
+histogram is reduced to the receivers' branch bins as soon as the stage
+returns and is dropped before any first-order work.  The fine-grid hops
+run one panel at a time and the arrivals one luminaire at a time; each
+luminaire's arrivals are binned straight into the branch bins, and no
+point arrival is kept.  The `ArrivalField` only holds the bins.
 
 `trace_fields` traces consecutive mounts that share a luminaire set (a
 sweep's positions along one row) as one group of at most `_GROUP_CAP`;
@@ -28,11 +28,10 @@ geometry once, over the union of the second-bounce columns its mounts
 trace; each mount bins its own columns of it as a lone trace does.  Each
 mount's histogram is a `HistRuns`: only its 32-bin pieces that hold a
 non-zero value, packed in its own anonymous mapping (5.1-6.0 of the
-dense 14-15 MB at the reference mounts), which goes back to the OS as
-soon as nothing holds it: right after its receivers' bins are taken
-when they are known, else with that mount's field.  The group lets go of
-its incident power once its last field is out.  `simulate`'s mounts each
-have their own set and share nothing.
+dense 14-15 MB at the reference mounts), which goes back to the OS right
+after its receivers' bins are taken.  The group lets go of its incident
+power once its last field is out.  `simulate`'s mounts each have their
+own set and share nothing.
 
 Second-order work is split into blocks of consecutive union columns that
 hold at most `_BLOCK` histogram rows, one per mount that traces a column.
@@ -52,17 +51,13 @@ rose from 99 to 117 MB, mostly the worker's own glibc malloc arena.
 
 A receiver's gains for the point arrivals are computed once per distinct
 arrival direction, not once per arrival: every luminaire's first-order
-arrival from one element shares that element's direction.  A field traced
-without receivers keeps its point arrivals with an index into a table of
-those directions.
+arrival from one element shares that element's direction.
 
-When the receivers to be applied are known up front, only the second-bounce
-(e2) columns that some branch captures are traced, one histogram row each;
-every other column meets a capture weight of exactly 0.0, so the impulse
-responses of those receivers are bit-identical to a full trace.  Their
-second-order branch bins are the same gemv `receiver_irs` runs over a kept
-histogram, and their point bins the same sums, in the same order, as the
-`bincount` it runs over kept point arrivals, only taken at trace time.
+Only the second-bounce (e2) columns that some branch captures are
+traced, one histogram row each; every other column meets a capture
+weight of exactly 0.0, so the receivers' impulse responses are
+bit-identical to those of a trace of every column.  Their point bins are
+the sums, in the same order, of a `bincount` over every point arrival.
 """
 
 from __future__ import annotations
@@ -101,7 +96,7 @@ _BLOCK = 96
 # Mounts traced together at most: a group's second-order stage holds all
 # their histograms at once (5.1-6.0 MB of kept pieces each at a reference
 # mount, 20.9 MB for `sweep-all`'s four), until each is reduced to its
-# receivers' bins or its field is dropped.
+# receivers' bins.
 _GROUP_CAP = 4
 
 
@@ -267,9 +262,7 @@ def _final_hop(grid, mount, boxes):
 
 def _captured_columns(receivers, u3) -> np.ndarray:
     """Elements whose arrival direction some branch of some receiver
-    captures; every element when `receivers` is None."""
-    if receivers is None:
-        return np.ones(len(u3), dtype=bool)
+    captures."""
     captured = np.zeros(len(u3), dtype=bool)
     for rx in receivers:
         captured[sparse_capture(rx, u3)[1]] = True
@@ -324,9 +317,9 @@ def _one_bounce(p1, l1, f_out, dm, bin_width: float):
 
 
 def _first_order_arrivals(dirs0, fine, mount, boxes, bin_width: float):
-    """A field's first-order arrivals, before any receiver: (`dirs`,
-    `seen`, point-arrival count, hops, first-bounce power summed over the
-    first-order grid, None without one).
+    """A field's LOS and first-order arrivals, before any receiver:
+    (`dirs`, `seen`, point-arrival count, hops, first-bounce power summed
+    over the first-order grid, None without one).
 
     `fine` is the first-order grid and `_incident_power` of the luminaires
     on it (None: no first order), and hops a `_one_bounce` iterator over
@@ -334,7 +327,8 @@ def _first_order_arrivals(dirs0, fine, mount, boxes, bin_width: float):
     line-of-sight ones `dirs0`, one per luminaire, then one per element
     that passes any luminaire's flux (`seen`), in element order; every
     luminaire's arrival from an element shares its row.  The count
-    includes the LOS arrivals."""
+    includes the LOS arrivals.  `_point_bins` bins them all for the
+    receivers."""
     nl = len(dirs0)
     if fine is None:
         return dirs0, np.zeros(0, dtype=bool), nl, iter(()), None
@@ -352,28 +346,6 @@ def _first_order_arrivals(dirs0, fine, mount, boxes, bin_width: float):
             float(p1.sum()))
 
 
-def _point_arrays(los, seen, count: int, hops):
-    """The point arrivals of `_first_order_arrivals` as flat (flux, delay
-    bin, row of `dirs`) arrays: the LOS arrivals `los`, (flux, delay bin)
-    per luminaire, then every hop's arrivals that pass, written into the
-    arrays one luminaire at a time."""
-    nl = len(los[0])
-    flux, bins = np.empty(count), np.empty(count, np.int64)
-    row = np.empty(count, np.int64)
-    flux[:nl], bins[:nl], row[:nl] = *los, np.arange(nl)
-    # each element's direction row, after the LOS directions
-    erow = np.cumsum(seen) - 1 + nl
-    a = nl
-    for passes, f, b in hops:
-        e = np.flatnonzero(passes)
-        c = e.size
-        np.take(f, e, out=flux[a:a + c])
-        np.take(b, e, out=bins[a:a + c])
-        np.take(erow, e, out=row[a:a + c])
-        a += c
-    return flux, bins, row
-
-
 def _point_bins(receivers, los, dirs, seen, hops, nbins: int) -> tuple:
     """Each of `receivers` with its branches' point-arrival bins, (branches,
     nbins) W, binned from `_first_order_arrivals`' `dirs` and hops as the
@@ -385,8 +357,8 @@ def _point_bins(receivers, los, dirs, seen, hops, nbins: int) -> tuple:
     are `np.add.at` first as `branch * nbins + bin` with weight times
     flux, then each hop's for the entries whose element passes.  Like a
     `bincount`, `add.at` adds into +0.0 in input order, so each cell gets
-    its terms in arrival order, then branch order: the bits
-    `receiver_irs` gives over a field's point arrays."""
+    its terms in arrival order: the bits of one `bincount` over every
+    arrival's entries."""
     (flux0, bins0), nl = los, len(los[0])
     # the grid element of each direction row after the LOS ones
     elements = np.flatnonzero(seen)
@@ -775,27 +747,16 @@ def _delay_window(bins: np.ndarray, nbins: int):
 
 @dataclass(eq=False)
 class ArrivalField:
-    """All traced arrivals at one point, before any detector directivity.
+    """All traced arrivals at one point, binned for the receivers the field
+    was traced for.
 
-    A field traced for `receivers` keeps, for each of them, only its
-    branches' bins, (branches, nbins) each: `point_bins` for the LOS and
-    first-order arrivals, binned while they are traced, and `b2_bins` for
-    the second order, the very sums `receiver_irs` would take over the
-    second-order histogram, which is dropped before any first-order work.
-    It keeps no point arrays and no histogram, serves those receivers, and
+    For each of those receivers the field keeps only its branches' bins,
+    (branches, nbins) each: `point_bins` for the LOS and first-order
+    arrivals, binned while they are traced, and `b2_bins` for the second
+    order, the branches' sums over the second-order histogram, which is
+    dropped before any first-order work.  It serves those receivers, and
     any receiver equal to one of them in kind and in every branch's
     boresight and FOV, and refuses any other, at every order.
-
-    A field traced without `receivers` serves any receiver.  It keeps its
-    point arrivals as flat arrays of (irradiance flux, bin index,
-    direction row).  The rows index `dir_table`, one table of distinct
-    arrival directions: the LOS directions, one per luminaire, then one
-    per first-order element that passes any flux, which every luminaire's
-    arrival from that element shares.  Applying a receiver is then a
-    directional weighting, computed once per direction.  It keeps its
-    second-order power binned per traced final element, `b2_hist`, one row
-    per element, since its arrival direction (`b2_dirs`) only depends on
-    that element.
 
     Built by `trace_fields` or `compute_field`.  `mount` is where every
     receiver applied to the field sits.
@@ -804,65 +765,32 @@ class ArrivalField:
     mount: np.ndarray
     cfg: TraceConfig
     nbins: int
-    # the point arrays: None when traced for `receivers`
-    point_flux: np.ndarray | None  # (P,) W/m^2 at the mount
-    point_idx: np.ndarray | None   # (P,) delay bin
-    point_dir: np.ndarray | None   # (P,) row of dir_table
-    dir_table: np.ndarray | None   # (D, 3) distinct propagation directions
-    point_bins: tuple | None      # ((receiver, (branches, nbins) W), ...)
-                                  # when traced for `receivers`
-    b2_hist: HistRuns | None      # (traced, nbins) W; None below order 2
-                                  # or when traced for `receivers`
-    b2_bins: tuple | None         # ((receiver, (branches, nbins) W), ...)
-                                  # when traced for `receivers` at order 2
-    b2_dirs: np.ndarray | None    # (ne, 3)
-    b2_traced: np.ndarray | None  # (ne,) bool, the elements traced
+    point_bins: tuple         # ((receiver, (branches, nbins) W), ...)
+    b2_bins: tuple | None     # the same at order 2, None below it
     totals: dict              # traced power and work, by name
-
-    def _traced_bins(self, receiver: ReceiverSpec):
-        """The point and second-order bins (None below order 2) of the
-        traced receiver that captures as `receiver` does; refused for any
-        other."""
-        for k, (rx, bins) in enumerate(self.point_bins):
-            if _same_capture(rx, receiver):
-                return bins, None if self.b2_bins is None else self.b2_bins[k][1]
-        raise ValueError(
-            f"this field did not trace light for a {receiver.kind} "
-            "receiver; build the field with it among `receivers`")
+    # not a field: the benchmark's tracer (`perfbench/tracer.py`,
+    # `count_receiver_irs`) reads it after each `receiver_irs` call
+    b2_hist = None
 
     def receiver_irs(self, receiver: ReceiverSpec) -> list[ImpulseResponse]:
-        """One impulse response per receiver branch.
-
-        A field traced for `receivers` adds the bins it took at trace time.
-        Otherwise the point-arrival gains come from one `sparse_capture`
-        over the direction table, expanded to the arrivals in ascending
-        order, and are binned for every branch in one `bincount` over
-        `branch * nbins + bin`; each cell still adds its terms in arrival
-        order.  The second-order power is then `_second_order_bins` of the
-        branches' capture of `b2_dirs` over `b2_hist`."""
-        nb, nbins = receiver.branch_count, self.nbins
-        if self.point_bins is not None:
-            point_bins, b2_bins = self._traced_bins(receiver)
+        """One impulse response per receiver branch: the point and
+        second-order bins taken at trace time for the traced receiver that
+        captures as `receiver` does, added; refused for any other."""
+        for k, (rx, point_bins) in enumerate(self.point_bins):
+            if _same_capture(rx, receiver):
+                break
         else:
-            b2_bins = None
-            if self.b2_hist is not None:
-                b2_bins = _second_order_bins(
-                    capture_matrix(receiver, self.b2_dirs), self.b2_hist,
-                    self.b2_traced)
-            branch, arrival, weight = _arrival_capture(
-                receiver, self.dir_table, self.point_dir)
-            point_bins = np.bincount(
-                branch * nbins + self.point_idx[arrival],
-                weights=weight * self.point_flux[arrival],
-                minlength=nb * nbins).reshape(nb, nbins)
+            raise ValueError(
+                f"this field did not trace light for a {receiver.kind} "
+                "receiver; build the field with it among `receivers`")
+        b2_bins = None if self.b2_bins is None else self.b2_bins[k][1]
         irs = []
-        for j in range(nb):
+        for j in range(receiver.branch_count):
             # a sum or a copy: an IR never views a field's own bins
             bins = (point_bins[j].copy() if b2_bins is None
                     else point_bins[j] + b2_bins[j])
             nz = np.nonzero(bins)[0]
-            # not bins[:0]: bincount gives integer bins when nothing is captured
-            bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
+            bins = bins[: nz[-1] + 1] if nz.size else bins[:0]
             irs.append(ImpulseResponse(self.cfg.bin_width, bins))
         return irs
 
@@ -875,29 +803,6 @@ def _same_capture(a: ReceiverSpec, b: ReceiverSpec) -> bool:
             and all(x.fov_deg == y.fov_deg
                     and np.array_equal(x.boresight, y.boresight)
                     for x, y in zip(a.branches, b.branches)))
-
-
-def _arrival_capture(receiver: ReceiverSpec, dirs: np.ndarray,
-                     dir_row: np.ndarray):
-    """`sparse_capture` entries of every arrival, `dirs[dir_row]`, from one
-    capture of each direction in `dirs`.
-
-    Returns (branch, arrival, weight) ordered by arrival, then by branch.
-    Each arrival's weights are its direction's, bit for bit, since every
-    gain is computed from that direction's vector alone."""
-    branch, d, weight = sparse_capture(receiver, dirs)
-    # entries grouped by direction, branches ascending within one
-    order = np.argsort(d, kind="stable")
-    count = np.bincount(d, minlength=len(dirs))
-    first = np.cumsum(count) - count
-    # only the arrivals whose direction has an entry: no array per arrival
-    hit = np.flatnonzero((count > 0)[dir_row])
-    per = count[dir_row[hit]]
-    arrival = np.repeat(hit, per)
-    # the k-th entry of each arrival's direction
-    k = np.arange(arrival.size) - np.repeat(np.cumsum(per) - per, per)
-    entry = order[first[dir_row[arrival]] + k]
-    return branch[entry], arrival, weight[entry]
 
 
 def _second_order_bins(acc: np.ndarray, hist: HistRuns, traced: np.ndarray):
@@ -946,6 +851,19 @@ def _check_threads(threads) -> None:
     if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
             or threads < 1):
         raise ValueError(f"thread count must be at least 1, an integer, got {threads!r}")
+
+
+def _checked_receivers(receivers) -> tuple:
+    """`receivers` as a tuple, taken once (a generator is not used up by
+    the trace), once each is checked to be a `ReceiverSpec`."""
+    try:
+        rxs = tuple(receivers)
+    except TypeError:
+        rxs = None
+    if rxs is None or not all(isinstance(rx, ReceiverSpec) for rx in rxs):
+        raise ValueError("receivers must be an iterable of ReceiverSpec, "
+                         f"got {receivers!r}")
+    return rxs
 
 
 def _checked_mounts(scene: Scene, mounts) -> list:
@@ -1024,9 +942,10 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
     second-order grids, and each second-order chunk's pair geometry, over
     the union of the columns its mounts trace.  Every mount's second-order
     histogram is traced, at `threads`, when the group's first field is
-    asked for, before any fine-grid incident power or point arrival is
-    live.  Each field is built by `_field` and yielded as it comes, so
-    this frame never holds one while the next is traced."""
+    asked for, and reduced to the branch bins of `receivers` before any
+    fine-grid incident power or point arrival is live.  Each field is
+    built by `_field` and yielded as it comes, so this frame never holds
+    one while the next is traced."""
     boxes, nbins = _occluder_boxes(scene), _bin_count(scene, cfg)
     for ids, mounts in groups:
         lums = [scene.luminaires[i] for i in ids]
@@ -1039,14 +958,11 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
                 *_second_setup(grid, incident, mounts, receivers, boxes),
                 boxes, nbins, cfg.bin_width, threads)
             del grid, incident
-            if receivers is None:
-                seconds = [(hist, None, *rest) for hist, *rest in seconds]
-            else:
-                # each mount keeps its receivers' branch bins, and its
-                # histogram goes back to the OS before the next is reduced
-                for i, second in enumerate(seconds):
-                    seconds[i] = _receiver_bins(receivers, *second)
-                del second
+            # each mount keeps its receivers' branch bins, and its
+            # histogram goes back to the OS before the next is reduced
+            for i, second in enumerate(seconds):
+                seconds[i] = _receiver_bins(receivers, *second)
+            del second
         fine = [None]
         if cfg.max_order >= 1 and lums:
             fine = [coarse if coarse and cfg.first_edge == cfg.second_edge
@@ -1062,74 +978,66 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
 
 
 def _receiver_bins(receivers, hist, traced, u3, totals):
-    """One mount's share of its group's second order with its histogram
-    `hist` replaced by each of `receivers` and its branches'
+    """One mount's share of its group's second order, (bins, totals), its
+    histogram `hist` reduced to each of `receivers` with its branches'
     `_second_order_bins`, (branches, nbins), over its capture of `u3`."""
     bins = tuple((rx, _second_order_bins(capture_matrix(rx, u3), hist, traced))
                  for rx in receivers)
-    return None, bins, traced, u3, totals
+    return bins, totals
 
 
 def _field(lums, mount, cfg: TraceConfig, boxes, nbins: int, second,
            fine, receivers) -> "ArrivalField":
     """One mount's field: `second`, its share of its group's second order
     (None below order 2), then its LOS and first-order arrivals, those on
-    `fine`, the first-order grid and the set's incident power on it, kept
-    as point arrays, or binned into the branch bins of `receivers` when
-    they are given."""
-    b2_hist, b2_bins, b2_traced, b2_dirs, second = (
-        second or (None, None, None, None, {}))
+    `fine`, the first-order grid and the set's incident power on it,
+    binned into the branch bins of `receivers`."""
+    b2_bins, second = second or (None, {})
     flux0, length0, dirs0 = _los_arrivals(lums, mount, boxes)
     los = (flux0, _delay_bins(length0, cfg.bin_width,
                               np.empty(len(flux0), np.int64)))
     dirs, seen, count, hops, first_w = _first_order_arrivals(
         dirs0, fine, mount, boxes, cfg.bin_width)
-    if receivers is None:
-        points = (*_point_arrays(los, seen, count, hops), dirs)
-        point_bins = None
-    else:
-        points = (None, None, None, None)
-        point_bins = _point_bins(receivers, los, dirs, seen, hops, nbins)
+    point_bins = _point_bins(receivers, los, dirs, seen, hops, nbins)
     totals = {"point_arrivals": count}
     if first_w is not None:
         totals["first_bounce_fine_w"] = first_w
     totals.update(second)
-    return ArrivalField(mount, cfg, nbins, *points, point_bins, b2_hist,
-                        b2_bins, b2_dirs, b2_traced, totals)
+    return ArrivalField(mount, cfg, nbins, point_bins, b2_bins, totals)
 
 
-def trace_fields(scene: Scene, mounts, cfg: TraceConfig, threads: int = 1,
-                 receivers=None):
+def trace_fields(scene: Scene, mounts, cfg: TraceConfig, threads: int = 1, *,
+                 receivers):
     """An iterator over the `ArrivalField` of each of `mounts`, in order,
     each traced when it is asked for.
 
     Consecutive mounts under one luminaire set (`scene.assigned_luminaires`)
     are traced as a group of at most `_GROUP_CAP`, which shares the work
     that does not depend on the mount; each field is bit for bit the one
-    `compute_field` gives its mount alone.  With `receivers`, each of a
-    group's histograms goes back to the OS once its receivers' bins are
-    taken, before the next is reduced and before the first field is out;
-    without, each field's histogram goes back when that field is dropped:
-    drop each field before asking for the next.  The thread count, the
-    scene and every pose are checked here, before any field is traced.
-    `threads` and `receivers` are as for `compute_field`.
+    `compute_field` gives its mount alone.  Each of a group's histograms
+    goes back to the OS once its receivers' bins are taken, before the next
+    is reduced and before the first field is out; drop each field before
+    asking for the next.  The thread count, the receivers, the scene and
+    every pose are checked here, before any field is traced.  `threads`
+    and `receivers` are as for `compute_field`.
     """
     _check_threads(threads)
+    receivers = _checked_receivers(receivers)
     return _fields(scene, _position_groups(scene, mounts), cfg, threads,
                    receivers)
 
 
 def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
-                  threads: int = 1, receivers=None) -> ArrivalField:
+                  threads: int = 1, *, receivers) -> ArrivalField:
     """Trace LOS + reflections from a luminaire set to one mount point.
 
     `luminaire_ids` is normally `scene.assigned_luminaires(mount)`.  Rack
     rows the scene flags as occluding shadow every hop; no other setting
-    does.  `receivers`, the assemblies that will be applied at `mount`,
-    limits second-order tracing to the surface elements their branches
-    capture, and the field keeps only their second-order branch bins, so
-    it serves those receivers alone; without it every element is traced
-    and the field keeps the histogram, which serves any.  `threads`, an
+    does.  `receivers`, the assemblies that will be applied at `mount`
+    (`ReceiverSpec`s, taken once), limits second-order tracing to the
+    surface elements their branches capture, and the field keeps only
+    their branch bins, so it serves those receivers alone; with none, it
+    traces no second-order pair and serves no receiver.  `threads`, an
     integer of at least 1 (the caller and threads - 1 helpers), changes
     only speed.
     For many mounts, `trace_fields` shares work between them.
@@ -1140,5 +1048,6 @@ def compute_field(scene: Scene, luminaire_ids, mount, cfg: TraceConfig,
         raise ValueError(f"luminaire ids must be distinct integers in "
                          f"[0, {n}), got {ids}")
     _check_threads(threads)
+    receivers = _checked_receivers(receivers)
     return next(_fields(scene, [(ids, _checked_mounts(scene, [mount]))], cfg,
                         threads, receivers))

@@ -161,8 +161,8 @@ def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     a time (`block_slices`), so only the gated entries outlive a block.
     Each entry depends only on its own row of `directions`, so a caller may
     pass each distinct direction once and share its entries among the
-    arrivals that have it: `ArrivalField.receiver_irs` passes the field's
-    direction table.
+    arrivals that have it: `raytracer._point_bins` passes a field's table
+    of distinct arrival directions.
     """
     dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
     bores = np.stack([b.boresight for b in receiver.branches])

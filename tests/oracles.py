@@ -3,7 +3,9 @@
 Everything here is written from the closed forms directly, using plain
 Python scalars (no shared code with the production tracer), so the
 production paths can be checked against a source that cannot drift with
-them.
+them.  The exceptions say so in their docstrings: the field reference
+(`oracle_field`) takes its inputs from the tracer's own first-order
+stage and second-order kernel, each checked against a reference here.
 """
 
 import math
@@ -340,7 +342,7 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
 
     Every e1 row of the coarse grid is traced, one luminaire at a time, and
     only pairs with positive weight are kept; chunks are reduced in order.
-    Returns (b2_hist, second_bounce_coarse_w), the latter the sum over the
+    Returns (hist, second_bounce_coarse_w), the latter the sum over the
     columns of each column's reflected power, itself added chunk by chunk,
     luminaire by luminaire and row by row.  Unlike the scalar oracles
     above this shares the unchanged helpers (`_segments_blocked`,
@@ -355,8 +357,7 @@ def oracle_second_order_hist(scene, luminaire_ids, mount, cfg):
     lums = [scene.luminaires[i] for i in luminaire_ids]
     boxes = _occluder_boxes(scene)
     mount = np.asarray(mount, dtype=float)
-    diag = math.sqrt(sum(s * s for s in scene.room))
-    nbins = int((cfg.max_order + 1) * diag / C_LIGHT / cfg.bin_width) + 2
+    nbins = oracle_bin_count(scene, cfg)
 
     grid = scene.surface_elements(cfg.second_edge)
     ne = len(grid)
@@ -448,18 +449,83 @@ def oracle_capture_matrix(receiver, directions):
     return acc
 
 
-def oracle_receiver_irs(field, receiver, hist=None, points=None):
+def oracle_bin_count(scene, cfg) -> int:
+    """Delay bins that hold the longest path of the traced orders."""
+    diag = math.sqrt(sum(s * s for s in scene.room))
+    return int((cfg.max_order + 1) * diag / SPEED_OF_LIGHT / cfg.bin_width) + 2
+
+
+def oracle_point_arrays(los, seen, count: int, hops):
+    """The point arrivals of `raytracer._first_order_arrivals` as flat
+    (flux, delay bin, row of `dirs`) arrays: the LOS arrivals `los`,
+    (flux, delay bin) per luminaire, then every hop's arrivals that pass,
+    written into the arrays one luminaire at a time.  The tracer's own
+    writer of a field's point arrays, kept verbatim."""
+    nl = len(los[0])
+    flux, bins = np.empty(count), np.empty(count, np.int64)
+    row = np.empty(count, np.int64)
+    flux[:nl], bins[:nl], row[:nl] = *los, np.arange(nl)
+    # each element's direction row, after the LOS directions
+    erow = np.cumsum(seen) - 1 + nl
+    a = nl
+    for passes, f, b in hops:
+        e = np.flatnonzero(passes)
+        c = e.size
+        np.take(f, e, out=flux[a:a + c])
+        np.take(b, e, out=bins[a:a + c])
+        np.take(erow, e, out=row[a:a + c])
+        a += c
+    return flux, bins, row
+
+
+def oracle_points(scene, luminaire_ids, mount, cfg):
+    """Every LOS and first-order arrival at `mount`, (flux, delay bin,
+    direction row, direction table), by the tracer's own LOS and
+    first-order stages written out per arrival (`oracle_point_arrays`).
+    They depend on no receiver, and not on the second-order grid: the
+    first-order grid is the same `scene.surface_elements` at one edge."""
+    from owcsim.raytracer import (_delay_bins, _first_order_arrivals,
+                                  _lit_grid, _los_arrivals, _occluder_boxes)
+
+    lums = [scene.luminaires[i] for i in luminaire_ids]
+    boxes = _occluder_boxes(scene)
+    mount = np.asarray(mount, dtype=float)
+    flux0, length0, dirs0 = _los_arrivals(lums, mount, boxes)
+    los = (flux0, _delay_bins(length0, cfg.bin_width,
+                              np.empty(len(flux0), np.int64)))
+    fine = (_lit_grid(scene, lums, boxes, cfg.first_edge)
+            if cfg.max_order >= 1 and lums else None)
+    dirs, seen, count, hops, _ = _first_order_arrivals(
+        dirs0, fine, mount, boxes, cfg.bin_width)
+    return (*oracle_point_arrays(los, seen, count, hops), dirs)
+
+
+def record_hists(monkeypatch) -> list:
+    """The second order of every mount traced from here on, in trace
+    order, as `raytracer._second_order_hists` returns it: (the dense
+    histogram of its traced elements, the traced-element mask, the arrival
+    direction of every element).  A field keeps only its receivers' bins
+    of it."""
+    from owcsim import raytracer
+
+    hists, real = [], raytracer._second_order_hists
+
+    def record(*args):
+        out = real(*args)
+        hists.extend((h.toarray(), mask, u3) for h, mask, u3, _ in out)
+        return out
+
+    monkeypatch.setattr(raytracer, "_second_order_hists", record)
+    return hists
+
+
+def oracle_receiver_irs(nbins, receiver, points, second=None):
     """Per-branch impulse responses by the dense path as first written: a
-    dense capture of every point arrival (its row of the direction table),
-    one `bincount` per branch, plus the branch's gemv over the full-shape
-    second-order histogram, its untraced rows 0.0.  `hist` is the dense
-    histogram of the traced elements, `field.b2_hist`'s by default; a
-    field traced for its receivers keeps none, so its caller records it.
-    The point arrivals are those of `points`, `field` by default: a field
-    traced for its receivers keeps none either, so its caller passes a
-    field traced without receivers at the same mount on the same
-    first-order grid, whose point arrays do not depend on receivers.
-    Returns a list of bin arrays.
+    dense capture of every point arrival of `points` (`oracle_points`),
+    one `bincount` per branch, plus the branch's gemv over `second`, the
+    (histogram of every element, arrival direction of every element) of
+    the second order (`kernel_hist`; None below order 2).  Returns a list
+    of bin arrays.
 
     The gemv runs one product per 256-bin block of the histogram, not one
     over every bin: OpenBLAS runs a gemv of 460 800 cells or more on
@@ -469,40 +535,93 @@ def oracle_receiver_irs(field, receiver, hist=None, points=None):
     elements, so there it runs on one thread whatever the host's core
     count.  A last block of one bin joins the one before it: numpy hands
     a 1-wide operand to another BLAS call than the full product."""
-    points = field if points is None else points
-    if hist is None and field.b2_hist is not None:
-        hist = field.b2_hist.toarray()
-    if hist is not None:
-        full = np.zeros((field.b2_traced.size, field.nbins))
-        full[field.b2_traced] = hist
-        starts = list(range(0, field.nbins, 256))
-        if len(starts) > 1 and field.nbins - starts[-1] == 1:
+    flux, idx, row, dirs = points
+    if second is not None:
+        full, u3 = second
+        starts = list(range(0, nbins, 256))
+        if len(starts) > 1 and nbins - starts[-1] == 1:
             starts.pop()
-        blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [field.nbins])]
+        blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [nbins])]
 
     def assemble(acc_point, acc_b2):
-        bins = np.bincount(points.point_idx, weights=acc_point * points.point_flux,
-                           minlength=field.nbins)
-        if hist is not None:
-            b2 = np.empty(field.nbins)
+        bins = np.bincount(idx, weights=acc_point * flux, minlength=nbins)
+        if second is not None:
+            b2 = np.empty(nbins)
             for b in blocks:
                 b2[b] = acc_b2 @ full[:, b]
             bins = bins + b2
         nz = np.nonzero(bins)[0]
         return bins[: nz[-1] + 1] if nz.size else bins[:0]
 
-    acc_point = oracle_capture_matrix(receiver, points.dir_table[points.point_dir])
-    acc_b2 = (oracle_capture_matrix(receiver, field.b2_dirs)
-              if hist is not None else None)
+    acc_point = oracle_capture_matrix(receiver, dirs[row])
+    acc_b2 = (oracle_capture_matrix(receiver, u3)
+              if second is not None else None)
     return [assemble(acc_point[j], acc_b2[j] if acc_b2 is not None else None)
             for j in range(receiver.branch_count)]
 
 
+@dataclass
+class OracleField:
+    """A stand-in for the field traced at `mount` that serves the dense
+    reference: `receiver_irs` gives `oracle_receiver_irs` of `points` and
+    `second` for any receiver, so `link_report` can read it too."""
+
+    mount: np.ndarray
+    bin_width: float
+    nbins: int
+    points: tuple
+    second: tuple | None
+
+    def receiver_irs(self, receiver):
+        from owcsim.raytracer import ImpulseResponse
+
+        return [ImpulseResponse(self.bin_width, bins) for bins in
+                oracle_receiver_irs(self.nbins, receiver, self.points,
+                                    self.second)]
+
+
+def kernel_hist(scene, luminaire_ids, mount, cfg, threads=1):
+    """The second-order kernel's output at `mount` over every element of
+    the coarse grid: (histogram, totals, arrival direction of every
+    element).  `raytracer._second_order_hists` runs as a field's trace
+    runs it, set up by `raytracer._second_setup` for `probes.all_around`,
+    which captures every element, so no column is culled.  This is the
+    tracer's own kernel; `oracle_second_order_hist` is its reference."""
+    from owcsim import raytracer
+    from probes import all_around
+
+    lums = [scene.luminaires[i] for i in luminaire_ids]
+    boxes = raytracer._occluder_boxes(scene)
+    grid, incident = raytracer._lit_grid(scene, lums, boxes, cfg.second_edge)
+    lit, hops, traced = raytracer._second_setup(
+        grid, incident, [np.asarray(mount, dtype=float)], [all_around()],
+        boxes)
+    assert traced[0].all(), "all_around() must trace every element"
+    (kept, _, u3, totals), = raytracer._second_order_hists(
+        grid, incident, lit, hops, traced, boxes,
+        raytracer._bin_count(scene, cfg), cfg.bin_width, threads)
+    return kept, totals, u3
+
+
+def oracle_field(scene, luminaire_ids, mount, cfg) -> OracleField:
+    """The dense reference for the field traced at `mount` with `cfg`:
+    every point arrival (`oracle_points`) and, from order 2, the second
+    order of every element (`kernel_hist`), so that no column a tracer
+    culls is missing from the reference too."""
+    second = None
+    if cfg.max_order >= 2 and len(luminaire_ids):
+        kept, _, u3 = kernel_hist(scene, luminaire_ids, mount, cfg)
+        second = (kept.toarray(), u3)
+    return OracleField(np.asarray(mount, dtype=float), cfg.bin_width,
+                       oracle_bin_count(scene, cfg),
+                       oracle_points(scene, luminaire_ids, mount, cfg), second)
+
+
 def oracle_point_bins(receiver, directions, point_idx, point_flux, nbins):
     """(branches, nbins) point-arrival bins by the per-arrival capture path
-    `ArrivalField.receiver_irs` used before its direction table, kept
-    verbatim: one `sparse_capture` over a (P, 3) direction per arrival and
-    one `bincount` over `branch * nbins + bin`."""
+    the tracer used before its direction table, kept verbatim: one
+    `sparse_capture` over a (P, 3) direction per arrival and one
+    `bincount` over `branch * nbins + bin`."""
     from owcsim.receivers import sparse_capture
 
     nb = receiver.branch_count

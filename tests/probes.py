@@ -5,6 +5,8 @@ The package applies every detector through `ReceiverSpec` assemblies
 helpers wrap one element in a one-branch receiver so that tests can read
 a single element's gain or impulse response from that same path.  A
 one-branch "imaging" receiver is that element under the collection lens.
+A field serves only the receivers it was traced for, so a test traces it
+with `receivers=[probe(det)]` and reads it with `detector_ir`.
 """
 
 import numpy as np
@@ -13,11 +15,25 @@ from owcsim.receivers import (DetectorSpec, ReceiverSpec, capture_matrix,
                               make_imaging)
 
 
+def probe(detector, lens=False) -> ReceiverSpec:
+    """One detector element as a one-branch receiver, bare or under the
+    lens."""
+    return ReceiverSpec("imaging" if lens else "detector", (detector,))
+
+
 def detector_ir(field, detector, lens=False):
     """Impulse response of one detector element at the field's mount, bare
-    or under the lens."""
-    kind = "imaging" if lens else "detector"
-    return field.receiver_irs(ReceiverSpec(kind, (detector,)))[0]
+    or under the lens; the field must be traced for its `probe`."""
+    return field.receiver_irs(probe(detector, lens))[0]
+
+
+def all_around() -> ReceiverSpec:
+    """Six bare elements facing +-x, +-y and +-z, each with a 90 deg FOV.
+    Every arrival direction has a component of at least 1/sqrt(3) against
+    one of them, so a field traced for it traces every second-order
+    element and reports the full `second_bounce_coarse_w`."""
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    return ReceiverSpec("detector", tuple(DetectorSpec(a, 90.0) for a in axes))
 
 
 def lens_transmission(angles) -> np.ndarray:

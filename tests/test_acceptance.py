@@ -24,7 +24,7 @@ import owcsim as o
 from owcsim.cli import main as cli_main
 
 from oracles import oracle_los_sum, oracle_one_bounce, oracle_q
-from probes import detector_ir, lens_transmission
+from probes import all_around, detector_ir, lens_transmission, probe
 
 BITRATE = 2e9          # matches the shipped reference config
 NOISE = o.NoiseParams()
@@ -42,9 +42,13 @@ def pod():
 
 @pytest.fixture(scope="module")
 def fields(pod):
-    """One traced arrival field per mount at the reference settings."""
+    """One traced arrival field per mount at the reference settings, for
+    the three receivers and for a probe that sees every surface element,
+    so that each field reports the full coarse second-bounce power."""
     cfg = o.TraceConfig(max_order=2)
-    return [o.compute_field(pod, pod.assigned_luminaires(m), m, cfg, threads=2)
+    rxs = (o.make_wfov(), o.make_adr(), o.make_imaging(), all_around())
+    return [o.compute_field(pod, pod.assigned_luminaires(m), m, cfg, threads=2,
+                            receivers=rxs)
             for m in pod.mounts]
 
 
@@ -69,7 +73,8 @@ def test_criterion_1_los_oracle_equivalence(pod):
         bore /= np.linalg.norm(bore)
         fov = float(rng.uniform(30.0, 90.0))
         det = o.DetectorSpec(bore, fov)
-        got = detector_ir(o.compute_field(pod, tuple(range(9)), pos, cfg),
+        got = detector_ir(o.compute_field(pod, tuple(range(9)), pos, cfg,
+                                          receivers=[probe(det)]),
                           det).total_power()
         want = oracle_los_sum(pod, bore, fov, 4e-6, pos)
         if want > 0.0:
@@ -98,7 +103,8 @@ def test_criterion_2_one_bounce_unit(pod):
     cfg = o.TraceConfig(max_order=1, first_edge=0.05)
     det = o.DetectorSpec(np.array([0.0, 0.0, -1.0]), 90.0)
     t0 = time.perf_counter()
-    got = detector_ir(o.compute_field(scene, (0,), np.array([2.0, 1.0, 1.0]), cfg),
+    got = detector_ir(o.compute_field(scene, (0,), np.array([2.0, 1.0, 1.0]), cfg,
+                                      receivers=[probe(det)]),
                       det).total_power()
     elapsed = time.perf_counter() - t0
     hand = oracle_one_bounce((1, 1, 1), (0, 0, -1), scene.luminaires[0].order,
@@ -173,7 +179,7 @@ def test_criterion_6_conservation_and_convergence(pod, fields):
         for edge in (0.10, 0.05):
             cfg = o.TraceConfig(max_order=1, first_edge=edge)
             f = o.compute_field(pod, pod.assigned_luminaires(pod.mounts[mi]),
-                                pod.mounts[mi], cfg)
+                                pod.mounts[mi], cfg, receivers=[probe(det)])
             totals.append(detector_ir(f, det).total_power())
         changes.append(abs(totals[1] - totals[0]) / totals[1])
     elapsed = time.perf_counter() - t0

@@ -28,6 +28,8 @@ from owcsim.raytracer import (ImpulseResponse, _position_groups, compute_field,
 from owcsim.receivers import make_adr, make_imaging, make_wfov
 from owcsim.scene import Scene, build_pod
 
+from oracles import oracle_field, record_hists
+
 REFERENCE = files("owcsim").joinpath("data/pod_reference.ini").read_text()
 
 
@@ -491,9 +493,11 @@ def coarse_second_order_config(**overrides):
 
 class TestReceiverCulledOutputs:
     """simulate/sweep trace only what their receivers see; their files must
-    equal the ones built from fully traced fields, byte for byte."""
+    equal the ones built from the dense reference's IRs (`oracle_field`)
+    over every point arrival and the second order of every element, byte
+    for byte."""
 
-    def test_simulate_equals_full_fields(self, tmp_path):
+    def test_simulate_equals_dense_irs(self, tmp_path, monkeypatch):
         # the reference is the per-row writer, so that a fault of
         # `write_ir_csv` cannot pass by writing both sides
         text = coarse_second_order_config()
@@ -501,20 +505,25 @@ class TestReceiverCulledOutputs:
         cfg_path.write_text(text)
         cfg = parse_config(text)
         pod = build_pod(cfg.pod)
+        hists = record_hists(monkeypatch)
+        for threads in ("1", "2"):
+            assert main(["simulate", "--config", str(cfg_path), "--receiver",
+                         "all", "--out", str(tmp_path / f"out{threads}"),
+                         "--threads", threads]) == 0
+        assert len(hists) == 6
         ref = tmp_path / "ref"
         ref.mkdir()
         for mi, mount in enumerate(pod.mounts):
-            field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg.trace)
+            want = oracle_field(pod, pod.assigned_luminaires(mount), mount,
+                                cfg.trace)
             for rx in RECEIVERS:
-                for bj, ir in enumerate(field.receiver_irs(rx)):
+                for bj, ir in enumerate(want.receiver_irs(rx)):
                     TestWriteIrCsv.row_loop(
                         ir, str(ref / f"ir_{rx.kind}_mount{mi}_branch{bj}.csv"))
         names = sorted(p.name for p in ref.iterdir())
         assert len(names) == 162
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
-            assert main(["simulate", "--config", str(cfg_path), "--receiver",
-                         "all", "--out", str(out), "--threads", threads]) == 0
             assert sorted(p.name for p in out.glob("*.csv")) == names
             for name in names:
                 assert (out / name).read_bytes() == (ref / name).read_bytes(), \
@@ -559,23 +568,25 @@ class TestReceiverCulledOutputs:
         assert (self.fields_alive(tmp_path, monkeypatch, "sweep")
                 == [[], [False], [False, False]])
 
-    def test_sweep_equals_full_fields(self, tmp_path):
+    def test_sweep_equals_dense_irs(self, tmp_path, monkeypatch):
         text = coarse_second_order_config()
         cfg_path = tmp_path / "run.ini"
         cfg_path.write_text(text)
         out = tmp_path / "out"
+        hists = record_hists(monkeypatch)
         assert main(["sweep", "--config", str(cfg_path), "--receiver", "all",
                      "--out", str(out)]) == 0
+        assert len(hists) == 3
         cfg = parse_config(text)
         pod = build_pod(cfg.pod)
         lines = [METRICS_HEADER]
         for y in (1.0, 4.0, 7.0):
             mount = np.array([cfg.sweep.row_x, y, cfg.pod.rack_top_m])
-            field = compute_field(pod, pod.assigned_luminaires(mount), mount,
-                                  cfg.trace)
+            want = oracle_field(pod, pod.assigned_luminaires(mount), mount,
+                                cfg.trace)
             for rx in RECEIVERS:
                 lines.append(_metrics_row(link_report(
-                    field, rx, cfg.bitrate, cfg.noise)))
+                    want, rx, cfg.bitrate, cfg.noise)))
         assert (out / "metrics.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_check_reports_traced_pairs(self, tmp_path, capsys):
@@ -601,7 +612,7 @@ class TestReceiverCulledOutputs:
             8 * field.totals["second_cols_traced"] * field.nbins)
 
 
-    def test_check_reports_sweep_groups(self, tmp_path, capsys):
+    def test_check_reports_sweep_groups(self, tmp_path, capsys, monkeypatch):
         # seven positions under one luminaire set: groups of three and four,
         # each sharing its pair geometry over the union of its columns
         text = coarse_second_order_config(**{"y_step_m = 0.5": "y_step_m = 1.0"})
@@ -619,10 +630,12 @@ class TestReceiverCulledOutputs:
         groups = _position_groups(pod, _sweep_mounts(cfg))
         assert [len(mounts) for _, mounts in groups] == [3, 4]
         cols = pairs = held = 0
+        hists = record_hists(monkeypatch)
         for ids, mounts in groups:
+            hists.clear()
             traced = [compute_field(pod, ids, m, cfg.trace,
                                     receivers=list(RECEIVERS)) for m in mounts]
-            union = int(np.logical_or.reduce([f.b2_traced for f in traced]).sum())
+            union = int(np.logical_or.reduce([mask for _, mask, _ in hists]).sum())
             cols += union
             pairs += traced[0].totals["second_rows_traced"] * union
             held = max(held, sum(8 * f.totals["second_cols_traced"] * f.nbins

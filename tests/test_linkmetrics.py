@@ -404,9 +404,10 @@ def pod():
 
 def report_at(pod, mi, make, cfg):
     """Link report of one receiver kind at reference mount `mi`."""
-    mount = pod.mounts[mi]
-    field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg)
-    return link_report(field, make(), 1e9)
+    mount, rx = pod.mounts[mi], make()
+    field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg,
+                          receivers=[rx])
+    return link_report(field, rx, 1e9)
 
 
 class TestLinkReport:

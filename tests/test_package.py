@@ -41,9 +41,8 @@ FIELDS = {
     "SurfacePanel": ("origin", "u", "v", "normal", "reflectance", "kind"),
     "Luminaire": ("position", "semi_angle_deg", "power_w"),
     # raytracer
-    "ArrivalField": ("mount", "cfg", "nbins", "point_flux", "point_idx",
-                     "point_dir", "dir_table", "point_bins", "b2_hist",
-                     "b2_bins", "b2_dirs", "b2_traced", "totals"),
+    "ArrivalField": ("mount", "cfg", "nbins", "point_bins", "b2_bins",
+                     "totals"),
     "ImpulseResponse": ("bin_width", "bins"),
     "TraceConfig": ("max_order", "first_edge", "second_edge", "bin_width"),
     # receivers
@@ -82,8 +81,8 @@ def test_public_dataclass_fields_are_the_listed_ones():
 # field defaults are fields, listed above.
 DEFAULTS = {
     "scene.Luminaire.make": {"semi_angle_deg": 70.0},
-    "raytracer.compute_field": {"threads": 1, "receivers": None},
-    "raytracer.trace_fields": {"threads": 1, "receivers": None},
+    "raytracer.compute_field": {"threads": 1},
+    "raytracer.trace_fields": {"threads": 1},
     "linkmetrics.link_report": {"noise": NoiseParams()},
     "cli.main": {"argv": None},
     "cli.run_simulate": {"threads": 1, "gnuplot": False},

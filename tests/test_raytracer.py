@@ -49,17 +49,21 @@ from owcsim.scene import (
 
 from oracles import (
     Element,
+    kernel_hist,
     los_gain,
+    oracle_capture_matrix,
+    oracle_field,
     oracle_final_hop,
     oracle_incident_power,
     oracle_los_sum,
     oracle_one_bounce,
     oracle_path_delay,
-    oracle_receiver_irs,
+    oracle_points,
     oracle_second_order_hist,
+    record_hists,
     reflected_path_gain,
 )
-from probes import detector_ir
+from probes import detector_ir, probe
 
 
 def detector(boresight=(0, 0, 1), fov=90.0):
@@ -219,7 +223,8 @@ class TestTrace:
         cfg = TraceConfig(max_order=2, first_edge=0.5, second_edge=1.0)
         det = detector(fov=70.0)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
-        ir = detector_ir(compute_field(pod, ids, mount, cfg), det)
+        ir = detector_ir(compute_field(pod, ids, mount, cfg,
+                                       receivers=[probe(det)]), det)
         expect = sum(los_gain(pod.luminaires[i], det, mount)
                      * pod.luminaires[i].power_w for i in ids)
         assert ir.total_power() == pytest.approx(expect, rel=1e-12)
@@ -228,22 +233,24 @@ class TestTrace:
         # empty float IRs for every order and every receiver kind
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         mount = pod.mounts[0]
+        rxs = [probe(detector())] + [make() for make in MAKERS.values()]
         for max_order in (0, 1, 2):
-            field = compute_field(pod, (), mount, TraceConfig(max_order=max_order))
-            irs = [detector_ir(field, detector())] + [
-                ir for make in MAKERS.values()
-                for ir in field.receiver_irs(make())]
+            field = compute_field(pod, (), mount, TraceConfig(max_order=max_order),
+                                  receivers=rxs)
+            irs = [ir for rx in rxs for ir in field.receiver_irs(rx)]
             assert len(irs) == 1 + 1 + 3 + 50
             for ir in irs:
                 assert ir.bins.size == 0 and ir.bins.dtype == np.float64
 
     def test_nothing_captured_gives_float_bins(self):
-        # a face-down detector sees no LOS arrival; with no second-order
-        # histogram the point bincount alone makes the bins
+        # a face-down detector sees no LOS arrival; with no second order
+        # its point bins alone make the IR
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
+        det = detector(boresight=(0, 0, -1))
         field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
-                              pod.mounts[0], TraceConfig(max_order=0))
-        ir = detector_ir(field, detector(boresight=(0, 0, -1)))
+                              pod.mounts[0], TraceConfig(max_order=0),
+                              receivers=[probe(det)])
+        ir = detector_ir(field, det)
         assert ir.bins.size == 0 and ir.bins.dtype == np.float64
 
     def test_single_patch_equals_closed_forms(self):
@@ -251,7 +258,8 @@ class TestTrace:
         cfg = TraceConfig(max_order=2, first_edge=0.05, second_edge=0.20)
         det = detector(boresight=(0, 0, -1))
         pos = vec3(2, 1, 1)
-        ir = detector_ir(compute_field(scene, (0,), pos, cfg), det)
+        ir = detector_ir(compute_field(scene, (0,), pos, cfg,
+                                       receivers=[probe(det)]), det)
         lum = scene.luminaires[0]
         g_los = los_gain(lum, det, pos)           # zero: emitter points down
         grid = scene.surface_elements(0.05)
@@ -277,7 +285,8 @@ class TestTrace:
             b /= np.linalg.norm(b)
             fov = float(rng.uniform(30.0, 90.0))
             det = DetectorSpec(b, fov)
-            ir = detector_ir(compute_field(pod, all_ids, pos, cfg), det)
+            ir = detector_ir(compute_field(pod, all_ids, pos, cfg,
+                                           receivers=[probe(det)]), det)
             want = oracle_los_sum(pod, b, fov, 4e-6, pos)
             assert ir.total_power() == pytest.approx(want, rel=1e-12, abs=1e-30)
 
@@ -286,7 +295,8 @@ class TestTrace:
         cfg = TraceConfig(max_order=0)
         det = detector(fov=70.0)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
-        ir = detector_ir(compute_field(pod, ids, mount, cfg), det)
+        ir = detector_ir(compute_field(pod, ids, mount, cfg,
+                                       receivers=[probe(det)]), det)
         expected_bins = set()
         for i in ids:
             d = float(np.linalg.norm(mount - pod.luminaires[i].position))
@@ -322,8 +332,10 @@ class TestTrace:
         det = detector(fov=90.0)
         pos = vec3(2.9, 4.0, 0.5)  # in the aisle, below the rack tops
         cfg = TraceConfig(max_order=0)
-        ir_clear = detector_ir(compute_field(pod_clear, (4,), pos, cfg), det)
-        ir_solid = detector_ir(compute_field(pod_solid, (4,), pos, cfg), det)
+        ir_clear, ir_solid = (
+            detector_ir(compute_field(p, (4,), pos, cfg, receivers=[probe(det)]),
+                        det)
+            for p in (pod_clear, pod_solid))
         assert ir_clear.total_power() > 0.0     # rows not flagged as occluding
         assert ir_solid.total_power() == 0.0    # centre row shadows the aisle
 
@@ -337,7 +349,8 @@ class TestTrace:
         cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.8)
         ir_open, ir_occ = (
             detector_ir(compute_field(p, p.assigned_luminaires(p.mounts[1]),
-                                      p.mounts[1], cfg), det)
+                                      p.mounts[1], cfg, receivers=[probe(det)]),
+                        det)
             for p in (pod_open, pod))
         assert 0.0 < ir_occ.total_power() < ir_open.total_power()
         n = min(ir_occ.bins.size, ir_open.bins.size)
@@ -350,13 +363,15 @@ class TestTrace:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         with pytest.raises(ValueError, match=r"pose \(4\.0, 4\.0, 0\.1\) must be "
                            "inside the room and above the communication floor"):
-            compute_field(pod, (0,), vec3(4, 4, 0.1), TraceConfig(max_order=0))
+            compute_field(pod, (0,), vec3(4, 4, 0.1), TraceConfig(max_order=0),
+                          receivers=[])
 
     def test_invalid_scene_rejected(self):
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         object.__setattr__(pod.panels[0], "reflectance", 1.4)
         with pytest.raises(ValueError, match="reflectance"):
-            compute_field(pod, (0,), vec3(4, 4, 2), TraceConfig(max_order=0))
+            compute_field(pod, (0,), vec3(4, 4, 2), TraceConfig(max_order=0),
+                          receivers=[])
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_thread_count_below_one_rejected(self, monkeypatch, threads):
@@ -367,7 +382,8 @@ class TestTrace:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         with pytest.raises(ValueError, match="thread count must be at least 1"):
             compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
-                          pod.mounts[0], TraceConfig(), threads=threads)
+                          pod.mounts[0], TraceConfig(), threads=threads,
+                          receivers=[make_adr()])
 
 
 COARSE = dict(max_order=2, first_edge=0.4, second_edge=0.4)
@@ -509,6 +525,9 @@ class RecordingExecutor(ThreadPoolExecutor):
 
 
 class TestSecondOrderKernel:
+    """The second-order kernel over every column of the grid, against the
+    reference loop's histogram of every element (`kernel_hist`)."""
+
     @pytest.mark.parametrize("occlusion", [False, True])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_histogram_matches_reference_loop(self, occlusion, threads):
@@ -531,13 +550,12 @@ class TestSecondOrderKernel:
         assert any(not c.any() for c in chunks)
         assert any(c.any() and not c.all() for c in chunks)
 
-        field = compute_field(pod, ids, pod.mounts[1], cfg, threads=threads)
+        kept, totals, _ = kernel_hist(pod, ids, pod.mounts[1], cfg, threads)
         hist, second_w = oracle_second_order_hist(pod, ids, pod.mounts[1], cfg)
-        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-        assert field.totals["second_bounce_coarse_w"] == second_w
-        assert field.totals["second_rows_traced"] == int(lit.sum())
-        assert (field.totals["second_pairs_evaluated"]
-                == int(lit.sum()) * len(grid))
+        assert kept.toarray().tobytes() == hist.tobytes()
+        assert totals["second_bounce_coarse_w"] == second_w
+        assert totals["second_rows_traced"] == int(lit.sum())
+        assert totals["second_pairs_evaluated"] == int(lit.sum()) * len(grid)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_tilted_panels_pin_summation_order(self, threads):
@@ -551,12 +569,12 @@ class TestSecondOrderKernel:
         scene = tilted_panel_scene()
         mount = scene.mounts[0]
         cfg = TraceConfig(first_edge=0.1, second_edge=0.1)
-        field = compute_field(scene, (0,), mount, cfg, threads=threads)
+        kept, totals, _ = kernel_hist(scene, (0,), mount, cfg, threads)
         hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
-        assert field.b2_hist.shape[0] == 128
+        assert kept.shape[0] == 128
         assert np.count_nonzero(hist) > 1000
-        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-        assert field.totals["second_bounce_coarse_w"] == second_w
+        assert kept.toarray().tobytes() == hist.tobytes()
+        assert totals["second_bounce_coarse_w"] == second_w
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None,
               phases=(Phase.explicit, Phase.generate))
@@ -608,10 +626,9 @@ class TestSecondOrderKernel:
                                                   cfg)
         assert np.count_nonzero(hist) > 1000
         for threads in (1, 3):
-            field = compute_field(scene, (0,), scene.mounts[0], cfg,
-                                  threads=threads)
-            assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-            assert field.totals["second_bounce_coarse_w"] == second_w
+            kept, totals, _ = kernel_hist(scene, (0,), scene.mounts[0], cfg, threads)
+            assert kept.toarray().tobytes() == hist.tobytes()
+            assert totals["second_bounce_coarse_w"] == second_w
 
     def test_coincident_elements_of_two_panels(self):
         """Two overlapping vertical panels 0.1 um apart face each other, so
@@ -632,12 +649,12 @@ class TestSecondOrderKernel:
         grid = scene.surface_elements(cfg.second_edge)
         gap = grid.centres[100:200] - grid.centres[:100]
         assert np.all((gap * gap).sum(axis=1) <= 1e-12) and np.all(gap[:, 0] > 0)
-        field = compute_field(scene, (0,), scene.mounts[0], cfg)
+        kept, totals, _ = kernel_hist(scene, (0,), scene.mounts[0], cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
                                                   cfg)
         assert np.count_nonzero(hist[100:200]) > 100
-        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-        assert field.totals["second_bounce_coarse_w"] == second_w
+        assert kept.toarray().tobytes() == hist.tobytes()
+        assert totals["second_bounce_coarse_w"] == second_w
 
     def test_room_smaller_than_a_metre(self, windows):
         # coincident e1 == e2 pairs get a 1 m stand-in distance and zero
@@ -645,11 +662,11 @@ class TestSecondOrderKernel:
         # the histogram and must be dropped, not break the reduction
         scene = sub_metre_scene()
         cfg = TraceConfig(first_edge=0.05, second_edge=0.05)
-        field = compute_field(scene, (0,), scene.mounts[0], cfg)
+        kept, totals, _ = kernel_hist(scene, (0,), scene.mounts[0], cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
                                                   cfg)
-        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-        assert field.totals["second_bounce_coarse_w"] == second_w > 0.0
+        assert kept.toarray().tobytes() == hist.tobytes()
+        assert totals["second_bounce_coarse_w"] == second_w > 0.0
         # the chunk's window is clipped at the end, the rest dropped
         (lo, width, span, nbins), = windows
         assert 0 < lo < lo + span == nbins < lo + width
@@ -673,23 +690,24 @@ class TestSecondOrderKernel:
                           bin_width=reach / C_LIGHT)
         # one block holds every column, then blocks of 64 split them
         monkeypatch.setattr(raytracer, "_BLOCK", 128)
-        field = compute_field(scene, (0,), mount, cfg)
+        kept, totals, _ = kernel_hist(scene, (0,), mount, cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), mount, cfg)
         ne = len(scene.surface_elements(cfg.second_edge))
         assert ne <= raytracer._BLOCK
         assert windows == [window]
         assert hist.any()
-        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-        assert field.totals["second_bounce_coarse_w"] == second_w
+        assert kept.toarray().tobytes() == hist.tobytes()
+        assert totals["second_bounce_coarse_w"] == second_w
         windows.clear()
         monkeypatch.setattr(raytracer, "_BLOCK", 64)
-        split = compute_field(scene, (0,), mount, cfg)
+        split, split_totals, _ = kernel_hist(scene, (0,), mount, cfg)
         lo, _, span, nbins = window
         assert len(windows) == -(-ne // 64)
         assert min(w[0] for w in windows) == lo
         assert max(w[0] + w[2] for w in windows) == lo + span
         assert {w[3] for w in windows} == {nbins}
-        assert_same_field(split, field)
+        assert split.toarray().tobytes() == hist.tobytes()
+        assert split_totals == totals
 
     def test_chunk_wholly_past_the_end(self, windows):
         # one floor element: its only pair is coincident, and the stand-in
@@ -699,17 +717,17 @@ class TestSecondOrderKernel:
                              vec3(0, 0.05, 0), vec3(0, 0, 1), 0.8, "floor")
         scene = dataclasses.replace(sub_metre_scene(), panels=[patch])
         cfg = TraceConfig(first_edge=0.05, second_edge=0.05)
-        field = compute_field(scene, (0,), scene.mounts[0], cfg)
+        kept, totals, _ = kernel_hist(scene, (0,), scene.mounts[0], cfg)
         hist, second_w = oracle_second_order_hist(scene, (0,), scene.mounts[0],
                                                   cfg)
         (lo, width, span, nbins), = windows
         assert lo >= nbins and width == 1 and span == 0
-        assert field.totals["second_pairs_evaluated"] == 1
-        assert field.b2_hist.shape == (1, nbins)
+        assert totals["second_pairs_evaluated"] == 1
+        assert kept.shape == (1, nbins)
         # no piece is kept: the row is pool piece 0's zeros
-        assert field.b2_hist.used == 0
-        assert_kept_pieces(field, hist)
-        assert field.totals["second_bounce_coarse_w"] == second_w == 0.0
+        assert kept.used == 0
+        assert_kept_pieces(kept, hist, scene, (0,), scene.mounts[0], cfg)
+        assert totals["second_bounce_coarse_w"] == second_w == 0.0
 
     @pytest.mark.parametrize("extra", [0, 1, 88],
                              ids=["whole-runs", "folded-run", "short-run"])
@@ -740,9 +758,9 @@ class TestSecondOrderKernel:
         assert not hist.any(axis=1).all()
         assert hist.shape[0] * max(widths) < 460_800 <= hist.size
         for threads in (1, 4):
-            field = compute_field(pod, ids, mount, cfg, threads=threads)
-            assert field.b2_hist.pool.shape[1] == _PIECE
-            assert_kept_pieces(field, hist)
+            kept, _, _ = kernel_hist(pod, ids, mount, cfg, threads)
+            assert kept.pool.shape[1] == _PIECE
+            assert_kept_pieces(kept, hist, pod, ids, mount, cfg, threads)
 
     @pytest.mark.parametrize("occlusion", [False, True],
                              ids=["racks-clear", "racks-occluding"])
@@ -759,7 +777,7 @@ class TestSecondOrderKernel:
         hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
         ne = len(pod.surface_elements(cfg.second_edge))
         blocks = raytracer._column_blocks
-        runs = []
+        runs, kernel_totals = [], []
         for width, reverse, threads in itertools.product(
                 (8, 64, raytracer._BLOCK, ne - 1), (False, True), (1, 4)):
             with monkeypatch.context() as m:
@@ -767,11 +785,13 @@ class TestSecondOrderKernel:
                 if reverse:
                     m.setattr(raytracer, "_column_blocks",
                               lambda nu: blocks(nu)[::-1])
-                field = compute_field(pod, ids, mount, cfg, threads=threads)
+                kept, totals, _ = kernel_hist(pod, ids, mount, cfg, threads)
                 group = traced_fields([0, 6, 12], threads, occlusion)
-            assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-            assert field.totals["second_bounce_coarse_w"] == second_w
-            runs.append((field, *group))
+            assert kept.toarray().tobytes() == hist.tobytes()
+            assert totals["second_bounce_coarse_w"] == second_w
+            kernel_totals.append(totals)
+            runs.append(group)
+        assert all(t == kernel_totals[0] for t in kernel_totals)
         for run in runs[1:]:
             for a, b in zip(run, runs[0]):
                 assert_same_field(a, b)
@@ -801,10 +821,10 @@ class TestSecondOrderKernel:
         monkeypatch.setattr(raytracer._Scratch, "get", poisoned)
         pod, cfg = coarse_pod(False), TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
-        field = compute_field(pod, ids, mount, cfg, threads=2)
+        kept, totals, _ = kernel_hist(pod, ids, mount, cfg, threads=2)
         hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
-        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-        assert field.totals["second_bounce_coarse_w"] == second_w
+        assert kept.toarray().tobytes() == hist.tobytes()
+        assert totals["second_bounce_coarse_w"] == second_w
         kinds = tuple(sorted(MAKERS))
         for k, grouped in zip((0, 6, 12), traced_fields([0, 6, 12], 2)):
             assert_same_field(grouped, lone_field(False, SWEEP_YS[k], kinds))
@@ -839,7 +859,8 @@ class TestSecondOrderKernel:
         # element); everything else is lit when nothing occludes
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
-                              pod.mounts[0], TraceConfig(**COARSE))
+                              pod.mounts[0], TraceConfig(**COARSE),
+                              receivers=[make_wfov()])
         grid = pod.surface_elements(0.4)
         ceiling = int(np.sum(grid.normals[:, 2] == -1.0))
         assert ceiling > 0
@@ -855,14 +876,13 @@ class TestSecondOrderKernel:
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
         monkeypatch.setattr(raytracer, "_BLOCK", 48)
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
-        serial = compute_field(pod, ids, mount, cfg, threads=1)
-        field, errors = run_stressed(
-            lambda: compute_field(pod, ids, mount, cfg, threads=4))
+        serial, serial_totals, _ = kernel_hist(pod, ids, mount, cfg, threads=1)
+        got, errors = run_stressed(
+            lambda: kernel_hist(pod, ids, mount, cfg, threads=4))
         assert not errors, errors
-        assert (field.b2_hist.toarray().tobytes()
-                == serial.b2_hist.toarray().tobytes())
-        assert (field.totals["second_bounce_coarse_w"]
-                == serial.totals["second_bounce_coarse_w"])
+        kept, totals, _ = got
+        assert kept.toarray().tobytes() == serial.toarray().tobytes()
+        assert totals == serial_totals
         ex = RecordingExecutor.last
         assert lit_chunk_count(pod, ids, 32) > 2 * 4
         blocks = -(-len(pod.surface_elements(0.4)) // 48)
@@ -886,13 +906,13 @@ class TestSecondOrderKernel:
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
-        field = compute_field(pod, ids, mount, cfg, threads=1)
+        kept, totals, _ = kernel_hist(pod, ids, mount, cfg, threads=1)
         assert RecordingExecutor.last.futures == []
         assert tracers and set(tracers) == {threading.get_ident()}
         hist, second_w = oracle_second_order_hist(pod, ids, mount, cfg)
-        assert field.b2_hist.toarray().tobytes() == hist.tobytes()
-        assert field.totals["second_bounce_coarse_w"] == second_w
-        compute_field(pod, ids, mount, cfg, threads=2)
+        assert kept.toarray().tobytes() == hist.tobytes()
+        assert totals["second_bounce_coarse_w"] == second_w
+        kernel_hist(pod, ids, mount, cfg, threads=2)
         assert len(RecordingExecutor.last.futures) == 1
 
     def test_helpers_are_capped_at_the_column_blocks(self, monkeypatch):
@@ -902,12 +922,13 @@ class TestSecondOrderKernel:
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
         ids, mount = pod.assigned_luminaires(pod.mounts[0]), pod.mounts[0]
-        serial = compute_field(pod, ids, mount, cfg, threads=1)
-        field = compute_field(pod, ids, mount, cfg, threads=64)
+        serial, serial_totals, _ = kernel_hist(pod, ids, mount, cfg, threads=1)
+        kept, totals, _ = kernel_hist(pod, ids, mount, cfg, threads=64)
         blocks = -(-len(pod.surface_elements(0.4)) // raytracer._BLOCK)
         assert 1 < blocks < 64
         assert len(RecordingExecutor.last.futures) == blocks - 1
-        assert_same_field(field, serial)
+        assert kept.toarray().tobytes() == serial.toarray().tobytes()
+        assert totals == serial_totals
 
     def test_no_traced_column_runs_no_chunk(self, monkeypatch):
         # `receivers=[]` captures no element: no column, no chunk and no
@@ -919,7 +940,7 @@ class TestSecondOrderKernel:
         fields = [compute_field(pod, ids, mount, cfg, threads=n, receivers=[])
                   for n in (1, 4)]
         assert RecordingExecutor.last.futures == []
-        assert not fields[0].b2_traced.any()
+        assert fields[0].totals["second_cols_traced"] == 0
         assert fields[0].totals["second_pairs_evaluated"] == 0
         assert_same_field(fields[1], fields[0])
 
@@ -933,14 +954,6 @@ def coarse_pod(occlusion):
     return build_pod(PodConfig(luminaire_power_w=1.0, rack_occluding=occlusion))
 
 
-def point_field(pod, mount, cfg):
-    """The field traced at `mount` without receivers, to first order at
-    most: it keeps the point arrays a field traced for its receivers with
-    `cfg` does not, and they depend on neither receivers nor order 2."""
-    return compute_field(pod, pod.assigned_luminaires(mount), mount,
-                         dataclasses.replace(cfg, max_order=min(cfg.max_order, 1)))
-
-
 class TestReceiverCulledTrace:
     # each example traces two fields; a failing one is reported as drawn
     # (five small arguments), since shrinking would trace hundreds more
@@ -949,8 +962,10 @@ class TestReceiverCulledTrace:
     @given(row=st.integers(0, 2), frac=st.floats(0.0, 1.0),
            kinds=st.sets(st.sampled_from(sorted(MAKERS)), min_size=1),
            threads=st.sampled_from([1, 2]), occlusion=st.booleans())
-    def test_culled_irs_equal_full_irs(self, row, frac, kinds, threads,
-                                       occlusion):
+    def test_culled_irs_equal_dense_irs(self, row, frac, kinds, threads,
+                                        occlusion):
+        # the culled histogram's rows are the full kernel's at the traced
+        # elements, and the IRs the dense reference's over them
         pod = coarse_pod(occlusion)
         r = pod.rows[row]
         mount = vec3(r.centre_x, r.y_span[0] + frac * (r.y_span[1] - r.y_span[0]),
@@ -958,17 +973,15 @@ class TestReceiverCulledTrace:
         ids = pod.assigned_luminaires(mount)
         cfg = TraceConfig(**COARSE)
         rxs = [MAKERS[k]() for k in sorted(kinds)]
-        full = compute_field(pod, ids, mount, cfg)
         with pytest.MonkeyPatch.context() as m:
             hists = record_hists(m)
             culled = compute_field(pod, ids, mount, cfg, threads=threads,
                                    receivers=rxs)
-        assert culled.b2_hist is None
-        assert (hists[0].tobytes()
-                == full.b2_hist.toarray()[culled.b2_traced].tobytes())
-        for rx in rxs:
-            for a, b in zip(culled.receiver_irs(rx), full.receiver_irs(rx)):
-                assert a.bins.tobytes() == b.bins.tobytes()
+        (hist, mask, _), = hists
+        full, _, _ = kernel_hist(pod, ids, mount, cfg)
+        assert hist.tobytes() == full.toarray()[mask].tobytes()
+        TestReceiverIrs.assert_equal_to_dense(
+            culled, rxs, oracle_field(pod, ids, mount, cfg))
 
     def test_run_report_counts_traced_work(self, monkeypatch):
         pod = coarse_pod(False)
@@ -977,22 +990,21 @@ class TestReceiverCulledTrace:
         rxs = [make_wfov(), make_adr()]
         hists = record_hists(monkeypatch)
         culled = compute_field(pod, ids, mount, cfg, receivers=rxs)
-        full = compute_field(pod, ids, mount, cfg)
-        t, ft = culled.totals, full.totals
+        (hist, mask, _), = hists
+        full, ft, _ = kernel_hist(pod, ids, mount, cfg)
+        t = culled.totals
         ne = len(pod.surface_elements(cfg.second_edge))
-        assert 0 < t["second_cols_traced"] == int(culled.b2_traced.sum()) < ne
+        assert 0 < t["second_cols_traced"] == int(mask.sum()) < ne
         assert (t["second_pairs_evaluated"]
                 == t["second_rows_traced"] * t["second_cols_traced"])
-        assert ft["second_cols_traced"] == ne and culled.b2_traced.dtype == bool
+        assert ft["second_cols_traced"] == ne and mask.dtype == bool
         # the full coarse figure is never replaced by a partial one
         assert "second_bounce_coarse_w" not in t
         assert 0.0 < t["second_bounce_traced_w"] < ft["second_bounce_coarse_w"]
         assert ft["second_bounce_traced_w"] == ft["second_bounce_coarse_w"]
-        # one row per traced column, equal to that column's full-trace row
-        hist = hists[0]
+        # one row per traced column, equal to that column's row in the full kernel
         assert hist.shape == (t["second_cols_traced"], culled.nbins)
-        assert (hist.tobytes()
-                == full.b2_hist.toarray()[culled.b2_traced].tobytes())
+        assert hist.tobytes() == full.toarray()[mask].tobytes()
         ext = _group_extent(pod, ids, [mount], cfg, rxs)
         assert ext["rows"] == t["second_rows_traced"]
         assert ext["cols"] == t["second_cols_traced"]
@@ -1014,7 +1026,7 @@ class TestReceiverCulledTrace:
             tracemalloc.stop()
         ne = len(pod.surface_elements(cfg.second_edge))
         cols = field.totals["second_cols_traced"]
-        assert field.b2_hist is None and 0 < cols < ne
+        assert 0 < cols < ne
         assert [bins.shape for _, bins in field.b2_bins] == [
             (rx.branch_count, field.nbins) for rx in rxs]
         assert (_group_extent(pod, ids, [mount], cfg, rxs)["hist_bytes"]
@@ -1025,14 +1037,13 @@ class TestReceiverCulledTrace:
         # and bins no point arrival, though it counts every one
         pod = coarse_pod(False)
         cfg = TraceConfig(**COARSE)
-        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[0]),
-                              pod.mounts[0], cfg, receivers=[])
+        ids, mount = pod.assigned_luminaires(pod.mounts[0]), pod.mounts[0]
+        field = compute_field(pod, ids, mount, cfg, receivers=[])
         assert field.totals["second_pairs_evaluated"] == 0
         assert field.totals["second_bounce_traced_w"] == 0.0
-        assert field.b2_hist is None and field.b2_bins == ()
-        assert field.point_bins == () and field.point_flux is None
-        points = point_field(pod, pod.mounts[0], cfg)
-        assert field.totals["point_arrivals"] == points.point_flux.size > 3
+        assert field.b2_bins == () and field.point_bins == ()
+        flux, *_ = oracle_points(pod, ids, mount, cfg)
+        assert field.totals["point_arrivals"] == flux.size > 3
         with pytest.raises(ValueError, match="did not trace"):
             field.receiver_irs(make_wfov())
 
@@ -1044,31 +1055,28 @@ class TestReceiverCulledTrace:
                              ids=["racks-clear", "racks-occluding"])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("bin_width", [50e-12, 50e-9], ids=["50ps", "50ns"])
-    def test_traced_irs_equal_untraced_irs(self, max_order, occlusion,
-                                           threads, bin_width):
-        """A field traced for its receivers bins its point arrivals as they
-        are traced and keeps no point array; its IRs are the bits, and its
-        arrival count the count, of a field traced without receivers, and
-        it refuses any other receiver, at order 0 too."""
+    def test_traced_irs_equal_dense_irs(self, max_order, occlusion,
+                                        threads, bin_width):
+        """A field bins its point arrivals as they are traced and keeps no
+        point array; its IRs are the bits, and its arrival count the count,
+        of the dense reference over every point arrival written out, and it
+        refuses any other receiver, at order 0 too."""
         pod = coarse_pod(occlusion)
         cfg = TraceConfig(**{**COARSE, "max_order": max_order,
                              "bin_width": bin_width})
         rxs = TestReceiverIrs.receivers
         for mount in pod.mounts:
             ids = pod.assigned_luminaires(mount)
-            full = compute_field(pod, ids, mount, cfg)
-            traced = compute_field(pod, ids, mount, cfg, threads=threads,
-                                   receivers=rxs)
-            assert [traced.point_flux, traced.point_idx, traced.point_dir,
-                    traced.dir_table] == [None] * 4
+            with pytest.MonkeyPatch.context() as m:
+                hists = record_hists(m)
+                traced = compute_field(pod, ids, mount, cfg, threads=threads,
+                                       receivers=rxs)
+            assert len(hists) == (max_order == 2)
+            want = oracle_field(pod, ids, mount, cfg)
             assert [rx for rx, _ in traced.point_bins] == rxs
-            assert (traced.totals["point_arrivals"]
-                    == full.totals["point_arrivals"] == full.point_flux.size)
-            for rx in rxs:
-                for a, b in zip(traced.receiver_irs(rx), full.receiver_irs(rx),
-                                strict=True):
-                    assert a.bins.tobytes() == b.bins.tobytes()
-            assert detector_ir(full, detector()).total_power() > 0.0
+            assert traced.totals["point_arrivals"] == want.points[0].size
+            TestReceiverIrs.assert_equal_to_dense(traced, rxs, want)
+            assert detector_ir(want, detector()).total_power() > 0.0
             with pytest.raises(ValueError, match="did not trace"):
                 detector_ir(traced, detector())
 
@@ -1102,6 +1110,31 @@ class TestReceiverCulledTrace:
         with pytest.raises(ValueError, match="did not trace"):
             detector_ir(field, detector())
 
+    def test_receivers_are_taken_once_and_checked_first(self, monkeypatch):
+        # a generator of receivers traces what a list of them does; a
+        # missing receiver list, or one holding anything but receivers, is
+        # refused before any grid is built, and `receivers` is required
+        pod, cfg = coarse_pod(False), TraceConfig(**COARSE)
+        ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
+        rxs = [make_adr(), make_wfov()]
+        want = compute_field(pod, ids, mount, cfg, receivers=rxs)
+        assert want.totals["second_cols_traced"] > 0
+        assert_same_field(compute_field(pod, ids, mount, cfg,
+                                        receivers=(rx for rx in rxs)), want)
+        field, = trace_fields(pod, [mount], cfg, receivers=iter(rxs))
+        assert_same_field(field, want)
+        monkeypatch.setattr(raytracer, "_lit_grid", lambda *args: pytest.fail(
+            "built a grid for refused receivers"))
+        for bad in [None, make_adr, [make_adr], make_adr(), [make_adr(), "wfov"]]:
+            with pytest.raises(ValueError, match="receivers must be"):
+                compute_field(pod, ids, mount, cfg, receivers=bad)
+            with pytest.raises(ValueError, match="receivers must be"):
+                trace_fields(pod, [mount], cfg, receivers=bad)
+        with pytest.raises(TypeError, match="receivers"):
+            compute_field(pod, ids, mount, cfg)
+        with pytest.raises(TypeError, match="receivers"):
+            trace_fields(pod, [mount], cfg)
+
 
 # the reference sweep's 13 positions, on the centre row under one set
 SWEEP_YS = tuple(1.0 + 0.5 * k for k in range(13))
@@ -1116,27 +1149,21 @@ def memory_owner(a: np.ndarray):
     return a
 
 
-def record_hists(monkeypatch) -> list:
-    """The dense second-order histogram of every mount traced from here on,
-    in trace order, recorded as `_second_order_hists` returns them: a field
-    traced for its receivers keeps none."""
-    hists, real = [], raytracer._second_order_hists
-
-    def record(*args):
-        out = real(*args)
-        hists.extend(h.toarray() for h, *_ in out)
-        return out
-
-    monkeypatch.setattr(raytracer, "_second_order_hists", record)
-    return hists
-
-
-def assert_kept_pieces(field, hist):
-    """`field.b2_hist` holds the rows of `hist`, a histogram of every
-    element (`assert_holds`), and every receiver's IRs are the dense
-    oracle's."""
-    assert_holds(field.b2_hist, hist)
-    TestReceiverIrs.assert_equal_to_dense(field, TestReceiverIrs.receivers)
+def assert_kept_pieces(kept, hist, scene, ids, mount, cfg, threads=1):
+    """`kept`, the kernel's histogram of every element, holds the rows of
+    `hist` (`assert_holds`); a field traced at `mount` for every receiver
+    traces those rows at its elements and serves the dense reference's
+    IRs over them."""
+    assert_holds(kept, hist)
+    rxs = TestReceiverIrs.receivers
+    with pytest.MonkeyPatch.context() as m:
+        hists = record_hists(m)
+        field = compute_field(scene, ids, mount, cfg, threads=threads,
+                              receivers=rxs)
+    (traced, mask, _), = hists
+    assert traced.tobytes() == hist[mask].tobytes()
+    TestReceiverIrs.assert_equal_to_dense(
+        field, rxs, oracle_field(scene, ids, mount, cfg))
 
 
 def assert_holds(kept: HistRuns, hist: np.ndarray):
@@ -1161,9 +1188,9 @@ def assert_holds(kept: HistRuns, hist: np.ndarray):
 
 
 def assert_same_field(a, b):
-    """Every array equal by bytes, the second-order histograms through
-    `toarray`, each traced receiver's point and second-order bins with
-    receivers that capture alike, every total equal by value."""
+    """The mount equal by bytes, each traced receiver's point and
+    second-order bins by bytes with receivers that capture alike, every
+    other field equal by value."""
     for f in dataclasses.fields(ArrivalField):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name in ("point_bins", "b2_bins") and x is not None:
@@ -1172,8 +1199,6 @@ def assert_same_field(a, b):
                 assert raytracer._same_capture(rx, ry), f.name
                 assert (u.shape, u.tobytes()) == (v.shape, v.tobytes()), f.name
             continue
-        if isinstance(x, HistRuns):
-            x, y = x.toarray(), y.toarray()
         if isinstance(x, np.ndarray):
             assert (x.shape, x.dtype) == (y.shape, y.dtype), f.name
             assert x.tobytes() == y.tobytes(), f.name
@@ -1249,13 +1274,15 @@ class TestPositionGroups:
 
         monkeypatch.setattr(raytracer, "_incident_power", count_incident)
         monkeypatch.setattr(raytracer, "_pair_geometry", count_pairs)
+        hists = record_hists(monkeypatch)
         fields = traced_fields([0, 4, 8, 12], threads=2)
         pod = coarse_pod(False)
         lit = _incident_power([pod.luminaires[i] for i in (3, 4, 5)],
                               pod.surface_elements(0.4), [])[0].any(axis=0)
         chunks = {r // raytracer._CHUNK for r in np.flatnonzero(lit).tolist()}
-        union = np.flatnonzero(np.logical_or.reduce([f.b2_traced for f in fields]))
-        rows = np.sum([f.b2_traced[union] for f in fields], axis=0)
+        masks = [mask for _, mask, _ in hists]
+        union = np.flatnonzero(np.logical_or.reduce(masks))
+        rows = np.sum([mask[union] for mask in masks], axis=0)
         blocks = raytracer._column_blocks(rows)
         assert calls["incident"] == 1
         assert len(blocks) > 1 and len(chunks) == lit_chunk_count(
@@ -1303,7 +1330,9 @@ class TestPositionGroups:
         picks = [1, 5, 9, 12]
         monkeypatch.setattr(raytracer, "_CHUNK", 32)
         monkeypatch.setattr(raytracer, "_BLOCK", 24)
+        hists = record_hists(monkeypatch)
         serial = traced_fields(picks, threads=1)
+        masks = [mask for _, mask, _ in hists]
         monkeypatch.setattr(raytracer, "ThreadPoolExecutor", RecordingExecutor)
         fields, errors = run_stressed(lambda: traced_fields(picks, threads=4))
         assert not errors, errors
@@ -1311,7 +1340,7 @@ class TestPositionGroups:
             assert_same_field(field, want)
         ex = RecordingExecutor.last
         assert lit_chunk_count(coarse_pod(False), (3, 4, 5), 32) > 2 * 4
-        rows = np.sum([f.b2_traced for f in fields], axis=0)
+        rows = np.sum(masks, axis=0)
         assert len(raytracer._column_blocks(rows[rows > 0])) > 2 * 4
         assert len(ex.futures) == 4 - 1
         assert all(f.done() for f in ex.futures)
@@ -1347,42 +1376,31 @@ class TestPositionGroups:
         # field, nothing once its last field is out
         assert live == [2, 0, 2, 2, 0]
 
-    def test_each_field_returns_its_own_histogram(self, monkeypatch):
-        # one group of four traced without receivers, so each field keeps
-        # its histogram: each position's histogram mapping goes back to
-        # the OS when its own field is dropped, in any order, and not
-        # before; closing the iterator lets go of the fields not yet taken
+    def test_closing_the_iterator_lets_go_of_the_rest(self, monkeypatch):
+        # one group of four: closing the iterator after its first field
+        # lets go of the other positions' branch bins at once, and the
+        # first field's go with that field
         pod, picks = coarse_pod(False), [1, 5, 9, 12]
         mounts = [vec3(4.0, SWEEP_YS[k], 2.0) for k in picks]
-        cfg = TraceConfig(**COARSE)
-        lone = [compute_field(pod, (3, 4, 5), m, cfg) for m in mounts]
-        refs, hists = [], raytracer._second_order_hists
+        cfg, kinds = TraceConfig(**COARSE), tuple(sorted(MAKERS))
+        lone = lone_field(False, SWEEP_YS[picks[0]], kinds)
+        refs, reduce = [], raytracer._receiver_bins
 
         def record(*args):
-            out = hists(*args)
-            refs.extend(weakref.ref(memory_owner(h.pool)) for h, *_ in out)
+            out = reduce(*args)
+            refs.append(weakref.ref(out[0][0][1]))
             return out
 
-        monkeypatch.setattr(raytracer, "_second_order_hists", record)
+        monkeypatch.setattr(raytracer, "_receiver_bins", record)
         gc.disable()
         try:
-            fields = list(trace_fields(pod, mounts, cfg))
-            assert len(refs) == 4
-            assert all(isinstance(f.b2_hist, HistRuns) for f in fields)
-            for k in (2, 0, 3, 1):
-                assert refs[k]() is not None
-                fields[k] = None
-                assert refs[k]() is None
-                for j in range(4):
-                    if fields[j] is not None:
-                        assert refs[j]() is not None
-                        assert_same_field(fields[j], lone[j])
-            refs.clear()
-            fields = trace_fields(pod, mounts, cfg)
+            fields = trace_fields(pod, mounts, cfg,
+                                  receivers=[MAKERS[k]() for k in kinds])
             first = next(fields)
+            assert [r() is None for r in refs] == [False] * 4
             fields.close()
             assert [r() is None for r in refs] == [False, True, True, True]
-            assert_same_field(first, lone[0])
+            assert_same_field(first, lone)
             del first
             assert refs[0]() is None
         finally:
@@ -1479,8 +1497,10 @@ class TestPositionGroups:
         assert len(pod.luminaires) == 9
         for bad in [(-5,), (4, 4), (9,), (4.0,), (True,), ([4],), (3, 4, 3)]:
             with pytest.raises(ValueError, match="distinct integers"):
-                compute_field(pod, bad, mount, TraceConfig(max_order=0))
-        compute_field(pod, (np.int64(4),), mount, TraceConfig(max_order=0))
+                compute_field(pod, bad, mount, TraceConfig(max_order=0),
+                              receivers=rxs)
+        compute_field(pod, (np.int64(4),), mount, TraceConfig(max_order=0),
+                      receivers=rxs)
         # a thread count that is not an integer of at least 1 is refused
         # before any trace, numpy integers accepted
         with monkeypatch.context() as m:
@@ -1527,66 +1547,65 @@ class TestReceiverIrs:
     receivers = [make() for make in MAKERS.values()]
 
     @staticmethod
-    def assert_equal_to_dense(field, rxs, hist=None, points=None):
-        """`hist`: the field's recorded histogram (`record_hists`), and
-        `points` its mount's `point_field`: a field traced for its
-        receivers keeps neither."""
+    def assert_equal_to_dense(field, rxs, want):
+        """`want`: the field's `oracle_field`."""
         for rx in rxs:
-            want = oracle_receiver_irs(field, rx, hist, points)
-            got = field.receiver_irs(rx)
-            assert len(got) == len(want) == rx.branch_count
-            for a, b in zip(got, want):
-                assert a.bins.tobytes() == b.tobytes()
+            got, dense = field.receiver_irs(rx), want.receiver_irs(rx)
+            assert len(got) == len(dense) == rx.branch_count
+            for a, b in zip(got, dense):
+                assert a.bins.tobytes() == b.bins.tobytes()
 
     @pytest.mark.parametrize("mi", [0, 1, 2])
     def test_reference_mounts(self, monkeypatch, mi):
-        # the dense reference reads the threads=1 field and histogram;
-        # every thread count must give its bits
+        # every thread count traces the same histogram and gives the
+        # dense reference's bits
         pod = build_pod(PodConfig(luminaire_power_w=1.0))
         mount = pod.mounts[mi]
+        ids, cfg = pod.assigned_luminaires(mount), TraceConfig()
         hists = record_hists(monkeypatch)
-        fields = [compute_field(pod, pod.assigned_luminaires(mount), mount,
-                                TraceConfig(), threads=threads,
+        fields = [compute_field(pod, ids, mount, cfg, threads=threads,
                                 receivers=self.receivers)
                   for threads in (1, 2, 4)]
-        assert len({h.tobytes() for h in hists}) == 1
-        points = point_field(pod, mount, TraceConfig())
+        assert len({h.tobytes() for h, _, _ in hists}) == 1
+        dense = oracle_field(pod, ids, mount, cfg)
         for rx in self.receivers:
-            want = oracle_receiver_irs(fields[0], rx, hists[0], points)
+            want = dense.receiver_irs(rx)
             for field in fields:
                 got = field.receiver_irs(rx)
                 assert len(got) == len(want) == rx.branch_count
                 for a, b in zip(got, want):
-                    assert a.bins.tobytes() == b.tobytes()
+                    assert a.bins.tobytes() == b.bins.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_coarse_grid_with_occlusion(self, monkeypatch, threads):
-        self.assert_coarse_mounts(monkeypatch, True, threads)
+    def test_coarse_grid_with_occlusion(self, threads):
+        self.assert_coarse_mounts(True, threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_coarse_grid_racks_clear(self, monkeypatch, threads):
-        self.assert_coarse_mounts(monkeypatch, False, threads)
+    def test_coarse_grid_racks_clear(self, threads):
+        self.assert_coarse_mounts(False, threads)
 
-    def assert_coarse_mounts(self, monkeypatch, occlusion, threads):
+    def assert_coarse_mounts(self, occlusion, threads):
         """Fields traced for the receivers at every mount of the coarse pod
-        serve the dense reference's bits over their recorded histograms."""
+        serve the dense reference's bits."""
         pod = coarse_pod(occlusion)
         cfg = TraceConfig(**COARSE)
-        hists = record_hists(monkeypatch)
         for mount in pod.mounts:
-            field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg,
-                                  threads=threads, receivers=self.receivers)
-            assert field.b2_hist is None
-            self.assert_equal_to_dense(field, self.receivers, hists[-1],
-                                       point_field(pod, mount, cfg))
+            ids = pod.assigned_luminaires(mount)
+            field = compute_field(pod, ids, mount, cfg, threads=threads,
+                                  receivers=self.receivers)
+            self.assert_equal_to_dense(
+                field, self.receivers,
+                oracle_field(pod, ids, mount, cfg))
 
     @pytest.mark.parametrize("max_order", [0, 1])
     def test_without_second_order(self, max_order):
         pod = coarse_pod(False)
         cfg = TraceConfig(max_order=max_order, first_edge=0.4, second_edge=0.4)
-        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[1]),
-                              pod.mounts[1], cfg)
-        self.assert_equal_to_dense(field, self.receivers)
+        ids, mount = pod.assigned_luminaires(pod.mounts[1]), pod.mounts[1]
+        field = compute_field(pod, ids, mount, cfg, receivers=self.receivers)
+        assert field.b2_bins is None
+        self.assert_equal_to_dense(field, self.receivers,
+                                   oracle_field(pod, ids, mount, cfg))
 
 
 @st.composite
@@ -1625,17 +1644,17 @@ class TestBlockGather:
     """Each branch's gemv runs over only the aligned row blocks it weighs;
     its bits must be those of the full gemv over every row."""
 
-    def test_element_count_not_a_multiple_of_the_block(self, monkeypatch):
+    def test_element_count_not_a_multiple_of_the_block(self):
         pod = coarse_pod(False)
         cfg = TraceConfig(max_order=2, first_edge=0.4, second_edge=0.6)
         assert len(pod.surface_elements(cfg.second_edge)) % _GEMV_BLOCK != 0
-        hists = record_hists(monkeypatch)
         for mount in pod.mounts:
-            field = compute_field(pod, pod.assigned_luminaires(mount), mount,
-                                  cfg, receivers=TestReceiverIrs.receivers)
-            TestReceiverIrs.assert_equal_to_dense(field, TestReceiverIrs.receivers,
-                                                  hists[-1],
-                                                  point_field(pod, mount, cfg))
+            ids = pod.assigned_luminaires(mount)
+            field = compute_field(pod, ids, mount, cfg,
+                                  receivers=TestReceiverIrs.receivers)
+            TestReceiverIrs.assert_equal_to_dense(
+                field, TestReceiverIrs.receivers,
+                oracle_field(pod, ids, mount, cfg))
 
     def test_empty_gather_and_final_partial_block(self):
         # 21 rows: rows 0..19 arrive from above, row 20 (in the partial
@@ -1645,22 +1664,20 @@ class TestBlockGather:
         dirs = np.tile(unit((0.1, 0.2, -1.0)), (ne, 1))
         dirs[-1] = unit((0.1, 0.0, 1.0))
         hist = rng.random((ne, nbins)) * (rng.random((ne, nbins)) < 0.4)
-        field = ArrivalField(
-            vec3(1.0, 1.0, 1.0), TraceConfig(), nbins, np.zeros(0),
-            np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)),
-            None, kept_pieces(hist), None, dirs,
-            np.ones(ne, dtype=bool), {})
         rx = ReceiverSpec("adr", (detector((0, 0, 1), 60.0),
                                   detector((0, 0, -1), 60.0),
                                   detector((1, 0, 0), 10.0)))
-        rows = _weighed_rows(capture_matrix(rx, dirs))
+        acc = capture_matrix(rx, dirs)
+        rows = _weighed_rows(acc)
         assert rows[0].all()
         assert rows[1].tolist() == [False] * 16 + [True] * 5
         assert not rows[2].any()
-        up, down, side = field.receiver_irs(rx)
-        assert up.total_power() > 0.0 and down.total_power() > 0.0
-        assert side.bins.size == 0
-        TestReceiverIrs.assert_equal_to_dense(field, [rx])
+        got = _second_order_bins(acc, kept_pieces(hist), np.ones(ne, dtype=bool))
+        up, down, side = got
+        assert up.any() and down.any() and not side.any()
+        # the full gemv of each branch's dense capture over every row
+        for a, w in zip(got, oracle_capture_matrix(rx, dirs)):
+            assert a.tobytes() == (w @ hist).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(w=sparse_weights(), nbins=st.integers(1, 80),
@@ -1858,9 +1875,9 @@ class TestReceiverIrsMemory:
     def test_wfov_gemv_runs_in_bin_blocks(self, traced):
         field, second, *_ = traced
         rx = make_wfov()
-        rows = int(_weighed_rows(capture_matrix(rx, field.b2_dirs)).sum())
+        rows = int(_weighed_rows(capture_matrix(rx, second[2])).sum())
         # the reduction step, as the trace runs it, gives the field's bins
-        _, bins, *_ = raytracer._receiver_bins([rx], *second)
+        bins, _ = raytracer._receiver_bins([rx], *second)
         assert bins[0][1].tobytes() == field.b2_bins[0][1].tobytes()
         peak = self.traced_peak(lambda: raytracer._receiver_bins([rx], *second))
         assert peak < rows * field.nbins * 8 / 4
@@ -1871,9 +1888,9 @@ class TestSuppliedFieldMustMatch:
 
     def test_matching_field_is_used(self):
         pod = coarse_pod(False)
-        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[2]),
-                              pod.mounts[2], self.cfg)
         rx = make_adr()
+        field = compute_field(pod, pod.assigned_luminaires(pod.mounts[2]),
+                              pod.mounts[2], self.cfg, receivers=[rx])
         rep = link_report(field, rx, 1e9)
         assert rep.mount == tuple(field.mount) == tuple(pod.mounts[2])
         assert rep.branch_power_w == tuple(
@@ -1890,7 +1907,8 @@ SMALL = dict(max_order=2, first_edge=0.4, second_edge=0.8)
 
 def branch_totals(pod, mi, cfg, makers):
     mount = pod.mounts[mi]
-    field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg)
+    field = compute_field(pod, pod.assigned_luminaires(mount), mount, cfg,
+                          receivers=[make() for make in makers])
     return [ir.total_power() for make in makers
             for ir in field.receiver_irs(make())]
 

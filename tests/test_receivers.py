@@ -20,7 +20,7 @@ from owcsim.receivers import (
     sparse_capture,
 )
 
-from owcsim.raytracer import ArrivalField, TraceConfig, _arrival_capture
+from owcsim.raytracer import _point_bins
 from owcsim.scene import unit
 
 from oracles import oracle_acceptance, oracle_capture_matrix, oracle_point_bins
@@ -346,44 +346,46 @@ class TestBlockSlices:
         assert [(s.start, s.stop) for s in block_slices(n, 4)] == want
 
 
-class TestDirectionTable:
-    """Point-arrival gains are computed once per distinct direction and
-    expanded to the arrivals; they must be the per-arrival capture, bit for
-    bit, and bin to the same bits."""
+class TestPointBins:
+    """Point arrivals are binned at trace time (`raytracer._point_bins`)
+    from one capture of each distinct direction, shared by the arrivals
+    that have it; the bins must be those of the per-arrival capture, bit
+    for bit."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(KINDS), tie=st.booleans(),
-           seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 400))
-    def test_expanded_capture_equals_per_arrival_capture(self, kind, tie, seed,
-                                                         extra):
+           seed=st.integers(0, 2**32 - 1), lums=st.integers(1, 4),
+           unseen=st.integers(0, 40))
+    def test_binned_per_direction_equals_per_arrival(self, kind, tie, seed,
+                                                     lums, unseen):
         rx = receiver_under_test(kind, tie)
         rng = np.random.default_rng(seed)
+        # the LOS directions, one per luminaire, then one per element
+        # that passes any luminaire's flux; `unseen` elements pass none
         table = gate_edge_directions(rx, rng, 60)
-        # every direction at least once, `extra` repeats, in no order
-        dir_row = rng.permutation(np.concatenate(
-            [np.arange(len(table)), rng.integers(0, len(table), extra)]))
-        n, nbins = dir_row.size, 24
-        dirs = table[dir_row]
+        ne, nbins = len(table) - lums + unseen, 24
+        seen = np.zeros(ne, dtype=bool)
+        seen[rng.choice(ne, len(table) - lums, replace=False)] = True
+        passes = rng.random((lums, ne)) < 0.5
+        passes[rng.integers(0, lums, ne), np.arange(ne)] = True
+        passes &= seen
+        hops = [(p, np.where(p, rng.random(ne), 0.0), rng.integers(0, nbins, ne))
+                for p in passes]
+        los = (rng.random(lums), rng.integers(0, nbins, lums))
+        (got_rx, got), = _point_bins([rx], los, table, seen, iter(hops), nbins)
+        assert got_rx is rx
 
-        branch, arrival, weight = _arrival_capture(rx, table, dir_row)
-        want_b, want_a, want_w = sparse_capture(rx, dirs)
-        order = np.lexsort((want_b, want_a))      # by arrival, then branch
-        assert arrival.tobytes() == want_a[order].tobytes()
-        assert branch.tobytes() == want_b[order].tobytes()
-        assert weight.tobytes() == want_w[order].tobytes()
+        # every arrival in trace order: the LOS ones, then each
+        # luminaire's, in element order, each with its direction row
+        erow = np.cumsum(seen) - 1 + lums
+        rows, flux, idx = (np.concatenate(a) for a in zip(
+            (np.arange(lums), *los), *((erow[p], f[p], b[p]) for p, f, b in hops)))
+        dirs = table[rows]
+        assert np.unique(rows).size == len(table) <= rows.size
+        want = oracle_point_bins(rx, dirs, idx, flux, nbins)
+        assert got.tobytes() == want.tobytes()
         # some arrivals lie outside every FOV or behind every detector
-        assert np.unique(arrival).size < n
+        assert np.unique(sparse_capture(rx, dirs)[1]).size < rows.size
         if kind == "imaging" and tie:
             # pixel 7 shares pixel 3's boresight: the lower index wins
-            assert 3 in branch and 7 not in branch
-
-        idx, flux = rng.integers(0, nbins, n), rng.random(n)
-        field = ArrivalField(np.zeros(3), TraceConfig(max_order=1), nbins, flux,
-                             idx, dir_row, table, None, None, None, None,
-                             None, {})
-        want = oracle_point_bins(rx, dirs, idx, flux, nbins)
-        for ir, bins in zip(field.receiver_irs(rx), want, strict=True):
-            nz = np.flatnonzero(bins)
-            bins = bins[: nz[-1] + 1] if nz.size else np.zeros(0)
-            assert ir.bins.tobytes() == bins.tobytes()
-
+            assert got[3].any() and not got[7].any()
