@@ -11,14 +11,15 @@ The tracer is a pure function of (scene, config, receivers): every field
 is traced for the receivers that will be applied at its mount, and serves
 those alone.  `compute_field` traces one mount, `trace_fields` yields the
 field of each of many mounts in order, each traced when it is asked for.
-A field's three stages each return arrays, second order first, then line
-of sight and first order, so the second-order histograms are built before
-the fine grid's incident power and the point arrivals are live.  Each
-histogram is reduced to the receivers' branch bins as soon as the stage
-returns and is dropped before any first-order work.  The fine-grid hops
-run one panel at a time and the arrivals one luminaire at a time; each
-luminaire's arrivals are binned straight into the branch bins, and no
-point arrival is kept.  The `ArrivalField` only holds the bins.
+A field's two stages run second order first, so its histograms are
+built, reduced to the receivers' branch bins and dropped before the fine
+grid's incident power is live.  Then one pass takes line of sight and
+first order.  Each receiver captures the LOS directions and the final-hop
+directions of the fine grid's lit elements once: every luminaire's
+arrival from one element shares that element's direction.  The hops run
+one panel at a time and the arrivals one luminaire at a time, binned
+straight into the branch bins; no point arrival is kept.  The
+`ArrivalField` only holds the bins.
 
 `trace_fields` traces consecutive mounts that share a luminaire set (a
 sweep's positions along one row) as one group of at most `_GROUP_CAP`;
@@ -49,15 +50,12 @@ N - 1 helpers, never more than there are blocks.  The caller traces
 rather than waits: on a 1-worker pool the 1-thread simulate-all peak RSS
 rose from 99 to 117 MB, mostly the worker's own glibc malloc arena.
 
-A receiver's gains for the point arrivals are computed once per distinct
-arrival direction, not once per arrival: every luminaire's first-order
-arrival from one element shares that element's direction.
-
 Only the second-bounce (e2) columns that some branch captures are
 traced, one histogram row each; every other column meets a capture
 weight of exactly 0.0, so the receivers' impulse responses are
 bit-identical to those of a trace of every column.  Their point bins are
-the sums, in the same order, of a `bincount` over every point arrival.
+the sums, in the same order, of a `bincount` over every point arrival's
+capture entries.
 """
 
 from __future__ import annotations
@@ -316,69 +314,39 @@ def _one_bounce(p1, l1, f_out, dm, bin_width: float):
         yield passes, flux, _delay_bins(length, bin_width, bins)
 
 
-def _first_order_arrivals(dirs0, fine, mount, boxes, bin_width: float):
-    """A field's LOS and first-order arrivals, before any receiver:
-    (`dirs`, `seen`, point-arrival count, hops, first-bounce power summed
-    over the first-order grid, None without one).
+def _point_bins(receivers, los, dirs, lit, hops, nbins: int) -> tuple:
+    """(each of `receivers` with its branches' point-arrival bins,
+    (branches, nbins) W; the arrival count), binned as the hops are taken:
+    no per-arrival array is built.
 
-    `fine` is the first-order grid and `_incident_power` of the luminaires
-    on it (None: no first order), and hops a `_one_bounce` iterator over
-    it.  `dirs` is the table of distinct point-arrival directions: the
-    line-of-sight ones `dirs0`, one per luminaire, then one per element
-    that passes any luminaire's flux (`seen`), in element order; every
-    luminaire's arrival from an element shares its row.  The count
-    includes the LOS arrivals.  `_point_bins` bins them all for the
-    receivers."""
-    nl = len(dirs0)
-    if fine is None:
-        return dirs0, np.zeros(0, dtype=bool), nl, iter(()), None
-    grid, (p1, l1) = fine
-    u, dm, f_out = _final_hop(grid, mount, boxes)
-    seen, count = np.zeros(len(grid), dtype=bool), nl
-    for passes, _, _ in _one_bounce(p1, l1, f_out, dm, bin_width):
-        seen |= passes
-        count += int(np.count_nonzero(passes))
-    dirs = np.empty((nl + int(np.count_nonzero(seen)), 3))
-    dirs[:nl] = dirs0
-    # "clip" writes straight into `out`; every index is in range
-    np.take(u, np.flatnonzero(seen), axis=0, mode="clip", out=dirs[nl:])
-    return (dirs, seen, count, _one_bounce(p1, l1, f_out, dm, bin_width),
-            float(p1.sum()))
-
-
-def _point_bins(receivers, los, dirs, seen, hops, nbins: int) -> tuple:
-    """Each of `receivers` with its branches' point-arrival bins, (branches,
-    nbins) W, binned from `_first_order_arrivals`' `dirs` and hops as the
-    hops are taken: no per-arrival array is built.
-
-    Each receiver's `sparse_capture` of `dirs` is taken once, one receiver
-    at a time, its entries ordered by direction row, branches ascending
-    within one.  The LOS arrivals `los`, (flux, delay bin) per luminaire,
-    are `np.add.at` first as `branch * nbins + bin` with weight times
-    flux, then each hop's for the entries whose element passes.  Like a
-    `bincount`, `add.at` adds into +0.0 in input order, so each cell gets
-    its terms in arrival order: the bits of one `bincount` over every
-    arrival's entries."""
-    (flux0, bins0), nl = los, len(los[0])
-    # the grid element of each direction row after the LOS ones
-    elements = np.flatnonzero(seen)
+    `los` is the LOS arrivals, (flux, delay bin, direction) per luminaire;
+    `hops` a `_one_bounce` iterator over the first-order grid, whose
+    elements `lit` (ascending) hold every arrival that passes, and `dirs`
+    their final-hop directions.  For each receiver, one at a time, the
+    LOS entries of its `sparse_capture` are `np.add.at` into +0.0 as
+    `branch * nbins + bin` with weight times flux, and its capture of
+    `dirs` is kept; then each hop adds the entries whose element passes.
+    A cell's terms all come from one branch, whose entries a capture
+    gives in ascending arrival order, so like one `bincount` over every
+    arrival's entries each cell gets its terms in arrival order: LOS
+    first, then luminaire by luminaire, elements ascending."""
+    flux0, bins0, dirs0 = los
     captures = []
     for rx in receivers:
-        branch, row, weight = sparse_capture(rx, dirs)
-        order = np.argsort(row, kind="stable")
-        cell, row, weight = branch[order] * nbins, row[order], weight[order]
         acc = np.zeros(rx.branch_count * nbins)
-        k = np.searchsorted(row, nl)
-        r = row[:k]
-        np.add.at(acc, cell[:k] + bins0[r], weight[:k] * flux0[r])
-        captures.append((cell[k:], elements[row[k:] - nl], weight[k:], acc))
+        branch, row, weight = sparse_capture(rx, dirs0)
+        np.add.at(acc, branch * nbins + bins0[row], weight * flux0[row])
+        branch, row, weight = sparse_capture(rx, dirs)
+        captures.append((branch * nbins, lit[row], weight, acc))
+    count = len(flux0)
     for passes, flux, bins in hops:
+        count += int(np.count_nonzero(passes))
         for cell, elem, weight, acc in captures:
             hit = passes[elem]
             e = elem[hit]
             np.add.at(acc, cell[hit] + bins[e], weight[hit] * flux[e])
     return tuple((rx, acc.reshape(rx.branch_count, nbins))
-                 for rx, (*_, acc) in zip(receivers, captures))
+                 for rx, (*_, acc) in zip(receivers, captures)), count
 
 
 class _Scratch:
@@ -839,6 +807,8 @@ def _weighed_rows(acc: np.ndarray) -> np.ndarray:
 
 def _check_pose(scene: Scene, position):
     p = np.asarray(position, dtype=float)
+    if p.shape != (3,) or not np.isfinite(p).all():
+        raise ValueError(f"detector pose must be a finite 3-vector, got {position!r}")
     lx, ly, h = scene.room
     if not (0.0 <= p[0] <= lx and 0.0 <= p[1] <= ly and COMM_FLOOR_M <= p[2] <= h):
         raise ValueError(
@@ -949,10 +919,9 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
     boxes, nbins = _occluder_boxes(scene), _bin_count(scene, cfg)
     for ids, mounts in groups:
         lums = [scene.luminaires[i] for i in ids]
-        seconds, coarse = [None] * len(mounts), None
+        seconds = [None] * len(mounts)
         if cfg.max_order >= 2 and lums:
-            grid, incident = coarse = _lit_grid(scene, lums, boxes,
-                                                cfg.second_edge)
+            grid, incident = _lit_grid(scene, lums, boxes, cfg.second_edge)
             seconds = _second_order_hists(
                 grid, incident,
                 *_second_setup(grid, incident, mounts, receivers, boxes),
@@ -965,9 +934,7 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
             del second
         fine = [None]
         if cfg.max_order >= 1 and lums:
-            fine = [coarse if coarse and cfg.first_edge == cfg.second_edge
-                    else _lit_grid(scene, lums, boxes, cfg.first_edge)]
-        del coarse
+            fine = [_lit_grid(scene, lums, boxes, cfg.first_edge)]
         for k, mount in enumerate(mounts, 1):
             # each field takes its second order from the list, and the last
             # takes the incident power: once a group's last field is out,
@@ -990,19 +957,25 @@ def _field(lums, mount, cfg: TraceConfig, boxes, nbins: int, second,
            fine, receivers) -> "ArrivalField":
     """One mount's field: `second`, its share of its group's second order
     (None below order 2), then its LOS and first-order arrivals, those on
-    `fine`, the first-order grid and the set's incident power on it,
-    binned into the branch bins of `receivers`."""
+    `fine`, the first-order grid and the set's incident power on it (None:
+    no first order), binned in one pass into the branch bins of
+    `receivers` (`_point_bins`).  Only the grid's lit elements, those
+    with incident power from some luminaire, can pass a luminaire's flux,
+    so only their final-hop directions are captured."""
     b2_bins, second = second or (None, {})
     flux0, length0, dirs0 = _los_arrivals(lums, mount, boxes)
     los = (flux0, _delay_bins(length0, cfg.bin_width,
-                              np.empty(len(flux0), np.int64)))
-    dirs, seen, count, hops, first_w = _first_order_arrivals(
-        dirs0, fine, mount, boxes, cfg.bin_width)
-    point_bins = _point_bins(receivers, los, dirs, seen, hops, nbins)
-    totals = {"point_arrivals": count}
-    if first_w is not None:
-        totals["first_bounce_fine_w"] = first_w
-    totals.update(second)
+                              np.empty(len(flux0), np.int64)), dirs0)
+    dirs, lit, hops, first = np.empty((0, 3)), np.empty(0, np.int64), (), {}
+    if fine is not None:
+        grid, (p1, l1) = fine
+        u, dm, f_out = _final_hop(grid, mount, boxes)
+        lit = np.flatnonzero(p1.any(axis=0))
+        dirs, hops = u[lit], _one_bounce(p1, l1, f_out, dm, cfg.bin_width)
+        del u           # every element's direction, 2 MiB at a reference mount
+        first["first_bounce_fine_w"] = float(p1.sum())
+    point_bins, count = _point_bins(receivers, los, dirs, lit, hops, nbins)
+    totals = {"point_arrivals": count, **first, **second}
     return ArrivalField(mount, cfg, nbins, point_bins, b2_bins, totals)
 
 

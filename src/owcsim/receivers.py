@@ -90,6 +90,9 @@ class ReceiverSpec:
                              f"detector, got {self.kind!r}")
         if not self.branches:
             raise ValueError("a receiver needs at least one branch")
+        if not all(isinstance(b, DetectorSpec) for b in self.branches):
+            raise ValueError("receiver branches must be DetectorSpecs, got "
+                             f"{self.branches!r}")
 
     @property
     def branch_count(self) -> int:
@@ -160,9 +163,10 @@ def sparse_capture(receiver: ReceiverSpec, directions: np.ndarray):
     The (N, J) cosines are computed and gated `_CAPTURE_ROWS` directions at
     a time (`block_slices`), so only the gated entries outlive a block.
     Each entry depends only on its own row of `directions`, so a caller may
-    pass each distinct direction once and share its entries among the
-    arrivals that have it: `raytracer._point_bins` passes a field's table
-    of distinct arrival directions.
+    pass each direction once and share its entries among the arrivals that
+    have it: `raytracer._point_bins` passes the final-hop direction of each
+    lit element of the first-order grid, which every luminaire's arrival
+    from that element shares.
     """
     dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
     bores = np.stack([b.boresight for b in receiver.branches])

@@ -4,8 +4,8 @@ Everything here is written from the closed forms directly, using plain
 Python scalars (no shared code with the production tracer), so the
 production paths can be checked against a source that cannot drift with
 them.  The exceptions say so in their docstrings: the field reference
-(`oracle_field`) takes its inputs from the tracer's own first-order
-stage and second-order kernel, each checked against a reference here.
+(`oracle_field`) takes the tracer's own line-of-sight arrivals and
+second-order kernel, the kernel checked against a reference here.
 """
 
 import math
@@ -455,49 +455,41 @@ def oracle_bin_count(scene, cfg) -> int:
     return int((cfg.max_order + 1) * diag / SPEED_OF_LIGHT / cfg.bin_width) + 2
 
 
-def oracle_point_arrays(los, seen, count: int, hops):
-    """The point arrivals of `raytracer._first_order_arrivals` as flat
-    (flux, delay bin, row of `dirs`) arrays: the LOS arrivals `los`,
-    (flux, delay bin) per luminaire, then every hop's arrivals that pass,
-    written into the arrays one luminaire at a time.  The tracer's own
-    writer of a field's point arrays, kept verbatim."""
-    nl = len(los[0])
-    flux, bins = np.empty(count), np.empty(count, np.int64)
-    row = np.empty(count, np.int64)
-    flux[:nl], bins[:nl], row[:nl] = *los, np.arange(nl)
-    # each element's direction row, after the LOS directions
-    erow = np.cumsum(seen) - 1 + nl
-    a = nl
-    for passes, f, b in hops:
-        e = np.flatnonzero(passes)
-        c = e.size
-        np.take(f, e, out=flux[a:a + c])
-        np.take(b, e, out=bins[a:a + c])
-        np.take(erow, e, out=row[a:a + c])
-        a += c
-    return flux, bins, row
+def oracle_point_arrays(los, hops):
+    """Flat (flux, delay bin, direction) arrays of every point arrival, in
+    trace order: the LOS arrivals `los`, (flux, delay bin, direction) per
+    luminaire, then each of `hops`, one luminaire's (flux, delay bin,
+    direction) per first-order element, for the elements with non-zero
+    flux, in element order."""
+    parts = [los] + [(f[f > 0.0], b[f > 0.0], u[f > 0.0]) for f, b, u in hops]
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def oracle_points(scene, luminaire_ids, mount, cfg):
-    """Every LOS and first-order arrival at `mount`, (flux, delay bin,
-    direction row, direction table), by the tracer's own LOS and
-    first-order stages written out per arrival (`oracle_point_arrays`).
-    They depend on no receiver, and not on the second-order grid: the
-    first-order grid is the same `scene.surface_elements` at one edge."""
-    from owcsim.raytracer import (_delay_bins, _first_order_arrivals,
-                                  _lit_grid, _los_arrivals, _occluder_boxes)
+    """Every LOS and first-order arrival at `mount`, as flat (flux, delay
+    bin, direction) arrays (`oracle_point_arrays`), one luminaire at a
+    time: the tracer's line-of-sight arrivals (`_los_arrivals`), then the
+    product of each luminaire's `oracle_incident_power` on the
+    first-order grid and `oracle_final_hop`'s weight, binned at the sum of
+    their lengths.  They depend on no receiver, and not on the
+    second-order grid: the first-order grid is the same
+    `scene.surface_elements` at one edge."""
+    from owcsim.raytracer import _los_arrivals, _occluder_boxes
+
+    def delay_bins(length):
+        return np.floor(length / SPEED_OF_LIGHT / cfg.bin_width).astype(np.int64)
 
     lums = [scene.luminaires[i] for i in luminaire_ids]
     boxes = _occluder_boxes(scene)
     mount = np.asarray(mount, dtype=float)
     flux0, length0, dirs0 = _los_arrivals(lums, mount, boxes)
-    los = (flux0, _delay_bins(length0, cfg.bin_width,
-                              np.empty(len(flux0), np.int64)))
-    fine = (_lit_grid(scene, lums, boxes, cfg.first_edge)
-            if cfg.max_order >= 1 and lums else None)
-    dirs, seen, count, hops, _ = _first_order_arrivals(
-        dirs0, fine, mount, boxes, cfg.bin_width)
-    return (*oracle_point_arrays(los, seen, count, hops), dirs)
+    hops = []
+    if cfg.max_order >= 1 and lums:
+        grid = scene.surface_elements(cfg.first_edge)
+        p1, l1 = oracle_incident_power(lums, grid, boxes)
+        u3, d3, f3 = oracle_final_hop(grid, mount, boxes)
+        hops = [(p * f3, delay_bins(l + d3), u3) for p, l in zip(p1, l1)]
+    return oracle_point_arrays((flux0, delay_bins(length0), dirs0), hops)
 
 
 def record_hists(monkeypatch) -> list:
@@ -535,7 +527,7 @@ def oracle_receiver_irs(nbins, receiver, points, second=None):
     elements, so there it runs on one thread whatever the host's core
     count.  A last block of one bin joins the one before it: numpy hands
     a 1-wide operand to another BLAS call than the full product."""
-    flux, idx, row, dirs = points
+    flux, idx, dirs = points
     if second is not None:
         full, u3 = second
         starts = list(range(0, nbins, 256))
@@ -553,7 +545,7 @@ def oracle_receiver_irs(nbins, receiver, points, second=None):
         nz = np.nonzero(bins)[0]
         return bins[: nz[-1] + 1] if nz.size else bins[:0]
 
-    acc_point = oracle_capture_matrix(receiver, dirs[row])
+    acc_point = oracle_capture_matrix(receiver, dirs)
     acc_b2 = (oracle_capture_matrix(receiver, u3)
               if second is not None else None)
     return [assemble(acc_point[j], acc_b2[j] if acc_b2 is not None else None)
@@ -619,8 +611,8 @@ def oracle_field(scene, luminaire_ids, mount, cfg) -> OracleField:
 
 def oracle_point_bins(receiver, directions, point_idx, point_flux, nbins):
     """(branches, nbins) point-arrival bins by the per-arrival capture path
-    the tracer used before its direction table, kept verbatim: one
-    `sparse_capture` over a (P, 3) direction per arrival and one
+    the tracer used before it captured each direction once, kept verbatim:
+    one `sparse_capture` over a (P, 3) direction per arrival and one
     `bincount` over `branch * nbins + bin`."""
     from owcsim.receivers import sparse_capture
 

@@ -1257,9 +1257,10 @@ class TestPositionGroups:
                                                 ROW_XS[r]))
 
     def test_shared_work_is_done_once(self, monkeypatch):
-        # the set's incident power once per grid (both orders use the 0.4 m
-        # grid here) and the pair geometry of each lit chunk and each block
-        # of the union's columns once
+        # the set's incident power once per grid, not once per position
+        # (both orders use the 0.4 m grid here, each its own), and the pair
+        # geometry of each lit chunk and each block of the union's columns
+        # once
         calls = {"incident": 0, "pairs": []}
         incident, pairs = raytracer._incident_power, raytracer._pair_geometry
 
@@ -1284,7 +1285,7 @@ class TestPositionGroups:
         union = np.flatnonzero(np.logical_or.reduce(masks))
         rows = np.sum([mask[union] for mask in masks], axis=0)
         blocks = raytracer._column_blocks(rows)
-        assert calls["incident"] == 1
+        assert calls["incident"] == 2
         assert len(blocks) > 1 and len(chunks) == lit_chunk_count(
             pod, (3, 4, 5), raytracer._CHUNK) > 1
         assert sorted(calls["pairs"]) == sorted(
@@ -1434,7 +1435,7 @@ class TestPositionGroups:
             calls.append(None)
             return reduce(*args)
 
-        first = raytracer._first_order_arrivals
+        first = raytracer._los_arrivals
 
         def checked(*args):
             assert gone(refs), "a histogram is held"
@@ -1442,7 +1443,7 @@ class TestPositionGroups:
 
         monkeypatch.setattr(raytracer, "_second_order_hists", record)
         monkeypatch.setattr(raytracer, "_receiver_bins", reducing)
-        monkeypatch.setattr(raytracer, "_first_order_arrivals", checked)
+        monkeypatch.setattr(raytracer, "_los_arrivals", checked)
         gc.disable()
         try:
             fields = list(trace_fields(pod, mounts, cfg, receivers=rxs))
@@ -1537,6 +1538,18 @@ class TestPositionGroups:
         fields = trace_fields(pod, mounts, cfg, threads=np.int64(2), receivers=rxs)
         with pytest.raises(AssertionError, match="traced a refused call"):
             next(fields)
+
+    @pytest.mark.parametrize("pose", [[4, 4], [[4, 4, 2]], [4, 4, 2, 0],
+                                      [4, math.inf, 2], [4, 4, math.nan]],
+                             ids=["two", "nested", "four", "inf", "nan"])
+    def test_pose_not_a_finite_3_vector_is_refused(self, monkeypatch, pose):
+        # refused by the pose check, before any grid is built
+        monkeypatch.setattr(raytracer, "_lit_grid", lambda *args: pytest.fail(
+            "built a grid for a refused pose"))
+        pod = coarse_pod(False)
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            trace_fields(pod, [pod.mounts[1], pose], TraceConfig(**COARSE),
+                         receivers=[make_adr()])
 
 
 class TestReceiverIrs:
@@ -1841,21 +1854,22 @@ class TestReceiverIrsMemory:
         rx = make_imaging()
         calls, point_bins = [], raytracer._point_bins
 
-        def record(receivers, los, dirs, seen, hops, nbins):
+        def record(receivers, los, dirs, lit, hops, nbins):
             # each hop's arrays are reused for the next: keep copies
             hops = [tuple(a.copy() for a in hop) for hop in hops]
-            calls.append((los, dirs, seen, hops, nbins))
-            return point_bins(receivers, los, dirs, seen, iter(hops), nbins)
+            calls.append((los, dirs, lit, hops, nbins))
+            return point_bins(receivers, los, dirs, lit, iter(hops), nbins)
 
         monkeypatch.setattr(raytracer, "_point_bins", record)
         raytracer._field(*args)
-        los, dirs, seen, hops, nbins = calls[0]
+        los, dirs, lit, hops, nbins = calls[0]
 
         def bin_points():
-            return point_bins([rx], los, dirs, seen, iter(hops), nbins)
+            return point_bins([rx], los, dirs, lit, iter(hops), nbins)
 
         # the binning step, as the trace runs it, gives the field's bins
-        (_, bins), = bin_points()
+        ((_, bins),), count = bin_points()
+        assert count == field.totals["point_arrivals"]
         assert [bins.tobytes()] == [b.tobytes() for r, b in field.point_bins
                                     if r.kind == "imaging"]
         cosines = len(dirs) * rx.branch_count * 8
@@ -1863,14 +1877,15 @@ class TestReceiverIrsMemory:
 
     def test_field_holds_only_branch_bins(self, traced):
         # no point array: nothing the field holds is longer than its
-        # largest branch bins, and the stage peaks at 6.7 MiB, against
-        # 12.4 MiB while it built the point arrays
+        # largest branch bins, and the stage peaks at 6.6 MiB, against
+        # 6.7 MiB while it built a direction table and 12.4 MiB while it
+        # built the point arrays
         field, _, _, peak = traced
         bins = [b for _, b in field.point_bins + field.b2_bins]
         held = bins + [v for v in vars(field).values()
                        if isinstance(v, np.ndarray)]
         assert max(a.size for a in held) == max(b.size for b in bins)
-        assert peak < 9 * 2**20
+        assert peak < 7 * 2**20
 
     def test_wfov_gemv_runs_in_bin_blocks(self, traced):
         field, second, *_ = traced

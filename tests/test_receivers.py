@@ -103,6 +103,12 @@ class TestMakeReceivers:
         with pytest.raises(ValueError, match="at least one branch"):
             ReceiverSpec("adr", ())
 
+    @pytest.mark.parametrize("branches", [("x",), "x",
+                                          make_adr().branches + (None,)])
+    def test_branch_not_a_detector_refused(self, branches):
+        with pytest.raises(ValueError, match="branches must be DetectorSpecs"):
+            ReceiverSpec("adr", branches)
+
 
 class TestLensTransmission:
     """The lens polynomial as the capture path applies it, read through a
@@ -348,44 +354,46 @@ class TestBlockSlices:
 
 class TestPointBins:
     """Point arrivals are binned at trace time (`raytracer._point_bins`)
-    from one capture of each distinct direction, shared by the arrivals
-    that have it; the bins must be those of the per-arrival capture, bit
-    for bit."""
+    from one capture of each lit element's direction, shared by every
+    luminaire's arrival from it; the bins must be those of the per-arrival
+    capture, bit for bit, and the count that of the arrivals."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(KINDS), tie=st.booleans(),
            seed=st.integers(0, 2**32 - 1), lums=st.integers(1, 4),
-           unseen=st.integers(0, 40))
+           unlit=st.integers(0, 40))
     def test_binned_per_direction_equals_per_arrival(self, kind, tie, seed,
-                                                     lums, unseen):
+                                                     lums, unlit):
         rx = receiver_under_test(kind, tie)
         rng = np.random.default_rng(seed)
-        # the LOS directions, one per luminaire, then one per element
-        # that passes any luminaire's flux; `unseen` elements pass none
+        # the LOS directions, one per luminaire, then one per lit element;
+        # `unlit` elements pass no luminaire's flux, and some lit ones none
         table = gate_edge_directions(rx, rng, 60)
-        ne, nbins = len(table) - lums + unseen, 24
-        seen = np.zeros(ne, dtype=bool)
-        seen[rng.choice(ne, len(table) - lums, replace=False)] = True
+        ne, nbins = len(table) - lums + unlit, 24
+        lit = np.sort(rng.choice(ne, len(table) - lums, replace=False))
         passes = rng.random((lums, ne)) < 0.5
-        passes[rng.integers(0, lums, ne), np.arange(ne)] = True
-        passes &= seen
+        passes[:, np.setdiff1d(np.arange(ne), lit)] = False
         hops = [(p, np.where(p, rng.random(ne), 0.0), rng.integers(0, nbins, ne))
                 for p in passes]
-        los = (rng.random(lums), rng.integers(0, nbins, lums))
-        (got_rx, got), = _point_bins([rx], los, table, seen, iter(hops), nbins)
+        los = (rng.random(lums), rng.integers(0, nbins, lums), table[:lums])
+        ((got_rx, got),), count = _point_bins([rx], los, table[lums:], lit,
+                                           iter(hops), nbins)
         assert got_rx is rx
 
         # every arrival in trace order: the LOS ones, then each
-        # luminaire's, in element order, each with its direction row
-        erow = np.cumsum(seen) - 1 + lums
-        rows, flux, idx = (np.concatenate(a) for a in zip(
-            (np.arange(lums), *los), *((erow[p], f[p], b[p]) for p, f, b in hops)))
-        dirs = table[rows]
-        assert np.unique(rows).size == len(table) <= rows.size
+        # luminaire's, in element order, each with its element's direction
+        element_dir = np.full((ne, 3), np.nan)
+        element_dir[lit] = table[lums:]
+        flux0, bins0, dirs0 = los
+        dirs, flux, idx = (np.concatenate(a) for a in zip(
+            (dirs0, flux0, bins0),
+            *((element_dir[p], f[p], b[p]) for p, f, b in hops)))
+        assert count == len(flux) == lums + passes.sum()
+        assert 0 < passes.any(axis=0).sum() < len(lit)
         want = oracle_point_bins(rx, dirs, idx, flux, nbins)
         assert got.tobytes() == want.tobytes()
         # some arrivals lie outside every FOV or behind every detector
-        assert np.unique(sparse_capture(rx, dirs)[1]).size < rows.size
+        assert np.unique(sparse_capture(rx, dirs)[1]).size < len(flux)
         if kind == "imaging" and tie:
             # pixel 7 shares pixel 3's boresight: the lower index wins
             assert got[3].any() and not got[7].any()
