@@ -359,9 +359,10 @@ def _sweep_mounts(cfg: RunConfig) -> list:
 
 def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
     """Move the receiver along the row line and write one metrics row per
-    position per receiver kind.  `trace_fields` traces consecutive
-    positions under one luminaire set as a group, which shares the work
-    that does not depend on the position."""
+    position per receiver kind, once every row is computed: a failed
+    position writes no file.  `trace_fields` traces consecutive positions
+    under one luminaire set as a group, which shares the work that does not
+    depend on the position."""
     scene = _build_scene_or_fail(cfg)
     if scene is None:
         return 1
@@ -369,17 +370,16 @@ def run_sweep(cfg: RunConfig, out_dir: str, threads: int = 1) -> int:
     mounts = _sweep_mounts(cfg)
     fields = trace_fields(scene, mounts, cfg.trace, threads, receivers=rxs)
     os.makedirs(out_dir, exist_ok=True)
+    lines = [METRICS_HEADER]
+    for _ in mounts:
+        field = next(fields)
+        lines += [_metrics_row(link_report(field, rx, cfg.bitrate, cfg.noise))
+                  for rx in rxs]
+        # drop each field, and so its bins, before the next is traced
+        del field
     path = os.path.join(out_dir, "metrics.csv")
     with open(path, "w", newline="") as f:
-        f.write(METRICS_HEADER + "\n")
-        for _ in mounts:
-            field = next(fields)
-            for rx in rxs:
-                report = link_report(field, rx, cfg.bitrate, cfg.noise)
-                f.write(_metrics_row(report) + "\n")
-            # each field's arrivals are freed with it: drop each before
-            # the next is traced
-            del field
+        f.write("".join(line + "\n" for line in lines))
     print(f"wrote {path}: {len(mounts) * len(rxs)} rows")
     return 0
 

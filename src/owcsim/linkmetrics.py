@@ -281,7 +281,9 @@ def link_report(field: ArrivalField, receiver: ReceiverSpec, bitrate: float,
     snr_sc = combine_sc(snrs)
     snr_mrc = combine_mrc(snrs)
     if powers[sc_idx] <= 0.0:
-        raise ValueError("no branch received any power; link is dark")
+        raise ValueError(f"no branch of the {receiver.kind} receiver at mount "
+                         f"{tuple(field.mount.tolist())} received any power; "
+                         "link is dark")
     stats = delay_stats(irs[sc_idx])
     return LinkReport(
         mount=tuple(float(c) for c in field.mount),

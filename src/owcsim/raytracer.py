@@ -13,13 +13,14 @@ those alone.  `compute_field` traces one mount, `trace_fields` yields the
 field of each of many mounts in order, each traced when it is asked for.
 A field's two stages run second order first, so its histograms are
 built, reduced to the receivers' branch bins and dropped before the fine
-grid's incident power is live.  Then one pass takes line of sight and
-first order.  Each receiver captures the LOS directions and the final-hop
-directions of the fine grid's lit elements once: every luminaire's
-arrival from one element shares that element's direction.  The hops run
-one panel at a time and the arrivals one luminaire at a time, binned
-straight into the branch bins; no point arrival is kept.  The
-`ArrivalField` only holds the bins.
+grid's incident power is live.  Both orders trace only from each grid's
+lit elements, found once with its incident power (`_lit_grid`).  Then
+one pass takes line of sight and first order.  Each receiver captures
+the LOS directions and the final-hop directions of the fine grid's lit
+elements once: every luminaire's arrival from one element shares that
+element's direction.  The hops run one panel at a time and the arrivals
+one luminaire at a time, binned straight into the branch bins; no point
+arrival is kept.  The `ArrivalField` only holds the bins.
 
 `trace_fields` traces consecutive mounts that share a luminaire set (a
 sweep's positions along one row) as one group of at most `_GROUP_CAP`;
@@ -52,10 +53,11 @@ rose from 99 to 117 MB, mostly the worker's own glibc malloc arena.
 
 Only the second-bounce (e2) columns that some branch captures are
 traced, one histogram row each; every other column meets a capture
-weight of exactly 0.0, so the receivers' impulse responses are
-bit-identical to those of a trace of every column.  Their point bins are
-the sums, in the same order, of a `bincount` over every point arrival's
-capture entries.
+weight of exactly 0.0, and every unlit element an incident power of
+exactly 0.0, so the receivers' impulse responses are bit-identical to
+those of a trace from every element onto every column.  Their point bins
+are the sums, in the same order, of a `bincount` over every point
+arrival's capture entries.
 """
 
 from __future__ import annotations
@@ -239,14 +241,14 @@ def _bin_count(scene: Scene, cfg: TraceConfig) -> int:
     return int(reach / C_LIGHT / cfg.bin_width) + 2
 
 
-def _final_hop(grid, mount, boxes):
-    """Last hop, element -> mount, one panel run at a time: unit directions,
-    lengths and the branch-independent weight (reflectance times the
-    Lambertian emission)."""
-    n = len(grid)
+def _final_hop(grid, idx, mount, boxes):
+    """Last hop, element -> mount, from the ascending elements `idx`, one
+    panel run at a time: unit directions, lengths and the branch-independent
+    weight (reflectance times the Lambertian emission), a row per element."""
+    n = len(idx)
     u3, d3, f3 = np.empty((n, 3)), np.empty(n), np.zeros(n)
-    for k, normal, rho, _ in grid.panel_runs(np.arange(n)):
-        centres = grid.centres[k]
+    for k, normal, rho, _ in grid.panel_runs(idx):
+        centres = grid.centres[idx[k]]
         u3[k], d3[k], cos3 = _hop(centres, mount, normal)
         d, f = d3[k], f3[k]
         sel = (d > _EPS) & (cos3 > 0.0)
@@ -299,30 +301,30 @@ def _delay_bins(lengths, bin_width: float, out: np.ndarray) -> np.ndarray:
     return np.divide(lengths, bin_width, out=out, casting="unsafe")
 
 
-def _one_bounce(p1, l1, f_out, dm, bin_width: float):
-    """Luminaire by luminaire, the one-bounce arrival from every element of
-    the first-order grid: (passes, flux, delay bin), arrays over the grid's
-    elements that are reused for the next luminaire.  `p1` and `l1` are
-    the luminaires' `_incident_power` on the grid, `f_out` and `dm` its
-    `_final_hop` weight and length; `passes` marks the arrivals with
-    non-zero flux, the only ones a field takes."""
-    n = len(f_out)
+def _one_bounce(p1, l1, lit, f_out, dm, bin_width: float):
+    """Luminaire by luminaire, the one-bounce arrival from each lit element
+    of the first-order grid: (passes, flux, delay bin), arrays over `lit`
+    that are reused for the next luminaire.  `p1` and `l1` are the
+    luminaires' `_incident_power` on the grid, `f_out` and `dm` the
+    `_final_hop` weight and length of the elements `lit`; `passes` marks
+    the arrivals with non-zero flux, the only ones a field takes."""
+    n = len(lit)
     flux, length, bins = np.empty(n), np.empty(n), np.empty(n, np.int64)
     for p, l in zip(p1, l1):
-        passes = np.multiply(p, f_out, out=flux) > 0.0
-        np.add(l, dm, out=length)
+        passes = np.multiply(np.take(p, lit, out=flux), f_out, out=flux) > 0.0
+        np.add(np.take(l, lit, out=length), dm, out=length)
         yield passes, flux, _delay_bins(length, bin_width, bins)
 
 
-def _point_bins(receivers, los, dirs, lit, hops, nbins: int) -> tuple:
+def _point_bins(receivers, los, dirs, hops, nbins: int) -> tuple:
     """(each of `receivers` with its branches' point-arrival bins,
     (branches, nbins) W; the arrival count), binned as the hops are taken:
     no per-arrival array is built.
 
     `los` is the LOS arrivals, (flux, delay bin, direction) per luminaire;
-    `hops` a `_one_bounce` iterator over the first-order grid, whose
-    elements `lit` (ascending) hold every arrival that passes, and `dirs`
-    their final-hop directions.  For each receiver, one at a time, the
+    `hops` a `_one_bounce` iterator over the first-order grid's lit
+    elements, which hold every arrival that passes, and `dirs` their
+    final-hop directions, row for row.  For each receiver, one at a time, the
     LOS entries of its `sparse_capture` are `np.add.at` into +0.0 as
     `branch * nbins + bin` with weight times flux, and its capture of
     `dirs` is kept; then each hop adds the entries whose element passes.
@@ -337,7 +339,7 @@ def _point_bins(receivers, los, dirs, lit, hops, nbins: int) -> tuple:
         branch, row, weight = sparse_capture(rx, dirs0)
         np.add.at(acc, branch * nbins + bins0[row], weight * flux0[row])
         branch, row, weight = sparse_capture(rx, dirs)
-        captures.append((branch * nbins, lit[row], weight, acc))
+        captures.append((branch * nbins, row, weight, acc))
     count = len(flux0)
     for passes, flux, bins in hops:
         count += int(np.count_nonzero(passes))
@@ -497,32 +499,30 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
     every mount of a group that shares one luminaire set.
 
     `incident` is `_incident_power` of the set on `grid`, `lit` its lit
-    rows; `hops` and `traced` hold each mount's `_final_hop` and traced e2
-    columns.  Returns one (hist, traced columns, arrival directions `u3`,
-    totals) per mount, `hist` a `HistRuns` of (traced columns, nbins)
-    whose row i is its i-th traced column in element order: the bits a
-    group of that mount alone gives.
+    rows, ascending (`_lit_grid`); `hops` and `traced` hold each mount's
+    `_final_hop` from every element and traced e2 columns.  Returns one
+    (hist, traced columns, arrival directions `u3`, totals) per mount,
+    `hist` a `HistRuns` of (traced columns, nbins) whose row i is its i-th
+    traced column in element order: the bits a group of that mount alone
+    gives.
 
     The work unit is a block of the union of the mounts' columns
-    (`_column_blocks`).  Its runner walks the lit chunks of e1 rows in
-    order, computes each chunk's pair geometry over the block once, and
-    bins every mount's columns of it in one pass into the runner's own
-    accumulator of those histogram rows, so it is the only writer of them:
-    each cell gets one partial sum per chunk, in chunk order, for any block
-    width, unit order or thread count.  Once the block is done, the runner
-    keeps the accumulator's pieces that hold a non-zero value
-    (`HistRuns.keep`) and zeroes the bins it wrote, so the accumulator's
-    touched pages serve every block it takes.  The reflected power is
-    summed the same way, per column, then over a mount's columns."""
+    (`_column_blocks`).  Its runner walks the chunks of lit e1 rows, those
+    of each `_CHUNK` rows of the grid, in order, computes each chunk's pair
+    geometry over the block once, and bins every mount's columns of it in
+    one pass into the runner's own accumulator of those histogram rows, so
+    it is the only writer of them: each cell gets one partial sum per
+    chunk, in chunk order, for any block width, unit order or thread
+    count.  Once the block is done, the runner keeps the accumulator's
+    pieces that hold a non-zero value (`HistRuns.keep`) and zeroes the bins
+    it wrote, so the accumulator's touched pages serve every block it
+    takes.  The reflected power is summed the same way, per column, then
+    over a mount's columns."""
     p1, l1 = incident
     ucols = np.flatnonzero(np.logical_or.reduce(traced))
-    # chunks without a lit row contribute exactly zero: skip them
-    chunks = []
-    for start in range(0, len(grid), _CHUNK):
-        rows = start + np.flatnonzero(lit[start:start + _CHUNK])
-        if rows.size:
-            chunks.append((rows, grid.panel_runs(rows), p1[:, rows, None],
-                           l1[:, rows, None]))
+    cuts = np.flatnonzero(np.diff(lit // _CHUNK)) + 1
+    chunks = [(rows, grid.panel_runs(rows), p1[:, rows, None], l1[:, rows, None])
+              for rows in np.split(lit, cuts) if rows.size]
     targets = []
     for (_, d3, f3), mask in zip(hops, traced):
         pos = np.flatnonzero(mask[ucols])
@@ -593,7 +593,7 @@ def _second_order_hists(grid, incident, lit, hops, traced, boxes, nbins,
         for h in helpers:
             h.result()
 
-    rows_traced, ne = int(lit.sum()), len(grid)
+    rows_traced, ne = lit.size, len(grid)
     out = []
     for t, mask, (u3, _, _) in zip(targets, traced, hops):
         nc = t.pos.size
@@ -868,21 +868,23 @@ def _position_groups(scene: Scene, mounts) -> list:
 
 
 def _lit_grid(scene: Scene, lums, boxes, edge: float):
-    """The grid of element edge `edge` and the set's incident power on it."""
+    """(grid, incident, lit): the grid of element edge `edge`, the set's
+    `_incident_power` on it, and its lit elements, ascending, those with
+    incident power from some luminaire.  Only they are traced from: every
+    path from an unlit element is weighed by its incident power, exactly
+    zero with or without occlusion, so it adds nothing."""
     grid = scene.surface_elements(edge)
-    return grid, _incident_power(lums, grid, boxes)
+    incident = _incident_power(lums, grid, boxes)
+    return grid, incident, np.flatnonzero(incident[0].any(axis=0))
 
 
-def _second_setup(grid, incident, mounts, receivers, boxes):
-    """The lit e1 rows of `incident`, the set's incident power on the
-    coarse `grid`, and each mount's final hop and traced e2 columns.
-
-    Rows with no incident power from any luminaire add nothing (their
-    weights are exactly zero, with or without occlusion), so only lit rows
-    are traced."""
-    hops = [_final_hop(grid, m, boxes) for m in mounts]
+def _second_setup(grid, mounts, receivers, boxes):
+    """(hops, traced): each mount's final hop from every element of the
+    coarse `grid`, whose directions every column's capture needs, and its
+    traced e2 columns."""
+    hops = [_final_hop(grid, np.arange(len(grid)), m, boxes) for m in mounts]
     traced = [_captured_columns(receivers, u3) for u3, _, _ in hops]
-    return incident[0].any(axis=0), hops, traced
+    return hops, traced
 
 
 def _group_extent(scene: Scene, ids, mounts, cfg: TraceConfig, receivers) -> dict:
@@ -893,13 +895,12 @@ def _group_extent(scene: Scene, ids, mounts, cfg: TraceConfig, receivers) -> dic
     once, one row per traced column per mount.  For one mount these are
     that mount's own figures."""
     lums, boxes = [scene.luminaires[i] for i in ids], _occluder_boxes(scene)
-    grid, incident = _lit_grid(scene, lums, boxes, cfg.second_edge)
-    lit, _, traced = _second_setup(grid, incident, mounts, receivers, boxes)
-    rows = int(lit.sum())
+    grid, _, lit = _lit_grid(scene, lums, boxes, cfg.second_edge)
+    _, traced = _second_setup(grid, mounts, receivers, boxes)
     cols = int(np.logical_or.reduce(traced).sum())
     held = sum(int(t.sum()) for t in traced)
-    return {"positions": len(mounts), "rows": rows, "cols": cols,
-            "pairs": rows * cols,
+    return {"positions": len(mounts), "rows": lit.size, "cols": cols,
+            "pairs": lit.size * cols,
             "hist_bytes": held * _bin_count(scene, cfg) * 8}
 
 
@@ -921,12 +922,11 @@ def _fields(scene: Scene, groups, cfg: TraceConfig, threads: int, receivers):
         lums = [scene.luminaires[i] for i in ids]
         seconds = [None] * len(mounts)
         if cfg.max_order >= 2 and lums:
-            grid, incident = _lit_grid(scene, lums, boxes, cfg.second_edge)
+            coarse = _lit_grid(scene, lums, boxes, cfg.second_edge)
             seconds = _second_order_hists(
-                grid, incident,
-                *_second_setup(grid, incident, mounts, receivers, boxes),
+                *coarse, *_second_setup(coarse[0], mounts, receivers, boxes),
                 boxes, nbins, cfg.bin_width, threads)
-            del grid, incident
+            del coarse
             # each mount keeps its receivers' branch bins, and its
             # histogram goes back to the OS before the next is reduced
             for i, second in enumerate(seconds):
@@ -957,24 +957,21 @@ def _field(lums, mount, cfg: TraceConfig, boxes, nbins: int, second,
            fine, receivers) -> "ArrivalField":
     """One mount's field: `second`, its share of its group's second order
     (None below order 2), then its LOS and first-order arrivals, those on
-    `fine`, the first-order grid and the set's incident power on it (None:
-    no first order), binned in one pass into the branch bins of
-    `receivers` (`_point_bins`).  Only the grid's lit elements, those
-    with incident power from some luminaire, can pass a luminaire's flux,
-    so only their final-hop directions are captured."""
+    `fine`, the first-order grid's `_lit_grid` (None: no first order),
+    binned in one pass into the branch bins of `receivers` (`_point_bins`).
+    The final hop is taken, and its direction captured, from the lit
+    elements alone, which hold every arrival that passes."""
     b2_bins, second = second or (None, {})
     flux0, length0, dirs0 = _los_arrivals(lums, mount, boxes)
     los = (flux0, _delay_bins(length0, cfg.bin_width,
                               np.empty(len(flux0), np.int64)), dirs0)
-    dirs, lit, hops, first = np.empty((0, 3)), np.empty(0, np.int64), (), {}
+    dirs, hops, first = np.empty((0, 3)), (), {}
     if fine is not None:
-        grid, (p1, l1) = fine
-        u, dm, f_out = _final_hop(grid, mount, boxes)
-        lit = np.flatnonzero(p1.any(axis=0))
-        dirs, hops = u[lit], _one_bounce(p1, l1, f_out, dm, cfg.bin_width)
-        del u           # every element's direction, 2 MiB at a reference mount
+        grid, (p1, l1), lit = fine
+        dirs, dm, f_out = _final_hop(grid, lit, mount, boxes)
+        hops = _one_bounce(p1, l1, lit, f_out, dm, cfg.bin_width)
         first["first_bounce_fine_w"] = float(p1.sum())
-    point_bins, count = _point_bins(receivers, los, dirs, lit, hops, nbins)
+    point_bins, count = _point_bins(receivers, los, dirs, hops, nbins)
     totals = {"point_arrivals": count, **first, **second}
     return ArrivalField(mount, cfg, nbins, point_bins, b2_bins, totals)
 

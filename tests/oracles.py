@@ -584,10 +584,10 @@ def kernel_hist(scene, luminaire_ids, mount, cfg, threads=1):
 
     lums = [scene.luminaires[i] for i in luminaire_ids]
     boxes = raytracer._occluder_boxes(scene)
-    grid, incident = raytracer._lit_grid(scene, lums, boxes, cfg.second_edge)
-    lit, hops, traced = raytracer._second_setup(
-        grid, incident, [np.asarray(mount, dtype=float)], [all_around()],
-        boxes)
+    grid, incident, lit = raytracer._lit_grid(scene, lums, boxes,
+                                              cfg.second_edge)
+    hops, traced = raytracer._second_setup(
+        grid, [np.asarray(mount, dtype=float)], [all_around()], boxes)
     assert traced[0].all(), "all_around() must trace every element"
     (kept, _, u3, totals), = raytracer._second_order_hists(
         grid, incident, lit, hops, traced, boxes,

@@ -357,6 +357,24 @@ class TestSweep:
         assert float(rows[-1].split(",")[1]) == 8.0
 
 
+    def test_dark_position_is_named_and_writes_no_file(self, tmp_path,
+                                                       capsys):
+        # 5 cm under the ceiling, the ADR at y = 4 sits right under a unit;
+        # at y = 7 no unit lies in any branch's FOV, and with no reflection
+        # the link is dark
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(coarse_second_order_config(**{
+            "rack_top_m = 2.0": "rack_top_m = 2.95",
+            "y_start_m = 1.0": "y_start_m = 4.0"}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--receiver", "adr",
+                     "--orders", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no branch of the adr receiver at mount (4.0, 7.0, 2.95) "
+            "received any power; link is dark\n")
+        assert not (out / "metrics.csv").exists()
+
+
 class TestCheck:
     def test_reference_is_clean(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.ini"

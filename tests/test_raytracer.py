@@ -28,6 +28,7 @@ from owcsim.raytracer import (
     _final_hop,
     _group_extent,
     _incident_power,
+    _lit_grid,
     _occluder_boxes,
     _position_groups,
     _second_order_bins,
@@ -241,6 +242,39 @@ class TestTrace:
             assert len(irs) == 1 + 1 + 3 + 50
             for ir in irs:
                 assert ir.bins.size == 0 and ir.bins.dtype == np.float64
+
+    @pytest.mark.parametrize("occlusion", [False, True])
+    def test_lit_elements_are_those_with_incident_power(self, occlusion):
+        pod = build_pod(PodConfig(luminaire_power_w=1.0,
+                                  rack_occluding=occlusion))
+        lums = [pod.luminaires[i] for i in pod.assigned_luminaires(pod.mounts[1])]
+        boxes = _occluder_boxes(pod)
+        grid, incident, lit = _lit_grid(pod, lums, boxes, 0.2)
+        power = oracle_incident_power(lums, grid, boxes)[0]
+        assert incident[0].tobytes() == power.tobytes()
+        assert lit.tolist() == np.flatnonzero(power.any(axis=0)).tolist()
+        assert 0 < lit.size < len(grid)
+
+    @pytest.mark.parametrize("occlusion", [False, True])
+    def test_final_hop_from_a_subset_of_elements(self, occlusion):
+        # each hop from an ascending subset is the reference's row at that
+        # element, for subsets whose runs cross panel boundaries, and empty
+        pod = build_pod(PodConfig(luminaire_power_w=1.0,
+                                  rack_occluding=occlusion))
+        grid, boxes = pod.surface_elements(0.4), _occluder_boxes(pod)
+        rng = np.random.default_rng(7)
+        edges = np.concatenate([grid.starts[1:] - 1, grid.starts[1:]])
+        some = np.union1d(np.flatnonzero(rng.random(len(grid)) < 0.3), edges)
+        panel = np.searchsorted(grid.starts, some, side="right")
+        assert np.unique(panel).size == len(grid.starts) > 2
+        for mount in pod.mounts:
+            want = oracle_final_hop(grid, mount, boxes)
+            for idx in (some, some[:1], np.arange(len(grid)),
+                        np.empty(0, np.intp)):
+                got = _final_hop(grid, idx, mount, boxes)
+                for a, b in zip(got, want):
+                    assert a.shape == b[idx].shape
+                    assert a.tobytes() == b[idx].tobytes()
 
     def test_nothing_captured_gives_float_bins(self):
         # a face-down detector sees no LOS arrival; with no second order
@@ -496,9 +530,8 @@ def run_stressed(trace):
 def lit_chunk_count(pod, ids, chunk):
     """Chunks of `chunk` rows of the 0.4 m grid that a luminaire of `ids`
     lights, nothing occluding."""
-    lit = _incident_power([pod.luminaires[i] for i in ids],
-                          pod.surface_elements(0.4), [])[0].any(axis=0)
-    return len({r // chunk for r in np.flatnonzero(lit)})
+    lit = _lit_grid(pod, [pod.luminaires[i] for i in ids], [], 0.4)[2]
+    return np.unique(lit // chunk).size
 
 
 class RecordingExecutor(ThreadPoolExecutor):
@@ -542,20 +575,19 @@ class TestSecondOrderKernel:
         cfg = TraceConfig(**COARSE)
         ids = pod.assigned_luminaires(pod.mounts[1])
         # the grid must hold a chunk with no lit row and one with some
-        grid = pod.surface_elements(cfg.second_edge)
-        lit = _incident_power([pod.luminaires[i] for i in ids], grid,
-                              _occluder_boxes(pod))[0].any(axis=0)
-        chunks = [lit[s:s + raytracer._CHUNK]
-                  for s in range(0, len(grid), raytracer._CHUNK)]
-        assert any(not c.any() for c in chunks)
-        assert any(c.any() and not c.all() for c in chunks)
+        grid, _, lit = _lit_grid(pod, [pod.luminaires[i] for i in ids],
+                                 _occluder_boxes(pod), cfg.second_edge)
+        per_chunk = np.bincount(lit // raytracer._CHUNK,
+                                minlength=-(-len(grid) // raytracer._CHUNK))
+        assert (per_chunk == 0).any()
+        assert ((0 < per_chunk) & (per_chunk < raytracer._CHUNK)).any()
 
         kept, totals, _ = kernel_hist(pod, ids, pod.mounts[1], cfg, threads)
         hist, second_w = oracle_second_order_hist(pod, ids, pod.mounts[1], cfg)
         assert kept.toarray().tobytes() == hist.tobytes()
         assert totals["second_bounce_coarse_w"] == second_w
-        assert totals["second_rows_traced"] == int(lit.sum())
-        assert totals["second_pairs_evaluated"] == int(lit.sum()) * len(grid)
+        assert totals["second_rows_traced"] == lit.size
+        assert totals["second_pairs_evaluated"] == lit.size * len(grid)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_tilted_panels_pin_summation_order(self, threads):
@@ -600,11 +632,12 @@ class TestSecondOrderKernel:
         # plane: zero x and y differences there, zero z ones on the ceiling
         above = grid.centres[grid.starts[2]] * (1.0, 1.0, 0.0) + (0.0, 0.0, 2.4)
         lums = scene.luminaires + [down_luminaire(above)]
-        incident = _incident_power(lums, grid, [])
+        _, incident, lit = _lit_grid(scene, lums, [], edge)
         assert (incident[0].tobytes()
                 == oracle_incident_power(lums, grid, [])[0].tobytes())
+        every = np.arange(len(grid))
         for point in (scene.mounts[0], above, above - (0.0, 0.0, 1.0)):
-            for a, b in zip(_final_hop(grid, point, []),
+            for a, b in zip(_final_hop(grid, every, point, []),
                             oracle_final_hop(grid, point, [])):
                 assert a.tobytes() == b.tobytes()
         # past the first, some column block (every column is traced) and
@@ -612,11 +645,10 @@ class TestSecondOrderKernel:
         n, w = raytracer._CHUNK, raytracer._BLOCK
         assert len(grid) > n > w
         panel = np.searchsorted(grid.starts, np.arange(len(grid)), side="right")
-        lit = incident[0].any(axis=0)
         assert any(np.unique(panel[s:s + w]).size > 1
                    for s in range(w, len(grid), w))
         assert any(np.unique(panel[s:s + n]).size > 1
-                   and np.unique(panel[s:s + n][lit[s:s + n]]).size > 1
+                   and np.unique(panel[lit[lit // n == s // n]]).size > 1
                    for s in range(n, len(grid), n))
         # the two floor panels share a normal, not a reflectance or an area
         a, b = grid.starts[1:3]
@@ -1278,9 +1310,10 @@ class TestPositionGroups:
         hists = record_hists(monkeypatch)
         fields = traced_fields([0, 4, 8, 12], threads=2)
         pod = coarse_pod(False)
-        lit = _incident_power([pod.luminaires[i] for i in (3, 4, 5)],
-                              pod.surface_elements(0.4), [])[0].any(axis=0)
-        chunks = {r // raytracer._CHUNK for r in np.flatnonzero(lit).tolist()}
+        lit = np.flatnonzero(_incident_power(
+            [pod.luminaires[i] for i in (3, 4, 5)], pod.surface_elements(0.4),
+            [])[0].any(axis=0))
+        chunks = set((lit // raytracer._CHUNK).tolist())
         masks = [mask for _, mask, _ in hists]
         union = np.flatnonzero(np.logical_or.reduce(masks))
         rows = np.sum([mask[union] for mask in masks], axis=0)
@@ -1854,18 +1887,18 @@ class TestReceiverIrsMemory:
         rx = make_imaging()
         calls, point_bins = [], raytracer._point_bins
 
-        def record(receivers, los, dirs, lit, hops, nbins):
+        def record(receivers, los, dirs, hops, nbins):
             # each hop's arrays are reused for the next: keep copies
             hops = [tuple(a.copy() for a in hop) for hop in hops]
-            calls.append((los, dirs, lit, hops, nbins))
-            return point_bins(receivers, los, dirs, lit, iter(hops), nbins)
+            calls.append((los, dirs, hops, nbins))
+            return point_bins(receivers, los, dirs, iter(hops), nbins)
 
         monkeypatch.setattr(raytracer, "_point_bins", record)
         raytracer._field(*args)
-        los, dirs, lit, hops, nbins = calls[0]
+        los, dirs, hops, nbins = calls[0]
 
         def bin_points():
-            return point_bins([rx], los, dirs, lit, iter(hops), nbins)
+            return point_bins([rx], los, dirs, iter(hops), nbins)
 
         # the binning step, as the trace runs it, gives the field's bins
         ((_, bins),), count = bin_points()
@@ -1877,15 +1910,48 @@ class TestReceiverIrsMemory:
 
     def test_field_holds_only_branch_bins(self, traced):
         # no point array: nothing the field holds is longer than its
-        # largest branch bins, and the stage peaks at 6.6 MiB, against
-        # 6.7 MiB while it built a direction table and 12.4 MiB while it
-        # built the point arrays
+        # largest branch bins, and the stage peaks at 5.5 MiB, against
+        # 6.6 MiB while it took the final hop from every element, 6.7 MiB
+        # while it built a direction table and 12.4 MiB while it built the
+        # point arrays
         field, _, _, peak = traced
         bins = [b for _, b in field.point_bins + field.b2_bins]
         held = bins + [v for v in vars(field).values()
                        if isinstance(v, np.ndarray)]
         assert max(a.size for a in held) == max(b.size for b in bins)
-        assert peak < 7 * 2**20
+        assert peak < 6.5 * 2**20
+
+    def test_first_order_hops_from_the_lit_elements(self, traced,
+                                                     monkeypatch):
+        # every unit points straight down, so no ceiling element is lit:
+        # the stage takes the final hop from the other 64 000 of the 89 600
+        # elements alone, and runs each luminaire's hop pass over them
+        field, _, args, _ = traced
+        lums, boxes, (grid, _, _) = args[0], args[3], args[6]
+        calls, sizes = [], []
+        final_hop, one_bounce = raytracer._final_hop, raytracer._one_bounce
+
+        def record_hop(grid, idx, mount, boxes):
+            calls.append(idx.copy())
+            return final_hop(grid, idx, mount, boxes)
+
+        def record_bounce(*args):
+            for hop in one_bounce(*args):
+                sizes.append([a.size for a in hop])
+                yield hop
+
+        monkeypatch.setattr(raytracer, "_final_hop", record_hop)
+        monkeypatch.setattr(raytracer, "_one_bounce", record_bounce)
+        again = raytracer._field(*args)
+        assert [b.tobytes() for _, b in again.point_bins] == [
+            b.tobytes() for _, b in field.point_bins]
+        idx, = calls
+        ceiling = grid.normals[:, 2] == -1.0
+        lit = oracle_incident_power(lums, grid, boxes)[0].any(axis=0)
+        assert len(grid) == 89_600 and np.count_nonzero(ceiling) == 25_600
+        assert idx.tolist() == np.flatnonzero(lit).tolist()
+        assert idx.tolist() == np.flatnonzero(~ceiling).tolist()
+        assert sizes == [[64_000] * 3] * len(lums)
 
     def test_wfov_gemv_runs_in_bin_blocks(self, traced):
         field, second, *_ = traced
